@@ -2,7 +2,8 @@
 
 Every artifact embeds the run configuration (JSON field or CSV header
 comment) so runs are self-describing and replayable.  Exit codes:
-0 success, 1 configuration error, 2 numerical domain error (collision),
+0 success, 1 configuration error, 2 numerical domain error (collision,
+step-size underflow, Kepler non-convergence or a corrupt monodromy),
 3 verification failure.
 """
 
@@ -15,10 +16,10 @@ import sys
 
 import numpy as np
 
-from .kepler import ModelParams, ephemeris
+from .kepler import TWO_PI, KeplerConvergenceError, ModelParams, ephemeris
 from .model import CollisionError, ExtendedState
-from .integrate import integrate_orbit
-from .floquet import classify, monodromy
+from .integrate import StiffnessError, _write_text, integrate_orbit
+from .floquet import MonodromyError, classify, monodromy
 from .general_model import bound_report, load_curve_pair, sitnikov_pair
 from .scan import eps_scan_origin, find_transitions, interchange_census, trace_curve
 from .poincare import section
@@ -61,10 +62,7 @@ def parse_qstar(text: str) -> float:
 
 
 def _params(args) -> ModelParams:
-    try:
-        return ModelParams(r=args.r, epsilon=args.eps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ModelParams(r=args.r, epsilon=args.eps)
 
 
 def _config_json(args) -> str:
@@ -74,30 +72,17 @@ def _config_json(args) -> str:
 
 def _write_json(path: str | None, payload: dict, args) -> None:
     payload = {"config": json.loads(_config_json(args)), **payload}
-    text = json.dumps(payload, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(path or sys.stdout, json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_kepler(args) -> int:
-    if not 0.0 <= args.eps < 1.0:
-        raise ConfigError(f"eps={args.eps} outside [0, 1)")
-    params = ModelParams(r=args.r, epsilon=args.eps)
-    grid = parse_grid(args.t)
-    lines = ["t,u,rho,x1x,x1y,x1z,x2x,x2y,x2z"]
-    for t in grid:
+    params = _params(args)
+    lines = [f"# {_config_json(args)}", "t,u,rho,x1x,x1y,x1z,x2x,x2y,x2z"]
+    for t in parse_grid(args.t):
         e = ephemeris(float(t), params)
         row = [e.t, e.u, e.rho, *e.x1, *e.x2]
         lines.append(",".join(f"{v:.17g}" for v in row))
-    text = f"# {_config_json(args)}\n" + "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out or sys.stdout, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -118,7 +103,7 @@ def cmd_floquet(args) -> int:
     params = _params(args)
     period = None
     if args.period:
-        period = math.pi if args.period == "pi" else 2.0 * math.pi
+        period = math.pi if args.period == "pi" else TWO_PI
     m = monodromy(parse_qstar(args.qstar), params, period=period,
                   tol=args.tol)
     verdict = classify(m, delta_par=args.delta_par)
@@ -297,12 +282,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         return args.func(args)
-    except CollisionError as exc:
+    except (CollisionError, StiffnessError, KeplerConvergenceError,
+            MonodromyError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

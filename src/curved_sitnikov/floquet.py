@@ -19,12 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .kepler import ModelParams
-from .model import cubic_coefficient
+from .kepler import TWO_PI, ModelParams
+from .model import coefficient_period, cubic_coefficient
 from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix,
                         integrate_variational)
-
-TWO_PI = 2.0 * math.pi
 
 DEFAULT_DELTA_PAR = 1e-9
 DET_CORRUPT_TOL = 1e-6
@@ -51,11 +49,6 @@ class Monodromy:
     @property
     def half_trace(self) -> float:
         return self.matrix.half_trace
-
-    @property
-    def y2(self) -> float:
-        """Lower-right entry; equals the half-trace for an even coefficient."""
-        return self.matrix.y2
 
     @property
     def det(self) -> float:
@@ -107,8 +100,7 @@ class StabilityVerdict:
 
 
 def monodromy(q_star: float, params: ModelParams, period: float | None = None,
-              tol: float = DEFAULT_MONODROMY_TOL,
-              method: str = "adaptive") -> Monodromy:
+              tol: float = DEFAULT_MONODROMY_TOL) -> Monodromy:
     """Monodromy matrix of the linearization at ``q_star``.
 
     ``period`` defaults to the coefficient's period: pi for circular
@@ -116,12 +108,12 @@ def monodromy(q_star: float, params: ModelParams, period: float | None = None,
     ``epsilon = 0``.
     """
     if period is None:
-        period = math.pi if params.epsilon == 0.0 else TWO_PI
+        period = coefficient_period(params.epsilon)
     if not (math.isclose(period, math.pi) or math.isclose(period, TWO_PI)):
         raise ValueError(f"period={period} must be pi or 2*pi")
     if math.isclose(period, math.pi) and params.epsilon != 0.0:
         raise ValueError("period pi requires epsilon = 0")
-    mat = integrate_variational(q_star, params, period, tol=tol, method=method)
+    mat = integrate_variational(q_star, params, period, tol=tol)
     return Monodromy(matrix=mat, period=period, params=params,
                      q_star=q_star, tol=tol)
 
@@ -241,23 +233,22 @@ def winding_bound(a_min: float, t0: float, t1: float) -> float:
 
 
 def ortega_hypotheses(params: ModelParams,
-                      delta_par: float = DEFAULT_DELTA_PAR,
-                      tol: float = DEFAULT_MONODROMY_TOL,
-                      n_cubic_samples: int = 64) -> dict:
+                      tol: float = DEFAULT_MONODROMY_TOL) -> dict:
     """Hypothesis check for nonlinear stability of the origin equilibrium.
 
     The origin is nonlinearly stable when the linear part is stable
     (elliptic, or parabolic with a diagonal monodromy) and the cubic
     coefficient of the force expansion is sign-definite.  Returns the
     individual findings plus the combined flag; circular primaries only.
+    The cubic coefficient is sampled at 64 phases.
     """
     m = monodromy(0.0, params, tol=tol)
-    verdict = classify(m, delta_par=delta_par)
+    verdict = classify(m)
     linear_ok = verdict.classification == ELLIPTIC or (
         verdict.classification == PARABOLIC
         and verdict.parabolic_subtype is not None
         and verdict.parabolic_subtype.startswith("diagonal"))
-    ts = np.linspace(0.0, TWO_PI, n_cubic_samples, endpoint=False)
+    ts = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     cubic_min = min(cubic_coefficient(float(t), params) for t in ts)
     return {
         "r": params.r,

@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .kepler import ModelParams, radial_factor_derivatives
+from .kepler import TWO_PI, ModelParams, radial_factor_derivatives
 from .model import D_MIN
-
-TWO_PI = 2.0 * math.pi
 
 # Curvature lower-bound constant: U'' >= C_LOWER / delta^3 on |t| <= tau.
 C_LOWER = 2.0 ** -4.5
@@ -63,7 +61,6 @@ class CurvePair:
     y_tt: Curve | None = None
     m_bound: float | None = None
     k_bound: float | None = None
-    meta: dict = field(default_factory=dict)
 
     def z(self, s: float, t: float, lam: float) -> np.ndarray:
         return self.x(s, lam) - self.y(t, lam)
@@ -135,26 +132,30 @@ class BoundReport:
         return json.dumps(self.to_json_dict())
 
 
-def _fd1(f: Callable[[float], np.ndarray], u: float, h: float = 1e-3) -> np.ndarray:
+# Step of the fourth-order finite differences used for absent derivatives.
+FD_STEP = 1e-3
+
+
+def _fd1(f: Callable[[float], np.ndarray], u: float) -> np.ndarray:
+    h = FD_STEP
     return (f(u - 2 * h) - 8 * f(u - h) + 8 * f(u + h) - f(u + 2 * h)) / (12 * h)
 
 
-def _fd2(f: Callable[[float], np.ndarray], u: float, h: float = 1e-3) -> np.ndarray:
+def _fd2(f: Callable[[float], np.ndarray], u: float) -> np.ndarray:
+    h = FD_STEP
     return (-f(u - 2 * h) + 16 * f(u - h) - 30 * f(u) + 16 * f(u + h)
             - f(u + 2 * h)) / (12 * h * h)
 
 
-def pair_potential(s: float, t: float, lam: float, pair: CurvePair,
-                   d_min: float = D_MIN) -> float:
+def pair_potential(s: float, t: float, lam: float, pair: CurvePair) -> float:
     """Gravitational potential ``U = -1/|x(s) - y(t)|``."""
     dist = float(np.linalg.norm(pair.z(s, t, lam)))
-    if dist <= d_min:
+    if dist <= D_MIN:
         raise ValueError(f"curve separation {dist:.3e} below collision guard")
     return -1.0 / dist
 
 
-def d2U_ds2(t: float, lam: float, pair: CurvePair,
-            d_min: float = D_MIN) -> float:
+def d2U_ds2(t: float, lam: float, pair: CurvePair) -> float:
     """Second ``s``-derivative of ``U`` at ``s = 0`` via the dot-product form.
 
     ``U'' = [(z'.z' + z.z'') (z.z) - 3 (z.z')^2] / (z.z)^{5/2}`` where
@@ -162,49 +163,50 @@ def d2U_ds2(t: float, lam: float, pair: CurvePair,
     """
     z = pair.z(0.0, t, lam)
     zz = float(z @ z)
-    if zz <= d_min * d_min:
+    if zz <= D_MIN * D_MIN:
         raise ValueError(f"curve separation {math.sqrt(zz):.3e} below collision guard")
     zp = pair.dx_ds(0.0, lam)
     zpp = pair.d2x_ds2(0.0, lam)
     return float(((zp @ zp + z @ zpp) * zz - 3.0 * (z @ zp) ** 2) / zz**2.5)
 
 
-def d2U_ds2_fd(t: float, lam: float, pair: CurvePair,
-               h: float | None = None) -> float:
+def d2U_ds2_fd(t: float, lam: float, pair: CurvePair) -> float:
     """Finite-difference oracle for ``U''(0, t, lam)``.
 
     Fourth-order five-point stencil applied to ``U`` itself, independent of
     the analytic dot-product route; the step scales with the local curve
     separation to keep truncation below roundoff amplification.
     """
-    if h is None:
-        dist = float(np.linalg.norm(pair.z(0.0, t, lam)))
-        h = min(1e-3, dist / 50.0)
+    dist = float(np.linalg.norm(pair.z(0.0, t, lam)))
+    h = min(1e-3, dist / 50.0)
     u = [pair_potential(s, t, lam, pair)
          for s in (-2 * h, -h, 0.0, h, 2 * h)]
     return (-u[0] + 16 * u[1] - 30 * u[2] + 16 * u[3] - u[4]) / (12 * h * h)
 
 
-def min_distance(lam: float, pair: CurvePair, ns: int = 121, nt: int = 121,
-                 refine: bool = True) -> tuple[float, float, float]:
+def min_distance(lam: float, pair: CurvePair) -> tuple[float, float, float]:
     """Minimum of ``|x(s) - y(t)|`` via grid search plus local refinement.
 
-    Returns ``(delta, s_star, t_star)``.  The minimizer must sit near
-    ``(0, 0)`` (within a few grid cells) and, for non-periodic ``s``
-    windows, strictly inside the window; otherwise the pair violates its
-    closest-approach normalization and a ``ValueError`` is raised.  Ties
-    (e.g. a ``t``-independent separation) resolve toward ``t = 0``.
+    A 121 x 121 grid over the ``s`` window and one ``t`` period seeds a
+    Nelder-Mead refinement.  Returns ``(delta, s_star, t_star)``.  The
+    minimizer must sit near ``(0, 0)`` (within a few grid cells) and, for
+    non-periodic ``s`` windows, strictly inside the window; otherwise the
+    pair violates its closest-approach normalization and a ``ValueError``
+    is raised.  Ties (e.g. a ``t``-independent separation) resolve toward
+    ``t = 0``.
     """
     s_lo, s_hi = pair.s_range
-    svals = np.linspace(s_lo, s_hi, ns)
-    tvals = np.linspace(-0.5 * pair.t_period, 0.5 * pair.t_period, nt)
+    svals = np.linspace(s_lo, s_hi, 121)
+    tvals = np.linspace(-0.5 * pair.t_period, 0.5 * pair.t_period, 121)
+
+    def gap2(s: float, t: float) -> float:
+        z = pair.z(s, t, lam)
+        return float(z @ z)
 
     best = None
     for s in svals:
         for t in tvals:
-            d2 = float(pair.z(float(s), float(t), lam) @
-                       pair.z(float(s), float(t), lam))
-            key = (d2, abs(t), abs(s))
+            key = (gap2(float(s), float(t)), abs(t), abs(s))
             if best is None or key < best[0]:
                 best = (key, float(s), float(t))
     (_, s0, t0) = best
@@ -217,13 +219,10 @@ def min_distance(lam: float, pair: CurvePair, ns: int = 121, nt: int = 121,
             f"closest approach sits on the s-window boundary (s={s0}); "
             f"the pair is not normalized to an interior minimum")
 
-    s_star, t_star = s0, t0
-    if refine:
-        res = minimize(
-            lambda v: float(pair.z(v[0], v[1], lam) @ pair.z(v[0], v[1], lam)),
-            x0=[s0, t0], method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 400})
-        s_star, t_star = float(res.x[0]), float(res.x[1])
+    res = minimize(lambda v: gap2(v[0], v[1]), x0=[s0, t0],
+                   method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 400})
+    s_star, t_star = float(res.x[0]), float(res.x[1])
 
     if abs(s_star) > 3.0 * ds + 1e-9 or abs(t_star) > 3.0 * dt + 1e-9:
         raise ValueError(
@@ -233,14 +232,13 @@ def min_distance(lam: float, pair: CurvePair, ns: int = 121, nt: int = 121,
     return delta, s_star, t_star
 
 
-def estimate_bounds(pair: CurvePair, lam: float,
-                    ns: int = 61, nt: int = 121) -> tuple[float, float, bool]:
+def estimate_bounds(pair: CurvePair, lam: float) -> tuple[float, float, bool]:
     """Return ``(M, k, used_supplied)`` for the Taylor estimates.
 
-    ``M`` bounds ``z`` and its first and second partials over the sampled
-    window, uniformly over the given ``lam`` and the range endpoints;
-    ``k = 2 M^2`` then dominates both Taylor remainders near closest
-    approach.  Supplied values take precedence.
+    ``M`` bounds ``z`` and its first and second partials over the window
+    (61 ``s`` and 121 ``t`` samples), uniformly over the given ``lam`` and
+    the range endpoints; ``k = 2 M^2`` then dominates both Taylor
+    remainders near closest approach.  Supplied values take precedence.
     """
     if pair.m_bound is not None and pair.k_bound is not None:
         return pair.m_bound, pair.k_bound, True
@@ -248,8 +246,8 @@ def estimate_bounds(pair: CurvePair, lam: float,
         return pair.m_bound, 2.0 * pair.m_bound**2, True
 
     lams = {lam, pair.lam_range[0], pair.lam_range[1]}
-    svals = np.linspace(pair.s_range[0], pair.s_range[1], ns)
-    tvals = np.linspace(-0.5 * pair.t_period, 0.5 * pair.t_period, nt)
+    svals = np.linspace(pair.s_range[0], pair.s_range[1], 61)
+    tvals = np.linspace(-0.5 * pair.t_period, 0.5 * pair.t_period, 121)
     m = 0.0
     for lm in lams:
         for s in svals:
@@ -268,13 +266,13 @@ def estimate_bounds(pair: CurvePair, lam: float,
     return m, k, False
 
 
-def bound_report(lam: float, pair: CurvePair, n_t: int = 201) -> BoundReport:
+def bound_report(lam: float, pair: CurvePair) -> BoundReport:
     """Evaluate the closest-approach window quantities at one ``lam``.
 
     Computes ``delta`` and the argmin, the window ``tau = c*delta`` with
     ``c = min(k^{-1/2}, (k sqrt(6))^{-1})``, the curvature minimum
-    ``a_min = min_{|t|<=tau} U''(0,t)``, the lower-bound flag
-    ``a_min >= 2^-4.5/delta^3``, and the winding estimate
+    ``a_min = min_{|t|<=tau} U''(0,t)`` over 201 samples, the lower-bound
+    flag ``a_min >= 2^-4.5/delta^3``, and the winding estimate
     ``-2 tau sqrt(a_min) + pi``.
     """
     delta, s_star, t_star = min_distance(lam, pair)
@@ -282,7 +280,7 @@ def bound_report(lam: float, pair: CurvePair, n_t: int = 201) -> BoundReport:
     c = min(k ** -0.5, 1.0 / (k * math.sqrt(6.0)))
     tau = c * delta
 
-    ts = np.linspace(-tau, tau, n_t)
+    ts = np.linspace(-tau, tau, 201)
     a_min = min(d2U_ds2(float(t), lam, pair) for t in ts)
 
     bound_ok = a_min >= C_LOWER / delta**3
@@ -296,14 +294,14 @@ def bound_report(lam: float, pair: CurvePair, n_t: int = 201) -> BoundReport:
         s_star=s_star, t_star=t_star)
 
 
-def pair_diagnostics(pair: CurvePair, lam: float, n: int = 101) -> dict:
+def pair_diagnostics(pair: CurvePair, lam: float) -> dict:
     """Check the pair's normalization assumptions by sampling.
 
-    Reports the worst deviation of ``|x'(s)|`` from 1, the orthogonality
-    defect ``x'(0).y'(0)``, and the second ``t``-difference of ``|z(0,t)|``
-    at the minimum (which must be positive: ``t``-non-degeneracy).
+    Reports the worst deviation of ``|x'(s)|`` from 1 over 101 samples, the
+    orthogonality defect ``x'(0).y'(0)``, and the second ``t``-difference of
+    ``|z(0,t)|`` at the minimum (which must be positive: ``t``-non-degeneracy).
     """
-    svals = np.linspace(pair.s_range[0], pair.s_range[1], n)
+    svals = np.linspace(pair.s_range[0], pair.s_range[1], 101)
     arc_defect = max(abs(float(np.linalg.norm(pair.dx_ds(float(s), lam))) - 1.0)
                      for s in svals)
     ortho = float(pair.dx_ds(0.0, lam) @ pair.dy_dt(0.0, lam))
@@ -414,8 +412,7 @@ def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
         name=f"sitnikov_{primary}", x=x, y=y, x_s=x_s, x_ss=x_ss,
         y_t=y_t, y_tt=y_tt,
         lam_range=(5e-3, lam_hi), default_lam=default_lam,
-        s_range=(-math.pi, math.pi), s_periodic=True,
-        meta={"epsilon": eps, "r": params.r, "primary": primary})
+        s_range=(-math.pi, math.pi), s_periodic=True)
 
 
 def sitnikov_hill_coefficient(params: ModelParams) -> Callable[[float], float]:
@@ -451,14 +448,11 @@ def load_curve_pair(source) -> CurvePair:
     ``source`` is a path to, or dict of, ``{"family": name,
     "params": {...}}``; families are built in, no expressions are parsed.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        if hasattr(source, "read"):
-            desc = json.load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                desc = json.load(fh)
+    if isinstance(source, dict):
+        desc = source
     else:
-        desc = dict(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            desc = json.load(fh)
     family = desc.get("family")
     if family not in CURVE_FAMILIES:
         raise ValueError(

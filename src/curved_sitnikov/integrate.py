@@ -9,16 +9,15 @@ symplectic or stiff machinery is needed at these horizons.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .kepler import ModelParams, radial_factor
-from .model import (D_MIN, ExtendedState, HillCoefficient, hill_coefficient,
-                    tangential_force)
+from .kepler import TWO_PI, ModelParams
+from .model import (D_MIN, ExtendedState, HillCoefficient, _distances,
+                    hill_coefficient, tangential_force)
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 DEFAULT_ORBIT_TOL = 1e-8
@@ -27,6 +26,19 @@ DEFAULT_MONODROMY_TOL = 1e-10
 
 class StiffnessError(RuntimeError):
     """Adaptive step size underflowed; the problem left the smooth regime."""
+
+
+def _write_text(path_or_file, text: str) -> None:
+    """Write ``text`` to an open stream, or to a new file at a path.
+
+    Files are UTF-8 with ``\\n`` line ends on every platform, so artifacts
+    are byte-identical across machines.
+    """
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(text)
+    else:
+        with open(path_or_file, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 @dataclass
@@ -46,28 +58,16 @@ class Trajectory:
     truncated: bool = False
 
     @property
-    def samples(self) -> list[tuple[float, ExtendedState]]:
-        return [(float(tk), ExtendedState(*row))
-                for tk, row in zip(self.t, self.states)]
-
-    @property
     def final_state(self) -> ExtendedState:
         return ExtendedState(*self.states[-1])
 
     def to_csv(self, path_or_file, header_comment: str | None = None) -> None:
         """Write ``t,q,p,s`` rows at 17 significant digits."""
-        def emit(fh):
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write("t,q,p,s\n")
-            for tk, (q, p, s) in zip(self.t, self.states):
-                fh.write(f"{tk:.17g},{q:.17g},{p:.17g},{s:.17g}\n")
-
-        if hasattr(path_or_file, "write"):
-            emit(path_or_file)
-        else:
-            with open(path_or_file, "w", encoding="utf-8", newline="\n") as fh:
-                emit(fh)
+        lines = [f"# {header_comment}"] if header_comment else []
+        lines.append("t,q,p,s")
+        lines += [f"{tk:.17g},{q:.17g},{p:.17g},{s:.17g}"
+                  for tk, (q, p, s) in zip(self.t, self.states)]
+        _write_text(path_or_file, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -176,7 +176,7 @@ def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
 
     if method == "fixed":
         n = fixed_steps if fixed_steps is not None else max(
-            1, int(round(200 * t_final / (2.0 * math.pi))))
+            1, int(round(200 * t_final / TWO_PI)))
         ts, ys = rk4_fixed(rhs, 0.0, np.array([q0, p0]), t_final, n)
         states = np.column_stack([ys[:, 0], ys[:, 1], s0 + ts])
         return Trajectory(t=ts, states=states, tol=tol, method="fixed",
@@ -185,12 +185,7 @@ def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
         raise ValueError(f"unknown method {method!r}")
 
     def collision_event(t, y):
-        rho = radial_factor(s0 + t, params.epsilon)
-        a = params.r * rho
-        c = a * math.cos(s0 + t)
-        gap = 2.0 * (1.0 - math.cos(y[0]))
-        d1 = math.sqrt(a * a + gap * (1.0 + c))
-        d2 = math.sqrt(a * a + gap * (1.0 - c))
+        d1, d2, _ = _distances(y[0], s0 + t, params, hard_floor)
         return min(d1, d2) - d_min
 
     collision_event.terminal = True
@@ -229,7 +224,7 @@ def integrate_variational(q_star: float, params: ModelParams, period: float,
     y0 = np.array([1.0, 0.0, 0.0, 1.0])
     if method == "fixed":
         n = fixed_steps if fixed_steps is not None else max(
-            1, int(round(2000 * period / (2.0 * math.pi))))
+            1, int(round(2000 * period / TWO_PI)))
         _, ys = rk4_fixed(rhs, 0.0, y0, period, n)
         x1, y1v, x2, y2v = (float(v) for v in ys[-1])
         return FundamentalMatrix(x1=x1, x2=x2, y1=y1v, y2=y2v, t=period,

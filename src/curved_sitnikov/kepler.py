@@ -30,6 +30,11 @@ class KeplerConvergenceError(RuntimeError):
     """The eccentric-anomaly iteration failed to reach its tolerance."""
 
 
+def collision_ceiling(epsilon: float) -> float:
+    """Largest admissible ``r``: apocenter of the near primary at y=-1."""
+    return 2.0 / (1.0 + epsilon)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Problem parameters: binary semi-major axis ``r`` and eccentricity.
@@ -45,21 +50,10 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon={self.epsilon} outside [0, 1)")
-        if not 0.0 < self.r < self.collision_ceiling:
+        ceiling = collision_ceiling(self.epsilon)
+        if not 0.0 < self.r < ceiling:
             raise ValueError(
-                f"r={self.r} outside (0, {self.collision_ceiling}) "
-                f"for epsilon={self.epsilon}"
-            )
-
-    @property
-    def collision_ceiling(self) -> float:
-        """Largest admissible ``r``: apocenter of the near primary at y=-1."""
-        return 2.0 / (1.0 + self.epsilon)
-
-    @property
-    def collision_margin(self) -> float:
-        """Distance from the collision ceiling, ``2/(1+eps) - r``."""
-        return self.collision_ceiling - self.r
+                f"r={self.r} outside (0, {ceiling}) for epsilon={self.epsilon}")
 
     @property
     def high_eccentricity(self) -> bool:

@@ -21,9 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kepler import ModelParams, radial_factor
-
-TWO_PI = 2.0 * math.pi
+from .kepler import TWO_PI, ModelParams, radial_factor
 
 # Distances below this are treated as collisions rather than evaluated.
 D_MIN = 1e-9
@@ -54,9 +52,6 @@ class ExtendedState:
     q: float
     p: float
     s: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q, self.p, self.s])
 
     @property
     def q_wrapped(self) -> float:
@@ -92,10 +87,9 @@ def tangential_force(q: float, t: float, params: ModelParams,
     return -(1.0 + c) * sq / d1**3 - (1.0 - c) * sq / d2**3
 
 
-def potential(q: float, t: float, params: ModelParams,
-              d_min: float = D_MIN) -> float:
+def potential(q: float, t: float, params: ModelParams) -> float:
     """Gravitational potential ``V = -(1/d1 + 1/d2)``; ``f = -dV/dq``."""
-    d1, d2, _ = _distances(q, t, params, d_min)
+    d1, d2, _ = _distances(q, t, params, D_MIN)
     return -(1.0 / d1 + 1.0 / d2)
 
 
@@ -135,12 +129,17 @@ class HillCoefficient:
         return -dforce_dq(self.q_star, t, self.params)
 
 
+def coefficient_period(epsilon: float) -> float:
+    """Period of the Hill coefficient: pi for circular primaries, else 2*pi."""
+    return math.pi if epsilon == 0.0 else TWO_PI
+
+
 def hill_coefficient(q_star: float, params: ModelParams) -> HillCoefficient:
     """Hill coefficient of the linearization at ``q_star in {0, pi}``."""
     if q_star not in Q_STARS:
         raise ValueError(f"q_star={q_star} is not an equilibrium (use 0 or pi)")
-    period = math.pi if params.epsilon == 0.0 else TWO_PI
-    return HillCoefficient(q_star=q_star, params=params, period=period)
+    return HillCoefficient(q_star=q_star, params=params,
+                           period=coefficient_period(params.epsilon))
 
 
 def cubic_coefficient(t: float, params: ModelParams) -> float:
@@ -159,12 +158,9 @@ def cubic_coefficient(t: float, params: ModelParams) -> float:
     return (9.0 + r * r + 9.0 * r * r * math.cos(t) ** 2) / (3.0 * r**5)
 
 
-def vector_field(state: ExtendedState | np.ndarray,
-                 params: ModelParams) -> np.ndarray:
+def vector_field(state: ExtendedState, params: ModelParams) -> np.ndarray:
     """Autonomized field ``(q', p', s') = (p, f(q, s), 1)``."""
-    q, p, s = (state.q, state.p, state.s) if isinstance(state, ExtendedState) \
-        else (state[0], state[1], state[2])
-    return np.array([p, tangential_force(q, s, params), 1.0])
+    return np.array([state.p, tangential_force(state.q, state.s, params), 1.0])
 
 
 def symmetry_defect(state: ExtendedState, params: ModelParams,
@@ -199,29 +195,21 @@ def symmetry_defect(state: ExtendedState, params: ModelParams,
     return float(r1), float(r2), float(r3), float(r4)
 
 
-def limit_force_classical(w: float, t: float, R: float, r: float,
-                          epsilon: float = 0.0) -> float:
+def limit_force_classical(w: float, t: float, R: float, r: float) -> float:
     """Arc-length force on a circle of radius ``R``; straight-line limit.
 
-    ``w = R*q`` is arc length from the barycenter point.  As ``R`` grows
-    this approaches ``-2 w / (r_eps(t)^2 + w^2)^{3/2}``, the force of the
-    flat (uncurved) problem.
+    Circular primaries.  ``w = R*q`` is arc length from the barycenter
+    point.  As ``R`` grows this approaches ``-2 w / (r^2 + w^2)^{3/2}``, the
+    force of the flat (uncurved) problem.
     """
     if R < 1.0:
         raise ValueError(f"R={R} must be >= 1")
-    rho = radial_factor(t, epsilon)
-    a = r * rho
-    c = a * math.cos(t)
+    c = r * math.cos(t)
     sw = math.sin(w / R)
     gap = 2.0 * R * (1.0 - math.cos(w / R))
-    return (-(R + c) * sw / (a * a + gap * (R + c)) ** 1.5
-            - (R - c) * sw / (a * a + gap * (R - c)) ** 1.5)
+    return (-(R + c) * sw / (r * r + gap * (R + c)) ** 1.5
+            - (R - c) * sw / (r * r + gap * (R - c)) ** 1.5)
 
-
-def classical_force(w: float, t: float, r: float, epsilon: float = 0.0) -> float:
-    """Closed-form straight-line force ``-2w/(r_eps^2 + w^2)^{3/2}``."""
-    a = r * radial_factor(t, epsilon)
-    return -2.0 * w / (a * a + w * w) ** 1.5
 
 def limit_force_circle(q: float, R: float) -> float:
     """Force after fusing the primaries into one mass at the barycenter.

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kepler import ModelParams
-from .integrate import integrate_orbit
+from .kepler import TWO_PI, ModelParams
+from .integrate import _write_text, integrate_orbit
 from .model import CollisionError
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -39,19 +37,12 @@ class SectionCloud:
     truncated: list[bool] = field(default_factory=list)
 
     def to_csv(self, path_or_file, header_comment: str | None = None) -> None:
-        def emit(fh):
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write("orbit_id,iter,q,p\n")
-            for oid, orbit in enumerate(self.orbits):
-                for it, (q, p) in enumerate(orbit):
-                    fh.write(f"{oid},{it},{q:.17g},{p:.17g}\n")
-
-        if hasattr(path_or_file, "write"):
-            emit(path_or_file)
-        else:
-            with open(path_or_file, "w", encoding="utf-8", newline="\n") as fh:
-                emit(fh)
+        lines = [f"# {header_comment}"] if header_comment else []
+        lines.append("orbit_id,iter,q,p")
+        lines += [f"{oid},{it},{q:.17g},{p:.17g}"
+                  for oid, orbit in enumerate(self.orbits)
+                  for it, (q, p) in enumerate(orbit)]
+        _write_text(path_or_file, "\n".join(lines) + "\n")
 
     def manifest(self) -> dict:
         return {
@@ -65,9 +56,7 @@ class SectionCloud:
         }
 
     def write_manifest(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.manifest(), fh, indent=2)
-            fh.write("\n")
+        _write_text(path, json.dumps(self.manifest(), indent=2) + "\n")
 
 
 def wrap_angle(q: float) -> float:

@@ -10,22 +10,30 @@ under-resolve there.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kepler import ModelParams, solve_kepler, KEPLER_TOL
+from .kepler import (TWO_PI, KEPLER_TOL, ModelParams, collision_ceiling,
+                     solve_kepler)
+from .model import coefficient_period
+from .integrate import _write_text
 from .floquet import ELLIPTIC, HYPERBOLIC, monodromy
-
-TWO_PI = 2.0 * math.pi
 
 # Scans never approach the collision ceiling closer than this.
 CEILING_MARGIN = 1e-4
 
 DEFAULT_SCAN_TOL = 1e-9
 DEFAULT_REFINE_TOL = 1e-7
+
+# The census starts from 2**CENSUS_START_LEVEL cells and stops once the
+# count has held for CENSUS_PLATEAU_LEVELS consecutive levels.
+CENSUS_START_LEVEL = 4
+CENSUS_PLATEAU_LEVELS = 3
+
+# Largest eccentricity the origin sweep evaluates.
+EPS_SCAN_CAP = 0.95
 
 
 @dataclass
@@ -49,18 +57,11 @@ class TraceCurve:
     notes: list = field(default_factory=list)
 
     def to_csv(self, path_or_file, header_comment: str | None = None) -> None:
-        def emit(fh):
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write(f"{self.param},half_trace\n")
-            for v, h in zip(self.values, self.half_traces):
-                fh.write(f"{v:.17g},{h:.17g}\n")
-
-        if hasattr(path_or_file, "write"):
-            emit(path_or_file)
-        else:
-            with open(path_or_file, "w", encoding="utf-8", newline="\n") as fh:
-                emit(fh)
+        lines = [f"# {header_comment}"] if header_comment else []
+        lines.append(f"{self.param},half_trace")
+        lines += [f"{v:.17g},{h:.17g}"
+                  for v, h in zip(self.values, self.half_traces)]
+        _write_text(path_or_file, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -81,10 +82,6 @@ class StabilityIntervals:
     refine_tol: float
     suspect: list = field(default_factory=list)
 
-    @property
-    def count_strongly_stable(self) -> int:
-        return sum(1 for _, _, cls in self.intervals if cls == ELLIPTIC)
-
     def to_json_dict(self) -> dict:
         return {
             "q_star": self.q_star,
@@ -99,9 +96,6 @@ class StabilityIntervals:
                             for t in self.transitions],
             "suspect": self.suspect,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 @dataclass
@@ -131,10 +125,6 @@ class CensusResult:
         }
 
 
-def _default_period(epsilon: float) -> float:
-    return math.pi if epsilon == 0.0 else TWO_PI
-
-
 def _half_trace(q_star: float, r: float, epsilon: float, period: float,
                 tol: float) -> float:
     m = monodromy(q_star, ModelParams(r=r, epsilon=epsilon),
@@ -142,16 +132,15 @@ def _half_trace(q_star: float, r: float, epsilon: float, period: float,
     return m.half_trace
 
 
-def trace_curve(q_star: float, epsilon: float, r_grid, tol: float = DEFAULT_SCAN_TOL,
-                period: float | None = None) -> TraceCurve:
+def trace_curve(q_star: float, epsilon: float, r_grid,
+                tol: float = DEFAULT_SCAN_TOL) -> TraceCurve:
     """Half-trace of the monodromy at each admissible grid point.
 
     Deterministic for a fixed tolerance; grid points above
     ``2/(1+eps) - margin`` are skipped and recorded rather than evaluated.
     """
-    if period is None:
-        period = _default_period(epsilon)
-    ceiling = 2.0 / (1.0 + epsilon)
+    period = coefficient_period(epsilon)
+    ceiling = collision_ceiling(epsilon)
     values, traces, skipped = [], [], []
     for r in np.asarray(r_grid, dtype=float):
         if not 0.0 < r <= ceiling - CEILING_MARGIN:
@@ -166,18 +155,16 @@ def trace_curve(q_star: float, epsilon: float, r_grid, tol: float = DEFAULT_SCAN
 
 def _bisect_transition(q_star: float, epsilon: float, period: float,
                        tol: float, r_lo: float, g_lo: float, r_hi: float,
-                       g_hi: float, refine_tol: float) -> tuple[float, float, int]:
+                       g_hi: float, refine_tol: float) -> tuple[float, float]:
     """Shrink a sign-change bracket of ``|h|-1`` to width <= refine_tol."""
-    evals = 0
     while r_hi - r_lo > refine_tol:
         mid = 0.5 * (r_lo + r_hi)
         g_mid = abs(_half_trace(q_star, mid, epsilon, period, tol)) - 1.0
-        evals += 1
         if (g_mid > 0.0) == (g_lo > 0.0):
             r_lo, g_lo = mid, g_mid
         else:
             r_hi, g_hi = mid, g_mid
-    return r_lo, r_hi, evals
+    return r_lo, r_hi
 
 
 def find_transitions(curve: TraceCurve,
@@ -203,24 +190,20 @@ def find_transitions(curve: TraceCurve,
             transitions.append({"r_bracket": (float(rs[i]), float(rs[i]))})
             continue
         if gs[i] * gs[i + 1] < 0.0:
-            lo, hi, _ = _bisect_transition(
+            lo, hi = _bisect_transition(
                 curve.q_star, curve.epsilon, curve.period, curve.tol,
                 float(rs[i]), float(gs[i]), float(rs[i + 1]), float(gs[i + 1]),
                 refine_tol)
             transitions.append({"r_bracket": (lo, hi)})
 
+    # Each transition midpoint lies in its own grid cell, so every interval
+    # between consecutive bounds contains at least one grid sample.
     intervals = []
     bounds = ([float(rs[0])]
               + [0.5 * (t["r_bracket"][0] + t["r_bracket"][1]) for t in transitions]
               + [float(rs[-1])])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        inside = gs[(rs >= lo) & (rs <= hi)]
-        if inside.size:
-            g_rep = float(np.median(inside))
-        else:
-            g_rep = abs(_half_trace(curve.q_star, 0.5 * (lo + hi),
-                                    curve.epsilon, curve.period,
-                                    curve.tol)) - 1.0
+        g_rep = float(np.median(gs[(rs >= lo) & (rs <= hi)]))
         cls = ELLIPTIC if g_rep < 0.0 else HYPERBOLIC
         intervals.append((lo, hi, cls))
 
@@ -239,32 +222,52 @@ def find_transitions(curve: TraceCurve,
                               suspect=suspect)
 
 
+def _tile(samples: list[tuple[float, float]]) -> tuple[list, list]:
+    """Tile sorted ``(r, h)`` samples into maximal same-class intervals.
+
+    Each boundary sits midway between the two adjacent samples of different
+    class, and those two samples bracket its transition.
+    """
+    rs = [r for r, _ in samples]
+    flags = [abs(h) < 1.0 for _, h in samples]
+    intervals, transitions = [], []
+    seg_start = rs[0]
+    for i in range(1, len(rs)):
+        if flags[i] != flags[i - 1]:
+            transitions.append({"r_bracket": (rs[i - 1], rs[i])})
+            boundary = 0.5 * (rs[i - 1] + rs[i])
+            intervals.append((seg_start, boundary,
+                              ELLIPTIC if flags[i - 1] else HYPERBOLIC))
+            seg_start = boundary
+    intervals.append((seg_start, rs[-1],
+                      ELLIPTIC if flags[-1] else HYPERBOLIC))
+    return intervals, transitions
+
+
 def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
                        r_start_fraction: float = 0.95,
-                       tol: float = DEFAULT_SCAN_TOL,
-                       q_star: float = math.pi,
-                       plateau_levels: int = 3,
-                       start_level: int = 4) -> CensusResult:
-    """Count strongly-stable intervals on a geometric grid toward the ceiling.
+                       tol: float = DEFAULT_SCAN_TOL) -> CensusResult:
+    """Count strongly-stable intervals of the antipode toward the ceiling.
 
     Nested grids, geometric in the gap ``ceiling - r``, are refined level
     by level (each level doubles the cell count and reuses all previous
     evaluations, so the count is monotone in the budget).  Refinement stops
     when the remaining budget cannot pay for the next level or when the
-    count has been stable for ``plateau_levels`` consecutive levels.  Only
-    elliptic runs flanked by non-elliptic samples on both sides are
-    counted, so a partial census under-counts rather than guesses.
+    count has been stable for ``CENSUS_PLATEAU_LEVELS`` consecutive levels.
+    Only elliptic intervals that are neither first nor last, i.e. flanked
+    by non-elliptic samples on both sides, are counted, so a partial census
+    under-counts rather than guesses.
     """
     if not 0.0 < r_max_fraction < 1.0:
         raise ValueError("r_max_fraction must be in (0, 1)")
     if not 0.0 < r_start_fraction < r_max_fraction:
         raise ValueError("r_start_fraction must be in (0, r_max_fraction)")
-    ceiling = 2.0 / (1.0 + epsilon)
+    ceiling = collision_ceiling(epsilon)
     r_hi = min(r_max_fraction * ceiling, ceiling - CEILING_MARGIN)
     r_lo = r_start_fraction * ceiling
     g_hi = ceiling - r_lo
     g_lo = ceiling - r_hi
-    period = _default_period(epsilon)
+    period = coefficient_period(epsilon)
 
     cache: dict[float, float] = {}
     evaluations = 0
@@ -278,28 +281,15 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
             if evaluations >= budget:
                 budget_exhausted = True
                 return None
-            cache[r] = _half_trace(q_star, r, epsilon, period, tol)
+            cache[r] = _half_trace(math.pi, r, epsilon, period, tol)
             evaluations += 1
         return r, cache[r]
 
-    def flanked_count(samples: list[tuple[float, float]]) -> int:
-        flags = [abs(h) < 1.0 for _, h in samples]
-        count, i = 0, 0
-        while i < len(flags):
-            if flags[i]:
-                j = i
-                while j < len(flags) and flags[j]:
-                    j += 1
-                if i > 0 and j < len(flags):
-                    count += 1
-                i = j
-            else:
-                i += 1
-        return count
-
     counts: list[int] = []
-    level = start_level
+    level = CENSUS_START_LEVEL
     samples: list[tuple[float, float]] = []
+    intervals: list[tuple[float, float, str]] = []
+    transitions: list[dict] = []
     levels_completed = 0
     while True:
         n = 2 ** level
@@ -314,46 +304,29 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
         if aborted:
             break
         samples = sorted(new_samples)
-        counts.append(flanked_count(samples))
+        intervals, transitions = _tile(samples)
+        counts.append(sum(cls == ELLIPTIC for _, _, cls in intervals[1:-1]))
         levels_completed = level
-        if (len(counts) >= plateau_levels
-                and len(set(counts[-plateau_levels:])) == 1):
+        if (len(counts) >= CENSUS_PLATEAU_LEVELS
+                and len(set(counts[-CENSUS_PLATEAU_LEVELS:])) == 1):
             break
         level += 1
 
-    count = counts[-1] if counts else 0
-
-    # tile the scanned range from the final sample set (no extra refinement)
-    intervals = []
-    transitions = []
-    if samples:
-        rs = [r for r, _ in samples]
-        flags = [abs(h) < 1.0 for _, h in samples]
-        seg_start = rs[0]
-        for i in range(1, len(rs)):
-            if flags[i] != flags[i - 1]:
-                transitions.append({"r_bracket": (rs[i - 1], rs[i])})
-                boundary = 0.5 * (rs[i - 1] + rs[i])
-                intervals.append((seg_start, boundary,
-                                  ELLIPTIC if flags[i - 1] else HYPERBOLIC))
-                seg_start = boundary
-        intervals.append((seg_start, rs[-1],
-                          ELLIPTIC if flags[-1] else HYPERBOLIC))
     tiling = StabilityIntervals(
-        q_star=q_star, epsilon=epsilon, period=period, intervals=intervals,
+        q_star=math.pi, epsilon=epsilon, period=period, intervals=intervals,
         transitions=transitions,
         refine_tol=(samples[1][0] - samples[0][0]) if len(samples) > 1 else 0.0)
 
-    return CensusResult(epsilon=epsilon, count=count, intervals=tiling,
-                        evaluations=evaluations, budget=budget,
-                        budget_exhausted=budget_exhausted,
+    return CensusResult(epsilon=epsilon, count=counts[-1] if counts else 0,
+                        intervals=tiling, evaluations=evaluations,
+                        budget=budget, budget_exhausted=budget_exhausted,
                         levels_completed=levels_completed,
                         r_range=(r_lo, r_hi),
                         sample_rs=[r for r, _ in samples])
 
 
-def eps_scan_origin(r_fixed: float, eps_grid, tol: float = DEFAULT_SCAN_TOL,
-                    eps_cap: float = 0.95) -> TraceCurve:
+def eps_scan_origin(r_fixed: float, eps_grid,
+                    tol: float = DEFAULT_SCAN_TOL) -> TraceCurve:
     """Half-trace of the origin monodromy versus eccentricity (period 2*pi).
 
     Exploratory sweep at fixed ``r``; each point records a probe of the
@@ -362,10 +335,10 @@ def eps_scan_origin(r_fixed: float, eps_grid, tol: float = DEFAULT_SCAN_TOL,
     """
     values, traces, skipped, notes = [], [], [], []
     for eps in np.asarray(eps_grid, dtype=float):
-        if not 0.0 <= eps <= eps_cap:
-            skipped.append((float(eps), f"outside [0, {eps_cap}]"))
+        if not 0.0 <= eps <= EPS_SCAN_CAP:
+            skipped.append((float(eps), f"outside [0, {EPS_SCAN_CAP}]"))
             continue
-        ceiling = 2.0 / (1.0 + eps)
+        ceiling = collision_ceiling(eps)
         if not 0.0 < r_fixed <= ceiling - CEILING_MARGIN:
             skipped.append((float(eps), "collision guard"))
             continue

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kepler import ModelParams, solve_kepler
+from .kepler import TWO_PI, ModelParams, solve_kepler
 from . import model
 from .integrate import integrate_orbit
 from .floquet import (classify, monodromy, ortega_hypotheses, winding_angle,
@@ -25,8 +25,6 @@ from .general_model import (bound_report, d2U_ds2, d2U_ds2_fd, line_pair,
                             sitnikov_pair)
 from .scan import find_transitions, interchange_census, trace_curve
 from .poincare import section
-
-TWO_PI = 2.0 * math.pi
 
 # Published estimate for the first parabolic value of the antipodal
 # equilibrium with circular primaries, and the acceptance band around it.

@@ -10,6 +10,10 @@ from curved_sitnikov import cli
 from curved_sitnikov.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK,
                                  EXIT_VERIFY, ConfigError, main, parse_grid,
                                  parse_qstar)
+from curved_sitnikov.floquet import MonodromyError
+from curved_sitnikov.integrate import StiffnessError
+from curved_sitnikov.kepler import KeplerConvergenceError
+from curved_sitnikov.model import CollisionError
 from curved_sitnikov.verification import CheckResult
 
 
@@ -136,11 +140,15 @@ class TestExitCodes:
     def test_help_is_success(self):
         assert main(["--help"]) == EXIT_OK
 
-    def test_domain_error_maps_to_two(self, monkeypatch, capsys):
-        from curved_sitnikov.model import CollisionError
-
+    @pytest.mark.parametrize("error", [
+        CollisionError(1, 1e-12),
+        StiffnessError("step size underflow"),
+        KeplerConvergenceError("no convergence"),
+        MonodromyError("det deviates from 1"),
+    ], ids=lambda e: type(e).__name__)
+    def test_domain_error_maps_to_two(self, monkeypatch, capsys, error):
         def boom(args):
-            raise CollisionError(1, 1e-12)
+            raise error
 
         monkeypatch.setattr(cli, "cmd_census", boom)
         parser = cli.build_parser()

@@ -8,8 +8,9 @@ import pytest
 
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.model import ExtendedState
-from curved_sitnikov.integrate import (FundamentalMatrix, integrate_orbit,
-                                       integrate_variational, rk4_fixed)
+from curved_sitnikov.integrate import (FundamentalMatrix, Trajectory,
+                                       integrate_orbit, integrate_variational,
+                                       rk4_fixed)
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
@@ -100,6 +101,21 @@ class TestOrbit:
         buf = io.StringIO()
         traj.to_csv(buf)
         assert buf.getvalue().startswith("t,q,p,s\n")
+
+    def test_csv_exact_text(self, tmp_path):
+        traj = Trajectory(t=np.array([0.0, 0.5]),
+                          states=np.array([[0.1, -0.2, 0.0],
+                                           [1.25, 1.0 / 3.0, 0.5]]),
+                          tol=1e-8, method="fixed", n_rhs=8, n_samples=2)
+        body = ("t,q,p,s\n"
+                "0,0.10000000000000001,-0.20000000000000001,0\n"
+                "0.5,1.25,0.33333333333333331,0.5\n")
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path, header_comment="cfg")
+        assert path.read_bytes() == ("# cfg\n" + body).encode()
+        buf = io.StringIO()
+        traj.to_csv(buf)
+        assert buf.getvalue() == body
 
 
 class TestFixedStep:

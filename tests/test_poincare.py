@@ -1,12 +1,13 @@
 """Stroboscopic section clouds."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from curved_sitnikov.kepler import ModelParams
-from curved_sitnikov.poincare import section, wrap_angle
+from curved_sitnikov.poincare import SectionCloud, section, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
@@ -73,6 +74,23 @@ class TestSection:
         assert manifest["r"] == 1.0
         assert manifest["n_iterates"] == 3
         assert manifest["initial_grid"] == [[0.1, 0.0]]
+
+    def test_csv_exact_text(self, tmp_path):
+        cloud = SectionCloud(params=P10, initial_grid=[(0.1, 0.0), (0.5, 3.0)],
+                             n_iterates=2, tol=1e-8, method="adaptive",
+                             orbits=[np.array([[0.1, -0.2], [1e-20, 3.0]]),
+                                     np.array([[0.5, 1.0 / 3.0]])],
+                             truncated=[False, True])
+        body = ("orbit_id,iter,q,p\n"
+                "0,0,0.10000000000000001,-0.20000000000000001\n"
+                "0,1,9.9999999999999995e-21,3\n"
+                "1,0,0.5,0.33333333333333331\n")
+        path = tmp_path / "cloud.csv"
+        cloud.to_csv(path, header_comment="cfg")
+        assert path.read_bytes() == ("# cfg\n" + body).encode()
+        buf = io.StringIO()
+        cloud.to_csv(buf)
+        assert buf.getvalue() == body
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Trace curves, transition refinement, interchange census."""
 
+import io
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from curved_sitnikov.floquet import ELLIPTIC, HYPERBOLIC
 from curved_sitnikov.model import hill_coefficient
 from curved_sitnikov.kepler import ModelParams
-from curved_sitnikov.scan import (eps_scan_origin, find_transitions,
-                                  interchange_census, trace_curve)
+from curved_sitnikov.scan import (TraceCurve, eps_scan_origin,
+                                  find_transitions, interchange_census,
+                                  trace_curve)
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,6 +55,21 @@ class TestTraceCurve:
         assert lines[0] == "# cfg"
         assert lines[1] == "r,half_trace"
         assert len(lines) == 7
+
+    def test_csv_exact_text(self, tmp_path):
+        curve = TraceCurve(q_star=math.pi, epsilon=0.0, param="r",
+                           values=np.array([1.25, 1.5]),
+                           half_traces=np.array([-1.0000001, 2.0 / 3.0]),
+                           period=math.pi, tol=1e-9)
+        body = ("r,half_trace\n"
+                "1.25,-1.0000001000000001\n"
+                "1.5,0.66666666666666663\n")
+        path = tmp_path / "trace.csv"
+        curve.to_csv(path, header_comment="cfg")
+        assert path.read_bytes() == ("# cfg\n" + body).encode()
+        buf = io.StringIO()
+        curve.to_csv(buf)
+        assert buf.getvalue() == body
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +132,8 @@ class TestCensus:
         assert result.budget_exhausted
         assert result.evaluations <= 300
         assert result.r_range == pytest.approx((1.9, 1.9995))
+        flags = [cls == ELLIPTIC for _, _, cls in result.intervals.intervals]
+        assert result.count == sum(flags[1:-1])
 
     def test_monotone_in_budget(self):
         small = interchange_census(0.0, 0.99975, budget=150,
