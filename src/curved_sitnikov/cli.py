@@ -2,7 +2,8 @@
 
 Every artifact embeds the run configuration (JSON field or CSV header
 comment) so runs are self-describing and replayable.  Exit codes:
-0 success, 1 configuration error, 2 numerical domain error (collision,
+0 success, 1 configuration error (including an unreadable input or
+unwritable output file), 2 numerical domain error (collision,
 step-size underflow, Kepler non-convergence or a corrupt monodromy),
 3 verification failure.
 """
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
             MonodromyError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

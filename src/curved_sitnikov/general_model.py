@@ -17,6 +17,7 @@ bound and the winding estimate for concrete curve pairs.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -434,10 +435,10 @@ def sitnikov_hill_coefficient(params: ModelParams) -> Callable[[float], float]:
 
 
 CURVE_FAMILIES: dict[str, Callable[..., CurvePair]] = {
-    "line": lambda **kw: line_pair(**kw),
-    "sitnikov_near": lambda r=1.8, epsilon=0.0, **kw: sitnikov_pair(
+    "line": line_pair,
+    "sitnikov_near": lambda r=1.8, epsilon=0.0: sitnikov_pair(
         ModelParams(r=r, epsilon=epsilon), "near"),
-    "sitnikov_far": lambda r=1.8, epsilon=0.0, **kw: sitnikov_pair(
+    "sitnikov_far": lambda r=1.8, epsilon=0.0: sitnikov_pair(
         ModelParams(r=r, epsilon=epsilon), "far"),
 }
 
@@ -446,16 +447,25 @@ def load_curve_pair(source) -> CurvePair:
     """Build a registered curve family from a declarative JSON description.
 
     ``source`` is a path to, or dict of, ``{"family": name,
-    "params": {...}}``; families are built in, no expressions are parsed.
+    "params": {...}}``; families are built in, no expressions are parsed,
+    and an unknown key is an error rather than a silently used default.
     """
     if isinstance(source, dict):
         desc = source
     else:
         with open(source, "r", encoding="utf-8") as fh:
             desc = json.load(fh)
-    family = desc.get("family")
+    if not isinstance(desc, dict) or not set(desc) <= {"family", "params"}:
+        raise ValueError('a curve description is an object {"family": '
+                         f'name, "params": {{...}}}}, got {desc!r}')
+    family, params = desc.get("family"), desc.get("params", {})
     if family not in CURVE_FAMILIES:
         raise ValueError(
             f"unknown curve family {family!r}; available: "
             f"{sorted(CURVE_FAMILIES)}")
-    return CURVE_FAMILIES[family](**desc.get("params", {}))
+    factory = CURVE_FAMILIES[family]
+    known = inspect.signature(factory).parameters
+    if not isinstance(params, dict) or not set(params) <= set(known):
+        raise ValueError(f"curve family {family!r} takes params "
+                         f"{sorted(known)}, got {params!r}")
+    return factory(**params)

@@ -79,9 +79,7 @@ class PrimaryEphemeris:
     x2: np.ndarray
 
 
-def solve_kepler(mean_anomaly: float, epsilon: float,
-                 tol: float = KEPLER_TOL,
-                 max_iter: int = KEPLER_MAX_ITER) -> float:
+def solve_kepler(mean_anomaly: float, epsilon: float) -> float:
     """Solve ``u - epsilon*sin(u) = M`` for the eccentric anomaly ``u``.
 
     Safeguarded Newton iteration started from ``u0 = M + eps*sin(M)``; any
@@ -92,37 +90,37 @@ def solve_kepler(mean_anomaly: float, epsilon: float,
     Args:
         mean_anomaly: mean anomaly ``M``, any real number.
         epsilon: eccentricity in ``[0, 1)``.
-        tol: residual tolerance on ``|u - eps*sin(u) - M|``.
-        max_iter: iteration cap; exceeding it raises.
 
     Returns:
-        Eccentric anomaly with ``|u - eps*sin(u) - M| < tol``.
+        Eccentric anomaly with ``|u - eps*sin(u) - M| < KEPLER_TOL``;
+        raises ``KeplerConvergenceError`` after ``KEPLER_MAX_ITER`` steps.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon={epsilon} outside [0, 1)")
     if epsilon == 0.0:
         return mean_anomaly
+    return _solve_core(mean_anomaly, epsilon)[0]
 
+
+def _solve_core(mean_anomaly: float, epsilon: float) -> tuple[float, int]:
+    """Eccentric anomaly and the number of steps the iteration took."""
     m = math.fmod(mean_anomaly, TWO_PI)
     if m < 0.0:
         m += TWO_PI
     offset = mean_anomaly - m
-
     # Fold onto [0, pi] using u(2pi - m) = 2pi - u(m); Newton then never
     # starts on the slow side of the sine inflection.
-    if m > math.pi:
-        return offset + TWO_PI - _solve_core(TWO_PI - m, epsilon, tol, max_iter)
-    return offset + _solve_core(m, epsilon, tol, max_iter)
+    folded = m > math.pi
+    if folded:
+        m = TWO_PI - m
 
-
-def _solve_core(m: float, epsilon: float, tol: float, max_iter: int) -> float:
     # g(u) = u - eps*sin(u) - m is strictly increasing, so [0, pi] brackets.
     lo, hi = 0.0, math.pi
     u = m + epsilon * math.sin(m)
-    for _ in range(max_iter):
+    for steps in range(KEPLER_MAX_ITER):
         g = u - epsilon * math.sin(u) - m
-        if abs(g) < tol:
-            return u
+        if abs(g) < KEPLER_TOL:
+            break
         if g > 0.0:
             hi = u
         else:
@@ -132,13 +130,14 @@ def _solve_core(m: float, epsilon: float, tol: float, max_iter: int) -> float:
         if not lo < u_new < hi:
             u_new = 0.5 * (lo + hi)
         u = u_new
-    g = u - epsilon * math.sin(u) - m
-    if abs(g) < tol:
-        return u
-    raise KeplerConvergenceError(
-        f"no convergence after {max_iter} iterations "
-        f"(M={m}, eps={epsilon}, residual={g:.3e})"
-    )
+    else:
+        steps = KEPLER_MAX_ITER
+        g = u - epsilon * math.sin(u) - m
+        if abs(g) >= KEPLER_TOL:
+            raise KeplerConvergenceError(
+                f"no convergence after {KEPLER_MAX_ITER} iterations "
+                f"(M={m}, eps={epsilon}, residual={g:.3e})")
+    return (offset + TWO_PI - u if folded else offset + u), steps
 
 
 def radial_factor(t: float, epsilon: float) -> float:
@@ -169,17 +168,17 @@ def primary_positions(t: float, params: ModelParams) -> tuple[np.ndarray, np.nda
         x1 = ( r*rho*sin t, 1 + r*rho*cos t, 0)
         x2 = (-r*rho*sin t, 1 - r*rho*cos t, 0)
     """
-    rho = radial_factor(t, params.epsilon)
-    a = params.r * rho
+    return _positions(t, params.r * radial_factor(t, params.epsilon))
+
+
+def _positions(t: float, a: float) -> tuple[np.ndarray, np.ndarray]:
     sx, cx = a * math.sin(t), a * math.cos(t)
-    x1 = np.array([sx, 1.0 + cx, 0.0])
-    x2 = np.array([-sx, 1.0 - cx, 0.0])
-    return x1, x2
+    return np.array([sx, 1.0 + cx, 0.0]), np.array([-sx, 1.0 - cx, 0.0])
 
 
 def ephemeris(t: float, params: ModelParams) -> PrimaryEphemeris:
     """Full ephemeris record (anomalies, radius, positions) at time ``t``."""
     u = solve_kepler(t, params.epsilon)
     rho = 1.0 - params.epsilon * math.cos(u)
-    x1, x2 = primary_positions(t, params)
+    x1, x2 = _positions(t, params.r * rho)
     return PrimaryEphemeris(t=t, u=u, rho=rho, x1=x1, x2=x2)

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kepler import (TWO_PI, KEPLER_TOL, ModelParams, collision_ceiling,
-                     solve_kepler)
+from .kepler import TWO_PI, ModelParams, _solve_core, collision_ceiling
 from .model import coefficient_period
 from .integrate import _write_text
 from .floquet import ELLIPTIC, HYPERBOLIC, monodromy
@@ -153,95 +152,75 @@ def trace_curve(q_star: float, epsilon: float, r_grid,
                       period=period, tol=tol, skipped=skipped)
 
 
-def _bisect_transition(q_star: float, epsilon: float, period: float,
-                       tol: float, r_lo: float, g_lo: float, r_hi: float,
-                       g_hi: float, refine_tol: float) -> tuple[float, float]:
-    """Shrink a sign-change bracket of ``|h|-1`` to width <= refine_tol."""
-    while r_hi - r_lo > refine_tol:
-        mid = 0.5 * (r_lo + r_hi)
-        g_mid = abs(_half_trace(q_star, mid, epsilon, period, tol)) - 1.0
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            r_lo, g_lo = mid, g_mid
-        else:
-            r_hi, g_hi = mid, g_mid
-    return r_lo, r_hi
+def _elliptic(h: float) -> bool:
+    """The one class rule: ``|h| < 1`` is elliptic, anything else is not."""
+    return abs(h) < 1.0
+
+
+def _tile(samples: list[tuple[float, float]], narrow) -> tuple[list, list]:
+    """Tile sorted ``(r, h)`` samples into alternating-class intervals.
+
+    Between two adjacent samples of different class,
+    ``narrow(r_lo, r_hi, lo_elliptic)`` returns the bracket of that
+    transition, and the interval boundary sits at the bracket's midpoint.
+    """
+    intervals, transitions = [], []
+    seg_start = samples[0][0]
+    for (r0, h0), (r1, h1) in zip(samples, samples[1:]):
+        lo_elliptic = _elliptic(h0)
+        if lo_elliptic != _elliptic(h1):
+            lo, hi = narrow(r0, r1, lo_elliptic)
+            transitions.append({"r_bracket": (lo, hi)})
+            boundary = 0.5 * (lo + hi)
+            intervals.append((seg_start, boundary,
+                              ELLIPTIC if lo_elliptic else HYPERBOLIC))
+            seg_start = boundary
+    r_last, h_last = samples[-1]
+    intervals.append((seg_start, r_last,
+                      ELLIPTIC if _elliptic(h_last) else HYPERBOLIC))
+    return intervals, transitions
 
 
 def find_transitions(curve: TraceCurve,
                      refine_tol: float = DEFAULT_REFINE_TOL) -> StabilityIntervals:
     """Bracket and refine every crossing of ``|half_trace| = 1`` on a curve.
 
-    Each sign change of ``|h| - 1`` between adjacent grid points is refined
-    by bisection on freshly computed monodromies; the scanned range is then
-    tiled into alternating interval classes.  Interval midpoints are
-    re-checked; mismatches are flagged in ``suspect`` (two crossings inside
-    a single grid cell cannot be split without a finer grid).
+    The grid is tiled by ``_tile``; each class change between adjacent
+    grid points is narrowed by bisection on freshly computed monodromies to
+    width ``refine_tol`` before its midpoint becomes an interval boundary.
+    Interval midpoints are re-checked; mismatches are flagged in
+    ``suspect`` (two crossings inside a single grid cell cannot be split
+    without a finer grid).
     """
     if len(curve.values) < 2:
         raise ValueError("need at least 2 grid samples to bracket transitions")
     if curve.param != "r":
         raise ValueError("transition search expects an r-scan")
-    rs = curve.values
-    gs = np.abs(curve.half_traces) - 1.0
 
-    transitions = []
-    for i in range(len(rs) - 1):
-        if gs[i] == 0.0:
-            transitions.append({"r_bracket": (float(rs[i]), float(rs[i]))})
-            continue
-        if gs[i] * gs[i + 1] < 0.0:
-            lo, hi = _bisect_transition(
-                curve.q_star, curve.epsilon, curve.period, curve.tol,
-                float(rs[i]), float(gs[i]), float(rs[i + 1]), float(gs[i + 1]),
-                refine_tol)
-            transitions.append({"r_bracket": (lo, hi)})
+    def elliptic_at(r: float) -> bool:
+        return _elliptic(_half_trace(curve.q_star, r, curve.epsilon,
+                                     curve.period, curve.tol))
 
-    # Each transition midpoint lies in its own grid cell, so every interval
-    # between consecutive bounds contains at least one grid sample.
-    intervals = []
-    bounds = ([float(rs[0])]
-              + [0.5 * (t["r_bracket"][0] + t["r_bracket"][1]) for t in transitions]
-              + [float(rs[-1])])
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        g_rep = float(np.median(gs[(rs >= lo) & (rs <= hi)]))
-        cls = ELLIPTIC if g_rep < 0.0 else HYPERBOLIC
-        intervals.append((lo, hi, cls))
+    def bisect(r_lo: float, r_hi: float, lo_elliptic: bool):
+        while r_hi - r_lo > refine_tol:
+            mid = 0.5 * (r_lo + r_hi)
+            if elliptic_at(mid) == lo_elliptic:
+                r_lo = mid
+            else:
+                r_hi = mid
+        return r_lo, r_hi
 
-    suspect = []
-    for lo, hi, cls in intervals:
-        mid = 0.5 * (lo + hi)
-        g_mid = abs(_half_trace(curve.q_star, mid, curve.epsilon,
-                                curve.period, curve.tol)) - 1.0
-        if (g_mid < 0.0) != (cls == ELLIPTIC):
-            suspect.append({"r_lo": lo, "r_hi": hi,
-                            "reason": "midpoint class mismatch; grid too coarse"})
-
+    samples = [(float(r), float(h))
+               for r, h in zip(curve.values, curve.half_traces)]
+    intervals, transitions = _tile(samples, bisect)
+    suspect = [{"r_lo": lo, "r_hi": hi,
+                "reason": "midpoint class mismatch; grid too coarse"}
+               for lo, hi, cls in intervals
+               if elliptic_at(0.5 * (lo + hi)) != (cls == ELLIPTIC)]
     return StabilityIntervals(q_star=curve.q_star, epsilon=curve.epsilon,
                               period=curve.period, intervals=intervals,
                               transitions=transitions, refine_tol=refine_tol,
                               suspect=suspect)
-
-
-def _tile(samples: list[tuple[float, float]]) -> tuple[list, list]:
-    """Tile sorted ``(r, h)`` samples into maximal same-class intervals.
-
-    Each boundary sits midway between the two adjacent samples of different
-    class, and those two samples bracket its transition.
-    """
-    rs = [r for r, _ in samples]
-    flags = [abs(h) < 1.0 for _, h in samples]
-    intervals, transitions = [], []
-    seg_start = rs[0]
-    for i in range(1, len(rs)):
-        if flags[i] != flags[i - 1]:
-            transitions.append({"r_bracket": (rs[i - 1], rs[i])})
-            boundary = 0.5 * (rs[i - 1] + rs[i])
-            intervals.append((seg_start, boundary,
-                              ELLIPTIC if flags[i - 1] else HYPERBOLIC))
-            seg_start = boundary
-    intervals.append((seg_start, rs[-1],
-                      ELLIPTIC if flags[-1] else HYPERBOLIC))
-    return intervals, transitions
 
 
 def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
@@ -250,8 +229,8 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
     """Count strongly-stable intervals of the antipode toward the ceiling.
 
     Nested grids, geometric in the gap ``ceiling - r``, are refined level
-    by level (each level doubles the cell count and reuses all previous
-    evaluations, so the count is monotone in the budget).  Refinement stops
+    by level (each level doubles the cell count and evaluates only the new
+    midpoints, so the count is monotone in the budget).  Refinement stops
     when the remaining budget cannot pay for the next level or when the
     count has been stable for ``CENSUS_PLATEAU_LEVELS`` consecutive levels.
     Only elliptic intervals that are neither first nor last, i.e. flanked
@@ -269,48 +248,31 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
     g_lo = ceiling - r_hi
     period = coefficient_period(epsilon)
 
-    cache: dict[float, float] = {}
-    evaluations = 0
-    budget_exhausted = False
-
-    def point(frac: float) -> tuple[float, float] | None:
-        nonlocal evaluations, budget_exhausted
-        g = g_hi * (g_lo / g_hi) ** frac
-        r = ceiling - g
-        if r not in cache:
-            if evaluations >= budget:
-                budget_exhausted = True
-                return None
-            cache[r] = _half_trace(math.pi, r, epsilon, period, tol)
-            evaluations += 1
-        return r, cache[r]
-
     counts: list[int] = []
-    level = CENSUS_START_LEVEL
     samples: list[tuple[float, float]] = []
     intervals: list[tuple[float, float, str]] = []
     transitions: list[dict] = []
+    budget_exhausted = False
     levels_completed = 0
+    level = CENSUS_START_LEVEL
+    fracs = [j / 2 ** level for j in range(2 ** level + 1)]
     while True:
-        n = 2 ** level
-        new_samples = []
-        aborted = False
-        for j in range(n + 1):
-            p = point(j / n)
-            if p is None:
-                aborted = True
-                break
-            new_samples.append(p)
-        if aborted:
+        if len(samples) + len(fracs) > budget:
+            budget_exhausted = True
             break
-        samples = sorted(new_samples)
-        intervals, transitions = _tile(samples)
+        for frac in fracs:
+            r = ceiling - g_hi * (g_lo / g_hi) ** frac
+            samples.append((r, _half_trace(math.pi, r, epsilon, period, tol)))
+        samples.sort()
+        # Census brackets stay the grid cells that hold them.
+        intervals, transitions = _tile(samples, lambda lo, hi, _: (lo, hi))
         counts.append(sum(cls == ELLIPTIC for _, _, cls in intervals[1:-1]))
         levels_completed = level
         if (len(counts) >= CENSUS_PLATEAU_LEVELS
                 and len(set(counts[-CENSUS_PLATEAU_LEVELS:])) == 1):
             break
         level += 1
+        fracs = [j / 2 ** level for j in range(1, 2 ** level, 2)]
 
     tiling = StabilityIntervals(
         q_star=math.pi, epsilon=epsilon, period=period, intervals=intervals,
@@ -318,7 +280,7 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
         refine_tol=(samples[1][0] - samples[0][0]) if len(samples) > 1 else 0.0)
 
     return CensusResult(epsilon=epsilon, count=counts[-1] if counts else 0,
-                        intervals=tiling, evaluations=evaluations,
+                        intervals=tiling, evaluations=len(samples),
                         budget=budget, budget_exhausted=budget_exhausted,
                         levels_completed=levels_completed,
                         r_range=(r_lo, r_hi),
@@ -329,9 +291,9 @@ def eps_scan_origin(r_fixed: float, eps_grid,
                     tol: float = DEFAULT_SCAN_TOL) -> TraceCurve:
     """Half-trace of the origin monodromy versus eccentricity (period 2*pi).
 
-    Exploratory sweep at fixed ``r``; each point records a probe of the
-    eccentric-anomaly solver's worst iteration count, since high
-    eccentricities stress it.
+    Exploratory sweep at fixed ``r``; each point records the eccentric-
+    anomaly solver's worst step count over 17 mean anomalies (at least 1),
+    since high eccentricities stress it.
     """
     values, traces, skipped, notes = [], [], [], []
     for eps in np.asarray(eps_grid, dtype=float):
@@ -345,24 +307,11 @@ def eps_scan_origin(r_fixed: float, eps_grid,
         h = _half_trace(0.0, r_fixed, float(eps), TWO_PI, tol)
         values.append(float(eps))
         traces.append(h)
-        worst = 0
-        for m_probe in np.linspace(0.0, TWO_PI, 17):
-            _, iters = _kepler_probe(float(m_probe), float(eps))
-            worst = max(worst, iters)
+        worst = max(max(1, _solve_core(float(m), float(eps))[1])
+                    for m in np.linspace(0.0, TWO_PI, 17))
         notes.append({"epsilon": float(eps), "kepler_max_iterations": worst})
     return TraceCurve(q_star=0.0, epsilon=None, param="epsilon",
                       values=np.array(values), half_traces=np.array(traces),
                       period=TWO_PI, tol=tol, r_fixed=r_fixed,
                       skipped=skipped, notes=notes)
 
-
-def _kepler_probe(m: float, eps: float) -> tuple[float, int]:
-    """Solve the Kepler equation counting iterations (solver stress probe)."""
-    from .kepler import KeplerConvergenceError
-    for iters in range(1, 65):
-        try:
-            u = solve_kepler(m, eps, tol=KEPLER_TOL, max_iter=iters)
-            return u, iters
-        except KeplerConvergenceError:
-            continue
-    return solve_kepler(m, eps), 64

@@ -137,6 +137,25 @@ class TestExitCodes:
     def test_config_error_from_argparse(self):
         assert main(["floquet"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("description, out_name", [
+        (None, "out.json"),
+        ({"family": "line"}, "absent/out.json"),
+        ([{"family": "line"}], "out.json"),
+        ({"family": "sitnikov_near", "params": {"r": 1.5, "epsilion": 0.3}},
+         "out.json"),
+        ({"family": "line", "params": {"lamb": 0.1}}, "out.json"),
+    ], ids=["missing-curve-file", "missing-out-dir", "list-curve-file",
+            "sitnikov-unknown-key", "line-unknown-key"])
+    def test_bad_files_and_curve_params_exit_one(self, tmp_path, capsys,
+                                                  description, out_name):
+        curve, out = tmp_path / "pair.json", tmp_path / out_name
+        if description is not None:
+            curve.write_text(json.dumps(description))
+        assert main(["bounds", "--curve-file", str(curve), "--lam", "0.1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_is_success(self):
         assert main(["--help"]) == EXIT_OK
 

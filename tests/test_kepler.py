@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curved_sitnikov import kepler
 from curved_sitnikov.kepler import (ModelParams, ephemeris, primary_positions,
                                     radial_factor, radial_factor_derivatives,
                                     solve_kepler)
@@ -148,3 +149,17 @@ def test_ephemeris_record():
     assert e.u - params.epsilon * math.sin(e.u) == pytest.approx(2.2, abs=1e-12)
     assert 1.0 - 0.4 <= e.rho <= 1.0 + 0.4
     np.testing.assert_allclose(e.x1 + e.x2, [0.0, 2.0, 0.0], atol=1e-14)
+
+
+def test_ephemeris_solves_kepler_once(monkeypatch):
+    calls = []
+
+    def counting(m, eps):
+        calls.append(m)
+        return solve_kepler(m, eps)
+
+    monkeypatch.setattr(kepler, "solve_kepler", counting)
+    e = ephemeris(2.2, ModelParams(r=1.2, epsilon=0.4))
+    assert len(calls) == 1
+    x1, x2 = primary_positions(2.2, ModelParams(r=1.2, epsilon=0.4))
+    assert np.array_equal(e.x1, x1) and np.array_equal(e.x2, x2)

@@ -111,6 +111,19 @@ class TestFindTransitions:
             assert f_hi - f_lo <= c_hi - c_lo
             assert c_lo - 1e-5 <= f_lo and f_hi <= c_hi + 1e-5
 
+    def test_unit_half_trace_sample_is_not_elliptic(self):
+        # A sample with |h| = 1 exactly is not elliptic, so it gets an
+        # interval of its own between the two elliptic ones.
+        curve = TraceCurve(q_star=math.pi, epsilon=0.0, param="r",
+                           values=np.array([1.30, 1.31, 1.32]),
+                           half_traces=np.array([0.5, 1.0, 0.5]),
+                           period=math.pi, tol=1e-9)
+        ivs = find_transitions(curve, refine_tol=0.02).intervals
+        assert [cls for _, _, cls in ivs] == [ELLIPTIC, HYPERBOLIC, ELLIPTIC]
+        for (_, hi_a, cls_a), (lo_b, _, cls_b) in zip(ivs, ivs[1:]):
+            assert hi_a == lo_b
+            assert cls_a != cls_b
+
     def test_needs_two_samples(self):
         curve = trace_curve(math.pi, 0.0, np.array([1.0]), tol=1e-9)
         with pytest.raises(ValueError):
@@ -131,6 +144,7 @@ class TestCensus:
         assert result.count >= 3
         assert result.budget_exhausted
         assert result.evaluations <= 300
+        assert result.evaluations == len(result.sample_rs)
         assert result.r_range == pytest.approx((1.9, 1.9995))
         flags = [cls == ELLIPTIC for _, _, cls in result.intervals.intervals]
         assert result.count == sum(flags[1:-1])
