@@ -13,16 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from .kepler import TWO_PI, KeplerConvergenceError, ModelParams, ephemeris
 from .model import CollisionError, ExtendedState
-from .integrate import StiffnessError, _write_text, integrate_orbit
-from .floquet import MonodromyError, classify, monodromy
+from .integrate import (DEFAULT_MONODROMY_TOL, DEFAULT_ORBIT_TOL,
+                        StiffnessError, _write_text, integrate_orbit)
+from .floquet import DEFAULT_DELTA_PAR, MonodromyError, classify, monodromy
 from .general_model import bound_report, load_curve_pair, sitnikov_pair
-from .scan import eps_scan_origin, find_transitions, interchange_census, trace_curve
+from .scan import (DEFAULT_REFINE_TOL, DEFAULT_SCAN_TOL, eps_scan_origin,
+                   find_transitions, interchange_census, trace_curve)
 from .poincare import section
 from . import verification
 
@@ -62,6 +65,17 @@ def parse_qstar(text: str) -> float:
     raise ConfigError(f"qstar must be 0 or pi, got {text!r}")
 
 
+def _check_outputs(args) -> None:
+    """Fail before any computation if an output file's directory is unusable."""
+    for name in ("out", "out_csv", "out_json", "manifest"):
+        path = getattr(args, name, None)
+        if path:
+            folder = os.path.dirname(os.path.abspath(path))
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                raise ConfigError(f"cannot write {path!r}: directory "
+                                  f"{folder!r} is missing or not writable")
+
+
 def _params(args) -> ModelParams:
     return ModelParams(r=args.r, epsilon=args.eps)
 
@@ -89,9 +103,8 @@ def cmd_kepler(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _params(args)
-    method = "fixed" if args.fixed_step else "adaptive"
     traj = integrate_orbit(ExtendedState(q=args.q0, p=args.p0, s=args.s0),
-                           args.t_final, params, tol=args.tol, method=method,
+                           args.t_final, params, tol=args.tol,
                            fixed_steps=args.fixed_step)
     traj.to_csv(args.out or sys.stdout, header_comment=_config_json(args))
     if traj.truncated:
@@ -143,10 +156,8 @@ def cmd_poincare(args) -> int:
     q_grid = parse_grid(args.q_grid)
     p_grid = parse_grid(args.p_grid)
     grid = [(float(q), float(p)) for q in q_grid for p in p_grid]
-    method = "fixed" if args.fixed_step else "adaptive"
     cloud = section(params, grid, n_iterates=args.iterates, tol=args.tol,
-                    method=method,
-                    fixed_steps_per_period=args.fixed_step or 200)
+                    fixed_steps=args.fixed_step)
     cloud.to_csv(args.out, header_comment=_config_json(args))
     if args.manifest:
         _write_json(args.manifest, cloud.manifest(), args)
@@ -203,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p0", type=float, required=True)
     p.add_argument("--s0", type=float, default=0.0)
     p.add_argument("--t-final", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_ORBIT_TOL)
     p.add_argument("--fixed-step", type=int, default=None,
-                   help="use the reproducible RK4 engine with N steps")
+                   help="use the reproducible RK4 engine with N >= 1 steps")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -213,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_params(p)
     p.add_argument("--qstar", required=True, help="0 or pi")
     p.add_argument("--period", choices=["pi", "2pi"], default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--delta-par", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_MONODROMY_TOL)
+    p.add_argument("--delta-par", type=float, default=DEFAULT_DELTA_PAR)
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_floquet)
 
@@ -223,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--r", dest="r_grid", required=True,
                    help="r grid lo:hi:step")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--refine-tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=DEFAULT_SCAN_TOL)
+    p.add_argument("--refine-tol", type=float, default=DEFAULT_REFINE_TOL)
     p.add_argument("--out-csv", help="trace CSV path")
     p.add_argument("--out-json", help="intervals JSON path (default stdout)")
     p.set_defaults(func=cmd_scan)
@@ -234,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ceiling-fraction", type=float, default=0.99975)
     p.add_argument("--start-fraction", type=float, default=0.95)
     p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_SCAN_TOL)
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_census)
 
@@ -242,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--eps-grid", dest="eps_grid", required=True,
                    help="eps grid lo:hi:step")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_SCAN_TOL)
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_eps_scan)
 
@@ -253,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-grid", default="-0.3:0.3:0.1",
                    help="initial p grid lo:hi:step")
     p.add_argument("--iterates", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_ORBIT_TOL)
     p.add_argument("--fixed-step", type=int, default=None,
-                   help="reproducible RK4 engine, steps per period")
+                   help="reproducible RK4 engine, N >= 1 steps per period")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--manifest", help="companion manifest JSON path")
     p.set_defaults(func=cmd_poincare)
@@ -282,6 +293,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
+        _check_outputs(args)
         return args.func(args)
     except (CollisionError, StiffnessError, KeplerConvergenceError,
             MonodromyError) as exc:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .kepler import TWO_PI, ModelParams
-from .model import coefficient_period, cubic_coefficient
+from .model import coefficient_period, cubic_coefficient, hill_coefficient
 from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix,
                         integrate_variational)
 
@@ -113,7 +113,8 @@ def monodromy(q_star: float, params: ModelParams, period: float | None = None,
         raise ValueError(f"period={period} must be pi or 2*pi")
     if math.isclose(period, math.pi) and params.epsilon != 0.0:
         raise ValueError("period pi requires epsilon = 0")
-    mat = integrate_variational(q_star, params, period, tol=tol)
+    mat = integrate_variational(hill_coefficient(q_star, params), period,
+                                tol=tol)
     return Monodromy(matrix=mat, period=period, params=params,
                      q_star=q_star, tol=tol)
 

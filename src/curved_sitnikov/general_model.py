@@ -39,52 +39,26 @@ Curve = Callable[[float, float], np.ndarray]
 class CurvePair:
     """An arc-length curve ``x(s, lam)`` and a unit-period curve ``y(t, lam)``.
 
-    Analytic derivatives may be supplied (``x_s``, ``x_ss``, ``y_t``,
-    ``y_tt``); otherwise fourth-order finite differences of the curves are
-    used.  ``m_bound`` is a uniform bound on ``z = x - y`` and its first
-    and second partials; ``k_bound`` controls the Taylor growth of
-    ``z.z - delta^2`` (in ``t^2``) and ``z.z'`` (in ``t``) near closest
-    approach.  Either may be supplied; both are estimated by sampling when
-    absent, with ``k = 2 M^2`` derived from the bound ``M``.
+    Each curve comes with its analytic first and second derivatives
+    (``x_s``, ``x_ss`` in ``s``; ``y_t``, ``y_tt`` in ``t``), which the
+    curvature formula and the sampled Taylor bounds read.
     """
 
     name: str
     x: Curve
+    x_s: Curve
+    x_ss: Curve
     y: Curve
+    y_t: Curve
+    y_tt: Curve
     lam_range: tuple[float, float]
     default_lam: float
     s_range: tuple[float, float]
     s_periodic: bool = False
     t_period: float = 1.0
-    x_s: Curve | None = None
-    x_ss: Curve | None = None
-    y_t: Curve | None = None
-    y_tt: Curve | None = None
-    m_bound: float | None = None
-    k_bound: float | None = None
 
     def z(self, s: float, t: float, lam: float) -> np.ndarray:
         return self.x(s, lam) - self.y(t, lam)
-
-    def dx_ds(self, s: float, lam: float) -> np.ndarray:
-        if self.x_s is not None:
-            return self.x_s(s, lam)
-        return _fd1(lambda u: self.x(u, lam), s)
-
-    def d2x_ds2(self, s: float, lam: float) -> np.ndarray:
-        if self.x_ss is not None:
-            return self.x_ss(s, lam)
-        return _fd2(lambda u: self.x(u, lam), s)
-
-    def dy_dt(self, t: float, lam: float) -> np.ndarray:
-        if self.y_t is not None:
-            return self.y_t(t, lam)
-        return _fd1(lambda u: self.y(u, lam), t)
-
-    def d2y_dt2(self, t: float, lam: float) -> np.ndarray:
-        if self.y_tt is not None:
-            return self.y_tt(t, lam)
-        return _fd2(lambda u: self.y(u, lam), t)
 
 
 @dataclass
@@ -109,7 +83,6 @@ class BoundReport:
     smallness_threshold: float
     m_bound: float
     k_bound: float
-    used_supplied_bounds: bool
     s_star: float
     t_star: float
 
@@ -126,26 +99,12 @@ class BoundReport:
             "smallness_threshold": self.smallness_threshold,
             "M": self.m_bound,
             "k": self.k_bound,
-            "used_supplied_bounds": self.used_supplied_bounds,
+            # bounds are always sampled; the key keeps the artifact format
+            "used_supplied_bounds": False,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-
-# Step of the fourth-order finite differences used for absent derivatives.
-FD_STEP = 1e-3
-
-
-def _fd1(f: Callable[[float], np.ndarray], u: float) -> np.ndarray:
-    h = FD_STEP
-    return (f(u - 2 * h) - 8 * f(u - h) + 8 * f(u + h) - f(u + 2 * h)) / (12 * h)
-
-
-def _fd2(f: Callable[[float], np.ndarray], u: float) -> np.ndarray:
-    h = FD_STEP
-    return (-f(u - 2 * h) + 16 * f(u - h) - 30 * f(u) + 16 * f(u + h)
-            - f(u + 2 * h)) / (12 * h * h)
 
 
 def pair_potential(s: float, t: float, lam: float, pair: CurvePair) -> float:
@@ -166,8 +125,8 @@ def d2U_ds2(t: float, lam: float, pair: CurvePair) -> float:
     zz = float(z @ z)
     if zz <= D_MIN * D_MIN:
         raise ValueError(f"curve separation {math.sqrt(zz):.3e} below collision guard")
-    zp = pair.dx_ds(0.0, lam)
-    zpp = pair.d2x_ds2(0.0, lam)
+    zp = pair.x_s(0.0, lam)
+    zpp = pair.x_ss(0.0, lam)
     return float(((zp @ zp + z @ zpp) * zz - 3.0 * (z @ zp) ** 2) / zz**2.5)
 
 
@@ -233,19 +192,15 @@ def min_distance(lam: float, pair: CurvePair) -> tuple[float, float, float]:
     return delta, s_star, t_star
 
 
-def estimate_bounds(pair: CurvePair, lam: float) -> tuple[float, float, bool]:
-    """Return ``(M, k, used_supplied)`` for the Taylor estimates.
+def estimate_bounds(pair: CurvePair, lam: float) -> tuple[float, float]:
+    """Return ``(M, k)`` for the Taylor estimates.
 
     ``M`` bounds ``z`` and its first and second partials over the window
     (61 ``s`` and 121 ``t`` samples), uniformly over the given ``lam`` and
     the range endpoints; ``k = 2 M^2`` then dominates both Taylor
-    remainders near closest approach.  Supplied values take precedence.
+    remainders near closest approach: the growth of ``z.z - delta^2`` (in
+    ``t^2``) and of ``z.z'`` (in ``t``).
     """
-    if pair.m_bound is not None and pair.k_bound is not None:
-        return pair.m_bound, pair.k_bound, True
-    if pair.m_bound is not None:
-        return pair.m_bound, 2.0 * pair.m_bound**2, True
-
     lams = {lam, pair.lam_range[0], pair.lam_range[1]}
     svals = np.linspace(pair.s_range[0], pair.s_range[1], 61)
     tvals = np.linspace(-0.5 * pair.t_period, 0.5 * pair.t_period, 121)
@@ -253,18 +208,17 @@ def estimate_bounds(pair: CurvePair, lam: float) -> tuple[float, float, bool]:
     for lm in lams:
         for s in svals:
             sup = max(np.max(np.abs(pair.x(float(s), lm))),
-                      np.max(np.abs(pair.dx_ds(float(s), lm))),
-                      np.max(np.abs(pair.d2x_ds2(float(s), lm))))
+                      np.max(np.abs(pair.x_s(float(s), lm))),
+                      np.max(np.abs(pair.x_ss(float(s), lm))))
             m = max(m, float(sup))
         for t in tvals:
             sup = max(np.max(np.abs(pair.y(float(t), lm))),
-                      np.max(np.abs(pair.dy_dt(float(t), lm))),
-                      np.max(np.abs(pair.d2y_dt2(float(t), lm))))
+                      np.max(np.abs(pair.y_t(float(t), lm))),
+                      np.max(np.abs(pair.y_tt(float(t), lm))))
             m = max(m, float(sup))
     # |z| <= |x| + |y| and same for derivatives (mixed partials vanish).
     m = 2.0 * m
-    k = pair.k_bound if pair.k_bound is not None else 2.0 * m * m
-    return m, k, False
+    return m, 2.0 * m * m
 
 
 def bound_report(lam: float, pair: CurvePair) -> BoundReport:
@@ -277,7 +231,7 @@ def bound_report(lam: float, pair: CurvePair) -> BoundReport:
     ``-2 tau sqrt(a_min) + pi``.
     """
     delta, s_star, t_star = min_distance(lam, pair)
-    m, k, supplied = estimate_bounds(pair, lam)
+    m, k = estimate_bounds(pair, lam)
     c = min(k ** -0.5, 1.0 / (k * math.sqrt(6.0)))
     tau = c * delta
 
@@ -291,7 +245,7 @@ def bound_report(lam: float, pair: CurvePair) -> BoundReport:
         lam=lam, delta=delta, tau=tau, c=c, a_min=a_min,
         bound_ok=bound_ok, winding_estimate=winding_estimate,
         smallness_ok=delta < threshold, smallness_threshold=threshold,
-        m_bound=m, k_bound=k, used_supplied_bounds=supplied,
+        m_bound=m, k_bound=k,
         s_star=s_star, t_star=t_star)
 
 
@@ -303,9 +257,9 @@ def pair_diagnostics(pair: CurvePair, lam: float) -> dict:
     ``|z(0,t)|`` at the minimum (which must be positive: ``t``-non-degeneracy).
     """
     svals = np.linspace(pair.s_range[0], pair.s_range[1], 101)
-    arc_defect = max(abs(float(np.linalg.norm(pair.dx_ds(float(s), lam))) - 1.0)
+    arc_defect = max(abs(float(np.linalg.norm(pair.x_s(float(s), lam))) - 1.0)
                      for s in svals)
-    ortho = float(pair.dx_ds(0.0, lam) @ pair.dy_dt(0.0, lam))
+    ortho = float(pair.x_s(0.0, lam) @ pair.y_t(0.0, lam))
     h = 1e-4 * pair.t_period
     dmin = [float(np.linalg.norm(pair.z(0.0, t, lam))) for t in (-h, 0.0, h)]
     t_curvature = (dmin[0] - 2 * dmin[1] + dmin[2]) / (h * h)

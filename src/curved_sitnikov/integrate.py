@@ -2,9 +2,10 @@
 
 Two engines are provided: an adaptive embedded Runge-Kutta pair (DOP853,
 order 8(5,3)) for accuracy-controlled work, and a fixed-step classical RK4
-for bit-reproducible regression baselines.  Both are reentrant and hold no
-state between calls; the flow is smooth away from collisions, so no
-symplectic or stiff machinery is needed at these horizons.
+for bit-reproducible regression baselines.  A given step count
+``fixed_steps`` selects RK4; ``None`` selects DOP853.  Both are reentrant
+and hold no state between calls; the flow is smooth away from collisions,
+so no symplectic or stiff machinery is needed at these horizons.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .kepler import TWO_PI, ModelParams
-from .model import (D_MIN, ExtendedState, HillCoefficient, _distances,
-                    hill_coefficient, tangential_force)
+from .kepler import ModelParams
+from .model import D_MIN, ExtendedState, _distances, tangential_force
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 DEFAULT_ORBIT_TOL = 1e-8
@@ -120,6 +120,8 @@ def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
     Deterministic to the bit for identical inputs, which the adaptive
     engine does not guarantee across library versions.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps={n_steps} must be at least 1")
     ts = np.linspace(t0, t1, n_steps + 1)
     h = (t1 - t0) / n_steps
     ys = np.empty((n_steps + 1, len(y0)))
@@ -140,7 +142,6 @@ def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
 def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
                     params: ModelParams, tol: float = DEFAULT_ORBIT_TOL,
                     t_eval: np.ndarray | None = None,
-                    method: str = "adaptive",
                     fixed_steps: int | None = None,
                     d_min: float = D_MIN) -> Trajectory:
     """Integrate the extended flow from ``initial`` over ``[0, t_final]``.
@@ -155,10 +156,10 @@ def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
         t_final: integration horizon (> 0).
         params: model parameters.
         tol: local error tolerance per step, within ``[1e-13, 1e-6]``.
-        t_eval: optional sample times (dense output by interpolation).
-        method: ``"adaptive"`` (DOP853) or ``"fixed"`` (RK4, reproducible).
-        fixed_steps: step count for ``method="fixed"`` (default: 200 per
-            forcing period).
+        t_eval: optional sample times (dense output by interpolation;
+            adaptive engine only).
+        fixed_steps: RK4 step count (at least 1) for a reproducible run;
+            ``None`` integrates with DOP853.
     """
     _validate_tol(tol)
     if isinstance(initial, ExtendedState):
@@ -174,15 +175,11 @@ def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
         return np.array([y[1],
                          tangential_force(y[0], s0 + t, params, hard_floor)])
 
-    if method == "fixed":
-        n = fixed_steps if fixed_steps is not None else max(
-            1, int(round(200 * t_final / TWO_PI)))
-        ts, ys = rk4_fixed(rhs, 0.0, np.array([q0, p0]), t_final, n)
+    if fixed_steps is not None:
+        ts, ys = rk4_fixed(rhs, 0.0, np.array([q0, p0]), t_final, fixed_steps)
         states = np.column_stack([ys[:, 0], ys[:, 1], s0 + ts])
         return Trajectory(t=ts, states=states, tol=tol, method="fixed",
-                          n_rhs=4 * n, n_samples=len(ts))
-    if method != "adaptive":
-        raise ValueError(f"unknown method {method!r}")
+                          n_rhs=4 * fixed_steps, n_samples=len(ts))
 
     def collision_event(t, y):
         d1, d2, _ = _distances(y[0], s0 + t, params, hard_floor)
@@ -202,35 +199,28 @@ def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
                       truncated=(sol.status == 1))
 
 
-def integrate_variational(q_star: float, params: ModelParams, period: float,
-                          tol: float = DEFAULT_MONODROMY_TOL,
-                          method: str = "adaptive",
-                          fixed_steps: int | None = None,
-                          coefficient: HillCoefficient | Callable[[float], float] | None = None,
+def integrate_variational(a: Callable[[float], float], period: float,
+                          tol: float, fixed_steps: int | None = None,
                           ) -> FundamentalMatrix:
     """Fundamental matrix at ``t = period`` of ``v' = [[0,1],[-a(t),0]] v``.
 
-    ``a`` is the Hill coefficient of the linearization at ``q_star``
-    (overridable via ``coefficient`` for synthetic systems).  Both columns
-    are integrated together as a 4-dimensional linear system.
+    ``a`` is the coefficient, e.g. the Hill coefficient of a linearization
+    (``model.hill_coefficient``).  Both columns are integrated together as
+    a 4-dimensional linear system, with DOP853 at tolerance ``tol``, or
+    with ``fixed_steps`` RK4 steps when that is given.
     """
     _validate_tol(tol)
-    a = coefficient if coefficient is not None else hill_coefficient(q_star, params)
 
     def rhs(t, y):
         at = a(t)
         return np.array([y[1], -at * y[0], y[3], -at * y[2]])
 
     y0 = np.array([1.0, 0.0, 0.0, 1.0])
-    if method == "fixed":
-        n = fixed_steps if fixed_steps is not None else max(
-            1, int(round(2000 * period / TWO_PI)))
-        _, ys = rk4_fixed(rhs, 0.0, y0, period, n)
+    if fixed_steps is not None:
+        _, ys = rk4_fixed(rhs, 0.0, y0, period, fixed_steps)
         x1, y1v, x2, y2v = (float(v) for v in ys[-1])
         return FundamentalMatrix(x1=x1, x2=x2, y1=y1v, y2=y2v, t=period,
-                                 n_rhs=4 * n)
-    if method != "adaptive":
-        raise ValueError(f"unknown method {method!r}")
+                                 n_rhs=4 * fixed_steps)
 
     sol = solve_ivp(rhs, (0.0, period), y0, method="DOP853",
                     rtol=tol, atol=tol)

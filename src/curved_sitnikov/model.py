@@ -221,10 +221,3 @@ def limit_force_circle(q: float, R: float) -> float:
     if not 0.0 < q < TWO_PI or gap <= D_MIN:
         raise CollisionError(1, math.sqrt(2.0 * max(gap, 0.0)) * R)
     return -math.sin(q) / (math.sqrt(2.0) * R * R * gap**1.5)
-
-
-def comparison_force_circle(q: float, R: float) -> float:
-    """Arc-length variant of the fused-mass force, ``-1/(Rq^2) + 1/(R(2pi-q)^2)``."""
-    if not 0.0 < q < TWO_PI:
-        raise CollisionError(1, min(abs(q), abs(TWO_PI - q)) * R)
-    return -1.0 / (R * q * q) + 1.0 / (R * (TWO_PI - q) ** 2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kepler import TWO_PI, ModelParams
-from .integrate import _write_text, integrate_orbit
+from .integrate import DEFAULT_ORBIT_TOL, _write_text, integrate_orbit
 from .model import CollisionError
 
 
@@ -66,52 +66,50 @@ def wrap_angle(q: float) -> float:
 
 
 def section(params: ModelParams, initial_grid, n_iterates: int,
-            tol: float = 1e-8, method: str = "adaptive",
-            fixed_steps_per_period: int = 200) -> SectionCloud:
+            tol: float = DEFAULT_ORBIT_TOL,
+            fixed_steps: int | None = None) -> SectionCloud:
     """Strobe each initial condition once per forcing period.
 
     Args:
         params: model parameters.
         initial_grid: iterable of ``(q0, p0)`` pairs (phase starts at 0).
         n_iterates: number of section returns to record per orbit.
-        tol: integrator tolerance (adaptive path).
-        method: ``"adaptive"`` or ``"fixed"`` (reproducible RK4).
-        fixed_steps_per_period: RK4 steps per period for ``method="fixed"``.
+        tol: integrator tolerance (adaptive engine).
+        fixed_steps: RK4 steps per period (at least 1) for a reproducible
+            cloud, one period per call; ``None`` strobes one DOP853 run
+            per orbit.
 
     Collisions truncate the affected orbit only; the cloud keeps going.
     """
     cloud = SectionCloud(params=params,
                          initial_grid=[(float(q), float(p))
                                        for q, p in initial_grid],
-                         n_iterates=n_iterates, tol=tol, method=method)
+                         n_iterates=n_iterates, tol=tol,
+                         method="adaptive" if fixed_steps is None else "fixed")
     for q0, p0 in cloud.initial_grid:
         hits: list[tuple[float, float]] = []
         truncated = False
-        if method == "adaptive":
+        if fixed_steps is None:
             t_eval = TWO_PI * np.arange(1, n_iterates + 1)
             try:
                 traj = integrate_orbit((q0, p0, 0.0), TWO_PI * n_iterates,
-                                       params, tol=tol, t_eval=t_eval,
-                                       method="adaptive")
+                                       params, tol=tol, t_eval=t_eval)
                 truncated = traj.truncated
                 for q, p, _ in traj.states:
                     hits.append((wrap_angle(float(q)), float(p)))
             except CollisionError:
                 truncated = True
-        elif method == "fixed":
+        else:
             q, p, s = q0, p0, 0.0
             for _ in range(n_iterates):
                 try:
                     traj = integrate_orbit((q, p, s), TWO_PI, params, tol=tol,
-                                           method="fixed",
-                                           fixed_steps=fixed_steps_per_period)
+                                           fixed_steps=fixed_steps)
                 except CollisionError:
                     truncated = True
                     break
                 q, p, s = traj.states[-1]
                 hits.append((wrap_angle(float(q)), float(p)))
-        else:
-            raise ValueError(f"unknown method {method!r}")
         cloud.orbits.append(np.array(hits))
         cloud.truncated.append(truncated)
     return cloud

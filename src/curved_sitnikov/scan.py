@@ -196,6 +196,8 @@ def find_transitions(curve: TraceCurve,
         raise ValueError("need at least 2 grid samples to bracket transitions")
     if curve.param != "r":
         raise ValueError("transition search expects an r-scan")
+    if np.any(np.diff(curve.values) <= 0.0):
+        raise ValueError("transition search needs a strictly increasing r grid")
 
     def elliptic_at(r: float) -> bool:
         return _elliptic(_half_trace(curve.q_star, r, curve.epsilon,

@@ -10,6 +10,8 @@ import pytest
 
 from curved_sitnikov import verification
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="module")
 def results():

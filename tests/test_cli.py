@@ -156,6 +156,37 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--q0", "0.3", "--p0", "0", "--t-final", "1.0"],
+        ["poincare", "--q-grid", "0:0:1", "--p-grid", "0:0:1",
+         "--iterates", "2"],
+    ], ids=["simulate", "poincare"])
+    def test_zero_fixed_steps_exit_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--fixed-step", "0", "--out", str(out)]) == \
+            EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_output_fails_before_computing(self, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "interchange_census",
+                            lambda *a, **k: calls.append(a))
+        assert main(["census", "--ceiling-fraction", "0.99",
+                     "--start-fraction", "0.9", "--budget", "80",
+                     "--out", str(tmp_path / "absent" / "x.json")]) == \
+            EXIT_CONFIG
+        assert calls == []
+
+    def test_bad_json_output_leaves_no_csv(self, tmp_path):
+        csv_out = tmp_path / "trace.csv"
+        assert main(["scan", "--qstar", "pi", "--r", "1.2:1.27:0.005",
+                     "--out-csv", str(csv_out),
+                     "--out-json", str(tmp_path / "absent" / "x.json")]) == \
+            EXIT_CONFIG
+        assert not csv_out.exists()
+
     def test_help_is_success(self):
         assert main(["--help"]) == EXIT_OK
 

@@ -2,17 +2,17 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.model import hill_coefficient
-from curved_sitnikov.general_model import (CurvePair, bound_report, d2U_ds2,
-                                           d2U_ds2_fd, estimate_bounds,
-                                           line_pair, load_curve_pair,
-                                           min_distance, pair_diagnostics,
-                                           pair_potential,
+from curved_sitnikov.general_model import (bound_report, d2U_ds2, d2U_ds2_fd,
+                                           estimate_bounds, line_pair,
+                                           load_curve_pair, min_distance,
+                                           pair_diagnostics, pair_potential,
                                            sitnikov_hill_coefficient,
                                            sitnikov_pair)
 
@@ -64,15 +64,6 @@ class TestCurvature:
                 fd = d2U_ds2_fd(t, lam, pair)
                 assert dot == pytest.approx(fd, rel=1e-6)
 
-    def test_numeric_curve_derivatives_fallback(self):
-        # same line geometry without analytic derivatives
-        pair = CurvePair(
-            name="line-numeric",
-            x=lambda s, lam: np.array([s, 0.0, 0.0]),
-            y=lambda t, lam: np.array([0.0, lam, 0.0]),
-            lam_range=(1e-3, 1.0), default_lam=0.1, s_range=(-0.9, 0.9))
-        assert d2U_ds2(0.0, 0.1, pair) == pytest.approx(1000.0, rel=1e-6)
-
 
 class TestMinDistance:
     def test_line_fixture(self):
@@ -95,20 +86,15 @@ class TestMinDistance:
         assert delta == pytest.approx(2.0 - 1.5 * 1.25, abs=1e-9)
 
     def test_boundary_minimum_rejected(self):
-        pair = CurvePair(
-            name="off-end",
-            x=lambda s, lam: np.array([s, 0.0, 0.0]),
-            y=lambda t, lam: np.array([2.0, lam, 0.0]),
-            lam_range=(1e-3, 1.0), default_lam=0.1, s_range=(-0.9, 0.9))
+        # the line fixture with its fixed point moved past the s window
+        pair = replace(line_pair(), name="off-end",
+                       y=lambda t, lam: np.array([2.0, lam, 0.0]))
         with pytest.raises(ValueError):
             min_distance(0.1, pair)
 
     def test_offset_minimum_rejected(self):
-        pair = CurvePair(
-            name="off-center",
-            x=lambda s, lam: np.array([s, 0.0, 0.0]),
-            y=lambda t, lam: np.array([0.5, lam, 0.0]),
-            lam_range=(1e-3, 1.0), default_lam=0.1, s_range=(-0.9, 0.9))
+        pair = replace(line_pair(), name="off-center",
+                       y=lambda t, lam: np.array([0.5, lam, 0.0]))
         with pytest.raises(ValueError):
             min_distance(0.1, pair)
 
@@ -129,19 +115,17 @@ class TestPairGeometry:
     def test_unit_curvature_of_circle(self, near18):
         for s in np.linspace(-math.pi, math.pi, 17):
             assert float(np.linalg.norm(
-                near18.d2x_ds2(float(s), 0.2))) == pytest.approx(1.0,
-                                                                 abs=1e-12)
+                near18.x_ss(float(s), 0.2))) == pytest.approx(1.0, abs=1e-12)
 
     def test_taylor_bounds_near_closest_approach(self, near18):
         lam = near18.default_lam
-        m, k, supplied = estimate_bounds(near18, lam)
-        assert not supplied
+        m, k = estimate_bounds(near18, lam)
         delta, _, _ = min_distance(lam, near18)
         c = min(k**-0.5, 1.0 / (k * math.sqrt(6.0)))
         tau = c * delta
         for t in np.linspace(-tau, tau, 41):
             z = near18.z(0.0, float(t), lam)
-            zp = near18.dx_ds(0.0, lam)
+            zp = near18.x_s(0.0, lam)
             assert abs(float(z @ z) - delta**2) <= k * t * t + 1e-12
             assert abs(float(z @ zp)) <= k * abs(t) + 1e-12
 
@@ -162,20 +146,13 @@ class TestBoundReport:
         assert all(b < a for a, b in zip(winds, winds[1:]))
         assert all(b > a for a, b in zip(growth, growth[1:]))
 
-    def test_supplied_bounds_take_precedence(self):
-        pair = line_pair()
-        pair.m_bound = 3.0
-        rep = bound_report(0.01, pair)
-        assert rep.used_supplied_bounds
-        assert rep.m_bound == 3.0
-        assert rep.k_bound == 18.0
-
     def test_json_round_trip(self, near18):
         rep = bound_report(0.1, near18)
         record = json.loads(rep.to_json())
         assert record["delta"] == pytest.approx(0.1, abs=1e-9)
         assert record["bound_ok"] is True
         assert "smallness_ok" in record
+        assert record["used_supplied_bounds"] is False
 
 
 class TestHillCrossCheck:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from curved_sitnikov.kepler import ModelParams
-from curved_sitnikov.model import ExtendedState
+from curved_sitnikov.model import ExtendedState, hill_coefficient
 from curved_sitnikov.integrate import (FundamentalMatrix, Trajectory,
                                        integrate_orbit, integrate_variational,
                                        rk4_fixed)
@@ -120,11 +120,17 @@ class TestOrbit:
 
 class TestFixedStep:
     def test_bit_reproducible(self):
-        a = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, method="fixed",
-                            fixed_steps=500)
-        b = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, method="fixed",
-                            fixed_steps=500)
+        a = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, fixed_steps=500)
+        b = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, fixed_steps=500)
         assert np.array_equal(a.states, b.states)
+        assert a.method == "fixed" and a.n_rhs == 4 * 500
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_step_count_must_be_positive(self, n):
+        with pytest.raises(ValueError):
+            integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, fixed_steps=n)
+        with pytest.raises(ValueError):
+            rk4_fixed(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, n)
 
     def test_step_halving_convergence(self):
         # fourth-order engine: doubling the step count cuts the endpoint
@@ -134,7 +140,7 @@ class TestFixedStep:
 
         def endpoint_error(n):
             traj = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10,
-                                   method="fixed", fixed_steps=n)
+                                   fixed_steps=n)
             return float(np.max(np.abs(traj.states[-1, :2] - end_ref)))
 
         errs = [endpoint_error(n) for n in (100, 200, 400)]
@@ -161,7 +167,8 @@ class TestFixedStep:
 class TestVariational:
     def test_analytic_rotation_at_origin(self):
         w = math.sqrt(2.0)
-        mat = integrate_variational(0.0, P10, math.pi, tol=1e-11)
+        mat = integrate_variational(hill_coefficient(0.0, P10), math.pi,
+                                     tol=1e-11)
         expected = np.array([
             [math.cos(w * math.pi), math.sin(w * math.pi) / w],
             [-w * math.sin(w * math.pi), math.cos(w * math.pi)],
@@ -172,17 +179,20 @@ class TestVariational:
         for q_star in (0.0, math.pi):
             for params in (P10, ModelParams(r=1.5, epsilon=0.2)):
                 period = math.pi if params.epsilon == 0.0 else TWO_PI
-                mat = integrate_variational(q_star, params, period, tol=1e-10)
+                mat = integrate_variational(hill_coefficient(q_star, params),
+                                            period, tol=1e-10)
                 assert mat.det == pytest.approx(1.0, abs=1e-9)
 
     def test_wronskian_drift_over_full_period(self):
         for params in (P10, ModelParams(r=1.9, epsilon=0.0),
                        ModelParams(r=1.2, epsilon=0.45)):
-            mat = integrate_variational(math.pi, params, TWO_PI, tol=1e-10)
+            mat = integrate_variational(hill_coefficient(math.pi, params),
+                                        TWO_PI, tol=1e-10)
             assert abs(mat.det - 1.0) <= 1e-9
 
     def test_even_coefficient_gives_equal_diagonal(self):
-        mat = integrate_variational(math.pi, P10, TWO_PI, tol=1e-10)
+        mat = integrate_variational(hill_coefficient(math.pi, P10), TWO_PI,
+                                    tol=1e-10)
         assert mat.x1 == pytest.approx(mat.y2, abs=1e-9)
 
     def test_matches_flow_derivative(self):
@@ -191,7 +201,8 @@ class TestVariational:
         # difference quotient amplifies endpoint noise by 1/(2h)
         h = 1e-6
         for q_star in (0.0, math.pi):
-            mat = integrate_variational(q_star, P10, TWO_PI, tol=1e-12)
+            mat = integrate_variational(hill_coefficient(q_star, P10),
+                                        TWO_PI, tol=1e-12)
 
             def flow(q0, p0):
                 traj = integrate_orbit((q0, p0, 0.0), TWO_PI, P10, tol=1e-13)
@@ -203,14 +214,13 @@ class TestVariational:
             np.testing.assert_allclose([mat.x2, mat.y2], col2, atol=1e-5)
 
     def test_fixed_engine_agrees(self):
-        a = integrate_variational(math.pi, P10, math.pi, tol=1e-10)
-        b = integrate_variational(math.pi, P10, math.pi, method="fixed",
-                                  fixed_steps=4000)
+        hill = hill_coefficient(math.pi, P10)
+        a = integrate_variational(hill, math.pi, tol=1e-10)
+        b = integrate_variational(hill, math.pi, tol=1e-10, fixed_steps=4000)
         np.testing.assert_allclose(a.as_array(), b.as_array(), atol=1e-8)
 
     def test_custom_coefficient(self):
-        mat = integrate_variational(0.0, P10, math.pi, tol=1e-11,
-                                    coefficient=lambda t: 1.0)
+        mat = integrate_variational(lambda t: 1.0, math.pi, tol=1e-11)
         np.testing.assert_allclose(mat.as_array(), [[-1.0, 0.0], [0.0, -1.0]],
                                    atol=1e-9)
 

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov import model
 from curved_sitnikov.model import (CollisionError, ExtendedState,
-                                   comparison_force_circle, cubic_coefficient,
-                                   dforce_dq, hill_coefficient,
-                                   limit_force_circle, limit_force_classical,
-                                   potential, symmetry_defect,
-                                   tangential_force, vector_field)
+                                   cubic_coefficient, dforce_dq,
+                                   hill_coefficient, limit_force_circle,
+                                   limit_force_classical, potential,
+                                   symmetry_defect, tangential_force,
+                                   vector_field)
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
@@ -21,6 +21,13 @@ P10 = ModelParams(r=1.0, epsilon=0.0)
 # Sign-criterion threshold for the antipode: largest r with a
 # non-negative linearization coefficient for all t.
 R_SIGN = math.sqrt(math.sqrt(17.0) - 3.0)
+
+
+def comparison_force_circle(q: float, R: float) -> float:
+    """Arc-length variant of the fused-mass force, ``-1/(Rq^2) + 1/(R(2pi-q)^2)``."""
+    if not 0.0 < q < TWO_PI:
+        raise CollisionError(1, min(abs(q), abs(TWO_PI - q)) * R)
+    return -1.0 / (R * q * q) + 1.0 / (R * (TWO_PI - q) ** 2)
 
 
 class TestTangentialForce:

@@ -55,9 +55,9 @@ class TestSection:
         grid = [(0.1, 0.0), (0.2, 0.05)]
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a_path, b_path):
-            cloud = section(P10, grid, n_iterates=10, method="fixed",
-                            fixed_steps_per_period=128)
+            cloud = section(P10, grid, n_iterates=10, fixed_steps=128)
             cloud.to_csv(path, header_comment="fixed run")
+            assert cloud.manifest()["method"] == "fixed"
         assert a_path.read_bytes() == b_path.read_bytes()
 
     def test_csv_and_manifest(self, tmp_path):
@@ -91,7 +91,3 @@ class TestSection:
         buf = io.StringIO()
         cloud.to_csv(buf)
         assert buf.getvalue() == body
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            section(P10, [(0.0, 0.0)], 2, method="leapfrog")

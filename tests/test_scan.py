@@ -129,6 +129,17 @@ class TestFindTransitions:
         with pytest.raises(ValueError):
             find_transitions(curve)
 
+    def test_rejects_grid_not_strictly_increasing(self):
+        descending = trace_curve(math.pi, 0.0, [1.27, 1.25, 1.23, 1.21],
+                                 tol=1e-9)
+        repeated = TraceCurve(q_star=math.pi, epsilon=0.0, param="r",
+                              values=np.array([1.30, 1.30, 1.32]),
+                              half_traces=np.array([0.5, 2.0, 0.5]),
+                              period=math.pi, tol=1e-9)
+        for curve in (descending, repeated):
+            with pytest.raises(ValueError):
+                find_transitions(curve, refine_tol=1e-7)
+
     def test_json_schema(self, intervals):
         record = intervals.to_json_dict()
         assert {"intervals", "transitions", "refine_tol"} <= set(record)
