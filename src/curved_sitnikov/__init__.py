@@ -10,11 +10,11 @@ for general curve pairs.
 """
 
 from .kepler import (KeplerConvergenceError, ModelParams, PrimaryEphemeris,
-                     ephemeris, primary_positions, radial_factor, solve_kepler)
+                     ephemeris, radial_factor, solve_kepler)
 from .model import (CollisionError, ExtendedState, HillCoefficient,
                     cubic_coefficient, dforce_dq, hill_coefficient,
                     limit_force_circle, limit_force_classical, potential,
-                    symmetry_defect, tangential_force, vector_field)
+                    symmetry_defect, tangential_force)
 from .integrate import (FundamentalMatrix, StiffnessError, Trajectory,
                         integrate_orbit, integrate_variational)
 from .floquet import (Monodromy, MonodromyError, StabilityVerdict, classify,
@@ -42,8 +42,8 @@ __all__ = [
     "integrate_orbit", "integrate_variational", "interchange_census",
     "limit_force_circle", "limit_force_classical", "line_pair",
     "load_curve_pair", "min_distance", "monodromy", "multipliers",
-    "ortega_hypotheses", "pair_potential", "potential", "primary_positions",
-    "radial_factor", "section", "sitnikov_hill_coefficient", "sitnikov_pair",
-    "solve_kepler", "symmetry_defect", "tangential_force", "trace_curve",
-    "vector_field", "winding_angle", "winding_bound",
+    "ortega_hypotheses", "pair_potential", "potential", "radial_factor",
+    "section", "sitnikov_hill_coefficient", "sitnikov_pair", "solve_kepler",
+    "symmetry_defect", "tangential_force", "trace_curve", "winding_angle",
+    "winding_bound",
 ]

@@ -12,16 +12,15 @@ Because exact parabolicity is a measure-zero condition, a small band
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .kepler import TWO_PI, ModelParams
 from .model import coefficient_period, cubic_coefficient, hill_coefficient
-from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix,
+from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix, _dop853,
                         integrate_variational)
 
 DEFAULT_DELTA_PAR = 1e-9
@@ -44,7 +43,6 @@ class Monodromy:
     period: float
     params: ModelParams
     q_star: float
-    tol: float
 
     @property
     def half_trace(self) -> float:
@@ -54,19 +52,12 @@ class Monodromy:
     def det(self) -> float:
         return self.matrix.det
 
-    def squared(self) -> "Monodromy":
-        """Monodromy over the doubled period, ``X(2T) = X(T)^2``."""
-        return Monodromy(matrix=self.matrix.matmul(self.matrix),
-                         period=2.0 * self.period, params=self.params,
-                         q_star=self.q_star, tol=self.tol)
-
 
 @dataclass
 class StabilityVerdict:
-    """Linear stability class with multipliers and exponents.
+    """Linear stability class with its Floquet multipliers.
 
-    ``exponents`` are principal values ``mu = log(lam)/T`` (branch
-    ambiguity left unresolved).  ``strongly_stable`` means elliptic:
+    ``strongly_stable`` means elliptic:
     multipliers on the unit circle and non-real, robust under small
     periodic perturbations.  For parabolic cases ``parabolic_subtype``
     distinguishes a diagonal monodromy (two eigenvectors, stable) from a
@@ -75,7 +66,6 @@ class StabilityVerdict:
 
     classification: str
     multipliers: tuple[complex, complex]
-    exponents: tuple[complex, complex]
     strongly_stable: bool
     half_trace: float
     q_star: float
@@ -95,9 +85,6 @@ class StabilityVerdict:
             "strongly_stable": self.strongly_stable,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 def monodromy(q_star: float, params: ModelParams, period: float | None = None,
               tol: float = DEFAULT_MONODROMY_TOL) -> Monodromy:
@@ -115,8 +102,7 @@ def monodromy(q_star: float, params: ModelParams, period: float | None = None,
         raise ValueError("period pi requires epsilon = 0")
     mat = integrate_variational(hill_coefficient(q_star, params), period,
                                 tol=tol)
-    return Monodromy(matrix=mat, period=period, params=params,
-                     q_star=q_star, tol=tol)
+    return Monodromy(matrix=mat, period=period, params=params, q_star=q_star)
 
 
 def multipliers(m: Monodromy) -> tuple[complex, complex]:
@@ -142,8 +128,6 @@ def classify(m: Monodromy,
     else:
         cls = HYPERBOLIC
     lam = multipliers(m)
-    t = m.period
-    exps = tuple(cmath.log(l) / t if l != 0 else complex("nan") for l in lam)
     subtype = None
     if cls == PARABOLIC:
         off = max(abs(m.matrix.x2), abs(m.matrix.y1))
@@ -153,7 +137,6 @@ def classify(m: Monodromy,
     return StabilityVerdict(
         classification=cls,
         multipliers=lam,
-        exponents=exps,
         strongly_stable=(cls == ELLIPTIC),
         half_trace=h,
         q_star=m.q_star,
@@ -164,11 +147,13 @@ def classify(m: Monodromy,
     )
 
 
-def winding_angle(a, t0: float, t1: float, z0: complex,
-                  tol: float = 1e-10, method: str = "theta") -> float:
-    """Signed increment of ``arg(x + i x')`` along a Hill-equation solution.
+def winding_angle(a: Callable[[float], float], t0: float, t1: float,
+                  z0: complex, tol: float = 1e-10,
+                  method: str = "theta") -> float:
+    """Signed increment of ``arg(x + i x')`` along ``x'' + a(t) x = 0``.
 
-    ``z(t) = x + i x'`` with ``z(t0) = z0 != 0``.  Two independent routes:
+    ``z(t) = x + i x'`` with ``z(t0) = z0 != 0``; ``tol`` must lie in the
+    integrator window ``[1e-13, 1e-6]``.  Two independent routes:
 
     * ``"theta"``: integrate ``theta' = -(a cos^2 theta + sin^2 theta)``,
       which tracks the continuous argument exactly (no unwrapping).
@@ -179,29 +164,23 @@ def winding_angle(a, t0: float, t1: float, z0: complex,
     """
     if z0 == 0:
         raise ValueError("z0 must be nonzero")
-    coeff = a if callable(a) else (lambda t: float(a))
 
     if method == "theta":
         th0 = math.atan2(z0.imag, z0.real)
 
         def rhs(t, y):
             c, s = math.cos(y[0]), math.sin(y[0])
-            return [-(coeff(t) * c * c + s * s)]
+            return [-(a(t) * c * c + s * s)]
 
-        sol = solve_ivp(rhs, (t0, t1), [th0], method="DOP853",
-                        rtol=tol, atol=tol)
-        if sol.status != 0:
-            raise RuntimeError(sol.message)
+        sol = _dop853(rhs, (t0, t1), [th0], tol)
         return float(sol.y[0, -1] - th0)
 
     if method == "arg":
         def rhs(t, y):
-            return [y[1], -coeff(t) * y[0]]
+            return [y[1], -a(t) * y[0]]
 
-        sol = solve_ivp(rhs, (t0, t1), [z0.real, z0.imag], method="DOP853",
-                        rtol=tol, atol=tol, dense_output=True)
-        if sol.status != 0:
-            raise RuntimeError(sol.message)
+        sol = _dop853(rhs, (t0, t1), [z0.real, z0.imag], tol,
+                      dense_output=True)
         ts = list(sol.t)
         for _ in range(40):
             xs = sol.sol(np.array(ts))

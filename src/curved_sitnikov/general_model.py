@@ -55,7 +55,6 @@ class CurvePair:
     default_lam: float
     s_range: tuple[float, float]
     s_periodic: bool = False
-    t_period: float = 1.0
 
     def z(self, s: float, t: float, lam: float) -> np.ndarray:
         return self.x(s, lam) - self.y(t, lam)
@@ -102,9 +101,6 @@ class BoundReport:
             # bounds are always sampled; the key keeps the artifact format
             "used_supplied_bounds": False,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def pair_potential(s: float, t: float, lam: float, pair: CurvePair) -> float:
@@ -157,7 +153,7 @@ def min_distance(lam: float, pair: CurvePair) -> tuple[float, float, float]:
     """
     s_lo, s_hi = pair.s_range
     svals = np.linspace(s_lo, s_hi, 121)
-    tvals = np.linspace(-0.5 * pair.t_period, 0.5 * pair.t_period, 121)
+    tvals = np.linspace(-0.5, 0.5, 121)
 
     def gap2(s: float, t: float) -> float:
         z = pair.z(s, t, lam)
@@ -203,7 +199,7 @@ def estimate_bounds(pair: CurvePair, lam: float) -> tuple[float, float]:
     """
     lams = {lam, pair.lam_range[0], pair.lam_range[1]}
     svals = np.linspace(pair.s_range[0], pair.s_range[1], 61)
-    tvals = np.linspace(-0.5 * pair.t_period, 0.5 * pair.t_period, 121)
+    tvals = np.linspace(-0.5, 0.5, 121)
     m = 0.0
     for lm in lams:
         for s in svals:
@@ -247,27 +243,6 @@ def bound_report(lam: float, pair: CurvePair) -> BoundReport:
         smallness_ok=delta < threshold, smallness_threshold=threshold,
         m_bound=m, k_bound=k,
         s_star=s_star, t_star=t_star)
-
-
-def pair_diagnostics(pair: CurvePair, lam: float) -> dict:
-    """Check the pair's normalization assumptions by sampling.
-
-    Reports the worst deviation of ``|x'(s)|`` from 1 over 101 samples, the
-    orthogonality defect ``x'(0).y'(0)``, and the second ``t``-difference of
-    ``|z(0,t)|`` at the minimum (which must be positive: ``t``-non-degeneracy).
-    """
-    svals = np.linspace(pair.s_range[0], pair.s_range[1], 101)
-    arc_defect = max(abs(float(np.linalg.norm(pair.x_s(float(s), lam))) - 1.0)
-                     for s in svals)
-    ortho = float(pair.x_s(0.0, lam) @ pair.y_t(0.0, lam))
-    h = 1e-4 * pair.t_period
-    dmin = [float(np.linalg.norm(pair.z(0.0, t, lam))) for t in (-h, 0.0, h)]
-    t_curvature = (dmin[0] - 2 * dmin[1] + dmin[2]) / (h * h)
-    return {
-        "arc_length_defect": arc_defect,
-        "orthogonality_defect": abs(ortho),
-        "t_nondegeneracy": t_curvature,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Time stepping for the nonlinear flow and the 2x2 variational flow.
 
-Two engines are provided: an adaptive embedded Runge-Kutta pair (DOP853,
-order 8(5,3)) for accuracy-controlled work, and a fixed-step classical RK4
-for bit-reproducible regression baselines.  A given step count
-``fixed_steps`` selects RK4; ``None`` selects DOP853.  Both are reentrant
-and hold no state between calls; the flow is smooth away from collisions,
-so no symplectic or stiff machinery is needed at these horizons.
+Every adaptive solve in the package, orbits, monodromies and both winding
+routes, goes through one wiring of the embedded Runge-Kutta pair DOP853
+(order 8(5,3)): the tolerance window is checked and a failed solve raises
+:class:`StiffnessError`.  Orbits can instead take a fixed-step classical
+RK4 for bit-reproducible regression baselines: a given step count
+``fixed_steps`` selects RK4, ``None`` selects DOP853.  Both engines are
+reentrant and hold no state between calls; the flow is smooth away from
+collisions, so no symplectic or stiff machinery is needed at these horizons.
 """
 
 from __future__ import annotations
@@ -54,12 +56,7 @@ class Trajectory:
     tol: float
     method: str
     n_rhs: int
-    n_samples: int
     truncated: bool = False
-
-    @property
-    def final_state(self) -> ExtendedState:
-        return ExtendedState(*self.states[-1])
 
     def to_csv(self, path_or_file, header_comment: str | None = None) -> None:
         """Write ``t,q,p,s`` rows at 17 significant digits."""
@@ -72,7 +69,7 @@ class Trajectory:
 
 @dataclass
 class FundamentalMatrix:
-    """Value at time ``t`` of the fundamental solution with ``X(0) = I``.
+    """Value after one period of the fundamental solution with ``X(0) = I``.
 
     Columns are the solutions with initial conditions ``(1,0)`` and
     ``(0,1)``; since the linear system is trace-free the determinant
@@ -83,7 +80,6 @@ class FundamentalMatrix:
     x2: float
     y1: float
     y2: float
-    t: float
     n_rhs: int = 0
 
     def as_array(self) -> np.ndarray:
@@ -94,23 +90,28 @@ class FundamentalMatrix:
         return self.x1 * self.y2 - self.x2 * self.y1
 
     @property
-    def trace(self) -> float:
-        return self.x1 + self.y2
-
-    @property
     def half_trace(self) -> float:
         return 0.5 * (self.x1 + self.y2)
-
-    def matmul(self, other: "FundamentalMatrix") -> "FundamentalMatrix":
-        a = self.as_array() @ other.as_array()
-        return FundamentalMatrix(x1=a[0, 0], x2=a[0, 1], y1=a[1, 0],
-                                 y2=a[1, 1], t=self.t + other.t,
-                                 n_rhs=self.n_rhs + other.n_rhs)
 
 
 def _validate_tol(tol: float) -> None:
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol={tol} outside [{TOL_MIN}, {TOL_MAX}]")
+
+
+def _dop853(rhs, t_span: tuple[float, float], y0, tol: float, **options):
+    """One DOP853 solve at ``rtol = atol = tol``; the scipy solution object.
+
+    ``options`` pass through to ``solve_ivp`` (``t_eval``, ``events``,
+    ``dense_output``).  A solve that stops short, other than at a terminal
+    event, raises :class:`StiffnessError`.
+    """
+    _validate_tol(tol)
+    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=tol, atol=tol,
+                    **options)
+    if sol.status == -1:
+        raise StiffnessError(sol.message)
+    return sol
 
 
 def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
@@ -142,18 +143,17 @@ def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
 def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
                     params: ModelParams, tol: float = DEFAULT_ORBIT_TOL,
                     t_eval: np.ndarray | None = None,
-                    fixed_steps: int | None = None,
-                    d_min: float = D_MIN) -> Trajectory:
+                    fixed_steps: int | None = None) -> Trajectory:
     """Integrate the extended flow from ``initial`` over ``[0, t_final]``.
 
     The phase variable is exact: ``s(t) = s0 + t``; only ``(q, p)`` are
-    stepped.  A terminal collision event truncates the trajectory (the
-    partial result is returned with ``truncated=True``); step-size
-    underflow raises :class:`StiffnessError`.
+    stepped.  A terminal collision event at distance ``D_MIN``
+    truncates the trajectory (the partial result is returned with
+    ``truncated=True``); step-size underflow raises :class:`StiffnessError`.
 
     Args:
         initial: ``ExtendedState`` or ``(q0, p0, s0)``.
-        t_final: integration horizon (> 0).
+        t_final: integration horizon; ``ValueError`` unless finite and > 0.
         params: model parameters.
         tol: local error tolerance per step, within ``[1e-13, 1e-6]``.
         t_eval: optional sample times (dense output by interpolation;
@@ -161,71 +161,55 @@ def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
         fixed_steps: RK4 step count (at least 1) for a reproducible run;
             ``None`` integrates with DOP853.
     """
-    _validate_tol(tol)
+    if not 0.0 < t_final < np.inf:
+        raise ValueError(f"t_final={t_final} must be positive and finite")
     if isinstance(initial, ExtendedState):
         q0, p0, s0 = initial.q, initial.p, initial.s
     else:
         q0, p0, s0 = (float(v) for v in initial)
 
-    # the terminal event stops cleanly at d_min; the in-flight force guard
+    # the terminal event stops cleanly at D_MIN; the in-flight force guard
     # sits well below it so RK stages near the crossing stay evaluable
-    hard_floor = 1e-3 * d_min
+    hard_floor = 1e-3 * D_MIN
 
     def rhs(t, y):
         return np.array([y[1],
                          tangential_force(y[0], s0 + t, params, hard_floor)])
 
     if fixed_steps is not None:
+        _validate_tol(tol)
         ts, ys = rk4_fixed(rhs, 0.0, np.array([q0, p0]), t_final, fixed_steps)
         states = np.column_stack([ys[:, 0], ys[:, 1], s0 + ts])
         return Trajectory(t=ts, states=states, tol=tol, method="fixed",
-                          n_rhs=4 * fixed_steps, n_samples=len(ts))
+                          n_rhs=4 * fixed_steps)
 
     def collision_event(t, y):
         d1, d2, _ = _distances(y[0], s0 + t, params, hard_floor)
-        return min(d1, d2) - d_min
+        return min(d1, d2) - D_MIN
 
     collision_event.terminal = True
 
-    sol = solve_ivp(rhs, (0.0, t_final), [q0, p0], method="DOP853",
-                    rtol=tol, atol=tol, t_eval=t_eval,
-                    events=collision_event, dense_output=False)
-    if sol.status == -1:
-        raise StiffnessError(sol.message)
+    sol = _dop853(rhs, (0.0, t_final), [q0, p0], tol, t_eval=t_eval,
+                  events=collision_event)
     ts = sol.t
     states = np.column_stack([sol.y[0], sol.y[1], s0 + ts])
     return Trajectory(t=ts, states=states, tol=tol, method="adaptive",
-                      n_rhs=int(sol.nfev), n_samples=len(ts),
-                      truncated=(sol.status == 1))
+                      n_rhs=int(sol.nfev), truncated=(sol.status == 1))
 
 
 def integrate_variational(a: Callable[[float], float], period: float,
-                          tol: float, fixed_steps: int | None = None,
-                          ) -> FundamentalMatrix:
+                          tol: float) -> FundamentalMatrix:
     """Fundamental matrix at ``t = period`` of ``v' = [[0,1],[-a(t),0]] v``.
 
     ``a`` is the coefficient, e.g. the Hill coefficient of a linearization
     (``model.hill_coefficient``).  Both columns are integrated together as
-    a 4-dimensional linear system, with DOP853 at tolerance ``tol``, or
-    with ``fixed_steps`` RK4 steps when that is given.
+    a 4-dimensional linear system, with DOP853 at tolerance ``tol``.
     """
-    _validate_tol(tol)
-
     def rhs(t, y):
         at = a(t)
         return np.array([y[1], -at * y[0], y[3], -at * y[2]])
 
-    y0 = np.array([1.0, 0.0, 0.0, 1.0])
-    if fixed_steps is not None:
-        _, ys = rk4_fixed(rhs, 0.0, y0, period, fixed_steps)
-        x1, y1v, x2, y2v = (float(v) for v in ys[-1])
-        return FundamentalMatrix(x1=x1, x2=x2, y1=y1v, y2=y2v, t=period,
-                                 n_rhs=4 * fixed_steps)
-
-    sol = solve_ivp(rhs, (0.0, period), y0, method="DOP853",
-                    rtol=tol, atol=tol)
-    if sol.status != 0:
-        raise StiffnessError(sol.message)
+    sol = _dop853(rhs, (0.0, period), np.array([1.0, 0.0, 0.0, 1.0]), tol)
     x1, y1v, x2, y2v = (float(v) for v in sol.y[:, -1])
-    return FundamentalMatrix(x1=x1, x2=x2, y1=y1v, y2=y2v, t=period,
+    return FundamentalMatrix(x1=x1, x2=x2, y1=y1v, y2=y2v,
                              n_rhs=int(sol.nfev))

@@ -21,10 +21,6 @@ TWO_PI = 2.0 * math.pi
 KEPLER_TOL = 1e-13
 KEPLER_MAX_ITER = 64
 
-# Above this eccentricity the classical low-order series for rho diverges;
-# the exact solver used here is unaffected, so the flag is informational.
-HIGH_ECCENTRICITY = 0.6627
-
 
 class KeplerConvergenceError(RuntimeError):
     """The eccentric-anomaly iteration failed to reach its tolerance."""
@@ -54,11 +50,6 @@ class ModelParams:
         if not 0.0 < self.r < ceiling:
             raise ValueError(
                 f"r={self.r} outside (0, {ceiling}) for epsilon={self.epsilon}")
-
-    @property
-    def high_eccentricity(self) -> bool:
-        """True when epsilon exceeds the classical series-convergence bound."""
-        return self.epsilon >= HIGH_ECCENTRICITY
 
 
 @dataclass(frozen=True)
@@ -99,11 +90,6 @@ def solve_kepler(mean_anomaly: float, epsilon: float) -> float:
         raise ValueError(f"epsilon={epsilon} outside [0, 1)")
     if epsilon == 0.0:
         return mean_anomaly
-    return _solve_core(mean_anomaly, epsilon)[0]
-
-
-def _solve_core(mean_anomaly: float, epsilon: float) -> tuple[float, int]:
-    """Eccentric anomaly and the number of steps the iteration took."""
     m = math.fmod(mean_anomaly, TWO_PI)
     if m < 0.0:
         m += TWO_PI
@@ -117,7 +103,7 @@ def _solve_core(mean_anomaly: float, epsilon: float) -> tuple[float, int]:
     # g(u) = u - eps*sin(u) - m is strictly increasing, so [0, pi] brackets.
     lo, hi = 0.0, math.pi
     u = m + epsilon * math.sin(m)
-    for steps in range(KEPLER_MAX_ITER):
+    for _ in range(KEPLER_MAX_ITER):
         g = u - epsilon * math.sin(u) - m
         if abs(g) < KEPLER_TOL:
             break
@@ -131,13 +117,12 @@ def _solve_core(mean_anomaly: float, epsilon: float) -> tuple[float, int]:
             u_new = 0.5 * (lo + hi)
         u = u_new
     else:
-        steps = KEPLER_MAX_ITER
         g = u - epsilon * math.sin(u) - m
         if abs(g) >= KEPLER_TOL:
             raise KeplerConvergenceError(
                 f"no convergence after {KEPLER_MAX_ITER} iterations "
                 f"(M={m}, eps={epsilon}, residual={g:.3e})")
-    return (offset + TWO_PI - u if folded else offset + u), steps
+    return offset + TWO_PI - u if folded else offset + u
 
 
 def radial_factor(t: float, epsilon: float) -> float:
@@ -159,19 +144,14 @@ def radial_factor_derivatives(t: float, epsilon: float) -> tuple[float, float, f
     return rho, rho_d, rho_dd
 
 
-def primary_positions(t: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the two primaries at mean anomaly ``t``.
-
-    The barycenter is ``(0, 1, 0)`` and the primaries are antipodal on a
-    common ellipse of instantaneous radius ``r*rho(t)`` at polar angle ``t``:
-
-        x1 = ( r*rho*sin t, 1 + r*rho*cos t, 0)
-        x2 = (-r*rho*sin t, 1 - r*rho*cos t, 0)
-    """
-    return _positions(t, params.r * radial_factor(t, params.epsilon))
-
-
 def _positions(t: float, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Primaries at polar angle ``t`` on a common ellipse of radius ``a``.
+
+    The barycenter is ``(0, 1, 0)`` and the primaries are antipodal:
+
+        x1 = ( a sin t, 1 + a cos t, 0)
+        x2 = (-a sin t, 1 - a cos t, 0)
+    """
     sx, cx = a * math.sin(t), a * math.cos(t)
     return np.array([sx, 1.0 + cx, 0.0]), np.array([-sx, 1.0 - cx, 0.0])
 

@@ -53,16 +53,6 @@ class ExtendedState:
     p: float
     s: float = 0.0
 
-    @property
-    def q_wrapped(self) -> float:
-        return reduce_angle(self.q)
-
-
-def reduce_angle(q: float) -> float:
-    """Map an unwrapped angle to ``[0, 2*pi)``."""
-    out = math.fmod(q, TWO_PI)
-    return out + TWO_PI if out < 0.0 else out
-
 
 def _distances(q: float, t: float, params: ModelParams,
                d_min: float) -> tuple[float, float, float]:
@@ -118,12 +108,11 @@ class HillCoefficient:
     """Periodic coefficient ``a(t)`` of the linearization ``S'' + a(t) S = 0``.
 
     ``a(t) = -df/dq(q_star, t)``; period 2*pi in general, pi when the
-    primaries are circular (epsilon = 0).
+    primaries are circular (epsilon = 0), see ``coefficient_period``.
     """
 
     q_star: float
     params: ModelParams
-    period: float
 
     def __call__(self, t: float) -> float:
         return -dforce_dq(self.q_star, t, self.params)
@@ -138,8 +127,7 @@ def hill_coefficient(q_star: float, params: ModelParams) -> HillCoefficient:
     """Hill coefficient of the linearization at ``q_star in {0, pi}``."""
     if q_star not in Q_STARS:
         raise ValueError(f"q_star={q_star} is not an equilibrium (use 0 or pi)")
-    return HillCoefficient(q_star=q_star, params=params,
-                           period=coefficient_period(params.epsilon))
+    return HillCoefficient(q_star=q_star, params=params)
 
 
 def cubic_coefficient(t: float, params: ModelParams) -> float:
@@ -156,11 +144,6 @@ def cubic_coefficient(t: float, params: ModelParams) -> float:
         raise ValueError("cubic coefficient is only defined for epsilon = 0")
     r = params.r
     return (9.0 + r * r + 9.0 * r * r * math.cos(t) ** 2) / (3.0 * r**5)
-
-
-def vector_field(state: ExtendedState, params: ModelParams) -> np.ndarray:
-    """Autonomized field ``(q', p', s') = (p, f(q, s), 1)``."""
-    return np.array([state.p, tangential_force(state.q, state.s, params), 1.0])
 
 
 def symmetry_defect(state: ExtendedState, params: ModelParams,

@@ -8,7 +8,6 @@ reproducible byte for byte under the fixed-step integrator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -55,9 +54,6 @@ class SectionCloud:
             "truncated": self.truncated,
         }
 
-    def write_manifest(self, path) -> None:
-        _write_text(path, json.dumps(self.manifest(), indent=2) + "\n")
-
 
 def wrap_angle(q: float) -> float:
     """Wrap an angle to ``(-pi, pi]``."""
@@ -73,7 +69,7 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
     Args:
         params: model parameters.
         initial_grid: iterable of ``(q0, p0)`` pairs (phase starts at 0).
-        n_iterates: number of section returns to record per orbit.
+        n_iterates: number of section returns to record per orbit (>= 1).
         tol: integrator tolerance (adaptive engine).
         fixed_steps: RK4 steps per period (at least 1) for a reproducible
             cloud, one period per call; ``None`` strobes one DOP853 run
@@ -81,6 +77,8 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
 
     Collisions truncate the affected orbit only; the cloud keeps going.
     """
+    if n_iterates < 1:
+        raise ValueError(f"n_iterates={n_iterates} must be at least 1")
     cloud = SectionCloud(params=params,
                          initial_grid=[(float(q), float(p))
                                        for q, p in initial_grid],

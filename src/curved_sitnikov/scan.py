@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kepler import TWO_PI, ModelParams, _solve_core, collision_ceiling
+from .kepler import TWO_PI, ModelParams, collision_ceiling
 from .model import coefficient_period
 from .integrate import _write_text
 from .floquet import ELLIPTIC, HYPERBOLIC, monodromy
@@ -51,9 +51,7 @@ class TraceCurve:
     half_traces: np.ndarray
     period: float
     tol: float
-    r_fixed: float | None = None
     skipped: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     def to_csv(self, path_or_file, header_comment: str | None = None) -> None:
         lines = [f"# {header_comment}"] if header_comment else []
@@ -293,11 +291,10 @@ def eps_scan_origin(r_fixed: float, eps_grid,
                     tol: float = DEFAULT_SCAN_TOL) -> TraceCurve:
     """Half-trace of the origin monodromy versus eccentricity (period 2*pi).
 
-    Exploratory sweep at fixed ``r``; each point records the eccentric-
-    anomaly solver's worst step count over 17 mean anomalies (at least 1),
-    since high eccentricities stress it.
+    Exploratory sweep at fixed ``r``; eccentricities above ``EPS_SCAN_CAP``
+    or past the collision guard are skipped and recorded.
     """
-    values, traces, skipped, notes = [], [], [], []
+    values, traces, skipped = [], [], []
     for eps in np.asarray(eps_grid, dtype=float):
         if not 0.0 <= eps <= EPS_SCAN_CAP:
             skipped.append((float(eps), f"outside [0, {EPS_SCAN_CAP}]"))
@@ -309,11 +306,7 @@ def eps_scan_origin(r_fixed: float, eps_grid,
         h = _half_trace(0.0, r_fixed, float(eps), TWO_PI, tol)
         values.append(float(eps))
         traces.append(h)
-        worst = max(max(1, _solve_core(float(m), float(eps))[1])
-                    for m in np.linspace(0.0, TWO_PI, 17))
-        notes.append({"epsilon": float(eps), "kepler_max_iterations": worst})
     return TraceCurve(q_star=0.0, epsilon=None, param="epsilon",
                       values=np.array(values), half_traces=np.array(traces),
-                      period=TWO_PI, tol=tol, r_fixed=r_fixed,
-                      skipped=skipped, notes=notes)
+                      period=TWO_PI, tol=tol, skipped=skipped)
 

@@ -168,6 +168,23 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_final", ["-1", "0", "inf"])
+    def test_bad_horizon_exits_one(self, tmp_path, capsys, t_final):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--q0", "0.1", "--p0", "0", "--t-final",
+                     t_final, "--out", str(out)]) == EXIT_CONFIG
+        assert "configuration error: t_final" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("engine", [[], ["--fixed-step", "8"]],
+                             ids=["adaptive", "fixed"])
+    def test_zero_iterates_exit_one(self, tmp_path, capsys, engine):
+        out = tmp_path / "cloud.csv"
+        assert main(["poincare", "--iterates", "0", "--out", str(out)]
+                    + engine) == EXIT_CONFIG
+        assert "configuration error: n_iterates" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_fails_before_computing(self, tmp_path,
                                                       monkeypatch):
         calls = []

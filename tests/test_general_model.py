@@ -12,7 +12,7 @@ from curved_sitnikov.model import hill_coefficient
 from curved_sitnikov.general_model import (bound_report, d2U_ds2, d2U_ds2_fd,
                                            estimate_bounds, line_pair,
                                            load_curve_pair, min_distance,
-                                           pair_diagnostics, pair_potential,
+                                           pair_potential,
                                            sitnikov_hill_coefficient,
                                            sitnikov_pair)
 
@@ -107,10 +107,18 @@ class TestMinDistance:
 
 class TestPairGeometry:
     def test_arc_length_and_orthogonality(self, near18):
-        diag = pair_diagnostics(near18, near18.default_lam)
-        assert diag["arc_length_defect"] <= 1e-8
-        assert diag["orthogonality_defect"] <= 1e-8
-        assert diag["t_nondegeneracy"] > 0.0
+        lam = near18.default_lam
+        arc_defect = max(abs(float(np.linalg.norm(near18.x_s(float(s), lam)))
+                             - 1.0)
+                         for s in np.linspace(-math.pi, math.pi, 101))
+        ortho = abs(float(near18.x_s(0.0, lam) @ near18.y_t(0.0, lam)))
+        # |z(0, t)| has a strict minimum at t = 0: positive second difference
+        h = 1e-4
+        d = [float(np.linalg.norm(near18.z(0.0, t, lam)))
+             for t in (-h, 0.0, h)]
+        assert arc_defect <= 1e-8
+        assert ortho <= 1e-8
+        assert (d[0] - 2 * d[1] + d[2]) / (h * h) > 0.0
 
     def test_unit_curvature_of_circle(self, near18):
         for s in np.linspace(-math.pi, math.pi, 17):
@@ -148,7 +156,7 @@ class TestBoundReport:
 
     def test_json_round_trip(self, near18):
         rep = bound_report(0.1, near18)
-        record = json.loads(rep.to_json())
+        record = json.loads(json.dumps(rep.to_json_dict()))
         assert record["delta"] == pytest.approx(0.1, abs=1e-9)
         assert record["bound_ok"] is True
         assert "smallness_ok" in record

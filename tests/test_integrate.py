@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from curved_sitnikov import integrate
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.model import ExtendedState, hill_coefficient
 from curved_sitnikov.integrate import (FundamentalMatrix, Trajectory,
@@ -20,13 +21,15 @@ class TestOrbit:
     def test_origin_equilibrium_persists(self):
         traj = integrate_orbit((0.0, 0.0, 0.0), TWO_PI,
                                ModelParams(r=1.2, epsilon=0.3), tol=1e-10)
-        assert abs(traj.final_state.q) < 1e-9
-        assert abs(traj.final_state.p) < 1e-9
+        q, p, _ = traj.states[-1]
+        assert abs(q) < 1e-9
+        assert abs(p) < 1e-9
 
     def test_antipode_equilibrium_persists(self):
         traj = integrate_orbit((math.pi, 0.0, 0.0), TWO_PI, P10, tol=1e-10)
-        assert traj.final_state.q == pytest.approx(math.pi, abs=1e-9)
-        assert abs(traj.final_state.p) < 1e-9
+        q, p, _ = traj.states[-1]
+        assert q == pytest.approx(math.pi, abs=1e-9)
+        assert abs(p) < 1e-9
 
     def test_reversibility_round_trip(self):
         tol = 1e-9
@@ -35,8 +38,9 @@ class TestOrbit:
         fwd = integrate_orbit((q0, p0, 0.0), TWO_PI, params, tol=tol)
         qT, pT, _ = fwd.states[-1]
         back = integrate_orbit((qT, -pT, 0.0), TWO_PI, params, tol=tol)
-        assert back.final_state.q == pytest.approx(q0, abs=10 * tol)
-        assert back.final_state.p == pytest.approx(-p0, abs=10 * tol)
+        qB, pB, _ = back.states[-1]
+        assert qB == pytest.approx(q0, abs=10 * tol)
+        assert pB == pytest.approx(-p0, abs=10 * tol)
 
     def test_reversibility_generic_horizon(self):
         # non-period horizon needs the mirrored phase clock s0 = -T
@@ -46,8 +50,9 @@ class TestOrbit:
         fwd = integrate_orbit((1.0, -0.3, 0.0), T, params, tol=tol)
         qT, pT, _ = fwd.states[-1]
         back = integrate_orbit((qT, -pT, -T), T, params, tol=tol)
-        assert back.final_state.q == pytest.approx(1.0, abs=10 * tol)
-        assert back.final_state.p == pytest.approx(0.3, abs=10 * tol)
+        qB, pB, _ = back.states[-1]
+        assert qB == pytest.approx(1.0, abs=10 * tol)
+        assert pB == pytest.approx(0.3, abs=10 * tol)
 
     def test_samples_monotone_with_requested_endpoints(self):
         traj = integrate_orbit((0.5, 0.1, 0.0), 7.0, P10, tol=1e-8)
@@ -63,17 +68,26 @@ class TestOrbit:
         np.testing.assert_allclose(traj.t, t_eval)
 
     def test_tolerance_window_enforced(self):
-        with pytest.raises(ValueError):
-            integrate_orbit((0.1, 0.0, 0.0), 1.0, P10, tol=1e-5)
-        with pytest.raises(ValueError):
-            integrate_orbit((0.1, 0.0, 0.0), 1.0, P10, tol=1e-14)
+        for fixed_steps in (None, 10):
+            for tol in (1e-5, 1e-14):
+                with pytest.raises(ValueError):
+                    integrate_orbit((0.1, 0.0, 0.0), 1.0, P10, tol=tol,
+                                    fixed_steps=fixed_steps)
 
-    def test_collision_event_truncates(self):
+    @pytest.mark.parametrize("fixed_steps", [None, 10])
+    @pytest.mark.parametrize("t_final", [0.0, -1.0, math.nan, math.inf])
+    def test_horizon_must_be_positive_and_finite(self, t_final, fixed_steps):
+        with pytest.raises(ValueError, match="t_final"):
+            integrate_orbit((0.1, 0.0, 0.0), t_final, P10,
+                            fixed_steps=fixed_steps)
+
+    def test_collision_event_truncates(self, monkeypatch):
         # inflated guard distance: the particle drifts through the
         # close-approach zone while a primary swings by
+        monkeypatch.setattr(integrate, "D_MIN", 0.3)
         params = ModelParams(r=1.9)
         traj = integrate_orbit((math.pi - 0.05, 0.05, 2.0), TWO_PI,
-                               params, tol=1e-8, d_min=0.3)
+                               params, tol=1e-8)
         assert traj.truncated
         assert traj.t[-1] < TWO_PI
         assert np.all(np.diff(traj.t) > 0.0)
@@ -91,7 +105,7 @@ class TestOrbit:
         lines = path.read_text().splitlines()
         assert lines[0] == '# {"cmd": "test"}'
         assert lines[1] == "t,q,p,s"
-        assert len(lines) == 2 + traj.n_samples
+        assert len(lines) == 2 + len(traj.t)
         # 17 significant digits round-trip
         q_back = float(lines[2].split(",")[1])
         assert q_back == traj.states[0, 0]
@@ -106,7 +120,7 @@ class TestOrbit:
         traj = Trajectory(t=np.array([0.0, 0.5]),
                           states=np.array([[0.1, -0.2, 0.0],
                                            [1.25, 1.0 / 3.0, 0.5]]),
-                          tol=1e-8, method="fixed", n_rhs=8, n_samples=2)
+                          tol=1e-8, method="fixed", n_rhs=8)
         body = ("t,q,p,s\n"
                 "0,0.10000000000000001,-0.20000000000000001,0\n"
                 "0.5,1.25,0.33333333333333331,0.5\n")
@@ -216,8 +230,16 @@ class TestVariational:
     def test_fixed_engine_agrees(self):
         hill = hill_coefficient(math.pi, P10)
         a = integrate_variational(hill, math.pi, tol=1e-10)
-        b = integrate_variational(hill, math.pi, tol=1e-10, fixed_steps=4000)
-        np.testing.assert_allclose(a.as_array(), b.as_array(), atol=1e-8)
+
+        def rhs(t, y):
+            at = hill(t)
+            return np.array([y[1], -at * y[0], y[3], -at * y[2]])
+
+        _, ys = rk4_fixed(rhs, 0.0, np.array([1.0, 0.0, 0.0, 1.0]), math.pi,
+                          4000)
+        x1, y1, x2, y2 = ys[-1]
+        np.testing.assert_allclose(a.as_array(), [[x1, x2], [y1, y2]],
+                                   atol=1e-8)
 
     def test_custom_coefficient(self):
         mat = integrate_variational(lambda t: 1.0, math.pi, tol=1e-11)
@@ -226,10 +248,7 @@ class TestVariational:
 
 
 def test_fundamental_matrix_helpers():
-    m = FundamentalMatrix(x1=2.0, x2=1.0, y1=3.0, y2=2.0, t=1.0)
+    m = FundamentalMatrix(x1=2.0, x2=1.0, y1=3.0, y2=2.0)
     assert m.det == pytest.approx(1.0)
     assert m.half_trace == 2.0
-    sq = m.matmul(m)
-    np.testing.assert_allclose(sq.as_array(),
-                               m.as_array() @ m.as_array())
-    assert sq.t == 2.0
+    np.testing.assert_array_equal(m.as_array(), [[2.0, 1.0], [3.0, 2.0]])

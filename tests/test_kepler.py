@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curved_sitnikov import kepler
-from curved_sitnikov.kepler import (ModelParams, ephemeris, primary_positions,
+from curved_sitnikov.kepler import (ModelParams, _positions, ephemeris,
                                     radial_factor, radial_factor_derivatives,
                                     solve_kepler)
 
@@ -101,25 +101,26 @@ class TestRadialFactor:
 
 class TestPrimaryPositions:
     def test_circular_epoch_zero(self):
-        x1, x2 = primary_positions(0.0, ModelParams(r=1.0))
-        np.testing.assert_allclose(x1, [0.0, 2.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(x2, [0.0, 0.0, 0.0], atol=1e-15)
+        e = ephemeris(0.0, ModelParams(r=1.0))
+        np.testing.assert_allclose(e.x1, [0.0, 2.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(e.x2, [0.0, 0.0, 0.0], atol=1e-15)
 
     def test_circular_quarter_period(self):
-        x1, x2 = primary_positions(math.pi / 2.0, ModelParams(r=1.0))
-        np.testing.assert_allclose(x1, [1.0, 1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(x2, [-1.0, 1.0, 0.0], atol=1e-15)
+        e = ephemeris(math.pi / 2.0, ModelParams(r=1.0))
+        np.testing.assert_allclose(e.x1, [1.0, 1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(e.x2, [-1.0, 1.0, 0.0], atol=1e-15)
 
     def test_pericenter_geometry(self):
-        x1, x2 = primary_positions(0.0, ModelParams(r=1.0, epsilon=0.3))
-        np.testing.assert_allclose(x1, [0.0, 1.7, 0.0], atol=1e-13)
-        np.testing.assert_allclose(x2, [0.0, 0.3, 0.0], atol=1e-13)
+        e = ephemeris(0.0, ModelParams(r=1.0, epsilon=0.3))
+        np.testing.assert_allclose(e.x1, [0.0, 1.7, 0.0], atol=1e-13)
+        np.testing.assert_allclose(e.x2, [0.0, 0.3, 0.0], atol=1e-13)
 
     def test_center_of_mass(self):
         params = ModelParams(r=1.3, epsilon=0.45)
         for t in np.linspace(0.0, TWO_PI, 40):
-            x1, x2 = primary_positions(float(t), params)
-            np.testing.assert_allclose(x1 + x2, [0.0, 2.0, 0.0], atol=1e-14)
+            e = ephemeris(float(t), params)
+            np.testing.assert_allclose(e.x1 + e.x2, [0.0, 2.0, 0.0],
+                                       atol=1e-14)
 
 
 class TestModelParams:
@@ -137,10 +138,6 @@ class TestModelParams:
             ModelParams(r=0.5, epsilon=1.0)
         with pytest.raises(ValueError):
             ModelParams(r=0.5, epsilon=-0.01)
-
-    def test_high_eccentricity_flag(self):
-        assert not ModelParams(r=0.5, epsilon=0.6).high_eccentricity
-        assert ModelParams(r=0.5, epsilon=0.67).high_eccentricity
 
 
 def test_ephemeris_record():
@@ -161,5 +158,5 @@ def test_ephemeris_solves_kepler_once(monkeypatch):
     monkeypatch.setattr(kepler, "solve_kepler", counting)
     e = ephemeris(2.2, ModelParams(r=1.2, epsilon=0.4))
     assert len(calls) == 1
-    x1, x2 = primary_positions(2.2, ModelParams(r=1.2, epsilon=0.4))
+    x1, x2 = _positions(2.2, 1.2 * radial_factor(2.2, 0.4))
     assert np.array_equal(e.x1, x1) and np.array_equal(e.x2, x2)

@@ -1,6 +1,7 @@
 """Stroboscopic section clouds."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -60,6 +61,13 @@ class TestSection:
             assert cloud.manifest()["method"] == "fixed"
         assert a_path.read_bytes() == b_path.read_bytes()
 
+    @pytest.mark.parametrize("fixed_steps", [None, 8])
+    @pytest.mark.parametrize("n_iterates", [0, -1])
+    def test_needs_one_iterate(self, n_iterates, fixed_steps):
+        with pytest.raises(ValueError, match="n_iterates"):
+            section(P10, [(0.1, 0.0)], n_iterates=n_iterates,
+                    fixed_steps=fixed_steps)
+
     def test_csv_and_manifest(self, tmp_path):
         cloud = section(P10, [(0.1, 0.0)], n_iterates=3, tol=1e-9)
         csv_path = tmp_path / "cloud.csv"
@@ -67,10 +75,7 @@ class TestSection:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "orbit_id,iter,q,p"
         assert len(lines) == 4
-        manifest_path = tmp_path / "cloud.json"
-        cloud.write_manifest(manifest_path)
-        import json
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(json.dumps(cloud.manifest()))
         assert manifest["r"] == 1.0
         assert manifest["n_iterates"] == 3
         assert manifest["initial_grid"] == [[0.1, 0.0]]
