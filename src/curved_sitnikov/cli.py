@@ -1,7 +1,8 @@
-"""Command-line front end.
+"""Command-line front end, the only module that writes files or stdout.
 
 Every artifact embeds the run configuration (JSON field or CSV header
-comment) so runs are self-describing and replayable.  Exit codes:
+comment) so runs are self-describing and replayable; ``_write_json`` and
+``_write_csv`` are the two artifact formats.  Exit codes:
 0 success, 1 configuration error (including an unreadable input or
 unwritable output file), 2 numerical domain error (collision,
 step-size underflow, Kepler non-convergence or a corrupt monodromy),
@@ -15,13 +16,14 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
 from .kepler import TWO_PI, KeplerConvergenceError, ModelParams, ephemeris
-from .model import CollisionError, ExtendedState
+from .model import CollisionError
 from .integrate import (DEFAULT_MONODROMY_TOL, DEFAULT_ORBIT_TOL,
-                        StiffnessError, _write_text, integrate_orbit)
+                        StiffnessError, integrate_orbit)
 from .floquet import DEFAULT_DELTA_PAR, MonodromyError, classify, monodromy
 from .general_model import bound_report, load_curve_pair, sitnikov_pair
 from .scan import (DEFAULT_REFINE_TOL, DEFAULT_SCAN_TOL, eps_scan_origin,
@@ -48,6 +50,8 @@ def parse_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"grid {text!r}: {exc}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError(f"grid {text!r}: lo, hi and step must be finite")
     if step <= 0.0 or hi < lo:
         raise ConfigError(f"grid {text!r}: need lo <= hi and step > 0")
     n = int(math.floor((hi - lo) / step + 0.5 * 1e-9)) + 1
@@ -85,28 +89,54 @@ def _config_json(args) -> str:
     return json.dumps(cfg, default=str, sort_keys=True)
 
 
+def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` to a new file at ``path``, or to stdout without one.
+
+    Files are UTF-8 with ``\\n`` line ends on every platform, so artifacts
+    are byte-identical across machines.
+    """
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _write_json(path: str | None, payload: dict, args) -> None:
     payload = {"config": json.loads(_config_json(args)), **payload}
-    _write_text(path or sys.stdout, json.dumps(payload, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _write_csv(path: str | None, columns, rows, args) -> None:
+    """The one CSV format: ``# <config JSON>``, a header, 17-digit values."""
+    lines = [f"# {_config_json(args)}", ",".join(columns)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _warn_skipped(skipped: list) -> None:
+    """One stderr line with the count and reasons of skipped grid points."""
+    if skipped:
+        reasons = Counter(reason for _, reason in skipped)
+        detail = "; ".join(f"{reason}: {n}" for reason, n in reasons.items())
+        print(f"warning: {len(skipped)} grid point(s) skipped ({detail})",
+              file=sys.stderr)
 
 
 def cmd_kepler(args) -> int:
     params = _params(args)
-    lines = [f"# {_config_json(args)}", "t,u,rho,x1x,x1y,x1z,x2x,x2y,x2z"]
-    for t in parse_grid(args.t):
-        e = ephemeris(float(t), params)
-        row = [e.t, e.u, e.rho, *e.x1, *e.x2]
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    _write_text(args.out or sys.stdout, "\n".join(lines) + "\n")
+    ephemerides = [ephemeris(float(t), params) for t in parse_grid(args.t)]
+    _write_csv(args.out, "t,u,rho,x1x,x1y,x1z,x2x,x2y,x2z".split(","),
+               [(e.t, e.u, e.rho, *e.x1, *e.x2) for e in ephemerides], args)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     params = _params(args)
-    traj = integrate_orbit(ExtendedState(q=args.q0, p=args.p0, s=args.s0),
-                           args.t_final, params, tol=args.tol,
-                           fixed_steps=args.fixed_step)
-    traj.to_csv(args.out or sys.stdout, header_comment=_config_json(args))
+    traj = integrate_orbit((args.q0, args.p0, args.s0), args.t_final, params,
+                           tol=args.tol, fixed_steps=args.fixed_step)
+    _write_csv(args.out, ("t", "q", "p", "s"), zip(traj.t, *traj.states.T),
+               args)
     if traj.truncated:
         print("warning: trajectory truncated by collision guard",
               file=sys.stderr)
@@ -129,8 +159,10 @@ def cmd_scan(args) -> int:
     params_grid = parse_grid(args.r_grid)
     curve = trace_curve(parse_qstar(args.qstar), args.eps, params_grid,
                         tol=args.tol)
+    _warn_skipped(curve.skipped)
     if args.out_csv:
-        curve.to_csv(args.out_csv, header_comment=_config_json(args))
+        _write_csv(args.out_csv, ("r", "half_trace"),
+                   zip(curve.values, curve.half_traces), args)
     intervals = find_transitions(curve, refine_tol=args.refine_tol)
     _write_json(args.out_json, intervals.to_json_dict(), args)
     return EXIT_OK
@@ -147,7 +179,9 @@ def cmd_census(args) -> int:
 def cmd_eps_scan(args) -> int:
     grid = parse_grid(args.eps_grid)
     curve = eps_scan_origin(args.r, grid, tol=args.tol)
-    curve.to_csv(args.out or sys.stdout, header_comment=_config_json(args))
+    _warn_skipped(curve.skipped)
+    _write_csv(args.out, ("epsilon", "half_trace"),
+               zip(curve.values, curve.half_traces), args)
     return EXIT_OK
 
 
@@ -158,9 +192,19 @@ def cmd_poincare(args) -> int:
     grid = [(float(q), float(p)) for q in q_grid for p in p_grid]
     cloud = section(params, grid, n_iterates=args.iterates, tol=args.tol,
                     fixed_steps=args.fixed_step)
-    cloud.to_csv(args.out, header_comment=_config_json(args))
+    _write_csv(args.out, ("orbit_id", "iter", "q", "p"),
+               [(oid, it, q, p) for oid, orbit in enumerate(cloud.orbits)
+                for it, (q, p) in enumerate(orbit)], args)
     if args.manifest:
-        _write_json(args.manifest, cloud.manifest(), args)
+        _write_json(args.manifest, {
+            "r": params.r,
+            "epsilon": params.epsilon,
+            "n_iterates": args.iterates,
+            "tol": args.tol,
+            "method": "adaptive" if args.fixed_step is None else "fixed",
+            "initial_grid": grid,
+            "truncated": cloud.truncated,
+        }, args)
     return EXIT_OK
 
 

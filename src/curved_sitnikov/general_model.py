@@ -298,10 +298,10 @@ def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
     default_lam = 2.0 - params.r * (1.0 + eps)
 
     def r_of(lam: float) -> float:
-        r = (2.0 - lam) / (1.0 + eps)
-        if r <= 0.0:
-            raise ValueError(f"lam={lam} gives a non-positive semi-major axis")
-        return r
+        # 0 < lam < 2 is 0 < r < 2/(1+eps), the range ModelParams admits
+        if not 0.0 < lam < 2.0:
+            raise ValueError(f"lam={lam} outside (0, 2)")
+        return (2.0 - lam) / (1.0 + eps)
 
     def x(s, lam):
         return np.array([0.0, -math.cos(s), -math.sin(s)])

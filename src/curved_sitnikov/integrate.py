@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .kepler import ModelParams
-from .model import D_MIN, ExtendedState, _distances, tangential_force
+from .model import D_MIN, _distances, tangential_force
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 DEFAULT_ORBIT_TOL = 1e-8
@@ -28,19 +28,6 @@ DEFAULT_MONODROMY_TOL = 1e-10
 
 class StiffnessError(RuntimeError):
     """Adaptive step size underflowed; the problem left the smooth regime."""
-
-
-def _write_text(path_or_file, text: str) -> None:
-    """Write ``text`` to an open stream, or to a new file at a path.
-
-    Files are UTF-8 with ``\\n`` line ends on every platform, so artifacts
-    are byte-identical across machines.
-    """
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
 
 
 @dataclass
@@ -53,18 +40,8 @@ class Trajectory:
 
     t: np.ndarray
     states: np.ndarray
-    tol: float
-    method: str
     n_rhs: int
     truncated: bool = False
-
-    def to_csv(self, path_or_file, header_comment: str | None = None) -> None:
-        """Write ``t,q,p,s`` rows at 17 significant digits."""
-        lines = [f"# {header_comment}"] if header_comment else []
-        lines.append("t,q,p,s")
-        lines += [f"{tk:.17g},{q:.17g},{p:.17g},{s:.17g}"
-                  for tk, (q, p, s) in zip(self.t, self.states)]
-        _write_text(path_or_file, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -140,7 +117,7 @@ def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
     return ts, ys
 
 
-def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
+def integrate_orbit(initial: Sequence[float], t_final: float,
                     params: ModelParams, tol: float = DEFAULT_ORBIT_TOL,
                     t_eval: np.ndarray | None = None,
                     fixed_steps: int | None = None) -> Trajectory:
@@ -152,7 +129,7 @@ def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
     ``truncated=True``); step-size underflow raises :class:`StiffnessError`.
 
     Args:
-        initial: ``ExtendedState`` or ``(q0, p0, s0)``.
+        initial: ``(q0, p0, s0)``.
         t_final: integration horizon; ``ValueError`` unless finite and > 0.
         params: model parameters.
         tol: local error tolerance per step, within ``[1e-13, 1e-6]``.
@@ -163,10 +140,7 @@ def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
     """
     if not 0.0 < t_final < np.inf:
         raise ValueError(f"t_final={t_final} must be positive and finite")
-    if isinstance(initial, ExtendedState):
-        q0, p0, s0 = initial.q, initial.p, initial.s
-    else:
-        q0, p0, s0 = (float(v) for v in initial)
+    q0, p0, s0 = (float(v) for v in initial)
 
     # the terminal event stops cleanly at D_MIN; the in-flight force guard
     # sits well below it so RK stages near the crossing stay evaluable
@@ -180,8 +154,7 @@ def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
         _validate_tol(tol)
         ts, ys = rk4_fixed(rhs, 0.0, np.array([q0, p0]), t_final, fixed_steps)
         states = np.column_stack([ys[:, 0], ys[:, 1], s0 + ts])
-        return Trajectory(t=ts, states=states, tol=tol, method="fixed",
-                          n_rhs=4 * fixed_steps)
+        return Trajectory(t=ts, states=states, n_rhs=4 * fixed_steps)
 
     def collision_event(t, y):
         d1, d2, _ = _distances(y[0], s0 + t, params, hard_floor)
@@ -193,8 +166,8 @@ def integrate_orbit(initial: ExtendedState | Sequence[float], t_final: float,
                   events=collision_event)
     ts = sol.t
     states = np.column_stack([sol.y[0], sol.y[1], s0 + ts])
-    return Trajectory(t=ts, states=states, tol=tol, method="adaptive",
-                      n_rhs=int(sol.nfev), truncated=(sol.status == 1))
+    return Trajectory(t=ts, states=states, n_rhs=int(sol.nfev),
+                      truncated=(sol.status == 1))
 
 
 def integrate_variational(a: Callable[[float], float], period: float,

@@ -9,12 +9,12 @@ reproducible byte for byte under the fixed-step integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kepler import TWO_PI, ModelParams
-from .integrate import DEFAULT_ORBIT_TOL, _write_text, integrate_orbit
+from .integrate import DEFAULT_ORBIT_TOL, integrate_orbit
 from .model import CollisionError
 
 
@@ -27,32 +27,8 @@ class SectionCloud:
     orbits (their partial history is kept).
     """
 
-    params: ModelParams
-    initial_grid: list[tuple[float, float]]
-    n_iterates: int
-    tol: float
-    method: str
-    orbits: list[np.ndarray] = field(default_factory=list)
-    truncated: list[bool] = field(default_factory=list)
-
-    def to_csv(self, path_or_file, header_comment: str | None = None) -> None:
-        lines = [f"# {header_comment}"] if header_comment else []
-        lines.append("orbit_id,iter,q,p")
-        lines += [f"{oid},{it},{q:.17g},{p:.17g}"
-                  for oid, orbit in enumerate(self.orbits)
-                  for it, (q, p) in enumerate(orbit)]
-        _write_text(path_or_file, "\n".join(lines) + "\n")
-
-    def manifest(self) -> dict:
-        return {
-            "r": self.params.r,
-            "epsilon": self.params.epsilon,
-            "n_iterates": self.n_iterates,
-            "tol": self.tol,
-            "method": self.method,
-            "initial_grid": [list(ic) for ic in self.initial_grid],
-            "truncated": self.truncated,
-        }
+    orbits: list[np.ndarray]
+    truncated: list[bool]
 
 
 def wrap_angle(q: float) -> float:
@@ -79,12 +55,8 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
     """
     if n_iterates < 1:
         raise ValueError(f"n_iterates={n_iterates} must be at least 1")
-    cloud = SectionCloud(params=params,
-                         initial_grid=[(float(q), float(p))
-                                       for q, p in initial_grid],
-                         n_iterates=n_iterates, tol=tol,
-                         method="adaptive" if fixed_steps is None else "fixed")
-    for q0, p0 in cloud.initial_grid:
+    cloud = SectionCloud(orbits=[], truncated=[])
+    for q0, p0 in initial_grid:
         hits: list[tuple[float, float]] = []
         truncated = False
         if fixed_steps is None:

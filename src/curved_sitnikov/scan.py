@@ -17,7 +17,6 @@ import numpy as np
 
 from .kepler import TWO_PI, ModelParams, collision_ceiling
 from .model import coefficient_period
-from .integrate import _write_text
 from .floquet import ELLIPTIC, HYPERBOLIC, monodromy
 
 # Scans never approach the collision ceiling closer than this.
@@ -52,13 +51,6 @@ class TraceCurve:
     period: float
     tol: float
     skipped: list = field(default_factory=list)
-
-    def to_csv(self, path_or_file, header_comment: str | None = None) -> None:
-        lines = [f"# {header_comment}"] if header_comment else []
-        lines.append(f"{self.param},half_trace")
-        lines += [f"{v:.17g},{h:.17g}"
-                  for v, h in zip(self.values, self.half_traces)]
-        _write_text(path_or_file, "\n".join(lines) + "\n")
 
 
 @dataclass

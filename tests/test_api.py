@@ -1,4 +1,8 @@
-"""The package namespace: ``__all__`` is exactly what a star import binds."""
+"""The package namespace: ``__all__`` is exactly what a star import binds,
+and only the command-line front end writes files or stdout."""
+
+import ast
+import pathlib
 
 import curved_sitnikov
 
@@ -18,3 +22,33 @@ def test_star_import_binds_exactly_all():
     exec("from curved_sitnikov import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(curved_sitnikov.__all__)
+
+
+def _writes_output(node: ast.AST) -> bool:
+    """A file opened for writing, ``write_text``/``write_bytes``, a bare
+    ``print`` or any use of ``sys.stdout``."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "stdout" and isinstance(node.value, ast.Name)
+                and node.value.id == "sys")
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name == "print":
+        return not any(kw.arg == "file" for kw in node.keywords)
+    if name == "open":
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+        modes += node.args[1:2]
+        return any(not isinstance(m, ast.Constant)
+                   or set(str(m.value)) & set("wax+") for m in modes)
+    return False
+
+
+def test_only_cli_writes_artifacts():
+    package = pathlib.Path(curved_sitnikov.__file__).parent
+    writers = sorted({path.name for path in package.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if _writes_output(node)})
+    assert writers == ["cli.py"]

@@ -27,7 +27,8 @@ class TestGridParsing:
         np.testing.assert_allclose(grid, [0.0, 0.3, 0.6, 0.9, 1.0])
 
     def test_rejects_malformed(self):
-        for bad in ("0:1", "a:b:c", "1:0:0.1", "0:1:-0.1"):
+        for bad in ("0:1", "a:b:c", "1:0:0.1", "0:1:-0.1", "1.0:inf:0.1",
+                    "0:inf:1", "1.0:1.1:inf", "nan:1:0.1", "-inf:0:1"):
             with pytest.raises(ConfigError):
                 parse_grid(bad)
 
@@ -128,11 +129,78 @@ class TestCommands:
         assert record["reports"][0]["a_min"] == pytest.approx(8000.0, rel=1e-6)
 
 
+CSV_COMMANDS = {
+    "kepler": ["kepler", "--eps", "0.3", "--t", "0:1:0.5"],
+    "simulate": ["simulate", "--q0", "0.3", "--p0", "0", "--t-final", "1.0"],
+    "scan": ["scan", "--qstar", "pi", "--r", "1.2:1.27:0.035"],
+    "eps-scan": ["eps-scan", "--r", "1.0", "--eps-grid", "0:0.2:0.1"],
+    "poincare": ["poincare", "--q-grid", "0:0.1:0.1", "--p-grid", "0:0:1",
+                 "--iterates", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+def test_csv_artifact_contract(tmp_path, command):
+    out = tmp_path / "out.csv"
+    argv = CSV_COMMANDS[command] + [
+        "--out-csv" if command == "scan" else "--out", str(out)]
+    if command == "scan":
+        argv += ["--out-json", str(tmp_path / "intervals.json")]
+    assert main(argv) == EXIT_OK
+    args = cli.build_parser().parse_args(argv)
+    config = {k: v for k, v in vars(args).items()
+              if k != "func" and v is not None}
+    data = out.read_bytes()
+    assert data.endswith(b"\n") and b"\r" not in data
+    first, header = data.decode("utf-8").split("\n")[:2]
+    assert first.startswith("# ")
+    assert json.loads(first[2:]) == config
+    assert header == {"kepler": "t,u,rho,x1x,x1y,x1z,x2x,x2y,x2z",
+                      "simulate": "t,q,p,s", "scan": "r,half_trace",
+                      "eps-scan": "epsilon,half_trace",
+                      "poincare": "orbit_id,iter,q,p"}[command]
+
+
+@pytest.mark.parametrize("argv, warning", [
+    (["scan", "--qstar", "pi", "--r", "1.9:2.1:0.05"],
+     "warning: 3 grid point(s) skipped (collision guard: 3)\n"),
+    (["eps-scan", "--r", "1.0", "--eps-grid", "0.96:0.99:0.01"],
+     "warning: 4 grid point(s) skipped (outside [0, 0.95]: 4)\n"),
+    (["eps-scan", "--r", "1.9", "--eps-grid", "0:0.97:0.485"],
+     "warning: 2 grid point(s) skipped "
+     "(collision guard: 1; outside [0, 0.95]: 1)\n"),
+    (["eps-scan", "--r", "1.0", "--eps-grid", "0:0.1:0.1"], ""),
+], ids=["scan-guard", "eps-scan-cap", "eps-scan-both", "eps-scan-none"])
+def test_skipped_grid_points_warning(capsys, argv, warning):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == warning
+
+
 class TestExitCodes:
     def test_config_error_from_bad_params(self, capsys):
         assert main(["floquet", "--qstar", "pi", "--r", "3.0",
                      "--eps", "0"]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--qstar", "pi", "--r", "1.0:inf:0.1"],
+        ["scan", "--qstar", "pi", "--r", "1.0:1.1:inf"],
+        ["kepler", "--t", "0:inf:1"],
+    ], ids=["scan-inf-hi", "scan-inf-step", "kepler-inf-hi"])
+    def test_non_finite_grid_exits_one(self, capsys, argv):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: grid")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_bounds_gap_outside_range_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "bounds.json"
+        for lam in ("-0.1", "2.0"):
+            assert main(["bounds", f"--lam={lam}", "--out", str(out)]) == \
+                EXIT_CONFIG
+            assert "configuration error: lam" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_from_argparse(self):
         assert main(["floquet"]) == EXIT_CONFIG

@@ -1,6 +1,7 @@
 """Adaptive and fixed-step engines, trajectories, variational flow."""
 
-import io
+import argparse
+import json
 import math
 
 import numpy as np
@@ -8,13 +9,14 @@ import pytest
 
 from curved_sitnikov import integrate
 from curved_sitnikov.kepler import ModelParams
-from curved_sitnikov.model import ExtendedState, hill_coefficient
-from curved_sitnikov.integrate import (FundamentalMatrix, Trajectory,
-                                       integrate_orbit, integrate_variational,
-                                       rk4_fixed)
+from curved_sitnikov.cli import _write_csv, main
+from curved_sitnikov.model import hill_coefficient
+from curved_sitnikov.integrate import (FundamentalMatrix, integrate_orbit,
+                                       integrate_variational, rk4_fixed)
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
+CFG = argparse.Namespace(cmd="test")
 
 
 class TestOrbit:
@@ -92,44 +94,41 @@ class TestOrbit:
         assert traj.t[-1] < TWO_PI
         assert np.all(np.diff(traj.t) > 0.0)
 
-    def test_accepts_extended_state(self):
-        traj = integrate_orbit(ExtendedState(q=0.3, p=0.0, s=1.0), 1.0, P10,
-                               tol=1e-9)
+    def test_phase_offset(self):
+        traj = integrate_orbit((0.3, 0.0, 1.0), 1.0, P10, tol=1e-9)
         assert traj.states[0, 2] == 1.0
         assert traj.states[-1, 2] == pytest.approx(2.0, abs=1e-12)
 
     def test_csv_export(self, tmp_path):
         traj = integrate_orbit((0.5, 0.1, 0.0), 1.0, P10, tol=1e-8)
         path = tmp_path / "traj.csv"
-        traj.to_csv(path, header_comment='{"cmd": "test"}')
+        assert main(["simulate", "--q0", "0.5", "--p0", "0.1", "--t-final",
+                     "1.0", "--tol", "1e-8", "--out", str(path)]) == 0
         lines = path.read_text().splitlines()
-        assert lines[0] == '# {"cmd": "test"}'
+        assert json.loads(lines[0][2:])["command"] == "simulate"
         assert lines[1] == "t,q,p,s"
         assert len(lines) == 2 + len(traj.t)
         # 17 significant digits round-trip
         q_back = float(lines[2].split(",")[1])
         assert q_back == traj.states[0, 0]
 
-    def test_csv_to_stream(self):
-        traj = integrate_orbit((0.5, 0.1, 0.0), 1.0, P10, tol=1e-8)
-        buf = io.StringIO()
-        traj.to_csv(buf)
-        assert buf.getvalue().startswith("t,q,p,s\n")
+    def test_csv_to_stream(self, capsys):
+        assert main(["simulate", "--q0", "0.5", "--p0", "0.1", "--t-final",
+                     "1.0"]) == 0
+        assert capsys.readouterr().out.split("\n", 1)[1].startswith(
+            "t,q,p,s\n")
 
-    def test_csv_exact_text(self, tmp_path):
-        traj = Trajectory(t=np.array([0.0, 0.5]),
-                          states=np.array([[0.1, -0.2, 0.0],
-                                           [1.25, 1.0 / 3.0, 0.5]]),
-                          tol=1e-8, method="fixed", n_rhs=8)
-        body = ("t,q,p,s\n"
+    def test_csv_exact_text(self, tmp_path, capsys):
+        rows = [(0.0, 0.1, -0.2, 0.0), (0.5, 1.25, 1.0 / 3.0, 0.5)]
+        text = ('# {"cmd": "test"}\n'
+                "t,q,p,s\n"
                 "0,0.10000000000000001,-0.20000000000000001,0\n"
                 "0.5,1.25,0.33333333333333331,0.5\n")
         path = tmp_path / "traj.csv"
-        traj.to_csv(path, header_comment="cfg")
-        assert path.read_bytes() == ("# cfg\n" + body).encode()
-        buf = io.StringIO()
-        traj.to_csv(buf)
-        assert buf.getvalue() == body
+        _write_csv(str(path), ("t", "q", "p", "s"), rows, CFG)
+        assert path.read_bytes() == text.encode()
+        _write_csv(None, ("t", "q", "p", "s"), rows, CFG)
+        assert capsys.readouterr().out == text
 
 
 class TestFixedStep:
@@ -137,7 +136,7 @@ class TestFixedStep:
         a = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, fixed_steps=500)
         b = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, fixed_steps=500)
         assert np.array_equal(a.states, b.states)
-        assert a.method == "fixed" and a.n_rhs == 4 * 500
+        assert a.n_rhs == 4 * 500
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_step_count_must_be_positive(self, n):

@@ -1,17 +1,19 @@
 """Stroboscopic section clouds."""
 
-import io
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
+from curved_sitnikov.cli import _write_csv, main
 from curved_sitnikov.kepler import ModelParams
-from curved_sitnikov.poincare import SectionCloud, section, wrap_angle
+from curved_sitnikov.poincare import section, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
+CFG = argparse.Namespace(cmd="test")
 
 
 class TestWrapAngle:
@@ -53,13 +55,15 @@ class TestSection:
                                    atol=1e-9)
 
     def test_fixed_step_reproducible_bytes(self, tmp_path):
-        grid = [(0.1, 0.0), (0.2, 0.05)]
-        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
-        for path in (a_path, b_path):
-            cloud = section(P10, grid, n_iterates=10, fixed_steps=128)
-            cloud.to_csv(path, header_comment="fixed run")
-            assert cloud.manifest()["method"] == "fixed"
-        assert a_path.read_bytes() == b_path.read_bytes()
+        path, man_path = tmp_path / "a.csv", tmp_path / "a.json"
+        argv = ["poincare", "--q-grid", "0.1:0.2:0.1", "--p-grid", "0:0:1",
+                "--iterates", "10", "--fixed-step", "128", "--out", str(path),
+                "--manifest", str(man_path)]
+        assert main(argv) == 0
+        first = path.read_bytes()
+        assert json.loads(man_path.read_text())["method"] == "fixed"
+        assert main(argv) == 0
+        assert path.read_bytes() == first
 
     @pytest.mark.parametrize("fixed_steps", [None, 8])
     @pytest.mark.parametrize("n_iterates", [0, -1])
@@ -69,30 +73,27 @@ class TestSection:
                     fixed_steps=fixed_steps)
 
     def test_csv_and_manifest(self, tmp_path):
-        cloud = section(P10, [(0.1, 0.0)], n_iterates=3, tol=1e-9)
-        csv_path = tmp_path / "cloud.csv"
-        cloud.to_csv(csv_path)
+        csv_path, man_path = tmp_path / "cloud.csv", tmp_path / "cloud.json"
+        assert main(["poincare", "--r", "1.0", "--q-grid", "0.1:0.1:1",
+                     "--p-grid", "0:0:1", "--iterates", "3", "--tol", "1e-9",
+                     "--out", str(csv_path), "--manifest", str(man_path)]) == 0
         lines = csv_path.read_text().splitlines()
-        assert lines[0] == "orbit_id,iter,q,p"
-        assert len(lines) == 4
-        manifest = json.loads(json.dumps(cloud.manifest()))
+        assert lines[1] == "orbit_id,iter,q,p"
+        assert len(lines) == 5
+        manifest = json.loads(man_path.read_text())
         assert manifest["r"] == 1.0
         assert manifest["n_iterates"] == 3
         assert manifest["initial_grid"] == [[0.1, 0.0]]
 
-    def test_csv_exact_text(self, tmp_path):
-        cloud = SectionCloud(params=P10, initial_grid=[(0.1, 0.0), (0.5, 3.0)],
-                             n_iterates=2, tol=1e-8, method="adaptive",
-                             orbits=[np.array([[0.1, -0.2], [1e-20, 3.0]]),
-                                     np.array([[0.5, 1.0 / 3.0]])],
-                             truncated=[False, True])
-        body = ("orbit_id,iter,q,p\n"
+    def test_csv_exact_text(self, tmp_path, capsys):
+        rows = [(0, 0, 0.1, -0.2), (0, 1, 1e-20, 3.0), (1, 0, 0.5, 1.0 / 3.0)]
+        text = ('# {"cmd": "test"}\n'
+                "orbit_id,iter,q,p\n"
                 "0,0,0.10000000000000001,-0.20000000000000001\n"
                 "0,1,9.9999999999999995e-21,3\n"
                 "1,0,0.5,0.33333333333333331\n")
         path = tmp_path / "cloud.csv"
-        cloud.to_csv(path, header_comment="cfg")
-        assert path.read_bytes() == ("# cfg\n" + body).encode()
-        buf = io.StringIO()
-        cloud.to_csv(buf)
-        assert buf.getvalue() == body
+        _write_csv(str(path), ("orbit_id", "iter", "q", "p"), rows, CFG)
+        assert path.read_bytes() == text.encode()
+        _write_csv(None, ("orbit_id", "iter", "q", "p"), rows, CFG)
+        assert capsys.readouterr().out == text

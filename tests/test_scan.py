@@ -1,11 +1,13 @@
 """Trace curves, transition refinement, interchange census."""
 
-import io
+import argparse
+import json
 import math
 
 import numpy as np
 import pytest
 
+from curved_sitnikov.cli import _write_csv, main
 from curved_sitnikov.floquet import ELLIPTIC, HYPERBOLIC
 from curved_sitnikov.model import hill_coefficient
 from curved_sitnikov.kepler import ModelParams
@@ -14,6 +16,7 @@ from curved_sitnikov.scan import (TraceCurve, eps_scan_origin,
                                   trace_curve)
 
 TWO_PI = 2.0 * math.pi
+CFG = argparse.Namespace(cmd="test")
 
 # First interchange of the antipodal equilibrium with circular primaries.
 # Regression anchor computed from this model three independent ways
@@ -48,28 +51,26 @@ class TestTraceCurve:
         assert np.array_equal(a.half_traces, b.half_traces)
 
     def test_csv_export(self, tmp_path):
-        curve = trace_curve(0.0, 0.0, np.linspace(0.8, 1.2, 5), tol=1e-9)
         path = tmp_path / "trace.csv"
-        curve.to_csv(path, header_comment="cfg")
+        assert main(["scan", "--qstar", "0", "--r", "0.8:1.2:0.1",
+                     "--out-csv", str(path),
+                     "--out-json", str(tmp_path / "intervals.json")]) == 0
         lines = path.read_text().splitlines()
-        assert lines[0] == "# cfg"
+        assert json.loads(lines[0][2:])["command"] == "scan"
         assert lines[1] == "r,half_trace"
         assert len(lines) == 7
 
-    def test_csv_exact_text(self, tmp_path):
-        curve = TraceCurve(q_star=math.pi, epsilon=0.0, param="r",
-                           values=np.array([1.25, 1.5]),
-                           half_traces=np.array([-1.0000001, 2.0 / 3.0]),
-                           period=math.pi, tol=1e-9)
-        body = ("r,half_trace\n"
+    def test_csv_exact_text(self, tmp_path, capsys):
+        rows = [(1.25, -1.0000001), (1.5, 2.0 / 3.0)]
+        text = ('# {"cmd": "test"}\n'
+                "r,half_trace\n"
                 "1.25,-1.0000001000000001\n"
                 "1.5,0.66666666666666663\n")
         path = tmp_path / "trace.csv"
-        curve.to_csv(path, header_comment="cfg")
-        assert path.read_bytes() == ("# cfg\n" + body).encode()
-        buf = io.StringIO()
-        curve.to_csv(buf)
-        assert buf.getvalue() == body
+        _write_csv(str(path), ("r", "half_trace"), rows, CFG)
+        assert path.read_bytes() == text.encode()
+        _write_csv(None, ("r", "half_trace"), rows, CFG)
+        assert capsys.readouterr().out == text
 
 
 @pytest.fixture(scope="module")
@@ -210,9 +211,11 @@ class TestEpsScan:
         assert [eps for eps, _ in curve.skipped] == [0.2, 0.97]
 
     def test_deterministic_csv(self, tmp_path):
-        grid = np.array([0.0, 0.1, 0.2])
-        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
-        eps_scan_origin(1.0, grid, tol=1e-9).to_csv(a_path)
-        eps_scan_origin(1.0, grid, tol=1e-9).to_csv(b_path)
-        assert a_path.read_bytes() == b_path.read_bytes()
-        assert a_path.read_text().splitlines()[0] == "epsilon,half_trace"
+        path = tmp_path / "origin.csv"
+        argv = ["eps-scan", "--r", "1.0", "--eps-grid", "0:0.2:0.1",
+                "--out", str(path)]
+        assert main(argv) == 0
+        first = path.read_bytes()
+        assert main(argv) == 0
+        assert path.read_bytes() == first
+        assert path.read_text().splitlines()[1] == "epsilon,half_trace"
