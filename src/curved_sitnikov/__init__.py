@@ -13,13 +13,13 @@ from .kepler import (KeplerConvergenceError, ModelParams, PrimaryEphemeris,
                      ephemeris, radial_factor, solve_kepler)
 from .model import (CollisionError, ExtendedState, HillCoefficient,
                     cubic_coefficient, dforce_dq, hill_coefficient,
-                    limit_force_circle, limit_force_classical, potential,
-                    symmetry_defect, tangential_force)
+                    limit_force_circle, potential, symmetry_defect,
+                    tangential_force)
 from .integrate import (FundamentalMatrix, StiffnessError, Trajectory,
                         integrate_orbit, integrate_variational)
-from .floquet import (Monodromy, MonodromyError, StabilityVerdict, classify,
-                      monodromy, multipliers, ortega_hypotheses,
-                      winding_angle, winding_bound)
+from .floquet import (Monodromy, MonodromyError, classify, monodromy,
+                      multipliers, ortega_hypotheses, winding_angle,
+                      winding_bound)
 from .general_model import (BoundReport, CurvePair, bound_report, d2U_ds2,
                             line_pair, load_curve_pair, min_distance,
                             pair_potential, sitnikov_hill_coefficient,
@@ -36,14 +36,13 @@ __all__ = [
     "ExtendedState", "FundamentalMatrix", "HillCoefficient",
     "KeplerConvergenceError", "ModelParams", "Monodromy", "MonodromyError",
     "PrimaryEphemeris", "SectionCloud", "StabilityIntervals",
-    "StabilityVerdict", "StiffnessError", "TraceCurve", "Trajectory",
-    "bound_report", "classify", "cubic_coefficient", "d2U_ds2", "dforce_dq",
-    "ephemeris", "eps_scan_origin", "find_transitions", "hill_coefficient",
+    "StiffnessError", "TraceCurve", "Trajectory", "bound_report",
+    "classify", "cubic_coefficient", "d2U_ds2", "dforce_dq", "ephemeris",
+    "eps_scan_origin", "find_transitions", "hill_coefficient",
     "integrate_orbit", "integrate_variational", "interchange_census",
-    "limit_force_circle", "limit_force_classical", "line_pair",
-    "load_curve_pair", "min_distance", "monodromy", "multipliers",
-    "ortega_hypotheses", "pair_potential", "potential", "radial_factor",
-    "section", "sitnikov_hill_coefficient", "sitnikov_pair", "solve_kepler",
-    "symmetry_defect", "tangential_force", "trace_curve", "winding_angle",
-    "winding_bound",
+    "limit_force_circle", "line_pair", "load_curve_pair", "min_distance",
+    "monodromy", "multipliers", "ortega_hypotheses", "pair_potential",
+    "potential", "radial_factor", "section", "sitnikov_hill_coefficient",
+    "sitnikov_pair", "solve_kepler", "symmetry_defect", "tangential_force",
+    "trace_curve", "winding_angle", "winding_bound",
 ]

@@ -24,7 +24,8 @@ from .kepler import TWO_PI, KeplerConvergenceError, ModelParams, ephemeris
 from .model import CollisionError
 from .integrate import (DEFAULT_MONODROMY_TOL, DEFAULT_ORBIT_TOL,
                         StiffnessError, integrate_orbit)
-from .floquet import DEFAULT_DELTA_PAR, MonodromyError, classify, monodromy
+from .floquet import (DEFAULT_DELTA_PAR, ELLIPTIC, MonodromyError, classify,
+                      monodromy)
 from .general_model import bound_report, load_curve_pair, sitnikov_pair
 from .scan import (DEFAULT_REFINE_TOL, DEFAULT_SCAN_TOL, eps_scan_origin,
                    find_transitions, interchange_census, trace_curve)
@@ -148,10 +149,18 @@ def cmd_floquet(args) -> int:
     period = None
     if args.period:
         period = math.pi if args.period == "pi" else TWO_PI
-    m = monodromy(parse_qstar(args.qstar), params, period=period,
-                  tol=args.tol)
-    verdict = classify(m, delta_par=args.delta_par)
-    _write_json(args.out, verdict.to_json_dict(), args)
+    q_star = parse_qstar(args.qstar)
+    m = monodromy(q_star, params, period=period, tol=args.tol)
+    cls = classify(m, delta_par=args.delta_par)
+    _write_json(args.out, {
+        "q_star": q_star,
+        "r": params.r,
+        "epsilon": params.epsilon,
+        "period": m.period,
+        "half_trace": m.half_trace,
+        "class": cls,
+        "strongly_stable": cls == ELLIPTIC,
+    }, args)
     return EXIT_OK
 
 
@@ -221,7 +230,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verification.run_all(quick=args.quick)
+    results = []
+    for result in verification.run_all(quick=args.quick):
+        print(result.line())
+        results.append(result)
     failed = [r for r in results if not r.passed]
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed",

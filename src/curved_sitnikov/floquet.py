@@ -41,8 +41,6 @@ class Monodromy:
 
     matrix: FundamentalMatrix
     period: float
-    params: ModelParams
-    q_star: float
 
     @property
     def half_trace(self) -> float:
@@ -51,39 +49,6 @@ class Monodromy:
     @property
     def det(self) -> float:
         return self.matrix.det
-
-
-@dataclass
-class StabilityVerdict:
-    """Linear stability class with its Floquet multipliers.
-
-    ``strongly_stable`` means elliptic:
-    multipliers on the unit circle and non-real, robust under small
-    periodic perturbations.  For parabolic cases ``parabolic_subtype``
-    distinguishes a diagonal monodromy (two eigenvectors, stable) from a
-    shear (one eigenvector, unstable) via the off-diagonal entries.
-    """
-
-    classification: str
-    multipliers: tuple[complex, complex]
-    strongly_stable: bool
-    half_trace: float
-    q_star: float
-    r: float
-    epsilon: float
-    period: float
-    parabolic_subtype: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q_star": self.q_star,
-            "r": self.r,
-            "epsilon": self.epsilon,
-            "period": self.period,
-            "half_trace": self.half_trace,
-            "class": self.classification,
-            "strongly_stable": self.strongly_stable,
-        }
 
 
 def monodromy(q_star: float, params: ModelParams, period: float | None = None,
@@ -102,49 +67,37 @@ def monodromy(q_star: float, params: ModelParams, period: float | None = None,
         raise ValueError("period pi requires epsilon = 0")
     mat = integrate_variational(hill_coefficient(q_star, params), period,
                                 tol=tol)
-    return Monodromy(matrix=mat, period=period, params=params, q_star=q_star)
+    return Monodromy(matrix=mat, period=period)
+
+
+def _check_det(m: Monodromy) -> None:
+    """Raise ``MonodromyError`` unless the Wronskian is 1 within tolerance."""
+    if abs(m.det - 1.0) > DET_CORRUPT_TOL:
+        raise MonodromyError(f"det={m.det!r} deviates from 1 beyond "
+                             f"{DET_CORRUPT_TOL}")
 
 
 def multipliers(m: Monodromy) -> tuple[complex, complex]:
     """Floquet multipliers ``h ± sqrt(h^2 - 1)`` of a unit-Wronskian monodromy."""
-    if abs(m.det - 1.0) > DET_CORRUPT_TOL:
-        raise MonodromyError(f"det={m.det!r} deviates from 1 beyond "
-                             f"{DET_CORRUPT_TOL}")
+    _check_det(m)
     h = m.half_trace
     root = cmath.sqrt(complex(h * h - 1.0, 0.0))
     return h + root, h - root
 
 
-def classify(m: Monodromy,
-             delta_par: float = DEFAULT_DELTA_PAR) -> StabilityVerdict:
-    """Stability verdict from the half-trace, with parabolic band ``delta_par``."""
+def classify(m: Monodromy, delta_par: float = DEFAULT_DELTA_PAR) -> str:
+    """Stability class from the half-trace, with parabolic band ``delta_par``.
+
+    Raises ``MonodromyError`` when the Wronskian is off 1, since the
+    half-trace of such a matrix decides nothing.
+    """
     if not 0.0 < delta_par <= 1e-3:
         raise ValueError(f"delta_par={delta_par} outside (0, 1e-3]")
+    _check_det(m)
     h = m.half_trace
     if abs(abs(h) - 1.0) <= delta_par:
-        cls = PARABOLIC
-    elif abs(h) < 1.0:
-        cls = ELLIPTIC
-    else:
-        cls = HYPERBOLIC
-    lam = multipliers(m)
-    subtype = None
-    if cls == PARABOLIC:
-        off = max(abs(m.matrix.x2), abs(m.matrix.y1))
-        kind = "diagonal" if off <= delta_par else "shear"
-        sign = "T-periodic" if h > 0 else "2T-periodic"
-        subtype = f"{kind}, {sign}"
-    return StabilityVerdict(
-        classification=cls,
-        multipliers=lam,
-        strongly_stable=(cls == ELLIPTIC),
-        half_trace=h,
-        q_star=m.q_star,
-        r=m.params.r,
-        epsilon=m.params.epsilon,
-        period=m.period,
-        parabolic_subtype=subtype,
-    )
+        return PARABOLIC
+    return ELLIPTIC if abs(h) < 1.0 else HYPERBOLIC
 
 
 def winding_angle(a: Callable[[float], float], t0: float, t1: float,
@@ -212,28 +165,26 @@ def winding_bound(a_min: float, t0: float, t1: float) -> float:
     return -math.sqrt(a_min) * (t1 - t0) + math.pi
 
 
-def ortega_hypotheses(params: ModelParams,
-                      tol: float = DEFAULT_MONODROMY_TOL) -> dict:
+def ortega_hypotheses(params: ModelParams) -> dict:
     """Hypothesis check for nonlinear stability of the origin equilibrium.
 
     The origin is nonlinearly stable when the linear part is stable
-    (elliptic, or parabolic with a diagonal monodromy) and the cubic
-    coefficient of the force expansion is sign-definite.  Returns the
-    individual findings plus the combined flag; circular primaries only.
-    The cubic coefficient is sampled at 64 phases.
+    (elliptic, or parabolic with a diagonal monodromy: off-diagonal
+    entries within ``DEFAULT_DELTA_PAR``) and the cubic coefficient of the
+    force expansion is sign-definite.  Returns the individual findings
+    plus the combined flag; circular primaries only.  The cubic
+    coefficient is sampled at 64 phases.
     """
-    m = monodromy(0.0, params, tol=tol)
-    verdict = classify(m)
-    linear_ok = verdict.classification == ELLIPTIC or (
-        verdict.classification == PARABOLIC
-        and verdict.parabolic_subtype is not None
-        and verdict.parabolic_subtype.startswith("diagonal"))
+    m = monodromy(0.0, params)
+    cls = classify(m)
+    diagonal = max(abs(m.matrix.x2), abs(m.matrix.y1)) <= DEFAULT_DELTA_PAR
+    linear_ok = cls == ELLIPTIC or (cls == PARABOLIC and diagonal)
     ts = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     cubic_min = min(cubic_coefficient(float(t), params) for t in ts)
     return {
         "r": params.r,
         "epsilon": params.epsilon,
-        "classification": verdict.classification,
+        "classification": cls,
         "linear_ok": linear_ok,
         "cubic_min": cubic_min,
         "cubic_positive": cubic_min > 0.0,

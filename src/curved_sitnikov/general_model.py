@@ -82,8 +82,6 @@ class BoundReport:
     smallness_threshold: float
     m_bound: float
     k_bound: float
-    s_star: float
-    t_star: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,13 +218,13 @@ def estimate_bounds(pair: CurvePair, lam: float) -> tuple[float, float]:
 def bound_report(lam: float, pair: CurvePair) -> BoundReport:
     """Evaluate the closest-approach window quantities at one ``lam``.
 
-    Computes ``delta`` and the argmin, the window ``tau = c*delta`` with
+    Computes ``delta``, the window ``tau = c*delta`` with
     ``c = min(k^{-1/2}, (k sqrt(6))^{-1})``, the curvature minimum
     ``a_min = min_{|t|<=tau} U''(0,t)`` over 201 samples, the lower-bound
     flag ``a_min >= 2^-4.5/delta^3``, and the winding estimate
     ``-2 tau sqrt(a_min) + pi``.
     """
-    delta, s_star, t_star = min_distance(lam, pair)
+    delta, _, _ = min_distance(lam, pair)
     m, k = estimate_bounds(pair, lam)
     c = min(k ** -0.5, 1.0 / (k * math.sqrt(6.0)))
     tau = c * delta
@@ -241,8 +239,7 @@ def bound_report(lam: float, pair: CurvePair) -> BoundReport:
         lam=lam, delta=delta, tau=tau, c=c, a_min=a_min,
         bound_ok=bound_ok, winding_estimate=winding_estimate,
         smallness_ok=delta < threshold, smallness_threshold=threshold,
-        m_bound=m, k_bound=k,
-        s_star=s_star, t_star=t_star)
+        m_bound=m, k_bound=k)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +251,7 @@ def line_pair(lam_range: tuple[float, float] = (1e-3, 1.0),
     """Straight line ``x = (s, 0, 0)`` against a fixed point ``y = (0, lam, 0)``.
 
     Exactly solvable fixture: ``U''(0, t) = 1/lam^3`` for every ``t``.
+    The gap ``lam`` must be positive.
     """
     zero = np.zeros(3)
 
@@ -267,6 +265,8 @@ def line_pair(lam_range: tuple[float, float] = (1e-3, 1.0),
         return zero
 
     def y(t, lam):
+        if not lam > 0.0:
+            raise ValueError(f"lam={lam} must be > 0 (the line pair's gap)")
         return np.array([0.0, lam, 0.0])
 
     def y_t(t, lam):
@@ -367,8 +367,6 @@ CURVE_FAMILIES: dict[str, Callable[..., CurvePair]] = {
     "line": line_pair,
     "sitnikov_near": lambda r=1.8, epsilon=0.0: sitnikov_pair(
         ModelParams(r=r, epsilon=epsilon), "near"),
-    "sitnikov_far": lambda r=1.8, epsilon=0.0: sitnikov_pair(
-        ModelParams(r=r, epsilon=epsilon), "far"),
 }
 
 

@@ -178,22 +178,6 @@ def symmetry_defect(state: ExtendedState, params: ModelParams,
     return float(r1), float(r2), float(r3), float(r4)
 
 
-def limit_force_classical(w: float, t: float, R: float, r: float) -> float:
-    """Arc-length force on a circle of radius ``R``; straight-line limit.
-
-    Circular primaries.  ``w = R*q`` is arc length from the barycenter
-    point.  As ``R`` grows this approaches ``-2 w / (r^2 + w^2)^{3/2}``, the
-    force of the flat (uncurved) problem.
-    """
-    if R < 1.0:
-        raise ValueError(f"R={R} must be >= 1")
-    c = r * math.cos(t)
-    sw = math.sin(w / R)
-    gap = 2.0 * R * (1.0 - math.cos(w / R))
-    return (-(R + c) * sw / (r * r + gap * (R + c)) ** 1.5
-            - (R - c) * sw / (r * r + gap * (R - c)) ** 1.5)
-
-
 def limit_force_circle(q: float, R: float) -> float:
     """Force after fusing the primaries into one mass at the barycenter.
 

@@ -39,8 +39,8 @@ class TraceCurve:
     """Half-trace of the monodromy along a 1-parameter grid.
 
     ``param`` is ``"r"`` (eccentricity fixed) or ``"epsilon"`` (semi-major
-    axis fixed).  Grid points that violate the collision guard are skipped
-    and recorded in ``skipped``.
+    axis fixed).  Grid points with ``r <= 0`` or past the collision guard
+    are skipped and recorded in ``skipped``.
     """
 
     q_star: float
@@ -121,19 +121,24 @@ def _half_trace(q_star: float, r: float, epsilon: float, period: float,
     return m.half_trace
 
 
+def _skip_reason(r: float) -> str:
+    return "r <= 0" if r <= 0.0 else "collision guard"
+
+
 def trace_curve(q_star: float, epsilon: float, r_grid,
                 tol: float = DEFAULT_SCAN_TOL) -> TraceCurve:
     """Half-trace of the monodromy at each admissible grid point.
 
-    Deterministic for a fixed tolerance; grid points above
-    ``2/(1+eps) - margin`` are skipped and recorded rather than evaluated.
+    Deterministic for a fixed tolerance; grid points with ``r <= 0`` or
+    above ``2/(1+eps) - margin`` are skipped and recorded rather than
+    evaluated.
     """
     period = coefficient_period(epsilon)
     ceiling = collision_ceiling(epsilon)
     values, traces, skipped = [], [], []
     for r in np.asarray(r_grid, dtype=float):
         if not 0.0 < r <= ceiling - CEILING_MARGIN:
-            skipped.append((float(r), "collision guard"))
+            skipped.append((float(r), _skip_reason(r)))
             continue
         values.append(float(r))
         traces.append(_half_trace(q_star, float(r), epsilon, period, tol))
@@ -284,16 +289,16 @@ def eps_scan_origin(r_fixed: float, eps_grid,
     """Half-trace of the origin monodromy versus eccentricity (period 2*pi).
 
     Exploratory sweep at fixed ``r``; eccentricities above ``EPS_SCAN_CAP``
-    or past the collision guard are skipped and recorded.
+    or past the collision guard, and every one when ``r <= 0``, are
+    skipped and recorded.
     """
     values, traces, skipped = [], [], []
     for eps in np.asarray(eps_grid, dtype=float):
         if not 0.0 <= eps <= EPS_SCAN_CAP:
             skipped.append((float(eps), f"outside [0, {EPS_SCAN_CAP}]"))
             continue
-        ceiling = collision_ceiling(eps)
-        if not 0.0 < r_fixed <= ceiling - CEILING_MARGIN:
-            skipped.append((float(eps), "collision guard"))
+        if not 0.0 < r_fixed <= collision_ceiling(eps) - CEILING_MARGIN:
+            skipped.append((float(eps), _skip_reason(r_fixed)))
             continue
         h = _half_trace(0.0, r_fixed, float(eps), TWO_PI, tol)
         values.append(float(eps))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -87,9 +87,9 @@ def check_antipode_hyperbolic(ctx: dict) -> tuple[bool, str]:
         m = monodromy(math.pi, ModelParams(r=float(r)), period=math.pi,
                       tol=1e-10)
         ctx.setdefault("monodromies", []).append(m)
-        v = classify(m)
-        if v.classification != HYPERBOLIC:
-            bad.append((float(r), v.classification))
+        cls = classify(m)
+        if cls != HYPERBOLIC:
+            bad.append((float(r), cls))
     return not bad, (f"all 50 grid points hyperbolic" if not bad
                      else f"non-hyperbolic at {bad[:3]}")
 
@@ -153,10 +153,17 @@ def check_wronskian_evenness(ctx: dict) -> tuple[bool, str]:
 
 
 def check_force_limits(ctx: dict) -> tuple[bool, str]:
-    """Large-circle and fused-primary limits of the force law."""
+    """Large-circle and fused-primary limits of the force law.
+
+    On a circle of radius ``R`` the arc-length force at ``w = R q`` is the
+    unit-circle force at ``r / R`` scaled by ``1 / R^2``; as ``R`` grows it
+    approaches ``-2 w / (r^2 + w^2)^{3/2}``, the flat (uncurved) problem.
+    """
+    R = 1e3
+    large = ModelParams(r=1.0 / R, epsilon=0.0)
     worst_line = 0.0
     for w in (0.5, 1.0, 2.0):
-        got = model.limit_force_classical(w, 0.0, R=1e3, r=1.0)
+        got = model.tangential_force(w / R, 0.0, large) / R**2
         want = -2.0 * w / (1.0 + w * w) ** 1.5
         worst_line = max(worst_line, abs(got - want))
     worst_circle = 0.0
@@ -259,7 +266,7 @@ def check_symmetries(ctx: dict) -> tuple[bool, str]:
 def check_origin_stability(ctx: dict) -> tuple[bool, str]:
     """Nonlinear-stability hypotheses on a grid; bounded section orbits."""
     for r in np.linspace(0.05, 1.95, 50):
-        res = ortega_hypotheses(ModelParams(r=float(r)), tol=1e-10)
+        res = ortega_hypotheses(ModelParams(r=float(r)))
         if not res["passed"]:
             return False, f"hypothesis check failed at r={r:.4f}: {res}"
 
@@ -290,21 +297,14 @@ CHECKS: list[tuple[str, Callable[[dict], tuple[bool, str]]]] = [
 QUICK_SKIP = {"interchange census", "origin stability"}
 
 
-def run_all(quick: bool = False,
-            printer: Callable[[str], None] | None = print) -> list[CheckResult]:
-    """Run the verification suite in order; returns all results.
+def run_all(quick: bool = False) -> Iterator[CheckResult]:
+    """Run the verification suite in order, yielding each result as it ends.
 
     ``quick=True`` skips the two multi-minute checks (census and section
     boundedness).  Checks share a context so later checks can audit the
     monodromies produced by earlier ones.
     """
     ctx: dict = {}
-    results = []
     for name, fn in CHECKS:
-        if quick and name in QUICK_SKIP:
-            continue
-        result = _timed(fn, name, ctx)
-        results.append(result)
-        if printer:
-            printer(result.line())
-    return results
+        if not (quick and name in QUICK_SKIP):
+            yield _timed(fn, name, ctx)

@@ -15,8 +15,7 @@ pytestmark = pytest.mark.slow
 
 @pytest.fixture(scope="module")
 def results():
-    out = verification.run_all(quick=False, printer=None)
-    return {r.name: r for r in out}
+    return {r.name: r for r in verification.run_all(quick=False)}
 
 
 def _report(results, name):

@@ -26,10 +26,14 @@ def test_star_import_binds_exactly_all():
 
 def _writes_output(node: ast.AST) -> bool:
     """A file opened for writing, ``write_text``/``write_bytes``, a bare
-    ``print`` or any use of ``sys.stdout``."""
+    ``print``, ``print`` passed as a value, or any use of ``sys.stdout``."""
     if isinstance(node, ast.Attribute):
         return (node.attr == "stdout" and isinstance(node.value, ast.Name)
                 and node.value.id == "sys")
+    if any(isinstance(child, ast.Name) and child.id == "print"
+           and not (isinstance(node, ast.Call) and child is node.func)
+           for child in ast.iter_child_nodes(node)):
+        return True
     if not isinstance(node, ast.Call):
         return False
     func = node.func

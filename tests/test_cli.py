@@ -224,6 +224,26 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sitnikov_far_is_no_curve_family(self, tmp_path, capsys):
+        # its closest approach is at t = +-1/2, so bounds could never run on it
+        curve, out = tmp_path / "pair.json", tmp_path / "out.json"
+        curve.write_text(json.dumps({"family": "sitnikov_far"}))
+        assert main(["bounds", "--curve-file", str(curve), "--lam", "0.1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: unknown curve family 'sitnikov_far'" \
+            in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lam", ["-0.1", "0"])
+    def test_line_pair_nonpositive_gap_exits_one(self, tmp_path, capsys, lam):
+        curve, out = tmp_path / "pair.json", tmp_path / "out.json"
+        curve.write_text(json.dumps({"family": "line"}))
+        assert main(["bounds", "--curve-file", str(curve), f"--lam={lam}",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "configuration error: lam" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--q0", "0.3", "--p0", "0", "--t-final", "1.0"],
         ["poincare", "--q-grid", "0:0:1", "--p-grid", "0:0:1",

@@ -1,6 +1,7 @@
 """Monodromy classification, multipliers, winding angles."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.model import hill_coefficient
 from curved_sitnikov.integrate import FundamentalMatrix
-from curved_sitnikov.floquet import (ELLIPTIC, HYPERBOLIC, PARABOLIC,
-                                     Monodromy, MonodromyError, classify,
-                                     monodromy, multipliers,
+from curved_sitnikov.cli import main
+from curved_sitnikov.floquet import (DEFAULT_DELTA_PAR, ELLIPTIC, HYPERBOLIC,
+                                     PARABOLIC, Monodromy, MonodromyError,
+                                     classify, monodromy, multipliers,
                                      ortega_hypotheses, winding_angle,
                                      winding_bound)
 
@@ -23,7 +25,7 @@ def synthetic(h, x2=1.0):
     """Unit-determinant matrix with half-trace h (x1 = y2 = h)."""
     y1 = (h * h - 1.0) / x2
     mat = FundamentalMatrix(x1=h, x2=x2, y1=y1, y2=h)
-    return Monodromy(matrix=mat, period=TWO_PI, params=P10, q_star=0.0)
+    return Monodromy(matrix=mat, period=TWO_PI)
 
 
 class TestMonodromy:
@@ -94,31 +96,28 @@ class TestMultipliers:
 
     def test_corrupted_determinant_rejected(self):
         mat = FundamentalMatrix(x1=1.0, x2=0.0, y1=0.0, y2=1.1)
-        m = Monodromy(matrix=mat, period=TWO_PI, params=P10, q_star=0.0)
+        m = Monodromy(matrix=mat, period=TWO_PI)
         with pytest.raises(MonodromyError):
             multipliers(m)
 
 
 class TestClassify:
     def test_origin_elliptic(self):
-        v = classify(monodromy(0.0, P10, period=math.pi, tol=1e-10))
-        assert v.classification == ELLIPTIC
-        assert v.strongly_stable
-        assert v.half_trace == pytest.approx(math.cos(math.sqrt(2) * math.pi),
+        m = monodromy(0.0, P10, period=math.pi, tol=1e-10)
+        assert classify(m) == ELLIPTIC
+        assert m.half_trace == pytest.approx(math.cos(math.sqrt(2) * math.pi),
                                              abs=1e-8)
 
     def test_antipode_hyperbolic(self):
-        v = classify(monodromy(math.pi, P10, tol=1e-10))
-        assert v.classification == HYPERBOLIC
-        assert not v.strongly_stable
+        assert classify(monodromy(math.pi, P10, tol=1e-10)) == HYPERBOLIC
 
     def test_resonant_radius_parabolic_diagonal(self):
         for k in (1, 2):
             r = (2.0 / k**2) ** (1.0 / 3.0)
-            v = classify(monodromy(0.0, ModelParams(r=r), period=math.pi,
-                                   tol=1e-10))
-            assert v.classification == PARABOLIC
-            assert v.parabolic_subtype.startswith("diagonal")
+            m = monodromy(0.0, ModelParams(r=r), period=math.pi, tol=1e-10)
+            assert classify(m) == PARABOLIC
+            assert max(abs(m.matrix.x2), abs(m.matrix.y1)) <= \
+                DEFAULT_DELTA_PAR
 
     def test_band_parameter_window(self):
         m = synthetic(0.5)
@@ -127,21 +126,34 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(m, delta_par=1e-2)
 
+    def test_corrupted_determinant_rejected(self):
+        # half-trace 0.5 would read elliptic, but det = 0.25 is no monodromy
+        mat = FundamentalMatrix(x1=0.5, x2=0.0, y1=0.0, y2=0.5)
+        with pytest.raises(MonodromyError):
+            classify(Monodromy(matrix=mat, period=TWO_PI))
+
     def test_class_membership_stable_under_period_doubling(self):
         for r in (0.9, 1.3, 1.5, 1.95):
-            v1 = classify(monodromy(math.pi, ModelParams(r=r),
+            c1 = classify(monodromy(math.pi, ModelParams(r=r),
                                     period=math.pi, tol=1e-10))
-            v2 = classify(monodromy(math.pi, ModelParams(r=r),
+            c2 = classify(monodromy(math.pi, ModelParams(r=r),
                                     period=TWO_PI, tol=1e-10))
-            if PARABOLIC not in (v1.classification, v2.classification):
-                assert v1.classification == v2.classification
+            if PARABOLIC not in (c1, c2):
+                assert c1 == c2
 
-    def test_json_record_schema(self):
-        v = classify(monodromy(math.pi, P10, tol=1e-10))
-        record = v.to_json_dict()
-        assert set(record) == {"q_star", "r", "epsilon", "period",
-                               "half_trace", "class", "strongly_stable"}
-        assert record["class"] == HYPERBOLIC
+    def test_json_record_schema(self, capsys):
+        for qstar, cls, stable in (("pi", HYPERBOLIC, False),
+                                   ("0", ELLIPTIC, True)):
+            assert main(["floquet", "--qstar", qstar, "--r", "1.0"]) == 0
+            record = json.loads(capsys.readouterr().out)
+            assert list(record) == ["config", "q_star", "r", "epsilon",
+                                    "period", "half_trace", "class",
+                                    "strongly_stable"]
+            assert record["class"] == cls
+            assert record["strongly_stable"] is stable
+        # the elliptic origin: half-trace cos(sqrt(2) pi) at r = 1
+        assert record["half_trace"] == pytest.approx(
+            math.cos(math.sqrt(2) * math.pi), abs=1e-8)
 
 
 class TestWinding:

@@ -10,9 +10,8 @@ from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.model import (CollisionError, ExtendedState,
                                    coefficient_period, cubic_coefficient,
                                    dforce_dq, hill_coefficient,
-                                   limit_force_circle, limit_force_classical,
-                                   potential, symmetry_defect,
-                                   tangential_force)
+                                   limit_force_circle, potential,
+                                   symmetry_defect, tangential_force)
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
@@ -27,6 +26,15 @@ def comparison_force_circle(q: float, R: float) -> float:
     if not 0.0 < q < TWO_PI:
         raise CollisionError(1, min(abs(q), abs(TWO_PI - q)) * R)
     return -1.0 / (R * q * q) + 1.0 / (R * (TWO_PI - q) ** 2)
+
+
+def arc_length_force(w: float, t: float, R: float, r: float) -> float:
+    """Force at arc length ``w`` on a circle of radius ``R``, binary ``r``.
+
+    The unit-circle force at ``q = w/R`` and ``r/R``, scaled by ``1/R^2``;
+    as ``R`` grows it approaches the flat ``-2 w / (r^2 + w^2)^{3/2}``.
+    """
+    return tangential_force(w / R, t, ModelParams(r=r / R)) / R**2
 
 
 class TestTangentialForce:
@@ -217,10 +225,10 @@ class TestSymmetryDefect:
 
 class TestLimits:
     def test_classical_limit_at_origin(self):
-        assert limit_force_classical(0.0, 0.3, R=50.0, r=1.0) == 0.0
+        assert arc_length_force(0.0, 0.3, R=50.0, r=1.0) == 0.0
 
     def test_classical_limit_value(self):
-        got = limit_force_classical(1.0, 0.0, R=1e3, r=1.0)
+        got = arc_length_force(1.0, 0.0, R=1e3, r=1.0)
         assert got == pytest.approx(-2.0 / 2.0**1.5, abs=1e-4)
 
     def test_classical_restoring_sign(self):
@@ -228,7 +236,7 @@ class TestLimits:
         for w in np.linspace(-0.9 * math.pi * R, 0.9 * math.pi * R, 21):
             if w == 0.0:
                 continue
-            f = limit_force_classical(float(w), 0.0, R=R, r=1.0)
+            f = arc_length_force(float(w), 0.0, R=R, r=1.0)
             assert math.copysign(1.0, f) == -math.copysign(1.0, w)
 
     def test_fused_mass_equilibrium(self):

@@ -44,6 +44,11 @@ class TestTraceCurve:
         assert list(curve.values) == [1.5, 1.9]
         assert len(curve.skipped) == 2
 
+    def test_nonpositive_r_skipped_as_such(self):
+        curve = trace_curve(math.pi, 0.0, [-1.0, 0.0, 1.0, 1.99995])
+        assert [reason for _, reason in curve.skipped] == [
+            "r <= 0", "r <= 0", "collision guard"]
+
     def test_deterministic(self):
         grid = np.linspace(1.0, 1.3, 7)
         a = trace_curve(math.pi, 0.0, grid, tol=1e-9)
@@ -209,6 +214,11 @@ class TestEpsScan:
         # eps=0.2 violates the collision guard at r=1.9; 0.97 exceeds the cap
         assert list(curve.values) == [0.0]
         assert [eps for eps, _ in curve.skipped] == [0.2, 0.97]
+
+    def test_nonpositive_r_skipped_as_such(self):
+        curve = eps_scan_origin(-1.0, [0.0, 0.1, 0.97])
+        assert curve.skipped == [(0.0, "r <= 0"), (0.1, "r <= 0"),
+                                 (0.97, "outside [0, 0.95]")]
 
     def test_deterministic_csv(self, tmp_path):
         path = tmp_path / "origin.csv"
