@@ -18,8 +18,7 @@ from .model import (CollisionError, ExtendedState, HillCoefficient,
 from .integrate import (FundamentalMatrix, StiffnessError, Trajectory,
                         integrate_orbit, integrate_variational)
 from .floquet import (Monodromy, MonodromyError, classify, monodromy,
-                      multipliers, ortega_hypotheses, winding_angle,
-                      winding_bound)
+                      ortega_hypotheses, winding_angle, winding_bound)
 from .general_model import (BoundReport, CurvePair, bound_report, d2U_ds2,
                             line_pair, load_curve_pair, min_distance,
                             pair_potential, sitnikov_hill_coefficient,
@@ -41,7 +40,7 @@ __all__ = [
     "eps_scan_origin", "find_transitions", "hill_coefficient",
     "integrate_orbit", "integrate_variational", "interchange_census",
     "limit_force_circle", "line_pair", "load_curve_pair", "min_distance",
-    "monodromy", "multipliers", "ortega_hypotheses", "pair_potential",
+    "monodromy", "ortega_hypotheses", "pair_potential",
     "potential", "radial_factor", "section", "sitnikov_hill_coefficient",
     "sitnikov_pair", "solve_kepler", "symmetry_defect", "tangential_force",
     "trace_curve", "winding_angle", "winding_bound",

@@ -11,7 +11,6 @@ Because exact parabolicity is a measure-zero condition, a small band
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -19,9 +18,10 @@ from typing import Callable
 import numpy as np
 
 from .kepler import TWO_PI, ModelParams
-from .model import coefficient_period, cubic_coefficient, hill_coefficient
+from .model import (_antipode_dforce_dq, coefficient_period,
+                    cubic_coefficient, hill_coefficient)
 from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix, _dop853,
-                        integrate_variational)
+                        _dop853_lanes, integrate_variational)
 
 DEFAULT_DELTA_PAR = 1e-9
 DET_CORRUPT_TOL = 1e-6
@@ -70,19 +70,51 @@ def monodromy(q_star: float, params: ModelParams, period: float | None = None,
     return Monodromy(matrix=mat, period=period)
 
 
+def _antipode_half_traces(rs, epsilon: float, tol: float) -> np.ndarray:
+    """Half-traces of the antipode's monodromy at each radius in ``rs``.
+
+    One lane-batched solve over half a period.  The Hill coefficient is
+    even, so with ``D = diag(1, -1)`` the monodromy is
+    ``D X(T/2)^-1 D X(T/2)``, whose half-trace is
+    ``(x1 y2 + x2 y1) / det X(T/2)``.  Time is the eccentric anomaly ``u``
+    (``t = u - eps sin u``, ``dt/du = rho = 1 - eps cos u``), so the system
+    is ``dv/du = rho w``, ``dw/du = -rho a(t(u)) v`` with ``a`` the Hill
+    coefficient, and no lane solves Kepler's equation; ``t(T/2) = T/2``.  This form makes ``x1 = y2`` of
+    the full-period matrix hold by construction, so the Wronskian and
+    evenness audit uses ``monodromy`` instead.  Raises ``MonodromyError``
+    if any lane's ``det X(T/2)`` is off 1 beyond ``DET_CORRUPT_TOL``.
+    """
+    rs = np.asarray(rs, dtype=float)
+    for r in (rs.min(), rs.max()):  # validates every radius and epsilon
+        ModelParams(r=float(r), epsilon=epsilon)
+
+    def rhs(u, y, lanes):
+        rho = 1.0 - epsilon * np.cos(u)
+        a = rs[lanes] * rho
+        c = a * np.cos(u - epsilon * np.sin(u))
+        stiffness = rho * _antipode_dforce_dq(a, c)
+        dy = np.empty_like(y)
+        dy[0::2] = rho * y[1::2]
+        dy[1::2] = stiffness * y[0::2]
+        return dy
+
+    x1, y1, x2, y2 = _dop853_lanes(rhs, 0.5 * coefficient_period(epsilon),
+                                   np.array([1.0, 0.0, 0.0, 1.0]), rs.size,
+                                   tol)
+    det = x1 * y2 - x2 * y1
+    worst = int(np.argmax(np.abs(det - 1.0)))
+    if abs(det[worst] - 1.0) > DET_CORRUPT_TOL:
+        raise MonodromyError(f"det={float(det[worst])!r} at "
+                             f"r={float(rs[worst])!r} deviates from 1 beyond "
+                             f"{DET_CORRUPT_TOL}")
+    return (x1 * y2 + x2 * y1) / det
+
+
 def _check_det(m: Monodromy) -> None:
     """Raise ``MonodromyError`` unless the Wronskian is 1 within tolerance."""
     if abs(m.det - 1.0) > DET_CORRUPT_TOL:
         raise MonodromyError(f"det={m.det!r} deviates from 1 beyond "
                              f"{DET_CORRUPT_TOL}")
-
-
-def multipliers(m: Monodromy) -> tuple[complex, complex]:
-    """Floquet multipliers ``h ± sqrt(h^2 - 1)`` of a unit-Wronskian monodromy."""
-    _check_det(m)
-    h = m.half_trace
-    root = cmath.sqrt(complex(h * h - 1.0, 0.0))
-    return h + root, h - root
 
 
 def classify(m: Monodromy, delta_par: float = DEFAULT_DELTA_PAR) -> str:

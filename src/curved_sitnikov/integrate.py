@@ -1,11 +1,16 @@
 """Time stepping for the nonlinear flow and the 2x2 variational flow.
 
-Every adaptive solve in the package, orbits, monodromies and both winding
-routes, goes through one wiring of the embedded Runge-Kutta pair DOP853
-(order 8(5,3)): the tolerance window is checked and a failed solve raises
-:class:`StiffnessError`.  Orbits can instead take a fixed-step classical
+Adaptive solves use the embedded Runge-Kutta pair DOP853 (order 8(5,3)) in
+one of two forms, both with the tolerance window checked and a failed
+solve raising :class:`StiffnessError`: orbits, single monodromies and both
+winding routes go through scipy's ``solve_ivp``; many independent linear
+solves over one interval go through ``_dop853_lanes``, which steps them
+side by side as the columns of one array, each with its own step size.
+Variational solves stop with :class:`StiffnessError` past
+``MAX_VARIATIONAL_NFEV`` right-hand-side calls, so every admissible input
+ends in bounded work.  Orbits can instead take a fixed-step classical
 RK4 for bit-reproducible regression baselines: a given step count
-``fixed_steps`` selects RK4, ``None`` selects DOP853.  Both engines are
+``fixed_steps`` selects RK4, ``None`` selects DOP853.  All engines are
 reentrant and hold no state between calls; the flow is smooth away from
 collisions, so no symplectic or stiff machinery is needed at these horizons.
 """
@@ -17,6 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.integrate._ivp.common import select_initial_step
 
 from .kepler import ModelParams
 from .model import D_MIN, _distances, tangential_force
@@ -24,6 +31,10 @@ from .model import D_MIN, _distances, tangential_force
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 DEFAULT_ORBIT_TOL = 1e-8
 DEFAULT_MONODROMY_TOL = 1e-10
+
+# Right-hand-side calls one variational solve (or one lane) may make; the
+# tests, ``verify`` and the benchmark make at most about 14,000.
+MAX_VARIATIONAL_NFEV = 1_000_000
 
 
 class StiffnessError(RuntimeError):
@@ -176,9 +187,19 @@ def integrate_variational(a: Callable[[float], float], period: float,
 
     ``a`` is the coefficient, e.g. the Hill coefficient of a linearization
     (``model.hill_coefficient``).  Both columns are integrated together as
-    a 4-dimensional linear system, with DOP853 at tolerance ``tol``.
+    a 4-dimensional linear system, with DOP853 at tolerance ``tol``; more
+    than ``MAX_VARIATIONAL_NFEV`` right-hand-side calls raise
+    :class:`StiffnessError`.
     """
+    nfev = 0
+
     def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > MAX_VARIATIONAL_NFEV:
+            raise StiffnessError(f"variational solve exceeded "
+                                 f"{MAX_VARIATIONAL_NFEV} right-hand-side "
+                                 f"calls")
         at = a(t)
         return np.array([y[1], -at * y[0], y[3], -at * y[2]])
 
@@ -186,3 +207,95 @@ def integrate_variational(a: Callable[[float], float], period: float,
     x1, y1v, x2, y2v = (float(v) for v in sol.y[:, -1])
     return FundamentalMatrix(x1=x1, x2=x2, y1=y1v, y2=y2v,
                              n_rhs=int(sol.nfev))
+
+
+# scipy's DOP853 step control: safety factor, step-change limits, and the
+# order of the error estimator, whose step exponent is -1/(order + 1).
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_ORDER = 7
+_ERROR_EXPONENT = -1.0 / (_ERROR_ORDER + 1)
+_A = _dop.A[:_dop.N_STAGES, :_dop.N_STAGES]
+
+
+def _dop853_lanes(rhs, t_end: float, y0: np.ndarray, n_lanes: int,
+                  tol: float) -> np.ndarray:
+    """Solve ``n_lanes`` independent systems from ``y0`` over ``[0, t_end]``.
+
+    ``rhs(t, y, lanes)`` gets the lanes' own times ``t`` (shape ``(m,)``),
+    their states ``y`` (shape ``(n, m)``) and their indices ``lanes`` into
+    the batch, and returns ``dy/dt`` of shape ``(n, m)``.  Every lane is
+    stepped by DOP853 at ``rtol = atol = tol`` with scipy's rules: initial
+    step from ``select_initial_step``, the E5/E3 error norm, step factors
+    0.9/0.2/10 and no growth right after a rejection.  Each lane keeps its
+    own step size and accept mask and leaves the batch at ``t_end``.
+    Returns the states at ``t_end``, shape ``(n, n_lanes)``.  A step below
+    ten ulps of ``t`` after a rejection, or a lane past
+    ``MAX_VARIATIONAL_NFEV`` right-hand-side calls, raises
+    :class:`StiffnessError`.
+    """
+    _validate_tol(tol)
+    lanes = np.arange(n_lanes)
+    t = np.zeros(n_lanes)
+    y = np.repeat(np.asarray(y0, dtype=float)[:, None], n_lanes, axis=1)
+    f = rhs(t, y, lanes)
+
+    def one_lane(i):
+        return lambda ti, yi: rhs(np.array([ti]), yi[:, None],
+                                  lanes[i:i + 1])[:, 0]
+
+    h_abs = np.array([
+        select_initial_step(one_lane(i), 0.0, y[:, i], t_end, np.inf, f[:, i],
+                            1.0, _ERROR_ORDER, tol, tol)
+        for i in range(n_lanes)])
+    # Lanes step in lockstep, so every lane still in the batch has made
+    # nfev right-hand-side calls.
+    nfev = 2
+    rejected = np.zeros(n_lanes, dtype=bool)
+    out = np.empty_like(y)
+    while lanes.size:
+        k = np.empty((_dop.N_STAGES + 1,) + y.shape)
+        stages = k.reshape(k.shape[0], -1)  # a view, one row per stage
+        min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+        if np.any(rejected & (h_abs < min_step)):
+            raise StiffnessError("step size underflow in a lane-batched solve")
+        h_abs = np.maximum(h_abs, min_step)
+        t_new = np.minimum(t + h_abs, t_end)
+        h = t_new - t
+        k[0] = f
+        for s in range(1, _dop.N_STAGES):
+            dy = np.dot(_A[s, :s], stages[:s]).reshape(y.shape) * h
+            k[s] = rhs(t + _dop.C[s] * h, y + dy, lanes)
+        y_new = y + h * np.dot(_dop.B, stages[:-1]).reshape(y.shape)
+        k[-1] = f_new = rhs(t_new, y_new, lanes)
+        nfev += _dop.N_STAGES
+        if nfev > MAX_VARIATIONAL_NFEV:
+            raise StiffnessError(f"lane-batched solve exceeded "
+                                 f"{MAX_VARIATIONAL_NFEV} right-hand-side "
+                                 f"calls per lane")
+
+        scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+        err5 = np.sum((np.dot(_dop.E5, stages).reshape(y.shape) / scale) ** 2,
+                      axis=0)
+        err3 = np.sum((np.dot(_dop.E3, stages).reshape(y.shape) / scale) ** 2,
+                      axis=0)
+        denom = np.sqrt((err5 + 0.01 * err3) * y.shape[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            error = np.where(denom > 0.0, h * err5 / denom, 0.0)
+            growth = _SAFETY * error ** _ERROR_EXPONENT
+        accept = error < 1.0
+        factor = np.minimum(_MAX_FACTOR, growth)
+        factor = np.where(rejected, np.minimum(1.0, factor), factor)
+        # fmax, like Python's max, shrinks a NaN-error step by _MIN_FACTOR
+        h_abs = h_abs * np.where(accept, factor, np.fmax(_MIN_FACTOR, growth))
+        rejected = ~accept
+        t = np.where(accept, t_new, t)
+        y = np.where(accept, y_new, y)
+        f = np.where(accept, f_new, f)
+
+        done = accept & (t_new == t_end)
+        if np.any(done):
+            out[:, lanes[done]] = y[:, done]
+            keep = ~done
+            lanes, t, y, f = lanes[keep], t[keep], y[:, keep], f[:, keep]
+            h_abs, rejected = h_abs[keep], rejected[keep]
+    return out

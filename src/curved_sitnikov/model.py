@@ -97,10 +97,17 @@ def dforce_dq(q_star: float, t: float, params: ModelParams) -> float:
     if q_star == 0.0:
         return -2.0 / a**3
     if q_star == math.pi:
-        c = a * math.cos(t)
-        return ((1.0 + c) / (a * a + 4.0 + 4.0 * c) ** 1.5
-                + (1.0 - c) / (a * a + 4.0 - 4.0 * c) ** 1.5)
+        return _antipode_dforce_dq(a, a * math.cos(t))
     raise ValueError(f"q_star={q_star} is not an equilibrium (use 0 or pi)")
+
+
+def _antipode_dforce_dq(a, c):
+    """``df/dq`` at ``q = pi`` from ``a = r*rho`` and ``c = a*cos(t)``.
+
+    Plain operators only, so floats and numpy arrays both pass through.
+    """
+    return ((1.0 + c) / (a * a + 4.0 + 4.0 * c) ** 1.5
+            + (1.0 - c) / (a * a + 4.0 - 4.0 * c) ** 1.5)
 
 
 @dataclass(frozen=True)

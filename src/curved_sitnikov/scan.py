@@ -17,7 +17,8 @@ import numpy as np
 
 from .kepler import TWO_PI, ModelParams, collision_ceiling
 from .model import coefficient_period
-from .floquet import ELLIPTIC, HYPERBOLIC, monodromy
+from .floquet import (ELLIPTIC, HYPERBOLIC, _antipode_half_traces,
+                      monodromy)
 
 # Scans never approach the collision ceiling closer than this.
 CEILING_MARGIN = 1e-4
@@ -121,10 +122,6 @@ def _half_trace(q_star: float, r: float, epsilon: float, period: float,
     return m.half_trace
 
 
-def _skip_reason(r: float) -> str:
-    return "r <= 0" if r <= 0.0 else "collision guard"
-
-
 def trace_curve(q_star: float, epsilon: float, r_grid,
                 tol: float = DEFAULT_SCAN_TOL) -> TraceCurve:
     """Half-trace of the monodromy at each admissible grid point.
@@ -138,7 +135,8 @@ def trace_curve(q_star: float, epsilon: float, r_grid,
     values, traces, skipped = [], [], []
     for r in np.asarray(r_grid, dtype=float):
         if not 0.0 < r <= ceiling - CEILING_MARGIN:
-            skipped.append((float(r), _skip_reason(r)))
+            skipped.append((float(r),
+                            "r <= 0" if r <= 0.0 else "collision guard"))
             continue
         values.append(float(r))
         traces.append(_half_trace(q_star, float(r), epsilon, period, tol))
@@ -227,7 +225,9 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
 
     Nested grids, geometric in the gap ``ceiling - r``, are refined level
     by level (each level doubles the cell count and evaluates only the new
-    midpoints, so the count is monotone in the budget).  Refinement stops
+    midpoints, so the count is monotone in the budget).  Each level's new
+    radii take one lane-batched, half-period solve in eccentric-anomaly
+    time (``floquet._antipode_half_traces``).  Refinement stops
     when the remaining budget cannot pay for the next level or when the
     count has been stable for ``CENSUS_PLATEAU_LEVELS`` consecutive levels.
     Only elliptic intervals that are neither first nor last, i.e. flanked
@@ -257,9 +257,9 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
         if len(samples) + len(fracs) > budget:
             budget_exhausted = True
             break
-        for frac in fracs:
-            r = ceiling - g_hi * (g_lo / g_hi) ** frac
-            samples.append((r, _half_trace(math.pi, r, epsilon, period, tol)))
+        rs = [ceiling - g_hi * (g_lo / g_hi) ** frac for frac in fracs]
+        hs = _antipode_half_traces(rs, epsilon, tol)
+        samples.extend(zip(rs, hs.tolist()))
         samples.sort()
         # Census brackets stay the grid cells that hold them.
         intervals, transitions = _tile(samples, lambda lo, hi, _: (lo, hi))
@@ -288,17 +288,19 @@ def eps_scan_origin(r_fixed: float, eps_grid,
                     tol: float = DEFAULT_SCAN_TOL) -> TraceCurve:
     """Half-trace of the origin monodromy versus eccentricity (period 2*pi).
 
-    Exploratory sweep at fixed ``r``; eccentricities above ``EPS_SCAN_CAP``
-    or past the collision guard, and every one when ``r <= 0``, are
-    skipped and recorded.
+    Exploratory sweep at fixed ``r``, which must be positive
+    (``ValueError`` otherwise); eccentricities above ``EPS_SCAN_CAP`` or
+    past the collision guard are skipped and recorded.
     """
+    if not r_fixed > 0.0:
+        raise ValueError(f"r_fixed={r_fixed} must be positive")
     values, traces, skipped = [], [], []
     for eps in np.asarray(eps_grid, dtype=float):
         if not 0.0 <= eps <= EPS_SCAN_CAP:
             skipped.append((float(eps), f"outside [0, {EPS_SCAN_CAP}]"))
             continue
-        if not 0.0 < r_fixed <= collision_ceiling(eps) - CEILING_MARGIN:
-            skipped.append((float(eps), _skip_reason(r_fixed)))
+        if r_fixed > collision_ceiling(eps) - CEILING_MARGIN:
+            skipped.append((float(eps), "collision guard"))
             continue
         h = _half_trace(0.0, r_fixed, float(eps), TWO_PI, tol)
         values.append(float(eps))

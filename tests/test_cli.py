@@ -244,6 +244,13 @@ class TestExitCodes:
         assert "configuration error: lam" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eps_scan_nonpositive_r_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "origin.csv"
+        assert main(["eps-scan", "--r=-1", "--eps-grid", "0:0.2:0.1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "configuration error: r_fixed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--q0", "0.3", "--p0", "0", "--t-final", "1.0"],
         ["poincare", "--q-grid", "0:0:1", "--p-grid", "0:0:1",

@@ -1,4 +1,4 @@
-"""Monodromy classification, multipliers, winding angles."""
+"""Monodromy classification, the batched antipode route, winding angles."""
 
 import cmath
 import json
@@ -7,15 +7,17 @@ import math
 import numpy as np
 import pytest
 
+from curved_sitnikov import floquet, scan
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.model import hill_coefficient
 from curved_sitnikov.integrate import FundamentalMatrix
 from curved_sitnikov.cli import main
 from curved_sitnikov.floquet import (DEFAULT_DELTA_PAR, ELLIPTIC, HYPERBOLIC,
                                      PARABOLIC, Monodromy, MonodromyError,
-                                     classify, monodromy, multipliers,
-                                     ortega_hypotheses, winding_angle,
-                                     winding_bound)
+                                     _antipode_half_traces, classify,
+                                     monodromy, ortega_hypotheses,
+                                     winding_angle, winding_bound)
+from curved_sitnikov.verification import check_wronskian_evenness
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
@@ -68,37 +70,49 @@ class TestMonodromy:
         np.testing.assert_allclose(x_pi @ x_pi, m_2pi.matrix.as_array(),
                                    atol=1e-8)
 
-
-class TestMultipliers:
-    def test_elliptic_pair(self):
-        l1, l2 = multipliers(synthetic(0.5))
-        assert l1 == pytest.approx(0.5 + 1j * math.sqrt(0.75))
-        assert l2 == pytest.approx(0.5 - 1j * math.sqrt(0.75))
-
-    def test_parabolic_pair(self):
-        l1, l2 = multipliers(synthetic(1.0))
-        assert l1 == pytest.approx(1.0)
-        assert l2 == pytest.approx(1.0)
-
-    def test_hyperbolic_pair(self):
-        l1, l2 = multipliers(synthetic(1.25))
-        assert l1 == pytest.approx(2.0)
-        assert l2 == pytest.approx(0.5)
-
-    def test_product_is_one_for_computed_monodromies(self):
+    def test_unit_determinant_for_computed_monodromies(self):
         for r in (0.3, 0.8, 1.3, 1.5):
             for eps in (0.0, 0.3):
                 params = ModelParams(r=r, epsilon=eps)
                 for q_star in (0.0, math.pi):
                     m = monodromy(q_star, params, tol=1e-10)
-                    l1, l2 = multipliers(m)
-                    assert abs(l1 * l2 - 1.0) <= 1e-9
+                    assert abs(m.det - 1.0) <= 1e-9
 
-    def test_corrupted_determinant_rejected(self):
-        mat = FundamentalMatrix(x1=1.0, x2=0.0, y1=0.0, y2=1.1)
-        m = Monodromy(matrix=mat, period=TWO_PI)
-        with pytest.raises(MonodromyError):
-            multipliers(m)
+
+class TestAntipodeHalfTraces:
+    """The census's batched half-period route against ``monodromy``."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3])
+    def test_matches_full_period_monodromy(self, eps):
+        rs = np.linspace(0.5, 0.999 * 2.0 / (1.0 + eps), 25)
+        got = _antipode_half_traces(rs, eps, tol=1e-9)
+        want = np.array([monodromy(math.pi, ModelParams(r=r, epsilon=eps),
+                                   tol=1e-9).half_trace for r in rs])
+        np.testing.assert_array_equal(np.abs(got) < 1.0, np.abs(want) < 1.0)
+        assert np.all(np.abs(got - want)
+                      <= 1e-7 * np.maximum(1.0, np.abs(want)))
+        # both classes occur, so the class comparison decides something
+        assert 0 < np.sum(np.abs(want) < 1.0) < len(rs)
+
+    def test_rejects_inadmissible_parameters(self):
+        for rs, eps in (([1.0, 2.0], 0.0), ([0.0, 1.0], 0.0),
+                        ([1.0], -0.1), ([1.0], 1.0)):
+            with pytest.raises(ValueError):
+                _antipode_half_traces(rs, eps, tol=1e-9)
+
+    def test_corrupt_determinant_raises(self, monkeypatch):
+        monkeypatch.setattr(floquet, "DET_CORRUPT_TOL", 0.0)
+        with pytest.raises(MonodromyError, match="r=1.99"):
+            _antipode_half_traces([1.0, 1.99], 0.0, tol=1e-9)
+
+    def test_wronskian_audit_never_uses_lanes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the audit must use the scalar route")
+
+        monkeypatch.setattr(floquet, "_antipode_half_traces", refuse)
+        monkeypatch.setattr(scan, "_antipode_half_traces", refuse)
+        _, detail = check_wronskian_evenness({"census_rs": [1.9, 1.95, 1.99]})
+        assert detail.startswith("3 monodromies")
 
 
 class TestClassify:

@@ -11,7 +11,9 @@ from curved_sitnikov import integrate
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.cli import _write_csv, main
 from curved_sitnikov.model import hill_coefficient
-from curved_sitnikov.integrate import (FundamentalMatrix, integrate_orbit,
+from curved_sitnikov.floquet import _antipode_half_traces, monodromy
+from curved_sitnikov.integrate import (FundamentalMatrix, StiffnessError,
+                                       _dop853_lanes, integrate_orbit,
                                        integrate_variational, rk4_fixed)
 
 TWO_PI = 2.0 * math.pi
@@ -244,6 +246,85 @@ class TestVariational:
         mat = integrate_variational(lambda t: 1.0, math.pi, tol=1e-11)
         np.testing.assert_allclose(mat.as_array(), [[-1.0, 0.0], [0.0, -1.0]],
                                    atol=1e-9)
+
+
+def _oscillators(w):
+    """Lane right-hand side of ``x'' = -w[lane]^2 x`` for both columns."""
+    def rhs(t, y, lanes):
+        dy = np.empty_like(y)
+        dy[0::2] = y[1::2]
+        dy[1::2] = -(w[lanes] ** 2) * y[0::2]
+        return dy
+    return rhs
+
+
+class TestLanes:
+    def test_constant_coefficient_closed_form(self):
+        # lanes of different stiffness finish at different step counts;
+        # w = 1 is the constant coefficient a = 1, X(pi/2) = [[0, 1], [-1, 0]]
+        w, t = np.array([0.5, 1.0, 2.0, 6.0]), 0.5 * math.pi
+        x1, y1, x2, y2 = _dop853_lanes(_oscillators(w), t,
+                                       np.array([1.0, 0.0, 0.0, 1.0]),
+                                       len(w), tol=1e-10)
+        np.testing.assert_allclose(x1, np.cos(w * t), atol=1e-9)
+        np.testing.assert_allclose(x2, np.sin(w * t) / w, atol=1e-9)
+        np.testing.assert_allclose(y1, -w * np.sin(w * t), atol=1e-9)
+        np.testing.assert_allclose(y2, np.cos(w * t), atol=1e-9)
+
+    @pytest.mark.parametrize("r", [1.0, 1.9, 1.99])
+    def test_one_lane_takes_scipys_steps(self, r):
+        # same initial step, error norm and step control as solve_ivp's
+        # DOP853, so the same right-hand-side calls (230 and 818 at r = 1
+        # and 1.9 are the benchmark's probe counts)
+        hill = hill_coefficient(math.pi, ModelParams(r=r))
+        want = integrate_variational(hill, math.pi, tol=1e-9)
+        calls = 0
+
+        def rhs(t, y, lanes):
+            nonlocal calls
+            calls += 1
+            at = hill(float(t[0]))
+            return np.array([y[1], -at * y[0], y[3], -at * y[2]])
+
+        x1, y1, x2, y2 = _dop853_lanes(rhs, math.pi,
+                                       np.array([1.0, 0.0, 0.0, 1.0]), 1,
+                                       tol=1e-9)[:, 0]
+        assert calls == want.n_rhs
+        np.testing.assert_allclose([[x1, x2], [y1, y2]], want.as_array(),
+                                   rtol=1e-9)
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-5])
+    def test_tolerance_window_enforced(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            _dop853_lanes(_oscillators(np.ones(2)), 1.0,
+                          np.array([1.0, 0.0, 0.0, 1.0]), 2, tol)
+
+    def test_blow_up_raises_step_underflow(self):
+        # y' = y^2 from y = 1 blows up at t = 1
+        with pytest.raises(StiffnessError, match="underflow"):
+            _dop853_lanes(lambda t, y, lanes: y * y, 2.0, np.array([1.0]), 2,
+                          1e-9)
+
+
+class TestWorkCap:
+    def test_variational_counter_is_exact(self, monkeypatch):
+        n_rhs = monodromy(math.pi, ModelParams(r=1.999), tol=1e-9).matrix.n_rhs
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", n_rhs)
+        monodromy(math.pi, ModelParams(r=1.999), tol=1e-9)
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", n_rhs - 1)
+        with pytest.raises(StiffnessError, match="right-hand-side calls"):
+            monodromy(math.pi, ModelParams(r=1.999), tol=1e-9)
+
+    def test_cap_stops_both_routes(self, monkeypatch, capsys):
+        # r = 1.999 at tol 1e-9 takes 3818 calls over the full period
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", 1000)
+        with pytest.raises(StiffnessError, match="right-hand-side calls"):
+            monodromy(math.pi, ModelParams(r=1.999), tol=1e-9)
+        with pytest.raises(StiffnessError, match="right-hand-side calls"):
+            _antipode_half_traces([1.0, 1.999], 0.0, tol=1e-9)
+        assert main(["floquet", "--qstar", "pi", "--r", "1.999",
+                     "--tol", "1e-9"]) == 2
+        assert "domain error" in capsys.readouterr().err
 
 
 def test_fundamental_matrix_helpers():

@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from curved_sitnikov import scan
 from curved_sitnikov.cli import _write_csv, main
 from curved_sitnikov.floquet import ELLIPTIC, HYPERBOLIC
-from curved_sitnikov.model import hill_coefficient
+from curved_sitnikov.model import coefficient_period, hill_coefficient
 from curved_sitnikov.kepler import ModelParams
-from curved_sitnikov.scan import (TraceCurve, eps_scan_origin,
+from curved_sitnikov.scan import (TraceCurve, _half_trace, eps_scan_origin,
                                   find_transitions, interchange_census,
                                   trace_curve)
 
@@ -187,6 +188,22 @@ class TestCensus:
         ceiling = 2.0 / 1.1
         assert result.r_range[1] <= ceiling
 
+    def test_cli_json_equals_scalar_tiling(self, monkeypatch, capsys):
+        argv = ["census", "--ceiling-fraction", "0.99", "--start-fraction",
+                "0.9", "--budget", "80"]
+        assert main(argv) == 0
+        batched = capsys.readouterr().out
+
+        def scalar(rs, epsilon, tol):
+            period = coefficient_period(epsilon)
+            return np.array([_half_trace(math.pi, r, epsilon, period, tol)
+                             for r in rs])
+
+        monkeypatch.setattr(scan, "_antipode_half_traces", scalar)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == batched
+        assert json.loads(batched)["evaluations"] == 65
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             interchange_census(0.0, 1.2, budget=10)
@@ -215,10 +232,10 @@ class TestEpsScan:
         assert list(curve.values) == [0.0]
         assert [eps for eps, _ in curve.skipped] == [0.2, 0.97]
 
-    def test_nonpositive_r_skipped_as_such(self):
-        curve = eps_scan_origin(-1.0, [0.0, 0.1, 0.97])
-        assert curve.skipped == [(0.0, "r <= 0"), (0.1, "r <= 0"),
-                                 (0.97, "outside [0, 0.95]")]
+    def test_nonpositive_r_rejected(self):
+        for r in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="r_fixed"):
+                eps_scan_origin(r, [0.0, 0.1, 0.97])
 
     def test_deterministic_csv(self, tmp_path):
         path = tmp_path / "origin.csv"
