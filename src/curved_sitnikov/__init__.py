@@ -11,10 +11,9 @@ for general curve pairs.
 
 from .kepler import (KeplerConvergenceError, ModelParams, PrimaryEphemeris,
                      ephemeris, radial_factor, solve_kepler)
-from .model import (CollisionError, ExtendedState, HillCoefficient,
-                    cubic_coefficient, dforce_dq, hill_coefficient,
-                    limit_force_circle, potential, symmetry_defect,
-                    tangential_force)
+from .model import (CollisionError, HillCoefficient, cubic_coefficient,
+                    dforce_dq, hill_coefficient, limit_force_circle,
+                    potential, symmetry_defect, tangential_force)
 from .integrate import (FundamentalMatrix, StiffnessError, Trajectory,
                         integrate_orbit, integrate_variational)
 from .floquet import (Monodromy, MonodromyError, classify, monodromy,
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "CensusResult", "CollisionError", "CurvePair",
-    "ExtendedState", "FundamentalMatrix", "HillCoefficient",
+    "FundamentalMatrix", "HillCoefficient",
     "KeplerConvergenceError", "ModelParams", "Monodromy", "MonodromyError",
     "PrimaryEphemeris", "SectionCloud", "StabilityIntervals",
     "StiffnessError", "TraceCurve", "Trajectory", "bound_report",

@@ -35,12 +35,21 @@ class MonodromyError(ValueError):
     """The fundamental matrix is not a valid monodromy (Wronskian off 1)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Monodromy:
-    """Fundamental matrix after one forcing period at an equilibrium."""
+    """Fundamental matrix after one forcing period at an equilibrium.
+
+    Building one raises ``MonodromyError`` if ``det``, the Wronskian of a
+    trace-free system, is off 1 beyond ``DET_CORRUPT_TOL``.
+    """
 
     matrix: FundamentalMatrix
     period: float
+
+    def __post_init__(self) -> None:
+        if abs(self.det - 1.0) > DET_CORRUPT_TOL:
+            raise MonodromyError(f"det={self.det!r} deviates from 1 beyond "
+                                 f"{DET_CORRUPT_TOL}")
 
     @property
     def half_trace(self) -> float:
@@ -110,22 +119,10 @@ def _antipode_half_traces(rs, epsilon: float, tol: float) -> np.ndarray:
     return (x1 * y2 + x2 * y1) / det
 
 
-def _check_det(m: Monodromy) -> None:
-    """Raise ``MonodromyError`` unless the Wronskian is 1 within tolerance."""
-    if abs(m.det - 1.0) > DET_CORRUPT_TOL:
-        raise MonodromyError(f"det={m.det!r} deviates from 1 beyond "
-                             f"{DET_CORRUPT_TOL}")
-
-
 def classify(m: Monodromy, delta_par: float = DEFAULT_DELTA_PAR) -> str:
-    """Stability class from the half-trace, with parabolic band ``delta_par``.
-
-    Raises ``MonodromyError`` when the Wronskian is off 1, since the
-    half-trace of such a matrix decides nothing.
-    """
+    """Stability class from the half-trace, parabolic band ``delta_par``."""
     if not 0.0 < delta_par <= 1e-3:
         raise ValueError(f"delta_par={delta_par} outside (0, 1e-3]")
-    _check_det(m)
     h = m.half_trace
     if abs(abs(h) - 1.0) <= delta_par:
         return PARABOLIC

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .kepler import TWO_PI, ModelParams, radial_factor_derivatives
-from .model import D_MIN
+from .model import D_MIN, CollisionError
 
 # Curvature lower-bound constant: U'' >= C_LOWER / delta^3 on |t| <= tau.
 C_LOWER = 2.0 ** -4.5
@@ -102,10 +102,13 @@ class BoundReport:
 
 
 def pair_potential(s: float, t: float, lam: float, pair: CurvePair) -> float:
-    """Gravitational potential ``U = -1/|x(s) - y(t)|``."""
+    """Gravitational potential ``U = -1/|x(s) - y(t)|``.
+
+    A separation within ``D_MIN`` raises ``CollisionError`` (primary 1).
+    """
     dist = float(np.linalg.norm(pair.z(s, t, lam)))
     if dist <= D_MIN:
-        raise ValueError(f"curve separation {dist:.3e} below collision guard")
+        raise CollisionError(1, dist)
     return -1.0 / dist
 
 
@@ -118,7 +121,7 @@ def d2U_ds2(t: float, lam: float, pair: CurvePair) -> float:
     z = pair.z(0.0, t, lam)
     zz = float(z @ z)
     if zz <= D_MIN * D_MIN:
-        raise ValueError(f"curve separation {math.sqrt(zz):.3e} below collision guard")
+        raise CollisionError(1, math.sqrt(zz))
     zp = pair.x_s(0.0, lam)
     zpp = pair.x_ss(0.0, lam)
     return float(((zp @ zp + z @ zpp) * zz - 3.0 * (z @ zp) ** 2) / zz**2.5)
@@ -153,17 +156,19 @@ def min_distance(lam: float, pair: CurvePair) -> tuple[float, float, float]:
     svals = np.linspace(s_lo, s_hi, 121)
     tvals = np.linspace(-0.5, 0.5, 121)
 
-    def gap2(s: float, t: float) -> float:
-        z = pair.z(s, t, lam)
+    def gap2(v) -> float:
+        z = pair.z(v[0], v[1], lam)
         return float(z @ z)
 
-    best = None
-    for s in svals:
-        for t in tvals:
-            key = (gap2(float(s), float(t)), abs(t), abs(s))
-            if best is None or key < best[0]:
-                best = (key, float(s), float(t))
-    (_, s0, t0) = best
+    # each curve once per grid coordinate, then z @ z per cell as in gap2;
+    # the seed is the least (gap2, |t|, |s|), the first in s-major order
+    z = (np.array([pair.x(float(s), lam) for s in svals])[:, None]
+         - np.array([pair.y(float(t), lam) for t in tvals]))
+    grid_gap2 = (z[..., None, :] @ z[..., None])[..., 0, 0]
+    s_abs, t_abs = np.meshgrid(np.abs(svals), np.abs(tvals), indexing="ij")
+    best = np.lexsort((s_abs.ravel(), t_abs.ravel(), grid_gap2.ravel()))[0]
+    i, j = divmod(int(best), tvals.size)
+    s0, t0 = float(svals[i]), float(tvals[j])
     ds = svals[1] - svals[0]
     dt = tvals[1] - tvals[0]
 
@@ -173,8 +178,7 @@ def min_distance(lam: float, pair: CurvePair) -> tuple[float, float, float]:
             f"closest approach sits on the s-window boundary (s={s0}); "
             f"the pair is not normalized to an interior minimum")
 
-    res = minimize(lambda v: gap2(v[0], v[1]), x0=[s0, t0],
-                   method="Nelder-Mead",
+    res = minimize(gap2, x0=[s0, t0], method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 400})
     s_star, t_star = float(res.x[0]), float(res.x[1])
 

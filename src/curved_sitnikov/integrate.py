@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.integrate._ivp.common import select_initial_step
 
 from .kepler import ModelParams
 from .model import D_MIN, _distances, tangential_force
@@ -217,6 +216,28 @@ _ERROR_EXPONENT = -1.0 / (_ERROR_ORDER + 1)
 _A = _dop.A[:_dop.N_STAGES, :_dop.N_STAGES]
 
 
+def _initial_steps(rhs, t_end: float, y: np.ndarray, f: np.ndarray,
+                   lanes: np.ndarray, tol: float) -> np.ndarray:
+    """Each lane's first step from ``t = 0``, in one more ``rhs`` call.
+
+    Scipy's rule for ``solve_ivp`` (Hairer, Norsett and Wanner, *Solving
+    ODEs I*, II.4), lane-wise at ``rtol = atol = tol``; ``f = rhs(0, y)``.
+    """
+    def rms(x):  # scipy's error norm, per lane
+        return np.linalg.norm(x, axis=0) / x.shape[0] ** 0.5
+
+    scale = tol + np.abs(y) * tol
+    d0, d1 = rms(y / scale), rms(f / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, t_end)
+        d2 = rms((rhs(h0, y + h0 * f, lanes) - f) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (1 / (_ERROR_ORDER + 1)))
+    return np.minimum(np.minimum(100 * h0, h1), t_end)
+
+
 def _dop853_lanes(rhs, t_end: float, y0: np.ndarray, n_lanes: int,
                   tol: float) -> np.ndarray:
     """Solve ``n_lanes`` independent systems from ``y0`` over ``[0, t_end]``.
@@ -224,8 +245,8 @@ def _dop853_lanes(rhs, t_end: float, y0: np.ndarray, n_lanes: int,
     ``rhs(t, y, lanes)`` gets the lanes' own times ``t`` (shape ``(m,)``),
     their states ``y`` (shape ``(n, m)``) and their indices ``lanes`` into
     the batch, and returns ``dy/dt`` of shape ``(n, m)``.  Every lane is
-    stepped by DOP853 at ``rtol = atol = tol`` with scipy's rules: initial
-    step from ``select_initial_step``, the E5/E3 error norm, step factors
+    stepped by DOP853 at ``rtol = atol = tol`` with scipy's rules: the
+    initial step of ``_initial_steps``, the E5/E3 error norm, step factors
     0.9/0.2/10 and no growth right after a rejection.  Each lane keeps its
     own step size and accept mask and leaves the batch at ``t_end``.
     Returns the states at ``t_end``, shape ``(n, n_lanes)``.  A step below
@@ -238,15 +259,7 @@ def _dop853_lanes(rhs, t_end: float, y0: np.ndarray, n_lanes: int,
     t = np.zeros(n_lanes)
     y = np.repeat(np.asarray(y0, dtype=float)[:, None], n_lanes, axis=1)
     f = rhs(t, y, lanes)
-
-    def one_lane(i):
-        return lambda ti, yi: rhs(np.array([ti]), yi[:, None],
-                                  lanes[i:i + 1])[:, 0]
-
-    h_abs = np.array([
-        select_initial_step(one_lane(i), 0.0, y[:, i], t_end, np.inf, f[:, i],
-                            1.0, _ERROR_ORDER, tol, tol)
-        for i in range(n_lanes)])
+    h_abs = _initial_steps(rhs, t_end, y, f, lanes, tol)
     # Lanes step in lockstep, so every lane still in the batch has made
     # nfev right-hand-side calls.
     nfev = 2

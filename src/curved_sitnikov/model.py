@@ -41,19 +41,6 @@ class CollisionError(ValueError):
         )
 
 
-@dataclass
-class ExtendedState:
-    """Phase point ``(q, p, s)`` of the autonomized flow.
-
-    ``q`` is stored unwrapped (on the real line) so winding counts survive;
-    ``s`` is the phase of the periodic forcing, identified mod 2*pi.
-    """
-
-    q: float
-    p: float
-    s: float = 0.0
-
-
 def _distances(q: float, t: float, params: ModelParams,
                d_min: float) -> tuple[float, float, float]:
     rho = radial_factor(t, params.epsilon)
@@ -153,12 +140,13 @@ def cubic_coefficient(t: float, params: ModelParams) -> float:
     return (9.0 + r * r + 9.0 * r * r * math.cos(t) ** 2) / (3.0 * r**5)
 
 
-def symmetry_defect(state: ExtendedState, params: ModelParams,
+def symmetry_defect(q: float, p: float, s: float, params: ModelParams,
                     force: Callable[[float, float], float] | None = None,
                     ) -> tuple[float, float, float, float]:
-    """Residuals of the four flow symmetries at one phase point.
+    """Residuals of the four flow symmetries at the phase point ``(q, p, s)``.
 
-    The identities, with ``X`` the autonomized field, are
+    ``q`` is the unwrapped angle and ``s`` the forcing phase.  The
+    identities, with ``X`` the autonomized field, are
 
         S1 (reflection):    S1 . X(q,p,s)  = X(-q, -p, s)
         S2 (t-periodicity): X(q, p, s+2pi) = X(q, p, s)
@@ -171,7 +159,6 @@ def symmetry_defect(state: ExtendedState, params: ModelParams,
     if force is None:
         def force(q, t):
             return tangential_force(q, t, params)
-    q, p, s = state.q, state.p, state.s
     fqs = force(q, s)
 
     def field(q_, p_, s_):

@@ -26,8 +26,8 @@ CEILING_MARGIN = 1e-4
 DEFAULT_SCAN_TOL = 1e-9
 DEFAULT_REFINE_TOL = 1e-7
 
-# The census starts from 2**CENSUS_START_LEVEL cells and stops once the
-# count has held for CENSUS_PLATEAU_LEVELS consecutive levels.
+# The census starts from 2**CENSUS_START_LEVEL cells and stops once a
+# nonzero count has held for CENSUS_PLATEAU_LEVELS consecutive levels.
 CENSUS_START_LEVEL = 4
 CENSUS_PLATEAU_LEVELS = 3
 
@@ -227,9 +227,10 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
     by level (each level doubles the cell count and evaluates only the new
     midpoints, so the count is monotone in the budget).  Each level's new
     radii take one lane-batched, half-period solve in eccentric-anomaly
-    time (``floquet._antipode_half_traces``).  Refinement stops
-    when the remaining budget cannot pay for the next level or when the
-    count has been stable for ``CENSUS_PLATEAU_LEVELS`` consecutive levels.
+    time (``floquet._antipode_half_traces``).  Refinement stops when the
+    remaining budget cannot pay for the next level or when a nonzero count
+    has held for ``CENSUS_PLATEAU_LEVELS`` consecutive levels; a zero count
+    may hide intervals narrower than a cell, so it never stops refinement.
     Only elliptic intervals that are neither first nor last, i.e. flanked
     by non-elliptic samples on both sides, are counted, so a partial census
     under-counts rather than guesses.
@@ -265,7 +266,7 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
         intervals, transitions = _tile(samples, lambda lo, hi, _: (lo, hi))
         counts.append(sum(cls == ELLIPTIC for _, _, cls in intervals[1:-1]))
         levels_completed = level
-        if (len(counts) >= CENSUS_PLATEAU_LEVELS
+        if (len(counts) >= CENSUS_PLATEAU_LEVELS and counts[-1] > 0
                 and len(set(counts[-CENSUS_PLATEAU_LEVELS:])) == 1):
             break
         level += 1

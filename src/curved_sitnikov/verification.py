@@ -220,7 +220,6 @@ def check_curvature_formula(ctx: dict) -> tuple[bool, str]:
 
     pair = sitnikov_pair(ModelParams(r=1.8, epsilon=0.0))
     reports = [bound_report(lam, pair) for lam in (0.2, 0.1, 0.05, 0.025)]
-    ctx["bound_reports"] = reports
     winds = [rep.winding_estimate for rep in reports]
     growth = [rep.tau * math.sqrt(rep.a_min) for rep in reports]
     monotone = (all(b < a for a, b in zip(winds, winds[1:]))
@@ -241,11 +240,10 @@ def check_symmetries(ctx: dict) -> tuple[bool, str]:
     for r, eps in param_pairs:
         params = ModelParams(r=r, epsilon=eps)
         for _ in range(200):
-            state = model.ExtendedState(
-                q=float(rng.uniform(-3.0 * math.pi, 3.0 * math.pi)),
-                p=float(rng.uniform(-2.0, 2.0)),
-                s=float(rng.uniform(-2.0 * TWO_PI, 2.0 * TWO_PI)))
-            worst = max(worst, *model.symmetry_defect(state, params))
+            q = float(rng.uniform(-3.0 * math.pi, 3.0 * math.pi))
+            p = float(rng.uniform(-2.0, 2.0))
+            s = float(rng.uniform(-2.0 * TWO_PI, 2.0 * TWO_PI))
+            worst = max(worst, *model.symmetry_defect(q, p, s, params))
     if worst > 1e-12:
         return False, f"symmetry defect {worst:.2e} (> 1e-12)"
 

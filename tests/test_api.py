@@ -56,3 +56,29 @@ def test_only_cli_writes_artifacts():
                       for node in ast.walk(ast.parse(path.read_text()))
                       if _writes_output(node)})
     assert writers == ["cli.py"]
+
+
+# Defaulted parameters, lambda defaults and defaulted dataclass fields in
+# the package: each is a knob, and none is added without removing another.
+MAX_OPTIONS = 32
+
+
+def _option_count(tree: ast.AST) -> int:
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            count += sum(isinstance(stmt, ast.AnnAssign)
+                         and stmt.value is not None for stmt in node.body)
+    return count
+
+
+def test_option_count_does_not_grow():
+    package = pathlib.Path(curved_sitnikov.__file__).parent
+    total = sum(_option_count(ast.parse(path.read_text()))
+                for path in package.glob("*.py"))
+    assert total <= MAX_OPTIONS

@@ -299,6 +299,27 @@ class TestExitCodes:
             EXIT_CONFIG
         assert not csv_out.exists()
 
+    def test_corrupt_monodromy_in_scan_exits_two(self, tmp_path, capsys):
+        # at tol 1e-6 the full-period matrices at r = 1.9998 and 1.9999
+        # have |det - 1| ~ 2e-5, the same corruption floquet reports
+        csv_out = tmp_path / "trace.csv"
+        assert main(["scan", "--qstar", "pi", "--eps", "0",
+                     "--r", "1.9998:1.9999:0.0001", "--tol", "1e-6",
+                     "--out-csv", str(csv_out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("domain error: det=")
+        assert not csv_out.exists()
+        assert main(["floquet", "--qstar", "pi", "--r", "1.9999",
+                     "--tol", "1e-6"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err.endswith(
+            " deviates from 1 beyond 1e-06\n")
+
+    def test_curve_pair_collision_exits_two(self, capsys):
+        # an admissible gap below the collision guard is a domain error
+        assert main(["bounds", "--r", "1.8", "--lam", "1e-10"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "domain error: distance 1.000e-10 to primary 1 is below the "
+            "collision guard\n")
+
     def test_help_is_success(self):
         assert main(["--help"]) == EXIT_OK
 

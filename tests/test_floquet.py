@@ -141,10 +141,12 @@ class TestClassify:
             classify(m, delta_par=1e-2)
 
     def test_corrupted_determinant_rejected(self):
-        # half-trace 0.5 would read elliptic, but det = 0.25 is no monodromy
+        # half-trace 0.5 would read elliptic, but det = 0.25 is no
+        # monodromy: building one raises, so classify never sees it
         mat = FundamentalMatrix(x1=0.5, x2=0.0, y1=0.0, y2=0.5)
-        with pytest.raises(MonodromyError):
-            classify(Monodromy(matrix=mat, period=TWO_PI))
+        with pytest.raises(MonodromyError,
+                           match="det=0.25 deviates from 1 beyond 1e-06"):
+            Monodromy(matrix=mat, period=TWO_PI)
 
     def test_class_membership_stable_under_period_doubling(self):
         for r in (0.9, 1.3, 1.5, 1.95):

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from curved_sitnikov import general_model
 from curved_sitnikov.kepler import ModelParams
-from curved_sitnikov.model import hill_coefficient
+from curved_sitnikov.model import CollisionError, hill_coefficient
 from curved_sitnikov.general_model import (bound_report, d2U_ds2, d2U_ds2_fd,
                                            estimate_bounds, line_pair,
                                            load_curve_pair, min_distance,
@@ -42,8 +43,12 @@ class TestPairPotential:
 
     def test_collision_guard(self):
         pair = line_pair()
-        with pytest.raises(ValueError):
-            pair_potential(0.0, 0.0, 1e-12, pair)
+        for guarded in (lambda: pair_potential(0.0, 0.0, 1e-12, pair),
+                        lambda: d2U_ds2(0.0, 1e-12, pair)):
+            with pytest.raises(CollisionError) as err:
+                guarded()
+            assert err.value.primary == 1
+            assert err.value.distance == pytest.approx(1e-12)
 
 
 class TestCurvature:
@@ -84,6 +89,31 @@ class TestMinDistance:
         pair = sitnikov_pair(params)
         delta, _, _ = min_distance(pair.default_lam, pair)
         assert delta == pytest.approx(2.0 - 1.5 * 1.25, abs=1e-9)
+
+    def test_grid_seed_equals_cell_by_cell_search(self, monkeypatch):
+        # reference: pair.z and z @ z cell by cell, keeping the first
+        # least (|z|^2, |t|, |s|) in s-major order
+        seeds = []
+        minimize = general_model.minimize
+
+        def spy(fun, x0, **options):
+            seeds.append(tuple(x0))
+            return minimize(fun, x0=x0, **options)
+
+        monkeypatch.setattr(general_model, "minimize", spy)
+        for pair, lam in ((line_pair(), 0.1),
+                          (sitnikov_pair(ModelParams(r=1.8)), 0.2),
+                          (sitnikov_pair(ModelParams(r=1.5, epsilon=0.2)),
+                           0.1)):
+            min_distance(lam, pair)
+            best = None
+            for s in np.linspace(*pair.s_range, 121):
+                for t in np.linspace(-0.5, 0.5, 121):
+                    z = pair.z(float(s), float(t), lam)
+                    key = (float(z @ z), abs(t), abs(s))
+                    if best is None or key < best[0]:
+                        best = (key, float(s), float(t))
+            assert seeds[-1] == best[1:]
 
     def test_boundary_minimum_rejected(self):
         # the line fixture with its fixed point moved past the s window

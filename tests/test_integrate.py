@@ -293,6 +293,44 @@ class TestLanes:
         np.testing.assert_allclose([[x1, x2], [y1, y2]], want.as_array(),
                                    rtol=1e-9)
 
+    def test_initial_steps_take_one_call_for_all_lanes(self):
+        # three copies of one lane make the one-lane solve's calls
+        hill = hill_coefficient(math.pi, P10)
+        want = integrate_variational(hill, math.pi, tol=1e-9)
+        calls = 0
+
+        def rhs(t, y, lanes):
+            nonlocal calls
+            calls += 1
+            at = np.array([hill(float(ti)) for ti in t])
+            return np.stack([y[1], -at * y[0], y[3], -at * y[2]])
+
+        out = _dop853_lanes(rhs, math.pi, np.array([1.0, 0.0, 0.0, 1.0]), 3,
+                            tol=1e-9)
+        assert calls == want.n_rhs
+        np.testing.assert_array_equal(out[:, 1:], out[:, :1].repeat(2, 1))
+
+    @pytest.mark.parametrize("tol", [1e-13, 1e-9, 1e-6])
+    def test_initial_steps_follow_scipys_rule(self, tol):
+        # reference: scipy's own rule, lane by lane; the lane form sums
+        # the error norm in another order, so the last bits may differ
+        from scipy.integrate._ivp.common import select_initial_step
+
+        w = np.array([0.0, 0.5, 1.0, 6.0, 50.0])
+        rhs, lanes = _oscillators(w), np.arange(len(w))
+        y = np.repeat(np.array([[1.0], [0.0], [0.0], [1.0]]), len(w), axis=1)
+        f = rhs(np.zeros(len(w)), y, lanes)
+        got = integrate._initial_steps(rhs, 1.0, y, f, lanes, tol)
+
+        def lane(i):
+            return lambda t, yi: rhs(np.array([t]), yi[:, None],
+                                     lanes[i:i + 1])[:, 0]
+
+        want = [select_initial_step(lane(i), 0.0, y[:, i], 1.0, np.inf,
+                                    f[:, i], 1.0, 7, tol, tol)
+                for i in lanes]
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps)
+
     @pytest.mark.parametrize("tol", [1e-14, 1e-5])
     def test_tolerance_window_enforced(self, tol):
         with pytest.raises(ValueError, match="tol"):

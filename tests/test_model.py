@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curved_sitnikov.kepler import ModelParams
-from curved_sitnikov.model import (CollisionError, ExtendedState,
-                                   coefficient_period, cubic_coefficient,
-                                   dforce_dq, hill_coefficient,
-                                   limit_force_circle, potential,
-                                   symmetry_defect, tangential_force)
+from curved_sitnikov.model import (CollisionError, coefficient_period,
+                                   cubic_coefficient, dforce_dq,
+                                   hill_coefficient, limit_force_circle,
+                                   potential, symmetry_defect,
+                                   tangential_force)
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
@@ -203,22 +203,19 @@ class TestSymmetryDefect:
     @given(q=st.floats(-9.0, 9.0), p=st.floats(-2.0, 2.0),
            s=st.floats(-12.0, 12.0))
     def test_exact_field(self, q, p, s):
-        state = ExtendedState(q=q, p=p, s=s)
         for params in (P10, ModelParams(r=1.5, epsilon=0.2)):
-            assert max(symmetry_defect(state, params)) <= 1e-12
+            assert max(symmetry_defect(q, p, s, params)) <= 1e-12
 
     def test_any_eccentricity(self):
-        state = ExtendedState(q=1.3, p=0.7, s=2.1)
         params = ModelParams(r=1.5, epsilon=0.2)
-        assert max(symmetry_defect(state, params)) <= 1e-12
+        assert max(symmetry_defect(1.3, 0.7, 2.1, params)) <= 1e-12
 
     def test_perturbed_fixture_breaks_reflection(self):
-        state = ExtendedState(q=0.8, p=0.1, s=0.5)
-
         def bad_force(q, t):
             return tangential_force(q, t, P10) + 1e-3
 
-        r1, r2, r3, r4 = symmetry_defect(state, P10, force=bad_force)
+        r1, r2, r3, r4 = symmetry_defect(0.8, 0.1, 0.5, P10,
+                                         force=bad_force)
         assert r1 == pytest.approx(2e-3, rel=1e-6)
         assert max(r2, r3, r4) <= 1e-12
 

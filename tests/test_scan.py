@@ -178,6 +178,7 @@ class TestCensus:
         result = interchange_census(0.0, 0.5, budget=200,
                                     r_start_fraction=0.25, tol=1e-9)
         assert result.count == 0
+        assert result.budget_exhausted
         assert all(cls == HYPERBOLIC
                    for _, _, cls in result.intervals.intervals)
 
@@ -187,6 +188,13 @@ class TestCensus:
         assert result.count >= 1
         ceiling = 2.0 / 1.1
         assert result.r_range[1] <= ceiling
+
+    def test_zero_count_never_ends_refinement(self):
+        # levels 4-6 all read 0 here: the elliptic runs are narrower than
+        # those cells, and only finer levels resolve them
+        result = interchange_census(0.1, 0.999, budget=2000,
+                                    r_start_fraction=0.95)
+        assert result.count > 0
 
     def test_cli_json_equals_scalar_tiling(self, monkeypatch, capsys):
         argv = ["census", "--ceiling-fraction", "0.99", "--start-fraction",
