@@ -21,6 +21,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,6 +59,25 @@ class CurvePair:
 
     def z(self, s: float, t: float, lam: float) -> np.ndarray:
         return self.x(s, lam) - self.y(t, lam)
+
+    def _window_sup(self, lam: float) -> float:
+        """Largest ``|component|`` of the curves and their derivatives.
+
+        Samples ``x``, ``x_s``, ``x_ss`` at 61 ``s`` over the window and
+        ``y``, ``y_t``, ``y_tt`` at 121 ``t`` over one period.
+        """
+        svals = np.linspace(self.s_range[0], self.s_range[1], 61)
+        tvals = np.linspace(-0.5, 0.5, 121)
+        sups = [np.max(np.abs(f(float(s), lam))) for s in svals
+                for f in (self.x, self.x_s, self.x_ss)]
+        sups += [np.max(np.abs(f(float(t), lam))) for t in tvals
+                 for f in (self.y, self.y_t, self.y_tt)]
+        return float(max(sups))
+
+    @cached_property
+    def _range_sup(self) -> float:
+        """``_window_sup`` over both ends of ``lam_range``, sampled once."""
+        return max(self._window_sup(lm) for lm in self.lam_range)
 
 
 @dataclass
@@ -194,28 +214,13 @@ def estimate_bounds(pair: CurvePair, lam: float) -> tuple[float, float]:
     """Return ``(M, k)`` for the Taylor estimates.
 
     ``M`` bounds ``z`` and its first and second partials over the window
-    (61 ``s`` and 121 ``t`` samples), uniformly over the given ``lam`` and
-    the range endpoints; ``k = 2 M^2`` then dominates both Taylor
-    remainders near closest approach: the growth of ``z.z - delta^2`` (in
-    ``t^2``) and of ``z.z'`` (in ``t``).
+    (``CurvePair._window_sup``), uniformly over the given ``lam`` and the
+    range endpoints, whose sup the pair keeps across a sweep; ``k = 2 M^2``
+    then dominates both Taylor remainders near closest approach: the
+    growth of ``z.z - delta^2`` (in ``t^2``) and of ``z.z'`` (in ``t``).
     """
-    lams = {lam, pair.lam_range[0], pair.lam_range[1]}
-    svals = np.linspace(pair.s_range[0], pair.s_range[1], 61)
-    tvals = np.linspace(-0.5, 0.5, 121)
-    m = 0.0
-    for lm in lams:
-        for s in svals:
-            sup = max(np.max(np.abs(pair.x(float(s), lm))),
-                      np.max(np.abs(pair.x_s(float(s), lm))),
-                      np.max(np.abs(pair.x_ss(float(s), lm))))
-            m = max(m, float(sup))
-        for t in tvals:
-            sup = max(np.max(np.abs(pair.y(float(t), lm))),
-                      np.max(np.abs(pair.y_t(float(t), lm))),
-                      np.max(np.abs(pair.y_tt(float(t), lm))))
-            m = max(m, float(sup))
     # |z| <= |x| + |y| and same for derivatives (mixed partials vanish).
-    m = 2.0 * m
+    m = 2.0 * max(pair._window_sup(lam), pair._range_sup)
     return m, 2.0 * m * m
 
 

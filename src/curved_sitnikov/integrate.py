@@ -2,11 +2,14 @@
 
 Adaptive solves use the embedded Runge-Kutta pair DOP853 (order 8(5,3)) in
 one of two forms, both with the tolerance window checked and a failed
-solve raising :class:`StiffnessError`: orbits, single monodromies and both
-winding routes go through scipy's ``solve_ivp``; many independent linear
-solves over one interval go through ``_dop853_lanes``, which steps them
-side by side as the columns of one array, each with its own step size.
-Variational solves stop with :class:`StiffnessError` past
+solve raising :class:`StiffnessError`: single orbits
+(``integrate_orbit``), single monodromies and both winding routes go
+through scipy's ``solve_ivp``; many independent solves go through
+``_dop853_lanes``, which steps them side by side as the columns of one
+array, each with its own step size, and records each at a list of stop
+times.  The census's half-period monodromies and the strobed orbits of a
+Poincaré section (``_strobe_orbits``) are such lanes.  Variational solves,
+and each lane between two stops, stop with :class:`StiffnessError` past
 ``MAX_VARIATIONAL_NFEV`` right-hand-side calls, so every admissible input
 ends in bounded work.  Orbits can instead take a fixed-step classical
 RK4 for bit-reproducible regression baselines: a given step count
@@ -24,15 +27,17 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
-from .kepler import ModelParams
-from .model import D_MIN, _distances, tangential_force
+from .kepler import TWO_PI, ModelParams
+from .model import (D_MIN, _distances, _pull, _squared_distances,
+                    tangential_force)
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 DEFAULT_ORBIT_TOL = 1e-8
 DEFAULT_MONODROMY_TOL = 1e-10
 
-# Right-hand-side calls one variational solve (or one lane) may make; the
-# tests, ``verify`` and the benchmark make at most about 14,000.
+# Right-hand-side calls one variational solve (or one lane between two
+# stops) may make; the tests, ``verify`` and the benchmark make at most
+# about 14,000.
 MAX_VARIATIONAL_NFEV = 1_000_000
 
 
@@ -89,7 +94,7 @@ def _validate_tol(tol: float) -> None:
 def _dop853(rhs, t_span: tuple[float, float], y0, tol: float, **options):
     """One DOP853 solve at ``rtol = atol = tol``; the scipy solution object.
 
-    ``options`` pass through to ``solve_ivp`` (``t_eval``, ``events``,
+    ``options`` pass through to ``solve_ivp`` (``events``,
     ``dense_output``).  A solve that stops short, other than at a terminal
     event, raises :class:`StiffnessError`.
     """
@@ -129,7 +134,6 @@ def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
 
 def integrate_orbit(initial: Sequence[float], t_final: float,
                     params: ModelParams, tol: float = DEFAULT_ORBIT_TOL,
-                    t_eval: np.ndarray | None = None,
                     fixed_steps: int | None = None) -> Trajectory:
     """Integrate the extended flow from ``initial`` over ``[0, t_final]``.
 
@@ -143,8 +147,6 @@ def integrate_orbit(initial: Sequence[float], t_final: float,
         t_final: integration horizon; ``ValueError`` unless finite and > 0.
         params: model parameters.
         tol: local error tolerance per step, within ``[1e-13, 1e-6]``.
-        t_eval: optional sample times (dense output by interpolation;
-            adaptive engine only).
         fixed_steps: RK4 step count (at least 1) for a reproducible run;
             ``None`` integrates with DOP853.
     """
@@ -172,7 +174,7 @@ def integrate_orbit(initial: Sequence[float], t_final: float,
 
     collision_event.terminal = True
 
-    sol = _dop853(rhs, (0.0, t_final), [q0, p0], tol, t_eval=t_eval,
+    sol = _dop853(rhs, (0.0, t_final), [q0, p0], tol,
                   events=collision_event)
     ts = sol.t
     states = np.column_stack([sol.y[0], sol.y[1], s0 + ts])
@@ -238,33 +240,46 @@ def _initial_steps(rhs, t_end: float, y: np.ndarray, f: np.ndarray,
     return np.minimum(np.minimum(100 * h0, h1), t_end)
 
 
-def _dop853_lanes(rhs, t_end: float, y0: np.ndarray, n_lanes: int,
-                  tol: float) -> np.ndarray:
-    """Solve ``n_lanes`` independent systems from ``y0`` over ``[0, t_end]``.
+def _dop853_lanes(rhs, stops, y0: np.ndarray, n_lanes: int, tol: float,
+                  halt=None) -> np.ndarray:
+    """Solve ``n_lanes`` independent systems from ``t = 0`` to each stop.
 
     ``rhs(t, y, lanes)`` gets the lanes' own times ``t`` (shape ``(m,)``),
     their states ``y`` (shape ``(n, m)``) and their indices ``lanes`` into
-    the batch, and returns ``dy/dt`` of shape ``(n, m)``.  Every lane is
-    stepped by DOP853 at ``rtol = atol = tol`` with scipy's rules: the
-    initial step of ``_initial_steps``, the E5/E3 error norm, step factors
-    0.9/0.2/10 and no growth right after a rejection.  Each lane keeps its
-    own step size and accept mask and leaves the batch at ``t_end``.
-    Returns the states at ``t_end``, shape ``(n, n_lanes)``.  A step below
-    ten ulps of ``t`` after a rejection, or a lane past
-    ``MAX_VARIATIONAL_NFEV`` right-hand-side calls, raises
-    :class:`StiffnessError`.
+    the batch, and returns ``dy/dt`` of shape ``(n, m)``.  ``y0`` holds the
+    initial states, shape ``(n, n_lanes)``, or one state ``(n,)`` for all
+    lanes; ``stops`` is an increasing array of positive times, or one time.
+    Every lane is stepped by DOP853 at ``rtol = atol = tol`` with scipy's
+    rules: the initial step of ``_initial_steps``, the E5/E3 error norm,
+    step factors 0.9/0.2/10 and no growth right after a rejection.  Each
+    lane keeps its own step size and accept mask.  A step that would pass
+    the lane's next stop is clipped there and the state recorded; the
+    lane's step size carries over, shrunk but never grown by the clipped
+    step.  A lane leaves the batch after its last stop, or at the first
+    accepted step where ``halt(t, y, lanes)`` (arguments as for ``rhs``)
+    is true, and the stops it never reached stay NaN.  Returns the states
+    at the stops, shape ``(len(stops), n, n_lanes)``, or ``(n, n_lanes)``
+    for one stop time.  A step below ten ulps of ``t`` after a rejection,
+    or a lane past ``MAX_VARIATIONAL_NFEV`` right-hand-side calls since its
+    last stop, raises :class:`StiffnessError`.
     """
     _validate_tol(tol)
+    stop_times = np.atleast_1d(np.asarray(stops, dtype=float))
+    y0 = np.asarray(y0, dtype=float)
     lanes = np.arange(n_lanes)
     t = np.zeros(n_lanes)
-    y = np.repeat(np.asarray(y0, dtype=float)[:, None], n_lanes, axis=1)
+    y = np.array(np.broadcast_to(y0.reshape(len(y0), -1), (len(y0), n_lanes)))
     f = rhs(t, y, lanes)
-    h_abs = _initial_steps(rhs, t_end, y, f, lanes, tol)
-    # Lanes step in lockstep, so every lane still in the batch has made
-    # nfev right-hand-side calls.
-    nfev = 2
+    h_abs = _initial_steps(rhs, stop_times[-1], y, f, lanes, tol)
+    # Lanes step in lockstep, so every lane in the batch has made nfev
+    # right-hand-side calls; a lane made nfev - nfev_at_stop[lane] of them
+    # since its last stop, at most nfev - oldest.
+    nfev, oldest = 2, 0
+    nfev_at_stop = np.zeros(n_lanes, dtype=int)
+    next_stop = np.zeros(n_lanes, dtype=int)
+    t_stop = np.full(n_lanes, stop_times[0])
     rejected = np.zeros(n_lanes, dtype=bool)
-    out = np.empty_like(y)
+    out = np.full((stop_times.size,) + y.shape, np.nan)
     while lanes.size:
         k = np.empty((_dop.N_STAGES + 1,) + y.shape)
         stages = k.reshape(k.shape[0], -1)  # a view, one row per stage
@@ -272,7 +287,7 @@ def _dop853_lanes(rhs, t_end: float, y0: np.ndarray, n_lanes: int,
         if np.any(rejected & (h_abs < min_step)):
             raise StiffnessError("step size underflow in a lane-batched solve")
         h_abs = np.maximum(h_abs, min_step)
-        t_new = np.minimum(t + h_abs, t_end)
+        t_new = np.minimum(t + h_abs, t_stop)
         h = t_new - t
         k[0] = f
         for s in range(1, _dop.N_STAGES):
@@ -281,7 +296,7 @@ def _dop853_lanes(rhs, t_end: float, y0: np.ndarray, n_lanes: int,
         y_new = y + h * np.dot(_dop.B, stages[:-1]).reshape(y.shape)
         k[-1] = f_new = rhs(t_new, y_new, lanes)
         nfev += _dop.N_STAGES
-        if nfev > MAX_VARIATIONAL_NFEV:
+        if nfev - oldest > MAX_VARIATIONAL_NFEV:
             raise StiffnessError(f"lane-batched solve exceeded "
                                  f"{MAX_VARIATIONAL_NFEV} right-hand-side "
                                  f"calls per lane")
@@ -293,22 +308,83 @@ def _dop853_lanes(rhs, t_end: float, y0: np.ndarray, n_lanes: int,
                       axis=0)
         denom = np.sqrt((err5 + 0.01 * err3) * y.shape[0])
         with np.errstate(divide="ignore", invalid="ignore"):
-            error = np.where(denom > 0.0, h * err5 / denom, 0.0)
+            # a NaN norm stays NaN and so rejects the step
+            error = np.where(denom == 0.0, 0.0, h * err5 / denom)
             growth = _SAFETY * error ** _ERROR_EXPONENT
         accept = error < 1.0
         factor = np.minimum(_MAX_FACTOR, growth)
         factor = np.where(rejected, np.minimum(1.0, factor), factor)
         # fmax, like Python's max, shrinks a NaN-error step by _MIN_FACTOR
+        h_prev = h_abs
         h_abs = h_abs * np.where(accept, factor, np.fmax(_MIN_FACTOR, growth))
         rejected = ~accept
         t = np.where(accept, t_new, t)
         y = np.where(accept, y_new, y)
         f = np.where(accept, f_new, f)
 
-        done = accept & (t_new == t_end)
-        if np.any(done):
-            out[:, lanes[done]] = y[:, done]
-            keep = ~done
+        reached = accept & (t_new == t_stop)
+        moved = False
+        if halt is not None:
+            halted = accept & halt(t, y, lanes)
+            if halted.any():
+                reached &= ~halted
+                next_stop[halted] = stop_times.size  # later stops stay NaN
+                moved = True
+        if reached.any():
+            out[next_stop[reached], :, lanes[reached]] = y[:, reached].T
+            next_stop[reached] += 1
+            nfev_at_stop[reached] = nfev
+            # a step clipped at a stop may shrink the next one, not grow it
+            h_abs[reached] = np.minimum(h_abs[reached], h_prev[reached])
+            moved = True
+        if moved:
+            keep = next_stop < stop_times.size
             lanes, t, y, f = lanes[keep], t[keep], y[:, keep], f[:, keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
-    return out
+            next_stop, nfev_at_stop = next_stop[keep], nfev_at_stop[keep]
+            t_stop = stop_times[next_stop]
+            oldest = nfev_at_stop.min(initial=nfev)
+    return out if np.ndim(stops) else out[0]
+
+
+def _strobe_orbits(initial: np.ndarray, n_strobes: int, params: ModelParams,
+                   tol: float) -> np.ndarray:
+    """States ``(q, p)`` of orbits at ``t = 2 pi k``, ``k = 1..n_strobes``.
+
+    ``initial`` holds the orbits' ``(q0, p0)`` at ``t = 0`` as columns,
+    shape ``(2, m)``; the result has shape ``(n_strobes, 2, m)``.  The
+    orbits are the lanes of one ``_dop853_lanes`` solve, and time is the
+    eccentric anomaly ``u`` (``t = u - eps sin u``, ``dt/du = rho =
+    1 - eps cos u``): ``dq/du = rho p``, ``dp/du = rho f(q, t(u))``.  The
+    strobes ``t = 2 pi k`` are ``u = 2 pi k``, so no lane solves Kepler's
+    equation.  No step spans more than a quarter period.  An orbit whose
+    distance to a primary is at most ``D_MIN`` at an accepted step leaves
+    the solve there; its later strobes are NaN.
+    """
+    r, eps = params.r, params.epsilon
+
+    def geometry(u, q):
+        rho = 1.0 - eps * np.cos(u)
+        a = r * rho
+        c = a * np.cos(u - eps * np.sin(u))
+        d1_sq, d2_sq = _squared_distances(a, c, np.cos(q))
+        return rho, c, np.sqrt(d1_sq), np.sqrt(d2_sq)
+
+    def rhs(u, y, lanes):
+        rho, c, d1, d2 = geometry(u, y[0])
+        dy = np.empty_like(y)
+        dy[0] = rho * y[1]
+        dy[1] = rho * _pull(c, np.sin(y[0]), d1, d2)
+        return dy
+
+    def collided(u, y, lanes):
+        _, _, d1, d2 = geometry(u, y[0])
+        return np.minimum(d1, d2) <= D_MIN
+
+    # Stops every quarter period cap the step: on an equilibrium the force
+    # is roundoff, the error estimate sees nothing, and one step would span
+    # a whole period, whose error a hyperbolic equilibrium then amplifies.
+    quarters = np.arange(1, 4 * n_strobes + 1) * (0.25 * TWO_PI)
+    states = _dop853_lanes(rhs, quarters, initial, initial.shape[1], tol,
+                           halt=collided)
+    return states[3::4]

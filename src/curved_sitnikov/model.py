@@ -41,14 +41,29 @@ class CollisionError(ValueError):
         )
 
 
+def _squared_distances(a, c, cos_q):
+    """``d1^2, d2^2`` from ``a = r*rho``, ``c = a*cos(t)`` and ``cos(q)``.
+
+    Plain operators only, so floats and numpy arrays both pass through.
+    """
+    gap = 2.0 * (1.0 - cos_q)
+    return a * a + gap * (1.0 + c), a * a + gap * (1.0 - c)
+
+
+def _pull(c, sin_q, d1, d2):
+    """The force ``f`` from ``c``, ``sin(q)`` and the distances ``d1, d2``.
+
+    Plain operators only, so floats and numpy arrays both pass through.
+    """
+    return -(1.0 + c) * sin_q / d1**3 - (1.0 - c) * sin_q / d2**3
+
+
 def _distances(q: float, t: float, params: ModelParams,
                d_min: float) -> tuple[float, float, float]:
     rho = radial_factor(t, params.epsilon)
     a = params.r * rho
     c = a * math.cos(t)
-    gap = 2.0 * (1.0 - math.cos(q))
-    d1 = math.sqrt(a * a + gap * (1.0 + c))
-    d2 = math.sqrt(a * a + gap * (1.0 - c))
+    d1, d2 = map(math.sqrt, _squared_distances(a, c, math.cos(q)))
     if d1 <= d_min:
         raise CollisionError(1, d1)
     if d2 <= d_min:
@@ -60,8 +75,7 @@ def tangential_force(q: float, t: float, params: ModelParams,
                      d_min: float = D_MIN) -> float:
     """Tangential gravitational acceleration ``f(q, t)`` on the particle."""
     d1, d2, c = _distances(q, t, params, d_min)
-    sq = math.sin(q)
-    return -(1.0 + c) * sq / d1**3 - (1.0 - c) * sq / d2**3
+    return _pull(c, math.sin(q), d1, d2)
 
 
 def potential(q: float, t: float, params: ModelParams) -> float:

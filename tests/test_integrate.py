@@ -65,12 +65,6 @@ class TestOrbit:
         assert np.all(np.diff(traj.t) > 0.0)
         assert np.allclose(traj.states[:, 2], traj.t)
 
-    def test_dense_output_at_requested_times(self):
-        t_eval = np.array([1.0, 2.5, 6.0])
-        traj = integrate_orbit((0.5, 0.1, 0.0), 7.0, P10, tol=1e-9,
-                               t_eval=t_eval)
-        np.testing.assert_allclose(traj.t, t_eval)
-
     def test_tolerance_window_enforced(self):
         for fixed_steps in (None, 10):
             for tol in (1e-5, 1e-14):
@@ -330,6 +324,56 @@ class TestLanes:
                                     f[:, i], 1.0, 7, tol, tol)
                 for i in lanes]
         np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps)
+
+    def test_states_at_every_stop(self):
+        # lanes start from their own states: x = cos(w t + phase)
+        w, phase = np.array([0.5, 1.0, 3.0]), np.array([0.0, 0.3, -1.0])
+        y0 = np.stack([np.cos(phase), -w * np.sin(phase)])
+        stops = np.array([1.0, 2.5, 6.0])
+        out = _dop853_lanes(_oscillators(w), stops, y0, len(w), tol=1e-10)
+        assert out.shape == (3, 2, 3)
+        arg = w * stops[:, None] + phase
+        np.testing.assert_allclose(out[:, 0], np.cos(arg), atol=1e-8)
+        np.testing.assert_allclose(out[:, 1], -w * np.sin(arg), atol=1e-8)
+
+    def test_step_size_carries_over_stops(self):
+        # a stop clips one step and the next resumes at the carried size,
+        # so 100 stops cost fewer than one extra step each
+        calls = 0
+        oscillators = _oscillators(np.array([1.0, 3.0]))
+
+        def rhs(t, y, lanes):
+            nonlocal calls
+            calls += 1
+            return oscillators(t, y, lanes)
+
+        counts = []
+        for n_stops in (1, 100):
+            calls = 0
+            _dop853_lanes(rhs, np.linspace(200.0 / n_stops, 200.0, n_stops),
+                          np.array([1.0, 0.0, 0.0, 1.0]), 2, tol=1e-9)
+            counts.append(calls)
+        assert counts[0] < counts[1] < counts[0] + 12 * 100
+
+    def test_halt_drops_only_its_lane(self):
+        # x = cos(w t) first turns negative at t = pi/(2w): lane 1 at 0.52
+        def halt(t, y, lanes):
+            return (lanes == 1) & (y[0] < 0.0)
+
+        out = _dop853_lanes(_oscillators(np.array([1.0, 3.0])),
+                            np.array([0.25, 0.5, 1.0, 2.0]),
+                            np.array([1.0, 0.0]), 2, 1e-9, halt)
+        assert np.isfinite(out[:, :, 0]).all()
+        assert np.isfinite(out[:2, :, 1]).all()
+        assert np.isnan(out[2:, :, 1]).all()
+
+    def test_nan_error_norm_rejects_the_step(self):
+        # a NaN stage may not be accepted as a zero error
+        def rhs(t, y, lanes):
+            return np.where(t > 0.5, np.nan, y)
+
+        with pytest.raises(StiffnessError, match="underflow"):
+            _dop853_lanes(rhs, 1.0, np.array([1.0]), 2, 1e-9)
 
     @pytest.mark.parametrize("tol", [1e-14, 1e-5])
     def test_tolerance_window_enforced(self, tol):

@@ -1,13 +1,16 @@
 """Stroboscopic section clouds."""
 
 import argparse
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from curved_sitnikov import integrate
 from curved_sitnikov.cli import _write_csv, main
+from curved_sitnikov.integrate import StiffnessError, integrate_orbit
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.poincare import section, wrap_angle
 
@@ -65,6 +68,24 @@ class TestSection:
         assert main(argv) == 0
         assert path.read_bytes() == first
 
+    @pytest.mark.parametrize("argv, sha256", [
+        (["poincare", "--q-grid", "0.1:0.2:0.1", "--p-grid", "0:0:1",
+          "--iterates", "10", "--fixed-step", "128", "--out", "cloud.csv"],
+         "af0be49afe43c7dcf341d7c26530b8a888bd168c3002e79519bfa6f75c4c8075"),
+        (["simulate", "--r", "1.2", "--eps", "0.3", "--q0", "0.3", "--p0",
+          "0.1", "--t-final", "12.566370614359172", "--fixed-step", "400",
+          "--out", "orbit.csv"],
+         "1e2eb655f73473b286124a0c66bcb2405925369aac9564666704c5d477cb523c"),
+    ], ids=["poincare", "simulate"])
+    def test_fixed_step_bytes_pinned(self, tmp_path, monkeypatch, argv,
+                                     sha256):
+        # the RK4 artifacts are a regression baseline: any change to the
+        # force's arithmetic moves these digests
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        data = (tmp_path / argv[-1]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha256
+
     @pytest.mark.parametrize("fixed_steps", [None, 8])
     @pytest.mark.parametrize("n_iterates", [0, -1])
     def test_needs_one_iterate(self, n_iterates, fixed_steps):
@@ -97,3 +118,43 @@ class TestSection:
         assert path.read_bytes() == text.encode()
         _write_csv(None, ("orbit_id", "iter", "q", "p"), rows, CFG)
         assert capsys.readouterr().out == text
+
+
+class TestLaneRoute:
+    """The adaptive cloud: one lane-batched solve in eccentric-anomaly time."""
+
+    def test_collision_truncates_only_its_orbit(self, monkeypatch):
+        # inflated guard distance, as in the orbit engine's collision test;
+        # from q = pi - 0.5 the scalar route's terminal event fires at
+        # t = 2.48 periods, so two strobes come before it
+        monkeypatch.setattr(integrate, "D_MIN", 0.3)
+        cloud = section(ModelParams(r=1.9), [(math.pi - 0.5, 0.0), (0.1, 0.0)],
+                        n_iterates=10, tol=1e-8)
+        assert cloud.truncated == [True, False]
+        assert [len(o) for o in cloud.orbits] == [2, 10]
+        assert np.all(np.isfinite(cloud.orbits[0]))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_strobes_match_tight_scalar_route(self, eps):
+        # reference: integrate_orbit at tol 1e-12, one period per call;
+        # the lane route at 1e-8 is off by at most 1.3e-5 here
+        params = ModelParams(r=1.0, epsilon=eps)
+        grid = [(0.2, 0.0), (-0.2, 0.1), (0.0, 0.15)]
+        cloud = section(params, grid, n_iterates=40, tol=1e-8)
+        for (q, p), hits in zip(grid, cloud.orbits):
+            s, want = 0.0, []
+            for _ in range(40):
+                q, p, s = integrate_orbit((q, p, s), TWO_PI, params,
+                                          tol=1e-12).states[-1]
+                want.append((wrap_angle(q), p))
+            np.testing.assert_allclose(hits, want, rtol=0.0, atol=1e-4)
+
+    def test_work_cap_counts_calls_since_last_stop(self, monkeypatch):
+        # this orbit takes about 190 right-hand-side calls per strobe, in
+        # four stops of at most 62 calls each
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", 100)
+        cloud = section(P10, [(0.1, 0.0)], n_iterates=40, tol=1e-8)
+        assert cloud.orbits[0].shape == (40, 2)
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", 50)
+        with pytest.raises(StiffnessError, match="right-hand-side calls"):
+            section(P10, [(0.1, 0.0)], n_iterates=40, tol=1e-8)
