@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kepler import TWO_PI, ModelParams
+from .kepler import TWO_PI, ModelParams, _anomaly_geometry
 from .model import (_antipode_dforce_dq, coefficient_period,
                     cubic_coefficient, hill_coefficient)
 from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix, _dop853,
@@ -86,10 +86,10 @@ def _antipode_half_traces(rs, epsilon: float, tol: float) -> np.ndarray:
     even, so with ``D = diag(1, -1)`` the monodromy is
     ``D X(T/2)^-1 D X(T/2)``, whose half-trace is
     ``(x1 y2 + x2 y1) / det X(T/2)``.  Time is the eccentric anomaly ``u``
-    (``t = u - eps sin u``, ``dt/du = rho = 1 - eps cos u``), so the system
-    is ``dv/du = rho w``, ``dw/du = -rho a(t(u)) v`` with ``a`` the Hill
-    coefficient, and no lane solves Kepler's equation; ``t(T/2) = T/2``.  This form makes ``x1 = y2`` of
-    the full-period matrix hold by construction, so the Wronskian and
+    (``kepler._anomaly_geometry``), so the system is ``dv/du = rho w``,
+    ``dw/du = -rho a(t(u)) v`` with ``a`` the Hill coefficient, and no lane
+    solves Kepler's equation; ``t(T/2) = T/2``.  This form makes ``x1 = y2``
+    of the full-period matrix hold by construction, so the Wronskian and
     evenness audit uses ``monodromy`` instead.  Raises ``MonodromyError``
     if any lane's ``det X(T/2)`` is off 1 beyond ``DET_CORRUPT_TOL``.
     """
@@ -98,9 +98,7 @@ def _antipode_half_traces(rs, epsilon: float, tol: float) -> np.ndarray:
         ModelParams(r=float(r), epsilon=epsilon)
 
     def rhs(u, y, lanes):
-        rho = 1.0 - epsilon * np.cos(u)
-        a = rs[lanes] * rho
-        c = a * np.cos(u - epsilon * np.sin(u))
+        rho, a, c = _anomaly_geometry(u, rs[lanes], epsilon)
         stiffness = rho * _antipode_dforce_dq(a, c)
         dy = np.empty_like(y)
         dy[0::2] = rho * y[1::2]

@@ -40,39 +40,33 @@ Curve = Callable[[float, float], np.ndarray]
 class CurvePair:
     """An arc-length curve ``x(s, lam)`` and a unit-period curve ``y(t, lam)``.
 
-    Each curve comes with its analytic first and second derivatives
-    (``x_s``, ``x_ss`` in ``s``; ``y_t``, ``y_tt`` in ``t``), which the
-    curvature formula and the sampled Taylor bounds read.
+    Each curve returns its jet: a ``(3, 3)`` array whose rows are the
+    point and its analytic first and second derivatives (in ``s`` for
+    ``x``, in ``t`` for ``y``), which the curvature formula and the sampled
+    Taylor bounds read.
     """
 
     name: str
     x: Curve
-    x_s: Curve
-    x_ss: Curve
     y: Curve
-    y_t: Curve
-    y_tt: Curve
     lam_range: tuple[float, float]
     default_lam: float
     s_range: tuple[float, float]
     s_periodic: bool = False
 
     def z(self, s: float, t: float, lam: float) -> np.ndarray:
-        return self.x(s, lam) - self.y(t, lam)
+        return self.x(s, lam)[0] - self.y(t, lam)[0]
 
     def _window_sup(self, lam: float) -> float:
         """Largest ``|component|`` of the curves and their derivatives.
 
-        Samples ``x``, ``x_s``, ``x_ss`` at 61 ``s`` over the window and
-        ``y``, ``y_t``, ``y_tt`` at 121 ``t`` over one period.
+        Samples the ``x`` jet at 61 ``s`` over the window and the ``y`` jet
+        at 121 ``t`` over one period.
         """
-        svals = np.linspace(self.s_range[0], self.s_range[1], 61)
-        tvals = np.linspace(-0.5, 0.5, 121)
-        sups = [np.max(np.abs(f(float(s), lam))) for s in svals
-                for f in (self.x, self.x_s, self.x_ss)]
-        sups += [np.max(np.abs(f(float(t), lam))) for t in tvals
-                 for f in (self.y, self.y_t, self.y_tt)]
-        return float(max(sups))
+        jets = [self.x(float(s), lam)
+                for s in np.linspace(self.s_range[0], self.s_range[1], 61)]
+        jets += [self.y(float(t), lam) for t in np.linspace(-0.5, 0.5, 121)]
+        return float(np.max(np.abs(jets)))
 
     @cached_property
     def _range_sup(self) -> float:
@@ -136,14 +130,14 @@ def d2U_ds2(t: float, lam: float, pair: CurvePair) -> float:
     """Second ``s``-derivative of ``U`` at ``s = 0`` via the dot-product form.
 
     ``U'' = [(z'.z' + z.z'') (z.z) - 3 (z.z')^2] / (z.z)^{5/2}`` where
-    primes are ``s``-derivatives, so ``z' = x_s`` and ``z'' = x_ss``.
+    primes are ``s``-derivatives, so ``z'`` and ``z''`` are rows 1 and 2
+    of the jet ``x(0, lam)``.
     """
-    z = pair.z(0.0, t, lam)
+    x0, zp, zpp = pair.x(0.0, lam)
+    z = x0 - pair.y(t, lam)[0]
     zz = float(z @ z)
     if zz <= D_MIN * D_MIN:
         raise CollisionError(1, math.sqrt(zz))
-    zp = pair.x_s(0.0, lam)
-    zpp = pair.x_ss(0.0, lam)
     return float(((zp @ zp + z @ zpp) * zz - 3.0 * (z @ zp) ** 2) / zz**2.5)
 
 
@@ -182,8 +176,8 @@ def min_distance(lam: float, pair: CurvePair) -> tuple[float, float, float]:
 
     # each curve once per grid coordinate, then z @ z per cell as in gap2;
     # the seed is the least (gap2, |t|, |s|), the first in s-major order
-    z = (np.array([pair.x(float(s), lam) for s in svals])[:, None]
-         - np.array([pair.y(float(t), lam) for t in tvals]))
+    z = (np.array([pair.x(float(s), lam)[0] for s in svals])[:, None]
+         - np.array([pair.y(float(t), lam)[0] for t in tvals]))
     grid_gap2 = (z[..., None, :] @ z[..., None])[..., 0, 0]
     s_abs, t_abs = np.meshgrid(np.abs(svals), np.abs(tvals), indexing="ij")
     best = np.lexsort((s_abs.ravel(), t_abs.ravel(), grid_gap2.ravel()))[0]
@@ -231,9 +225,14 @@ def bound_report(lam: float, pair: CurvePair) -> BoundReport:
     ``c = min(k^{-1/2}, (k sqrt(6))^{-1})``, the curvature minimum
     ``a_min = min_{|t|<=tau} U''(0,t)`` over 201 samples, the lower-bound
     flag ``a_min >= 2^-4.5/delta^3``, and the winding estimate
-    ``-2 tau sqrt(a_min) + pi``.
+    ``-2 tau sqrt(a_min) + pi``.  A non-finite ``lam`` or gap raises
+    ``ValueError``.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lam={lam} must be finite")
     delta, _, _ = min_distance(lam, pair)
+    if not math.isfinite(delta):
+        raise ValueError(f"lam={lam} gives a non-finite gap delta={delta}")
     m, k = estimate_bounds(pair, lam)
     c = min(k ** -0.5, 1.0 / (k * math.sqrt(6.0)))
     tau = c * delta
@@ -255,36 +254,22 @@ def bound_report(lam: float, pair: CurvePair) -> BoundReport:
 # Built-in curve families
 # ---------------------------------------------------------------------------
 
-def line_pair(lam_range: tuple[float, float] = (1e-3, 1.0),
-              default_lam: float = 0.1) -> CurvePair:
+def line_pair() -> CurvePair:
     """Straight line ``x = (s, 0, 0)`` against a fixed point ``y = (0, lam, 0)``.
 
     Exactly solvable fixture: ``U''(0, t) = 1/lam^3`` for every ``t``.
     The gap ``lam`` must be positive.
     """
-    zero = np.zeros(3)
-
     def x(s, lam):
-        return np.array([s, 0.0, 0.0])
-
-    def x_s(s, lam):
-        return np.array([1.0, 0.0, 0.0])
-
-    def x_ss(s, lam):
-        return zero
+        return np.array([[s, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
     def y(t, lam):
         if not lam > 0.0:
             raise ValueError(f"lam={lam} must be > 0 (the line pair's gap)")
-        return np.array([0.0, lam, 0.0])
+        return np.array([[0.0, lam, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
-    def y_t(t, lam):
-        return zero
-
-    return CurvePair(
-        name="line", x=x, y=y, x_s=x_s, x_ss=x_ss, y_t=y_t, y_tt=y_t,
-        lam_range=lam_range, default_lam=default_lam,
-        s_range=(-0.9, 0.9), s_periodic=False)
+    return CurvePair(name="line", x=x, y=y, lam_range=(1e-3, 1.0),
+                     default_lam=0.1, s_range=(-0.9, 0.9), s_periodic=False)
 
 
 def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
@@ -312,44 +297,28 @@ def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
             raise ValueError(f"lam={lam} outside (0, 2)")
         return (2.0 - lam) / (1.0 + eps)
 
+    # rows of the y jet: d/dt of the unit-period time is 2 pi d/dtau
+    t_scale = np.array([[1.0], [TWO_PI], [TWO_PI**2]])
+
     def x(s, lam):
-        return np.array([0.0, -math.cos(s), -math.sin(s)])
-
-    def x_s(s, lam):
-        return np.array([0.0, math.sin(s), -math.cos(s)])
-
-    def x_ss(s, lam):
-        return np.array([0.0, math.cos(s), math.sin(s)])
+        cs, sn = math.cos(s), math.sin(s)
+        return np.array([[0.0, -cs, -sn], [0.0, sn, -cs], [0.0, cs, sn]])
 
     def y(t, lam):
         r = r_of(lam)
         tau = math.pi + TWO_PI * t
-        rho, _, _ = radial_factor_derivatives(tau, eps)
-        return np.array([sign * r * rho * math.sin(tau),
-                         1.0 + sign * r * rho * math.cos(tau), 0.0])
-
-    def y_t(t, lam):
-        r = r_of(lam)
-        tau = math.pi + TWO_PI * t
-        rho, rho_d, _ = radial_factor_derivatives(tau, eps)
-        return TWO_PI * np.array([
-            sign * r * (rho_d * math.sin(tau) + rho * math.cos(tau)),
-            sign * r * (rho_d * math.cos(tau) - rho * math.sin(tau)), 0.0])
-
-    def y_tt(t, lam):
-        r = r_of(lam)
-        tau = math.pi + TWO_PI * t
         rho, rho_d, rho_dd = radial_factor_derivatives(tau, eps)
-        return TWO_PI**2 * np.array([
-            sign * r * (rho_dd * math.sin(tau) + 2.0 * rho_d * math.cos(tau)
-                        - rho * math.sin(tau)),
-            sign * r * (rho_dd * math.cos(tau) - 2.0 * rho_d * math.sin(tau)
-                        - rho * math.cos(tau)), 0.0])
+        sn, cs = math.sin(tau), math.cos(tau)
+        return t_scale * np.array([
+            [sign * r * rho * sn, 1.0 + sign * r * rho * cs, 0.0],
+            [sign * r * (rho_d * sn + rho * cs),
+             sign * r * (rho_d * cs - rho * sn), 0.0],
+            [sign * r * (rho_dd * sn + 2.0 * rho_d * cs - rho * sn),
+             sign * r * (rho_dd * cs - 2.0 * rho_d * sn - rho * cs), 0.0]])
 
     lam_hi = max(default_lam, 0.5)
     return CurvePair(
-        name=f"sitnikov_{primary}", x=x, y=y, x_s=x_s, x_ss=x_ss,
-        y_t=y_t, y_tt=y_tt,
+        name=f"sitnikov_{primary}", x=x, y=y,
         lam_range=(5e-3, lam_hi), default_lam=default_lam,
         s_range=(-math.pi, math.pi), s_periodic=True)
 

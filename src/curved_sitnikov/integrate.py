@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
-from .kepler import TWO_PI, ModelParams
+from .kepler import TWO_PI, ModelParams, _anomaly_geometry
 from .model import (D_MIN, _distances, _pull, _squared_distances,
                     tangential_force)
 
@@ -354,8 +354,8 @@ def _strobe_orbits(initial: np.ndarray, n_strobes: int, params: ModelParams,
     ``initial`` holds the orbits' ``(q0, p0)`` at ``t = 0`` as columns,
     shape ``(2, m)``; the result has shape ``(n_strobes, 2, m)``.  The
     orbits are the lanes of one ``_dop853_lanes`` solve, and time is the
-    eccentric anomaly ``u`` (``t = u - eps sin u``, ``dt/du = rho =
-    1 - eps cos u``): ``dq/du = rho p``, ``dp/du = rho f(q, t(u))``.  The
+    eccentric anomaly ``u`` (``kepler._anomaly_geometry``):
+    ``dq/du = rho p``, ``dp/du = rho f(q, t(u))``.  The
     strobes ``t = 2 pi k`` are ``u = 2 pi k``, so no lane solves Kepler's
     equation.  No step spans more than a quarter period.  An orbit whose
     distance to a primary is at most ``D_MIN`` at an accepted step leaves
@@ -364,9 +364,7 @@ def _strobe_orbits(initial: np.ndarray, n_strobes: int, params: ModelParams,
     r, eps = params.r, params.epsilon
 
     def geometry(u, q):
-        rho = 1.0 - eps * np.cos(u)
-        a = r * rho
-        c = a * np.cos(u - eps * np.sin(u))
+        rho, a, c = _anomaly_geometry(u, r, eps)
         d1_sq, d2_sq = _squared_distances(a, c, np.cos(q))
         return rho, c, np.sqrt(d1_sq), np.sqrt(d2_sq)
 

@@ -144,6 +144,20 @@ def radial_factor_derivatives(t: float, epsilon: float) -> tuple[float, float, f
     return rho, rho_d, rho_dd
 
 
+def _anomaly_geometry(u, r, epsilon: float):
+    """Return ``(rho, a, c)`` at eccentric anomaly ``u``, with no Kepler solve.
+
+    ``rho = 1 - eps cos u`` is ``dt/du``, ``a = r rho`` is the primaries'
+    radius and ``c = a cos(u - eps sin u)`` is ``a cos t``.  ``u`` and ``r``
+    may be arrays.  This is the time change of every lane solve in
+    eccentric-anomaly time.
+    """
+    rho = 1.0 - epsilon * np.cos(u)
+    a = r * rho
+    c = a * np.cos(u - epsilon * np.sin(u))
+    return rho, a, c
+
+
 def _positions(t: float, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Primaries at polar angle ``t`` on a common ellipse of radius ``a``.
 

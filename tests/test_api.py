@@ -60,7 +60,7 @@ def test_only_cli_writes_artifacts():
 
 # Defaulted parameters, lambda defaults and defaulted dataclass fields in
 # the package: each is a knob, and none is added without removing another.
-MAX_OPTIONS = 32
+MAX_OPTIONS = 30
 
 
 def _option_count(tree: ast.AST) -> int:

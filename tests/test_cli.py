@@ -212,8 +212,12 @@ class TestExitCodes:
         ({"family": "sitnikov_near", "params": {"r": 1.5, "epsilion": 0.3}},
          "out.json"),
         ({"family": "line", "params": {"lamb": 0.1}}, "out.json"),
+        ({"family": "line", "params": {"default_lam": 0.2}}, "out.json"),
+        ({"family": "line", "params": {"lam_range": [0.01, 0.5]}},
+         "out.json"),
     ], ids=["missing-curve-file", "missing-out-dir", "list-curve-file",
-            "sitnikov-unknown-key", "line-unknown-key"])
+            "sitnikov-unknown-key", "line-unknown-key", "line-default-lam",
+            "line-lam-range"])
     def test_bad_files_and_curve_params_exit_one(self, tmp_path, capsys,
                                                   description, out_name):
         curve, out = tmp_path / "pair.json", tmp_path / out_name
@@ -242,6 +246,17 @@ class TestExitCodes:
         assert main(["bounds", "--curve-file", str(curve), f"--lam={lam}",
                      "--out", str(out)]) == EXIT_CONFIG
         assert "configuration error: lam" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lam", ["inf", "1e300"])
+    def test_bounds_non_finite_gap_exits_one(self, tmp_path, capsys, lam):
+        # 1e300 is finite, but its gap overflows |z| to infinity
+        curve, out = tmp_path / "pair.json", tmp_path / "out.json"
+        curve.write_text(json.dumps({"family": "line"}))
+        assert main(["bounds", "--curve-file", str(curve), f"--lam={lam}",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"configuration error: lam={float(lam)}" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_eps_scan_nonpositive_r_exits_one(self, tmp_path, capsys):

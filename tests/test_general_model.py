@@ -118,13 +118,17 @@ class TestMinDistance:
     def test_boundary_minimum_rejected(self):
         # the line fixture with its fixed point moved past the s window
         pair = replace(line_pair(), name="off-end",
-                       y=lambda t, lam: np.array([2.0, lam, 0.0]))
+                       y=lambda t, lam: np.array([[2.0, lam, 0.0],
+                                                  [0.0, 0.0, 0.0],
+                                                  [0.0, 0.0, 0.0]]))
         with pytest.raises(ValueError):
             min_distance(0.1, pair)
 
     def test_offset_minimum_rejected(self):
         pair = replace(line_pair(), name="off-center",
-                       y=lambda t, lam: np.array([0.5, lam, 0.0]))
+                       y=lambda t, lam: np.array([[0.5, lam, 0.0],
+                                                  [0.0, 0.0, 0.0],
+                                                  [0.0, 0.0, 0.0]]))
         with pytest.raises(ValueError):
             min_distance(0.1, pair)
 
@@ -138,10 +142,10 @@ class TestMinDistance:
 class TestPairGeometry:
     def test_arc_length_and_orthogonality(self, near18):
         lam = near18.default_lam
-        arc_defect = max(abs(float(np.linalg.norm(near18.x_s(float(s), lam)))
+        arc_defect = max(abs(float(np.linalg.norm(near18.x(float(s), lam)[1]))
                              - 1.0)
                          for s in np.linspace(-math.pi, math.pi, 101))
-        ortho = abs(float(near18.x_s(0.0, lam) @ near18.y_t(0.0, lam)))
+        ortho = abs(float(near18.x(0.0, lam)[1] @ near18.y(0.0, lam)[1]))
         # |z(0, t)| has a strict minimum at t = 0: positive second difference
         h = 1e-4
         d = [float(np.linalg.norm(near18.z(0.0, t, lam)))
@@ -153,7 +157,7 @@ class TestPairGeometry:
     def test_unit_curvature_of_circle(self, near18):
         for s in np.linspace(-math.pi, math.pi, 17):
             assert float(np.linalg.norm(
-                near18.x_ss(float(s), 0.2))) == pytest.approx(1.0, abs=1e-12)
+                near18.x(float(s), 0.2)[2])) == pytest.approx(1.0, abs=1e-12)
 
     def test_taylor_bounds_near_closest_approach(self, near18):
         lam = near18.default_lam
@@ -163,9 +167,35 @@ class TestPairGeometry:
         tau = c * delta
         for t in np.linspace(-tau, tau, 41):
             z = near18.z(0.0, float(t), lam)
-            zp = near18.x_s(0.0, lam)
+            zp = near18.x(0.0, lam)[1]
             assert abs(float(z @ z) - delta**2) <= k * t * t + 1e-12
             assert abs(float(z @ zp)) <= k * abs(t) + 1e-12
+
+
+JET_PAIRS = [line_pair()] + [
+    sitnikov_pair(ModelParams(r=1.0, epsilon=eps), primary)
+    for eps in (0.0, 0.25, 0.6) for primary in ("near", "far")]
+
+
+class TestJets:
+    @pytest.mark.parametrize("pair", JET_PAIRS, ids=[
+        "line", *(f"{p}-eps{e}" for e in (0.0, 0.25, 0.6)
+                  for p in ("near", "far"))])
+    def test_derivative_rows_match_central_differences(self, pair):
+        # rows 1 and 2 against central differences of rows 0 and 1
+        h = 1e-5
+        lo, hi = pair.s_range
+        for lam in (0.2, 0.05):
+            for curve, args in ((pair.x, np.linspace(lo + h, hi - h, 7)),
+                                (pair.y, np.linspace(-0.5, 0.5, 11))):
+                for v in args:
+                    jet = curve(float(v), lam)
+                    fd = (curve(float(v) + h, lam)
+                          - curve(float(v) - h, lam))[:2] / (2.0 * h)
+                    for row in (1, 2):
+                        scale = max(1.0, float(np.max(np.abs(jet[row]))))
+                        assert np.max(np.abs(fd[row - 1] - jet[row])) \
+                            <= 1e-6 * scale
 
 
 class TestBoundReport:
@@ -206,10 +236,9 @@ class TestHillCrossCheck:
 
 class TestLoader:
     def test_from_dict(self):
-        pair = load_curve_pair({"family": "line",
-                                "params": {"default_lam": 0.2}})
+        pair = load_curve_pair({"family": "line"})
         assert pair.name == "line"
-        assert pair.default_lam == 0.2
+        assert pair.default_lam == 0.1
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "pair.json"
