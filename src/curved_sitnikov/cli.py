@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--quick", action="store_true",
-                   help="skip the two slowest checks")
+                   help="skip the slowest check")
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .kepler import TWO_PI, ModelParams, radial_factor_derivatives
 from .model import D_MIN, CollisionError
@@ -52,7 +51,6 @@ class CurvePair:
     lam_range: tuple[float, float]
     default_lam: float
     s_range: tuple[float, float]
-    s_periodic: bool = False
 
     def z(self, s: float, t: float, lam: float) -> np.ndarray:
         return self.x(s, lam)[0] - self.y(t, lam)[0]
@@ -155,53 +153,39 @@ def d2U_ds2_fd(t: float, lam: float, pair: CurvePair) -> float:
     return (-u[0] + 16 * u[1] - 30 * u[2] + 16 * u[3] - u[4]) / (12 * h * h)
 
 
-def min_distance(lam: float, pair: CurvePair) -> tuple[float, float, float]:
-    """Minimum of ``|x(s) - y(t)|`` via grid search plus local refinement.
+def min_distance(lam: float, pair: CurvePair) -> float:
+    """Gap ``delta = |x(0) - y(0)|`` at the pair's closest approach.
 
-    A 121 x 121 grid over the ``s`` window and one ``t`` period seeds a
-    Nelder-Mead refinement.  Returns ``(delta, s_star, t_star)``.  The
-    minimizer must sit near ``(0, 0)`` (within a few grid cells) and, for
-    non-periodic ``s`` windows, strictly inside the window; otherwise the
-    pair violates its closest-approach normalization and a ``ValueError``
-    is raised.  Ties (e.g. a ``t``-independent separation) resolve toward
-    ``t = 0``.
+    Every pair is normalized so that its closest approach sits at
+    ``s = t = 0``; that point is checked, not searched for.  A gap within
+    ``D_MIN`` raises ``CollisionError``.  ``ValueError`` is raised for a
+    gap whose square overflows, for an origin that is not stationary
+    (``|z.x'|`` or ``|z.y'|`` above ``1e-9 max(|x|, |y|)`` times that
+    derivative's length) and for any point of a 121 x 121 grid over the
+    ``s`` window and one ``t`` period whose squared gap is below
+    ``delta^2`` by more than a relative ``1e-9`` (ties are rounding).
     """
-    s_lo, s_hi = pair.s_range
-    svals = np.linspace(s_lo, s_hi, 121)
-    tvals = np.linspace(-0.5, 0.5, 121)
+    (x0, xp, _), (y0, yp, _) = pair.x(0.0, lam), pair.y(0.0, lam)
+    delta = math.dist(x0, y0)
+    if delta <= D_MIN:
+        raise CollisionError(1, delta)
+    if not math.isfinite(delta * delta):
+        raise ValueError(f"lam={lam} gives a gap delta={delta} whose square "
+                         f"overflows")
+    z = x0 - y0
+    scale = 1e-9 * max(math.hypot(*x0), math.hypot(*y0))
+    if any(abs(float(z @ d)) > scale * math.hypot(*d) for d in (xp, yp)):
+        raise ValueError(f"closest approach at lam={lam} is not stationary "
+                         f"at the origin")
 
-    def gap2(v) -> float:
-        z = pair.z(v[0], v[1], lam)
-        return float(z @ z)
-
-    # each curve once per grid coordinate, then z @ z per cell as in gap2;
-    # the seed is the least (gap2, |t|, |s|), the first in s-major order
-    z = (np.array([pair.x(float(s), lam)[0] for s in svals])[:, None]
-         - np.array([pair.y(float(t), lam)[0] for t in tvals]))
-    grid_gap2 = (z[..., None, :] @ z[..., None])[..., 0, 0]
-    s_abs, t_abs = np.meshgrid(np.abs(svals), np.abs(tvals), indexing="ij")
-    best = np.lexsort((s_abs.ravel(), t_abs.ravel(), grid_gap2.ravel()))[0]
-    i, j = divmod(int(best), tvals.size)
-    s0, t0 = float(svals[i]), float(tvals[j])
-    ds = svals[1] - svals[0]
-    dt = tvals[1] - tvals[0]
-
-    if not pair.s_periodic and (abs(s0 - s_lo) < 0.5 * ds or
-                                abs(s0 - s_hi) < 0.5 * ds):
-        raise ValueError(
-            f"closest approach sits on the s-window boundary (s={s0}); "
-            f"the pair is not normalized to an interior minimum")
-
-    res = minimize(gap2, x0=[s0, t0], method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 400})
-    s_star, t_star = float(res.x[0]), float(res.x[1])
-
-    if abs(s_star) > 3.0 * ds + 1e-9 or abs(t_star) > 3.0 * dt + 1e-9:
-        raise ValueError(
-            f"closest approach at (s={s_star:.4g}, t={t_star:.4g}) is not "
-            f"at the origin within grid resolution")
-    delta = float(np.linalg.norm(pair.z(s_star, t_star, lam)))
-    return delta, s_star, t_star
+    grid = (np.array([pair.x(float(s), lam)[0]
+                      for s in np.linspace(*pair.s_range, 121)])[:, None]
+            - np.array([pair.y(float(t), lam)[0]
+                        for t in np.linspace(-0.5, 0.5, 121)]))
+    if np.min(np.sum(grid * grid, axis=-1)) < (1.0 - 1e-9) * delta * delta:
+        raise ValueError(f"a point of the grid at lam={lam} is closer than "
+                         f"the origin")
+    return delta
 
 
 def estimate_bounds(pair: CurvePair, lam: float) -> tuple[float, float]:
@@ -225,14 +209,12 @@ def bound_report(lam: float, pair: CurvePair) -> BoundReport:
     ``c = min(k^{-1/2}, (k sqrt(6))^{-1})``, the curvature minimum
     ``a_min = min_{|t|<=tau} U''(0,t)`` over 201 samples, the lower-bound
     flag ``a_min >= 2^-4.5/delta^3``, and the winding estimate
-    ``-2 tau sqrt(a_min) + pi``.  A non-finite ``lam`` or gap raises
-    ``ValueError``.
+    ``-2 tau sqrt(a_min) + pi``.  A non-finite ``lam`` raises
+    ``ValueError``; ``min_distance`` checks the gap.
     """
     if not math.isfinite(lam):
         raise ValueError(f"lam={lam} must be finite")
-    delta, _, _ = min_distance(lam, pair)
-    if not math.isfinite(delta):
-        raise ValueError(f"lam={lam} gives a non-finite gap delta={delta}")
+    delta = min_distance(lam, pair)
     m, k = estimate_bounds(pair, lam)
     c = min(k ** -0.5, 1.0 / (k * math.sqrt(6.0)))
     tau = c * delta
@@ -269,7 +251,7 @@ def line_pair() -> CurvePair:
         return np.array([[0.0, lam, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
     return CurvePair(name="line", x=x, y=y, lam_range=(1e-3, 1.0),
-                     default_lam=0.1, s_range=(-0.9, 0.9), s_periodic=False)
+                     default_lam=0.1, s_range=(-0.9, 0.9))
 
 
 def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
@@ -320,7 +302,7 @@ def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
     return CurvePair(
         name=f"sitnikov_{primary}", x=x, y=y,
         lam_range=(5e-3, lam_hi), default_lam=default_lam,
-        s_range=(-math.pi, math.pi), s_periodic=True)
+        s_range=(-math.pi, math.pi))
 
 
 def sitnikov_hill_coefficient(params: ModelParams) -> Callable[[float], float]:

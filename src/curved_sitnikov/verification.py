@@ -292,16 +292,15 @@ CHECKS: list[tuple[str, Callable[[dict], tuple[bool, str]]]] = [
     ("origin stability", check_origin_stability),
 ]
 
-QUICK_SKIP = {"interchange census", "origin stability"}
+QUICK_SKIP = {"origin stability"}
 
 
 def run_all(quick: bool = False) -> Iterator[CheckResult]:
     """Run the verification suite in order, yielding each result as it ends.
 
-    ``quick=True`` skips the two slowest checks, the level-12 census
-    (about 1.5 s) and section boundedness (about 5 s).  Checks share a
-    context so later checks can audit the monodromies produced by earlier
-    ones.
+    ``quick=True`` skips the slowest check, section boundedness (about
+    5 s).  Checks share a context so later checks can audit the
+    monodromies produced by earlier ones.
     """
     ctx: dict = {}
     for name, fn in CHECKS:

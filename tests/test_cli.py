@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from curved_sitnikov import cli
+from curved_sitnikov import cli, integrate, verification
 from curved_sitnikov.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK,
                                  EXIT_VERIFY, ConfigError, main, parse_grid,
                                  parse_qstar)
@@ -60,6 +60,19 @@ class TestCommands:
         lines = out.read_text().splitlines()
         assert lines[1] == "t,q,p,s"
         assert len(lines) > 3
+
+    def test_simulate_warns_on_collision_truncation(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # inflated guard distance: the terminal event fires in period three
+        monkeypatch.setattr(integrate, "D_MIN", 0.3)
+        out = tmp_path / "traj.csv"
+        code = main(["simulate", "--r", "1.9", "--q0", str(math.pi - 0.5),
+                     "--p0", "0", "--t-final", "31.4", "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == \
+            "warning: trajectory truncated by collision guard\n"
+        t_last = float(out.read_text().splitlines()[-1].split(",")[0])
+        assert t_last < 31.4
 
     def test_floquet_verdict(self, tmp_path):
         out = tmp_path / "verdict.json"
@@ -248,15 +261,20 @@ class TestExitCodes:
         assert "configuration error: lam" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("lam", ["inf", "1e300"])
-    def test_bounds_non_finite_gap_exits_one(self, tmp_path, capsys, lam):
-        # 1e300 is finite, but its gap overflows |z| to infinity
+    @pytest.mark.parametrize("lam, reason", [
+        ("inf", "must be finite"),
+        ("1e300", "gives a gap delta=1e+300 whose square overflows"),
+    ], ids=["inf", "1e300"])
+    def test_bounds_non_finite_gap_exits_one(self, tmp_path, capsys, lam,
+                                             reason):
+        # 1e300 is finite, but the square of its gap overflows; no numeric
+        # warning comes before the one error line
         curve, out = tmp_path / "pair.json", tmp_path / "out.json"
         curve.write_text(json.dumps({"family": "line"}))
         assert main(["bounds", "--curve-file", str(curve), f"--lam={lam}",
                      "--out", str(out)]) == EXIT_CONFIG
-        assert f"configuration error: lam={float(lam)}" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"configuration error: lam={float(lam)} {reason}\n"
         assert not out.exists()
 
     def test_eps_scan_nonpositive_r_exits_one(self, tmp_path, capsys):
@@ -369,6 +387,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli.verification, "run_all",
                             lambda quick: [CheckResult("x", True, "ok", 0.0)])
         assert main(["verify", "--quick"]) == EXIT_OK
+
+    def test_quick_verify_skips_only_origin_stability(self, monkeypatch):
+        # stand-in checks: only the selection is under test
+        names = [name for name, _ in verification.CHECKS]
+        monkeypatch.setattr(verification, "CHECKS", [
+            (name, lambda ctx: (True, "ok")) for name in names])
+        assert [r.name for r in verification.run_all(quick=True)] == \
+            [name for name in names if name != "origin stability"]
 
 
 class _FixedParser:

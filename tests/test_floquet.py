@@ -207,6 +207,22 @@ class TestWinding:
                 theta = winding_angle(a, 0.0, TWO_PI, z0)
                 assert theta <= winding_bound(a_min, 0.0, TWO_PI)
 
+    def test_arg_route_refines_coarse_samples(self, monkeypatch):
+        # a = 100 turns the phase vector ten times in 2 pi, faster than the
+        # solver's steps sample it, so the arg route refines once
+        unwrap, calls = np.unwrap, []
+
+        def spy(phase):
+            calls.append(len(phase))
+            return unwrap(phase)
+
+        monkeypatch.setattr(floquet.np, "unwrap", spy)
+        for method in ("arg", "theta"):
+            assert winding_angle(lambda t: 100.0, 0.0, TWO_PI, 1 + 0j,
+                                 tol=1e-10, method=method) == pytest.approx(
+                -20.0 * math.pi, abs=1e-6)
+        assert len(calls) == 2 and calls[1] > calls[0]
+
     def test_rejects_zero_phase(self):
         with pytest.raises(ValueError):
             winding_angle(lambda t: 1.0, 0.0, 1.0, 0j)

@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from curved_sitnikov import general_model
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.model import CollisionError, hill_coefficient
 from curved_sitnikov.general_model import (bound_report, d2U_ds2, d2U_ds2_fd,
@@ -44,7 +43,8 @@ class TestPairPotential:
     def test_collision_guard(self):
         pair = line_pair()
         for guarded in (lambda: pair_potential(0.0, 0.0, 1e-12, pair),
-                        lambda: d2U_ds2(0.0, 1e-12, pair)):
+                        lambda: d2U_ds2(0.0, 1e-12, pair),
+                        lambda: min_distance(1e-12, pair)):
             with pytest.raises(CollisionError) as err:
                 guarded()
             assert err.value.primary == 1
@@ -72,70 +72,41 @@ class TestCurvature:
 
 class TestMinDistance:
     def test_line_fixture(self):
-        pair = line_pair()
-        delta, s_star, t_star = min_distance(0.05, pair)
-        assert delta == pytest.approx(0.05, abs=1e-10)
-        assert abs(s_star) < 1e-6 and abs(t_star) < 1e-6
+        # the gap does not depend on t, so every t ties with the origin
+        assert min_distance(0.05, line_pair()) == pytest.approx(0.05,
+                                                                 abs=1e-10)
 
     def test_gap_matches_apocenter_geometry(self):
         for r, expected in ((1.8, 0.2), (1.9, 0.1)):
             pair = sitnikov_pair(ModelParams(r=r, epsilon=0.0))
-            delta, s_star, t_star = min_distance(pair.default_lam, pair)
-            assert delta == pytest.approx(expected, abs=1e-9)
-            assert abs(s_star) < 1e-5 and abs(t_star) < 1e-5
+            assert min_distance(pair.default_lam, pair) == pytest.approx(
+                expected, abs=1e-9)
 
     def test_eccentric_gap(self):
         params = ModelParams(r=1.5, epsilon=0.25)
         pair = sitnikov_pair(params)
-        delta, _, _ = min_distance(pair.default_lam, pair)
-        assert delta == pytest.approx(2.0 - 1.5 * 1.25, abs=1e-9)
+        assert min_distance(pair.default_lam, pair) == pytest.approx(
+            2.0 - 1.5 * 1.25, abs=1e-9)
 
-    def test_grid_seed_equals_cell_by_cell_search(self, monkeypatch):
-        # reference: pair.z and z @ z cell by cell, keeping the first
-        # least (|z|^2, |t|, |s|) in s-major order
-        seeds = []
-        minimize = general_model.minimize
-
-        def spy(fun, x0, **options):
-            seeds.append(tuple(x0))
-            return minimize(fun, x0=x0, **options)
-
-        monkeypatch.setattr(general_model, "minimize", spy)
-        for pair, lam in ((line_pair(), 0.1),
-                          (sitnikov_pair(ModelParams(r=1.8)), 0.2),
-                          (sitnikov_pair(ModelParams(r=1.5, epsilon=0.2)),
-                           0.1)):
-            min_distance(lam, pair)
-            best = None
-            for s in np.linspace(*pair.s_range, 121):
-                for t in np.linspace(-0.5, 0.5, 121):
-                    z = pair.z(float(s), float(t), lam)
-                    key = (float(z @ z), abs(t), abs(s))
-                    if best is None or key < best[0]:
-                        best = (key, float(s), float(t))
-            assert seeds[-1] == best[1:]
+    @staticmethod
+    def _line_moved_to(s_offset):
+        # the line fixture with its fixed point moved along the line
+        return replace(line_pair(), y=lambda t, lam: np.array(
+            [[s_offset, lam, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
     def test_boundary_minimum_rejected(self):
-        # the line fixture with its fixed point moved past the s window
-        pair = replace(line_pair(), name="off-end",
-                       y=lambda t, lam: np.array([[2.0, lam, 0.0],
-                                                  [0.0, 0.0, 0.0],
-                                                  [0.0, 0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            min_distance(0.1, pair)
+        # the closest approach at s = 2 lies past the s window
+        with pytest.raises(ValueError, match="not stationary"):
+            min_distance(0.1, self._line_moved_to(2.0))
 
     def test_offset_minimum_rejected(self):
-        pair = replace(line_pair(), name="off-center",
-                       y=lambda t, lam: np.array([[0.5, lam, 0.0],
-                                                  [0.0, 0.0, 0.0],
-                                                  [0.0, 0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            min_distance(0.1, pair)
+        with pytest.raises(ValueError, match="not stationary"):
+            min_distance(0.1, self._line_moved_to(0.5))
 
     def test_far_primary_pair_rejected(self):
-        # the opposite primary's closest approach is at half period
+        # stationary at t = 0, but its closest approach is at half period
         far = sitnikov_pair(ModelParams(r=1.8, epsilon=0.1), primary="far")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="closer than the origin"):
             min_distance(far.default_lam, far)
 
 
@@ -162,7 +133,7 @@ class TestPairGeometry:
     def test_taylor_bounds_near_closest_approach(self, near18):
         lam = near18.default_lam
         m, k = estimate_bounds(near18, lam)
-        delta, _, _ = min_distance(lam, near18)
+        delta = min_distance(lam, near18)
         c = min(k**-0.5, 1.0 / (k * math.sqrt(6.0)))
         tau = c * delta
         for t in np.linspace(-tau, tau, 41):

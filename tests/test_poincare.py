@@ -86,6 +86,16 @@ class TestSection:
         data = (tmp_path / argv[-1]).read_bytes()
         assert hashlib.sha256(data).hexdigest() == sha256
 
+    def test_fixed_step_collision_truncates_only_its_orbit(self, monkeypatch):
+        # the RK4 route's force guard sits at 1e-3 D_MIN = 0.3 here; it
+        # trips in the third period, as the lane route's guard does
+        # in TestLaneRoute
+        monkeypatch.setattr(integrate, "D_MIN", 300.0)
+        cloud = section(ModelParams(r=1.9), [(math.pi - 0.5, 0.0), (0.1, 0.0)],
+                        n_iterates=10, fixed_steps=128)
+        assert cloud.truncated == [True, False]
+        assert [len(o) for o in cloud.orbits] == [2, 10]
+
     @pytest.mark.parametrize("fixed_steps", [None, 8])
     @pytest.mark.parametrize("n_iterates", [0, -1])
     def test_needs_one_iterate(self, n_iterates, fixed_steps):
