@@ -27,8 +27,9 @@ from .integrate import (DEFAULT_MONODROMY_TOL, DEFAULT_ORBIT_TOL,
 from .floquet import (DEFAULT_DELTA_PAR, ELLIPTIC, MonodromyError, classify,
                       monodromy)
 from .general_model import bound_report, load_curve_pair, sitnikov_pair
-from .scan import (DEFAULT_REFINE_TOL, DEFAULT_SCAN_TOL, eps_scan_origin,
-                   find_transitions, interchange_census, trace_curve)
+from .scan import (DEFAULT_REFINE_TOL, DEFAULT_SCAN_TOL, _check_refine_tol,
+                   eps_scan_origin, find_transitions, interchange_census,
+                   trace_curve)
 from .poincare import section
 from . import verification
 
@@ -166,13 +167,14 @@ def cmd_floquet(args) -> int:
 
 def cmd_scan(args) -> int:
     params_grid = parse_grid(args.r_grid)
+    _check_refine_tol(args.refine_tol)
     curve = trace_curve(parse_qstar(args.qstar), args.eps, params_grid,
                         tol=args.tol)
     _warn_skipped(curve.skipped)
+    intervals = find_transitions(curve, refine_tol=args.refine_tol)
     if args.out_csv:
         _write_csv(args.out_csv, ("r", "half_trace"),
                    zip(curve.values, curve.half_traces), args)
-    intervals = find_transitions(curve, refine_tol=args.refine_tol)
     _write_json(args.out_json, intervals.to_json_dict(), args)
     return EXIT_OK
 

@@ -2,7 +2,9 @@
 
 Transitions are detected on ``|h| - 1`` with ``h`` the half-trace of the
 monodromy, not on classification labels, so the parabolic reporting band
-cannot create artificial intervals.  Near the collision ceiling
+cannot create artificial intervals.  Transition brackets come from
+Brent's method on ``h = +-1``, snapped onto bisection's midpoints and
+confirmed (``find_transitions``).  Near the collision ceiling
 ``r = 2/(1+eps)`` the interchange density grows without bound, so census
 grids are geometric in the gap ``2/(1+eps) - r``; linear grids
 under-resolve there.
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .kepler import TWO_PI, ModelParams, collision_ceiling
 from .model import coefficient_period
@@ -174,17 +177,48 @@ def _tile(samples: list[tuple[float, float]], narrow) -> tuple[list, list]:
     return intervals, transitions
 
 
+def _check_refine_tol(refine_tol: float) -> None:
+    if not (math.isfinite(refine_tol) and refine_tol > 0.0):
+        raise ValueError(f"refine_tol={refine_tol} must be finite and positive")
+
+
+def _bisect(lo: float, hi: float, lo_side, refine_tol: float):
+    """Halve ``[lo, hi]`` to width ``refine_tol``.
+
+    ``lo_side(mid)`` says whether the midpoint replaces ``lo``.  Halving
+    also stops once the float midpoint is no longer strictly inside, so a
+    tolerance below the float spacing ends with a one-ulp bracket.
+    """
+    while hi - lo > refine_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if lo_side(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def find_transitions(curve: TraceCurve,
                      refine_tol: float = DEFAULT_REFINE_TOL) -> StabilityIntervals:
     """Bracket and refine every crossing of ``|half_trace| = 1`` on a curve.
 
     The grid is tiled by ``_tile``; each class change between adjacent
-    grid points is narrowed by bisection on freshly computed monodromies to
-    width ``refine_tol`` before its midpoint becomes an interval boundary.
-    Interval midpoints are re-checked; mismatches are flagged in
-    ``suspect`` (two crossings inside a single grid cell cannot be split
-    without a finer grid).
+    grid points is narrowed to width ``refine_tol`` before its midpoint
+    becomes an interval boundary.  Narrowing is Brent-then-snap: with
+    ``s`` the sign of ``h`` at the cell's non-elliptic end, ``brentq``
+    finds a root of ``h - s`` in the cell, bisection's float midpoints are
+    replayed against that root without evaluating anything, and the class
+    is confirmed at the two ends of the resulting bracket.  If either end
+    disagrees, plain bisection reruns over the cell.  Every half-trace is
+    computed once per radius (the grid's own are reused), so a confirmed
+    bracket is the one bisection returns whenever the class changes once
+    in the cell.  Interval midpoints are re-checked; mismatches are flagged
+    in ``suspect`` (two crossings inside a single grid cell cannot be split
+    without a finer grid).  ``refine_tol`` must be finite and positive.
     """
+    _check_refine_tol(refine_tol)
     if len(curve.values) < 2:
         raise ValueError("need at least 2 grid samples to bracket transitions")
     if curve.param != "r":
@@ -192,22 +226,31 @@ def find_transitions(curve: TraceCurve,
     if np.any(np.diff(curve.values) <= 0.0):
         raise ValueError("transition search needs a strictly increasing r grid")
 
-    def elliptic_at(r: float) -> bool:
-        return _elliptic(_half_trace(curve.q_star, r, curve.epsilon,
-                                     curve.period, curve.tol))
-
-    def bisect(r_lo: float, r_hi: float, lo_elliptic: bool):
-        while r_hi - r_lo > refine_tol:
-            mid = 0.5 * (r_lo + r_hi)
-            if elliptic_at(mid) == lo_elliptic:
-                r_lo = mid
-            else:
-                r_hi = mid
-        return r_lo, r_hi
-
     samples = [(float(r), float(h))
                for r, h in zip(curve.values, curve.half_traces)]
-    intervals, transitions = _tile(samples, bisect)
+    cache = dict(samples)
+
+    def h_at(r: float) -> float:
+        if r not in cache:
+            cache[r] = _half_trace(curve.q_star, r, curve.epsilon,
+                                   curve.period, curve.tol)
+        return cache[r]
+
+    def elliptic_at(r: float) -> bool:
+        return _elliptic(h_at(r))
+
+    def narrow(r_lo: float, r_hi: float, lo_elliptic: bool):
+        s = math.copysign(1.0, h_at(r_hi if lo_elliptic else r_lo))
+        # brentq needs a positive xtol even for a subnormal refine_tol
+        root = brentq(lambda r: h_at(r) - s, r_lo, r_hi,
+                      xtol=max(refine_tol / 64, math.ulp(0.0)), disp=False)
+        lo, hi = _bisect(r_lo, r_hi, lambda mid: mid < root, refine_tol)
+        if elliptic_at(lo) == lo_elliptic and elliptic_at(hi) != lo_elliptic:
+            return lo, hi
+        return _bisect(r_lo, r_hi,
+                       lambda mid: elliptic_at(mid) == lo_elliptic, refine_tol)
+
+    intervals, transitions = _tile(samples, narrow)
     suspect = [{"r_lo": lo, "r_hi": hi,
                 "reason": "midpoint class mismatch; grid too coarse"}
                for lo, hi, cls in intervals

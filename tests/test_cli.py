@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from curved_sitnikov import cli, integrate, verification
+from curved_sitnikov import cli, integrate, scan, verification
 from curved_sitnikov.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK,
                                  EXIT_VERIFY, ConfigError, main, parse_grid,
                                  parse_qstar)
@@ -330,6 +330,37 @@ class TestExitCodes:
                      "--out-csv", str(csv_out),
                      "--out-json", str(tmp_path / "absent" / "x.json")]) == \
             EXIT_CONFIG
+        assert not csv_out.exists()
+
+    @pytest.mark.parametrize("refine_tol", ["0", "-1", "nan", "inf"])
+    def test_bad_refine_tol_exits_one_before_computing(self, monkeypatch,
+                                                       capsys, refine_tol):
+        calls = []
+        monkeypatch.setattr(scan, "monodromy",
+                            lambda *a, **k: calls.append(a))
+        assert main(["scan", "--qstar", "pi", "--r", "1.2:1.27:0.005",
+                     f"--refine-tol={refine_tol}"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: refine_tol={float(refine_tol)} must be "
+            "finite and positive\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("refine_tol", ["1e-17", "5e-324"])
+    def test_refine_tol_below_float_spacing_ends_at_one_ulp(self, capsys,
+                                                            refine_tol):
+        assert main(["scan", "--qstar", "pi", "--eps", "0",
+                     "--r", "1.2:1.27:0.005",
+                     f"--refine-tol={refine_tol}"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        (lo, hi), = (t["r_bracket"] for t in record["transitions"])
+        assert hi == math.nextafter(lo, 2.0)
+
+    def test_failed_scan_leaves_no_csv(self, tmp_path, capsys):
+        csv_out = tmp_path / "x.csv"
+        assert main(["scan", "--qstar", "pi", "--eps", "0",
+                     "--r", "1.2:1.2:0.005", "--out-csv", str(csv_out)]) == \
+            EXIT_CONFIG
+        assert "need at least 2 grid samples" in capsys.readouterr().err
         assert not csv_out.exists()
 
     def test_corrupt_monodromy_in_scan_exits_two(self, tmp_path, capsys):

@@ -9,7 +9,8 @@ import pytest
 
 from curved_sitnikov import scan
 from curved_sitnikov.cli import _write_csv, main
-from curved_sitnikov.floquet import ELLIPTIC, HYPERBOLIC
+from curved_sitnikov.floquet import ELLIPTIC, HYPERBOLIC, Monodromy, monodromy
+from curved_sitnikov.integrate import FundamentalMatrix
 from curved_sitnikov.model import coefficient_period, hill_coefficient
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.scan import (TraceCurve, _half_trace, eps_scan_origin,
@@ -153,6 +154,96 @@ class TestFindTransitions:
         assert all(set(iv) == {"r_lo", "r_hi", "class"}
                    for iv in record["intervals"])
         assert all(set(t) == {"r_bracket"} for t in record["transitions"])
+
+
+def _plain_bisection(curve, refine_tol):
+    """The transition brackets of bisection on fresh half-traces."""
+    brackets = []
+    pairs = list(zip(curve.values.tolist(), curve.half_traces.tolist()))
+    for (lo, h_lo), (hi, h_hi) in zip(pairs, pairs[1:]):
+        lo_elliptic = abs(h_lo) < 1.0
+        if lo_elliptic == (abs(h_hi) < 1.0):
+            continue
+        while hi - lo > refine_tol:
+            mid = 0.5 * (lo + hi)
+            h = _half_trace(curve.q_star, mid, curve.epsilon, curve.period,
+                            curve.tol)
+            if (abs(h) < 1.0) == lo_elliptic:
+                lo = mid
+            else:
+                hi = mid
+        brackets.append((lo, hi))
+    return brackets
+
+
+def _brackets(tiling):
+    return [tuple(t["r_bracket"]) for t in tiling.transitions]
+
+
+@pytest.fixture(scope="module")
+def eccentric_scans():
+    """Per eps: the curve, its tiling, and the fresh monodromies it made."""
+    grid = np.arange(1.05, 1.4 + 1e-12, 0.005)
+    scans = {}
+    for eps in (0.1, 0.2):
+        curve = trace_curve(math.pi, eps, grid, tol=1e-9)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scan, "monodromy",
+                       lambda *a, **k: calls.append(a) or monodromy(*a, **k))
+            tiling = find_transitions(curve, refine_tol=1e-10)
+        scans[eps] = curve, tiling, len(calls)
+    return scans
+
+
+def _fake_monodromy(half_trace):
+    """A ``monodromy`` stand-in with det 1 and half-trace ``half_trace(r)``."""
+    def fake(q_star, params, period, tol):
+        h = half_trace(params.r)
+        return Monodromy(matrix=FundamentalMatrix(x1=h, x2=1.0,
+                                                  y1=h * h - 1.0, y2=h),
+                         period=period)
+    return fake
+
+
+class TestBrentThenSnap:
+    @pytest.mark.parametrize("eps", [0.1, 0.2])
+    def test_brackets_equal_plain_bisection(self, eccentric_scans, eps):
+        curve, tiling, _ = eccentric_scans[eps]
+        assert tiling.transitions
+        assert _brackets(tiling) == _plain_bisection(curve, 1e-10)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.2])
+    def test_fresh_evaluations_bounded(self, eccentric_scans, eps):
+        # bisection to 1e-10 over a 0.005 cell takes 26 per bracket
+        _, tiling, fresh = eccentric_scans[eps]
+        assert fresh <= (8 * len(tiling.transitions)
+                         + len(tiling.intervals))
+
+    def test_failed_confirmation_falls_back_to_bisection(self, monkeypatch):
+        # h crosses 1 once, at r = 1 + 1/30; a notch of zero width at the
+        # snapped bracket's upper end makes that end elliptic, so
+        # confirmation fails
+        def smooth(r):
+            return 30.0 * (r - 1.0)
+
+        bisections = []
+        bisect = scan._bisect
+        monkeypatch.setattr(scan, "_bisect",
+                            lambda *a: bisections.append(a) or bisect(*a))
+        monkeypatch.setattr(scan, "monodromy", _fake_monodromy(smooth))
+        curve = trace_curve(math.pi, 0.0, [1.0, 1.1], tol=1e-9)
+        (lo, snapped_hi), = _brackets(find_transitions(curve, 1e-7))
+        assert len(bisections) == 1
+        assert lo < 1.0 + 1.0 / 30.0 < snapped_hi
+
+        bisections.clear()
+        monkeypatch.setattr(scan, "monodromy", _fake_monodromy(
+            lambda r: 0.0 if r == snapped_hi else smooth(r)))
+        got = _brackets(find_transitions(curve, 1e-7))
+        assert len(bisections) == 2
+        assert got == _plain_bisection(curve, 1e-7)
+        assert got != [(lo, snapped_hi)]
 
 
 class TestCensus:
