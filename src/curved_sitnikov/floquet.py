@@ -87,25 +87,29 @@ def _antipode_half_traces(rs, epsilon: float, tol: float) -> np.ndarray:
     ``D X(T/2)^-1 D X(T/2)``, whose half-trace is
     ``(x1 y2 + x2 y1) / det X(T/2)``.  Time is the eccentric anomaly ``u``
     (``kepler._anomaly_geometry``), so the system is ``dv/du = rho w``,
-    ``dw/du = -rho a(t(u)) v`` with ``a`` the Hill coefficient, and no lane
-    solves Kepler's equation; ``t(T/2) = T/2``.  This form makes ``x1 = y2``
-    of the full-period matrix hold by construction, so the Wronskian and
-    evenness audit uses ``monodromy`` instead.  Raises ``MonodromyError``
-    if any lane's ``det X(T/2)`` is off 1 beyond ``DET_CORRUPT_TOL``.
+    ``dw/du = -rho a(t(u)) v`` with ``a`` the Hill coefficient (the lanes'
+    clock holds ``rho`` and ``-rho a``), and no lane solves Kepler's
+    equation; ``t(T/2) = T/2``.  This form makes ``x1 = y2`` of the
+    full-period matrix hold by construction, so the Wronskian and evenness
+    audit uses ``monodromy`` instead.  Raises ``MonodromyError`` if any
+    lane's ``det X(T/2)`` is off 1 beyond ``DET_CORRUPT_TOL``.
     """
     rs = np.asarray(rs, dtype=float)
     for r in (rs.min(), rs.max()):  # validates every radius and epsilon
         ModelParams(r=float(r), epsilon=epsilon)
 
-    def rhs(u, y, lanes):
+    def clock(u, lanes):  # rows (rho, rho df/dq) per time
         rho, a, c = _anomaly_geometry(u, rs[lanes], epsilon)
-        stiffness = rho * _antipode_dforce_dq(a, c)
+        return np.stack((rho, rho * _antipode_dforce_dq(a, c)), axis=1)
+
+    def rhs(g, y, lanes):
         dy = np.empty_like(y)
-        dy[0::2] = rho * y[1::2]
-        dy[1::2] = stiffness * y[0::2]
+        dy[0::2] = g[0] * y[1::2]
+        dy[1::2] = g[1] * y[0::2]
         return dy
 
-    x1, y1, x2, y2 = _dop853_lanes(rhs, 0.5 * coefficient_period(epsilon),
+    x1, y1, x2, y2 = _dop853_lanes(clock, rhs,
+                                   0.5 * coefficient_period(epsilon),
                                    np.array([1.0, 0.0, 0.0, 1.0]), rs.size,
                                    tol)
     det = x1 * y2 - x2 * y1

@@ -7,9 +7,11 @@ solve raising :class:`StiffnessError`: single orbits
 through scipy's ``solve_ivp``; many independent solves go through
 ``_dop853_lanes``, which steps them side by side as the columns of one
 array, each with its own step size, and records each at a list of stop
-times.  The census's half-period monodromies and the strobed orbits of a
-Poincaré section (``_strobe_orbits``) are such lanes.  Variational solves,
-and each lane between two stops, stop with :class:`StiffnessError` past
+times; a lane system is a ``clock`` of the time-only terms, evaluated once
+per step on all its stage times, and an ``rhs`` taking one stage's row.
+The census's half-period monodromies and the strobed orbits of a Poincaré
+section (``_strobe_orbits``) are such lanes.  Variational solves, and each
+lane between two stops, stop with :class:`StiffnessError` past
 ``MAX_VARIATIONAL_NFEV`` right-hand-side calls, so every admissible input
 ends in bounded work.  Orbits can instead take a fixed-step classical
 RK4 for bit-reproducible regression baselines: a given step count
@@ -28,8 +30,8 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .kepler import TWO_PI, ModelParams, _anomaly_geometry
-from .model import (D_MIN, _distances, _pull, _squared_distances,
-                    tangential_force)
+from .model import (D_MIN, _distances, _phase_terms, _pull,
+                    _squared_distance, tangential_force)
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 DEFAULT_ORBIT_TOL = 1e-8
@@ -218,12 +220,13 @@ _ERROR_EXPONENT = -1.0 / (_ERROR_ORDER + 1)
 _A = _dop.A[:_dop.N_STAGES, :_dop.N_STAGES]
 
 
-def _initial_steps(rhs, t_end: float, y: np.ndarray, f: np.ndarray,
+def _initial_steps(clock, rhs, t_end: float, y: np.ndarray, f: np.ndarray,
                    lanes: np.ndarray, tol: float) -> np.ndarray:
     """Each lane's first step from ``t = 0``, in one more ``rhs`` call.
 
     Scipy's rule for ``solve_ivp`` (Hairer, Norsett and Wanner, *Solving
-    ODEs I*, II.4), lane-wise at ``rtol = atol = tol``; ``f = rhs(0, y)``.
+    ODEs I*, II.4), lane-wise at ``rtol = atol = tol``, for the system
+    ``clock``, ``rhs`` of ``_dop853_lanes`` with ``f`` its slope at 0.
     """
     def rms(x):  # scipy's error norm, per lane
         return np.linalg.norm(x, axis=0) / x.shape[0] ** 0.5
@@ -233,44 +236,54 @@ def _initial_steps(rhs, t_end: float, y: np.ndarray, f: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, t_end)
-        d2 = rms((rhs(h0, y + h0 * f, lanes) - f) / scale) / h0
+        f1 = rhs(clock(h0[None], lanes)[0], y + h0 * f, lanes)
+        d2 = rms((f1 - f) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(d1, d2)) ** (1 / (_ERROR_ORDER + 1)))
     return np.minimum(np.minimum(100 * h0, h1), t_end)
 
 
-def _dop853_lanes(rhs, stops, y0: np.ndarray, n_lanes: int, tol: float,
-                  halt=None) -> np.ndarray:
+def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
+                  tol: float, halt=None) -> np.ndarray:
     """Solve ``n_lanes`` independent systems from ``t = 0`` to each stop.
 
-    ``rhs(t, y, lanes)`` gets the lanes' own times ``t`` (shape ``(m,)``),
-    their states ``y`` (shape ``(n, m)``) and their indices ``lanes`` into
-    the batch, and returns ``dy/dt`` of shape ``(n, m)``.  ``y0`` holds the
+    The system comes in two parts: ``clock(t, lanes)`` maps times ``t``,
+    shape ``(k, m)``, of the lanes ``lanes`` (indices into the batch) to
+    what the right-hand side needs of time alone, one row per time, and
+    ``rhs(g, y, lanes)`` maps one row ``g`` and states ``y``, shape
+    ``(n, m)``, to ``dy/dt``.  DOP853's stage nodes ``c_i`` are fixed, so
+    each step attempt calls ``clock`` once, on the 13 times ``t + c_i h``
+    (``i < 12``) and ``t + h``; the initial step adds two one-row calls.
+    An identity ``clock`` hands ``rhs`` the times.  ``y0`` holds the
     initial states, shape ``(n, n_lanes)``, or one state ``(n,)`` for all
-    lanes; ``stops`` is an increasing array of positive times, or one time.
-    Every lane is stepped by DOP853 at ``rtol = atol = tol`` with scipy's
-    rules: the initial step of ``_initial_steps``, the E5/E3 error norm,
-    step factors 0.9/0.2/10 and no growth right after a rejection.  Each
-    lane keeps its own step size and accept mask.  A step that would pass
-    the lane's next stop is clipped there and the state recorded; the
-    lane's step size carries over, shrunk but never grown by the clipped
-    step.  A lane leaves the batch after its last stop, or at the first
-    accepted step where ``halt(t, y, lanes)`` (arguments as for ``rhs``)
-    is true, and the stops it never reached stay NaN.  Returns the states
-    at the stops, shape ``(len(stops), n, n_lanes)``, or ``(n, n_lanes)``
-    for one stop time.  A step below ten ulps of ``t`` after a rejection,
-    or a lane past ``MAX_VARIATIONAL_NFEV`` right-hand-side calls since its
-    last stop, raises :class:`StiffnessError`.
+    lanes; ``stops`` is one time or an array of them, finite, positive and
+    strictly increasing, else ``ValueError``.  Every lane is stepped by
+    DOP853 at ``rtol = atol = tol`` with scipy's rules: the initial step of
+    ``_initial_steps``, the E5/E3 error norm, step factors 0.9/0.2/10 and
+    no growth right after a rejection.  Each lane keeps its own step size
+    and accept mask.  A step that would pass the lane's next stop is
+    clipped there and the state recorded; the lane's step size carries
+    over, shrunk but never grown by the clipped step.  A lane leaves the
+    batch after its last stop, or at the first accepted step where
+    ``halt(g, y, lanes)`` (``g`` the step's last row) is true, and the
+    stops it never reached stay NaN.  Returns the states at the stops,
+    shape ``(len(stops), n, n_lanes)``, or ``(n, n_lanes)`` for one stop
+    time.  A step below ten ulps of ``t`` after a rejection, or a lane past
+    ``MAX_VARIATIONAL_NFEV`` right-hand-side calls since its last stop,
+    raises :class:`StiffnessError`.
     """
     _validate_tol(tol)
     stop_times = np.atleast_1d(np.asarray(stops, dtype=float))
+    if not (np.isfinite(stop_times).all() and stop_times.size
+            and (np.diff(stop_times, prepend=0.0) > 0.0).all()):
+        raise ValueError(f"stops={stops} not finite, positive, increasing")
     y0 = np.asarray(y0, dtype=float)
     lanes = np.arange(n_lanes)
     t = np.zeros(n_lanes)
     y = np.array(np.broadcast_to(y0.reshape(len(y0), -1), (len(y0), n_lanes)))
-    f = rhs(t, y, lanes)
-    h_abs = _initial_steps(rhs, stop_times[-1], y, f, lanes, tol)
+    f = rhs(clock(t[None], lanes)[0], y, lanes)
+    h_abs = _initial_steps(clock, rhs, stop_times[-1], y, f, lanes, tol)
     # Lanes step in lockstep, so every lane in the batch has made nfev
     # right-hand-side calls; a lane made nfev - nfev_at_stop[lane] of them
     # since its last stop, at most nfev - oldest.
@@ -283,18 +296,20 @@ def _dop853_lanes(rhs, stops, y0: np.ndarray, n_lanes: int, tol: float,
     while lanes.size:
         k = np.empty((_dop.N_STAGES + 1,) + y.shape)
         stages = k.reshape(k.shape[0], -1)  # a view, one row per stage
-        min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10.0 * np.spacing(t)  # ten ulps, as t >= 0
         if np.any(rejected & (h_abs < min_step)):
             raise StiffnessError("step size underflow in a lane-batched solve")
         h_abs = np.maximum(h_abs, min_step)
         t_new = np.minimum(t + h_abs, t_stop)
         h = t_new - t
+        g = clock(np.concatenate((t + _dop.C[:_dop.N_STAGES, None] * h,
+                                  t_new[None])), lanes)
         k[0] = f
         for s in range(1, _dop.N_STAGES):
             dy = np.dot(_A[s, :s], stages[:s]).reshape(y.shape) * h
-            k[s] = rhs(t + _dop.C[s] * h, y + dy, lanes)
+            k[s] = rhs(g[s], y + dy, lanes)
         y_new = y + h * np.dot(_dop.B, stages[:-1]).reshape(y.shape)
-        k[-1] = f_new = rhs(t_new, y_new, lanes)
+        k[-1] = f_new = rhs(g[-1], y_new, lanes)
         nfev += _dop.N_STAGES
         if nfev - oldest > MAX_VARIATIONAL_NFEV:
             raise StiffnessError(f"lane-batched solve exceeded "
@@ -318,14 +333,17 @@ def _dop853_lanes(rhs, stops, y0: np.ndarray, n_lanes: int, tol: float,
         h_prev = h_abs
         h_abs = h_abs * np.where(accept, factor, np.fmax(_MIN_FACTOR, growth))
         rejected = ~accept
-        t = np.where(accept, t_new, t)
-        y = np.where(accept, y_new, y)
-        f = np.where(accept, f_new, f)
+        if rejected.any():
+            t = np.where(accept, t_new, t)
+            y = np.where(accept, y_new, y)
+            f = np.where(accept, f_new, f)
+        else:
+            t, y, f = t_new, y_new, f_new
 
         reached = accept & (t_new == t_stop)
         moved = False
         if halt is not None:
-            halted = accept & halt(t, y, lanes)
+            halted = accept & halt(g[-1], y, lanes)
             if halted.any():
                 reached &= ~halted
                 next_stop[halted] = stop_times.size  # later stops stay NaN
@@ -354,35 +372,37 @@ def _strobe_orbits(initial: np.ndarray, n_strobes: int, params: ModelParams,
     ``initial`` holds the orbits' ``(q0, p0)`` at ``t = 0`` as columns,
     shape ``(2, m)``; the result has shape ``(n_strobes, 2, m)``.  The
     orbits are the lanes of one ``_dop853_lanes`` solve, and time is the
-    eccentric anomaly ``u`` (``kepler._anomaly_geometry``):
-    ``dq/du = rho p``, ``dp/du = rho f(q, t(u))``.  The
-    strobes ``t = 2 pi k`` are ``u = 2 pi k``, so no lane solves Kepler's
-    equation.  No step spans more than a quarter period.  An orbit whose
-    distance to a primary is at most ``D_MIN`` at an accepted step leaves
-    the solve there; its later strobes are NaN.
+    eccentric anomaly ``u`` (``kepler._anomaly_geometry``, in the lanes'
+    clock with the force's time-only terms): ``dq/du = rho p``,
+    ``dp/du = rho f(q, t(u))``.  The strobes ``t = 2 pi k`` are
+    ``u = 2 pi k``, so no lane solves Kepler's equation.  No step spans
+    more than a quarter period.  An orbit whose distance to a primary is
+    at most ``D_MIN`` at an accepted step leaves the solve there; its
+    later strobes are NaN.
     """
     r, eps = params.r, params.epsilon
 
-    def geometry(u, q):
+    def clock(u, lanes):  # rows (rho, a^2, 1 + c, 1 - c) per time
         rho, a, c = _anomaly_geometry(u, r, eps)
-        d1_sq, d2_sq = _squared_distances(a, c, np.cos(q))
-        return rho, c, np.sqrt(d1_sq), np.sqrt(d2_sq)
+        return np.stack((rho, *_phase_terms(a, c)), axis=1)
 
-    def rhs(u, y, lanes):
-        rho, c, d1, d2 = geometry(u, y[0])
+    def distances(g, q):  # d1 and d2 as the rows of one array
+        return np.sqrt(_squared_distance(g[1], g[2:], np.cos(q)))
+
+    def rhs(g, y, lanes):
+        pull = _pull(g[2:], np.sin(y[0]), distances(g, y[0]))
         dy = np.empty_like(y)
-        dy[0] = rho * y[1]
-        dy[1] = rho * _pull(c, np.sin(y[0]), d1, d2)
+        dy[0] = g[0] * y[1]
+        dy[1] = g[0] * (-pull[0] - pull[1])
         return dy
 
-    def collided(u, y, lanes):
-        _, _, d1, d2 = geometry(u, y[0])
-        return np.minimum(d1, d2) <= D_MIN
+    def collided(g, y, lanes):
+        return distances(g, y[0]).min(axis=0) <= D_MIN
 
     # Stops every quarter period cap the step: on an equilibrium the force
     # is roundoff, the error estimate sees nothing, and one step would span
     # a whole period, whose error a hyperbolic equilibrium then amplifies.
     quarters = np.arange(1, 4 * n_strobes + 1) * (0.25 * TWO_PI)
-    states = _dop853_lanes(rhs, quarters, initial, initial.shape[1], tol,
-                           halt=collided)
+    states = _dop853_lanes(clock, rhs, quarters, initial, initial.shape[1],
+                           tol, halt=collided)
     return states[3::4]

@@ -41,41 +41,46 @@ class CollisionError(ValueError):
         )
 
 
-def _squared_distances(a, c, cos_q):
-    """``d1^2, d2^2`` from ``a = r*rho``, ``c = a*cos(t)`` and ``cos(q)``.
+def _phase_terms(a, c):
+    """The force's time-only terms ``(a^2, 1 + c, 1 - c)``.
 
-    Plain operators only, so floats and numpy arrays both pass through.
+    ``a = r*rho`` and ``c = a*cos(t)``.  ``_squared_distance`` and ``_pull``
+    take ``1 + c`` for primary 1, ``1 - c`` for primary 2, or both stacked;
+    all three pass floats and numpy arrays through.
     """
-    gap = 2.0 * (1.0 - cos_q)
-    return a * a + gap * (1.0 + c), a * a + gap * (1.0 - c)
+    return a * a, 1.0 + c, 1.0 - c
 
 
-def _pull(c, sin_q, d1, d2):
-    """The force ``f`` from ``c``, ``sin(q)`` and the distances ``d1, d2``.
-
-    Plain operators only, so floats and numpy arrays both pass through.
-    """
-    return -(1.0 + c) * sin_q / d1**3 - (1.0 - c) * sin_q / d2**3
+def _squared_distance(a2, ci, cos_q):
+    """``d_i^2`` from ``a^2``, ``1 ± c`` and ``cos(q)``."""
+    return a2 + 2.0 * (1.0 - cos_q) * ci
 
 
-def _distances(q: float, t: float, params: ModelParams,
-               d_min: float) -> tuple[float, float, float]:
-    rho = radial_factor(t, params.epsilon)
-    a = params.r * rho
-    c = a * math.cos(t)
-    d1, d2 = map(math.sqrt, _squared_distances(a, c, math.cos(q)))
+def _pull(ci, sin_q, di):
+    """Primary ``i``'s share ``(1 ± c) sin(q) / d_i^3`` of ``-f``."""
+    return ci * sin_q / di**3
+
+
+def _distances(q: float, t: float, params: ModelParams, d_min: float):
+    """``d1, d2`` and the ``_phase_terms`` at ``(q, t)``."""
+    a = params.r * radial_factor(t, params.epsilon)
+    a2, c1, c2 = terms = _phase_terms(a, a * math.cos(t))
+    cos_q = math.cos(q)
+    d1 = math.sqrt(_squared_distance(a2, c1, cos_q))
+    d2 = math.sqrt(_squared_distance(a2, c2, cos_q))
     if d1 <= d_min:
         raise CollisionError(1, d1)
     if d2 <= d_min:
         raise CollisionError(2, d2)
-    return d1, d2, c
+    return d1, d2, terms
 
 
 def tangential_force(q: float, t: float, params: ModelParams,
                      d_min: float = D_MIN) -> float:
     """Tangential gravitational acceleration ``f(q, t)`` on the particle."""
-    d1, d2, c = _distances(q, t, params, d_min)
-    return _pull(c, math.sin(q), d1, d2)
+    d1, d2, (_, c1, c2) = _distances(q, t, params, d_min)
+    sin_q = math.sin(q)
+    return -_pull(c1, sin_q, d1) - _pull(c2, sin_q, d2)
 
 
 def potential(q: float, t: float, params: ModelParams) -> float:

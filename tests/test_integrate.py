@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from curved_sitnikov import integrate
-from curved_sitnikov.kepler import ModelParams
+from curved_sitnikov.kepler import (ModelParams, _anomaly_geometry,
+                                    collision_ceiling)
 from curved_sitnikov.cli import _write_csv, main
-from curved_sitnikov.model import hill_coefficient
+from curved_sitnikov.model import coefficient_period, hill_coefficient
 from curved_sitnikov.floquet import _antipode_half_traces, monodromy
 from curved_sitnikov.integrate import (FundamentalMatrix, StiffnessError,
                                        _dop853_lanes, integrate_orbit,
@@ -242,6 +243,11 @@ class TestVariational:
                                    atol=1e-9)
 
 
+def _identity(t, lanes):
+    """Lane clock that hands the right-hand side the times themselves."""
+    return t
+
+
 def _oscillators(w):
     """Lane right-hand side of ``x'' = -w[lane]^2 x`` for both columns."""
     def rhs(t, y, lanes):
@@ -257,7 +263,7 @@ class TestLanes:
         # lanes of different stiffness finish at different step counts;
         # w = 1 is the constant coefficient a = 1, X(pi/2) = [[0, 1], [-1, 0]]
         w, t = np.array([0.5, 1.0, 2.0, 6.0]), 0.5 * math.pi
-        x1, y1, x2, y2 = _dop853_lanes(_oscillators(w), t,
+        x1, y1, x2, y2 = _dop853_lanes(_identity, _oscillators(w), t,
                                        np.array([1.0, 0.0, 0.0, 1.0]),
                                        len(w), tol=1e-10)
         np.testing.assert_allclose(x1, np.cos(w * t), atol=1e-9)
@@ -280,7 +286,7 @@ class TestLanes:
             at = hill(float(t[0]))
             return np.array([y[1], -at * y[0], y[3], -at * y[2]])
 
-        x1, y1, x2, y2 = _dop853_lanes(rhs, math.pi,
+        x1, y1, x2, y2 = _dop853_lanes(_identity, rhs, math.pi,
                                        np.array([1.0, 0.0, 0.0, 1.0]), 1,
                                        tol=1e-9)[:, 0]
         assert calls == want.n_rhs
@@ -299,8 +305,8 @@ class TestLanes:
             at = np.array([hill(float(ti)) for ti in t])
             return np.stack([y[1], -at * y[0], y[3], -at * y[2]])
 
-        out = _dop853_lanes(rhs, math.pi, np.array([1.0, 0.0, 0.0, 1.0]), 3,
-                            tol=1e-9)
+        out = _dop853_lanes(_identity, rhs, math.pi,
+                            np.array([1.0, 0.0, 0.0, 1.0]), 3, tol=1e-9)
         assert calls == want.n_rhs
         np.testing.assert_array_equal(out[:, 1:], out[:, :1].repeat(2, 1))
 
@@ -314,7 +320,7 @@ class TestLanes:
         rhs, lanes = _oscillators(w), np.arange(len(w))
         y = np.repeat(np.array([[1.0], [0.0], [0.0], [1.0]]), len(w), axis=1)
         f = rhs(np.zeros(len(w)), y, lanes)
-        got = integrate._initial_steps(rhs, 1.0, y, f, lanes, tol)
+        got = integrate._initial_steps(_identity, rhs, 1.0, y, f, lanes, tol)
 
         def lane(i):
             return lambda t, yi: rhs(np.array([t]), yi[:, None],
@@ -330,7 +336,8 @@ class TestLanes:
         w, phase = np.array([0.5, 1.0, 3.0]), np.array([0.0, 0.3, -1.0])
         y0 = np.stack([np.cos(phase), -w * np.sin(phase)])
         stops = np.array([1.0, 2.5, 6.0])
-        out = _dop853_lanes(_oscillators(w), stops, y0, len(w), tol=1e-10)
+        out = _dop853_lanes(_identity, _oscillators(w), stops, y0, len(w),
+                            tol=1e-10)
         assert out.shape == (3, 2, 3)
         arg = w * stops[:, None] + phase
         np.testing.assert_allclose(out[:, 0], np.cos(arg), atol=1e-8)
@@ -350,7 +357,8 @@ class TestLanes:
         counts = []
         for n_stops in (1, 100):
             calls = 0
-            _dop853_lanes(rhs, np.linspace(200.0 / n_stops, 200.0, n_stops),
+            _dop853_lanes(_identity, rhs,
+                          np.linspace(200.0 / n_stops, 200.0, n_stops),
                           np.array([1.0, 0.0, 0.0, 1.0]), 2, tol=1e-9)
             counts.append(calls)
         assert counts[0] < counts[1] < counts[0] + 12 * 100
@@ -360,7 +368,7 @@ class TestLanes:
         def halt(t, y, lanes):
             return (lanes == 1) & (y[0] < 0.0)
 
-        out = _dop853_lanes(_oscillators(np.array([1.0, 3.0])),
+        out = _dop853_lanes(_identity, _oscillators(np.array([1.0, 3.0])),
                             np.array([0.25, 0.5, 1.0, 2.0]),
                             np.array([1.0, 0.0]), 2, 1e-9, halt)
         assert np.isfinite(out[:, :, 0]).all()
@@ -373,19 +381,127 @@ class TestLanes:
             return np.where(t > 0.5, np.nan, y)
 
         with pytest.raises(StiffnessError, match="underflow"):
-            _dop853_lanes(rhs, 1.0, np.array([1.0]), 2, 1e-9)
+            _dop853_lanes(_identity, rhs, 1.0, np.array([1.0]), 2, 1e-9)
 
     @pytest.mark.parametrize("tol", [1e-14, 1e-5])
     def test_tolerance_window_enforced(self, tol):
         with pytest.raises(ValueError, match="tol"):
-            _dop853_lanes(_oscillators(np.ones(2)), 1.0,
+            _dop853_lanes(_identity, _oscillators(np.ones(2)), 1.0,
                           np.array([1.0, 0.0, 0.0, 1.0]), 2, tol)
 
     def test_blow_up_raises_step_underflow(self):
         # y' = y^2 from y = 1 blows up at t = 1
         with pytest.raises(StiffnessError, match="underflow"):
-            _dop853_lanes(lambda t, y, lanes: y * y, 2.0, np.array([1.0]), 2,
-                          1e-9)
+            _dop853_lanes(_identity, lambda t, y, lanes: y * y, 2.0,
+                          np.array([1.0]), 2, 1e-9)
+
+    @pytest.mark.parametrize("stops", [[2.0, 1.0], [1.0, 1.0], [np.nan],
+                                       [1.0, np.inf], [0.0, 1.0], [-1.0], []])
+    def test_stops_must_be_finite_positive_and_increasing(self, stops):
+        # a decreasing stop stepped backward with every step accepted (on
+        # y' = -4y, stops [2, 1], y(1) came out 2.7e-3 off at tol 1e-9), and
+        # a NaN stop ran to the work cap
+        def refuse(*args):
+            raise AssertionError("called before the stops were checked")
+
+        with pytest.raises(ValueError, match="stops"):
+            _dop853_lanes(refuse, refuse, stops, np.array([1.0]), 2, 1e-9)
+
+    def test_clock_runs_once_per_step_attempt(self):
+        # one one-row call at t = 0 and one at the initial step's probe,
+        # then one call per step attempt on its 13 stage times: t + c_i h
+        # for the 12 stages and the step's end, whose rows 1..12 are the
+        # times rhs sees and whose last row halt sees
+        oscillators = _oscillators(np.array([0.5, 3.0]))
+        rows, seen, ends = [], [], []
+
+        def clock(t, lanes):
+            rows.append(t.copy())
+            return t
+
+        def rhs(t, y, lanes):
+            seen.append(t.copy())
+            return oscillators(t, y, lanes)
+
+        def halt(t, y, lanes):
+            ends.append(t.copy())
+            return np.zeros(t.shape, dtype=bool)
+
+        _dop853_lanes(clock, rhs, np.array([1.0, 4.0]),
+                      np.array([1.0, 0.0, 0.0, 1.0]), 2, 1e-9, halt)
+        assert [r.shape for r in rows[:2]] == [(1, 2), (1, 2)]
+        np.testing.assert_array_equal(rows[0], 0.0)
+        steps = rows[2:]
+        assert len(steps) > 10
+        assert len(seen) == 2 + 12 * len(steps)
+        for i, times in enumerate(steps):
+            assert times.shape[0] == 13
+            h = times[-1] - times[0]
+            assert np.all(h > 0.0)
+            np.testing.assert_array_equal(
+                times[:-1], times[0] + integrate._dop.C[:12, None] * h)
+            np.testing.assert_array_equal(seen[2 + 12 * i:14 + 12 * i],
+                                          times[1:])
+            np.testing.assert_array_equal(ends[i], times[-1])
+
+
+class TestClockSplit:
+    """Lane solves match, bit for bit, the same system with the whole
+    right-hand side evaluated per stage behind an identity clock."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_antipode_half_traces(self, eps):
+        rs = collision_ceiling(eps) * np.array([0.5, 0.8, 0.95, 0.999])
+
+        def rhs(u, y, lanes):
+            rho, a, c = _anomaly_geometry(u, rs[lanes], eps)
+            stiffness = rho * ((1.0 + c) / (a * a + 4.0 + 4.0 * c) ** 1.5
+                               + (1.0 - c) / (a * a + 4.0 - 4.0 * c) ** 1.5)
+            dy = np.empty_like(y)
+            dy[0::2] = rho * y[1::2]
+            dy[1::2] = stiffness * y[0::2]
+            return dy
+
+        x1, y1, x2, y2 = _dop853_lanes(_identity, rhs,
+                                       0.5 * coefficient_period(eps),
+                                       np.array([1.0, 0.0, 0.0, 1.0]),
+                                       rs.size, 1e-9)
+        np.testing.assert_array_equal(_antipode_half_traces(rs, eps, 1e-9),
+                                      (x1 * y2 + x2 * y1) / (x1 * y2 - x2 * y1))
+
+    @pytest.mark.parametrize("r, eps", [(1.9, 0.0), (1.0, 0.3)])
+    def test_strobed_orbits(self, monkeypatch, r, eps):
+        # an inflated guard distance halts the first orbit at r = 1.9 (see
+        # the lane route's collision test), so halting is compared as well
+        d_min = 0.3
+        monkeypatch.setattr(integrate, "D_MIN", d_min)
+        initial = np.array([[math.pi - 0.5, 0.1, 0.3], [0.0, 0.0, 0.2]])
+
+        def distances(u, q):
+            _, a, c = _anomaly_geometry(u, r, eps)
+            gap = 2.0 * (1.0 - np.cos(q))
+            return (np.sqrt(a * a + gap * (1.0 + c)),
+                    np.sqrt(a * a + gap * (1.0 - c)))
+
+        def rhs(u, y, lanes):
+            rho, _, c = _anomaly_geometry(u, r, eps)
+            d1, d2 = distances(u, y[0])
+            sin_q = np.sin(y[0])
+            dy = np.empty_like(y)
+            dy[0] = rho * y[1]
+            dy[1] = rho * (-(1.0 + c) * sin_q / d1**3
+                           - (1.0 - c) * sin_q / d2**3)
+            return dy
+
+        def collided(u, y, lanes):
+            return np.minimum(*distances(u, y[0])) <= d_min
+
+        quarters = np.arange(1, 41) * (0.5 * math.pi)
+        want = _dop853_lanes(_identity, rhs, quarters, initial, 3, 1e-8,
+                             halt=collided)[3::4]
+        got = integrate._strobe_orbits(initial, 10, ModelParams(r, eps), 1e-8)
+        np.testing.assert_array_equal(got, want)
+        assert np.isnan(got[:, :, 0]).any() == (r == 1.9)
 
 
 class TestWorkCap:
