@@ -8,7 +8,7 @@ through scipy's ``solve_ivp``; many independent solves go through
 ``_dop853_lanes``, which steps them side by side as the columns of one
 array, each with its own step size, and records each at a list of stop
 times; a lane system is a ``clock`` of the time-only terms, evaluated once
-per step on all its stage times, and an ``rhs`` taking one stage's row.
+per step on its 12 ``rhs`` times, and an ``rhs`` taking one stage's row.
 The census's half-period monodromies and the strobed orbits of a Poincaré
 section (``_strobe_orbits``) are such lanes.  Variational solves, and each
 lane between two stops, stop with :class:`StiffnessError` past
@@ -253,23 +253,23 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     what the right-hand side needs of time alone, one row per time, and
     ``rhs(g, y, lanes)`` maps one row ``g`` and states ``y``, shape
     ``(n, m)``, to ``dy/dt``.  DOP853's stage nodes ``c_i`` are fixed, so
-    each step attempt calls ``clock`` once, on the 13 times ``t + c_i h``
-    (``i < 12``) and ``t + h``; the initial step adds two one-row calls.
-    An identity ``clock`` hands ``rhs`` the times.  ``y0`` holds the
-    initial states, shape ``(n, n_lanes)``, or one state ``(n,)`` for all
-    lanes; ``stops`` is one time or an array of them, finite, positive and
-    strictly increasing, else ``ValueError``.  Every lane is stepped by
-    DOP853 at ``rtol = atol = tol`` with scipy's rules: the initial step of
-    ``_initial_steps``, the E5/E3 error norm, step factors 0.9/0.2/10 and
-    no growth right after a rejection.  Each lane keeps its own step size
-    and accept mask.  A step that would pass the lane's next stop is
-    clipped there and the state recorded; the lane's step size carries
-    over, shrunk but never grown by the clipped step.  A lane leaves the
-    batch after its last stop, or at the first accepted step where
-    ``halt(g, y, lanes)`` (``g`` the step's last row) is true, and the
-    stops it never reached stay NaN.  Returns the states at the stops,
-    shape ``(len(stops), n, n_lanes)``, or ``(n, n_lanes)`` for one stop
-    time.  A step below ten ulps of ``t`` after a rejection, or a lane past
+    each step attempt calls ``clock`` once, on the 12 times ``t + c_i h``
+    (``i = 1..11``) and ``t + h``, one row per ``rhs`` call; the start and
+    the initial step add one row each.  An identity ``clock`` hands ``rhs``
+    the times.  ``y0`` holds the initial states, shape ``(n, n_lanes)``, or
+    one state ``(n,)`` for all lanes; ``stops`` is one time or an array of
+    them, finite, positive and strictly increasing, else ``ValueError``.
+    Every lane is stepped by DOP853 at ``rtol = atol = tol`` with scipy's
+    rules: the initial step of ``_initial_steps``, the E5/E3 error norm,
+    step factors 0.9/0.2/10 and no growth right after a rejection.  Each
+    lane keeps its own step size and accept mask.  A step that would pass
+    the lane's next stop is clipped there and the state recorded; the lane's
+    step size carries over, shrunk but never grown by the clipped step.  A
+    lane leaves the batch after its last stop, or at the first accepted step
+    where ``halt(g, y, lanes)`` (``g`` the step's last row) is true, and the
+    stops it never reached stay NaN.  Returns the states at the stops, shape
+    ``(len(stops), n, n_lanes)``, or ``(n, n_lanes)`` for one stop time.  A
+    step below ten ulps of ``t`` after a rejection, or a lane past
     ``MAX_VARIATIONAL_NFEV`` right-hand-side calls since its last stop,
     raises :class:`StiffnessError`.
     """
@@ -302,12 +302,12 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
         h_abs = np.maximum(h_abs, min_step)
         t_new = np.minimum(t + h_abs, t_stop)
         h = t_new - t
-        g = clock(np.concatenate((t + _dop.C[:_dop.N_STAGES, None] * h,
+        g = clock(np.concatenate((t + _dop.C[1:_dop.N_STAGES, None] * h,
                                   t_new[None])), lanes)
         k[0] = f
         for s in range(1, _dop.N_STAGES):
             dy = np.dot(_A[s, :s], stages[:s]).reshape(y.shape) * h
-            k[s] = rhs(g[s], y + dy, lanes)
+            k[s] = rhs(g[s - 1], y + dy, lanes)
         y_new = y + h * np.dot(_dop.B, stages[:-1]).reshape(y.shape)
         k[-1] = f_new = rhs(g[-1], y_new, lanes)
         nfev += _dop.N_STAGES

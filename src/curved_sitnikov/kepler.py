@@ -26,6 +26,11 @@ class KeplerConvergenceError(RuntimeError):
     """The eccentric-anomaly iteration failed to reach its tolerance."""
 
 
+def _check_eccentricity(epsilon: float) -> None:
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"epsilon={epsilon} outside [0, 1)")
+
+
 def collision_ceiling(epsilon: float) -> float:
     """Largest admissible ``r``: apocenter of the near primary at y=-1."""
     return 2.0 / (1.0 + epsilon)
@@ -44,8 +49,7 @@ class ModelParams:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon={self.epsilon} outside [0, 1)")
+        _check_eccentricity(self.epsilon)
         ceiling = collision_ceiling(self.epsilon)
         if not 0.0 < self.r < ceiling:
             raise ValueError(
@@ -86,8 +90,7 @@ def solve_kepler(mean_anomaly: float, epsilon: float) -> float:
         Eccentric anomaly with ``|u - eps*sin(u) - M| < KEPLER_TOL``;
         raises ``KeplerConvergenceError`` after ``KEPLER_MAX_ITER`` steps.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon={epsilon} outside [0, 1)")
+    _check_eccentricity(epsilon)
     if epsilon == 0.0:
         return mean_anomaly
     m = math.fmod(mean_anomaly, TWO_PI)

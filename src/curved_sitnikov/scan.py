@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .kepler import TWO_PI, ModelParams, collision_ceiling
+from .kepler import (TWO_PI, ModelParams, _check_eccentricity,
+                     collision_ceiling)
 from .model import coefficient_period
 from .floquet import (ELLIPTIC, HYPERBOLIC, _antipode_half_traces,
                       monodromy)
@@ -131,8 +132,9 @@ def trace_curve(q_star: float, epsilon: float, r_grid,
 
     Deterministic for a fixed tolerance; grid points with ``r <= 0`` or
     above ``2/(1+eps) - margin`` are skipped and recorded rather than
-    evaluated.
+    evaluated.  An eccentricity outside ``[0, 1)`` raises ``ValueError``.
     """
+    _check_eccentricity(epsilon)
     period = coefficient_period(epsilon)
     ceiling = collision_ceiling(epsilon)
     values, traces, skipped = [], [], []
@@ -276,8 +278,13 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
     may hide intervals narrower than a cell, so it never stops refinement.
     Only elliptic intervals that are neither first nor last, i.e. flanked
     by non-elliptic samples on both sides, are counted, so a partial census
-    under-counts rather than guesses.
+    under-counts rather than guesses.  ``ValueError`` unless the eccentricity
+    is in ``[0, 1)``, the budget is at least 1 and the start lies below the
+    end once the end is clipped to ``CEILING_MARGIN`` below the ceiling.
     """
+    _check_eccentricity(epsilon)
+    if not budget >= 1:
+        raise ValueError(f"budget={budget} must be at least 1")
     if not 0.0 < r_max_fraction < 1.0:
         raise ValueError("r_max_fraction must be in (0, 1)")
     if not 0.0 < r_start_fraction < r_max_fraction:
@@ -285,6 +292,9 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
     ceiling = collision_ceiling(epsilon)
     r_hi = min(r_max_fraction * ceiling, ceiling - CEILING_MARGIN)
     r_lo = r_start_fraction * ceiling
+    if not r_lo < r_hi:
+        raise ValueError(f"r range [{r_lo}, {r_hi}] is empty once its end "
+                         f"is clipped to {CEILING_MARGIN} below the ceiling")
     g_hi = ceiling - r_lo
     g_lo = ceiling - r_hi
     period = coefficient_period(epsilon)

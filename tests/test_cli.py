@@ -2,14 +2,16 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from curved_sitnikov import cli, integrate, scan, verification
 from curved_sitnikov.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK,
-                                 EXIT_VERIFY, ConfigError, main, parse_grid,
-                                 parse_qstar)
+                                 EXIT_VERIFY, ConfigError, build_parser, main,
+                                 parse_grid, parse_qstar)
 from curved_sitnikov.floquet import MonodromyError
 from curved_sitnikov.integrate import StiffnessError
 from curved_sitnikov.kepler import KeplerConvergenceError
@@ -95,6 +97,20 @@ class TestCommands:
         lo, hi = record["transitions"][0]["r_bracket"]
         assert 0.5 * (lo + hi) == pytest.approx(1.2349418, abs=1e-4)
         assert csv_out.read_text().splitlines()[1] == "r,half_trace"
+
+    def test_floquet_full_period(self, capsys):
+        # the antipode's coefficient has period pi, so the 2 pi monodromy
+        # is the square of the pi one and its half-trace is 2 h^2 - 1
+        records = {}
+        for period in ("pi", "2pi"):
+            assert main(["floquet", "--qstar", "pi", "--r", "1.0",
+                         "--period", period]) == EXIT_OK
+            records[period] = json.loads(capsys.readouterr().out)
+        assert records["pi"]["period"] == math.pi
+        assert records["2pi"]["period"] == 2.0 * math.pi
+        h = records["pi"]["half_trace"]
+        assert records["2pi"]["half_trace"] == pytest.approx(2 * h * h - 1,
+                                                             abs=1e-9)
 
     def test_census_json(self, tmp_path):
         out = tmp_path / "census.json"
@@ -363,6 +379,32 @@ class TestExitCodes:
         assert "need at least 2 grid samples" in capsys.readouterr().err
         assert not csv_out.exists()
 
+    def test_bad_eccentricity_in_scan_exits_one_without_skipping(
+            self, monkeypatch, capsys):
+        # every radius lies past the ceiling 2/(1+eps) = 0.8, which was
+        # reported as collision-guard skips before the real error
+        monkeypatch.setattr(scan, "monodromy", _refuse)
+        assert main(["scan", "--qstar", "pi", "--eps", "1.5",
+                     "--r", "1.05:1.4:0.05"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: epsilon=1.5 outside [0, 1)\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--ceiling-fraction", "0.99999", "--start-fraction", "0.99996",
+          "--budget", "40"], "r range [1.99992, 1.9999] is empty"),
+        (["--budget", "0"], "budget=0 must be at least 1"),
+        (["--budget", "-5"], "budget=-5 must be at least 1"),
+        (["--eps", "-1"], "epsilon=-1.0 outside [0, 1)"),
+    ], ids=["range-past-margin", "zero-budget", "negative-budget",
+            "eps-minus-one"])
+    def test_bad_census_exits_one_before_computing(self, monkeypatch, capsys,
+                                                   argv, message):
+        monkeypatch.setattr(scan, "_antipode_half_traces", _refuse)
+        assert main(["census", *argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {message}")
+        assert captured.out == ""
+
     def test_corrupt_monodromy_in_scan_exits_two(self, tmp_path, capsys):
         # at tol 1e-6 the full-period matrices at r = 1.9998 and 1.9999
         # have |det - 1| ~ 2e-5, the same corruption floquet reports
@@ -426,6 +468,31 @@ class TestExitCodes:
             (name, lambda ctx: (True, "ok")) for name in names])
         assert [r.name for r in verification.run_all(quick=True)] == \
             [name for name in names if name != "origin stability"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("computed before the configuration was checked")
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    """Each command of README's ``## CLI`` block, split into arguments."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line, comments=True)
+            for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for argv in lines:
+        assert argv[0] == "curved-sitnikov"
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
 class _FixedParser:

@@ -409,14 +409,14 @@ class TestLanes:
 
     def test_clock_runs_once_per_step_attempt(self):
         # one one-row call at t = 0 and one at the initial step's probe,
-        # then one call per step attempt on its 13 stage times: t + c_i h
-        # for the 12 stages and the step's end, whose rows 1..12 are the
-        # times rhs sees and whose last row halt sees
+        # then one call per step attempt on its 12 rhs times: t + c_i h for
+        # the 11 interior stages and the step's end t + h, whose last row
+        # halt sees as well; rhs sees every clock row exactly once
         oscillators = _oscillators(np.array([0.5, 3.0]))
         rows, seen, ends = [], [], []
 
         def clock(t, lanes):
-            rows.append(t.copy())
+            rows.append((t.copy(), lanes.copy()))
             return t
 
         def rhs(t, y, lanes):
@@ -429,20 +429,26 @@ class TestLanes:
 
         _dop853_lanes(clock, rhs, np.array([1.0, 4.0]),
                       np.array([1.0, 0.0, 0.0, 1.0]), 2, 1e-9, halt)
-        assert [r.shape for r in rows[:2]] == [(1, 2), (1, 2)]
-        np.testing.assert_array_equal(rows[0], 0.0)
+        assert [times.shape for times, _ in rows[:2]] == [(1, 2), (1, 2)]
+        np.testing.assert_array_equal(rows[0][0], 0.0)
         steps = rows[2:]
         assert len(steps) > 10
-        assert len(seen) == 2 + 12 * len(steps)
-        for i, times in enumerate(steps):
-            assert times.shape[0] == 13
-            h = times[-1] - times[0]
+        # the lanes leave at different steps, so the rows are compared flat
+        assert len(seen) == 2 + 12 * len(steps) == sum(len(g) for g, _ in rows)
+        np.testing.assert_array_equal(
+            np.concatenate([g.ravel() for g, _ in rows]), np.concatenate(seen))
+        t, last = np.zeros(2), np.zeros(2)
+        for (times, lanes), end in zip(steps, ends):
+            # an accepted step moves a lane's start to its end; a rejected
+            # one retries from the same start with a smaller step
+            t[lanes] = np.where(times[0] > last[lanes], last[lanes], t[lanes])
+            last[lanes] = times[-1]
+            assert times.shape == (12, lanes.size)
+            h = times[-1] - t[lanes]
             assert np.all(h > 0.0)
             np.testing.assert_array_equal(
-                times[:-1], times[0] + integrate._dop.C[:12, None] * h)
-            np.testing.assert_array_equal(seen[2 + 12 * i:14 + 12 * i],
-                                          times[1:])
-            np.testing.assert_array_equal(ends[i], times[-1])
+                times[:-1], t[lanes] + integrate._dop.C[1:12, None] * h)
+            np.testing.assert_array_equal(end, times[-1])
 
 
 class TestClockSplit:

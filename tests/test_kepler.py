@@ -1,6 +1,7 @@
 """Eccentric-anomaly solver and primary ephemeris."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +66,29 @@ def test_monotone_and_continuous_in_mean_anomaly():
     assert all(b > a for a, b in zip(us, us[1:]))
     # branch restoration: u - M stays bounded by eps
     assert max(abs(u - m) for u, m in zip(us, ms)) <= eps + 1e-12
+
+
+def test_newton_step_outside_the_bracket_bisects(monkeypatch):
+    # at eps 0.99 and M = 0.0423 the Newton step from u0 = M + eps sin M
+    # overshoots pi, so the guard takes the midpoint of the bracket
+    # [u0, pi] instead; the iterates are the arguments of math.sin
+    iterates = []
+
+    def sin(u):
+        iterates.append(u)
+        return math.sin(u)
+
+    monkeypatch.setattr(kepler, "math", SimpleNamespace(
+        sin=sin, cos=math.cos, fmod=math.fmod, pi=math.pi))
+    m, eps = 0.0423, 0.99
+    u = solve_kepler(m, eps)
+    u0 = iterates[1]  # iterates[0] is M itself, for the start value
+    assert u0 == m + eps * math.sin(m)
+    assert u0 - eps * math.sin(u0) < m  # so the bracket is [u0, pi]
+    assert u0 - (u0 - eps * math.sin(u0) - m) / (1 - eps * math.cos(u0)) \
+        > math.pi
+    assert iterates[2] == 0.5 * (u0 + math.pi)
+    assert abs(u - eps * math.sin(u) - m) < kepler.KEPLER_TOL
 
 
 def test_rejects_bad_eccentricity():

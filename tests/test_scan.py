@@ -51,6 +51,20 @@ class TestTraceCurve:
         assert [reason for _, reason in curve.skipped] == [
             "r <= 0", "r <= 0", "collision guard"]
 
+    @pytest.mark.parametrize("eps", [1.5, 1.0, -0.5, -1.0, math.nan])
+    def test_eccentricity_outside_unit_interval_rejected(self, monkeypatch,
+                                                         eps):
+        # raised with ModelParams' message before any radius is skipped
+        def refuse(*args):
+            raise AssertionError("evaluated a radius")
+
+        monkeypatch.setattr(scan, "_half_trace", refuse)
+        with pytest.raises(ValueError) as err:
+            trace_curve(math.pi, eps, [1.05, 1.1])
+        with pytest.raises(ValueError) as want:
+            ModelParams(r=0.5, epsilon=eps)
+        assert str(err.value) == str(want.value)
+
     def test_deterministic(self):
         grid = np.linspace(1.0, 1.3, 7)
         a = trace_curve(math.pi, 0.0, grid, tol=1e-9)
@@ -303,11 +317,50 @@ class TestCensus:
         assert capsys.readouterr().out == batched
         assert json.loads(batched)["evaluations"] == 65
 
+    def test_plateau_stops_refinement(self):
+        # the count holds at 16 over levels 9-11, so the census stops there
+        # with most of its budget left
+        result = interchange_census(0.0, 0.999, budget=100_000,
+                                    r_start_fraction=0.95)
+        assert result.count == 16
+        assert result.evaluations == 2 ** 11 + 1
+        assert result.levels_completed == 11
+        assert not result.budget_exhausted
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             interchange_census(0.0, 1.2, budget=10)
         with pytest.raises(ValueError):
             interchange_census(0.0, 0.9, budget=10, r_start_fraction=0.95)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        # 0.99999 of the ceiling is clipped to 2 - 1e-4 = 1.9999, below the
+        # start 1.99992; the range was scanned inverted, past the margin
+        ({"r_max_fraction": 0.99999, "r_start_fraction": 0.99996},
+         r"r range \[1.99992, 1.9999\] is empty"),
+        ({"budget": 0}, "budget=0 must be at least 1"),
+        ({"budget": -5}, "budget=-5 must be at least 1"),
+        ({"epsilon": 1.0}, r"epsilon=1.0 outside \[0, 1\)"),
+        ({"epsilon": -1.0}, r"epsilon=-1.0 outside \[0, 1\)"),
+    ], ids=["range-past-margin", "zero-budget", "negative-budget",
+            "eps-one", "eps-minus-one"])
+    def test_rejected_before_any_evaluation(self, monkeypatch, kwargs,
+                                            message):
+        def refuse(*args):
+            raise AssertionError("evaluated a radius")
+
+        monkeypatch.setattr(scan, "_antipode_half_traces", refuse)
+        args = {"epsilon": 0.0, "r_max_fraction": 0.999, "budget": 40,
+                "r_start_fraction": 0.95, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            interchange_census(**args)
+
+    @pytest.mark.parametrize("budget", [1, 16])
+    def test_budget_below_first_level_is_reported(self, budget):
+        # the first level takes 17 radii, so nothing is evaluated
+        result = interchange_census(0.0, 0.999, budget=budget)
+        assert result.budget_exhausted
+        assert (result.count, result.evaluations) == (0, 0)
 
 
 class TestEpsScan:
