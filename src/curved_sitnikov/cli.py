@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 
@@ -61,6 +62,24 @@ def parse_grid(text: str) -> np.ndarray:
     if grid[-1] < hi - 1e-9 * step:
         grid = np.append(grid, hi)
     return grid
+
+
+# Options whose value may start with a minus sign.  argparse reads a value
+# such as "-0.4:0.4:0.1", which is no plain negative number, as an unknown
+# option unless "=" joins it to its option.
+_SIGNED_VALUE_OPTIONS = ("--q-grid", "--p-grid", "--r", "--t", "--eps-grid")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """``argv`` with each of those options joined to a negative value."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1] in _SIGNED_VALUE_OPTIONS
+                and re.match(r"-[\d.]", token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def parse_qstar(text: str) -> float:
@@ -347,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(
+            sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:

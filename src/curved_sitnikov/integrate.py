@@ -1,33 +1,37 @@
 """Time stepping for the nonlinear flow and the 2x2 variational flow.
 
 Adaptive solves use the embedded Runge-Kutta pair DOP853 (order 8(5,3)) in
-one of two forms, both with the tolerance window checked and a failed
-solve raising :class:`StiffnessError`: single orbits
-(``integrate_orbit``), single monodromies and both winding routes go
-through scipy's ``solve_ivp``; many independent solves go through
-``_dop853_lanes``, which steps them side by side as the columns of one
-array, each with its own step size, and records each at a list of stop
-times; a lane system is a ``clock`` of the time-only terms, evaluated once
-per step on its 12 ``rhs`` times, and an ``rhs`` taking one stage's row.
-The census's half-period monodromies and the strobed orbits of a Poincaré
-section (``_strobe_orbits``) are such lanes.  Variational solves, and each
-lane between two stops, stop with :class:`StiffnessError` past
-``MAX_VARIATIONAL_NFEV`` right-hand-side calls, so every admissible input
-ends in bounded work.  Orbits can instead take a fixed-step classical
-RK4 for bit-reproducible regression baselines: a given step count
-``fixed_steps`` selects RK4, ``None`` selects DOP853.  All engines are
-reentrant and hold no state between calls; the flow is smooth away from
-collisions, so no symplectic or stiff machinery is needed at these horizons.
+one of three forms, all with the tolerance window checked and a failed
+solve raising :class:`StiffnessError`, and all with scipy's step rules:
+single orbits (``integrate_orbit``) and both winding routes go through
+scipy's ``solve_ivp``, imported on first use; single monodromies
+(``integrate_variational``) step on Python floats; many independent solves
+go through ``_dop853_lanes``, which steps them side by side as the columns
+of one array, each with its own step size, and records each at a list of
+stop times; a lane system is a ``clock`` of the time-only terms, evaluated
+once per step on its 12 ``rhs`` times, and an ``rhs`` taking one stage's
+row.  The census's half-period monodromies and the strobed orbits of a
+Poincaré section (``_strobe_orbits``) are such lanes.  The DOP853 tables
+are scipy's, loaded from their file without importing ``scipy.integrate``.
+Variational solves, and each lane between two stops, stop with
+:class:`StiffnessError` past ``MAX_VARIATIONAL_NFEV`` right-hand-side
+calls, so every admissible input ends in bounded work.  Orbits can instead
+take a fixed-step classical RK4 for bit-reproducible regression baselines:
+a given step count ``fixed_steps`` selects RK4, ``None`` selects DOP853.
+All engines are reentrant and hold no state between calls; the flow is
+smooth away from collisions, so no symplectic or stiff machinery is needed
+at these horizons.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .kepler import TWO_PI, ModelParams, _anomaly_geometry
 from .model import (D_MIN, _distances, _phase_terms, _pull,
@@ -101,6 +105,8 @@ def _dop853(rhs, t_span: tuple[float, float], y0, tol: float, **options):
     event, raises :class:`StiffnessError`.
     """
     _validate_tol(tol)
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=tol, atol=tol,
                     **options)
     if sol.status == -1:
@@ -189,28 +195,112 @@ def integrate_variational(a: Callable[[float], float], period: float,
     """Fundamental matrix at ``t = period`` of ``v' = [[0,1],[-a(t),0]] v``.
 
     ``a`` is the coefficient, e.g. the Hill coefficient of a linearization
-    (``model.hill_coefficient``).  Both columns are integrated together as
-    a 4-dimensional linear system, with DOP853 at tolerance ``tol``; more
-    than ``MAX_VARIATIONAL_NFEV`` right-hand-side calls raise
+    (``model.hill_coefficient``), called once per right-hand-side call.
+    Both columns are integrated together as a 4-dimensional linear system,
+    state ``(x1, y1, x2, y2)``, by a DOP853 over Python floats at
+    ``rtol = atol = tol`` that takes ``solve_ivp``'s steps: the initial
+    step of ``_initial_steps``, the E5/E3 error norm, step factors
+    0.9/0.2/10 and no growth right after a rejection.  Its stage sums run
+    in another order than scipy's, so the two agree to roundoff.  A step
+    below ten ulps of ``t`` after a rejection, or more than
+    ``MAX_VARIATIONAL_NFEV`` right-hand-side calls, raises
     :class:`StiffnessError`.
     """
-    nfev = 0
+    _validate_tol(tol)
+    max_nfev = MAX_VARIATIONAL_NFEV
 
-    def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        if nfev > MAX_VARIATIONAL_NFEV:
-            raise StiffnessError(f"variational solve exceeded "
-                                 f"{MAX_VARIATIONAL_NFEV} right-hand-side "
-                                 f"calls")
-        at = a(t)
+    def lane_rhs(t, y, lanes):  # the system as one lane, for the first step
+        at = a(float(t[0]))
         return np.array([y[1], -at * y[0], y[3], -at * y[2]])
 
-    sol = _dop853(rhs, (0.0, period), np.array([1.0, 0.0, 0.0, 1.0]), tol)
-    x1, y1v, x2, y2v = (float(v) for v in sol.y[:, -1])
-    return FundamentalMatrix(x1=x1, x2=x2, y1=y1v, y2=y2v,
-                             n_rhs=int(sol.nfev))
+    lane = np.zeros(1, dtype=int)
+    y = np.array([[1.0], [0.0], [0.0], [1.0]])
+    f = lane_rhs(np.zeros(1), y, lane)
+    h_abs = float(_initial_steps(lambda t, lanes: t, lane_rhs, period, y, f,
+                                 lane, tol)[0])
+    nfev = 2
+    t, y, f = 0.0, (1.0, 0.0, 0.0, 1.0), tuple(f[:, 0].tolist())
+    while t < period:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        x1, y1, x2, y2 = y
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError("step size underflow in a variational "
+                                     "solve")
+            if nfev + _dop.N_STAGES > max_nfev:
+                raise StiffnessError(f"variational solve exceeded {max_nfev} "
+                                     f"right-hand-side calls")
+            t_new = min(t + h_abs, period)
+            h = h_abs = t_new - t
+            k = [f]
+            for c, row in _STAGES:
+                d1, d2, d3, d4 = _combine(row, k)
+                at = a(t + c * h)
+                k.append((y1 + d2 * h, -at * (x1 + d1 * h),
+                          y2 + d4 * h, -at * (x2 + d3 * h)))
+            d1, d2, d3, d4 = _combine(_WEIGHTS, k)
+            y_new = (x1 + h * d1, y1 + h * d2, x2 + h * d3, y2 + h * d4)
+            at = a(t + h)
+            f_new = (y_new[1], -at * y_new[0], y_new[3], -at * y_new[2])
+            nfev += _dop.N_STAGES
 
+            err5 = err3 = 0.0
+            for e5, e3, old, new in zip(_combine(_E5_WEIGHTS, k),
+                                        _combine(_E3_WEIGHTS, k), y, y_new):
+                scale = tol + max(abs(old), abs(new)) * tol
+                e5, e3 = e5 / scale, e3 / scale
+                err5 += e5 * e5
+                err3 += e3 * e3
+            denom = err5 + 0.01 * err3
+            # a NaN norm stays NaN and so rejects the step
+            error = h * err5 / math.sqrt(4.0 * denom) if denom else 0.0
+            if error < 1.0:
+                factor = (_MAX_FACTOR if error == 0.0 else
+                          min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            # max(_MIN_FACTOR, nan) is _MIN_FACTOR: a NaN-error step shrinks
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    x1, y1, x2, y2 = y
+    return FundamentalMatrix(x1=x1, x2=x2, y1=y1, y2=y2, n_rhs=nfev)
+
+
+def _combine(row, k) -> tuple[float, float, float, float]:
+    """``sum(coef * k[j] for j, coef in row)`` of 4-tuples, in row order."""
+    d1 = d2 = d3 = d4 = 0.0
+    for j, coef in row:
+        k1, k2, k3, k4 = k[j]
+        d1 += coef * k1
+        d2 += coef * k2
+        d3 += coef * k3
+        d4 += coef * k4
+    return d1, d2, d3, d4
+
+
+def _load_dop853_tables():
+    """scipy's DOP853 tableau module, loaded from its file.
+
+    Importing it by name would run ``scipy/integrate/__init__.py``, which
+    loads all of ``scipy.integrate`` and ``scipy.optimize`` (most of this
+    package's import time); the module itself needs only numpy.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    spec = importlib.util.spec_from_file_location(
+        "curved_sitnikov._dop853_coefficients",
+        os.path.join(scipy.submodule_search_locations[0], "integrate", "_ivp",
+                     "dop853_coefficients.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_dop = _load_dop853_tables()
 
 # scipy's DOP853 step control: safety factor, step-change limits, and the
 # order of the error estimator, whose step exponent is -1/(order + 1).
@@ -218,6 +308,17 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_ORDER = 7
 _ERROR_EXPONENT = -1.0 / (_ERROR_ORDER + 1)
 _A = _dop.A[:_dop.N_STAGES, :_dop.N_STAGES]
+
+# The tableau as Python floats for ``integrate_variational``: stages 1-11
+# as their node and nonzero ``(j, A[s, j])``, and the nonzero ``(j, w[j])``
+# of the weights and of the two error estimators (neither weighs the slope
+# at the step's end).
+_STAGES = tuple((float(_dop.C[s]),
+                 tuple((j, float(_A[s, j])) for j in range(s) if _A[s, j]))
+                for s in range(1, _dop.N_STAGES))
+_WEIGHTS, _E5_WEIGHTS, _E3_WEIGHTS = (
+    tuple((j, float(w)) for j, w in enumerate(weights) if w)
+    for weights in (_dop.B, _dop.E5, _dop.E3))
 
 
 def _initial_steps(clock, rhs, t_end: float, y: np.ndarray, f: np.ndarray,

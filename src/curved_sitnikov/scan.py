@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kepler import (TWO_PI, ModelParams, _check_eccentricity,
                      collision_ceiling)
@@ -44,8 +43,8 @@ class TraceCurve:
     """Half-trace of the monodromy along a 1-parameter grid.
 
     ``param`` is ``"r"`` (eccentricity fixed) or ``"epsilon"`` (semi-major
-    axis fixed).  Grid points with ``r <= 0`` or past the collision guard
-    are skipped and recorded in ``skipped``.
+    axis fixed).  Grid points that are not finite, ``r <= 0`` or past the
+    collision guard are skipped and recorded in ``skipped``.
     """
 
     q_star: float
@@ -130,9 +129,10 @@ def trace_curve(q_star: float, epsilon: float, r_grid,
                 tol: float = DEFAULT_SCAN_TOL) -> TraceCurve:
     """Half-trace of the monodromy at each admissible grid point.
 
-    Deterministic for a fixed tolerance; grid points with ``r <= 0`` or
-    above ``2/(1+eps) - margin`` are skipped and recorded rather than
-    evaluated.  An eccentricity outside ``[0, 1)`` raises ``ValueError``.
+    Deterministic for a fixed tolerance; grid points that are not finite,
+    ``r <= 0`` or above ``2/(1+eps) - margin`` are skipped and recorded,
+    each with its reason, rather than evaluated.  An eccentricity outside
+    ``[0, 1)`` raises ``ValueError``.
     """
     _check_eccentricity(epsilon)
     period = coefficient_period(epsilon)
@@ -140,8 +140,9 @@ def trace_curve(q_star: float, epsilon: float, r_grid,
     values, traces, skipped = [], [], []
     for r in np.asarray(r_grid, dtype=float):
         if not 0.0 < r <= ceiling - CEILING_MARGIN:
-            skipped.append((float(r),
-                            "r <= 0" if r <= 0.0 else "collision guard"))
+            reason = ("not finite" if not math.isfinite(r)
+                      else "r <= 0" if r <= 0.0 else "collision guard")
+            skipped.append((float(r), reason))
             continue
         values.append(float(r))
         traces.append(_half_trace(q_star, float(r), epsilon, period, tol))
@@ -220,6 +221,8 @@ def find_transitions(curve: TraceCurve,
     in ``suspect`` (two crossings inside a single grid cell cannot be split
     without a finer grid).  ``refine_tol`` must be finite and positive.
     """
+    from scipy.optimize import brentq
+
     _check_refine_tol(refine_tol)
     if len(curve.values) < 2:
         raise ValueError("need at least 2 grid samples to bracket transitions")

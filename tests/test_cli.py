@@ -205,6 +205,37 @@ def test_skipped_grid_points_warning(capsys, argv, warning):
     assert capsys.readouterr().err == warning
 
 
+class TestNegativeGridBounds:
+    # argparse took "-0.2:0.2:0.2" for an unknown option and exited with
+    # "expected one argument" unless "=" joined it to its option
+    def test_poincare_grids(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        assert main(["poincare", "--q-grid", "-0.2:0.2:0.2", "--p-grid",
+                     "-0.1:0.1:0.1", "--iterates", "2",
+                     "--out", str(tmp_path / "cloud.csv"),
+                     "--manifest", str(manifest)]) == EXIT_OK
+        grid = json.loads(manifest.read_text())["initial_grid"]
+        assert len(grid) == 9
+        assert grid[0] == pytest.approx([-0.2, -0.1])
+
+    def test_kepler_time_grid(self, tmp_path):
+        out = tmp_path / "kepler.csv"
+        assert main(["kepler", "--t", "-1:1:0.5",
+                     "--out", str(out)]) == EXIT_OK
+        rows = out.read_text().splitlines()[2:]
+        assert [float(row.split(",")[0]) for row in rows] == [
+            -1.0, -0.5, 0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("argv, warning", [
+        (["scan", "--qstar", "pi", "--r", "-0.1:1.3:0.2"], "(r <= 0: 1)"),
+        (["eps-scan", "--r", "1.0", "--eps-grid", "-0.1:0.1:0.1"],
+         "(outside [0, 0.95]: 1)"),
+    ], ids=["scan", "eps-scan"])
+    def test_scan_grids(self, capsys, argv, warning):
+        assert main(argv) == EXIT_OK
+        assert warning in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_config_error_from_bad_params(self, capsys):
         assert main(["floquet", "--qstar", "pi", "--r", "3.0",

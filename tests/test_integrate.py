@@ -3,6 +3,10 @@
 import argparse
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +178,22 @@ class TestFixedStep:
         assert ys[-1, 1] == pytest.approx(0.0, abs=1e-10)
 
 
+def _scipy_variational(a, period, tol):
+    """Oracle: scipy's own DOP853 on ``v' = [[0,1],[-a(t),0]] v``; the
+    fundamental matrix and the right-hand-side calls it took."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        at = a(t)
+        return np.array([y[1], -at * y[0], y[3], -at * y[2]])
+
+    sol = solve_ivp(rhs, (0.0, period), np.array([1.0, 0.0, 0.0, 1.0]),
+                    method="DOP853", rtol=tol, atol=tol)
+    assert sol.success
+    x1, y1, x2, y2 = sol.y[:, -1]
+    return np.array([[x1, x2], [y1, y2]]), sol.nfev
+
+
 class TestVariational:
     def test_analytic_rotation_at_origin(self):
         w = math.sqrt(2.0)
@@ -237,6 +257,24 @@ class TestVariational:
         np.testing.assert_allclose(a.as_array(), [[x1, x2], [y1, y2]],
                                    atol=1e-8)
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("q_star", [0.0, math.pi])
+    @pytest.mark.parametrize("r, eps", [(1.0, 0.0), (1.9, 0.0), (1.2, 0.2),
+                                        (1.5, 0.2), (1.2, 0.45)])
+    def test_takes_scipys_steps(self, r, eps, q_star, tol):
+        # same initial step, error norm and step control as solve_ivp's
+        # DOP853; the stage sums run in another order than np.dot's, so
+        # the entries agree to roundoff, and near the collision ceiling
+        # the step sequences may part (at r = 1.999, tol 1e-9: 3866 calls
+        # against scipy's 3818)
+        hill = hill_coefficient(q_star, ModelParams(r=r, epsilon=eps))
+        period = coefficient_period(eps)
+        want, want_nfev = _scipy_variational(hill, period, tol)
+        got = integrate_variational(hill, period, tol)
+        assert got.n_rhs == want_nfev
+        np.testing.assert_allclose(got.as_array(), want, rtol=0.0,
+                                   atol=1e-12 * np.abs(want).max())
+
     def test_custom_coefficient(self):
         mat = integrate_variational(lambda t: 1.0, math.pi, tol=1e-11)
         np.testing.assert_allclose(mat.as_array(), [[-1.0, 0.0], [0.0, -1.0]],
@@ -277,7 +315,7 @@ class TestLanes:
         # DOP853, so the same right-hand-side calls (230 and 818 at r = 1
         # and 1.9 are the benchmark's probe counts)
         hill = hill_coefficient(math.pi, ModelParams(r=r))
-        want = integrate_variational(hill, math.pi, tol=1e-9)
+        want, want_nfev = _scipy_variational(hill, math.pi, 1e-9)
         calls = 0
 
         def rhs(t, y, lanes):
@@ -289,14 +327,13 @@ class TestLanes:
         x1, y1, x2, y2 = _dop853_lanes(_identity, rhs, math.pi,
                                        np.array([1.0, 0.0, 0.0, 1.0]), 1,
                                        tol=1e-9)[:, 0]
-        assert calls == want.n_rhs
-        np.testing.assert_allclose([[x1, x2], [y1, y2]], want.as_array(),
-                                   rtol=1e-9)
+        assert calls == want_nfev
+        np.testing.assert_allclose([[x1, x2], [y1, y2]], want, rtol=1e-9)
 
     def test_initial_steps_take_one_call_for_all_lanes(self):
         # three copies of one lane make the one-lane solve's calls
         hill = hill_coefficient(math.pi, P10)
-        want = integrate_variational(hill, math.pi, tol=1e-9)
+        _, want_nfev = _scipy_variational(hill, math.pi, 1e-9)
         calls = 0
 
         def rhs(t, y, lanes):
@@ -307,7 +344,7 @@ class TestLanes:
 
         out = _dop853_lanes(_identity, rhs, math.pi,
                             np.array([1.0, 0.0, 0.0, 1.0]), 3, tol=1e-9)
-        assert calls == want.n_rhs
+        assert calls == want_nfev
         np.testing.assert_array_equal(out[:, 1:], out[:, :1].repeat(2, 1))
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-9, 1e-6])
@@ -520,7 +557,8 @@ class TestWorkCap:
             monodromy(math.pi, ModelParams(r=1.999), tol=1e-9)
 
     def test_cap_stops_both_routes(self, monkeypatch, capsys):
-        # r = 1.999 at tol 1e-9 takes 3818 calls over the full period
+        # r = 1.999 at tol 1e-9 takes 3866 calls over the full period
+        # (3818 in scipy's solve_ivp)
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", 1000)
         with pytest.raises(StiffnessError, match="right-hand-side calls"):
             monodromy(math.pi, ModelParams(r=1.999), tol=1e-9)
@@ -529,6 +567,38 @@ class TestWorkCap:
         assert main(["floquet", "--qstar", "pi", "--r", "1.999",
                      "--tol", "1e-9"]) == 2
         assert "domain error" in capsys.readouterr().err
+
+
+class TestScipyImports:
+    def test_cli_and_monodromies_load_no_scipy_solvers(self):
+        # solve_ivp (orbits, winding routes) and brentq (scan refinement)
+        # are imported on first use, and the DOP853 tables by file path
+        code = """
+import math, sys
+import curved_sitnikov.cli
+from curved_sitnikov import floquet, scan
+from curved_sitnikov.kepler import ModelParams
+floquet.monodromy(math.pi, ModelParams(r=1.0))
+scan.interchange_census(0.0, 0.99, 40)
+print(sorted(m for m in sys.modules
+             if m.split(".")[:2] in (["scipy", "integrate"],
+                                     ["scipy", "optimize"])))
+"""
+        src = pathlib.Path(integrate.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_tables_equal_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as scipys
+
+        names = [n for n in vars(scipys) if n.isupper()]
+        assert {"A", "B", "C", "E3", "E5", "N_STAGES"} <= set(names)
+        for name in names:
+            np.testing.assert_array_equal(getattr(integrate._dop, name),
+                                          getattr(scipys, name))
 
 
 def test_fundamental_matrix_helpers():

@@ -51,6 +51,13 @@ class TestTraceCurve:
         assert [reason for _, reason in curve.skipped] == [
             "r <= 0", "r <= 0", "collision guard"]
 
+    def test_non_finite_r_skipped_as_such(self):
+        # a NaN radius fails every comparison, so it once read as a
+        # collision-guard skip
+        curve = trace_curve(math.pi, 0.0, [math.nan, 1.0, math.inf, -math.inf])
+        assert list(curve.values) == [1.0]
+        assert [reason for _, reason in curve.skipped] == ["not finite"] * 3
+
     @pytest.mark.parametrize("eps", [1.5, 1.0, -0.5, -1.0, math.nan])
     def test_eccentricity_outside_unit_interval_rejected(self, monkeypatch,
                                                          eps):
