@@ -99,8 +99,11 @@ def _antipode_half_traces(rs, epsilon: float, tol: float) -> np.ndarray:
         ModelParams(r=float(r), epsilon=epsilon)
 
     def clock(u, lanes):  # rows (rho, rho df/dq) per time
-        rho, a, c = _anomaly_geometry(u, rs[lanes], epsilon)
-        return np.stack((rho, rho * _antipode_dforce_dq(a, c)), axis=1)
+        rho, a, t = _anomaly_geometry(u, rs[lanes], epsilon)
+        half = 0.5 * t
+        return np.stack((rho, rho * _antipode_dforce_dq(a, np.cos(half),
+                                                        np.sin(half))),
+                        axis=1)
 
     def rhs(g, y, lanes):
         dy = np.empty_like(y)

@@ -7,12 +7,13 @@ single orbits (``integrate_orbit``) and both winding routes go through
 scipy's ``solve_ivp``, imported on first use; single monodromies
 (``integrate_variational``) step on Python floats; many independent solves
 go through ``_dop853_lanes``, which steps them side by side as the columns
-of one array, each with its own step size, and records each at a list of
-stop times; a lane system is a ``clock`` of the time-only terms, evaluated
-once per step on its 12 ``rhs`` times, and an ``rhs`` taking one stage's
-row.  The census's half-period monodromies and the strobed orbits of a
-Poincaré section (``_strobe_orbits``) are such lanes.  The DOP853 tables
-are scipy's, loaded from their file without importing ``scipy.integrate``.
+of one array, each with its own step size capped by the spacing of a list
+of stop times, and records each at those stops; a lane system is a
+``clock`` of the time-only terms, evaluated once per step on its 12 ``rhs``
+times, and an ``rhs`` taking one stage's row.  The census's half-period
+monodromies and the strobed orbits of a Poincaré section
+(``_strobe_orbits``) are such lanes.  The DOP853 tables are scipy's,
+loaded from their file without importing ``scipy.integrate``.
 Variational solves, and each lane between two stops, stop with
 :class:`StiffnessError` past ``MAX_VARIATIONAL_NFEV`` right-hand-side
 calls, so every admissible input ends in bounded work.  Orbits can instead
@@ -363,7 +364,12 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     Every lane is stepped by DOP853 at ``rtol = atol = tol`` with scipy's
     rules: the initial step of ``_initial_steps``, the E5/E3 error norm,
     step factors 0.9/0.2/10 and no growth right after a rejection.  Each
-    lane keeps its own step size and accept mask.  A step that would pass
+    lane keeps its own step size and accept mask.  No step, the first one
+    included, is longer than a quarter of the shortest interval between
+    consecutive stops (the first measured from ``t = 0``): on an
+    equilibrium of a strobed orbit the slope is roundoff, the error
+    estimate sees nothing, and one step would span a whole period, whose
+    error a hyperbolic equilibrium then amplifies.  A step that would pass
     the lane's next stop is clipped there and the state recorded; the lane's
     step size carries over, shrunk but never grown by the clipped step.  A
     lane leaves the batch after its last stop, or at the first accepted step
@@ -383,8 +389,10 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     lanes = np.arange(n_lanes)
     t = np.zeros(n_lanes)
     y = np.array(np.broadcast_to(y0.reshape(len(y0), -1), (len(y0), n_lanes)))
+    h_max = 0.25 * np.diff(stop_times, prepend=0.0).min()
     f = rhs(clock(t[None], lanes)[0], y, lanes)
-    h_abs = _initial_steps(clock, rhs, stop_times[-1], y, f, lanes, tol)
+    h_abs = np.minimum(_initial_steps(clock, rhs, stop_times[-1], y, f, lanes,
+                                      tol), h_max)
     # Lanes step in lockstep, so every lane in the batch has made nfev
     # right-hand-side calls; a lane made nfev - nfev_at_stop[lane] of them
     # since its last stop, at most nfev - oldest.
@@ -432,7 +440,9 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
         factor = np.where(rejected, np.minimum(1.0, factor), factor)
         # fmax, like Python's max, shrinks a NaN-error step by _MIN_FACTOR
         h_prev = h_abs
-        h_abs = h_abs * np.where(accept, factor, np.fmax(_MIN_FACTOR, growth))
+        h_abs = np.minimum(
+            h_abs * np.where(accept, factor, np.fmax(_MIN_FACTOR, growth)),
+            h_max)
         rejected = ~accept
         if rejected.any():
             t = np.where(accept, t_new, t)
@@ -476,16 +486,16 @@ def _strobe_orbits(initial: np.ndarray, n_strobes: int, params: ModelParams,
     eccentric anomaly ``u`` (``kepler._anomaly_geometry``, in the lanes'
     clock with the force's time-only terms): ``dq/du = rho p``,
     ``dp/du = rho f(q, t(u))``.  The strobes ``t = 2 pi k`` are
-    ``u = 2 pi k``, so no lane solves Kepler's equation.  No step spans
-    more than a quarter period.  An orbit whose distance to a primary is
-    at most ``D_MIN`` at an accepted step leaves the solve there; its
-    later strobes are NaN.
+    ``u = 2 pi k``, so no lane solves Kepler's equation.  They are the
+    solve's only stops, so the lane core caps every step at a quarter
+    period.  An orbit whose distance to a primary is at most ``D_MIN`` at
+    an accepted step leaves the solve there; its later strobes are NaN.
     """
     r, eps = params.r, params.epsilon
 
     def clock(u, lanes):  # rows (rho, a^2, 1 + c, 1 - c) per time
-        rho, a, c = _anomaly_geometry(u, r, eps)
-        return np.stack((rho, *_phase_terms(a, c)), axis=1)
+        rho, a, t = _anomaly_geometry(u, r, eps)
+        return np.stack((rho, *_phase_terms(a, a * np.cos(t))), axis=1)
 
     def distances(g, q):  # d1 and d2 as the rows of one array
         return np.sqrt(_squared_distance(g[1], g[2:], np.cos(q)))
@@ -500,10 +510,6 @@ def _strobe_orbits(initial: np.ndarray, n_strobes: int, params: ModelParams,
     def collided(g, y, lanes):
         return distances(g, y[0]).min(axis=0) <= D_MIN
 
-    # Stops every quarter period cap the step: on an equilibrium the force
-    # is roundoff, the error estimate sees nothing, and one step would span
-    # a whole period, whose error a hyperbolic equilibrium then amplifies.
-    quarters = np.arange(1, 4 * n_strobes + 1) * (0.25 * TWO_PI)
-    states = _dop853_lanes(clock, rhs, quarters, initial, initial.shape[1],
-                           tol, halt=collided)
-    return states[3::4]
+    strobes = np.arange(1, n_strobes + 1) * TWO_PI
+    return _dop853_lanes(clock, rhs, strobes, initial, initial.shape[1], tol,
+                         halt=collided)

@@ -148,17 +148,15 @@ def radial_factor_derivatives(t: float, epsilon: float) -> tuple[float, float, f
 
 
 def _anomaly_geometry(u, r, epsilon: float):
-    """Return ``(rho, a, c)`` at eccentric anomaly ``u``, with no Kepler solve.
+    """Return ``(rho, a, t)`` at eccentric anomaly ``u``, with no Kepler solve.
 
     ``rho = 1 - eps cos u`` is ``dt/du``, ``a = r rho`` is the primaries'
-    radius and ``c = a cos(u - eps sin u)`` is ``a cos t``.  ``u`` and ``r``
-    may be arrays.  This is the time change of every lane solve in
+    radius and ``t = u - eps sin u`` is the time.  ``u`` and ``r`` may be
+    arrays.  This is the time change of every lane solve in
     eccentric-anomaly time.
     """
     rho = 1.0 - epsilon * np.cos(u)
-    a = r * rho
-    c = a * np.cos(u - epsilon * np.sin(u))
-    return rho, a, c
+    return rho, r * rho, u - epsilon * np.sin(u)
 
 
 def _positions(t: float, a: float) -> tuple[np.ndarray, np.ndarray]:

@@ -96,24 +96,33 @@ def dforce_dq(q_star: float, t: float, params: ModelParams) -> float:
 
         F(t) = (1+c)/[(r*rho)^2+4+4c]^{3/2} + (1-c)/[(r*rho)^2+4-4c]^{3/2}
 
-    with ``c = r*rho(t)*cos(t)``.
+    with ``c = r*rho(t)*cos(t)``, evaluated as ``_antipode_dforce_dq``.
     """
     rho = radial_factor(t, params.epsilon)
     a = params.r * rho
     if q_star == 0.0:
         return -2.0 / a**3
     if q_star == math.pi:
-        return _antipode_dforce_dq(a, a * math.cos(t))
+        half = 0.5 * t
+        return _antipode_dforce_dq(a, math.cos(half), math.sin(half))
     raise ValueError(f"q_star={q_star} is not an equilibrium (use 0 or pi)")
 
 
-def _antipode_dforce_dq(a, c):
-    """``df/dq`` at ``q = pi`` from ``a = r*rho`` and ``c = a*cos(t)``.
+def _antipode_dforce_dq(a, cos_half, sin_half):
+    """``df/dq`` at ``q = pi`` from ``a = r*rho``, ``cos(t/2)`` and ``sin(t/2)``.
 
+    The squared distances ``a^2 + 4 ± 4c`` (``c = a cos t``) are formed as
+    ``(a - 2)^2 + 8a cos^2(t/2)`` and ``(a - 2)^2 + 8a sin^2(t/2)``, and
+    ``c`` as ``a (cos(t/2) - sin(t/2)) (cos(t/2) + sin(t/2))``.  At a close
+    approach (``a`` near 2, ``t`` near 0 or pi) ``a^2 + 4 ± 4c`` cancels
+    down to ``(2 - a)^2``, where the rounding error of ``cos t`` would
+    dominate it; these forms leave only roundoff relative to the result.
     Plain operators only, so floats and numpy arrays both pass through.
     """
-    return ((1.0 + c) / (a * a + 4.0 + 4.0 * c) ** 1.5
-            + (1.0 - c) / (a * a + 4.0 - 4.0 * c) ** 1.5)
+    gap, a8 = (a - 2.0) * (a - 2.0), 8.0 * a
+    c = a * (cos_half - sin_half) * (cos_half + sin_half)
+    return ((1.0 + c) / (gap + a8 * cos_half * cos_half) ** 1.5
+            + (1.0 - c) / (gap + a8 * sin_half * sin_half) ** 1.5)
 
 
 @dataclass(frozen=True)

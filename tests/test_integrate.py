@@ -20,6 +20,7 @@ from curved_sitnikov.floquet import _antipode_half_traces, monodromy
 from curved_sitnikov.integrate import (FundamentalMatrix, StiffnessError,
                                        _dop853_lanes, integrate_orbit,
                                        integrate_variational, rk4_fixed)
+from curved_sitnikov.poincare import section
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
@@ -296,6 +297,15 @@ def _oscillators(w):
     return rhs
 
 
+def _attempted_steps(rows):
+    """Each lane's step from the clock rows of each step attempt.
+
+    The first row is at ``t + c_1 h`` and the last at ``t + h``.
+    """
+    return np.concatenate([(times[-1] - times[0]) / (1.0 - integrate._dop.C[1])
+                           for times in rows])
+
+
 class TestLanes:
     def test_constant_coefficient_closed_form(self):
         # lanes of different stiffness finish at different step counts;
@@ -488,6 +498,47 @@ class TestLanes:
             np.testing.assert_array_equal(end, times[-1])
 
 
+class TestStepCap:
+    """No lane step, the first included, spans more than a quarter of the
+    shortest interval between stops."""
+
+    def test_uneven_stops(self):
+        # stop intervals 1.0, 0.2 and 4.8 cap every step at 0.05; these slow
+        # oscillators would start at 0.109 and grow from there
+        rows = []
+
+        def clock(t, lanes):
+            rows.append(t.copy())
+            return t
+
+        _dop853_lanes(clock, _oscillators(np.array([0.1, 0.5])),
+                      np.array([1.0, 1.2, 6.0]),
+                      np.array([1.0, 0.0, 0.0, 1.0]), 2, 1e-6)
+        steps = _attempted_steps(rows[2:])
+        assert steps.max() <= 0.05 * (1.0 + 1e-12)
+        np.testing.assert_allclose(steps[:2], 0.05, rtol=1e-12)  # the first
+
+    def test_section_steps_at_most_a_quarter_period(self, monkeypatch):
+        # the strobes are the only stops, so the cap is pi/2 in u; the orbit
+        # at rest on the equilibrium has an exactly zero error estimate and
+        # would otherwise step a whole period
+        solve, rows = integrate._dop853_lanes, []
+
+        def recording(clock, *args, **kwargs):
+            def recorded(u, lanes):
+                rows.append(u.copy())
+                return clock(u, lanes)
+            return solve(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(integrate, "_dop853_lanes", recording)
+        cloud = section(ModelParams(r=1.0, epsilon=0.3),
+                        [(0.0, 0.0), (0.2, 0.0)], n_iterates=10, tol=1e-8)
+        np.testing.assert_array_equal(cloud.orbits[0], 0.0)
+        steps = _attempted_steps(rows[2:])
+        assert steps.max() <= 0.5 * math.pi * (1.0 + 1e-12)
+        assert steps.max() >= 0.5 * math.pi * (1.0 - 1e-12)
+
+
 class TestClockSplit:
     """Lane solves match, bit for bit, the same system with the whole
     right-hand side evaluated per stage behind an identity clock."""
@@ -497,9 +548,11 @@ class TestClockSplit:
         rs = collision_ceiling(eps) * np.array([0.5, 0.8, 0.95, 0.999])
 
         def rhs(u, y, lanes):
-            rho, a, c = _anomaly_geometry(u, rs[lanes], eps)
-            stiffness = rho * ((1.0 + c) / (a * a + 4.0 + 4.0 * c) ** 1.5
-                               + (1.0 - c) / (a * a + 4.0 - 4.0 * c) ** 1.5)
+            rho, a, t = _anomaly_geometry(u, rs[lanes], eps)
+            ch, sh = np.cos(0.5 * t), np.sin(0.5 * t)
+            gap, c = (a - 2.0) * (a - 2.0), a * (ch - sh) * (ch + sh)
+            stiffness = rho * ((1.0 + c) / (gap + 8.0 * a * ch * ch) ** 1.5
+                               + (1.0 - c) / (gap + 8.0 * a * sh * sh) ** 1.5)
             dy = np.empty_like(y)
             dy[0::2] = rho * y[1::2]
             dy[1::2] = stiffness * y[0::2]
@@ -521,13 +574,14 @@ class TestClockSplit:
         initial = np.array([[math.pi - 0.5, 0.1, 0.3], [0.0, 0.0, 0.2]])
 
         def distances(u, q):
-            _, a, c = _anomaly_geometry(u, r, eps)
-            gap = 2.0 * (1.0 - np.cos(q))
+            _, a, t = _anomaly_geometry(u, r, eps)
+            c, gap = a * np.cos(t), 2.0 * (1.0 - np.cos(q))
             return (np.sqrt(a * a + gap * (1.0 + c)),
                     np.sqrt(a * a + gap * (1.0 - c)))
 
         def rhs(u, y, lanes):
-            rho, _, c = _anomaly_geometry(u, r, eps)
+            rho, a, t = _anomaly_geometry(u, r, eps)
+            c = a * np.cos(t)
             d1, d2 = distances(u, y[0])
             sin_q = np.sin(y[0])
             dy = np.empty_like(y)
@@ -539,9 +593,8 @@ class TestClockSplit:
         def collided(u, y, lanes):
             return np.minimum(*distances(u, y[0])) <= d_min
 
-        quarters = np.arange(1, 41) * (0.5 * math.pi)
-        want = _dop853_lanes(_identity, rhs, quarters, initial, 3, 1e-8,
-                             halt=collided)[3::4]
+        want = _dop853_lanes(_identity, rhs, np.arange(1, 11) * TWO_PI,
+                             initial, 3, 1e-8, halt=collided)
         got = integrate._strobe_orbits(initial, 10, ModelParams(r, eps), 1e-8)
         np.testing.assert_array_equal(got, want)
         assert np.isnan(got[:, :, 0]).any() == (r == 1.9)
@@ -557,8 +610,8 @@ class TestWorkCap:
             monodromy(math.pi, ModelParams(r=1.999), tol=1e-9)
 
     def test_cap_stops_both_routes(self, monkeypatch, capsys):
-        # r = 1.999 at tol 1e-9 takes 3866 calls over the full period
-        # (3818 in scipy's solve_ivp)
+        # r = 1.999 at tol 1e-9 takes 3686 calls over the full period, as
+        # in scipy's solve_ivp
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", 1000)
         with pytest.raises(StiffnessError, match="right-hand-side calls"):
             monodromy(math.pi, ModelParams(r=1.999), tol=1e-9)
@@ -567,6 +620,14 @@ class TestWorkCap:
         assert main(["floquet", "--qstar", "pi", "--r", "1.999",
                      "--tol", "1e-9"]) == 2
         assert "domain error" in capsys.readouterr().err
+
+    def test_close_approach_ends_in_bounded_work(self, monkeypatch, capsys):
+        # at r = 1.9999 the antipode passes 1e-4 from a primary; a Hill
+        # coefficient that loses digits to cancellation there drives the
+        # error control past 10^6 calls at the default tol
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", 20_000)
+        assert main(["floquet", "--qstar", "pi", "--r", "1.9999"]) == 0
+        assert json.loads(capsys.readouterr().out)["class"] == "hyperbolic"
 
 
 class TestScipyImports:

@@ -2,16 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curved_sitnikov.kepler import ModelParams
-from curved_sitnikov.model import (CollisionError, coefficient_period,
-                                   cubic_coefficient, dforce_dq,
-                                   hill_coefficient, limit_force_circle,
-                                   potential, symmetry_defect,
-                                   tangential_force)
+from curved_sitnikov.model import (CollisionError, _antipode_dforce_dq,
+                                   coefficient_period, cubic_coefficient,
+                                   dforce_dq, hill_coefficient,
+                                   limit_force_circle, potential,
+                                   symmetry_defect, tangential_force)
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
@@ -137,6 +138,26 @@ class TestLinearization:
                           - tangential_force(q_star - h, t, params)) / (2 * h)
                     assert dforce_dq(q_star, t, params) == pytest.approx(
                         fd, rel=1e-8, abs=1e-9)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5])
+    def test_antipode_close_approach_to_roundoff(self, gap):
+        # a = r = 2 - gap passes within gap of a primary at t = 0 and pi,
+        # where a^2 + 4 +- 4c cancels to (2 - a)^2 and the rounding of
+        # cos t alone costs up to 2.8e-6; the reference is that form in 40
+        # digits from the same doubles r and t
+        r = 2.0 - gap
+        ts = np.concatenate([t0 + np.linspace(-10.0 * gap, 10.0 * gap, 41)
+                             for t0 in (0.0, math.pi)])
+        with mpmath.workdps(40):
+            a, want = mpmath.mpf(r), []
+            for t in ts:
+                c = a * mpmath.cos(mpmath.mpf(t))
+                want.append(float((1 + c) / (a * a + 4 + 4 * c) ** 1.5
+                                  + (1 - c) / (a * a + 4 - 4 * c) ** 1.5))
+        scalar = [dforce_dq(math.pi, float(t), ModelParams(r=r)) for t in ts]
+        lanes = _antipode_dforce_dq(r, np.cos(0.5 * ts), np.sin(0.5 * ts))
+        np.testing.assert_allclose(scalar, want, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(lanes, want, rtol=1e-14, atol=0.0)
 
     def test_rejects_non_equilibrium(self):
         with pytest.raises(ValueError):
