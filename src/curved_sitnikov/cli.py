@@ -4,9 +4,10 @@ Every artifact embeds the run configuration (JSON field or CSV header
 comment) so runs are self-describing and replayable; ``_write_json`` and
 ``_write_csv`` are the two artifact formats.  Exit codes:
 0 success, 1 configuration error (including an unreadable input or
-unwritable output file), 2 numerical domain error (collision,
-step-size underflow, Kepler non-convergence or a corrupt monodromy),
-3 verification failure.
+unwritable output file, a grid or cloud past ``MAX_GRID_POINTS`` points
+and a size argument that runs out of memory), 2 numerical domain error
+(collision, step-size underflow, Kepler non-convergence or a corrupt
+monodromy), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .integrate import (DEFAULT_MONODROMY_TOL, DEFAULT_ORBIT_TOL,
 from .floquet import (DEFAULT_DELTA_PAR, ELLIPTIC, MonodromyError, classify,
                       monodromy)
 from .general_model import bound_report, load_curve_pair, sitnikov_pair
-from .scan import (DEFAULT_REFINE_TOL, DEFAULT_SCAN_TOL, _check_refine_tol,
-                   eps_scan_origin, find_transitions, interchange_census,
-                   trace_curve)
+from .scan import (CENSUS_START_FRACTION, DEFAULT_REFINE_TOL, DEFAULT_SCAN_TOL,
+                   _check_refine_tol, eps_scan_origin, find_transitions,
+                   interchange_census, trace_curve)
 from .poincare import section
 from . import verification
 
@@ -38,6 +39,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
+
+# Most points one lo:hi:step grid, or one poincare cloud, may hold.
+MAX_GRID_POINTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -57,24 +61,23 @@ def parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"grid {text!r}: lo, hi and step must be finite")
     if step <= 0.0 or hi < lo:
         raise ConfigError(f"grid {text!r}: need lo <= hi and step > 0")
-    n = int(math.floor((hi - lo) / step + 0.5 * 1e-9)) + 1
-    grid = lo + step * np.arange(n)
-    if grid[-1] < hi - 1e-9 * step:
-        grid = np.append(grid, hi)
-    return grid
-
-
-# Options whose value may start with a minus sign.  argparse reads a value
-# such as "-0.4:0.4:0.1", which is no plain negative number, as an unknown
-# option unless "=" joins it to its option.
-_SIGNED_VALUE_OPTIONS = ("--q-grid", "--p-grid", "--r", "--t", "--eps-grid")
+    span = (hi - lo) / step  # inf if it overflows
+    if span < MAX_GRID_POINTS:  # else the grid is too large to allocate
+        grid = lo + step * np.arange(int(math.floor(span + 0.5 * 1e-9)) + 1)
+        if grid[-1] < hi - 1e-9 * step:
+            grid = np.append(grid, hi)
+        if grid.size <= MAX_GRID_POINTS:
+            return grid
+    raise ConfigError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
 
 
 def _join_signed_values(argv: list[str]) -> list[str]:
-    """``argv`` with each of those options joined to a negative value."""
+    """``argv`` with ``=`` joining each ``--option`` to a following token
+    that starts with ``-`` and a digit or a dot: argparse reads a value
+    such as "-0.4:0.4:0.1" as an unknown option unless "=" joins it."""
     out: list[str] = []
     for token in argv:
-        if (out and out[-1] in _SIGNED_VALUE_OPTIONS
+        if (out and re.fullmatch(r"--[^=]+", out[-1])
                 and re.match(r"-[\d.]", token)):
             out[-1] += "=" + token
         else:
@@ -219,6 +222,9 @@ def cmd_poincare(args) -> int:
     params = _params(args)
     q_grid = parse_grid(args.q_grid)
     p_grid = parse_grid(args.p_grid)
+    if q_grid.size * p_grid.size > MAX_GRID_POINTS:
+        raise ConfigError(f"a {q_grid.size} x {p_grid.size} initial grid has "
+                          f"more than {MAX_GRID_POINTS} orbits")
     grid = [(float(q), float(p)) for q in q_grid for p in p_grid]
     cloud = section(params, grid, n_iterates=args.iterates, tol=args.tol,
                     fixed_steps=args.fixed_step)
@@ -320,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="count interchanges toward the ceiling")
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--ceiling-fraction", type=float, default=0.99975)
-    p.add_argument("--start-fraction", type=float, default=0.95)
+    p.add_argument("--start-fraction", type=float,
+                   default=CENSUS_START_FRACTION)
     p.add_argument("--budget", type=int, default=100_000)
     p.add_argument("--tol", type=float, default=DEFAULT_SCAN_TOL)
     p.add_argument("--out", help="output JSON path (default stdout)")
@@ -377,8 +384,9 @@ def main(argv=None) -> int:
             MonodromyError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"configuration error: {exc or type(exc).__name__}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -6,13 +6,10 @@ solve raising :class:`StiffnessError`, and all with scipy's step rules:
 single orbits (``integrate_orbit``) and both winding routes go through
 scipy's ``solve_ivp``, imported on first use; single monodromies
 (``integrate_variational``) step on Python floats; many independent solves
-go through ``_dop853_lanes``, which steps them side by side as the columns
-of one array, each with its own step size capped by the spacing of a list
-of stop times, and records each at those stops; a lane system is a
-``clock`` of the time-only terms, evaluated once per step on its 12 ``rhs``
-times, and an ``rhs`` taking one stage's row.  The census's half-period
-monodromies and the strobed orbits of a Poincaré section
-(``_strobe_orbits``) are such lanes.  The DOP853 tables are scipy's,
+go through ``_dop853_lanes``, which steps them side by side as the lanes
+of one array.  This module holds that engine, not the lane systems: each
+lives with its caller, the census's in ``floquet._antipode_half_traces``
+and a section's in ``poincare.section``.  The DOP853 tables are scipy's,
 loaded from their file without importing ``scipy.integrate``.
 Variational solves, and each lane between two stops, stop with
 :class:`StiffnessError` past ``MAX_VARIATIONAL_NFEV`` right-hand-side
@@ -34,9 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kepler import TWO_PI, ModelParams, _anomaly_geometry
-from .model import (D_MIN, _distances, _phase_terms, _pull,
-                    _squared_distance, tangential_force)
+from .kepler import ModelParams
+from .model import D_MIN, _distances, tangential_force
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 DEFAULT_ORBIT_TOL = 1e-8
@@ -475,41 +471,3 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
             oldest = nfev_at_stop.min(initial=nfev)
     return out if np.ndim(stops) else out[0]
 
-
-def _strobe_orbits(initial: np.ndarray, n_strobes: int, params: ModelParams,
-                   tol: float) -> np.ndarray:
-    """States ``(q, p)`` of orbits at ``t = 2 pi k``, ``k = 1..n_strobes``.
-
-    ``initial`` holds the orbits' ``(q0, p0)`` at ``t = 0`` as columns,
-    shape ``(2, m)``; the result has shape ``(n_strobes, 2, m)``.  The
-    orbits are the lanes of one ``_dop853_lanes`` solve, and time is the
-    eccentric anomaly ``u`` (``kepler._anomaly_geometry``, in the lanes'
-    clock with the force's time-only terms): ``dq/du = rho p``,
-    ``dp/du = rho f(q, t(u))``.  The strobes ``t = 2 pi k`` are
-    ``u = 2 pi k``, so no lane solves Kepler's equation.  They are the
-    solve's only stops, so the lane core caps every step at a quarter
-    period.  An orbit whose distance to a primary is at most ``D_MIN`` at
-    an accepted step leaves the solve there; its later strobes are NaN.
-    """
-    r, eps = params.r, params.epsilon
-
-    def clock(u, lanes):  # rows (rho, a^2, 1 + c, 1 - c) per time
-        rho, a, t = _anomaly_geometry(u, r, eps)
-        return np.stack((rho, *_phase_terms(a, a * np.cos(t))), axis=1)
-
-    def distances(g, q):  # d1 and d2 as the rows of one array
-        return np.sqrt(_squared_distance(g[1], g[2:], np.cos(q)))
-
-    def rhs(g, y, lanes):
-        pull = _pull(g[2:], np.sin(y[0]), distances(g, y[0]))
-        dy = np.empty_like(y)
-        dy[0] = g[0] * y[1]
-        dy[1] = g[0] * (-pull[0] - pull[1])
-        return dy
-
-    def collided(g, y, lanes):
-        return distances(g, y[0]).min(axis=0) <= D_MIN
-
-    strobes = np.arange(1, n_strobes + 1) * TWO_PI
-    return _dop853_lanes(clock, rhs, strobes, initial, initial.shape[1], tol,
-                         halt=collided)

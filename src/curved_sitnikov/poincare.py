@@ -3,22 +3,24 @@
 The section variable is the forcing phase itself, so orbits are sampled
 once per period 2*pi with no crossing detection.  Initial conditions come
 from declarative deterministic grids, never random draws.  The adaptive
-route steps every orbit of a cloud as one lane of a batched DOP853 solve
-in eccentric-anomaly time, which strobes at its stops with no Kepler
-solve; its hits match to the tolerance but are not byte-identical across
+route of ``section`` steps every orbit of a cloud as one lane of its own
+lane system on ``integrate._dop853_lanes``, in eccentric-anomaly time;
+its hits match to the tolerance but are not byte-identical across
 versions.  The fixed-step RK4 route is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kepler import TWO_PI, ModelParams
-from .integrate import DEFAULT_ORBIT_TOL, _strobe_orbits, integrate_orbit
-from .model import CollisionError
+from .kepler import TWO_PI, ModelParams, _anomaly_geometry
+from .integrate import DEFAULT_ORBIT_TOL, _dop853_lanes, integrate_orbit
+from .model import (D_MIN, CollisionError, _phase_terms, _pull,
+                    _squared_distance)
 
 
 @dataclass
@@ -48,25 +50,49 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
     Args:
         params: model parameters.
         initial_grid: iterable of ``(q0, p0)`` pairs (phase starts at 0).
-        n_iterates: number of section returns to record per orbit (>= 1).
+        n_iterates: number of section returns to record per orbit, an
+            integer >= 1, else ``ValueError``.
         tol: integrator tolerance (adaptive engine).
         fixed_steps: RK4 steps per period (at least 1) for a reproducible
             cloud, one ``integrate_orbit`` call per period; ``None`` steps
-            all orbits as the lanes of one DOP853 solve
-            (``integrate._strobe_orbits``).
+            all orbits as the lanes of one DOP853 solve in eccentric
+            anomaly ``u``: ``dq/du = rho p``, ``dp/du = rho f(q, t(u))``.
+            Its only stops are the strobes ``u = t = 2 pi k``, so no lane
+            solves Kepler's equation and each step is at most pi/2.
 
     Collisions truncate the affected orbit only; the cloud keeps going,
     and a truncated orbit keeps its earlier hits.  An adaptive orbit is
     truncated at the first accepted step within ``D_MIN`` of a primary, a
     fixed-step one at the first period in which the force guard trips.
     """
-    if n_iterates < 1:
-        raise ValueError(f"n_iterates={n_iterates} must be at least 1")
+    if not (isinstance(n_iterates, numbers.Integral) and n_iterates >= 1):
+        raise ValueError(f"n_iterates={n_iterates} must be an integer >= 1")
     grid = np.array([(float(q0), float(p0)) for q0, p0 in initial_grid])
     cloud = SectionCloud(orbits=[], truncated=[])
     if fixed_steps is None:
-        strobes = _strobe_orbits(grid.reshape(-1, 2).T, n_iterates, params,
-                                 tol)
+        r, eps = params.r, params.epsilon
+
+        def clock(u, lanes):  # rows (rho, a^2, 1 + c, 1 - c) per time
+            rho, a, t = _anomaly_geometry(u, r, eps)
+            return np.stack((rho, *_phase_terms(a, a * np.cos(t))), axis=1)
+
+        def distances(g, q):  # d1 and d2 as the rows of one array
+            return np.sqrt(_squared_distance(g[1], g[2:], np.cos(q)))
+
+        def rhs(g, y, lanes):
+            pull = _pull(g[2:], np.sin(y[0]), distances(g, y[0]))
+            dy = np.empty_like(y)
+            dy[0] = g[0] * y[1]
+            dy[1] = g[0] * (-pull[0] - pull[1])
+            return dy
+
+        def collided(g, y, lanes):
+            return distances(g, y[0]).min(axis=0) <= D_MIN
+
+        strobes = _dop853_lanes(clock, rhs,
+                                np.arange(1, n_iterates + 1) * TWO_PI,
+                                grid.reshape(-1, 2).T, len(grid), tol,
+                                halt=collided)
         for i in range(len(grid)):
             qs, ps = strobes[:, :, i].T
             reached = np.isfinite(qs)

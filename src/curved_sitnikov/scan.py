@@ -34,6 +34,9 @@ DEFAULT_REFINE_TOL = 1e-7
 CENSUS_START_LEVEL = 4
 CENSUS_PLATEAU_LEVELS = 3
 
+# Fraction of the collision ceiling where the census starts by default.
+CENSUS_START_FRACTION = 0.95
+
 # Largest eccentricity the origin sweep evaluates.
 EPS_SCAN_CAP = 0.95
 
@@ -267,7 +270,7 @@ def find_transitions(curve: TraceCurve,
 
 
 def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
-                       r_start_fraction: float = 0.95,
+                       r_start_fraction: float = CENSUS_START_FRACTION,
                        tol: float = DEFAULT_SCAN_TOL) -> CensusResult:
     """Count strongly-stable intervals of the antipode toward the ceiling.
 

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,13 @@ class TestGridParsing:
         for bad in ("0:1", "a:b:c", "1:0:0.1", "0:1:-0.1", "1.0:inf:0.1",
                     "0:inf:1", "1.0:1.1:inf", "nan:1:0.1", "-inf:0:1"):
             with pytest.raises(ConfigError):
+                parse_grid(bad)
+
+    def test_size_limit_is_exact(self):
+        assert parse_grid("0:999999:1").size == cli.MAX_GRID_POINTS
+        # 10^6 steps, or 999,999 steps and the appended hi
+        for bad in ("0:1000000:1", "0:999999.5:1", "0:1e300:1e-300"):
+            with pytest.raises(ConfigError, match="more than 1000000 points"):
                 parse_grid(bad)
 
     def test_qstar(self):
@@ -236,6 +247,14 @@ class TestNegativeGridBounds:
         assert warning in capsys.readouterr().err
 
 
+def test_every_long_option_takes_a_negative_value():
+    argv = ["--lam", "-0.1,0.5", "--q0=-1", "-.5", "--quick", ".5",
+            "-1", "--s0", "-.2"]
+    assert cli._join_signed_values(argv) == [
+        "--lam=-0.1,0.5", "--q0=-1", "-.5", "--quick", ".5", "-1",
+        "--s0=-.2"]
+
+
 class TestExitCodes:
     def test_config_error_from_bad_params(self, capsys):
         assert main(["floquet", "--qstar", "pi", "--r", "3.0",
@@ -253,6 +272,64 @@ class TestExitCodes:
         assert captured.err.startswith("configuration error: grid")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["kepler", "--t", "0:1e15:1"], "grid '0:1e15:1' has more than"),
+        (["scan", "--qstar", "pi", "--r", "0:1e13:1"],
+         "grid '0:1e13:1' has more than"),
+        (["poincare", "--iterates", "2", "--q-grid", "0:1e7:1",
+          "--p-grid", "0:1e7:1"], "grid '0:1e7:1' has more than"),
+    ], ids=["kepler", "scan", "poincare"])
+    def test_oversized_grid_exits_one(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        if argv[0] == "poincare":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {message}")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_oversized_cloud_exits_one_before_building_it(self, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+        # a lower limit, so that code without the check fails fast: each
+        # grid passes alone, their product does not
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 8)
+        monkeypatch.setattr(cli, "section",
+                            lambda *a, **k: pytest.fail("section ran"))
+        out = tmp_path / "out.csv"
+        assert main(["poincare", "--q-grid", "0:0.2:0.1", "--p-grid",
+                     "0:0.2:0.1", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: a 3 x 3 initial grid has more than 8 "
+            "orbits\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["poincare", "--iterates", "1000000000000", "--q-grid", "0:0:1",
+         "--p-grid", "0:0:1"],
+        ["simulate", "--q0", "0.1", "--p0", "0", "--t-final", "1",
+         "--fixed-step", "10000000000000"],
+    ], ids=["poincare-iterates", "simulate-steps"])
+    def test_allocation_beyond_memory_exits_one(self, tmp_path, argv):
+        # each asks numpy for more than 7 TiB; under a 1 GiB address-space
+        # limit the request fails the same way on a host that overcommits
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        out = tmp_path / "out.csv"
+        src = Path(cli.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "curved_sitnikov.cli", *argv,
+             "--out", str(out)], env=env, capture_output=True, text=True,
+            timeout=120, preexec_fn=limit_memory)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("configuration error: Unable to "
+                                      "allocate")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_bounds_gap_outside_range_exits_one(self, tmp_path, capsys):
         out = tmp_path / "bounds.json"

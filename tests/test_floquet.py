@@ -10,7 +10,7 @@ import pytest
 from curved_sitnikov import floquet, scan
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.model import hill_coefficient
-from curved_sitnikov.integrate import FundamentalMatrix
+from curved_sitnikov.integrate import FundamentalMatrix, StiffnessError
 from curved_sitnikov.cli import main
 from curved_sitnikov.floquet import (DEFAULT_DELTA_PAR, ELLIPTIC, HYPERBOLIC,
                                      PARABOLIC, Monodromy, MonodromyError,
@@ -226,6 +226,16 @@ class TestWinding:
     def test_rejects_zero_phase(self):
         with pytest.raises(ValueError):
             winding_angle(lambda t: 1.0, 0.0, 1.0, 0j)
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            winding_angle(lambda t: 1.0, 0.0, 1.0, 1 + 0j, method="bogus")
+
+    def test_failed_solve_raises_stiffness(self):
+        # a = 1 / (t - 1)^2 is singular at t = 1: scipy's solve stops short
+        with pytest.raises(StiffnessError, match="step size"):
+            winding_angle(lambda t: 1.0 / (t - 1.0) ** 2, 0.0, math.pi,
+                          1 + 0j)
 
     @pytest.mark.parametrize("method", ["theta", "arg"])
     @pytest.mark.parametrize("tol", [1e-2, 1e-20])

@@ -222,3 +222,7 @@ class TestLoader:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             load_curve_pair({"family": "lemniscate"})
+
+    def test_unknown_primary(self):
+        with pytest.raises(ValueError, match="primary='middle'"):
+            sitnikov_pair(ModelParams(r=1.8), "middle")

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from curved_sitnikov import integrate
+from curved_sitnikov import integrate, poincare
 from curved_sitnikov.kepler import (ModelParams, _anomaly_geometry,
                                     collision_ceiling)
 from curved_sitnikov.cli import _write_csv, main
@@ -20,7 +20,7 @@ from curved_sitnikov.floquet import _antipode_half_traces, monodromy
 from curved_sitnikov.integrate import (FundamentalMatrix, StiffnessError,
                                        _dop853_lanes, integrate_orbit,
                                        integrate_variational, rk4_fixed)
-from curved_sitnikov.poincare import section
+from curved_sitnikov.poincare import section, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
@@ -281,6 +281,13 @@ class TestVariational:
         np.testing.assert_allclose(mat.as_array(), [[-1.0, 0.0], [0.0, -1.0]],
                                    atol=1e-9)
 
+    def test_blow_up_raises_step_underflow(self):
+        # x'' = x / (1 - t)^4 blows up at t = 1, as the lane core's twin
+        with pytest.raises(StiffnessError,
+                           match="step size underflow in a variational solve"):
+            integrate_variational(lambda t: -1.0 / (1.0 - t) ** 4, math.pi,
+                                  1e-9)
+
 
 def _identity(t, lanes):
     """Lane clock that hands the right-hand side the times themselves."""
@@ -522,7 +529,7 @@ class TestStepCap:
         # the strobes are the only stops, so the cap is pi/2 in u; the orbit
         # at rest on the equilibrium has an exactly zero error estimate and
         # would otherwise step a whole period
-        solve, rows = integrate._dop853_lanes, []
+        solve, rows = poincare._dop853_lanes, []
 
         def recording(clock, *args, **kwargs):
             def recorded(u, lanes):
@@ -530,7 +537,7 @@ class TestStepCap:
                 return clock(u, lanes)
             return solve(recorded, *args, **kwargs)
 
-        monkeypatch.setattr(integrate, "_dop853_lanes", recording)
+        monkeypatch.setattr(poincare, "_dop853_lanes", recording)
         cloud = section(ModelParams(r=1.0, epsilon=0.3),
                         [(0.0, 0.0), (0.2, 0.0)], n_iterates=10, tol=1e-8)
         np.testing.assert_array_equal(cloud.orbits[0], 0.0)
@@ -570,7 +577,7 @@ class TestClockSplit:
         # an inflated guard distance halts the first orbit at r = 1.9 (see
         # the lane route's collision test), so halting is compared as well
         d_min = 0.3
-        monkeypatch.setattr(integrate, "D_MIN", d_min)
+        monkeypatch.setattr(poincare, "D_MIN", d_min)
         initial = np.array([[math.pi - 0.5, 0.1, 0.3], [0.0, 0.0, 0.2]])
 
         def distances(u, q):
@@ -595,9 +602,17 @@ class TestClockSplit:
 
         want = _dop853_lanes(_identity, rhs, np.arange(1, 11) * TWO_PI,
                              initial, 3, 1e-8, halt=collided)
-        got = integrate._strobe_orbits(initial, 10, ModelParams(r, eps), 1e-8)
-        np.testing.assert_array_equal(got, want)
-        assert np.isnan(got[:, :, 0]).any() == (r == 1.9)
+        cloud = section(ModelParams(r, eps), initial.T, n_iterates=10,
+                        tol=1e-8)
+        for i, (hits, truncated) in enumerate(zip(cloud.orbits,
+                                                  cloud.truncated)):
+            qs, ps = want[:, :, i].T
+            reached = np.isfinite(qs)
+            np.testing.assert_array_equal(
+                hits, [(wrap_angle(q), p)
+                       for q, p in zip(qs[reached], ps[reached])])
+            assert truncated == (not reached.all())
+        assert cloud.truncated[0] == (r == 1.9)
 
 
 class TestWorkCap:

@@ -89,6 +89,13 @@ class TestTangentialForce:
         assert err.value.primary == 1
         assert "primary 1" in str(err.value)
 
+    def test_collision_guard_names_far_primary(self):
+        # at t = 0 primary 2 sits at the antipode once r reaches 2
+        with pytest.raises(CollisionError) as err:
+            tangential_force(math.pi, 0.0, ModelParams(r=2.0 - 1e-10))
+        assert err.value.primary == 2
+        assert "primary 2" in str(err.value)
+
 
 class TestPotential:
     def test_antipode_value(self):
@@ -160,8 +167,10 @@ class TestLinearization:
         np.testing.assert_allclose(lanes, want, rtol=1e-14, atol=0.0)
 
     def test_rejects_non_equilibrium(self):
-        with pytest.raises(ValueError):
-            dforce_dq(1.0, 0.0, P10)
+        for reject in (lambda: dforce_dq(1.0, 0.0, P10),
+                       lambda: hill_coefficient(1.0, P10)):
+            with pytest.raises(ValueError, match="not an equilibrium"):
+                reject()
 
     def test_monotone_decreasing_in_r(self):
         # circular primaries: the antipodal coefficient decreases with r

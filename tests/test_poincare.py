@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from curved_sitnikov import integrate
+from curved_sitnikov import integrate, poincare
 from curved_sitnikov.cli import _write_csv, main
 from curved_sitnikov.integrate import StiffnessError, integrate_orbit
 from curved_sitnikov.kepler import ModelParams
@@ -97,7 +97,7 @@ class TestSection:
         assert [len(o) for o in cloud.orbits] == [2, 10]
 
     @pytest.mark.parametrize("fixed_steps", [None, 8])
-    @pytest.mark.parametrize("n_iterates", [0, -1])
+    @pytest.mark.parametrize("n_iterates", [0, -1, 1.5])
     def test_needs_one_iterate(self, n_iterates, fixed_steps):
         with pytest.raises(ValueError, match="n_iterates"):
             section(P10, [(0.1, 0.0)], n_iterates=n_iterates,
@@ -137,7 +137,7 @@ class TestLaneRoute:
         # inflated guard distance, as in the orbit engine's collision test;
         # from q = pi - 0.5 the scalar route's terminal event fires at
         # t = 2.48 periods, so two strobes come before it
-        monkeypatch.setattr(integrate, "D_MIN", 0.3)
+        monkeypatch.setattr(poincare, "D_MIN", 0.3)
         cloud = section(ModelParams(r=1.9), [(math.pi - 0.5, 0.0), (0.1, 0.0)],
                         n_iterates=10, tol=1e-8)
         assert cloud.truncated == [True, False]

@@ -153,6 +153,10 @@ class TestFindTransitions:
             assert hi_a == lo_b
             assert cls_a != cls_b
 
+    def test_needs_an_r_scan(self):
+        with pytest.raises(ValueError, match="expects an r-scan"):
+            find_transitions(eps_scan_origin(1.0, [0.0, 0.1]))
+
     def test_needs_two_samples(self):
         curve = trace_curve(math.pi, 0.0, np.array([1.0]), tol=1e-9)
         with pytest.raises(ValueError):
