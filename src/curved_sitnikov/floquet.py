@@ -35,21 +35,30 @@ class MonodromyError(ValueError):
     """The fundamental matrix is not a valid monodromy (Wronskian off 1)."""
 
 
+def _check_det(det: float, where: str) -> None:
+    """Raise ``MonodromyError`` unless ``|det - 1| <= DET_CORRUPT_TOL``.
+
+    Written so that a NaN ``det`` fails too; ``where`` follows the value
+    in the message.
+    """
+    if not abs(det - 1.0) <= DET_CORRUPT_TOL:
+        raise MonodromyError(f"det={det!r}{where} deviates from 1 beyond "
+                             f"{DET_CORRUPT_TOL}")
+
+
 @dataclass(frozen=True)
 class Monodromy:
     """Fundamental matrix after one forcing period at an equilibrium.
 
-    Building one raises ``MonodromyError`` if ``det``, the Wronskian of a
-    trace-free system, is off 1 beyond ``DET_CORRUPT_TOL``.
+    Building one raises ``MonodromyError`` unless ``det``, the Wronskian
+    of a trace-free system, is within ``DET_CORRUPT_TOL`` of 1.
     """
 
     matrix: FundamentalMatrix
     period: float
 
     def __post_init__(self) -> None:
-        if abs(self.det - 1.0) > DET_CORRUPT_TOL:
-            raise MonodromyError(f"det={self.det!r} deviates from 1 beyond "
-                                 f"{DET_CORRUPT_TOL}")
+        _check_det(self.det, "")
 
     @property
     def half_trace(self) -> float:
@@ -91,8 +100,8 @@ def _antipode_half_traces(rs, epsilon: float, tol: float) -> np.ndarray:
     clock holds ``rho`` and ``-rho a``), and no lane solves Kepler's
     equation; ``t(T/2) = T/2``.  This form makes ``x1 = y2`` of the
     full-period matrix hold by construction, so the Wronskian and evenness
-    audit uses ``monodromy`` instead.  Raises ``MonodromyError`` if any
-    lane's ``det X(T/2)`` is off 1 beyond ``DET_CORRUPT_TOL``.
+    audit uses ``monodromy`` instead.  Raises ``MonodromyError`` unless
+    every lane's ``det X(T/2)`` is within ``DET_CORRUPT_TOL`` of 1.
     """
     rs = np.asarray(rs, dtype=float)
     for r in (rs.min(), rs.max()):  # validates every radius and epsilon
@@ -116,11 +125,8 @@ def _antipode_half_traces(rs, epsilon: float, tol: float) -> np.ndarray:
                                    np.array([1.0, 0.0, 0.0, 1.0]), rs.size,
                                    tol)
     det = x1 * y2 - x2 * y1
-    worst = int(np.argmax(np.abs(det - 1.0)))
-    if abs(det[worst] - 1.0) > DET_CORRUPT_TOL:
-        raise MonodromyError(f"det={float(det[worst])!r} at "
-                             f"r={float(rs[worst])!r} deviates from 1 beyond "
-                             f"{DET_CORRUPT_TOL}")
+    worst = int(np.argmax(np.abs(det - 1.0)))  # the first NaN, if any
+    _check_det(float(det[worst]), f" at r={float(rs[worst])!r}")
     return (x1 * y2 + x2 * y1) / det
 
 

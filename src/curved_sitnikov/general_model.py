@@ -336,6 +336,8 @@ def load_curve_pair(source) -> CurvePair:
     ``source`` is a path to, or dict of, ``{"family": name,
     "params": {...}}``; families are built in, no expressions are parsed,
     and an unknown key is an error rather than a silently used default.
+    The family must be a string and each param an ``int`` or ``float``
+    (not a ``bool``), else ``ValueError``.
     """
     if isinstance(source, dict):
         desc = source
@@ -346,6 +348,8 @@ def load_curve_pair(source) -> CurvePair:
         raise ValueError('a curve description is an object {"family": '
                          f'name, "params": {{...}}}}, got {desc!r}')
     family, params = desc.get("family"), desc.get("params", {})
+    if not isinstance(family, str):
+        raise ValueError(f'curve "family" must be a string, got {family!r}')
     if family not in CURVE_FAMILIES:
         raise ValueError(
             f"unknown curve family {family!r}; available: "
@@ -355,4 +359,8 @@ def load_curve_pair(source) -> CurvePair:
     if not isinstance(params, dict) or not set(params) <= set(known):
         raise ValueError(f"curve family {family!r} takes params "
                          f"{sorted(known)}, got {params!r}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"curve param {key!r} must be a number, "
+                             f"got {value!r}")
     return factory(**params)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -118,8 +119,8 @@ def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
     Deterministic to the bit for identical inputs, which the adaptive
     engine does not guarantee across library versions.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps={n_steps} must be at least 1")
+    if not (isinstance(n_steps, numbers.Integral) and n_steps >= 1):
+        raise ValueError(f"n_steps={n_steps} must be an integer >= 1")
     ts = np.linspace(t0, t1, n_steps + 1)
     h = (t1 - t0) / n_steps
     ys = np.empty((n_steps + 1, len(y0)))
@@ -148,16 +149,18 @@ def integrate_orbit(initial: Sequence[float], t_final: float,
     ``truncated=True``); step-size underflow raises :class:`StiffnessError`.
 
     Args:
-        initial: ``(q0, p0, s0)``.
+        initial: ``(q0, p0, s0)``, finite, else ``ValueError``.
         t_final: integration horizon; ``ValueError`` unless finite and > 0.
         params: model parameters.
         tol: local error tolerance per step, within ``[1e-13, 1e-6]``.
-        fixed_steps: RK4 step count (at least 1) for a reproducible run;
+        fixed_steps: RK4 step count (an integer >= 1) for a reproducible run;
             ``None`` integrates with DOP853.
     """
     if not 0.0 < t_final < np.inf:
         raise ValueError(f"t_final={t_final} must be positive and finite")
     q0, p0, s0 = (float(v) for v in initial)
+    if not all(map(math.isfinite, (q0, p0, s0))):
+        raise ValueError(f"initial=({q0}, {p0}, {s0}) must be finite")
 
     # the terminal event stops cleanly at D_MIN; the in-flight force guard
     # sits well below it so RK stages near the crossing stay evaluable

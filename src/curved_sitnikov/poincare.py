@@ -6,7 +6,8 @@ from declarative deterministic grids, never random draws.  The adaptive
 route of ``section`` steps every orbit of a cloud as one lane of its own
 lane system on ``integrate._dop853_lanes``, in eccentric-anomaly time;
 its hits match to the tolerance but are not byte-identical across
-versions.  The fixed-step RK4 route is reproducible byte for byte.
+versions.  The fixed-step RK4 route is reproducible byte for byte.  Both
+fill one strobe array, from which a truncated orbit's NaN tail is dropped.
 """
 
 from __future__ import annotations
@@ -49,26 +50,30 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
 
     Args:
         params: model parameters.
-        initial_grid: iterable of ``(q0, p0)`` pairs (phase starts at 0).
+        initial_grid: iterable of finite ``(q0, p0)`` pairs (phase 0).
         n_iterates: number of section returns to record per orbit, an
             integer >= 1, else ``ValueError``.
         tol: integrator tolerance (adaptive engine).
-        fixed_steps: RK4 steps per period (at least 1) for a reproducible
+        fixed_steps: RK4 steps per period (integer >= 1) for a reproducible
             cloud, one ``integrate_orbit`` call per period; ``None`` steps
             all orbits as the lanes of one DOP853 solve in eccentric
             anomaly ``u``: ``dq/du = rho p``, ``dp/du = rho f(q, t(u))``.
             Its only stops are the strobes ``u = t = 2 pi k``, so no lane
             solves Kepler's equation and each step is at most pi/2.
 
-    Collisions truncate the affected orbit only; the cloud keeps going,
-    and a truncated orbit keeps its earlier hits.  An adaptive orbit is
-    truncated at the first accepted step within ``D_MIN`` of a primary, a
-    fixed-step one at the first period in which the force guard trips.
+    Both engines fill one NaN ``(n_iterates, 2, n_orbits)`` strobe array,
+    which one loop turns into the cloud.  A collision truncates only its
+    orbit, which keeps its earlier hits; its later strobes stay NaN and
+    are dropped.  An adaptive orbit is truncated at the first accepted
+    step within ``D_MIN`` of a primary, a fixed-step one at the first
+    period in which the force guard trips.  Non-finite initial conditions
+    raise ``ValueError`` before either engine runs.
     """
     if not (isinstance(n_iterates, numbers.Integral) and n_iterates >= 1):
         raise ValueError(f"n_iterates={n_iterates} must be an integer >= 1")
     grid = np.array([(float(q0), float(p0)) for q0, p0 in initial_grid])
-    cloud = SectionCloud(orbits=[], truncated=[])
+    if not np.isfinite(grid).all():
+        raise ValueError("initial_grid holds a non-finite (q0, p0)")
     if fixed_steps is None:
         r, eps = params.r, params.epsilon
 
@@ -93,26 +98,20 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
                                 np.arange(1, n_iterates + 1) * TWO_PI,
                                 grid.reshape(-1, 2).T, len(grid), tol,
                                 halt=collided)
-        for i in range(len(grid)):
-            qs, ps = strobes[:, :, i].T
-            reached = np.isfinite(qs)
-            cloud.orbits.append(np.array(
-                [(wrap_angle(float(q)), float(p))
-                 for q, p in zip(qs[reached], ps[reached])]))
-            cloud.truncated.append(not reached.all())
-        return cloud
-    for q, p in grid:
-        hits: list[tuple[float, float]] = []
-        truncated, s = False, 0.0
-        for _ in range(n_iterates):
-            try:
-                traj = integrate_orbit((q, p, s), TWO_PI, params, tol=tol,
-                                       fixed_steps=fixed_steps)
-            except CollisionError:
-                truncated = True
-                break
-            q, p, s = traj.states[-1]
-            hits.append((wrap_angle(float(q)), float(p)))
-        cloud.orbits.append(np.array(hits))
-        cloud.truncated.append(truncated)
-    return cloud
+    else:
+        strobes = np.full((n_iterates, 2, len(grid)), np.nan)
+        for i, (q, p) in enumerate(grid):
+            state = (q, p, 0.0)
+            for k in range(n_iterates):
+                try:
+                    state = integrate_orbit(state, TWO_PI, params, tol=tol,
+                                            fixed_steps=fixed_steps).states[-1]
+                except CollisionError:
+                    break
+                strobes[k, :, i] = state[:2]
+    reached = np.isfinite(strobes[:, 0])  # a truncated orbit's tail is NaN
+    return SectionCloud(
+        orbits=[np.array([(wrap_angle(float(q)), float(p))
+                          for q, p in strobes[reached[:, i], :, i]])
+                for i in range(len(grid))],
+        truncated=[not row.all() for row in reached.T])

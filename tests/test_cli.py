@@ -311,10 +311,13 @@ class TestExitCodes:
          "--p-grid", "0:0:1"],
         ["simulate", "--q0", "0.1", "--p0", "0", "--t-final", "1",
          "--fixed-step", "10000000000000"],
-    ], ids=["poincare-iterates", "simulate-steps"])
+        ["poincare", "--fixed-step", "4", "--iterates", "1000000000000",
+         "--q-grid", "0:0:1", "--p-grid", "0:0:1"],
+    ], ids=["poincare-iterates", "simulate-steps", "poincare-fixed-iterates"])
     def test_allocation_beyond_memory_exits_one(self, tmp_path, argv):
         # each asks numpy for more than 7 TiB; under a 1 GiB address-space
-        # limit the request fails the same way on a host that overcommits
+        # limit the request fails the same way on a host that overcommits.
+        # Both section engines allocate their whole strobe array first.
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
@@ -363,6 +366,27 @@ class TestExitCodes:
         assert main(["bounds", "--curve-file", str(curve), "--lam", "0.1",
                      "--out", str(out)]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("description, message", [
+        ({"family": ["line"]},
+         "curve \"family\" must be a string, got ['line']"),
+        ({"family": "sitnikov_near", "params": {"r": "x"}},
+         "curve param 'r' must be a number, got 'x'"),
+        ({"family": "sitnikov_near", "params": {"r": None}},
+         "curve param 'r' must be a number, got None"),
+        ({"family": "sitnikov_near", "params": {"epsilon": "0"}},
+         "curve param 'epsilon' must be a number, got '0'"),
+        ({"family": "sitnikov_near", "params": {"r": True}},
+         "curve param 'r' must be a number, got True"),
+    ], ids=["family-list", "r-string", "r-null", "epsilon-string", "r-bool"])
+    def test_malformed_curve_values_exit_one(self, tmp_path, capsys,
+                                             description, message):
+        curve, out = tmp_path / "pair.json", tmp_path / "out.json"
+        curve.write_text(json.dumps(description))
+        assert main(["bounds", "--curve-file", str(curve), "--lam", "0.1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
     def test_sitnikov_far_is_no_curve_family(self, tmp_path, capsys):
@@ -418,6 +442,41 @@ class TestExitCodes:
         assert main(argv + ["--fixed-step", "0", "--out", str(out)]) == \
             EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("initial, engine", [
+        (["--q0", "nan", "--p0", "0"], []),
+        (["--q0", "nan", "--p0", "0"], ["--fixed-step", "4"]),
+        (["--q0", "0.1", "--p0", "0", "--s0", "inf"], []),
+    ], ids=["q0-nan", "q0-nan-fixed", "s0-inf"])
+    def test_non_finite_initial_state_exits_one(self, tmp_path, capsys,
+                                                initial, engine):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", *initial, "--t-final", "1", "--out",
+                     str(out), *engine]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: initial=(")
+        assert err.endswith(") must be finite\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [[], ["--eps", "0.3"],
+                                       ["--fixed-step", "4"]],
+                             ids=["circular", "eccentric", "fixed"])
+    def test_nan_phase_exits_one(self, tmp_path, extra):
+        # in a subprocess with a timeout: code that lets a NaN phase into
+        # the adaptive solve never returns
+        out = tmp_path / "traj.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "curved_sitnikov.cli", "simulate", "--q0",
+             "0.1", "--p0", "0", "--s0", "nan", "--t-final", "1", "--out",
+             str(out), *extra], env=env, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == ("configuration error: initial=(0.1, 0.0, nan) "
+                               "must be finite\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("t_final", ["-1", "0", "inf"])

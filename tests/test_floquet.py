@@ -101,6 +101,17 @@ class TestAntipodeHalfTraces:
                 _antipode_half_traces(rs, eps, tol=1e-9)
 
     def test_corrupt_determinant_raises(self, monkeypatch):
+        lanes = floquet._dop853_lanes
+
+        def nan_in_lane_one(*args):
+            y = lanes(*args)
+            y[:, 1] = math.nan
+            return y
+
+        monkeypatch.setattr(floquet, "_dop853_lanes", nan_in_lane_one)
+        with pytest.raises(MonodromyError, match="det=nan at r=1.1 "):
+            _antipode_half_traces([1.0, 1.1, 1.2], 0.0, tol=1e-9)
+        monkeypatch.undo()
         monkeypatch.setattr(floquet, "DET_CORRUPT_TOL", 0.0)
         with pytest.raises(MonodromyError, match="r=1.99"):
             _antipode_half_traces([1.0, 1.99], 0.0, tol=1e-9)
@@ -146,6 +157,11 @@ class TestClassify:
         mat = FundamentalMatrix(x1=0.5, x2=0.0, y1=0.0, y2=0.5)
         with pytest.raises(MonodromyError,
                            match="det=0.25 deviates from 1 beyond 1e-06"):
+            Monodromy(matrix=mat, period=TWO_PI)
+        # a NaN det fails the guard too, instead of reading hyperbolic
+        mat = FundamentalMatrix(x1=math.nan, x2=0.0, y1=0.0, y2=1.0)
+        with pytest.raises(MonodromyError,
+                           match="det=nan deviates from 1 beyond 1e-06"):
             Monodromy(matrix=mat, period=TWO_PI)
 
     def test_class_membership_stable_under_period_doubling(self):

@@ -85,6 +85,17 @@ class TestOrbit:
             integrate_orbit((0.1, 0.0, 0.0), t_final, P10,
                             fixed_steps=fixed_steps)
 
+    @pytest.mark.parametrize("fixed_steps", [None, 10])
+    @pytest.mark.parametrize("initial", [(math.nan, 0.0, 0.0),
+                                         (0.1, math.inf, 0.0),
+                                         (0.1, 0.0, -math.inf)],
+                             ids=["q0-nan", "p0-inf", "s0-inf"])
+    def test_initial_state_must_be_finite(self, initial, fixed_steps):
+        # a NaN phase is covered by the CLI test in a subprocess: code
+        # without this check never returns from that adaptive solve
+        with pytest.raises(ValueError, match=r"initial=\(.*\) must be finite"):
+            integrate_orbit(initial, 1.0, P10, fixed_steps=fixed_steps)
+
     def test_collision_event_truncates(self, monkeypatch):
         # inflated guard distance: the particle drifts through the
         # close-approach zone while a primary swings by
@@ -140,11 +151,11 @@ class TestFixedStep:
         assert np.array_equal(a.states, b.states)
         assert a.n_rhs == 4 * 500
 
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("n", [0, -3, 2.5])
     def test_step_count_must_be_positive(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_steps"):
             integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, fixed_steps=n)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_steps"):
             rk4_fixed(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, n)
 
     def test_step_halving_convergence(self):

@@ -96,6 +96,42 @@ class TestSection:
         assert cloud.truncated == [True, False]
         assert [len(o) for o in cloud.orbits] == [2, 10]
 
+    @pytest.mark.parametrize("module, guard, engine", [
+        (integrate, 300.0, {"fixed_steps": 128}),
+        (poincare, 0.3, {"tol": 1e-8}),
+    ], ids=["fixed", "lanes"])
+    def test_truncated_orbit_keeps_earlier_hits_bitwise(self, monkeypatch,
+                                                        module, guard, engine):
+        # the inflated guards of the two truncation tests; the reference
+        # is the same grid and n_iterates under the default guard, since
+        # a lane run with fewer strobes takes other steps
+        grid = [(math.pi - 0.5, 0.0), (0.1, 0.0)]
+        full = section(ModelParams(r=1.9), grid, n_iterates=10, **engine)
+        assert full.truncated == [False, False]
+        monkeypatch.setattr(module, "D_MIN", guard)
+        cut = section(ModelParams(r=1.9), grid, n_iterates=10, **engine)
+        assert cut.truncated == [True, False]
+        assert cut.orbits[0].tobytes() == full.orbits[0][:2].tobytes()
+        assert cut.orbits[1].tobytes() == full.orbits[1].tobytes()
+
+    @pytest.mark.parametrize("fixed_steps", [None, 8])
+    @pytest.mark.parametrize("q0", [math.nan, math.inf])
+    def test_initial_grid_must_be_finite(self, monkeypatch, q0, fixed_steps):
+        # checked once before either engine runs; without the check the
+        # lane route spends its whole work cap on the NaN lane
+        def refuse(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        monkeypatch.setattr(poincare, "_dop853_lanes", refuse)
+        monkeypatch.setattr(poincare, "integrate_orbit", refuse)
+        with pytest.raises(ValueError, match="non-finite"):
+            section(P10, [(q0, 0.0), (0.1, 0.0)], n_iterates=2,
+                    fixed_steps=fixed_steps)
+
+    def test_fixed_steps_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="n_steps=1.5"):
+            section(P10, [(0.1, 0.0)], n_iterates=2, fixed_steps=1.5)
+
     @pytest.mark.parametrize("fixed_steps", [None, 8])
     @pytest.mark.parametrize("n_iterates", [0, -1, 1.5])
     def test_needs_one_iterate(self, n_iterates, fixed_steps):
