@@ -13,15 +13,14 @@ from .kepler import (KeplerConvergenceError, ModelParams, PrimaryEphemeris,
                      ephemeris, radial_factor, solve_kepler)
 from .model import (CollisionError, HillCoefficient, cubic_coefficient,
                     dforce_dq, hill_coefficient, limit_force_circle,
-                    potential, symmetry_defect, tangential_force)
+                    symmetry_defect, tangential_force)
 from .integrate import (FundamentalMatrix, StiffnessError, Trajectory,
                         integrate_orbit, integrate_variational)
 from .floquet import (Monodromy, MonodromyError, classify, monodromy,
                       ortega_hypotheses, winding_angle, winding_bound)
 from .general_model import (BoundReport, CurvePair, bound_report, d2U_ds2,
                             line_pair, load_curve_pair, min_distance,
-                            pair_potential, sitnikov_hill_coefficient,
-                            sitnikov_pair)
+                            pair_potential, sitnikov_pair)
 from .scan import (CensusResult, StabilityIntervals, TraceCurve,
                    eps_scan_origin, find_transitions, interchange_census,
                    trace_curve)
@@ -39,8 +38,7 @@ __all__ = [
     "eps_scan_origin", "find_transitions", "hill_coefficient",
     "integrate_orbit", "integrate_variational", "interchange_census",
     "limit_force_circle", "line_pair", "load_curve_pair", "min_distance",
-    "monodromy", "ortega_hypotheses", "pair_potential",
-    "potential", "radial_factor", "section", "sitnikov_hill_coefficient",
-    "sitnikov_pair", "solve_kepler", "symmetry_defect", "tangential_force",
-    "trace_curve", "winding_angle", "winding_bound",
+    "monodromy", "ortega_hypotheses", "pair_potential", "radial_factor",
+    "section", "sitnikov_pair", "solve_kepler", "symmetry_defect",
+    "tangential_force", "trace_curve", "winding_angle", "winding_bound",
 ]

@@ -4,10 +4,10 @@ Every artifact embeds the run configuration (JSON field or CSV header
 comment) so runs are self-describing and replayable; ``_write_json`` and
 ``_write_csv`` are the two artifact formats.  Exit codes:
 0 success, 1 configuration error (including an unreadable input or
-unwritable output file, a grid or cloud past ``MAX_GRID_POINTS`` points
-and a size argument that runs out of memory), 2 numerical domain error
-(collision, step-size underflow, Kepler non-convergence or a corrupt
-monodromy), 3 verification failure.
+unwritable output file, a grid, cloud or orbit past ``MAX_GRID_POINTS``
+points or rows and a size argument that runs out of memory), 2 numerical
+domain error (collision, step-size underflow, Kepler non-convergence or a
+corrupt monodromy), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .kepler import TWO_PI, KeplerConvergenceError, ModelParams, ephemeris
 from .model import CollisionError
 from .integrate import (DEFAULT_MONODROMY_TOL, DEFAULT_ORBIT_TOL,
-                        StiffnessError, integrate_orbit)
+                        MAX_GRID_POINTS, StiffnessError, integrate_orbit)
 from .floquet import (DEFAULT_DELTA_PAR, ELLIPTIC, MonodromyError, classify,
                       monodromy)
 from .general_model import bound_report, load_curve_pair, sitnikov_pair
@@ -39,9 +39,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
-
-# Most points one lo:hi:step grid, or one poincare cloud, may hold.
-MAX_GRID_POINTS = 1_000_000
 
 
 class ConfigError(ValueError):

@@ -305,24 +305,6 @@ def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
         s_range=(-math.pi, math.pi))
 
 
-def sitnikov_hill_coefficient(params: ModelParams) -> Callable[[float], float]:
-    """Hill coefficient at the antipodal equilibrium built from curve pairs.
-
-    Sums the closest-approach curvature ``U''`` of the two single-primary
-    pairs at matching physical time (``t = (t_phys - pi)/2pi``); agrees
-    with ``-dforce_dq(pi, t_phys)`` from the direct linearization.
-    """
-    near = sitnikov_pair(params, "near")
-    far = sitnikov_pair(params, "far")
-    lam = near.default_lam
-
-    def a(t_phys: float) -> float:
-        t = (t_phys - math.pi) / TWO_PI
-        return d2U_ds2(t, lam, near) + d2U_ds2(t, lam, far)
-
-    return a
-
-
 CURVE_FAMILIES: dict[str, Callable[..., CurvePair]] = {
     "line": line_pair,
     "sitnikov_near": lambda r=1.8, epsilon=0.0: sitnikov_pair(

@@ -3,19 +3,18 @@
 Adaptive solves use the embedded Runge-Kutta pair DOP853 (order 8(5,3)) in
 one of three forms, all with the tolerance window checked and a failed
 solve raising :class:`StiffnessError`, and all with scipy's step rules:
-single orbits (``integrate_orbit``) and both winding routes go through
-scipy's ``solve_ivp``, imported on first use; single monodromies
-(``integrate_variational``) step on Python floats; many independent solves
-go through ``_dop853_lanes``, which steps them side by side as the lanes
-of one array.  This module holds that engine, not the lane systems: each
-lives with its caller, the census's in ``floquet._antipode_half_traces``
-and a section's in ``poincare.section``.  The DOP853 tables are scipy's,
+both winding routes go through scipy's ``solve_ivp``, imported on first
+use; single monodromies (``integrate_variational``) step on Python floats;
+orbits and many independent solves go through ``_dop853_lanes``, which
+steps them side by side as the lanes of one array.  The orbits' lane
+system ``_orbit_system`` lives here too, the census's with its caller in
+``floquet._antipode_half_traces``.  The DOP853 tables are scipy's,
 loaded from their file without importing ``scipy.integrate``.
 Variational solves, and each lane between two stops, stop with
 :class:`StiffnessError` past ``MAX_VARIATIONAL_NFEV`` right-hand-side
-calls, so every admissible input ends in bounded work.  Orbits can instead
-take a fixed-step classical RK4 for bit-reproducible regression baselines:
-a given step count ``fixed_steps`` selects RK4, ``None`` selects DOP853.
+calls, and orbits at ``MAX_GRID_POINTS`` rows, so every admissible input
+ends in bounded work.  A step count ``fixed_steps`` selects a fixed-step
+classical RK4 for bit-reproducible orbit baselines, ``None`` DOP853.
 All engines are reentrant and hold no state between calls; the flow is
 smooth away from collisions, so no symplectic or stiff machinery is needed
 at these horizons.
@@ -32,8 +31,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kepler import ModelParams
-from .model import D_MIN, _distances, tangential_force
+from .kepler import ModelParams, _anomaly_geometry, solve_kepler
+from .model import (D_MIN, _phase_terms, _pull, _squared_distance,
+                    tangential_force)
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 DEFAULT_ORBIT_TOL = 1e-8
@@ -43,6 +43,9 @@ DEFAULT_MONODROMY_TOL = 1e-10
 # stops) may make; the tests, ``verify`` and the benchmark make at most
 # about 14,000.
 MAX_VARIATIONAL_NFEV = 1_000_000
+# Most points one grid or Poincaré cloud, or rows one orbit, may hold.
+MAX_GRID_POINTS = 1_000_000
+ORBIT_ROW_SPACING = math.pi  # most eccentric anomaly between orbit rows
 
 
 class StiffnessError(RuntimeError):
@@ -53,8 +56,8 @@ class StiffnessError(RuntimeError):
 class Trajectory:
     """Solution samples of the extended flow.
 
-    ``t`` is strictly increasing with the requested endpoints first/last
-    (unless collision-truncated); ``states`` has columns ``(q, p, s)``.
+    One row per adaptive stop or RK4 step: ``t`` rises strictly from 0 to
+    ``t_final`` (unless collision-truncated), ``states`` holds ``(q, p, s)``.
     """
 
     t: np.ndarray
@@ -98,9 +101,8 @@ def _validate_tol(tol: float) -> None:
 def _dop853(rhs, t_span: tuple[float, float], y0, tol: float, **options):
     """One DOP853 solve at ``rtol = atol = tol``; the scipy solution object.
 
-    ``options`` pass through to ``solve_ivp`` (``events``,
-    ``dense_output``).  A solve that stops short, other than at a terminal
-    event, raises :class:`StiffnessError`.
+    ``options`` pass through to ``solve_ivp`` (``dense_output``).  A solve
+    that stops short raises :class:`StiffnessError`.
     """
     _validate_tol(tol)
     from scipy.integrate import solve_ivp
@@ -126,16 +128,43 @@ def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
     ys = np.empty((n_steps + 1, len(y0)))
     y = np.asarray(y0, dtype=float).copy()
     ys[0] = y
-    t = t0
     for i in range(n_steps):
+        t = ts[i]
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = ts[i + 1]
         ys[i + 1] = y
     return ts, ys
+
+
+def _orbit_system(params: ModelParams, u0: float):
+    """The extended flow as a ``_dop853_lanes`` system ``(clock, rhs, halt)``.
+
+    Time is the eccentric anomaly ``u0 + tau``: ``dq/du = rho p``, ``dp/du
+    = rho f(q, t(u))``, so no lane solves Kepler's equation.  ``halt`` is
+    an accepted step within ``D_MIN`` of a primary.
+    """
+    r, eps = params.r, params.epsilon
+
+    def clock(tau, lanes):  # rows (rho, a^2, 1 + c, 1 - c) per time
+        rho, a, t = _anomaly_geometry(u0 + tau, r, eps)
+        return np.stack((rho, *_phase_terms(a, a * np.cos(t))), axis=1)
+
+    def distances(g, q):  # d1 and d2 as the rows of one array
+        return np.sqrt(_squared_distance(g[1], g[2:], np.cos(q)))
+
+    def rhs(g, y, lanes):
+        pull = _pull(g[2:], np.sin(y[0]), distances(g, y[0]))
+        dy = np.empty_like(y)
+        dy[0], dy[1] = g[0] * y[1], g[0] * (-pull[0] - pull[1])
+        return dy
+
+    def halt(g, y, lanes):
+        return distances(g, y[0]).min(axis=0) <= D_MIN
+
+    return clock, rhs, halt
 
 
 def integrate_orbit(initial: Sequence[float], t_final: float,
@@ -144,9 +173,10 @@ def integrate_orbit(initial: Sequence[float], t_final: float,
     """Integrate the extended flow from ``initial`` over ``[0, t_final]``.
 
     The phase variable is exact: ``s(t) = s0 + t``; only ``(q, p)`` are
-    stepped.  A terminal collision event at distance ``D_MIN``
-    truncates the trajectory (the partial result is returned with
-    ``truncated=True``); step-size underflow raises :class:`StiffnessError`.
+    stepped.  DOP853 runs one lane of ``_orbit_system`` with rows at stops
+    evenly spaced at most ``ORBIT_ROW_SPACING`` apart in eccentric anomaly;
+    more than ``MAX_GRID_POINTS`` rows raise ``ValueError`` before any step.
+    A collision truncates the orbit at its last stop (``truncated=True``).
 
     Args:
         initial: ``(q0, p0, s0)``, finite, else ``ValueError``.
@@ -162,32 +192,39 @@ def integrate_orbit(initial: Sequence[float], t_final: float,
     if not all(map(math.isfinite, (q0, p0, s0))):
         raise ValueError(f"initial=({q0}, {p0}, {s0}) must be finite")
 
-    # the terminal event stops cleanly at D_MIN; the in-flight force guard
-    # sits well below it so RK stages near the crossing stay evaluable
-    hard_floor = 1e-3 * D_MIN
-
-    def rhs(t, y):
-        return np.array([y[1],
-                         tangential_force(y[0], s0 + t, params, hard_floor)])
-
     if fixed_steps is not None:
         _validate_tol(tol)
+
+        def rhs(t, y):  # with a collision guard at 1e-3 D_MIN
+            return np.array([y[1], tangential_force(y[0], s0 + t, params,
+                                                    1e-3 * D_MIN)])
+
         ts, ys = rk4_fixed(rhs, 0.0, np.array([q0, p0]), t_final, fixed_steps)
         states = np.column_stack([ys[:, 0], ys[:, 1], s0 + ts])
         return Trajectory(t=ts, states=states, n_rhs=4 * fixed_steps)
 
-    def collision_event(t, y):
-        d1, d2, _ = _distances(y[0], s0 + t, params, hard_floor)
-        return min(d1, d2) - D_MIN
+    u0 = solve_kepler(s0, params.epsilon)
+    span = solve_kepler(s0 + t_final, params.epsilon) - u0
+    n_stops = np.ceil(span / ORBIT_ROW_SPACING)
+    if not n_stops < MAX_GRID_POINTS:  # NaN or inf if s0 + t_final overflows
+        raise ValueError(f"t_final={t_final} takes more than "
+                         f"{MAX_GRID_POINTS} rows")
+    clock, rhs, halt = _orbit_system(params, u0)
+    n_rhs = 0
 
-    collision_event.terminal = True
+    def counted(g, y, lanes):
+        nonlocal n_rhs
+        n_rhs += 1
+        return rhs(g, y, lanes)
 
-    sol = _dop853(rhs, (0.0, t_final), [q0, p0], tol,
-                  events=collision_event)
-    ts = sol.t
-    states = np.column_stack([sol.y[0], sol.y[1], s0 + ts])
-    return Trajectory(t=ts, states=states, n_rhs=int(sol.nfev),
-                      truncated=(sol.status == 1))
+    us = np.linspace(0.0, span, max(1, int(n_stops)) + 1)
+    ys = _dop853_lanes(clock, counted, us[1:], [q0, p0], 1, tol, halt=halt)
+    ys = np.concatenate(([[q0, p0]], ys[:, :, 0]))
+    ts = _anomaly_geometry(u0 + us, params.r, params.epsilon)[2] - s0
+    ts[0], ts[-1] = 0.0, t_final
+    keep = np.isfinite(ys[:, 0])  # a truncated orbit's later stops are NaN
+    return Trajectory(t=ts[keep], states=np.column_stack([ys, s0 + ts])[keep],
+                      n_rhs=n_rhs, truncated=not keep.all())
 
 
 def integrate_variational(a: Callable[[float], float], period: float,
@@ -283,24 +320,16 @@ def _combine(row, k) -> tuple[float, float, float, float]:
     return d1, d2, d3, d4
 
 
-def _load_dop853_tables():
-    """scipy's DOP853 tableau module, loaded from its file.
-
-    Importing it by name would run ``scipy/integrate/__init__.py``, which
-    loads all of ``scipy.integrate`` and ``scipy.optimize`` (most of this
-    package's import time); the module itself needs only numpy.
-    """
-    scipy = importlib.util.find_spec("scipy")
-    spec = importlib.util.spec_from_file_location(
-        "curved_sitnikov._dop853_coefficients",
-        os.path.join(scipy.submodule_search_locations[0], "integrate", "_ivp",
-                     "dop853_coefficients.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_dop = _load_dop853_tables()
+# scipy's DOP853 tableau module, loaded from its file: importing it by name
+# would run scipy/integrate/__init__.py, which loads all of scipy.integrate
+# and scipy.optimize (most of this package's import time); the module
+# itself needs only numpy.
+_spec = importlib.util.spec_from_file_location(
+    "curved_sitnikov._dop853_coefficients", os.path.join(
+        importlib.util.find_spec("scipy").submodule_search_locations[0],
+        "integrate", "_ivp", "dop853_coefficients.py"))
+_dop = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_dop)
 
 # scipy's DOP853 step control: safety factor, step-change limits, and the
 # order of the error estimator, whose step exponent is -1/(order + 1).

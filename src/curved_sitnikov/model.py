@@ -1,4 +1,4 @@
-"""Force law, potential, linearization and symmetries of the constrained particle.
+"""Force law, linearization and symmetries of the constrained particle.
 
 The massless particle lives on the unit circle in the yz-plane through the
 barycenter ``(0,1,0)`` of the binary; ``q`` is its polar angle on that
@@ -61,10 +61,11 @@ def _pull(ci, sin_q, di):
     return ci * sin_q / di**3
 
 
-def _distances(q: float, t: float, params: ModelParams, d_min: float):
-    """``d1, d2`` and the ``_phase_terms`` at ``(q, t)``."""
+def tangential_force(q: float, t: float, params: ModelParams,
+                     d_min: float = D_MIN) -> float:
+    """Tangential gravitational acceleration ``f(q, t)`` on the particle."""
     a = params.r * radial_factor(t, params.epsilon)
-    a2, c1, c2 = terms = _phase_terms(a, a * math.cos(t))
+    a2, c1, c2 = _phase_terms(a, a * math.cos(t))
     cos_q = math.cos(q)
     d1 = math.sqrt(_squared_distance(a2, c1, cos_q))
     d2 = math.sqrt(_squared_distance(a2, c2, cos_q))
@@ -72,21 +73,8 @@ def _distances(q: float, t: float, params: ModelParams, d_min: float):
         raise CollisionError(1, d1)
     if d2 <= d_min:
         raise CollisionError(2, d2)
-    return d1, d2, terms
-
-
-def tangential_force(q: float, t: float, params: ModelParams,
-                     d_min: float = D_MIN) -> float:
-    """Tangential gravitational acceleration ``f(q, t)`` on the particle."""
-    d1, d2, (_, c1, c2) = _distances(q, t, params, d_min)
     sin_q = math.sin(q)
     return -_pull(c1, sin_q, d1) - _pull(c2, sin_q, d2)
-
-
-def potential(q: float, t: float, params: ModelParams) -> float:
-    """Gravitational potential ``V = -(1/d1 + 1/d2)``; ``f = -dV/dq``."""
-    d1, d2, _ = _distances(q, t, params, D_MIN)
-    return -(1.0 / d1 + 1.0 / d2)
 
 
 def dforce_dq(q_star: float, t: float, params: ModelParams) -> float:

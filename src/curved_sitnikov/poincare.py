@@ -3,11 +3,12 @@
 The section variable is the forcing phase itself, so orbits are sampled
 once per period 2*pi with no crossing detection.  Initial conditions come
 from declarative deterministic grids, never random draws.  The adaptive
-route of ``section`` steps every orbit of a cloud as one lane of its own
-lane system on ``integrate._dop853_lanes``, in eccentric-anomaly time;
-its hits match to the tolerance but are not byte-identical across
-versions.  The fixed-step RK4 route is reproducible byte for byte.  Both
-fill one strobe array, from which a truncated orbit's NaN tail is dropped.
+route of ``section`` steps every orbit of a cloud as one lane of
+``integrate._orbit_system`` on ``integrate._dop853_lanes``, in
+eccentric-anomaly time; its hits match to the tolerance but are not
+byte-identical across versions.  The fixed-step RK4 route is
+reproducible byte for byte.  Both fill one strobe array, from which a
+truncated orbit's NaN tail is dropped.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kepler import TWO_PI, ModelParams, _anomaly_geometry
-from .integrate import DEFAULT_ORBIT_TOL, _dop853_lanes, integrate_orbit
-from .model import (D_MIN, CollisionError, _phase_terms, _pull,
-                    _squared_distance)
+from .kepler import TWO_PI, ModelParams
+from .integrate import (DEFAULT_ORBIT_TOL, _dop853_lanes, _orbit_system,
+                        integrate_orbit)
+from .model import CollisionError
 
 
 @dataclass
@@ -56,10 +57,8 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
         tol: integrator tolerance (adaptive engine).
         fixed_steps: RK4 steps per period (integer >= 1) for a reproducible
             cloud, one ``integrate_orbit`` call per period; ``None`` steps
-            all orbits as the lanes of one DOP853 solve in eccentric
-            anomaly ``u``: ``dq/du = rho p``, ``dp/du = rho f(q, t(u))``.
-            Its only stops are the strobes ``u = t = 2 pi k``, so no lane
-            solves Kepler's equation and each step is at most pi/2.
+            all orbits as lanes of ``integrate._orbit_system`` from ``u =
+            0``, whose only stops are the strobes ``u = t = 2 pi k``.
 
     Both engines fill one NaN ``(n_iterates, 2, n_orbits)`` strobe array,
     which one loop turns into the cloud.  A collision truncates only its
@@ -75,29 +74,11 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
     if not np.isfinite(grid).all():
         raise ValueError("initial_grid holds a non-finite (q0, p0)")
     if fixed_steps is None:
-        r, eps = params.r, params.epsilon
-
-        def clock(u, lanes):  # rows (rho, a^2, 1 + c, 1 - c) per time
-            rho, a, t = _anomaly_geometry(u, r, eps)
-            return np.stack((rho, *_phase_terms(a, a * np.cos(t))), axis=1)
-
-        def distances(g, q):  # d1 and d2 as the rows of one array
-            return np.sqrt(_squared_distance(g[1], g[2:], np.cos(q)))
-
-        def rhs(g, y, lanes):
-            pull = _pull(g[2:], np.sin(y[0]), distances(g, y[0]))
-            dy = np.empty_like(y)
-            dy[0] = g[0] * y[1]
-            dy[1] = g[0] * (-pull[0] - pull[1])
-            return dy
-
-        def collided(g, y, lanes):
-            return distances(g, y[0]).min(axis=0) <= D_MIN
-
+        clock, rhs, halt = _orbit_system(params, 0.0)
         strobes = _dop853_lanes(clock, rhs,
                                 np.arange(1, n_iterates + 1) * TWO_PI,
                                 grid.reshape(-1, 2).T, len(grid), tol,
-                                halt=collided)
+                                halt=halt)
     else:
         strobes = np.full((n_iterates, 2, len(grid)), np.nan)
         for i, (q, p) in enumerate(grid):

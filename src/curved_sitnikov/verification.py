@@ -44,12 +44,9 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail} [{self.seconds:.1f}s]"
 
 
-def _timed(fn: Callable[[dict], tuple[bool, str]], name: str,
-           ctx: dict) -> CheckResult:
-    t0 = time.perf_counter()
-    passed, detail = fn(ctx)
-    return CheckResult(name=name, passed=bool(passed), detail=detail,
-                       seconds=time.perf_counter() - t0)
+def _worse(*defects) -> float:
+    """The largest defect, NaN if any is NaN (``max`` drops a NaN)."""
+    return float(np.max(defects))
 
 
 def check_kepler_residuals(ctx: dict) -> tuple[bool, str]:
@@ -58,7 +55,7 @@ def check_kepler_residuals(ctx: dict) -> tuple[bool, str]:
     for m in np.linspace(0.0, TWO_PI, 100, endpoint=False):
         for eps in np.linspace(0.0, 0.9, 20):
             u = solve_kepler(float(m), float(eps))
-            worst = max(worst, abs(u - eps * math.sin(u) - m))
+            worst = _worse(worst, abs(u - eps * math.sin(u) - m))
     return worst < 1e-12, f"max residual {worst:.2e} (< 1e-12)"
 
 
@@ -74,9 +71,8 @@ def check_analytic_monodromy(ctx: dict) -> tuple[bool, str]:
             [math.cos(w * math.pi), math.sin(w * math.pi) / w],
             [-w * math.sin(w * math.pi), math.cos(w * math.pi)],
         ])
-        worst = max(worst,
-                    abs(m.half_trace - math.cos(math.pi * w)),
-                    float(np.max(np.abs(m.matrix.as_array() - expected))))
+        worst = _worse(worst, abs(m.half_trace - math.cos(math.pi * w)),
+                       *np.abs(m.matrix.as_array() - expected).flat)
     return worst < 1e-8, f"max half-trace/entry deviation {worst:.2e} (< 1e-8)"
 
 
@@ -145,8 +141,8 @@ def check_wronskian_evenness(ctx: dict) -> tuple[bool, str]:
         if math.isclose(m.period, math.pi):
             x = x @ x
         (x1, x2), (y1, y2) = x
-        worst_det = max(worst_det, abs(x1 * y2 - x2 * y1 - 1.0))
-        worst_even = max(worst_even, abs(x1 - y2))
+        worst_det = _worse(worst_det, abs(x1 * y2 - x2 * y1 - 1.0))
+        worst_even = _worse(worst_even, abs(x1 - y2))
     ok = worst_det <= 1e-8 and worst_even <= 1e-8
     return bool(ok), (f"{len(mats)} monodromies: max |det-1| {worst_det:.2e}, "
                       f"max |x1-y2| {worst_even:.2e} (<= 1e-8)")
@@ -165,13 +161,13 @@ def check_force_limits(ctx: dict) -> tuple[bool, str]:
     for w in (0.5, 1.0, 2.0):
         got = model.tangential_force(w / R, 0.0, large) / R**2
         want = -2.0 * w / (1.0 + w * w) ** 1.5
-        worst_line = max(worst_line, abs(got - want))
+        worst_line = _worse(worst_line, abs(got - want))
     worst_circle = 0.0
     tiny = ModelParams(r=1e-6, epsilon=0.0)
     for q in (math.pi / 2.0, 2.0, math.pi):
         got = model.tangential_force(q, 0.0, tiny)
         want = model.limit_force_circle(q, 1.0)
-        worst_circle = max(worst_circle, abs(got - want))
+        worst_circle = _worse(worst_circle, abs(got - want))
     ok = worst_line <= 1e-4 and worst_circle <= 1e-5
     return ok, (f"straight-line defect {worst_line:.2e} (<= 1e-4), "
                 f"fused-mass defect {worst_circle:.2e} (<= 1e-5)")
@@ -195,10 +191,10 @@ def check_winding_bound(ctx: dict) -> tuple[bool, str]:
             z0 = complex(math.cos(TWO_PI * k / 8.0),
                          math.sin(TWO_PI * k / 8.0))
             theta = winding_angle(a, t0, t1, z0, tol=1e-10)
-            worst_margin = max(worst_margin, theta - bound)
-            if theta > bound:
+            worst_margin = _worse(worst_margin, theta - bound)
+            if not theta <= bound:
                 return False, (f"{name}, phase {k}: winding {theta:.6f} "
-                               f"exceeds bound {bound:.6f}")
+                               f"not within bound {bound:.6f}")
     return True, f"32 cases below bound (worst margin {worst_margin:.3f})"
 
 
@@ -214,8 +210,8 @@ def check_curvature_formula(ctx: dict) -> tuple[bool, str]:
         for t, lam in samples:
             dot = d2U_ds2(t, lam, pair)
             fd = d2U_ds2_fd(t, lam, pair)
-            worst_rel = max(worst_rel, abs(dot - fd) / abs(dot))
-    if worst_rel > 1e-6:
+            worst_rel = _worse(worst_rel, abs(dot - fd) / abs(dot))
+    if not worst_rel <= 1e-6:
         return False, f"U'' mismatch {worst_rel:.2e} (> 1e-6 relative)"
 
     pair = sitnikov_pair(ModelParams(r=1.8, epsilon=0.0))
@@ -243,8 +239,8 @@ def check_symmetries(ctx: dict) -> tuple[bool, str]:
             q = float(rng.uniform(-3.0 * math.pi, 3.0 * math.pi))
             p = float(rng.uniform(-2.0, 2.0))
             s = float(rng.uniform(-2.0 * TWO_PI, 2.0 * TWO_PI))
-            worst = max(worst, *model.symmetry_defect(q, p, s, params))
-    if worst > 1e-12:
+            worst = _worse(worst, *model.symmetry_defect(q, p, s, params))
+    if not worst <= 1e-12:
         return False, f"symmetry defect {worst:.2e} (> 1e-12)"
 
     tol = 1e-9
@@ -255,7 +251,7 @@ def check_symmetries(ctx: dict) -> tuple[bool, str]:
         qT, pT, _ = fwd.states[-1]
         back = integrate_orbit((qT, -pT, 0.0), TWO_PI, params, tol=tol)
         qB, pB, _ = back.states[-1]
-        worst_rev = max(worst_rev, abs(qB - q0), abs(pB - (-p0)))
+        worst_rev = _worse(worst_rev, abs(qB - q0), abs(pB - (-p0)))
     ok = worst_rev <= 10.0 * tol
     return ok, (f"symmetry defects {worst:.2e} (<= 1e-12); reversibility "
                 f"round trip {worst_rev:.2e} (<= {10 * tol:.0e})")
@@ -305,4 +301,7 @@ def run_all(quick: bool = False) -> Iterator[CheckResult]:
     ctx: dict = {}
     for name, fn in CHECKS:
         if not (quick and name in QUICK_SKIP):
-            yield _timed(fn, name, ctx)
+            t0 = time.perf_counter()
+            passed, detail = fn(ctx)
+            yield CheckResult(name=name, passed=bool(passed), detail=detail,
+                              seconds=time.perf_counter() - t0)

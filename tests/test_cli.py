@@ -76,7 +76,7 @@ class TestCommands:
 
     def test_simulate_warns_on_collision_truncation(self, tmp_path, capsys,
                                                      monkeypatch):
-        # inflated guard distance: the terminal event fires in period three
+        # inflated guard distance: the guard halts the orbit in period three
         monkeypatch.setattr(integrate, "D_MIN", 0.3)
         out = tmp_path / "traj.csv"
         code = main(["simulate", "--r", "1.9", "--q0", str(math.pi - 0.5),
@@ -477,6 +477,21 @@ class TestExitCodes:
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr == ("configuration error: initial=(0.1, 0.0, nan) "
                                "must be finite\n")
+        assert not out.exists()
+
+    def test_endless_horizon_exits_one_before_any_work(self, tmp_path):
+        # in a subprocess with a timeout: an orbit solve without a row
+        # limit does not return from this horizon
+        out = tmp_path / "traj.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "curved_sitnikov.cli", "simulate", "--q0",
+             "0.1", "--p0", "0", "--t-final", "1e300", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == ("configuration error: t_final=1e+300 takes "
+                               "more than 1000000 rows\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("t_final", ["-1", "0", "inf"])

@@ -12,11 +12,27 @@ from curved_sitnikov.model import CollisionError, hill_coefficient
 from curved_sitnikov.general_model import (bound_report, d2U_ds2, d2U_ds2_fd,
                                            estimate_bounds, line_pair,
                                            load_curve_pair, min_distance,
-                                           pair_potential,
-                                           sitnikov_hill_coefficient,
-                                           sitnikov_pair)
+                                           pair_potential, sitnikov_pair)
 
 TWO_PI = 2.0 * math.pi
+
+
+def sitnikov_hill_coefficient(params: ModelParams):
+    """Hill coefficient at the antipodal equilibrium built from curve pairs.
+
+    Sums the closest-approach curvature ``U''`` of the two single-primary
+    pairs at matching physical time (``t = (t_phys - pi)/2pi``); agrees
+    with ``-dforce_dq(pi, t_phys)`` from the direct linearization.
+    """
+    near = sitnikov_pair(params, "near")
+    far = sitnikov_pair(params, "far")
+    lam = near.default_lam
+
+    def a(t_phys: float) -> float:
+        t = (t_phys - math.pi) / TWO_PI
+        return d2U_ds2(t, lam, near) + d2U_ds2(t, lam, far)
+
+    return a
 
 
 @pytest.fixture(scope="module")

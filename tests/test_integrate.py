@@ -13,7 +13,7 @@ import pytest
 
 from curved_sitnikov import integrate, poincare
 from curved_sitnikov.kepler import (ModelParams, _anomaly_geometry,
-                                    collision_ceiling)
+                                    collision_ceiling, solve_kepler)
 from curved_sitnikov.cli import _write_csv, main
 from curved_sitnikov.model import coefficient_period, hill_coefficient
 from curved_sitnikov.floquet import _antipode_half_traces, monodromy
@@ -95,6 +95,35 @@ class TestOrbit:
         # without this check never returns from that adaptive solve
         with pytest.raises(ValueError, match=r"initial=\(.*\) must be finite"):
             integrate_orbit(initial, 1.0, P10, fixed_steps=fixed_steps)
+
+    @pytest.mark.parametrize("t_final, rows", [(3 * math.pi, 4),
+                                               (4 * math.pi, None)],
+                             ids=["at-limit", "past-limit"])
+    def test_row_limit_is_checked_before_any_step(self, monkeypatch,
+                                                  t_final, rows):
+        # a lower limit and a stub engine, so that code without the check
+        # fails fast: stops pi apart make 4 rows from 3 pi, 5 from 4 pi
+        monkeypatch.setattr(integrate, "MAX_GRID_POINTS", 4)
+        monkeypatch.setattr(integrate, "_dop853_lanes",
+                            lambda clock, rhs, stops, *a, **k:
+                            np.zeros((len(stops), 2, 1)))
+        if rows is None:
+            with pytest.raises(ValueError, match="more than 4 rows"):
+                integrate_orbit((0.1, 0.0, 0.0), t_final, P10)
+        else:
+            traj = integrate_orbit((0.1, 0.0, 0.0), t_final, P10)
+            np.testing.assert_allclose(traj.t, [0.0, math.pi, TWO_PI,
+                                                t_final], rtol=1e-15)
+
+    def test_rows_are_stops_at_most_pi_apart(self):
+        # from s0 = 1 at eps 0.3, with the last row at t_final exactly
+        params = ModelParams(r=1.0, epsilon=0.3)
+        traj = integrate_orbit((0.3, 0.0, 1.0), 10.0, params)
+        us = [solve_kepler(s, 0.3) for s in traj.states[:, 2]]
+        assert len(us) == 1 + math.ceil((us[-1] - us[0]) / math.pi) == 4
+        assert traj.t[-1] == 10.0
+        np.testing.assert_allclose(np.diff(us), (us[-1] - us[0]) / 3,
+                                   rtol=1e-12)
 
     def test_collision_event_truncates(self, monkeypatch):
         # inflated guard distance: the particle drifts through the
@@ -588,7 +617,7 @@ class TestClockSplit:
         # an inflated guard distance halts the first orbit at r = 1.9 (see
         # the lane route's collision test), so halting is compared as well
         d_min = 0.3
-        monkeypatch.setattr(poincare, "D_MIN", d_min)
+        monkeypatch.setattr(integrate, "D_MIN", d_min)
         initial = np.array([[math.pi - 0.5, 0.1, 0.3], [0.0, 0.0, 0.2]])
 
         def distances(u, q):
@@ -657,16 +686,22 @@ class TestWorkCap:
 
 
 class TestScipyImports:
-    def test_cli_and_monodromies_load_no_scipy_solvers(self):
-        # solve_ivp (orbits, winding routes) and brentq (scan refinement)
-        # are imported on first use, and the DOP853 tables by file path
-        code = """
+    def test_cli_and_monodromies_load_no_scipy_solvers(self, tmp_path):
+        # solve_ivp (winding routes) and brentq (scan refinement) are
+        # imported on first use, and the DOP853 tables by file path; orbits,
+        # sections and the symmetry check's round trip run on the lane core
+        out = str(tmp_path / "out.csv")
+        code = f"""
 import math, sys
-import curved_sitnikov.cli
-from curved_sitnikov import floquet, scan
+from curved_sitnikov import cli, floquet, scan, verification
 from curved_sitnikov.kepler import ModelParams
 floquet.monodromy(math.pi, ModelParams(r=1.0))
 scan.interchange_census(0.0, 0.99, 40)
+assert cli.main(["simulate", "--q0", "0.1", "--p0", "0", "--t-final", "10",
+                 "--out", {out!r}]) == 0
+assert cli.main(["poincare", "--eps", "0.3", "--iterates", "2", "--q-grid",
+                 "0.1:0.1:1", "--p-grid", "0:0:1", "--out", {out!r}]) == 0
+assert verification.check_symmetries({{}})[0]
 print(sorted(m for m in sys.modules
              if m.split(".")[:2] in (["scipy", "integrate"],
                                      ["scipy", "optimize"])))

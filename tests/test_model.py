@@ -1,4 +1,5 @@
-"""Force law, potential, linearization coefficients, symmetries, limits."""
+"""Force law, linearization coefficients, symmetries, limits; a potential
+from the ephemeris as the force's oracle."""
 
 import math
 
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curved_sitnikov.kepler import ModelParams
+from curved_sitnikov.kepler import ModelParams, ephemeris
 from curved_sitnikov.model import (CollisionError, _antipode_dforce_dq,
                                    coefficient_period, cubic_coefficient,
                                    dforce_dq, hill_coefficient,
-                                   limit_force_circle, potential,
-                                   symmetry_defect, tangential_force)
+                                   limit_force_circle, symmetry_defect,
+                                   tangential_force)
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
@@ -20,6 +21,17 @@ P10 = ModelParams(r=1.0, epsilon=0.0)
 # Sign-criterion threshold for the antipode: largest r with a
 # non-negative linearization coefficient for all t.
 R_SIGN = math.sqrt(math.sqrt(17.0) - 3.0)
+
+
+def potential(q: float, t: float, params: ModelParams) -> float:
+    """Gravitational potential ``V = -(1/d1 + 1/d2)``, so ``f = -dV/dq``.
+
+    The distances come from the primaries' ephemeris positions and the
+    particle at ``(0, cos q, sin q)``, not from the force's own formula.
+    """
+    e = ephemeris(t, params)
+    x = np.array([0.0, math.cos(q), math.sin(q)])
+    return -(1.0 / np.linalg.norm(x - e.x1) + 1.0 / np.linalg.norm(x - e.x2))
 
 
 def comparison_force_circle(q: float, R: float) -> float:

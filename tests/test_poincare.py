@@ -96,19 +96,19 @@ class TestSection:
         assert cloud.truncated == [True, False]
         assert [len(o) for o in cloud.orbits] == [2, 10]
 
-    @pytest.mark.parametrize("module, guard, engine", [
-        (integrate, 300.0, {"fixed_steps": 128}),
-        (poincare, 0.3, {"tol": 1e-8}),
+    @pytest.mark.parametrize("guard, engine", [
+        (300.0, {"fixed_steps": 128}),
+        (0.3, {"tol": 1e-8}),
     ], ids=["fixed", "lanes"])
     def test_truncated_orbit_keeps_earlier_hits_bitwise(self, monkeypatch,
-                                                        module, guard, engine):
+                                                        guard, engine):
         # the inflated guards of the two truncation tests; the reference
         # is the same grid and n_iterates under the default guard, since
         # a lane run with fewer strobes takes other steps
         grid = [(math.pi - 0.5, 0.0), (0.1, 0.0)]
         full = section(ModelParams(r=1.9), grid, n_iterates=10, **engine)
         assert full.truncated == [False, False]
-        monkeypatch.setattr(module, "D_MIN", guard)
+        monkeypatch.setattr(integrate, "D_MIN", guard)
         cut = section(ModelParams(r=1.9), grid, n_iterates=10, **engine)
         assert cut.truncated == [True, False]
         assert cut.orbits[0].tobytes() == full.orbits[0][:2].tobytes()
@@ -171,9 +171,9 @@ class TestLaneRoute:
 
     def test_collision_truncates_only_its_orbit(self, monkeypatch):
         # inflated guard distance, as in the orbit engine's collision test;
-        # from q = pi - 0.5 the scalar route's terminal event fires at
-        # t = 2.48 periods, so two strobes come before it
-        monkeypatch.setattr(poincare, "D_MIN", 0.3)
+        # from q = pi - 0.5 the guard halts the orbit in its third period,
+        # so two strobes come before it
+        monkeypatch.setattr(integrate, "D_MIN", 0.3)
         cloud = section(ModelParams(r=1.9), [(math.pi - 0.5, 0.0), (0.1, 0.0)],
                         n_iterates=10, tol=1e-8)
         assert cloud.truncated == [True, False]
@@ -182,17 +182,17 @@ class TestLaneRoute:
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_strobes_match_tight_scalar_route(self, eps):
-        # reference: integrate_orbit at tol 1e-12, one period per call;
-        # the lane route at 1e-8 is off by at most 1.3e-5 here
+        # reference: the RK4 route, which shares no stepping code with the
+        # lanes, at 256 steps per period over all 40 periods; it sits within
+        # 1.5e-6 of a tol-1e-13 lane solve here, and the lane route at 1e-8
+        # within 9.2e-6
         params = ModelParams(r=1.0, epsilon=eps)
         grid = [(0.2, 0.0), (-0.2, 0.1), (0.0, 0.15)]
         cloud = section(params, grid, n_iterates=40, tol=1e-8)
         for (q, p), hits in zip(grid, cloud.orbits):
-            s, want = 0.0, []
-            for _ in range(40):
-                q, p, s = integrate_orbit((q, p, s), TWO_PI, params,
-                                          tol=1e-12).states[-1]
-                want.append((wrap_angle(q), p))
+            rows = integrate_orbit((q, p, 0.0), 40 * TWO_PI, params,
+                                   fixed_steps=40 * 256).states[256::256]
+            want = [(wrap_angle(q), p) for q, p, _ in rows]
             np.testing.assert_allclose(hits, want, rtol=0.0, atol=1e-4)
 
     def test_work_cap_counts_calls_since_last_stop(self, monkeypatch):
