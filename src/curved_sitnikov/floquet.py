@@ -50,8 +50,9 @@ def _check_det(det: float, where: str) -> None:
 class Monodromy:
     """Fundamental matrix after one forcing period at an equilibrium.
 
-    Building one raises ``MonodromyError`` unless ``det``, the Wronskian
-    of a trace-free system, is within ``DET_CORRUPT_TOL`` of 1.
+    ``monodromy`` leaves in a factor ``det X(T/2)``, 1 up to the solve's
+    error.  Building one raises ``MonodromyError`` unless ``det``, the
+    Wronskian of a trace-free system, is within ``DET_CORRUPT_TOL`` of 1.
     """
 
     matrix: FundamentalMatrix
@@ -75,7 +76,13 @@ def monodromy(q_star: float, params: ModelParams, period: float | None = None,
 
     ``period`` defaults to the coefficient's period: pi for circular
     primaries, 2*pi otherwise.  The half period pi is admitted only when
-    ``epsilon = 0``.
+    ``epsilon = 0``.  One solve covers half of ``period``: the Hill
+    coefficient is even, so with ``D = diag(1, -1)`` and ``X = X(T/2)``
+    the monodromy is ``D X^-1 D X``.  The matrix returned is its
+    adjugate form ``[[p, 2 x2 y2], [2 x1 y1, p]]``, ``p = x1 y2 + x2 y1``,
+    which is the monodromy times ``det X``; its determinant is
+    ``det X ** 2``, so the Wronskian check reads the solve's own error.
+    ``n_rhs`` counts the half-period solve.
     """
     if period is None:
         period = coefficient_period(params.epsilon)
@@ -83,25 +90,26 @@ def monodromy(q_star: float, params: ModelParams, period: float | None = None,
         raise ValueError(f"period={period} must be pi or 2*pi")
     if math.isclose(period, math.pi) and params.epsilon != 0.0:
         raise ValueError("period pi requires epsilon = 0")
-    mat = integrate_variational(hill_coefficient(q_star, params), period,
-                                tol=tol)
+    half = integrate_variational(hill_coefficient(q_star, params),
+                                 0.5 * period, tol=tol)
+    p = half.x1 * half.y2 + half.x2 * half.y1
+    mat = FundamentalMatrix(x1=p, x2=2.0 * half.x2 * half.y2,
+                            y1=2.0 * half.x1 * half.y1, y2=p,
+                            n_rhs=half.n_rhs)
     return Monodromy(matrix=mat, period=period)
 
 
 def _antipode_half_traces(rs, epsilon: float, tol: float) -> np.ndarray:
     """Half-traces of the antipode's monodromy at each radius in ``rs``.
 
-    One lane-batched solve over half a period.  The Hill coefficient is
-    even, so with ``D = diag(1, -1)`` the monodromy is
-    ``D X(T/2)^-1 D X(T/2)``, whose half-trace is
+    One lane-batched solve over half a period, by the even-coefficient
+    identity of ``monodromy``: the half-trace is
     ``(x1 y2 + x2 y1) / det X(T/2)``.  Time is the eccentric anomaly ``u``
     (``kepler._anomaly_geometry``), so the system is ``dv/du = rho w``,
     ``dw/du = -rho a(t(u)) v`` with ``a`` the Hill coefficient (the lanes'
     clock holds ``rho`` and ``-rho a``), and no lane solves Kepler's
-    equation; ``t(T/2) = T/2``.  This form makes ``x1 = y2`` of the
-    full-period matrix hold by construction, so the Wronskian and evenness
-    audit uses ``monodromy`` instead.  Raises ``MonodromyError`` unless
-    every lane's ``det X(T/2)`` is within ``DET_CORRUPT_TOL`` of 1.
+    equation; ``t(T/2) = T/2``.  Raises ``MonodromyError`` unless every
+    lane's ``det X(T/2)`` is within ``DET_CORRUPT_TOL`` of 1.
     """
     rs = np.asarray(rs, dtype=float)
     for r in (rs.min(), rs.max()):  # validates every radius and epsilon

@@ -175,8 +175,9 @@ def integrate_orbit(initial: Sequence[float], t_final: float,
     The phase variable is exact: ``s(t) = s0 + t``; only ``(q, p)`` are
     stepped.  DOP853 runs one lane of ``_orbit_system`` with rows at stops
     evenly spaced at most ``ORBIT_ROW_SPACING`` apart in eccentric anomaly;
-    more than ``MAX_GRID_POINTS`` rows raise ``ValueError`` before any step.
-    A collision truncates the orbit at its last stop (``truncated=True``).
+    more than ``MAX_GRID_POINTS`` rows, or an eccentric-anomaly span that
+    rounds to zero, raise ``ValueError`` before any step.  A collision
+    truncates the orbit at its last stop (``truncated=True``).
 
     Args:
         initial: ``(q0, p0, s0)``, finite, else ``ValueError``.
@@ -209,6 +210,9 @@ def integrate_orbit(initial: Sequence[float], t_final: float,
     if not n_stops < MAX_GRID_POINTS:  # NaN or inf if s0 + t_final overflows
         raise ValueError(f"t_final={t_final} takes more than "
                          f"{MAX_GRID_POINTS} rows")
+    if not span > 0.0:  # s0 + t_final rounds to s0, or solve_kepler does
+        raise ValueError(f"t_final={t_final} spans no eccentric anomaly "
+                         f"from s0={s0}")
     clock, rhs, halt = _orbit_system(params, u0)
     n_rhs = 0
 

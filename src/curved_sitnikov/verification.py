@@ -1,10 +1,10 @@
 """End-to-end verification suite: one check per quantitative guarantee.
 
 Each check pins its own tolerances and returns a :class:`CheckResult`;
-``run_all`` executes them in order (later checks audit matrices produced
-by earlier ones).  The pytest acceptance module and the CLI ``verify``
-command both drive this code, so there is a single source of truth for
-what "working" means.
+``run_all`` executes them in order (later checks audit the monodromy
+cases of earlier ones).  The pytest acceptance module and the CLI
+``verify`` command both drive this code, so there is a single source of
+truth for what "working" means.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .kepler import TWO_PI, ModelParams, solve_kepler
 from . import model
-from .integrate import integrate_orbit
+from .integrate import integrate_orbit, integrate_variational
 from .floquet import (classify, monodromy, ortega_hypotheses, winding_angle,
                       winding_bound, HYPERBOLIC)
 from .general_model import (bound_report, d2U_ds2, d2U_ds2_fd, line_pair,
@@ -62,10 +62,11 @@ def check_kepler_residuals(ctx: dict) -> tuple[bool, str]:
 def check_analytic_monodromy(ctx: dict) -> tuple[bool, str]:
     """Monodromy at the origin, circular primaries, against the closed form."""
     worst = 0.0
+    cases = ctx.setdefault("monodromy_cases", [])
     for r in (0.5, 1.0, 1.5, 1.9):
         params = ModelParams(r=r, epsilon=0.0)
         m = monodromy(0.0, params, period=math.pi, tol=1e-11)
-        ctx.setdefault("monodromies", []).append(m)
+        cases.append((0.0, r, 1e-11))
         w = math.sqrt(2.0 / r**3)
         expected = np.array([
             [math.cos(w * math.pi), math.sin(w * math.pi) / w],
@@ -79,10 +80,11 @@ def check_analytic_monodromy(ctx: dict) -> tuple[bool, str]:
 def check_antipode_hyperbolic(ctx: dict) -> tuple[bool, str]:
     """Hyperbolic class at the antipode for all r on a 50-point grid."""
     bad = []
+    cases = ctx.setdefault("monodromy_cases", [])
     for r in np.linspace(0.05, 1.059, 50):
         m = monodromy(math.pi, ModelParams(r=float(r)), period=math.pi,
                       tol=1e-10)
-        ctx.setdefault("monodromies", []).append(m)
+        cases.append((math.pi, float(r), 1e-10))
         cls = classify(m)
         if cls != HYPERBOLIC:
             bad.append((float(r), cls))
@@ -120,9 +122,13 @@ def check_interchange_census(ctx: dict) -> tuple[bool, str]:
 
 
 def check_wronskian_evenness(ctx: dict) -> tuple[bool, str]:
-    """det X(2pi) = 1 and x1(2pi) = y2(2pi) across computed monodromies.
+    """det X(2pi) = 1 and x1(2pi) = y2(2pi) across audited monodromies.
 
-    A pi-period monodromy is squared to give ``X(2pi) = X(pi)^2``.
+    Each case ``(q_star, r, tol)`` of checks 2 and 3, and the antipode at
+    the radii of checks 4 and 5, is solved here over the full period pi
+    and squared to give ``X(2pi) = X(pi)^2``; ``monodromy``'s half-period
+    form makes ``x1 = y2`` hold by construction, so it has nothing to
+    audit.
     """
     extra = []
     for lo, hi in ctx.get("transition_brackets", []):
@@ -131,20 +137,18 @@ def check_wronskian_evenness(ctx: dict) -> tuple[bool, str]:
     extra.extend(grid[::max(1, len(grid) // 40)])
     census = ctx.get("census_rs", [])
     extra.extend(census[::max(1, len(census) // 60)])
-    mats = list(ctx.get("monodromies", []))
-    mats += [monodromy(math.pi, ModelParams(r=float(r)), period=math.pi,
-                       tol=1e-9) for r in extra]
+    cases = list(ctx.get("monodromy_cases", []))
+    cases += [(math.pi, float(r), 1e-9) for r in extra]
     worst_det = 0.0
     worst_even = 0.0
-    for m in mats:
-        x = m.matrix.as_array()
-        if math.isclose(m.period, math.pi):
-            x = x @ x
-        (x1, x2), (y1, y2) = x
+    for q_star, r, tol in cases:
+        x = integrate_variational(model.hill_coefficient(
+            q_star, ModelParams(r=r)), math.pi, tol).as_array()
+        (x1, x2), (y1, y2) = x @ x
         worst_det = _worse(worst_det, abs(x1 * y2 - x2 * y1 - 1.0))
         worst_even = _worse(worst_even, abs(x1 - y2))
     ok = worst_det <= 1e-8 and worst_even <= 1e-8
-    return bool(ok), (f"{len(mats)} monodromies: max |det-1| {worst_det:.2e}, "
+    return bool(ok), (f"{len(cases)} monodromies: max |det-1| {worst_det:.2e}, "
                       f"max |x1-y2| {worst_even:.2e} (<= 1e-8)")
 
 
@@ -296,7 +300,7 @@ def run_all(quick: bool = False) -> Iterator[CheckResult]:
 
     ``quick=True`` skips the slowest check, section boundedness (about
     5 s).  Checks share a context so later checks can audit the
-    monodromies produced by earlier ones.
+    monodromy cases of earlier ones.
     """
     ctx: dict = {}
     for name, fn in CHECKS:

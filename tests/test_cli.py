@@ -460,6 +460,17 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_phase_beyond_horizon_resolution_exits_one(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--q0", "0.1", "--p0", "0", "--s0", "1e20",
+                     "--t-final", "1", "--eps", "0.3", "--out",
+                     str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: t_final=1.0 spans no eccentric anomaly "
+            "from s0=1e+20\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [[], ["--eps", "0.3"],
                                        ["--fixed-step", "4"]],
                              ids=["circular", "eccentric", "fixed"])

@@ -3,14 +3,16 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from curved_sitnikov import floquet, scan
+from curved_sitnikov import floquet, scan, verification
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.model import hill_coefficient
-from curved_sitnikov.integrate import FundamentalMatrix, StiffnessError
+from curved_sitnikov.integrate import (FundamentalMatrix, StiffnessError,
+                                       integrate_variational)
 from curved_sitnikov.cli import main
 from curved_sitnikov.floquet import (DEFAULT_DELTA_PAR, ELLIPTIC, HYPERBOLIC,
                                      PARABOLIC, Monodromy, MonodromyError,
@@ -70,6 +72,34 @@ class TestMonodromy:
         np.testing.assert_allclose(x_pi @ x_pi, m_2pi.matrix.as_array(),
                                    atol=1e-8)
 
+    @pytest.mark.parametrize("q_star", [0.0, math.pi], ids=["origin",
+                                                            "antipode"])
+    @pytest.mark.parametrize("eps, period, rs", [
+        (0.0, math.pi, (0.5, 1.3, 1.9, 1.99)),
+        (0.0, TWO_PI, (0.5, 1.3, 1.9, 1.99)),
+        (0.3, TWO_PI, (0.5, 1.0, 1.5)),
+    ], ids=["circular-pi", "circular-2pi", "eccentric-2pi"])
+    def test_half_period_form_matches_full_period_solve(self, q_star, eps,
+                                                        period, rs):
+        # every entry, not only the half-trace; at tol 1e-12 the two
+        # routes agree to about 4e-12 of the largest entry
+        for r in rs:
+            params = ModelParams(r=r, epsilon=eps)
+            got = monodromy(q_star, params, period=period, tol=1e-12)
+            want = integrate_variational(hill_coefficient(q_star, params),
+                                         period, 1e-12).as_array()
+            assert np.max(np.abs(got.matrix.as_array() - want)) <= \
+                1e-10 * np.max(np.abs(want)), r
+
+    @pytest.mark.parametrize("r", [1.0, 1.9, 1.999])
+    def test_half_period_form_halves_the_work(self, r):
+        # the full-period solve takes 230, 818 and 3686 calls here
+        params = ModelParams(r=r)
+        full = integrate_variational(hill_coefficient(math.pi, params),
+                                     math.pi, 1e-9)
+        m = monodromy(math.pi, params, tol=1e-9)
+        assert m.matrix.n_rhs <= 0.6 * full.n_rhs
+
     def test_unit_determinant_for_computed_monodromies(self):
         for r in (0.3, 0.8, 1.3, 1.5):
             for eps in (0.0, 0.3):
@@ -124,6 +154,21 @@ class TestAntipodeHalfTraces:
         monkeypatch.setattr(scan, "_antipode_half_traces", refuse)
         _, detail = check_wronskian_evenness({"census_rs": [1.9, 1.95, 1.99]})
         assert detail.startswith("3 monodromies")
+
+    def test_wronskian_audit_never_uses_monodromy(self, monkeypatch):
+        # monodromy's half-period form makes x1 = y2 by construction
+        def refuse(*args, **kwargs):
+            raise AssertionError("the audit must solve the full period")
+
+        monkeypatch.setattr(verification, "monodromy", refuse)
+        monkeypatch.setattr(floquet, "monodromy", refuse)
+        _, detail = check_wronskian_evenness({"census_rs": [1.9, 1.95, 1.99]})
+        assert detail.startswith("3 monodromies")
+
+    def test_wronskian_audit_measures_evenness(self):
+        _, detail = check_wronskian_evenness({"census_rs": [1.9, 1.95, 1.99]})
+        even = float(re.search(r"max \|x1-y2\| (\S+)", detail).group(1))
+        assert even > 0.0, detail
 
 
 class TestClassify:

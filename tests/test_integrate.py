@@ -115,6 +115,18 @@ class TestOrbit:
             np.testing.assert_allclose(traj.t, [0.0, math.pi, TWO_PI,
                                                 t_final], rtol=1e-15)
 
+    def test_horizon_must_span_eccentric_anomaly(self, monkeypatch):
+        # at s0 = 1e20, s0 + 1 rounds to s0; a stub engine that refuses
+        # shows the check comes before any step
+        def refuse(*args, **kwargs):
+            raise AssertionError("no step may be taken")
+
+        monkeypatch.setattr(integrate, "_dop853_lanes", refuse)
+        with pytest.raises(ValueError, match=r"t_final=1\.0 spans no "
+                           r"eccentric anomaly from s0=1e\+20"):
+            integrate_orbit((0.1, 0.0, 1e20), 1.0,
+                            ModelParams(r=1.0, epsilon=0.3))
+
     def test_rows_are_stops_at_most_pi_apart(self):
         # from s0 = 1 at eps 0.3, with the last row at t_final exactly
         params = ModelParams(r=1.0, epsilon=0.3)
@@ -665,8 +677,9 @@ class TestWorkCap:
             monodromy(math.pi, ModelParams(r=1.999), tol=1e-9)
 
     def test_cap_stops_both_routes(self, monkeypatch, capsys):
-        # r = 1.999 at tol 1e-9 takes 3686 calls over the full period, as
-        # in scipy's solve_ivp
+        # r = 1.999 at tol 1e-9 takes 1634 calls over the half period
+        # monodromy solves, and 3686 over the full period, as in scipy's
+        # solve_ivp
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", 1000)
         with pytest.raises(StiffnessError, match="right-hand-side calls"):
             monodromy(math.pi, ModelParams(r=1.999), tol=1e-9)
