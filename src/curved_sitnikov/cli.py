@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 
@@ -256,14 +257,19 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     results = []
     for result in verification.run_all(quick=args.quick):
-        print(result.line())
+        if not args.json:
+            print(result.line())
         results.append(result)
-    failed = [r for r in results if not r.passed]
+    failed = sum(not r.passed for r in results)
+    if args.json:
+        _write_json(None, {"checks": [asdict(r) for r in results],
+                           "passed": len(results) - failed,
+                           "failed": failed}, args)
+    elif not failed:
+        print(f"all {len(results)} checks passed")
     if failed:
-        print(f"{len(failed)} of {len(results)} checks failed",
-              file=sys.stderr)
+        print(f"{failed} of {len(results)} checks failed", file=sys.stderr)
         return EXIT_VERIFY
-    print(f"all {len(results)} checks passed")
     return EXIT_OK
 
 
@@ -362,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--quick", action="store_true",
                    help="skip the slowest check")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object of every check result")
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -40,6 +40,11 @@ CENSUS_START_FRACTION = 0.95
 # Largest eccentricity the origin sweep evaluates.
 EPS_SCAN_CAP = 0.95
 
+# Brent's relative tolerance (4 DBL_EPSILON) and iteration cap, scipy's
+# brentq defaults.
+BRENT_RTOL = 4 * math.ulp(1.0)
+BRENT_MAXITER = 100
+
 
 @dataclass
 class TraceCurve:
@@ -206,14 +211,75 @@ def _bisect(lo: float, hi: float, lo_side, refine_tol: float):
     return lo, hi
 
 
+def _brent_root(f, lo, hi, xtol):
+    """A root of ``f`` in ``[lo, hi]`` by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy's ``brentq`` (Brent's zeroin): the same tests in the
+    same order, so it evaluates ``f`` at the same points and returns the
+    same float.  It stops once the bracket is within
+    ``xtol + BRENT_RTOL * |x|`` or after ``BRENT_MAXITER`` iterations,
+    returning its last iterate either way.  An end where ``f`` is exactly
+    zero is returned at once.  ``ValueError`` if ``f`` has the same sign
+    bit at both ends.
+    """
+    # x_cur is the best iterate, x_blk the end of the bracket across the
+    # root from it, x_pre the iterate before; s_cur, s_pre the last steps
+    x_pre, x_cur = lo, hi
+    f_pre, f_cur = f(x_pre), f(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if (f_pre != 0.0 and f_cur != 0.0
+                and math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + BRENT_RTOL * abs(x_cur)) / 2
+        s_bis = (x_blk - x_cur) / 2
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        s_try = math.inf  # bisect, unless a short step is good
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            try:
+                if x_pre == x_blk:  # secant
+                    s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+                else:  # inverse quadratic
+                    d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                    d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                    s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                             / (d_blk * d_pre * (f_blk - f_pre)))
+            except ZeroDivisionError:  # scipy's C gets an inf or NaN: bisect
+                pass
+        if 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        if abs(s_cur) > delta:
+            x_cur += s_cur
+        else:
+            x_cur += delta if s_bis > 0 else -delta
+        f_cur = f(x_cur)
+    return x_cur
+
+
 def find_transitions(curve: TraceCurve,
                      refine_tol: float = DEFAULT_REFINE_TOL) -> StabilityIntervals:
     """Bracket and refine every crossing of ``|half_trace| = 1`` on a curve.
 
     The grid is tiled by ``_tile``; each class change between adjacent
     grid points is narrowed to width ``refine_tol`` before its midpoint
-    becomes an interval boundary.  Narrowing is Brent-then-snap: with
-    ``s`` the sign of ``h`` at the cell's non-elliptic end, ``brentq``
+    becomes an interval boundary.  A cell already within ``refine_tol`` is
+    its own bracket.  Any other is narrowed by Brent-then-snap: with
+    ``s`` the sign of ``h`` at the cell's non-elliptic end, Brent's method
+    (``_brent_root``, in-package, so the search loads no scipy solver)
     finds a root of ``h - s`` in the cell, bisection's float midpoints are
     replayed against that root without evaluating anything, and the class
     is confirmed at the two ends of the resulting bracket.  If either end
@@ -224,8 +290,6 @@ def find_transitions(curve: TraceCurve,
     in ``suspect`` (two crossings inside a single grid cell cannot be split
     without a finer grid).  ``refine_tol`` must be finite and positive.
     """
-    from scipy.optimize import brentq
-
     _check_refine_tol(refine_tol)
     if len(curve.values) < 2:
         raise ValueError("need at least 2 grid samples to bracket transitions")
@@ -248,10 +312,12 @@ def find_transitions(curve: TraceCurve,
         return _elliptic(h_at(r))
 
     def narrow(r_lo: float, r_hi: float, lo_elliptic: bool):
+        if r_hi - r_lo <= refine_tol:
+            return r_lo, r_hi
         s = math.copysign(1.0, h_at(r_hi if lo_elliptic else r_lo))
-        # brentq needs a positive xtol even for a subnormal refine_tol
-        root = brentq(lambda r: h_at(r) - s, r_lo, r_hi,
-                      xtol=max(refine_tol / 64, math.ulp(0.0)), disp=False)
+        # a positive xtol even for a subnormal refine_tol
+        root = _brent_root(lambda r: h_at(r) - s, r_lo, r_hi,
+                           max(refine_tol / 64, math.ulp(0.0)))
         lo, hi = _bisect(r_lo, r_hi, lambda mid: mid < root, refine_tol)
         if elliptic_at(lo) == lo_elliptic and elliptic_at(hi) != lo_elliptic:
             return lo, hi

@@ -654,6 +654,33 @@ class TestExitCodes:
                             lambda quick: [CheckResult("x", True, "ok", 0.0)])
         assert main(["verify", "--quick"]) == EXIT_OK
 
+    def test_verify_json_holds_every_result(self, monkeypatch, capsys):
+        # stand-in checks, one of them failing
+        names = [name for name, _ in verification.CHECKS]
+        monkeypatch.setattr(verification, "CHECKS", [
+            (name, lambda ctx, ok=(i != 3): (ok, "ok" if ok else "boom"))
+            for i, name in enumerate(names)])
+        assert main(["verify", "--json"]) == EXIT_VERIFY
+        out, err = capsys.readouterr()
+        record = json.loads(out)
+        assert set(record) == {"config", "checks", "passed", "failed"}
+        assert record["config"] == {"command": "verify", "json": True,
+                                    "quick": False}
+        assert [c["name"] for c in record["checks"]] == names
+        assert all(set(c) == {"name", "passed", "detail", "seconds"}
+                   for c in record["checks"])
+        assert [c["passed"] for c in record["checks"]] == [
+            i != 3 for i in range(len(names))]
+        assert record["checks"][3]["detail"] == "boom"
+        assert (record["passed"], record["failed"]) == (len(names) - 1, 1)
+        assert err == f"1 of {len(names)} checks failed\n"
+
+        monkeypatch.setattr(verification, "CHECKS",
+                            [(name, lambda ctx: (True, "ok")) for name in names])
+        assert main(["verify", "--json", "--quick"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert (record["passed"], record["failed"]) == (len(names) - 1, 0)
+
     def test_quick_verify_skips_only_origin_stability(self, monkeypatch):
         # stand-in checks: only the selection is under test
         names = [name for name, _ in verification.CHECKS]

@@ -700,20 +700,35 @@ class TestWorkCap:
 
 class TestScipyImports:
     def test_cli_and_monodromies_load_no_scipy_solvers(self, tmp_path):
-        # solve_ivp (winding routes) and brentq (scan refinement) are
-        # imported on first use, and the DOP853 tables by file path; orbits,
-        # sections and the symmetry check's round trip run on the lane core
+        # solve_ivp (winding routes) is imported on first use, the DOP853
+        # tables by file path, and the transition search's Brent is
+        # in-package; orbits, sections and the symmetry check's round trip
+        # run on the lane core.  verify stays out: check 8's winding routes
+        # still call solve_ivp.
         out = str(tmp_path / "out.csv")
+        out_json = str(tmp_path / "out.json")
         code = f"""
 import math, sys
 from curved_sitnikov import cli, floquet, scan, verification
 from curved_sitnikov.kepler import ModelParams
 floquet.monodromy(math.pi, ModelParams(r=1.0))
 scan.interchange_census(0.0, 0.99, 40)
+scan.find_transitions(scan.trace_curve(math.pi, 0.0, [1.23, 1.24]))
 assert cli.main(["simulate", "--q0", "0.1", "--p0", "0", "--t-final", "10",
                  "--out", {out!r}]) == 0
 assert cli.main(["poincare", "--eps", "0.3", "--iterates", "2", "--q-grid",
                  "0.1:0.1:1", "--p-grid", "0:0:1", "--out", {out!r}]) == 0
+for argv in (["scan", "--qstar", "pi", "--eps", "0.1", "--r",
+              "1.18:1.2:0.01", "--out-csv", {out!r},
+              "--out-json", {out_json!r}],
+             ["eps-scan", "--r", "1.0", "--eps-grid", "0:0.2:0.1",
+              "--out", {out!r}],
+             ["census", "--budget", "20", "--out", {out_json!r}],
+             ["floquet", "--qstar", "pi", "--r", "1.2", "--eps", "0.3",
+              "--out", {out_json!r}],
+             ["kepler", "--eps", "0.3", "--t", "0:1:0.5", "--out", {out!r}],
+             ["bounds", "--lam", "0.2,0.1", "--out", {out_json!r}]):
+    assert cli.main(argv) == 0, argv
 assert verification.check_symmetries({{}})[0]
 print(sorted(m for m in sys.modules
              if m.split(".")[:2] in (["scipy", "integrate"],

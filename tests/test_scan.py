@@ -270,6 +270,85 @@ class TestBrentThenSnap:
         assert got == _plain_bisection(curve, 1e-7)
         assert got != [(lo, snapped_hi)]
 
+    def test_narrow_cell_is_its_own_bracket(self, monkeypatch):
+        # the 1.23-1.235 cell is already within refine_tol, so the only
+        # refinement monodromies are the midpoint checks of the two
+        # intervals
+        curve = trace_curve(math.pi, 0.0, [1.2 + 0.005 * k for k in range(15)])
+        calls = []
+        monkeypatch.setattr(scan, "monodromy",
+                            lambda *a, **k: calls.append(a) or monodromy(*a, **k))
+        tiling = find_transitions(curve, refine_tol=0.005)
+        assert _brackets(tiling) == [(curve.values[6], curve.values[7])]
+        assert len(calls) == len(tiling.intervals) == 2
+
+
+def _evaluations(fn):
+    """``fn`` and the list its calls append their arguments to."""
+    points = []
+    return (lambda x: points.append(x) or fn(x)), points
+
+
+BRENT_CASES = {
+    "cubic": (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    "cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
+    "step": (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
+    "tanh": (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 2.0),
+    "triple-root": (lambda x: (x - 0.5) ** 3, 0.0, 1.7),
+    # f(lo) * f(hi) underflows to -0.0: only the sign bits tell the signs
+    "tiny": (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),
+}
+
+
+class TestBrentRoot:
+    """``scan._brent_root`` against scipy's ``brentq``, its reference."""
+
+    @pytest.mark.parametrize("xtol", [1e-12, 1e-3, 5e-324])
+    @pytest.mark.parametrize("case", list(BRENT_CASES))
+    def test_takes_scipys_iterates(self, case, xtol):
+        from scipy.optimize import brentq
+
+        fn, lo, hi = BRENT_CASES[case]
+        f_ref, want_points = _evaluations(fn)
+        want = brentq(f_ref, lo, hi, xtol=xtol, disp=False)
+        f_port, points = _evaluations(fn)
+        assert scan._brent_root(f_port, lo, hi, xtol) == want
+        assert points == want_points
+
+    def test_iteration_cap_as_scipys(self, monkeypatch):
+        from scipy.optimize import brentq
+
+        fn, lo, hi = BRENT_CASES["tanh"]
+        f_ref, want_points = _evaluations(fn)
+        want = brentq(f_ref, lo, hi, xtol=1e-12, maxiter=3, disp=False)
+        monkeypatch.setattr(scan, "BRENT_MAXITER", 3)
+        f_port, points = _evaluations(fn)
+        assert scan._brent_root(f_port, lo, hi, 1e-12) == want
+        assert points == want_points
+        assert len(points) == 2 + 3
+
+    @pytest.mark.parametrize("end", [0.25, 0.75])
+    def test_exact_zero_at_an_end_returns_it(self, end):
+        f, points = _evaluations(lambda x: x - end)
+        assert scan._brent_root(f, 0.25, 0.75, 1e-12) == end
+        assert points == [0.25, 0.75]
+
+    def test_same_sign_bracket_refused(self):
+        with pytest.raises(ValueError, match="same sign"):
+            scan._brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_transitions_as_with_scipys_brentq(self, monkeypatch):
+        from scipy.optimize import brentq
+
+        curve = trace_curve(math.pi, 0.1, [1.18, 1.19, 1.2], tol=1e-9)
+        ours = find_transitions(curve, refine_tol=1e-10)
+        monkeypatch.setattr(
+            scan, "_brent_root",
+            lambda f, lo, hi, xtol: brentq(f, lo, hi, xtol=xtol, disp=False))
+        theirs = find_transitions(curve, refine_tol=1e-10)
+        assert _brackets(ours) == _brackets(theirs)
+        assert len(_brackets(ours)) == 1
+
 
 class TestCensus:
     def test_counts_alternations_near_ceiling(self):
