@@ -20,8 +20,8 @@ import numpy as np
 from .kepler import TWO_PI, ModelParams, _anomaly_geometry
 from .model import (_antipode_dforce_dq, coefficient_period,
                     cubic_coefficient, hill_coefficient)
-from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix, _dop853,
-                        _dop853_lanes, integrate_variational)
+from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix,
+                        _dop853_floats, _dop853_lanes, integrate_variational)
 
 DEFAULT_DELTA_PAR = 1e-9
 DET_CORRUPT_TOL = 1e-6
@@ -153,16 +153,29 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
                   method: str = "theta") -> float:
     """Signed increment of ``arg(x + i x')`` along ``x'' + a(t) x = 0``.
 
-    ``z(t) = x + i x'`` with ``z(t0) = z0 != 0``; ``tol`` must lie in the
-    integrator window ``[1e-13, 1e-6]``.  Two independent routes:
+    ``z(t) = x + i x'`` with ``z(t0) = z0 != 0``; ``t0``, ``t1`` and ``z0``
+    must be finite, else ``ValueError`` before any work.  ``t1 < t0``
+    integrates backward, and ``t1 == t0`` gives 0.  ``tol`` must lie in
+    the integrator window ``[1e-13, 1e-6]``.  Both routes solve with
+    ``integrate._dop853_floats``, which takes scipy's DOP853 steps and
+    raises :class:`StiffnessError` on a step-size underflow (where a NaN
+    coefficient ends) or past ``MAX_VARIATIONAL_NFEV`` right-hand-side
+    calls.  Two independent routes:
 
     * ``"theta"``: integrate ``theta' = -(a cos^2 theta + sin^2 theta)``,
       which tracks the continuous argument exactly (no unwrapping).
-    * ``"arg"``: integrate ``(x, x')`` and unwrap the argument of the dense
-      output, refining samples until increments stay below pi/2.
+    * ``"arg"``: integrate ``(x, x')`` and unwrap the argument of the
+      states at the accepted steps' ends.  Where one increment reaches
+      pi/2, solve again, with the same steps, adding stops at the
+      midpoints of those intervals, until every increment stays below
+      pi/2.
 
     Both must agree; they are kept separate so either can check the other.
     """
+    if method not in ("theta", "arg"):
+        raise ValueError(f"unknown method {method!r}")
+    if not all(map(math.isfinite, (t0, t1, z0.real, z0.imag))):
+        raise ValueError(f"t0={t0}, t1={t1} and z0={z0} must be finite")
     if z0 == 0:
         raise ValueError("z0 must be nonzero")
 
@@ -173,35 +186,28 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
             c, s = math.cos(y[0]), math.sin(y[0])
             return [-(a(t) * c * c + s * s)]
 
-        sol = _dop853(rhs, (t0, t1), [th0], tol)
-        return float(sol.y[0, -1] - th0)
+        ys = _dop853_floats(rhs, t0, t1, [th0], tol, ())[1]
+        return ys[-1][0] - th0
 
-    if method == "arg":
-        def rhs(t, y):
-            return [y[1], -a(t) * y[0]]
+    def rhs(t, y):
+        return [y[1], -a(t) * y[0]]
 
-        sol = _dop853(rhs, (t0, t1), [z0.real, z0.imag], tol,
-                      dense_output=True)
-        ts = list(sol.t)
-        for _ in range(40):
-            xs = sol.sol(np.array(ts))
-            norms = np.hypot(xs[0], xs[1])
-            if np.any(norms == 0.0):
-                raise RuntimeError("phase vector hit zero: invalid solution")
-            args = np.unwrap(np.arctan2(xs[1], xs[0]))
-            jumps = np.abs(np.diff(args))
-            if np.all(jumps < 0.5 * math.pi):
-                return float(args[-1] - args[0])
-            refined = []
-            for ta, tb, j in zip(ts[:-1], ts[1:], jumps):
-                refined.append(ta)
-                if j >= 0.5 * math.pi:
-                    refined.append(0.5 * (ta + tb))
-            refined.append(ts[-1])
-            ts = refined
-        raise RuntimeError("argument unwrapping did not stabilize")
-
-    raise ValueError(f"unknown method {method!r}")
+    stops = []
+    for _ in range(40):
+        ts, ys = _dop853_floats(rhs, t0, t1, [z0.real, z0.imag], tol,
+                                stops)[:2]
+        xs = np.array(ys)
+        if not np.hypot(xs[:, 0], xs[:, 1]).all():
+            raise RuntimeError("phase vector hit zero: invalid solution")
+        args = np.unwrap(np.arctan2(xs[:, 1], xs[:, 0]))
+        jumps = np.abs(np.diff(args))
+        if np.all(jumps < 0.5 * math.pi):
+            return float(args[-1] - args[0])
+        # the old stops are samples too, so no new stop repeats one
+        stops = sorted(stops + [0.5 * (ta + tb) for ta, tb, jump
+                                in zip(ts, ts[1:], jumps)
+                                if jump >= 0.5 * math.pi], reverse=t1 < t0)
+    raise RuntimeError("argument unwrapping did not stabilize")
 
 
 def winding_bound(a_min: float, t0: float, t1: float) -> float:

@@ -2,18 +2,22 @@
 
 Adaptive solves use the embedded Runge-Kutta pair DOP853 (order 8(5,3)) in
 one of three forms, all with the tolerance window checked and a failed
-solve raising :class:`StiffnessError`, and all with scipy's step rules:
-both winding routes go through scipy's ``solve_ivp``, imported on first
-use; single monodromies (``integrate_variational``) step on Python floats;
-orbits and many independent solves go through ``_dop853_lanes``, which
-steps them side by side as the lanes of one array.  The orbits' lane
-system ``_orbit_system`` lives here too, the census's with its caller in
-``floquet._antipode_half_traces``.  The DOP853 tables are scipy's,
-loaded from their file without importing ``scipy.integrate``.
-Variational solves, and each lane between two stops, stop with
-:class:`StiffnessError` past ``MAX_VARIATIONAL_NFEV`` right-hand-side
-calls, and orbits at ``MAX_GRID_POINTS`` rows, so every admissible input
-ends in bounded work.  A step count ``fixed_steps`` selects a fixed-step
+solve raising :class:`StiffnessError`, and all with the step rules of
+scipy's DOP853 solver (Hairer, Norsett and Wanner, *Solving ODEs I*,
+II.4-II.5): single monodromies (``integrate_variational``) step on Python
+floats in a loop unrolled for their 4-dimensional system; the winding
+routes' small nonlinear systems step on Python floats in
+``_dop853_floats``; orbits and many independent solves go through
+``_dop853_lanes``, which steps them side by side as the lanes of one
+array.  The two float loops share the error norm and the step factors.
+The orbits' lane system ``_orbit_system`` lives here too, the census's
+with its caller in ``floquet._antipode_half_traces``.  The DOP853 tables
+are scipy's, loaded from their file without importing
+``scipy.integrate``; no solve imports a scipy solver.  Float solves, and
+each lane between two stops, stop with :class:`StiffnessError` past
+``MAX_VARIATIONAL_NFEV`` right-hand-side calls, and orbits at
+``MAX_GRID_POINTS`` rows, so every admissible input ends in bounded
+work.  A step count ``fixed_steps`` selects a fixed-step
 classical RK4 for bit-reproducible orbit baselines, ``None`` DOP853.
 All engines are reentrant and hold no state between calls; the flow is
 smooth away from collisions, so no symplectic or stiff machinery is needed
@@ -39,8 +43,8 @@ TOL_MIN, TOL_MAX = 1e-13, 1e-6
 DEFAULT_ORBIT_TOL = 1e-8
 DEFAULT_MONODROMY_TOL = 1e-10
 
-# Right-hand-side calls one variational solve (or one lane between two
-# stops) may make; the tests, ``verify`` and the benchmark make at most
+# Right-hand-side calls one float solve (or one lane between two stops)
+# may make; the tests, ``verify`` and the benchmark make at most
 # about 14,000.
 MAX_VARIATIONAL_NFEV = 1_000_000
 # Most points one grid or Poincaré cloud, or rows one orbit, may hold.
@@ -96,22 +100,6 @@ class FundamentalMatrix:
 def _validate_tol(tol: float) -> None:
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol={tol} outside [{TOL_MIN}, {TOL_MAX}]")
-
-
-def _dop853(rhs, t_span: tuple[float, float], y0, tol: float, **options):
-    """One DOP853 solve at ``rtol = atol = tol``; the scipy solution object.
-
-    ``options`` pass through to ``solve_ivp`` (``dense_output``).  A solve
-    that stops short raises :class:`StiffnessError`.
-    """
-    _validate_tol(tol)
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=tol, atol=tol,
-                    **options)
-    if sol.status == -1:
-        raise StiffnessError(sol.message)
-    return sol
 
 
 def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
@@ -239,7 +227,7 @@ def integrate_variational(a: Callable[[float], float], period: float,
     (``model.hill_coefficient``), called once per right-hand-side call.
     Both columns are integrated together as a 4-dimensional linear system,
     state ``(x1, y1, x2, y2)``, by a DOP853 over Python floats at
-    ``rtol = atol = tol`` that takes ``solve_ivp``'s steps: the initial
+    ``rtol = atol = tol`` that takes scipy's DOP853 steps: the initial
     step of ``_initial_steps``, the E5/E3 error norm, step factors
     0.9/0.2/10 and no growth right after a rejection.  Its stage sums run
     in another order than scipy's, so the two agree to roundoff.  A step
@@ -287,25 +275,11 @@ def integrate_variational(a: Callable[[float], float], period: float,
             f_new = (y_new[1], -at * y_new[0], y_new[3], -at * y_new[2])
             nfev += _dop.N_STAGES
 
-            err5 = err3 = 0.0
-            for e5, e3, old, new in zip(_combine(_E5_WEIGHTS, k),
-                                        _combine(_E3_WEIGHTS, k), y, y_new):
-                scale = tol + max(abs(old), abs(new)) * tol
-                e5, e3 = e5 / scale, e3 / scale
-                err5 += e5 * e5
-                err3 += e3 * e3
-            denom = err5 + 0.01 * err3
-            # a NaN norm stays NaN and so rejects the step
-            error = h * err5 / math.sqrt(4.0 * denom) if denom else 0.0
+            error = _error_norm(_combine(_E5_WEIGHTS, k),
+                                _combine(_E3_WEIGHTS, k), y, y_new, h, tol)
+            h_abs *= _step_factor(error, rejected)
             if error < 1.0:
-                factor = (_MAX_FACTOR if error == 0.0 else
-                          min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
                 break
-            # max(_MIN_FACTOR, nan) is _MIN_FACTOR: a NaN-error step shrinks
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
             rejected = True
         t, y, f = t_new, y_new, f_new
     x1, y1, x2, y2 = y
@@ -322,6 +296,137 @@ def _combine(row, k) -> tuple[float, float, float, float]:
         d3 += coef * k3
         d4 += coef * k4
     return d1, d2, d3, d4
+
+
+def _error_norm(e5s, e3s, y, y_new, h_abs: float, tol: float) -> float:
+    """Scipy's DOP853 error norm of a step of length ``h_abs``, in floats.
+
+    ``e5s`` and ``e3s`` are the two embedded error estimates (the stage
+    sums of ``_E5_WEIGHTS`` and ``_E3_WEIGHTS``) of a step from ``y`` to
+    ``y_new``, scaled componentwise by ``tol + max(|y|, |y_new|) tol``.
+    """
+    err5 = err3 = 0.0
+    for e5, e3, old, new in zip(e5s, e3s, y, y_new):
+        scale = tol + max(abs(old), abs(new)) * tol
+        e5, e3 = e5 / scale, e3 / scale
+        err5 += e5 * e5
+        err3 += e3 * e3
+    denom = err5 + 0.01 * err3
+    # a NaN norm stays NaN and so rejects the step
+    return h_abs * err5 / math.sqrt(len(y) * denom) if denom else 0.0
+
+
+def _step_factor(error: float, rejected: bool) -> float:
+    """Scipy's step-size factor after a step attempt with norm ``error``.
+
+    The step is accepted when ``error < 1``; it may then grow the step up
+    to ``_MAX_FACTOR``, but not right after a rejection (``rejected``).
+    """
+    if error < 1.0:
+        factor = (_MAX_FACTOR if error == 0.0 else
+                  min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
+        return min(1.0, factor) if rejected else factor
+    # max(_MIN_FACTOR, nan) is _MIN_FACTOR: a NaN-error step shrinks
+    return max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+
+
+def _combine_floats(row, k) -> list[float]:
+    """``sum(coef * k[j] for j, coef in row)`` of equal-length sequences."""
+    d = [0.0] * len(k[0])
+    for j, coef in row:
+        for i, v in enumerate(k[j]):
+            d[i] += coef * v
+    return d
+
+
+def _float_step(rhs, t: float, y, f, h: float):
+    """One DOP853 step of length ``h`` from ``(t, y)``, slope ``f`` there.
+
+    Returns the new state and the stage slopes ``k`` (``f`` and the 11
+    stage calls); the slope at the step's end is left to the caller.
+    """
+    k = [f]
+    for c, row in _STAGES:
+        d = _combine_floats(row, k)
+        k.append(rhs(t + c * h, [v + dv * h for v, dv in zip(y, d)]))
+    d = _combine_floats(_WEIGHTS, k)
+    return [v + h * dv for v, dv in zip(y, d)], k
+
+
+def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float, stops):
+    """Solve a small system ``y' = rhs(t, y)`` from ``t0`` to ``t1``.
+
+    ``rhs`` maps a time and a state (a sequence of floats) to the slope,
+    a sequence of floats.  The solve is a DOP853 over Python floats at
+    ``rtol = atol = tol`` that takes scipy's DOP853 steps, forward or
+    backward: the initial step of ``_initial_steps``, the E5/E3 error
+    norm, step factors 0.9/0.2/10 and no growth right after a rejection.
+    ``stops`` are times strictly between ``t0`` and ``t1``, ordered from
+    ``t0`` to ``t1``, that do not move a step: the state at a stop is one
+    more DOP853 step (11 calls) from the start of the accepted step that
+    covers it.  Returns ``(ts, ys, nfev)``: the times and states at
+    ``t0``, every accepted step's end and every stop, ordered from ``t0``
+    to ``t1``, and the right-hand-side calls made; ``t1 == t0`` takes no
+    step.  A step below ten ulps of ``t`` after a rejection, a NaN step
+    (from a NaN slope at ``t0``), or more than ``MAX_VARIATIONAL_NFEV``
+    right-hand-side calls raises :class:`StiffnessError`.
+    """
+    _validate_tol(tol)
+    max_nfev = MAX_VARIATIONAL_NFEV
+    direction = 1.0 if t1 > t0 else -1.0
+
+    def lane_rhs(tau, y, lanes):  # one lane, forward in |t - t0|
+        slope = rhs(float(tau[0]), y[:, 0].tolist())
+        return direction * np.array(slope)[:, None]
+
+    t, y = t0, list(y0)
+    f = rhs(t, y)
+    h_abs = float(_initial_steps(
+        lambda tau, lanes: t0 + direction * tau, lane_rhs, abs(t1 - t0),
+        np.array(y)[:, None], direction * np.array(f)[:, None],
+        np.zeros(1, dtype=int), tol)[0])
+    nfev, stop = 2, 0
+    ts, ys = [t], [y]
+
+    def spend(calls):  # count calls, raising before they pass the cap
+        nonlocal nfev
+        if nfev + calls > max_nfev:
+            raise StiffnessError(f"float solve exceeded {max_nfev} "
+                                 f"right-hand-side calls")
+        nfev += calls
+
+    while t != t1:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # a NaN step too, which never shrinks
+                raise StiffnessError("step size underflow in a float solve")
+            spend(_dop.N_STAGES)
+            t_new = t + direction * h_abs
+            if direction * (t_new - t1) > 0.0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, k = _float_step(rhs, t, y, f, h)
+            f_new = rhs(t + h, y_new)
+            error = _error_norm(_combine_floats(_E5_WEIGHTS, k),
+                                _combine_floats(_E3_WEIGHTS, k), y, y_new,
+                                h_abs, tol)
+            h_abs *= _step_factor(error, rejected)
+            if error < 1.0:
+                break
+            rejected = True
+        while stop < len(stops) and direction * (t_new - stops[stop]) > 0.0:
+            if direction * (stops[stop] - t) > 0.0:  # not a step's end
+                spend(_dop.N_STAGES - 1)
+                ts.append(stops[stop])
+                ys.append(_float_step(rhs, t, y, f, stops[stop] - t)[0])
+            stop += 1
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    return ts, ys, nfev
 
 
 # scipy's DOP853 tableau module, loaded from its file: importing it by name
@@ -358,7 +463,7 @@ def _initial_steps(clock, rhs, t_end: float, y: np.ndarray, f: np.ndarray,
                    lanes: np.ndarray, tol: float) -> np.ndarray:
     """Each lane's first step from ``t = 0``, in one more ``rhs`` call.
 
-    Scipy's rule for ``solve_ivp`` (Hairer, Norsett and Wanner, *Solving
+    Scipy's initial-step rule (Hairer, Norsett and Wanner, *Solving
     ODEs I*, II.4), lane-wise at ``rtol = atol = tol``, for the system
     ``clock``, ``rhs`` of ``_dop853_lanes`` with ``f`` its slope at 0.
     """

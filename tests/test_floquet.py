@@ -3,7 +3,11 @@
 import cmath
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -297,6 +301,59 @@ class TestWinding:
         with pytest.raises(StiffnessError, match="step size"):
             winding_angle(lambda t: 1.0 / (t - 1.0) ** 2, 0.0, math.pi,
                           1 + 0j)
+
+    @pytest.mark.parametrize("method", ["theta", "arg"])
+    @pytest.mark.parametrize("t0, t1, z0", [
+        (math.nan, 1.0, 1 + 0j), (0.0, math.inf, 1 + 0j),
+        (-math.inf, 0.0, 1 + 0j), (0.0, 1.0, complex(math.inf, 0.0)),
+        (0.0, 1.0, complex(1.0, math.nan))],
+        ids=["t0-nan", "t1-inf", "t0-minus-inf", "z0-inf", "z0-nan"])
+    def test_rejects_non_finite_inputs_before_any_work(self, t0, t1, z0,
+                                                       method):
+        def refuse(t):
+            raise AssertionError("no coefficient call may be made")
+
+        with pytest.raises(ValueError, match="must be finite"):
+            winding_angle(refuse, t0, t1, z0, method=method)
+
+    @pytest.mark.parametrize("method", ["theta", "arg"])
+    def test_equal_endpoints_give_zero(self, method):
+        assert winding_angle(lambda t: 1.0, 2.0, 2.0, 1j,
+                             method=method) == 0.0
+
+    @pytest.mark.parametrize("method", ["theta", "arg"])
+    def test_backward_interval_closed_form(self, method):
+        # a = 1 turns the phase vector at unit rate clockwise, so from
+        # t0 = 1 back to t1 = 0 it winds +1
+        assert winding_angle(lambda t: 1.0, 1.0, 0.0, 1 + 0j,
+                             method=method) == pytest.approx(1.0, abs=1e-8)
+
+    def test_inputs_that_never_returned_end_in_a_subprocess(self):
+        # without the input checks, and with a NaN step size taken as a
+        # step, the arg route never returns for t1 = inf or a NaN
+        # coefficient
+        code = """
+import math
+from curved_sitnikov.floquet import winding_angle
+from curved_sitnikov.integrate import StiffnessError
+for method in ("theta", "arg"):
+    try:
+        winding_angle(lambda t: 1.0, 0.0, math.inf, 1 + 0j, method=method)
+    except ValueError as exc:
+        print(method, "inf", type(exc).__name__)
+    try:
+        winding_angle(lambda t: math.nan, 0.0, 1.0, 1 + 0j, method=method)
+    except StiffnessError as exc:
+        print(method, "nan", type(exc).__name__)
+"""
+        src = pathlib.Path(floquet.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert proc.stdout.split("\n") == [
+            "theta inf ValueError", "theta nan StiffnessError",
+            "arg inf ValueError", "arg nan StiffnessError", ""]
 
     @pytest.mark.parametrize("method", ["theta", "arg"])
     @pytest.mark.parametrize("tol", [1e-2, 1e-20])

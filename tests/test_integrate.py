@@ -16,7 +16,8 @@ from curved_sitnikov.kepler import (ModelParams, _anomaly_geometry,
                                     collision_ceiling, solve_kepler)
 from curved_sitnikov.cli import _write_csv, main
 from curved_sitnikov.model import coefficient_period, hill_coefficient
-from curved_sitnikov.floquet import _antipode_half_traces, monodromy
+from curved_sitnikov.floquet import (_antipode_half_traces, monodromy,
+                                     winding_angle)
 from curved_sitnikov.integrate import (FundamentalMatrix, StiffnessError,
                                        _dop853_lanes, integrate_orbit,
                                        integrate_variational, rk4_fixed)
@@ -339,6 +340,82 @@ class TestVariational:
                            match="step size underflow in a variational solve"):
             integrate_variational(lambda t: -1.0 / (1.0 - t) ** 4, math.pi,
                                   1e-9)
+
+
+def _theta_rhs(a):
+    """Prüfer angle ``theta' = -(a cos^2 theta + sin^2 theta)`` of
+    ``x'' + a(t) x = 0``, the system of the ``theta`` winding route."""
+    def rhs(t, y):
+        c, s = math.cos(y[0]), math.sin(y[0])
+        return [-(a(t) * c * c + s * s)]
+    return rhs
+
+
+_HILL_03 = hill_coefficient(0.0, ModelParams(r=1.0, epsilon=0.3))
+# the coefficients of floquet's TestWinding::test_routes_agree
+_WINDING_COEFFICIENTS = [lambda t: 1.0, lambda t: 4.0,
+                         lambda t: 1.0 + 0.5 * math.cos(t), _HILL_03]
+
+
+class TestFloatEngine:
+    @pytest.mark.parametrize("t0, t1", [(0.0, TWO_PI), (1.0, -2.0)],
+                             ids=["forward", "backward"])
+    @pytest.mark.parametrize("th0", [0.0, 0.5 * math.pi,
+                                     math.atan2(0.5, -1.0)],
+                             ids=["z0=1", "z0=i", "z0=-1+0.5i"])
+    @pytest.mark.parametrize("a", _WINDING_COEFFICIENTS,
+                             ids=["a=1", "a=4", "1+0.5cos", "hill(0)"])
+    def test_takes_scipys_steps(self, a, th0, t0, t1):
+        # forward and backward; the stage sums run in another order than
+        # np.dot's, so the angles agree to roundoff
+        from scipy.integrate import solve_ivp
+
+        rhs = _theta_rhs(a)
+        sol = solve_ivp(rhs, (t0, t1), [th0], method="DOP853", rtol=1e-10,
+                        atol=1e-10)
+        ts, ys, nfev = integrate._dop853_floats(rhs, t0, t1, [th0], 1e-10,
+                                                ())
+        assert nfev == sol.nfev
+        assert len(ts) == len(sol.t)
+        assert ts[-1] == t1
+        assert ys[-1][0] == pytest.approx(sol.y[0, -1], abs=1e-12)
+
+    def test_stops_do_not_move_steps(self):
+        # x'' = -x from (1, 0) is (cos t, -sin t); each stop costs the 11
+        # stage calls of one more step from the start of its step
+        def rhs(t, y):
+            return [y[1], -y[0]]
+
+        ts, ys, nfev = integrate._dop853_floats(rhs, 0.0, 3.0, [1.0, 0.0],
+                                                1e-10, ())
+        stops = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
+        got_ts, got_ys, got_nfev = integrate._dop853_floats(
+            rhs, 0.0, 3.0, [1.0, 0.0], 1e-10, stops)
+        assert got_nfev == nfev + 11 * len(stops)
+        assert got_ts == sorted(ts + stops)
+        assert got_ys[::2] == ys
+        np.testing.assert_allclose(got_ys, [[math.cos(t), -math.sin(t)]
+                                            for t in got_ts], atol=1e-9)
+
+    def test_call_counter_is_exact(self, monkeypatch):
+        rhs = _theta_rhs(_HILL_03)
+        nfev = integrate._dop853_floats(rhs, 0.0, TWO_PI, [0.0], 1e-10, ())[2]
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", nfev)
+        integrate._dop853_floats(rhs, 0.0, TWO_PI, [0.0], 1e-10, ())
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", nfev - 1)
+        with pytest.raises(StiffnessError, match="right-hand-side calls"):
+            integrate._dop853_floats(rhs, 0.0, TWO_PI, [0.0], 1e-10, ())
+
+    def test_nan_slope_raises_at_once(self):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return [math.nan]
+
+        with pytest.raises(StiffnessError, match="step size underflow"):
+            integrate._dop853_floats(rhs, 0.0, 1.0, [0.0], 1e-10, ())
+        assert len(calls) == 2  # the start and the initial-step probe
 
 
 def _identity(t, lanes):
@@ -689,6 +766,14 @@ class TestWorkCap:
                      "--tol", "1e-9"]) == 2
         assert "domain error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["theta", "arg"])
+    def test_cap_stops_both_winding_routes(self, monkeypatch, method):
+        # the hill(0) winding over 2 pi from z0 = 1 takes 710 calls by
+        # the theta route, 554 by the arg route
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", 200)
+        with pytest.raises(StiffnessError, match="right-hand-side calls"):
+            winding_angle(_HILL_03, 0.0, TWO_PI, 1 + 0j, method=method)
+
     def test_close_approach_ends_in_bounded_work(self, monkeypatch, capsys):
         # at r = 1.9999 the antipode passes 1e-4 from a primary; a Hill
         # coefficient that loses digits to cancellation there drives the
@@ -700,11 +785,10 @@ class TestWorkCap:
 
 class TestScipyImports:
     def test_cli_and_monodromies_load_no_scipy_solvers(self, tmp_path):
-        # solve_ivp (winding routes) is imported on first use, the DOP853
-        # tables by file path, and the transition search's Brent is
-        # in-package; orbits, sections and the symmetry check's round trip
-        # run on the lane core.  verify stays out: check 8's winding routes
-        # still call solve_ivp.
+        # the DOP853 tables load by file path, and the transition search's
+        # Brent is in-package; orbits, sections and the symmetry check's
+        # round trip run on the lane core.  verify and the winding routes
+        # have a test of their own below.
         out = str(tmp_path / "out.csv")
         out_json = str(tmp_path / "out.json")
         code = f"""
@@ -738,6 +822,26 @@ print(sorted(m for m in sys.modules
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120,
+                              check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_verify_and_winding_load_no_scipy_solvers(self):
+        # the winding routes step on _dop853_floats; verify runs them in
+        # check 8
+        code = """
+import math, sys
+from curved_sitnikov import cli, floquet
+for method in ("theta", "arg"):
+    floquet.winding_angle(lambda t: 4.0, 0.0, math.pi, 1j, method=method)
+assert cli.main(["verify", "--json"]) in (cli.EXIT_OK, cli.EXIT_VERIFY)
+print(sorted(m for m in sys.modules
+             if m.split(".")[:2] in (["scipy", "integrate"],
+                                     ["scipy", "optimize"])))
+"""
+        src = pathlib.Path(integrate.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300,
                               check=True)
         assert proc.stdout.splitlines()[-1] == "[]"
 
