@@ -21,7 +21,8 @@ from .kepler import TWO_PI, ModelParams, _anomaly_geometry
 from .model import (_antipode_dforce_dq, coefficient_period,
                     cubic_coefficient, hill_coefficient)
 from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix,
-                        _dop853_floats, _dop853_lanes, integrate_variational)
+                        _dop853_floats, _dop853_lanes, _float_stops,
+                        integrate_variational)
 
 DEFAULT_DELTA_PAR = 1e-9
 DET_CORRUPT_TOL = 1e-6
@@ -166,9 +167,10 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
       which tracks the continuous argument exactly (no unwrapping).
     * ``"arg"``: integrate ``(x, x')`` and unwrap the argument of the
       states at the accepted steps' ends.  Where one increment reaches
-      pi/2, solve again, with the same steps, adding stops at the
-      midpoints of those intervals, until every increment stays below
-      pi/2.
+      pi/2, add the state at that interval's midpoint, one more DOP853
+      step from the start of the accepted step that covers it
+      (``integrate._float_stops``, counted against the same cap), until
+      every increment stays below pi/2.
 
     Both must agree; they are kept separate so either can check the other.
     """
@@ -186,16 +188,15 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
             c, s = math.cos(y[0]), math.sin(y[0])
             return [-(a(t) * c * c + s * s)]
 
-        ys = _dop853_floats(rhs, t0, t1, [th0], tol, ())[1]
+        ys = _dop853_floats(rhs, t0, t1, [th0], tol)[1]
         return ys[-1][0] - th0
 
     def rhs(t, y):
         return [y[1], -a(t) * y[0]]
 
-    stops = []
+    ts, ys, fs, nfev = _dop853_floats(rhs, t0, t1, [z0.real, z0.imag], tol)
+    steps = ts, ys, fs
     for _ in range(40):
-        ts, ys = _dop853_floats(rhs, t0, t1, [z0.real, z0.imag], tol,
-                                stops)[:2]
         xs = np.array(ys)
         if not np.hypot(xs[:, 0], xs[:, 1]).all():
             raise RuntimeError("phase vector hit zero: invalid solution")
@@ -203,10 +204,12 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
         jumps = np.abs(np.diff(args))
         if np.all(jumps < 0.5 * math.pi):
             return float(args[-1] - args[0])
-        # the old stops are samples too, so no new stop repeats one
-        stops = sorted(stops + [0.5 * (ta + tb) for ta, tb, jump
-                                in zip(ts, ts[1:], jumps)
-                                if jump >= 0.5 * math.pi], reverse=t1 < t0)
+        mids = [0.5 * (ta + tb) for ta, tb, jump in zip(ts, ts[1:], jumps)
+                if jump >= 0.5 * math.pi]
+        mid_ts, mid_ys, nfev = _float_stops(rhs, steps, mids, nfev)
+        samples = sorted(zip(ts + mid_ts, ys + mid_ys),
+                         key=lambda sample: sample[0], reverse=t1 < t0)
+        ts, ys = [t for t, _ in samples], [y for _, y in samples]
     raise RuntimeError("argument unwrapping did not stabilize")
 
 

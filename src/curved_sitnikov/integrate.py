@@ -231,9 +231,9 @@ def integrate_variational(a: Callable[[float], float], period: float,
     step of ``_initial_steps``, the E5/E3 error norm, step factors
     0.9/0.2/10 and no growth right after a rejection.  Its stage sums run
     in another order than scipy's, so the two agree to roundoff.  A step
-    below ten ulps of ``t`` after a rejection, or more than
-    ``MAX_VARIATIONAL_NFEV`` right-hand-side calls, raises
-    :class:`StiffnessError`.
+    below ten ulps of ``t`` after a rejection, a NaN step (from a NaN
+    coefficient at 0), or more than ``MAX_VARIATIONAL_NFEV``
+    right-hand-side calls raises :class:`StiffnessError`.
     """
     _validate_tol(tol)
     max_nfev = MAX_VARIATIONAL_NFEV
@@ -255,7 +255,7 @@ def integrate_variational(a: Callable[[float], float], period: float,
         rejected = False
         x1, y1, x2, y2 = y
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step too, which never shrinks
                 raise StiffnessError("step size underflow in a variational "
                                      "solve")
             if nfev + _dop.N_STAGES > max_nfev:
@@ -353,7 +353,7 @@ def _float_step(rhs, t: float, y, f, h: float):
     return [v + h * dv for v, dv in zip(y, d)], k
 
 
-def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float, stops):
+def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float):
     """Solve a small system ``y' = rhs(t, y)`` from ``t0`` to ``t1``.
 
     ``rhs`` maps a time and a state (a sequence of floats) to the slope,
@@ -361,18 +361,16 @@ def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float, stops):
     ``rtol = atol = tol`` that takes scipy's DOP853 steps, forward or
     backward: the initial step of ``_initial_steps``, the E5/E3 error
     norm, step factors 0.9/0.2/10 and no growth right after a rejection.
-    ``stops`` are times strictly between ``t0`` and ``t1``, ordered from
-    ``t0`` to ``t1``, that do not move a step: the state at a stop is one
-    more DOP853 step (11 calls) from the start of the accepted step that
-    covers it.  Returns ``(ts, ys, nfev)``: the times and states at
-    ``t0``, every accepted step's end and every stop, ordered from ``t0``
-    to ``t1``, and the right-hand-side calls made; ``t1 == t0`` takes no
-    step.  A step below ten ulps of ``t`` after a rejection, a NaN step
-    (from a NaN slope at ``t0``), or more than ``MAX_VARIATIONAL_NFEV``
-    right-hand-side calls raises :class:`StiffnessError`.
+    Returns ``(ts, ys, fs, nfev)``: the times, states and slopes at ``t0``
+    and at every accepted step's end, ordered from ``t0`` to ``t1``, and
+    the right-hand-side calls made; ``t1 == t0`` takes no step.  Each
+    accepted step starts from the entry before its end, so
+    ``_float_stops`` can sample the solve between them.  A step below ten
+    ulps of ``t`` after a rejection, a NaN step (from a NaN slope at
+    ``t0``), or more than ``MAX_VARIATIONAL_NFEV`` right-hand-side calls
+    raises :class:`StiffnessError`.
     """
     _validate_tol(tol)
-    max_nfev = MAX_VARIATIONAL_NFEV
     direction = 1.0 if t1 > t0 else -1.0
 
     def lane_rhs(tau, y, lanes):  # one lane, forward in |t - t0|
@@ -385,16 +383,8 @@ def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float, stops):
         lambda tau, lanes: t0 + direction * tau, lane_rhs, abs(t1 - t0),
         np.array(y)[:, None], direction * np.array(f)[:, None],
         np.zeros(1, dtype=int), tol)[0])
-    nfev, stop = 2, 0
-    ts, ys = [t], [y]
-
-    def spend(calls):  # count calls, raising before they pass the cap
-        nonlocal nfev
-        if nfev + calls > max_nfev:
-            raise StiffnessError(f"float solve exceeded {max_nfev} "
-                                 f"right-hand-side calls")
-        nfev += calls
-
+    nfev = 2
+    ts, ys, fs = [t], [y], [f]
     while t != t1:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -402,7 +392,7 @@ def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float, stops):
         while True:
             if not h_abs >= min_step:  # a NaN step too, which never shrinks
                 raise StiffnessError("step size underflow in a float solve")
-            spend(_dop.N_STAGES)
+            nfev = _spend(nfev, _dop.N_STAGES)
             t_new = t + direction * h_abs
             if direction * (t_new - t1) > 0.0:
                 t_new = t1
@@ -417,16 +407,46 @@ def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float, stops):
             if error < 1.0:
                 break
             rejected = True
-        while stop < len(stops) and direction * (t_new - stops[stop]) > 0.0:
-            if direction * (stops[stop] - t) > 0.0:  # not a step's end
-                spend(_dop.N_STAGES - 1)
-                ts.append(stops[stop])
-                ys.append(_float_step(rhs, t, y, f, stops[stop] - t)[0])
-            stop += 1
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-    return ts, ys, nfev
+        fs.append(f)
+    return ts, ys, fs, nfev
+
+
+def _spend(nfev: int, calls: int) -> int:
+    """``nfev + calls``, raising before a float solve passes the cap."""
+    if nfev + calls > MAX_VARIATIONAL_NFEV:
+        raise StiffnessError(f"float solve exceeded {MAX_VARIATIONAL_NFEV} "
+                             f"right-hand-side calls")
+    return nfev + calls
+
+
+def _float_stops(rhs, steps, stops, nfev: int):
+    """States of a ``_dop853_floats`` solve at the times ``stops``.
+
+    ``steps`` is that solve's ``(ts, ys, fs)`` and ``nfev`` the calls
+    made so far; ``stops`` are ordered from its start to its end.  A stop
+    strictly inside an accepted step takes one more DOP853 step (11 calls)
+    from that step's start, so no stop moves a step; any other stop is
+    left out.  Returns ``(ts, ys, nfev)`` of the stops kept, ``nfev``
+    counting on; passing ``MAX_VARIATIONAL_NFEV`` raises
+    :class:`StiffnessError`.
+    """
+    ts, ys, fs = steps
+    direction = 1.0 if ts[-1] > ts[0] else -1.0
+    out_ts, out_ys = [], []
+    step = 0  # the accepted step from ts[step] to ts[step + 1]
+    for stop in stops:
+        while (step + 1 < len(ts)
+               and direction * (ts[step + 1] - stop) <= 0.0):
+            step += 1
+        if step + 1 < len(ts) and direction * (stop - ts[step]) > 0.0:
+            nfev = _spend(nfev, _dop.N_STAGES - 1)
+            out_ts.append(stop)
+            out_ys.append(_float_step(rhs, ts[step], ys[step], fs[step],
+                                      stop - ts[step])[0])
+    return out_ts, out_ys, nfev
 
 
 # scipy's DOP853 tableau module, loaded from its file: importing it by name
@@ -513,9 +533,13 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     where ``halt(g, y, lanes)`` (``g`` the step's last row) is true, and the
     stops it never reached stay NaN.  Returns the states at the stops, shape
     ``(len(stops), n, n_lanes)``, or ``(n, n_lanes)`` for one stop time.  A
-    step below ten ulps of ``t`` after a rejection, or a lane past
-    ``MAX_VARIATIONAL_NFEV`` right-hand-side calls since its last stop,
-    raises :class:`StiffnessError`.
+    step below ten ulps of ``t`` after a rejection, a NaN step (from a NaN
+    slope at ``t = 0``, raised once its first attempt is rejected), or a
+    lane past ``MAX_VARIATIONAL_NFEV`` right-hand-side calls since its last
+    stop raises :class:`StiffnessError`.  A lane's bits do not depend on
+    the other lanes while BLAS forms the stage sums on one thread;
+    OpenBLAS splits them between threads past about 10,000 lanes, and
+    then rounds the last lanes of a batch of odd width differently.
     """
     _validate_tol(tol)
     stop_times = np.atleast_1d(np.asarray(stops, dtype=float))
@@ -543,7 +567,8 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
         k = np.empty((_dop.N_STAGES + 1,) + y.shape)
         stages = k.reshape(k.shape[0], -1)  # a view, one row per stage
         min_step = 10.0 * np.spacing(t)  # ten ulps, as t >= 0
-        if np.any(rejected & (h_abs < min_step)):
+        # a NaN step too: it never shrinks, and its attempt is rejected
+        if np.any(rejected & ~(h_abs >= min_step)):
             raise StiffnessError("step size underflow in a lane-batched solve")
         h_abs = np.maximum(h_abs, min_step)
         t_new = np.minimum(t + h_abs, t_stop)

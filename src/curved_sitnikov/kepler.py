@@ -152,9 +152,17 @@ def _anomaly_geometry(u, r, epsilon: float):
 
     ``rho = 1 - eps cos u`` is ``dt/du``, ``a = r rho`` is the primaries'
     radius and ``t = u - eps sin u`` is the time.  ``u`` and ``r`` may be
-    arrays.  This is the time change of every lane solve in
-    eccentric-anomaly time.
+    arrays; ``rho`` and ``t`` take the shape of ``u``, ``a`` that of
+    ``u`` and ``r`` broadcast.  This is the time change of every lane
+    solve in eccentric-anomaly time.  Circular primaries
+    (``epsilon == 0``) take no trigonometry: ``rho = 1``, ``a = r`` and
+    ``t = u``, equal to the general formula bit for bit at every finite
+    ``u`` but ``-0.0`` (whose time the formula makes ``+0.0``), as
+    ``solve_kepler`` returns ``M`` at once.
     """
+    if epsilon == 0.0:
+        rho = np.ones(np.shape(u))
+        return rho, r * rho, u
     rho = 1.0 - epsilon * np.cos(u)
     return rho, r * rho, u - epsilon * np.sin(u)
 

@@ -101,7 +101,11 @@ class StabilityIntervals:
 
 @dataclass
 class CensusResult:
-    """Interchange count from a budgeted adaptive scan toward the ceiling."""
+    """Interchange count from a budgeted adaptive scan toward the ceiling.
+
+    ``level_counts`` holds the count after each completed level, from
+    ``CENSUS_START_LEVEL`` to ``levels_completed``; ``count`` is its last.
+    """
 
     epsilon: float
     count: int
@@ -110,6 +114,7 @@ class CensusResult:
     budget: int
     budget_exhausted: bool
     levels_completed: int
+    level_counts: list[int]
     r_range: tuple[float, float]
     sample_rs: list = field(default_factory=list)
 
@@ -121,6 +126,7 @@ class CensusResult:
             "budget": self.budget,
             "budget_exhausted": self.budget_exhausted,
             "levels_completed": self.levels_completed,
+            "level_counts": self.level_counts,
             "r_range": list(self.r_range),
             "intervals": self.intervals.to_json_dict(),
         }
@@ -335,6 +341,25 @@ def find_transitions(curve: TraceCurve,
                               suspect=suspect)
 
 
+def _plateau_run(counts: list[int]) -> int:
+    """Length of the trailing run of equal nonzero counts; 0 after a zero."""
+    run = 0
+    while run < len(counts) and counts[-1 - run] == counts[-1] > 0:
+        run += 1
+    return run
+
+
+def _level_fracs(level: int) -> list[float]:
+    """Fractions of the log-gap range that census level ``level`` adds.
+
+    The first level holds both ends and ``2**level - 1`` points between;
+    each later one the midpoints of the level before.
+    """
+    if level == CENSUS_START_LEVEL:
+        return [j / 2 ** level for j in range(2 ** level + 1)]
+    return [j / 2 ** level for j in range(1, 2 ** level, 2)]
+
+
 def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
                        r_start_fraction: float = CENSUS_START_FRACTION,
                        tol: float = DEFAULT_SCAN_TOL) -> CensusResult:
@@ -342,12 +367,17 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
 
     Nested grids, geometric in the gap ``ceiling - r``, are refined level
     by level (each level doubles the cell count and evaluates only the new
-    midpoints, so the count is monotone in the budget).  Each level's new
-    radii take one lane-batched, half-period solve in eccentric-anomaly
-    time (``floquet._antipode_half_traces``).  Refinement stops when the
-    remaining budget cannot pay for the next level or when a nonzero count
-    has held for ``CENSUS_PLATEAU_LEVELS`` consecutive levels; a zero count
-    may hide intervals narrower than a cell, so it never stops refinement.
+    midpoints, so the count is monotone in the budget).  Refinement stops
+    when the remaining budget cannot pay for the next level or when a
+    nonzero count has held for ``CENSUS_PLATEAU_LEVELS`` consecutive
+    levels; a zero count may hide intervals narrower than a cell, so it
+    never stops refinement.  After a trailing run of ``k`` equal nonzero
+    counts (``k = 0`` after a zero) the next ``CENSUS_PLATEAU_LEVELS - k``
+    levels are counted whatever they read, so their new radii, as many
+    levels as the budget pays for, take one lane-batched, half-period
+    solve in eccentric-anomaly time (``floquet._antipode_half_traces``);
+    the levels are then tiled and counted one by one, as if each had its
+    own solve.  ``level_counts`` records the count after each level.
     Only elliptic intervals that are neither first nor last, i.e. flanked
     by non-elliptic samples on both sides, are counted, so a partial census
     under-counts rather than guesses.  ``ValueError`` unless the eccentricity
@@ -371,31 +401,37 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
     g_lo = ceiling - r_hi
     period = coefficient_period(epsilon)
 
-    counts: list[int] = []
+    counts: list[int] = []  # one per level
     samples: list[tuple[float, float]] = []
     intervals: list[tuple[float, float, str]] = []
     transitions: list[dict] = []
     budget_exhausted = False
-    levels_completed = 0
-    level = CENSUS_START_LEVEL
-    fracs = [j / 2 ** level for j in range(2 ** level + 1)]
-    while True:
-        if len(samples) + len(fracs) > budget:
-            budget_exhausted = True
-            break
-        rs = [ceiling - g_hi * (g_lo / g_hi) ** frac for frac in fracs]
-        hs = _antipode_half_traces(rs, epsilon, tol)
-        samples.extend(zip(rs, hs.tolist()))
-        samples.sort()
-        # Census brackets stay the grid cells that hold them.
-        intervals, transitions = _tile(samples, lambda lo, hi, _: (lo, hi))
-        counts.append(sum(cls == ELLIPTIC for _, _, cls in intervals[1:-1]))
-        levels_completed = level
-        if (len(counts) >= CENSUS_PLATEAU_LEVELS and counts[-1] > 0
-                and len(set(counts[-CENSUS_PLATEAU_LEVELS:])) == 1):
-            break
-        level += 1
-        fracs = [j / 2 ** level for j in range(1, 2 ** level, 2)]
+    while (not budget_exhausted
+           and _plateau_run(counts) < CENSUS_PLATEAU_LEVELS):
+        # No plateau can hold before the next CENSUS_PLATEAU_LEVELS - run
+        # levels are counted, so those that fit the budget take one solve.
+        first = CENSUS_START_LEVEL + len(counts)
+        batch: list[list[float]] = []
+        for level in range(first, first + CENSUS_PLATEAU_LEVELS
+                           - _plateau_run(counts)):
+            fracs = _level_fracs(level)
+            budget_exhausted = (len(samples) + sum(map(len, batch))
+                                + len(fracs) > budget)
+            if budget_exhausted:
+                break
+            batch.append([ceiling - g_hi * (g_lo / g_hi) ** frac
+                          for frac in fracs])
+        if batch:
+            hs = iter(_antipode_half_traces(sum(batch, []), epsilon,
+                                            tol).tolist())
+            for rs in batch:
+                samples.extend(zip(rs, hs))
+                samples.sort()
+                # Census brackets stay the grid cells that hold them.
+                intervals, transitions = _tile(samples,
+                                               lambda lo, hi, _: (lo, hi))
+                counts.append(sum(cls == ELLIPTIC
+                                  for _, _, cls in intervals[1:-1]))
 
     tiling = StabilityIntervals(
         q_star=math.pi, epsilon=epsilon, period=period, intervals=intervals,
@@ -405,7 +441,9 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
     return CensusResult(epsilon=epsilon, count=counts[-1] if counts else 0,
                         intervals=tiling, evaluations=len(samples),
                         budget=budget, budget_exhausted=budget_exhausted,
-                        levels_completed=levels_completed,
+                        levels_completed=(CENSUS_START_LEVEL + len(counts) - 1
+                                          if counts else 0),
+                        level_counts=counts,
                         r_range=(r_lo, r_hi),
                         sample_rs=[r for r, _ in samples])
 

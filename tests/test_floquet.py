@@ -288,6 +288,21 @@ class TestWinding:
                 -20.0 * math.pi, abs=1e-6)
         assert len(calls) == 2 and calls[1] > calls[0]
 
+    def test_arg_route_takes_each_midpoint_as_one_step(self):
+        # a = 100 over 2 pi: the solve makes 2246 coefficient calls and its
+        # 15 midpoints 11 each, one step from the start of the step that
+        # covers them; solving again with them as stops made 4657
+        calls = []
+
+        def a(t):
+            calls.append(t)
+            return 100.0
+
+        assert winding_angle(a, 0.0, TWO_PI, 1 + 0j, tol=1e-10,
+                             method="arg") == pytest.approx(-20.0 * math.pi,
+                                                            abs=1e-6)
+        assert len(calls) == 2246 + 11 * 15
+
     def test_rejects_zero_phase(self):
         with pytest.raises(ValueError):
             winding_angle(lambda t: 1.0, 0.0, 1.0, 0j)

@@ -334,6 +334,20 @@ class TestVariational:
         np.testing.assert_allclose(mat.as_array(), [[-1.0, 0.0], [0.0, -1.0]],
                                    atol=1e-9)
 
+    def test_nan_coefficient_raises_at_once(self, monkeypatch):
+        # a NaN step size is an underflow: it used to pass the "h < min"
+        # test and retry until the call cap
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", 1000)
+        calls = []
+
+        def a(t):
+            calls.append(t)
+            return math.nan
+
+        with pytest.raises(StiffnessError, match="underflow"):
+            integrate_variational(a, math.pi, 1e-10)
+        assert len(calls) <= 2 + 2 * 12  # within two step attempts
+
     def test_blow_up_raises_step_underflow(self):
         # x'' = x / (1 - t)^4 blows up at t = 1, as the lane core's twin
         with pytest.raises(StiffnessError,
@@ -373,38 +387,61 @@ class TestFloatEngine:
         rhs = _theta_rhs(a)
         sol = solve_ivp(rhs, (t0, t1), [th0], method="DOP853", rtol=1e-10,
                         atol=1e-10)
-        ts, ys, nfev = integrate._dop853_floats(rhs, t0, t1, [th0], 1e-10,
-                                                ())
+        ts, ys, fs, nfev = integrate._dop853_floats(rhs, t0, t1, [th0],
+                                                    1e-10)
         assert nfev == sol.nfev
         assert len(ts) == len(sol.t)
         assert ts[-1] == t1
         assert ys[-1][0] == pytest.approx(sol.y[0, -1], abs=1e-12)
 
     def test_stops_do_not_move_steps(self):
-        # x'' = -x from (1, 0) is (cos t, -sin t); each stop costs the 11
-        # stage calls of one more step from the start of its step
+        # x'' = -x from (1, 0) at t0 is (cos(t - t0), -sin(t - t0)), forward
+        # and backward; each stop strictly inside a step costs the 11 stage
+        # calls of one more step from that step's start, and the rest are
+        # left out
         def rhs(t, y):
             return [y[1], -y[0]]
 
-        ts, ys, nfev = integrate._dop853_floats(rhs, 0.0, 3.0, [1.0, 0.0],
-                                                1e-10, ())
-        stops = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
-        got_ts, got_ys, got_nfev = integrate._dop853_floats(
-            rhs, 0.0, 3.0, [1.0, 0.0], 1e-10, stops)
-        assert got_nfev == nfev + 11 * len(stops)
-        assert got_ts == sorted(ts + stops)
-        assert got_ys[::2] == ys
-        np.testing.assert_allclose(got_ys, [[math.cos(t), -math.sin(t)]
-                                            for t in got_ts], atol=1e-9)
+        for t0, t1 in [(0.0, 3.0), (3.0, 0.0)]:
+            ts, ys, fs, nfev = integrate._dop853_floats(rhs, t0, t1,
+                                                        [1.0, 0.0], 1e-10)
+            mids = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
+            stops = ([t0 - (t1 - t0), t0]
+                     + sorted(mids + ts[1:3], reverse=t1 < t0) + [t1])
+            got_ts, got_ys, got_nfev = integrate._float_stops(
+                rhs, (ts, ys, fs), stops, nfev)
+            assert got_nfev == nfev + 11 * len(mids)
+            assert got_ts == mids
+            assert got_ys == [
+                integrate._float_step(rhs, ta, ya, fa, tm - ta)[0]
+                for ta, ya, fa, tm in zip(ts, ys, fs, mids)]
+            np.testing.assert_allclose(got_ys, [[math.cos(t - t0),
+                                                 -math.sin(t - t0)]
+                                                for t in got_ts], atol=1e-9)
+
+    def test_stops_count_against_the_cap(self, monkeypatch):
+        def rhs(t, y):
+            return [y[1], -y[0]]
+
+        ts, ys, fs, nfev = integrate._dop853_floats(rhs, 0.0, 3.0, [1.0, 0.0],
+                                                    1e-10)
+        mids = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV",
+                            nfev + 11 * len(mids))
+        integrate._float_stops(rhs, (ts, ys, fs), mids, nfev)
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV",
+                            nfev + 11 * len(mids) - 1)
+        with pytest.raises(StiffnessError, match="right-hand-side calls"):
+            integrate._float_stops(rhs, (ts, ys, fs), mids, nfev)
 
     def test_call_counter_is_exact(self, monkeypatch):
         rhs = _theta_rhs(_HILL_03)
-        nfev = integrate._dop853_floats(rhs, 0.0, TWO_PI, [0.0], 1e-10, ())[2]
+        nfev = integrate._dop853_floats(rhs, 0.0, TWO_PI, [0.0], 1e-10)[3]
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", nfev)
-        integrate._dop853_floats(rhs, 0.0, TWO_PI, [0.0], 1e-10, ())
+        integrate._dop853_floats(rhs, 0.0, TWO_PI, [0.0], 1e-10)
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", nfev - 1)
         with pytest.raises(StiffnessError, match="right-hand-side calls"):
-            integrate._dop853_floats(rhs, 0.0, TWO_PI, [0.0], 1e-10, ())
+            integrate._dop853_floats(rhs, 0.0, TWO_PI, [0.0], 1e-10)
 
     def test_nan_slope_raises_at_once(self):
         calls = []
@@ -414,7 +451,7 @@ class TestFloatEngine:
             return [math.nan]
 
         with pytest.raises(StiffnessError, match="step size underflow"):
-            integrate._dop853_floats(rhs, 0.0, 1.0, [0.0], 1e-10, ())
+            integrate._dop853_floats(rhs, 0.0, 1.0, [0.0], 1e-10)
         assert len(calls) == 2  # the start and the initial-step probe
 
 
@@ -565,6 +602,20 @@ class TestLanes:
 
         with pytest.raises(StiffnessError, match="underflow"):
             _dop853_lanes(_identity, rhs, 1.0, np.array([1.0]), 2, 1e-9)
+
+    def test_nan_slope_raises_at_once(self, monkeypatch):
+        # a NaN slope at t = 0 makes a NaN step size, an underflow; it used
+        # to pass the "h < min" test and retry until the call cap
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", 1000)
+        calls = []
+
+        def rhs(t, y, lanes):
+            calls.append(t)
+            return np.full_like(y, np.nan)
+
+        with pytest.raises(StiffnessError, match="underflow"):
+            _dop853_lanes(_identity, rhs, 1.0, np.array([1.0]), 2, 1e-9)
+        assert len(calls) <= 2 + 2 * 12  # within two step attempts
 
     @pytest.mark.parametrize("tol", [1e-14, 1e-5])
     def test_tolerance_window_enforced(self, tol):

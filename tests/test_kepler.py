@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curved_sitnikov import kepler
-from curved_sitnikov.kepler import (ModelParams, _positions, ephemeris,
-                                    radial_factor, radial_factor_derivatives,
-                                    solve_kepler)
+from curved_sitnikov.kepler import (ModelParams, _anomaly_geometry,
+                                    _positions, ephemeris, radial_factor,
+                                    radial_factor_derivatives, solve_kepler)
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,6 +121,25 @@ class TestRadialFactor:
         rm = radial_factor(t - h, eps)
         assert rho_d == pytest.approx((rp - rm) / (2 * h), abs=1e-9)
         assert rho_dd == pytest.approx((rp - 2 * rho + rm) / h**2, abs=1e-5)
+
+
+class TestAnomalyGeometry:
+    @pytest.mark.parametrize("u", [
+        1.25, np.array([-7.0, 0.0, 5e-324, 1e6]),
+        np.linspace(-1.0, 40.0, 12).reshape(3, 4)],
+        ids=["scalar-u", "1d-u", "2d-u"])
+    @pytest.mark.parametrize("r", [1.9, np.array([0.5, 1.0, 1.5, 1.999])],
+                             ids=["scalar-r", "array-r"])
+    def test_circular_takes_no_trigonometry_and_the_same_bits(self, u, r):
+        # the shortcut returns rho = 1, a = r, t = u; the general formula
+        # at eps = 0 rounds to exactly these
+        eps = 0.0
+        rho = 1.0 - eps * np.cos(u)
+        want = (rho, r * rho, u - eps * np.sin(u))
+        for got, expected in zip(_anomaly_geometry(u, r, eps), want):
+            assert np.shape(got) == np.shape(expected)
+            assert (np.asarray(got, dtype=float).tobytes()
+                    == np.asarray(expected).tobytes())
 
 
 class TestPrimaryPositions:

@@ -12,7 +12,7 @@ from curved_sitnikov.cli import _write_csv, main
 from curved_sitnikov.floquet import ELLIPTIC, HYPERBOLIC, Monodromy, monodromy
 from curved_sitnikov.integrate import FundamentalMatrix
 from curved_sitnikov.model import coefficient_period, hill_coefficient
-from curved_sitnikov.kepler import ModelParams
+from curved_sitnikov.kepler import ModelParams, collision_ceiling
 from curved_sitnikov.scan import (TraceCurve, _half_trace, eps_scan_origin,
                                   find_transitions, interchange_census,
                                   trace_curve)
@@ -350,6 +350,45 @@ class TestBrentRoot:
         assert len(_brackets(ours)) == 1
 
 
+def _census_level_by_level(epsilon, r_max_fraction, budget,
+                           r_start_fraction, tol):
+    """The census with one lane solve per level: the batched census must
+    return exactly this."""
+    ceiling = collision_ceiling(epsilon)
+    r_hi = min(r_max_fraction * ceiling, ceiling - scan.CEILING_MARGIN)
+    r_lo = r_start_fraction * ceiling
+    g_hi, g_lo = ceiling - r_lo, ceiling - r_hi
+    counts, samples, intervals, transitions = [], [], [], []
+    exhausted, completed = False, 0
+    level = scan.CENSUS_START_LEVEL
+    fracs = [j / 2 ** level for j in range(2 ** level + 1)]
+    while True:
+        if len(samples) + len(fracs) > budget:
+            exhausted = True
+            break
+        rs = [ceiling - g_hi * (g_lo / g_hi) ** frac for frac in fracs]
+        hs = scan._antipode_half_traces(rs, epsilon, tol).tolist()
+        samples = sorted(samples + list(zip(rs, hs)))
+        intervals, transitions = scan._tile(samples,
+                                            lambda lo, hi, _: (lo, hi))
+        counts.append(sum(cls == ELLIPTIC for _, _, cls in intervals[1:-1]))
+        completed = level
+        if counts[-1] > 0 and counts[-3:] == [counts[-1]] * 3:
+            break
+        level += 1
+        fracs = [j / 2 ** level for j in range(1, 2 ** level, 2)]
+    tiling = scan.StabilityIntervals(
+        q_star=math.pi, epsilon=epsilon,
+        period=coefficient_period(epsilon), intervals=intervals,
+        transitions=transitions,
+        refine_tol=samples[1][0] - samples[0][0] if len(samples) > 1 else 0.0)
+    return scan.CensusResult(
+        epsilon=epsilon, count=counts[-1] if counts else 0, intervals=tiling,
+        evaluations=len(samples), budget=budget, budget_exhausted=exhausted,
+        levels_completed=completed, level_counts=counts, r_range=(r_lo, r_hi),
+        sample_rs=[r for r, _ in samples])
+
+
 class TestCensus:
     def test_counts_alternations_near_ceiling(self):
         result = interchange_census(0.0, 0.99975, budget=300,
@@ -406,6 +445,7 @@ class TestCensus:
         assert main(argv) == 0
         assert capsys.readouterr().out == batched
         assert json.loads(batched)["evaluations"] == 65
+        assert json.loads(batched)["level_counts"] == [2, 3, 4]
 
     def test_plateau_stops_refinement(self):
         # the count holds at 16 over levels 9-11, so the census stops there
@@ -416,6 +456,36 @@ class TestCensus:
         assert result.evaluations == 2 ** 11 + 1
         assert result.levels_completed == 11
         assert not result.budget_exhausted
+
+    @pytest.mark.parametrize("r_max_fraction, sizes, counts", [
+        (0.999, [65, 192, 768, 1024], [2, 4, 7, 12, 14, 16, 16, 16]),
+        (0.99975, [65, 192, 768, 3072], [1, 2, 4, 9, 17, 28, 34, 34, 34]),
+    ], ids=["bench-ceiling", "verify"])
+    def test_levels_the_plateau_needs_take_one_solve(
+            self, monkeypatch, r_max_fraction, sizes, counts):
+        # the plateau needs 3 equal nonzero counts, so after a trailing run
+        # of k of them the next 3 - k levels are counted whatever they read
+        solve, seen = scan._antipode_half_traces, []
+
+        def spy(rs, epsilon, tol):
+            seen.append(len(rs))
+            return solve(rs, epsilon, tol)
+
+        monkeypatch.setattr(scan, "_antipode_half_traces", spy)
+        result = interchange_census(0.0, r_max_fraction, budget=100_000,
+                                    r_start_fraction=0.95)
+        assert seen == sizes
+        assert result.level_counts == counts
+        assert result.to_json_dict()["level_counts"] == counts
+        assert result.levels_completed == 3 + len(counts)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("budget", [1, 17, 40, 64, 65, 300, 100_000])
+    def test_batches_equal_one_solve_per_level(self, budget, eps):
+        # 40 and 64 run out inside the first batch (17 + 16 fit, 32 not);
+        # at eps 0.1 the first five levels all count 0
+        args = (eps, 0.999, budget, 0.95, 1e-9)
+        assert interchange_census(*args) == _census_level_by_level(*args)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
