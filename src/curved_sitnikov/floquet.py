@@ -22,7 +22,7 @@ from .model import (_antipode_dforce_dq, coefficient_period,
                     cubic_coefficient, hill_coefficient)
 from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix,
                         _dop853_floats, _dop853_lanes, _float_stops,
-                        integrate_variational)
+                        _float_trial, integrate_variational)
 
 DEFAULT_DELTA_PAR = 1e-9
 DET_CORRUPT_TOL = 1e-6
@@ -188,13 +188,14 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
             c, s = math.cos(y[0]), math.sin(y[0])
             return [-(a(t) * c * c + s * s)]
 
-        ys = _dop853_floats(rhs, t0, t1, [th0], tol)[1]
+        ys = _dop853_floats(rhs, t0, t1, [th0], tol, _float_trial(rhs))[1]
         return ys[-1][0] - th0
 
     def rhs(t, y):
         return [y[1], -a(t) * y[0]]
 
-    ts, ys, fs, nfev = _dop853_floats(rhs, t0, t1, [z0.real, z0.imag], tol)
+    ts, ys, fs, nfev = _dop853_floats(rhs, t0, t1, [z0.real, z0.imag], tol,
+                                      _float_trial(rhs))
     steps = ts, ys, fs
     for _ in range(40):
         xs = np.array(ys)

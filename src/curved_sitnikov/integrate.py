@@ -1,27 +1,27 @@
 """Time stepping for the nonlinear flow and the 2x2 variational flow.
 
 Adaptive solves use the embedded Runge-Kutta pair DOP853 (order 8(5,3)) in
-one of three forms, all with the tolerance window checked and a failed
-solve raising :class:`StiffnessError`, and all with the step rules of
+one of two loops, both with the tolerance window checked and a failed
+solve raising :class:`StiffnessError`, and both with the step rules of
 scipy's DOP853 solver (Hairer, Norsett and Wanner, *Solving ODEs I*,
-II.4-II.5): single monodromies (``integrate_variational``) step on Python
-floats in a loop unrolled for their 4-dimensional system; the winding
-routes' small nonlinear systems step on Python floats in
-``_dop853_floats``; orbits and many independent solves go through
-``_dop853_lanes``, which steps them side by side as the lanes of one
-array.  The two float loops share the error norm and the step factors.
-The orbits' lane system ``_orbit_system`` lives here too, the census's
-with its caller in ``floquet._antipode_half_traces``.  The DOP853 tables
-are scipy's, loaded from their file without importing
+II.4-II.5): small systems step on Python floats in ``_dop853_floats``,
+and orbits and many independent solves go through ``_dop853_lanes``,
+which steps them side by side as the lanes of one array.  The float loop
+takes its trial step from the caller: single monodromies
+(``integrate_variational``) pass one unrolled for their 4-component
+system, the winding routes the generic ``_float_trial``; both give the
+same floats.  The orbits' lane system ``_orbit_system`` lives here too,
+the census's with its caller in ``floquet._antipode_half_traces``.  The
+DOP853 tables are scipy's, loaded from their file without importing
 ``scipy.integrate``; no solve imports a scipy solver.  Float solves, and
 each lane between two stops, stop with :class:`StiffnessError` past
 ``MAX_VARIATIONAL_NFEV`` right-hand-side calls, and orbits at
 ``MAX_GRID_POINTS`` rows, so every admissible input ends in bounded
-work.  A step count ``fixed_steps`` selects a fixed-step
-classical RK4 for bit-reproducible orbit baselines, ``None`` DOP853.
-All engines are reentrant and hold no state between calls; the flow is
-smooth away from collisions, so no symplectic or stiff machinery is needed
-at these horizons.
+work.  A step count ``fixed_steps`` selects a fixed-step classical RK4
+for bit-reproducible orbit baselines, ``None`` DOP853.  All engines are
+reentrant and hold no state between calls; the flow is smooth away from
+collisions, so no symplectic or stiff machinery is needed at these
+horizons.
 """
 
 from __future__ import annotations
@@ -72,11 +72,12 @@ class Trajectory:
 
 @dataclass
 class FundamentalMatrix:
-    """Value after one period of the fundamental solution with ``X(0) = I``.
+    """Fundamental solution with ``X(0) = I`` at the end time of its solve.
 
-    Columns are the solutions with initial conditions ``(1,0)`` and
-    ``(0,1)``; since the linear system is trace-free the determinant
-    (Wronskian) stays 1 up to integration error.
+    That is half a period for ``floquet.monodromy`` and a full one in the
+    Wronskian check.  Columns are the solutions with initial conditions
+    ``(1,0)`` and ``(0,1)``; since the linear system is trace-free the
+    determinant (Wronskian) stays 1 up to integration error.
     """
 
     x1: float
@@ -225,65 +226,43 @@ def integrate_variational(a: Callable[[float], float], period: float,
 
     ``a`` is the coefficient, e.g. the Hill coefficient of a linearization
     (``model.hill_coefficient``), called once per right-hand-side call.
-    Both columns are integrated together as a 4-dimensional linear system,
-    state ``(x1, y1, x2, y2)``, by a DOP853 over Python floats at
-    ``rtol = atol = tol`` that takes scipy's DOP853 steps: the initial
-    step of ``_initial_steps``, the E5/E3 error norm, step factors
-    0.9/0.2/10 and no growth right after a rejection.  Its stage sums run
-    in another order than scipy's, so the two agree to roundoff.  A step
-    below ten ulps of ``t`` after a rejection, a NaN step (from a NaN
-    coefficient at 0), or more than ``MAX_VARIATIONAL_NFEV``
-    right-hand-side calls raises :class:`StiffnessError`.
+    Both columns are integrated together as the 4-component system
+    ``(x1, y1, x2, y2)`` of ``_variational_system`` by ``_dop853_floats``
+    at ``rtol = atol = tol``, so that loop's step rules and errors hold.
     """
-    _validate_tol(tol)
-    max_nfev = MAX_VARIATIONAL_NFEV
-
-    def lane_rhs(t, y, lanes):  # the system as one lane, for the first step
-        at = a(float(t[0]))
-        return np.array([y[1], -at * y[0], y[3], -at * y[2]])
-
-    lane = np.zeros(1, dtype=int)
-    y = np.array([[1.0], [0.0], [0.0], [1.0]])
-    f = lane_rhs(np.zeros(1), y, lane)
-    h_abs = float(_initial_steps(lambda t, lanes: t, lane_rhs, period, y, f,
-                                 lane, tol)[0])
-    nfev = 2
-    t, y, f = 0.0, (1.0, 0.0, 0.0, 1.0), tuple(f[:, 0].tolist())
-    while t < period:
-        min_step = 10.0 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        x1, y1, x2, y2 = y
-        while True:
-            if not h_abs >= min_step:  # a NaN step too, which never shrinks
-                raise StiffnessError("step size underflow in a variational "
-                                     "solve")
-            if nfev + _dop.N_STAGES > max_nfev:
-                raise StiffnessError(f"variational solve exceeded {max_nfev} "
-                                     f"right-hand-side calls")
-            t_new = min(t + h_abs, period)
-            h = h_abs = t_new - t
-            k = [f]
-            for c, row in _STAGES:
-                d1, d2, d3, d4 = _combine(row, k)
-                at = a(t + c * h)
-                k.append((y1 + d2 * h, -at * (x1 + d1 * h),
-                          y2 + d4 * h, -at * (x2 + d3 * h)))
-            d1, d2, d3, d4 = _combine(_WEIGHTS, k)
-            y_new = (x1 + h * d1, y1 + h * d2, x2 + h * d3, y2 + h * d4)
-            at = a(t + h)
-            f_new = (y_new[1], -at * y_new[0], y_new[3], -at * y_new[2])
-            nfev += _dop.N_STAGES
-
-            error = _error_norm(_combine(_E5_WEIGHTS, k),
-                                _combine(_E3_WEIGHTS, k), y, y_new, h, tol)
-            h_abs *= _step_factor(error, rejected)
-            if error < 1.0:
-                break
-            rejected = True
-        t, y, f = t_new, y_new, f_new
-    x1, y1, x2, y2 = y
+    rhs, trial = _variational_system(a)
+    _, ys, _, nfev = _dop853_floats(rhs, 0.0, period, (1.0, 0.0, 0.0, 1.0),
+                                    tol, trial)
+    x1, y1, x2, y2 = ys[-1]
     return FundamentalMatrix(x1=x1, x2=x2, y1=y1, y2=y2, n_rhs=nfev)
+
+
+def _variational_system(a):
+    """``v' = [[0,1],[-a(t),0]] v`` for both columns as ``(rhs, trial)``.
+
+    ``rhs`` and ``trial`` are the system and trial step ``_dop853_floats``
+    takes, state ``(x1, y1, x2, y2)``.  The trial is ``_float_trial(rhs)``
+    with its stage arithmetic unrolled for the 4 components: the same
+    floats, 1.6 to 2 times as fast.
+    """
+    def rhs(t, y):
+        at = a(t)
+        return y[1], -at * y[0], y[3], -at * y[2]
+
+    def trial(t, y, f, h):
+        x1, y1, x2, y2 = y
+        k = [f]
+        for c, row in _STAGES:
+            d1, d2, d3, d4 = _combine(row, k)
+            at = a(t + c * h)
+            k.append((y1 + d2 * h, -at * (x1 + d1 * h),
+                      y2 + d4 * h, -at * (x2 + d3 * h)))
+        d1, d2, d3, d4 = _combine(_WEIGHTS, k)
+        y_new = x1 + h * d1, y1 + h * d2, x2 + h * d3, y2 + h * d4
+        return (y_new, rhs(t + h, y_new), _combine(_E5_WEIGHTS, k),
+                _combine(_E3_WEIGHTS, k))
+
+    return rhs, trial
 
 
 def _combine(row, k) -> tuple[float, float, float, float]:
@@ -353,17 +332,33 @@ def _float_step(rhs, t: float, y, f, h: float):
     return [v + h * dv for v, dv in zip(y, d)], k
 
 
-def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float):
+def _float_trial(rhs):
+    """The generic trial step of ``_dop853_floats``: ``_float_step``."""
+    def trial(t, y, f, h):
+        y_new, k = _float_step(rhs, t, y, f, h)
+        return (y_new, rhs(t + h, y_new), _combine_floats(_E5_WEIGHTS, k),
+                _combine_floats(_E3_WEIGHTS, k))
+
+    return trial
+
+
+def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float, trial):
     """Solve a small system ``y' = rhs(t, y)`` from ``t0`` to ``t1``.
 
     ``rhs`` maps a time and a state (a sequence of floats) to the slope,
-    a sequence of floats.  The solve is a DOP853 over Python floats at
-    ``rtol = atol = tol`` that takes scipy's DOP853 steps, forward or
-    backward: the initial step of ``_initial_steps``, the E5/E3 error
-    norm, step factors 0.9/0.2/10 and no growth right after a rejection.
-    Returns ``(ts, ys, fs, nfev)``: the times, states and slopes at ``t0``
-    and at every accepted step's end, ordered from ``t0`` to ``t1``, and
-    the right-hand-side calls made; ``t1 == t0`` takes no step.  Each
+    a sequence of floats.  ``trial(t, y, f, h)`` is one DOP853 step of
+    signed length ``h`` from ``(t, y)`` with slope ``f`` there, 12 calls
+    of ``rhs``; it returns the new state, the slope there and the stage
+    sums of ``_E5_WEIGHTS`` and ``_E3_WEIGHTS``.  ``_float_trial(rhs)``
+    serves any system; ``_variational_system`` has an unrolled one.  The
+    solve is a DOP853 over Python floats at ``rtol = atol = tol`` that
+    takes scipy's DOP853 steps, forward or backward: the initial step of
+    ``_initial_steps``, the E5/E3 error norm, step factors 0.9/0.2/10 and
+    no growth right after a rejection.  Its stage sums run in another
+    order than scipy's, so the two agree to roundoff.  Returns
+    ``(ts, ys, fs, nfev)``: the times, states and slopes at ``t0`` and at
+    every accepted step's end, ordered from ``t0`` to ``t1``, and the
+    right-hand-side calls made; ``t1 == t0`` takes no step.  Each
     accepted step starts from the entry before its end, so
     ``_float_stops`` can sample the solve between them.  A step below ten
     ulps of ``t`` after a rejection, a NaN step (from a NaN slope at
@@ -398,11 +393,8 @@ def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float):
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
-            y_new, k = _float_step(rhs, t, y, f, h)
-            f_new = rhs(t + h, y_new)
-            error = _error_norm(_combine_floats(_E5_WEIGHTS, k),
-                                _combine_floats(_E3_WEIGHTS, k), y, y_new,
-                                h_abs, tol)
+            y_new, f_new, e5s, e3s = trial(t, y, f, h)
+            error = _error_norm(e5s, e3s, y, y_new, h_abs, tol)
             h_abs *= _step_factor(error, rejected)
             if error < 1.0:
                 break
@@ -467,7 +459,7 @@ _ERROR_ORDER = 7
 _ERROR_EXPONENT = -1.0 / (_ERROR_ORDER + 1)
 _A = _dop.A[:_dop.N_STAGES, :_dop.N_STAGES]
 
-# The tableau as Python floats for ``integrate_variational``: stages 1-11
+# The tableau as Python floats for the float trial steps: stages 1-11
 # as their node and nonzero ``(j, A[s, j])``, and the nonzero ``(j, w[j])``
 # of the weights and of the two error estimators (neither weighs the slope
 # at the step's end).
@@ -536,10 +528,12 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     step below ten ulps of ``t`` after a rejection, a NaN step (from a NaN
     slope at ``t = 0``, raised once its first attempt is rejected), or a
     lane past ``MAX_VARIATIONAL_NFEV`` right-hand-side calls since its last
-    stop raises :class:`StiffnessError`.  A lane's bits do not depend on
-    the other lanes while BLAS forms the stage sums on one thread;
-    OpenBLAS splits them between threads past about 10,000 lanes, and
-    then rounds the last lanes of a batch of odd width differently.
+    stop raises :class:`StiffnessError`.  BLAS forms the stage sums, so a
+    lane's bits may depend on the batch: OpenBLAS rounds a sum of 1 to 3
+    columns (one lane of a 2-component system) differently from the same
+    columns among 4 or more, and on two threads splits a sum of more than
+    about 42,000 columns.  Lanes of 4 or more components below that width
+    keep their bits in any batch; a fixed-order stage sum would keep all.
     """
     _validate_tol(tol)
     stop_times = np.atleast_1d(np.asarray(stops, dtype=float))

@@ -82,3 +82,26 @@ def test_option_count_does_not_grow():
     total = sum(_option_count(ast.parse(path.read_text()))
                 for path in package.glob("*.py"))
     assert total <= MAX_OPTIONS
+
+
+# One adaptive DOP853 loop per data shape: Python floats and lanes.  A
+# third caller of the shared first-step rule is a third step loop.
+INITIAL_STEP_CALLERS = ["integrate._dop853_floats", "integrate._dop853_lanes"]
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    return any(isinstance(call, ast.Call)
+               and name in (getattr(call.func, "id", None),
+                            getattr(call.func, "attr", None))
+               for call in ast.walk(node))
+
+
+def test_one_step_loop_per_data_shape():
+    package = pathlib.Path(curved_sitnikov.__file__).parent
+    callers = sorted(f"{path.stem}.{node.name}"
+                     for path in package.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                     and _calls(node, "_initial_steps"))
+    assert callers == INITIAL_STEP_CALLERS

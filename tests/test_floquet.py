@@ -128,6 +128,21 @@ class TestAntipodeHalfTraces:
         # both classes occur, so the class comparison decides something
         assert 0 < np.sum(np.abs(want) < 1.0) < len(rs)
 
+    @pytest.mark.parametrize("width", [2, 5, 17])
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_a_lane_keeps_its_bits_in_any_batch(self, eps, width):
+        # 4-component lanes: BLAS rounds a stage sum of 4 or more columns
+        # the same at every width (on one thread, and on two below about
+        # 42,000 columns), so a radius gets the same bits alone and among
+        # others; 2-component lanes do not (1-3 columns round apart)
+        ceiling = 2.0 / (1.0 + eps)
+        r = 0.8 * ceiling
+        others = ceiling * np.linspace(0.4, 0.999, width - 1)
+        at = (width - 1) // 2
+        batch = np.insert(others, at, r)
+        alone = _antipode_half_traces([r], eps, tol=1e-9)[0]
+        assert _antipode_half_traces(batch, eps, tol=1e-9)[at] == alone
+
     def test_rejects_inadmissible_parameters(self):
         for rs, eps in (([1.0, 2.0], 0.0), ([0.0, 1.0], 0.0),
                         ([1.0], -0.1), ([1.0], 1.0)):
@@ -382,6 +397,65 @@ for method in ("theta", "arg"):
         theta = winding_angle(lambda t: 1.0 + 0.5 * math.cos(t), 0.0, TWO_PI,
                               1 + 0.5j)
         assert theta == pytest.approx(-6.000387666, abs=1e-6)
+
+
+def _hill_determinant_half_trace(r: float, n: int) -> float:
+    """Half-trace of the antipode's eps-0 monodromy from Hill's determinant.
+
+    ``a(t) = theta_0 + 2 sum theta_k cos 2kt`` with ``theta_k`` from an FFT
+    of 512 samples over one period; ``h = 1 - 2 Delta(0)
+    sin^2(pi sqrt(theta_0) / 2)``, ``Delta(0)`` the ``(2n+1)^2`` Hill
+    determinant with entries ``theta_|j-k| / (theta_0 - 4 j^2)`` and a unit
+    diagonal (Whittaker and Watson, *Modern Analysis*, 19.42).  No time
+    stepping, so it shares no code with the integrators; ``theta_0 < 0``
+    at small ``r`` takes the complex square root.
+    """
+    a = hill_coefficient(math.pi, ModelParams(r=r))
+    samples = [a(t) for t in np.arange(512) * (math.pi / 512)]
+    theta = np.fft.rfft(samples).real / 512
+    ks = np.arange(-n, n + 1)
+    hill = (theta[np.abs(ks[:, None] - ks[None, :])]
+            / (theta[0] - 4.0 * ks[:, None] ** 2))
+    np.fill_diagonal(hill, 1.0)
+    sign, log_det = np.linalg.slogdet(hill)
+    s = cmath.sin(0.5 * math.pi * cmath.sqrt(theta[0]))
+    return (1.0 - 2.0 * sign * math.exp(log_det) * s * s).real
+
+
+class TestHillDeterminant:
+    """A code-disjoint oracle for the antipode's eps-0 half-trace.
+
+    Against ``monodromy(..., tol=1e-12)`` at ``n = 64`` the relative gap is
+    1.4e-12 at r = 0.5 and 4.5e-11 at r = 1.0, where it is gated.  It
+    shrinks only about 8-fold per doubling of ``n`` and stops being an
+    oracle farther out: 1.7e-7 at r = 1.5 and 1.2e-3 at r = 1.9.
+    """
+
+    @pytest.mark.parametrize("r", [0.5, 1.0])
+    def test_half_trace(self, r):
+        want = monodromy(math.pi, ModelParams(r=r), tol=1e-12).half_trace
+        got = _hill_determinant_half_trace(r, 64)
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_first_transition(self):
+        # bisection on |h| = 1; verification's check 4 pins the published
+        # 1.2472 and fails, where three methods agree on 1.2349417829773
+        def hyperbolic(r):
+            return abs(_hill_determinant_half_trace(r, 32)) > 1.0
+
+        lo, hi = 1.23, 1.24
+        lo_side = hyperbolic(lo)
+        assert hyperbolic(hi) != lo_side
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if hyperbolic(mid) == lo_side:
+                lo = mid
+            else:
+                hi = mid
+        curve = scan.trace_curve(math.pi, 0.0, [1.23, 1.24], tol=1e-12)
+        (bracket,) = [t["r_bracket"]
+                      for t in scan.find_transitions(
+                          curve, refine_tol=1e-12).transitions]
+        assert abs(hi - 0.5 * sum(bracket)) <= 1e-9
 
 
 class TestOrtega:

@@ -248,6 +248,12 @@ def _scipy_variational(a, period, tol):
     return np.array([[x1, x2], [y1, y2]]), sol.nfev
 
 
+def _as_tuples(solve):
+    """A ``_dop853_floats`` result with every state and slope a tuple."""
+    ts, ys, fs, nfev = solve
+    return ts, [tuple(y) for y in ys], [tuple(f) for f in fs], nfev
+
+
 class TestVariational:
     def test_analytic_rotation_at_origin(self):
         w = math.sqrt(2.0)
@@ -329,6 +335,20 @@ class TestVariational:
         np.testing.assert_allclose(got.as_array(), want, rtol=0.0,
                                    atol=1e-12 * np.abs(want).max())
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.6])
+    @pytest.mark.parametrize("q_star", [0.0, math.pi])
+    def test_unrolled_trial_takes_the_generic_steps(self, q_star, eps, tol):
+        # the variational trial is _float_trial's arithmetic unrolled for
+        # 4 components, so the two take the same steps to the bit
+        for r in (0.5, 1.0, collision_ceiling(eps) - 2e-3):
+            rhs, trial = integrate._variational_system(
+                hill_coefficient(q_star, ModelParams(r=r, epsilon=eps)))
+            args = rhs, 0.0, coefficient_period(eps), [1.0, 0.0, 0.0, 1.0], tol
+            got, want = (_as_tuples(integrate._dop853_floats(*args, step))
+                         for step in (trial, integrate._float_trial(rhs)))
+            assert got == want
+
     def test_custom_coefficient(self):
         mat = integrate_variational(lambda t: 1.0, math.pi, tol=1e-11)
         np.testing.assert_allclose(mat.as_array(), [[-1.0, 0.0], [0.0, -1.0]],
@@ -351,7 +371,7 @@ class TestVariational:
     def test_blow_up_raises_step_underflow(self):
         # x'' = x / (1 - t)^4 blows up at t = 1, as the lane core's twin
         with pytest.raises(StiffnessError,
-                           match="step size underflow in a variational solve"):
+                           match="step size underflow in a float solve"):
             integrate_variational(lambda t: -1.0 / (1.0 - t) ** 4, math.pi,
                                   1e-9)
 
@@ -387,8 +407,8 @@ class TestFloatEngine:
         rhs = _theta_rhs(a)
         sol = solve_ivp(rhs, (t0, t1), [th0], method="DOP853", rtol=1e-10,
                         atol=1e-10)
-        ts, ys, fs, nfev = integrate._dop853_floats(rhs, t0, t1, [th0],
-                                                    1e-10)
+        ts, ys, fs, nfev = integrate._dop853_floats(
+            rhs, t0, t1, [th0], 1e-10, integrate._float_trial(rhs))
         assert nfev == sol.nfev
         assert len(ts) == len(sol.t)
         assert ts[-1] == t1
@@ -403,8 +423,8 @@ class TestFloatEngine:
             return [y[1], -y[0]]
 
         for t0, t1 in [(0.0, 3.0), (3.0, 0.0)]:
-            ts, ys, fs, nfev = integrate._dop853_floats(rhs, t0, t1,
-                                                        [1.0, 0.0], 1e-10)
+            ts, ys, fs, nfev = integrate._dop853_floats(
+                rhs, t0, t1, [1.0, 0.0], 1e-10, integrate._float_trial(rhs))
             mids = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
             stops = ([t0 - (t1 - t0), t0]
                      + sorted(mids + ts[1:3], reverse=t1 < t0) + [t1])
@@ -423,8 +443,8 @@ class TestFloatEngine:
         def rhs(t, y):
             return [y[1], -y[0]]
 
-        ts, ys, fs, nfev = integrate._dop853_floats(rhs, 0.0, 3.0, [1.0, 0.0],
-                                                    1e-10)
+        ts, ys, fs, nfev = integrate._dop853_floats(
+            rhs, 0.0, 3.0, [1.0, 0.0], 1e-10, integrate._float_trial(rhs))
         mids = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV",
                             nfev + 11 * len(mids))
@@ -436,12 +456,13 @@ class TestFloatEngine:
 
     def test_call_counter_is_exact(self, monkeypatch):
         rhs = _theta_rhs(_HILL_03)
-        nfev = integrate._dop853_floats(rhs, 0.0, TWO_PI, [0.0], 1e-10)[3]
+        args = rhs, 0.0, TWO_PI, [0.0], 1e-10, integrate._float_trial(rhs)
+        nfev = integrate._dop853_floats(*args)[3]
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", nfev)
-        integrate._dop853_floats(rhs, 0.0, TWO_PI, [0.0], 1e-10)
+        integrate._dop853_floats(*args)
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", nfev - 1)
         with pytest.raises(StiffnessError, match="right-hand-side calls"):
-            integrate._dop853_floats(rhs, 0.0, TWO_PI, [0.0], 1e-10)
+            integrate._dop853_floats(*args)
 
     def test_nan_slope_raises_at_once(self):
         calls = []
@@ -451,7 +472,8 @@ class TestFloatEngine:
             return [math.nan]
 
         with pytest.raises(StiffnessError, match="step size underflow"):
-            integrate._dop853_floats(rhs, 0.0, 1.0, [0.0], 1e-10)
+            integrate._dop853_floats(rhs, 0.0, 1.0, [0.0], 1e-10,
+                                     integrate._float_trial(rhs))
         assert len(calls) == 2  # the start and the initial-step probe
 
 
