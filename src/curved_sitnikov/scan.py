@@ -2,9 +2,9 @@
 
 Transitions are detected on ``|h| - 1`` with ``h`` the half-trace of the
 monodromy, not on classification labels, so the parabolic reporting band
-cannot create artificial intervals.  Transition brackets come from
-Brent's method on ``h = +-1``, snapped onto bisection's midpoints and
-confirmed (``find_transitions``).  Near the collision ceiling
+cannot create artificial intervals.  Transition brackets come from a
+secant search that evaluates only bisection's own floats
+(``find_transitions``).  Near the collision ceiling
 ``r = 2/(1+eps)`` the interchange density grows without bound, so census
 grids are geometric in the gap ``2/(1+eps) - r``; linear grids
 under-resolve there.
@@ -39,11 +39,6 @@ CENSUS_START_FRACTION = 0.95
 
 # Largest eccentricity the origin sweep evaluates.
 EPS_SCAN_CAP = 0.95
-
-# Brent's relative tolerance (4 DBL_EPSILON) and iteration cap, scipy's
-# brentq defaults.
-BRENT_RTOL = 4 * math.ulp(1.0)
-BRENT_MAXITER = 100
 
 
 @dataclass
@@ -204,7 +199,9 @@ def _bisect(lo: float, hi: float, lo_side, refine_tol: float):
 
     ``lo_side(mid)`` says whether the midpoint replaces ``lo``.  Halving
     also stops once the float midpoint is no longer strictly inside, so a
-    tolerance below the float spacing ends with a one-ulp bracket.
+    tolerance below the float spacing ends with a one-ulp bracket.  The
+    intervals where halving stops, whatever ``lo_side`` says, tile
+    ``[lo, hi]``: these leaves are the lattice that ``_narrow`` searches.
     """
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
@@ -217,63 +214,40 @@ def _bisect(lo: float, hi: float, lo_side, refine_tol: float):
     return lo, hi
 
 
-def _brent_root(f, lo, hi, xtol):
-    """A root of ``f`` in ``[lo, hi]`` by Brent's method (Brent 1973, ch. 4).
+def _narrow(h_at, r_lo: float, r_hi: float, lo_elliptic: bool,
+            refine_tol: float) -> tuple[float, float]:
+    """The leaf of ``_bisect`` over the cell where the class changes.
 
-    A port of scipy's ``brentq`` (Brent's zeroin): the same tests in the
-    same order, so it evaluates ``f`` at the same points and returns the
-    same float.  It stops once the bracket is within
-    ``xtol + BRENT_RTOL * |x|`` or after ``BRENT_MAXITER`` iterations,
-    returning its last iterate either way.  An end where ``f`` is exactly
-    zero is returned at once.  ``ValueError`` if ``f`` has the same sign
-    bit at both ends.
+    With ``s`` the sign of ``h`` at the cell's non-elliptic end, each step
+    takes the secant estimate of ``h = s`` from the last two evaluations,
+    finds the leaf holding it and evaluates that leaf's end nearest it,
+    so only leaf ends are evaluated.  Once three evaluations fail to
+    halve the bracket the estimate is its midpoint.  The search ends on a
+    leaf whose ends differ in class: bisection's bracket whenever the
+    class changes once in the cell.
     """
-    # x_cur is the best iterate, x_blk the end of the bracket across the
-    # root from it, x_pre the iterate before; s_cur, s_pre the last steps
-    x_pre, x_cur = lo, hi
-    f_pre, f_cur = f(x_pre), f(x_cur)
-    if f_pre == 0.0:
-        return x_pre
-    if f_cur == 0.0:
-        return x_cur
-    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
-        raise ValueError(f"f({lo!r}) and f({hi!r}) have the same sign")
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(BRENT_MAXITER):
-        if (f_pre != 0.0 and f_cur != 0.0
-                and math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = (xtol + BRENT_RTOL * abs(x_cur)) / 2
-        s_bis = (x_blk - x_cur) / 2
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        s_try = math.inf  # bisect, unless a short step is good
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            try:
-                if x_pre == x_blk:  # secant
-                    s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-                else:  # inverse quadratic
-                    d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                    d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                    s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
-                             / (d_blk * d_pre * (f_blk - f_pre)))
-            except ZeroDivisionError:  # scipy's C gets an inf or NaN: bisect
-                pass
-        if 2 * abs(s_try) < min(abs(s_pre), 3 * abs(s_bis) - delta):
-            s_pre, s_cur = s_cur, s_try
+    s = math.copysign(1.0, h_at(r_hi if lo_elliptic else r_lo))
+    lo, hi = r_lo, r_hi
+    (x0, f0), (x1, f1) = (lo, h_at(lo) - s), (hi, h_at(hi) - s)
+    widths = [hi - lo]  # the bracket's widths since the last midpoint
+    while True:
+        x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
+        if not lo < x < hi or (len(widths) > 3
+                               and widths[-1] > 0.5 * widths[-4]):
+            x, widths = 0.5 * (lo + hi), [hi - lo]
+            if not lo < x < hi:  # adjacent floats: a leaf
+                return lo, hi
+        a, b = _bisect(r_lo, r_hi, lambda mid: mid < x, refine_tol)
+        if (a, b) == (lo, hi):
+            return lo, hi
+        r = a if b == hi or (a != lo and x - a <= b - x) else b
+        h = h_at(r)
+        x0, f0, x1, f1 = x1, f1, r, h - s
+        if _elliptic(h) == lo_elliptic:
+            lo = r
         else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        if abs(s_cur) > delta:
-            x_cur += s_cur
-        else:
-            x_cur += delta if s_bis > 0 else -delta
-        f_cur = f(x_cur)
-    return x_cur
+            hi = r
+        widths.append(hi - lo)
 
 
 def find_transitions(curve: TraceCurve,
@@ -281,19 +255,14 @@ def find_transitions(curve: TraceCurve,
     """Bracket and refine every crossing of ``|half_trace| = 1`` on a curve.
 
     The grid is tiled by ``_tile``; each class change between adjacent
-    grid points is narrowed to width ``refine_tol`` before its midpoint
-    becomes an interval boundary.  A cell already within ``refine_tol`` is
-    its own bracket.  Any other is narrowed by Brent-then-snap: with
-    ``s`` the sign of ``h`` at the cell's non-elliptic end, Brent's method
-    (``_brent_root``, in-package, so the search loads no scipy solver)
-    finds a root of ``h - s`` in the cell, bisection's float midpoints are
-    replayed against that root without evaluating anything, and the class
-    is confirmed at the two ends of the resulting bracket.  If either end
-    disagrees, plain bisection reruns over the cell.  Every half-trace is
-    computed once per radius (the grid's own are reused), so a confirmed
-    bracket is the one bisection returns whenever the class changes once
-    in the cell.  Interval midpoints are re-checked; mismatches are flagged
-    in ``suspect`` (two crossings inside a single grid cell cannot be split
+    grid points is narrowed to a leaf of bisection to width ``refine_tol``
+    (``_narrow``, a secant search on bisection's own floats; a cell within
+    ``refine_tol`` is its own leaf) before its midpoint becomes an
+    interval boundary.  Every half-trace is computed
+    once per radius (the grid's own are reused), and the bracket is the
+    one bisection returns whenever the class changes once in the cell.
+    Interval midpoints are re-checked; mismatches are flagged in
+    ``suspect`` (two crossings inside a single grid cell cannot be split
     without a finer grid).  ``refine_tol`` must be finite and positive.
     """
     _check_refine_tol(refine_tol)
@@ -314,27 +283,12 @@ def find_transitions(curve: TraceCurve,
                                    curve.period, curve.tol)
         return cache[r]
 
-    def elliptic_at(r: float) -> bool:
-        return _elliptic(h_at(r))
-
-    def narrow(r_lo: float, r_hi: float, lo_elliptic: bool):
-        if r_hi - r_lo <= refine_tol:
-            return r_lo, r_hi
-        s = math.copysign(1.0, h_at(r_hi if lo_elliptic else r_lo))
-        # a positive xtol even for a subnormal refine_tol
-        root = _brent_root(lambda r: h_at(r) - s, r_lo, r_hi,
-                           max(refine_tol / 64, math.ulp(0.0)))
-        lo, hi = _bisect(r_lo, r_hi, lambda mid: mid < root, refine_tol)
-        if elliptic_at(lo) == lo_elliptic and elliptic_at(hi) != lo_elliptic:
-            return lo, hi
-        return _bisect(r_lo, r_hi,
-                       lambda mid: elliptic_at(mid) == lo_elliptic, refine_tol)
-
-    intervals, transitions = _tile(samples, narrow)
+    intervals, transitions = _tile(
+        samples, lambda *cell: _narrow(h_at, *cell, refine_tol))
     suspect = [{"r_lo": lo, "r_hi": hi,
                 "reason": "midpoint class mismatch; grid too coarse"}
                for lo, hi, cls in intervals
-               if elliptic_at(0.5 * (lo + hi)) != (cls == ELLIPTIC)]
+               if _elliptic(h_at(0.5 * (lo + hi))) != (cls == ELLIPTIC)]
     return StabilityIntervals(q_star=curve.q_star, epsilon=curve.epsilon,
                               period=curve.period, intervals=intervals,
                               transitions=transitions, refine_tol=refine_tol,

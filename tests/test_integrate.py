@@ -858,8 +858,8 @@ class TestWorkCap:
 
 class TestScipyImports:
     def test_cli_and_monodromies_load_no_scipy_solvers(self, tmp_path):
-        # the DOP853 tables load by file path, and the transition search's
-        # Brent is in-package; orbits, sections and the symmetry check's
+        # the DOP853 tables load by file path, and the transition search
+        # needs no root finder; orbits, sections and the symmetry check's
         # round trip run on the lane core.  verify and the winding routes
         # have a test of their own below.
         out = str(tmp_path / "out.csv")

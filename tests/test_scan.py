@@ -1,6 +1,7 @@
 """Trace curves, transition refinement, interchange census."""
 
 import argparse
+import bisect
 import json
 import math
 
@@ -191,6 +192,8 @@ def _plain_bisection(curve, refine_tol):
             continue
         while hi - lo > refine_tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # a one-ulp bracket
+                break
             h = _half_trace(curve.q_star, mid, curve.epsilon, curve.period,
                             curve.tol)
             if (abs(h) < 1.0) == lo_elliptic:
@@ -207,17 +210,18 @@ def _brackets(tiling):
 
 @pytest.fixture(scope="module")
 def eccentric_scans():
-    """Per eps: the curve, its tiling, and the fresh monodromies it made."""
+    """Per eps: the curve, its tiling, and the radii of the fresh
+    monodromies it made."""
     grid = np.arange(1.05, 1.4 + 1e-12, 0.005)
     scans = {}
     for eps in (0.1, 0.2):
         curve = trace_curve(math.pi, eps, grid, tol=1e-9)
-        calls = []
+        radii = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scan, "monodromy",
-                       lambda *a, **k: calls.append(a) or monodromy(*a, **k))
+            mp.setattr(scan, "monodromy", lambda *a, **k:
+                       radii.append(a[1].r) or monodromy(*a, **k))
             tiling = find_transitions(curve, refine_tol=1e-10)
-        scans[eps] = curve, tiling, len(calls)
+        scans[eps] = curve, tiling, radii
     return scans
 
 
@@ -231,7 +235,17 @@ def _fake_monodromy(half_trace):
     return fake
 
 
-class TestBrentThenSnap:
+# Half-traces over the cell [1.0, 1.1] that a root search finds hard.
+ADVERSARIAL_CELLS = {
+    "step": lambda r: 0.5 if r < 1.0377 else 1.5,
+    "flat-crossing": lambda r: 1.0 + 1e4 * (r - 1.0421) ** 3,
+    "steep-tanh": lambda r: 1.0 + math.tanh(1e4 * (r - 1.0333)),
+    "sqrt-edge": lambda r: 1.0 - math.sqrt(max(1.0529 - r, 0.0)),
+    "many-crossings": lambda r: 1.0 + 0.5 * math.sin(2000.0 * (r - 1.0)),
+}
+
+
+class TestLatticeSearch:
     @pytest.mark.parametrize("eps", [0.1, 0.2])
     def test_brackets_equal_plain_bisection(self, eccentric_scans, eps):
         curve, tiling, _ = eccentric_scans[eps]
@@ -241,34 +255,62 @@ class TestBrentThenSnap:
     @pytest.mark.parametrize("eps", [0.1, 0.2])
     def test_fresh_evaluations_bounded(self, eccentric_scans, eps):
         # bisection to 1e-10 over a 0.005 cell takes 26 per bracket
-        _, tiling, fresh = eccentric_scans[eps]
-        assert fresh <= (8 * len(tiling.transitions)
-                         + len(tiling.intervals))
+        _, tiling, radii = eccentric_scans[eps]
+        assert len(radii) <= (5 * len(tiling.transitions)
+                              + len(tiling.intervals))
 
-    def test_failed_confirmation_falls_back_to_bisection(self, monkeypatch):
+    @pytest.mark.parametrize("eps", [0.1, 0.2])
+    def test_refinement_evaluates_only_bisections_midpoints(
+            self, eccentric_scans, eps):
+        # replaying bisection from the grid cell toward r visits r, unless
+        # r is the midpoint check of an interval
+        curve, tiling, radii = eccentric_scans[eps]
+        grid = curve.values.tolist()
+        off_lattice = set()
+        for r in radii:
+            k = bisect.bisect(grid, r)
+            visited = []
+            scan._bisect(grid[k - 1], grid[k],
+                         lambda mid: visited.append(mid) or mid < r, 1e-10)
+            if r not in visited:
+                off_lattice.add(r)
+        assert off_lattice <= {0.5 * (lo + hi) for lo, hi, _ in tiling.intervals}
+        assert len(off_lattice) < len(radii)
+
+    @pytest.mark.parametrize("refine_tol", [1e-7, 1e-10, 5e-324])
+    @pytest.mark.parametrize("case", list(ADVERSARIAL_CELLS))
+    def test_adversarial_cell_takes_bisections_bracket_in_bounded_work(
+            self, monkeypatch, case, refine_tol):
+        calls = []
+        fake = _fake_monodromy(ADVERSARIAL_CELLS[case])
+        monkeypatch.setattr(scan, "monodromy",
+                            lambda *a, **k: calls.append(a) or fake(*a, **k))
+        curve = trace_curve(math.pi, 0.0, [1.0, 1.1], tol=1e-9)
+        calls.clear()
+        got = _brackets(find_transitions(curve, refine_tol))
+        fresh = len(calls)
+        calls.clear()
+        assert got == _plain_bisection(curve, refine_tol)
+        # the 2 are the midpoint checks of the two intervals
+        assert fresh <= 4 * len(calls) + 2
+
+    def test_zero_width_notch_as_plain_bisection(self, monkeypatch):
         # h crosses 1 once, at r = 1 + 1/30; a notch of zero width at the
-        # snapped bracket's upper end makes that end elliptic, so
-        # confirmation fails
+        # bracket's upper end makes that end elliptic, so the class
+        # changes one leaf higher
         def smooth(r):
             return 30.0 * (r - 1.0)
 
-        bisections = []
-        bisect = scan._bisect
-        monkeypatch.setattr(scan, "_bisect",
-                            lambda *a: bisections.append(a) or bisect(*a))
         monkeypatch.setattr(scan, "monodromy", _fake_monodromy(smooth))
         curve = trace_curve(math.pi, 0.0, [1.0, 1.1], tol=1e-9)
-        (lo, snapped_hi), = _brackets(find_transitions(curve, 1e-7))
-        assert len(bisections) == 1
-        assert lo < 1.0 + 1.0 / 30.0 < snapped_hi
+        (lo, hi), = _brackets(find_transitions(curve, 1e-7))
+        assert lo < 1.0 + 1.0 / 30.0 < hi
 
-        bisections.clear()
         monkeypatch.setattr(scan, "monodromy", _fake_monodromy(
-            lambda r: 0.0 if r == snapped_hi else smooth(r)))
+            lambda r: 0.0 if r == hi else smooth(r)))
         got = _brackets(find_transitions(curve, 1e-7))
-        assert len(bisections) == 2
         assert got == _plain_bisection(curve, 1e-7)
-        assert got != [(lo, snapped_hi)]
+        assert got != [(lo, hi)]
 
     def test_narrow_cell_is_its_own_bracket(self, monkeypatch):
         # the 1.23-1.235 cell is already within refine_tol, so the only
@@ -281,73 +323,6 @@ class TestBrentThenSnap:
         tiling = find_transitions(curve, refine_tol=0.005)
         assert _brackets(tiling) == [(curve.values[6], curve.values[7])]
         assert len(calls) == len(tiling.intervals) == 2
-
-
-def _evaluations(fn):
-    """``fn`` and the list its calls append their arguments to."""
-    points = []
-    return (lambda x: points.append(x) or fn(x)), points
-
-
-BRENT_CASES = {
-    "cubic": (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-    "cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
-    "step": (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0),
-    "tanh": (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 2.0),
-    "triple-root": (lambda x: (x - 0.5) ** 3, 0.0, 1.7),
-    # f(lo) * f(hi) underflows to -0.0: only the sign bits tell the signs
-    "tiny": (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),
-}
-
-
-class TestBrentRoot:
-    """``scan._brent_root`` against scipy's ``brentq``, its reference."""
-
-    @pytest.mark.parametrize("xtol", [1e-12, 1e-3, 5e-324])
-    @pytest.mark.parametrize("case", list(BRENT_CASES))
-    def test_takes_scipys_iterates(self, case, xtol):
-        from scipy.optimize import brentq
-
-        fn, lo, hi = BRENT_CASES[case]
-        f_ref, want_points = _evaluations(fn)
-        want = brentq(f_ref, lo, hi, xtol=xtol, disp=False)
-        f_port, points = _evaluations(fn)
-        assert scan._brent_root(f_port, lo, hi, xtol) == want
-        assert points == want_points
-
-    def test_iteration_cap_as_scipys(self, monkeypatch):
-        from scipy.optimize import brentq
-
-        fn, lo, hi = BRENT_CASES["tanh"]
-        f_ref, want_points = _evaluations(fn)
-        want = brentq(f_ref, lo, hi, xtol=1e-12, maxiter=3, disp=False)
-        monkeypatch.setattr(scan, "BRENT_MAXITER", 3)
-        f_port, points = _evaluations(fn)
-        assert scan._brent_root(f_port, lo, hi, 1e-12) == want
-        assert points == want_points
-        assert len(points) == 2 + 3
-
-    @pytest.mark.parametrize("end", [0.25, 0.75])
-    def test_exact_zero_at_an_end_returns_it(self, end):
-        f, points = _evaluations(lambda x: x - end)
-        assert scan._brent_root(f, 0.25, 0.75, 1e-12) == end
-        assert points == [0.25, 0.75]
-
-    def test_same_sign_bracket_refused(self):
-        with pytest.raises(ValueError, match="same sign"):
-            scan._brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
-
-    def test_transitions_as_with_scipys_brentq(self, monkeypatch):
-        from scipy.optimize import brentq
-
-        curve = trace_curve(math.pi, 0.1, [1.18, 1.19, 1.2], tol=1e-9)
-        ours = find_transitions(curve, refine_tol=1e-10)
-        monkeypatch.setattr(
-            scan, "_brent_root",
-            lambda f, lo, hi, xtol: brentq(f, lo, hi, xtol=xtol, disp=False))
-        theirs = find_transitions(curve, refine_tol=1e-10)
-        assert _brackets(ours) == _brackets(theirs)
-        assert len(_brackets(ours)) == 1
 
 
 def _census_level_by_level(epsilon, r_max_fraction, budget,
