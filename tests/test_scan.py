@@ -325,6 +325,80 @@ class TestLatticeSearch:
         assert len(calls) == len(tiling.intervals) == 2
 
 
+# Half-traces h(r) over a cell (r_lo, r_hi) whose class changes once, at
+# both signs of |h| = 1 and from either end.
+NARROW_CELLS = {
+    "cubic": (lambda r: 1.0 + 0.1 * (r ** 3 - 2.0 * r - 5.0), 2.0, 3.0),
+    "cos": (lambda r: math.cos(r) - r - 1.0, 0.0, 1.0),
+    "step": (lambda r: -1.5 if r < 0.3 else -0.5, 0.0, 1.0),
+    "tanh": (lambda r: 1.0 - math.tanh(50.0 * (r - 0.123)), -1.0, 2.0),
+    "triple-root": (lambda r: 1.0 + (r - 0.5) ** 3, 0.0, 1.7),
+    # h - 1 moves by whole ulps of 1.0, so the secant often sees no slope
+    "ulp-flat": (lambda r: 1.0 + 1e-13 * (r - 0.3), 0.0, 1.0),
+}
+
+
+def _narrowed(h, r_lo, r_hi, refine_tol):
+    """``scan._narrow`` on ``h`` with a cache as ``find_transitions``
+    keeps: its bracket and the radii it evaluated besides the cell's
+    ends."""
+    cache = {r_lo: h(r_lo), r_hi: h(r_hi)}
+    fresh = []
+
+    def h_at(r):
+        if r not in cache:
+            fresh.append(r)
+            cache[r] = h(r)
+        return cache[r]
+
+    lo_elliptic = scan._elliptic(cache[r_lo])
+    return scan._narrow(h_at, r_lo, r_hi, lo_elliptic, refine_tol), fresh
+
+
+class TestNarrow:
+    """``scan._narrow`` on its own, against ``scan._bisect``."""
+
+    @pytest.mark.parametrize("refine_tol", [1e-12, 1e-3, 5e-324])
+    @pytest.mark.parametrize("case", list(NARROW_CELLS))
+    def test_leaf_as_bisections_from_lattice_radii(self, case, refine_tol):
+        h, r_lo, r_hi = NARROW_CELLS[case]
+        lo_elliptic = scan._elliptic(h(r_lo))
+        assert lo_elliptic != scan._elliptic(h(r_hi))
+        bisected = []
+        want = scan._bisect(
+            r_lo, r_hi, lambda mid: bisected.append(mid)
+            or scan._elliptic(h(mid)) == lo_elliptic, refine_tol)
+        got, fresh = _narrowed(h, r_lo, r_hi, refine_tol)
+        assert got == want
+        assert len(fresh) == len(set(fresh))
+        for r in fresh:
+            visited = []
+            scan._bisect(r_lo, r_hi,
+                         lambda mid: visited.append(mid) or mid < r,
+                         refine_tol)
+            assert r in visited
+        assert len(fresh) <= 4 * len(bisected) + 1
+
+    @pytest.mark.parametrize("end", [0.25, 0.75])
+    def test_crossing_on_a_leaf_end_is_the_brackets_end(self, end):
+        # h = 1 exactly at a midpoint of the recursion: that radius is
+        # hyperbolic, so it is the bracket's upper end.  The secant of a
+        # line hits it at once; every later estimate is that end again,
+        # not inside the bracket, so the rest is plain bisection
+        def h(r):
+            return 1.0 + (r - end)
+
+        bisected = []
+        want = scan._bisect(
+            0.0, 1.0, lambda mid: bisected.append(mid)
+            or scan._elliptic(h(mid)), 1e-12)
+        (lo, hi), fresh = _narrowed(h, 0.0, 1.0, 1e-12)
+        assert (lo, hi) == want
+        assert hi == end
+        assert fresh[0] == end
+        assert len(fresh) <= len(bisected) + 1
+
+
 def _census_level_by_level(epsilon, r_max_fraction, budget,
                            r_start_fraction, tol):
     """The census with one lane solve per level: the batched census must
