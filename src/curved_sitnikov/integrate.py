@@ -19,9 +19,9 @@ each lane between two stops, stop with :class:`StiffnessError` past
 ``MAX_GRID_POINTS`` rows, so every admissible input ends in bounded
 work.  A step count ``fixed_steps`` selects a fixed-step classical RK4
 for bit-reproducible orbit baselines, ``None`` DOP853.  All engines are
-reentrant and hold no state between calls; the flow is smooth away from
-collisions, so no symplectic or stiff machinery is needed at these
-horizons.
+reentrant and hold no state between calls (``_orbit_system``'s ``halt``
+reads its solve's own closure); the flow is smooth away from collisions,
+so no symplectic or stiff machinery is needed at these horizons.
 """
 
 from __future__ import annotations
@@ -132,26 +132,27 @@ def _orbit_system(params: ModelParams, u0: float):
     """The extended flow as a ``_dop853_lanes`` system ``(clock, rhs, halt)``.
 
     Time is the eccentric anomaly ``u0 + tau``: ``dq/du = rho p``, ``dp/du
-    = rho f(q, t(u))``, so no lane solves Kepler's equation.  ``halt`` is
-    an accepted step within ``D_MIN`` of a primary.
+    = rho f(q, t(u))``, so no lane solves Kepler's equation; its ``-rho/2``
+    clock row makes ``rhs`` bit for bit ``rho f``.  ``halt`` (a step within
+    ``D_MIN`` of a primary) reads the distances the last ``rhs`` call kept.
     """
-    r, eps = params.r, params.epsilon
+    distances = None  # the last rhs call's d1 and d2, the rows of one array
 
-    def clock(tau, lanes):  # rows (rho, a^2, 1 + c, 1 - c) per time
-        rho, a, t = _anomaly_geometry(u0 + tau, r, eps)
-        return np.stack((rho, *_phase_terms(a, a * np.cos(t))), axis=1)
-
-    def distances(g, q):  # d1 and d2 as the rows of one array
-        return np.sqrt(_squared_distance(g[1], g[2:], np.cos(q)))
+    def clock(tau, lanes):  # rows (rho, -rho/2, a^2, 2(1 + c), 2(1 - c))
+        rho, a, t = _anomaly_geometry(u0 + tau, params.r, params.epsilon)
+        rows = rho, -0.5 * rho, *_phase_terms(a, a * np.cos(t))
+        return np.array(rows).swapaxes(0, 1)  # one (5, m) block per time
 
     def rhs(g, y, lanes):
-        pull = _pull(g[2:], np.sin(y[0]), distances(g, y[0]))
+        nonlocal distances
+        distances = np.sqrt(_squared_distance(g[2], g[3:], np.cos(y[0])))
+        pull = _pull(g[3:], np.sin(y[0]), distances)
         dy = np.empty_like(y)
-        dy[0], dy[1] = g[0] * y[1], g[0] * (-pull[0] - pull[1])
+        dy[0], dy[1] = g[0] * y[1], g[1] * (pull[0] + pull[1])
         return dy
 
     def halt(g, y, lanes):
-        return distances(g, y[0]).min(axis=0) <= D_MIN
+        return distances.min(axis=0) <= D_MIN
 
     return clock, rhs, halt
 
@@ -457,14 +458,14 @@ _spec.loader.exec_module(_dop)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_ORDER = 7
 _ERROR_EXPONENT = -1.0 / (_ERROR_ORDER + 1)
-_A = _dop.A[:_dop.N_STAGES, :_dop.N_STAGES]
+_A_ROWS = tuple(_dop.A[s, :s] for s in range(_dop.N_STAGES + 1))  # 12 is B
 
 # The tableau as Python floats for the float trial steps: stages 1-11
 # as their node and nonzero ``(j, A[s, j])``, and the nonzero ``(j, w[j])``
 # of the weights and of the two error estimators (neither weighs the slope
 # at the step's end).
 _STAGES = tuple((float(_dop.C[s]),
-                 tuple((j, float(_A[s, j])) for j in range(s) if _A[s, j]))
+                 tuple((j, float(a)) for j, a in enumerate(_A_ROWS[s]) if a))
                 for s in range(1, _dop.N_STAGES))
 _WEIGHTS, _E5_WEIGHTS, _E3_WEIGHTS = (
     tuple((j, float(w)) for j, w in enumerate(weights) if w)
@@ -523,7 +524,9 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     step size carries over, shrunk but never grown by the clipped step.  A
     lane leaves the batch after its last stop, or at the first accepted step
     where ``halt(g, y, lanes)`` (``g`` the step's last row) is true, and the
-    stops it never reached stay NaN.  Returns the states at the stops, shape
+    stops it never reached stay NaN.  ``halt`` runs once per step attempt,
+    right after the step's last ``rhs`` call, whose state equals ``y`` on
+    every accepted lane.  Returns the states at the stops, shape
     ``(len(stops), n, n_lanes)``, or ``(n, n_lanes)`` for one stop time.  A
     step below ten ulps of ``t`` after a rejection, a NaN step (from a NaN
     slope at ``t = 0``, raised once its first attempt is rejected), or a
@@ -557,12 +560,12 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     t_stop = np.full(n_lanes, stop_times[0])
     rejected = np.zeros(n_lanes, dtype=bool)
     out = np.full((stop_times.size,) + y.shape, np.nan)
+    k = np.empty((_dop.N_STAGES + 1,) + y.shape)  # new only as lanes move
     while lanes.size:
-        k = np.empty((_dop.N_STAGES + 1,) + y.shape)
         stages = k.reshape(k.shape[0], -1)  # a view, one row per stage
         min_step = 10.0 * np.spacing(t)  # ten ulps, as t >= 0
         # a NaN step too: it never shrinks, and its attempt is rejected
-        if np.any(rejected & ~(h_abs >= min_step)):
+        if (rejected & ~(h_abs >= min_step)).any():
             raise StiffnessError("step size underflow in a lane-batched solve")
         h_abs = np.maximum(h_abs, min_step)
         t_new = np.minimum(t + h_abs, t_stop)
@@ -570,11 +573,11 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
         g = clock(np.concatenate((t + _dop.C[1:_dop.N_STAGES, None] * h,
                                   t_new[None])), lanes)
         k[0] = f
-        for s in range(1, _dop.N_STAGES):
-            dy = np.dot(_A[s, :s], stages[:s]).reshape(y.shape) * h
-            k[s] = rhs(g[s - 1], y + dy, lanes)
-        y_new = y + h * np.dot(_dop.B, stages[:-1]).reshape(y.shape)
-        k[-1] = f_new = rhs(g[-1], y_new, lanes)
+        y_flat, h_flat = y.reshape(-1), np.concatenate((h,) * y.shape[0])
+        for s in range(1, _dop.N_STAGES + 1):  # the last is the step's end
+            dy = np.dot(_A_ROWS[s], stages[:s]) * h_flat
+            y_new = (y_flat + dy).reshape(y.shape)
+            k[s] = f_new = rhs(g[s - 1], y_new, lanes)
         nfev += _dop.N_STAGES
         if nfev - oldest > MAX_VARIATIONAL_NFEV:
             raise StiffnessError(f"lane-batched solve exceeded "
@@ -582,10 +585,8 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
                                  f"calls per lane")
 
         scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        err5 = np.sum((np.dot(_dop.E5, stages).reshape(y.shape) / scale) ** 2,
-                      axis=0)
-        err3 = np.sum((np.dot(_dop.E3, stages).reshape(y.shape) / scale) ** 2,
-                      axis=0)
+        err5 = ((np.dot(_dop.E5, stages).reshape(y.shape) / scale) ** 2).sum(0)
+        err3 = ((np.dot(_dop.E3, stages).reshape(y.shape) / scale) ** 2).sum(0)
         denom = np.sqrt((err5 + 0.01 * err3) * y.shape[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             # a NaN norm stays NaN and so rejects the step
@@ -625,6 +626,7 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
         if moved:
             keep = next_stop < stop_times.size
             lanes, t, y, f = lanes[keep], t[keep], y[:, keep], f[:, keep]
+            k = np.empty((k.shape[0],) + y.shape)
             h_abs, rejected = h_abs[keep], rejected[keep]
             next_stop, nfev_at_stop = next_stop[keep], nfev_at_stop[keep]
             t_stop = stop_times[next_stop]

@@ -42,22 +42,22 @@ class CollisionError(ValueError):
 
 
 def _phase_terms(a, c):
-    """The force's time-only terms ``(a^2, 1 + c, 1 - c)``.
+    """The force's time-only terms ``(a^2, 2(1 + c), 2(1 - c))``.
 
-    ``a = r*rho`` and ``c = a*cos(t)``.  ``_squared_distance`` and ``_pull``
-    take ``1 + c`` for primary 1, ``1 - c`` for primary 2, or both stacked;
-    all three pass floats and numpy arrays through.
+    ``a = r*rho``, ``c = a*cos(t)``; doubling is exact, so the bits are the
+    textbook form's.  ``_squared_distance`` and ``_pull`` take ``2(1 ± c)``
+    per primary, or both stacked; all three pass floats and arrays through.
     """
-    return a * a, 1.0 + c, 1.0 - c
+    return a * a, 2.0 + 2.0 * c, 2.0 - 2.0 * c
 
 
 def _squared_distance(a2, ci, cos_q):
-    """``d_i^2`` from ``a^2``, ``1 ± c`` and ``cos(q)``."""
-    return a2 + 2.0 * (1.0 - cos_q) * ci
+    """``d_i^2`` from ``a^2``, ``2(1 ± c)`` and ``cos(q)``."""
+    return a2 + (1.0 - cos_q) * ci
 
 
 def _pull(ci, sin_q, di):
-    """Primary ``i``'s share ``(1 ± c) sin(q) / d_i^3`` of ``-f``."""
+    """Twice primary ``i``'s share ``(1 ± c) sin(q) / d_i^3`` of ``-f``."""
     return ci * sin_q / di**3
 
 
@@ -74,7 +74,7 @@ def tangential_force(q: float, t: float, params: ModelParams,
     if d2 <= d_min:
         raise CollisionError(2, d2)
     sin_q = math.sin(q)
-    return -_pull(c1, sin_q, d1) - _pull(c2, sin_q, d2)
+    return -0.5 * (_pull(c1, sin_q, d1) + _pull(c2, sin_q, d2))
 
 
 def dforce_dq(q_star: float, t: float, params: ModelParams) -> float:

@@ -221,10 +221,11 @@ def _narrow(h_at, r_lo: float, r_hi: float, lo_elliptic: bool,
     With ``s`` the sign of ``h`` at the cell's non-elliptic end, each step
     takes the secant estimate of ``h = s`` from the last two evaluations,
     finds the leaf holding it and evaluates that leaf's end nearest it,
-    so only leaf ends are evaluated.  Once three evaluations fail to
-    halve the bracket the estimate is its midpoint.  The search ends on a
-    leaf whose ends differ in class: bisection's bracket whenever the
-    class changes once in the cell.
+    so only leaf ends are evaluated.  An estimate on the end just
+    evaluated takes the leaf just inside that end.  Once three evaluations
+    fail to halve the bracket the estimate is its midpoint.  The search
+    ends on a leaf whose ends differ in class: bisection's bracket
+    whenever the class changes once in the cell.
     """
     s = math.copysign(1.0, h_at(r_hi if lo_elliptic else r_lo))
     lo, hi = r_lo, r_hi
@@ -232,12 +233,11 @@ def _narrow(h_at, r_lo: float, r_hi: float, lo_elliptic: bool,
     widths = [hi - lo]  # the bracket's widths since the last midpoint
     while True:
         x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
-        if not lo < x < hi or (len(widths) > 3
-                               and widths[-1] > 0.5 * widths[-4]):
+        if not (lo < x < hi or x == x1) or (
+                len(widths) > 3 and widths[-1] > 0.5 * widths[-4]):
             x, widths = 0.5 * (lo + hi), [hi - lo]
-            if not lo < x < hi:  # adjacent floats: a leaf
-                return lo, hi
-        a, b = _bisect(r_lo, r_hi, lambda mid: mid < x, refine_tol)
+        # x == lo takes the leaf above lo, x == hi the one below hi
+        a, b = _bisect(r_lo, r_hi, lambda m: m < x or m == lo, refine_tol)
         if (a, b) == (lo, hi):
             return lo, hi
         r = a if b == hi or (a != lo and x - a <= b - x) else b

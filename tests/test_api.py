@@ -105,3 +105,20 @@ def test_one_step_loop_per_data_shape():
                                           ast.AsyncFunctionDef))
                      and _calls(node, "_initial_steps"))
     assert callers == INITIAL_STEP_CALLERS
+
+
+# One spelling of the orbit force: the scalar force and the orbits' lane
+# system are the only places that build it from its parts.
+FORCE_PART_CALLERS = ["integrate._orbit_system", "model.tangential_force"]
+
+
+def test_one_spelling_of_the_orbit_force():
+    # each caller is named by its top-level statement: a nested function
+    # by the function that holds it, a method by its class
+    package = pathlib.Path(curved_sitnikov.__file__).parent
+    for part in ("_squared_distance", "_pull"):
+        callers = sorted(f"{path.stem}.{getattr(node, 'name', '<module>')}"
+                         for path in package.glob("*.py")
+                         for node in ast.parse(path.read_text()).body
+                         if _calls(node, part))
+        assert callers == FORCE_PART_CALLERS, part

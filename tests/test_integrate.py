@@ -817,6 +817,30 @@ class TestClockSplit:
         assert cloud.truncated[0] == (r == 1.9)
 
 
+class TestOrbitHalt:
+    def test_halt_reads_the_distances_of_the_last_rhs_call(self, monkeypatch):
+        # states within 1e-6 of primary 2 (u near 0) and of primary 1 (u
+        # near pi) on the antipode, with the guard inflated to straddle them
+        d_min = 5e-7
+        monkeypatch.setattr(integrate, "D_MIN", d_min)
+        r = 2.0 - 2e-7
+        clock, rhs, halt = integrate._orbit_system(ModelParams(r), 0.0)
+        dq = np.linspace(-1e-6, 1e-6, 41)
+        for u in (0.0, 1e-7, math.pi, math.pi - 1e-7):
+            tau = np.full((1, dq.size), u)
+            lanes = np.arange(dq.size)
+            g = clock(tau, lanes)[0]
+            y = np.array([math.pi + dq, np.full(dq.size, 0.3)])
+            rhs(g, y, lanes)
+            _, a, t = _anomaly_geometry(tau[0], r, 0.0)
+            c, gap = a * np.cos(t), 2.0 * (1.0 - np.cos(y[0]))
+            d1 = np.sqrt(a * a + gap * (1.0 + c))
+            d2 = np.sqrt(a * a + gap * (1.0 - c))
+            want = np.minimum(d1, d2) <= d_min
+            assert want.any() and not want.all()
+            np.testing.assert_array_equal(halt(g, y, lanes), want)
+
+
 class TestWorkCap:
     def test_variational_counter_is_exact(self, monkeypatch):
         n_rhs = monodromy(math.pi, ModelParams(r=1.999), tol=1e-9).matrix.n_rhs

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curved_sitnikov.kepler import ModelParams, ephemeris
+from curved_sitnikov.kepler import (ModelParams, collision_ceiling, ephemeris,
+                                    radial_factor)
 from curved_sitnikov.model import (CollisionError, _antipode_dforce_dq,
                                    coefficient_period, cubic_coefficient,
                                    dforce_dq, hill_coefficient,
@@ -93,6 +94,26 @@ class TestTangentialForce:
             for t in (0.1, 2.2):
                 assert tangential_force(q, t + math.pi, P10) == pytest.approx(
                     tangential_force(q, t, P10), abs=1e-14)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_keeps_the_two_term_bits(self, eps):
+        # the textbook spelling the doubled time terms must reproduce
+        def two_term(q, t, params):
+            a = params.r * radial_factor(t, params.epsilon)
+            c, gap = a * math.cos(t), 2.0 * (1.0 - math.cos(q))
+            d1 = math.sqrt(a * a + gap * (1.0 + c))
+            d2 = math.sqrt(a * a + gap * (1.0 - c))
+            sin_q = math.sin(q)
+            return -(1.0 + c) * sin_q / d1**3 - (1.0 - c) * sin_q / d2**3
+
+        qs = np.concatenate((np.linspace(-TWO_PI, TWO_PI, 37),
+                             math.pi + np.linspace(-1e-3, 1e-3, 21)))
+        for fraction in (0.1, 0.5, 0.9, 0.99, 0.9999):
+            params = ModelParams(fraction * collision_ceiling(eps), eps)
+            for q in qs.tolist():
+                for t in np.linspace(-1.0, 7.0, 33).tolist():
+                    assert tangential_force(q, t, params) == two_term(
+                        q, t, params)
 
     def test_collision_guard_names_primary(self):
         with pytest.raises(CollisionError) as err:
