@@ -6,7 +6,8 @@ matrix; their product is 1.  Position of ``h`` relative to ±1 decides the
 class: elliptic (``|h| < 1``, multipliers non-real on the unit circle,
 strongly stable), parabolic (``|h| = 1``), hyperbolic (``|h| > 1``).
 Because exact parabolicity is a measure-zero condition, a small band
-``delta_par`` around ``|h| = 1`` is reported as parabolic.
+``delta_par`` around ``|h| = 1`` is reported as parabolic.  The census's
+half-traces step ``model._antipode_system``, one lane per radius.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .kepler import TWO_PI, ModelParams, _anomaly_geometry
-from .model import (_antipode_dforce_dq, coefficient_period,
-                    cubic_coefficient, hill_coefficient)
+from .kepler import TWO_PI, ModelParams
+from .model import (_antipode_system, coefficient_period, cubic_coefficient,
+                    hill_coefficient)
 from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix,
                         _dop853_floats, _dop853_lanes, _float_stops,
                         _float_trial, integrate_variational)
@@ -103,32 +104,15 @@ def monodromy(q_star: float, params: ModelParams, period: float | None = None,
 def _antipode_half_traces(rs, epsilon: float, tol: float) -> np.ndarray:
     """Half-traces of the antipode's monodromy at each radius in ``rs``.
 
-    One lane-batched solve over half a period, by the even-coefficient
-    identity of ``monodromy``: the half-trace is
-    ``(x1 y2 + x2 y1) / det X(T/2)``.  Time is the eccentric anomaly ``u``
-    (``kepler._anomaly_geometry``), so the system is ``dv/du = rho w``,
-    ``dw/du = -rho a(t(u)) v`` with ``a`` the Hill coefficient (the lanes'
-    clock holds ``rho`` and ``-rho a``), and no lane solves Kepler's
-    equation; ``t(T/2) = T/2``.  Raises ``MonodromyError`` unless every
-    lane's ``det X(T/2)`` is within ``DET_CORRUPT_TOL`` of 1.
+    One lane-batched solve of ``model._antipode_system`` to ``u = t =
+    T/2``: by ``monodromy``'s even-coefficient identity the half-trace is
+    ``(x1 y2 + x2 y1) / det X(T/2)``.  Raises ``MonodromyError`` unless
+    every lane's ``det X(T/2)`` is within ``DET_CORRUPT_TOL`` of 1.
     """
     rs = np.asarray(rs, dtype=float)
     for r in (rs.min(), rs.max()):  # validates every radius and epsilon
         ModelParams(r=float(r), epsilon=epsilon)
-
-    def clock(u, lanes):  # rows (rho, rho df/dq) per time
-        rho, a, t = _anomaly_geometry(u, rs[lanes], epsilon)
-        half = 0.5 * t
-        return np.stack((rho, rho * _antipode_dforce_dq(a, np.cos(half),
-                                                        np.sin(half))),
-                        axis=1)
-
-    def rhs(g, y, lanes):
-        dy = np.empty_like(y)
-        dy[0::2] = g[0] * y[1::2]
-        dy[1::2] = g[1] * y[0::2]
-        return dy
-
+    clock, rhs = _antipode_system(rs, epsilon)
     x1, y1, x2, y2 = _dop853_lanes(clock, rhs,
                                    0.5 * coefficient_period(epsilon),
                                    np.array([1.0, 0.0, 0.0, 1.0]), rs.size,

@@ -10,18 +10,17 @@ which steps them side by side as the lanes of one array.  The float loop
 takes its trial step from the caller: single monodromies
 (``integrate_variational``) pass one unrolled for their 4-component
 system, the winding routes the generic ``_float_trial``; both give the
-same floats.  The orbits' lane system ``_orbit_system`` lives here too,
-the census's with its caller in ``floquet._antipode_half_traces``.  The
-DOP853 tables are scipy's, loaded from their file without importing
-``scipy.integrate``; no solve imports a scipy solver.  Float solves, and
-each lane between two stops, stop with :class:`StiffnessError` past
-``MAX_VARIATIONAL_NFEV`` right-hand-side calls, and orbits at
-``MAX_GRID_POINTS`` rows, so every admissible input ends in bounded
-work.  A step count ``fixed_steps`` selects a fixed-step classical RK4
-for bit-reproducible orbit baselines, ``None`` DOP853.  All engines are
-reentrant and hold no state between calls (``_orbit_system``'s ``halt``
-reads its solve's own closure); the flow is smooth away from collisions,
-so no symplectic or stiff machinery is needed at these horizons.
+same floats.  The lane systems are ``model``'s.  The DOP853 tables are
+scipy's, loaded from their file without importing ``scipy.integrate``; no
+solve imports a scipy solver.  Float solves, and each lane between two
+stops, stop with :class:`StiffnessError` past ``MAX_VARIATIONAL_NFEV``
+right-hand-side calls, and orbits at ``MAX_GRID_POINTS`` rows, so every
+admissible input ends in bounded work.  A step count ``fixed_steps``
+selects a fixed-step classical RK4 for bit-reproducible orbit baselines,
+``None`` DOP853.  All engines are reentrant and hold no state between
+calls (``model._orbit_system``'s ``halt`` reads its solve's own closure);
+the flow is smooth away from collisions, so no symplectic or stiff
+machinery is needed at these horizons.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kepler import ModelParams, _anomaly_geometry, solve_kepler
-from .model import (D_MIN, _phase_terms, _pull, _squared_distance,
-                    tangential_force)
+from .model import _orbit_system, tangential_force
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 DEFAULT_ORBIT_TOL = 1e-8
@@ -128,46 +126,19 @@ def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
     return ts, ys
 
 
-def _orbit_system(params: ModelParams, u0: float):
-    """The extended flow as a ``_dop853_lanes`` system ``(clock, rhs, halt)``.
-
-    Time is the eccentric anomaly ``u0 + tau``: ``dq/du = rho p``, ``dp/du
-    = rho f(q, t(u))``, so no lane solves Kepler's equation; its ``-rho/2``
-    clock row makes ``rhs`` bit for bit ``rho f``.  ``halt`` (a step within
-    ``D_MIN`` of a primary) reads the distances the last ``rhs`` call kept.
-    """
-    distances = None  # the last rhs call's d1 and d2, the rows of one array
-
-    def clock(tau, lanes):  # rows (rho, -rho/2, a^2, 2(1 + c), 2(1 - c))
-        rho, a, t = _anomaly_geometry(u0 + tau, params.r, params.epsilon)
-        rows = rho, -0.5 * rho, *_phase_terms(a, a * np.cos(t))
-        return np.array(rows).swapaxes(0, 1)  # one (5, m) block per time
-
-    def rhs(g, y, lanes):
-        nonlocal distances
-        distances = np.sqrt(_squared_distance(g[2], g[3:], np.cos(y[0])))
-        pull = _pull(g[3:], np.sin(y[0]), distances)
-        dy = np.empty_like(y)
-        dy[0], dy[1] = g[0] * y[1], g[1] * (pull[0] + pull[1])
-        return dy
-
-    def halt(g, y, lanes):
-        return distances.min(axis=0) <= D_MIN
-
-    return clock, rhs, halt
-
-
 def integrate_orbit(initial: Sequence[float], t_final: float,
                     params: ModelParams, tol: float = DEFAULT_ORBIT_TOL,
                     fixed_steps: int | None = None) -> Trajectory:
     """Integrate the extended flow from ``initial`` over ``[0, t_final]``.
 
     The phase variable is exact: ``s(t) = s0 + t``; only ``(q, p)`` are
-    stepped.  DOP853 runs one lane of ``_orbit_system`` with rows at stops
+    stepped.  DOP853 runs one lane of ``model._orbit_system``, rows at stops
     evenly spaced at most ``ORBIT_ROW_SPACING`` apart in eccentric anomaly;
     more than ``MAX_GRID_POINTS`` rows, or an eccentric-anomaly span that
     rounds to zero, raise ``ValueError`` before any step.  A collision
-    truncates the orbit at its last stop (``truncated=True``).
+    truncates the orbit at its last stop (``truncated=True``), a start
+    within ``model.D_MIN`` of a primary at its first row; the RK4 route's
+    force raises ``CollisionError`` there instead.
 
     Args:
         initial: ``(q0, p0, s0)``, finite, else ``ValueError``.
@@ -186,9 +157,8 @@ def integrate_orbit(initial: Sequence[float], t_final: float,
     if fixed_steps is not None:
         _validate_tol(tol)
 
-        def rhs(t, y):  # with a collision guard at 1e-3 D_MIN
-            return np.array([y[1], tangential_force(y[0], s0 + t, params,
-                                                    1e-3 * D_MIN)])
+        def rhs(t, y):
+            return np.array([y[1], tangential_force(y[0], s0 + t, params)])
 
         ts, ys = rk4_fixed(rhs, 0.0, np.array([q0, p0]), t_final, fixed_steps)
         states = np.column_stack([ys[:, 0], ys[:, 1], s0 + ts])
@@ -522,11 +492,13 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     error a hyperbolic equilibrium then amplifies.  A step that would pass
     the lane's next stop is clipped there and the state recorded; the lane's
     step size carries over, shrunk but never grown by the clipped step.  A
-    lane leaves the batch after its last stop, or at the first accepted step
-    where ``halt(g, y, lanes)`` (``g`` the step's last row) is true, and the
-    stops it never reached stay NaN.  ``halt`` runs once per step attempt,
-    right after the step's last ``rhs`` call, whose state equals ``y`` on
-    every accepted lane.  Returns the states at the stops, shape
+    lane leaves the batch after its last stop, or where ``halt(g, y,
+    lanes)`` is true on its start or an accepted step, and the stops it
+    never reached stay NaN.  ``halt`` runs first on the start states with
+    the first ``rhs`` call's row, whose division warnings are silenced (a
+    lane that starts halted may divide by zero), then once per step
+    attempt, right after the step's last ``rhs`` call, whose state equals
+    ``y`` on every accepted lane.  Returns the states at the stops, shape
     ``(len(stops), n, n_lanes)``, or ``(n, n_lanes)`` for one stop time.  A
     step below ten ulps of ``t`` after a rejection, a NaN step (from a NaN
     slope at ``t = 0``, raised once its first attempt is rejected), or a
@@ -545,21 +517,26 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
         raise ValueError(f"stops={stops} not finite, positive, increasing")
     y0 = np.asarray(y0, dtype=float)
     lanes = np.arange(n_lanes)
-    t = np.zeros(n_lanes)
     y = np.array(np.broadcast_to(y0.reshape(len(y0), -1), (len(y0), n_lanes)))
+    out = np.full((stop_times.size,) + y.shape, np.nan)
     h_max = 0.25 * np.diff(stop_times, prepend=0.0).min()
-    f = rhs(clock(t[None], lanes)[0], y, lanes)
+    g = clock(np.zeros((1, n_lanes)), lanes)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = rhs(g, y, lanes)
+    if halt is not None:
+        keep = ~halt(g, y, lanes)
+        lanes, y, f = lanes[keep], y[:, keep], f[:, keep]
+    t = np.zeros(lanes.size)
     h_abs = np.minimum(_initial_steps(clock, rhs, stop_times[-1], y, f, lanes,
                                       tol), h_max)
     # Lanes step in lockstep, so every lane in the batch has made nfev
     # right-hand-side calls; a lane made nfev - nfev_at_stop[lane] of them
     # since its last stop, at most nfev - oldest.
     nfev, oldest = 2, 0
-    nfev_at_stop = np.zeros(n_lanes, dtype=int)
-    next_stop = np.zeros(n_lanes, dtype=int)
-    t_stop = np.full(n_lanes, stop_times[0])
-    rejected = np.zeros(n_lanes, dtype=bool)
-    out = np.full((stop_times.size,) + y.shape, np.nan)
+    nfev_at_stop = np.zeros(lanes.size, dtype=int)
+    next_stop = np.zeros(lanes.size, dtype=int)
+    t_stop = np.full(lanes.size, stop_times[0])
+    rejected = np.zeros(lanes.size, dtype=bool)
     k = np.empty((_dop.N_STAGES + 1,) + y.shape)  # new only as lanes move
     while lanes.size:
         stages = k.reshape(k.shape[0], -1)  # a view, one row per stage

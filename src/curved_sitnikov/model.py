@@ -1,4 +1,4 @@
-"""Force law, linearization and symmetries of the constrained particle.
+"""Force law, linearization, lane systems and symmetries of the particle.
 
 The massless particle lives on the unit circle in the yz-plane through the
 barycenter ``(0,1,0)`` of the binary; ``q`` is its polar angle on that
@@ -10,7 +10,9 @@ Only the tangential component of the binary's pull acts:
     d_i^2 = (r*rho)^2 + 2 (1-cos q)(1 ± c),
 
 with ``d1, d2`` the distances to the two primaries.  ``q = 0`` and
-``q = pi`` are equilibria for every parameter value.
+``q = pi`` are equilibria for every parameter value.  The lane systems
+(``_orbit_system``, ``_antipode_system``) sit beside the force parts they
+evaluate, and one guard, ``D_MIN``, serves the force and every orbit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kepler import TWO_PI, ModelParams, radial_factor
+from .kepler import TWO_PI, ModelParams, _anomaly_geometry, radial_factor
 
 # Distances below this are treated as collisions rather than evaluated.
 D_MIN = 1e-9
@@ -61,20 +63,48 @@ def _pull(ci, sin_q, di):
     return ci * sin_q / di**3
 
 
-def tangential_force(q: float, t: float, params: ModelParams,
-                     d_min: float = D_MIN) -> float:
-    """Tangential gravitational acceleration ``f(q, t)`` on the particle."""
+def tangential_force(q: float, t: float, params: ModelParams) -> float:
+    """Tangential acceleration ``f(q, t)``, guarded at ``D_MIN``."""
     a = params.r * radial_factor(t, params.epsilon)
     a2, c1, c2 = _phase_terms(a, a * math.cos(t))
     cos_q = math.cos(q)
     d1 = math.sqrt(_squared_distance(a2, c1, cos_q))
     d2 = math.sqrt(_squared_distance(a2, c2, cos_q))
-    if d1 <= d_min:
+    if d1 <= D_MIN:
         raise CollisionError(1, d1)
-    if d2 <= d_min:
+    if d2 <= D_MIN:
         raise CollisionError(2, d2)
     sin_q = math.sin(q)
     return -0.5 * (_pull(c1, sin_q, d1) + _pull(c2, sin_q, d2))
+
+
+def _orbit_system(params: ModelParams, u0: float):
+    """The extended flow as a ``_dop853_lanes`` system ``(clock, rhs, halt)``.
+
+    Time is the eccentric anomaly ``u0 + tau``: ``dq/du = rho p``, ``dp/du
+    = rho f(q, t(u))``, so no lane solves Kepler's equation; its ``-rho/2``
+    clock row makes ``rhs`` bit for bit ``rho f``.  ``halt`` (a state within
+    ``D_MIN`` of a primary) reads the distances the last ``rhs`` call kept.
+    """
+    distances = None  # the last rhs call's d1 and d2, the rows of one array
+
+    def clock(tau, lanes):  # rows (rho, -rho/2, a^2, 2(1 + c), 2(1 - c))
+        rho, a, t = _anomaly_geometry(u0 + tau, params.r, params.epsilon)
+        rows = rho, -0.5 * rho, *_phase_terms(a, a * np.cos(t))
+        return np.array(rows).swapaxes(0, 1)  # one (5, m) block per time
+
+    def rhs(g, y, lanes):
+        nonlocal distances
+        distances = np.sqrt(_squared_distance(g[2], g[3:], np.cos(y[0])))
+        pull = _pull(g[3:], np.sin(y[0]), distances)
+        dy = np.empty_like(y)
+        dy[0], dy[1] = g[0] * y[1], g[1] * (pull[0] + pull[1])
+        return dy
+
+    def halt(g, y, lanes):
+        return distances.min(axis=0) <= D_MIN
+
+    return clock, rhs, halt
 
 
 def dforce_dq(q_star: float, t: float, params: ModelParams) -> float:
@@ -111,6 +141,30 @@ def _antipode_dforce_dq(a, cos_half, sin_half):
     c = a * (cos_half - sin_half) * (cos_half + sin_half)
     return ((1.0 + c) / (gap + a8 * cos_half * cos_half) ** 1.5
             + (1.0 - c) / (gap + a8 * sin_half * sin_half) ** 1.5)
+
+
+def _antipode_system(rs: np.ndarray, epsilon: float):
+    """The antipode's linearization as a ``_dop853_lanes`` ``(clock, rhs)``.
+
+    One lane per radius in ``rs``, state ``(x1, y1, x2, y2)``, in eccentric
+    anomaly time (``kepler._anomaly_geometry``): ``dv/du = rho w``, ``dw/du
+    = -rho a(t(u)) v`` with ``a`` the Hill coefficient (the clock holds
+    ``rho`` and ``-rho a``), so no lane solves Kepler's equation.
+    """
+    def clock(u, lanes):  # rows (rho, rho df/dq) per time
+        rho, a, t = _anomaly_geometry(u, rs[lanes], epsilon)
+        half = 0.5 * t
+        return np.stack((rho, rho * _antipode_dforce_dq(a, np.cos(half),
+                                                        np.sin(half))),
+                        axis=1)
+
+    def rhs(g, y, lanes):
+        dy = np.empty_like(y)
+        dy[0::2] = g[0] * y[1::2]
+        dy[1::2] = g[1] * y[0::2]
+        return dy
+
+    return clock, rhs
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ The section variable is the forcing phase itself, so orbits are sampled
 once per period 2*pi with no crossing detection.  Initial conditions come
 from declarative deterministic grids, never random draws.  The adaptive
 route of ``section`` steps every orbit of a cloud as one lane of
-``integrate._orbit_system`` on ``integrate._dop853_lanes``, in
+``model._orbit_system`` on ``integrate._dop853_lanes``, in
 eccentric-anomaly time; its hits match to the tolerance but are not
 byte-identical across versions.  The fixed-step RK4 route is
 reproducible byte for byte.  Both fill one strobe array, from which a
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kepler import TWO_PI, ModelParams
-from .integrate import (DEFAULT_ORBIT_TOL, _dop853_lanes, _orbit_system,
-                        integrate_orbit)
-from .model import CollisionError
+from .integrate import DEFAULT_ORBIT_TOL, _dop853_lanes, integrate_orbit
+from .model import CollisionError, _orbit_system
 
 
 @dataclass
@@ -57,16 +56,16 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
         tol: integrator tolerance (adaptive engine).
         fixed_steps: RK4 steps per period (integer >= 1) for a reproducible
             cloud, one ``integrate_orbit`` call per period; ``None`` steps
-            all orbits as lanes of ``integrate._orbit_system`` from ``u =
-            0``, whose only stops are the strobes ``u = t = 2 pi k``.
+            all orbits as lanes of ``model._orbit_system`` from ``u = 0``,
+            whose only stops are the strobes ``u = t = 2 pi k``.
 
     Both engines fill one NaN ``(n_iterates, 2, n_orbits)`` strobe array,
     which one loop turns into the cloud.  A collision truncates only its
     orbit, which keeps its earlier hits; its later strobes stay NaN and
-    are dropped.  An adaptive orbit is truncated at the first accepted
-    step within ``D_MIN`` of a primary, a fixed-step one at the first
-    period in which the force guard trips.  Non-finite initial conditions
-    raise ``ValueError`` before either engine runs.
+    are dropped.  An adaptive orbit is truncated at its start or at the
+    first accepted step within ``model.D_MIN`` of a primary, a fixed-step
+    one at the first period in which the force's guard trips.  Non-finite
+    initial conditions raise ``ValueError`` before either engine runs.
     """
     if not (isinstance(n_iterates, numbers.Integral) and n_iterates >= 1):
         raise ValueError(f"n_iterates={n_iterates} must be an integer >= 1")

@@ -168,16 +168,16 @@ def _elliptic(h: float) -> bool:
 def _tile(samples: list[tuple[float, float]], narrow) -> tuple[list, list]:
     """Tile sorted ``(r, h)`` samples into alternating-class intervals.
 
-    Between two adjacent samples of different class,
-    ``narrow(r_lo, r_hi, lo_elliptic)`` returns the bracket of that
-    transition, and the interval boundary sits at the bracket's midpoint.
+    Between two adjacent samples ``lo``, ``hi`` of different class,
+    ``narrow(lo, hi)`` returns the bracket of that transition, and the
+    interval boundary sits at the bracket's midpoint.
     """
     intervals, transitions = [], []
     seg_start = samples[0][0]
     for (r0, h0), (r1, h1) in zip(samples, samples[1:]):
         lo_elliptic = _elliptic(h0)
         if lo_elliptic != _elliptic(h1):
-            lo, hi = narrow(r0, r1, lo_elliptic)
+            lo, hi = narrow((r0, h0), (r1, h1))
             transitions.append({"r_bracket": (lo, hi)})
             boundary = 0.5 * (lo + hi)
             intervals.append((seg_start, boundary,
@@ -214,11 +214,11 @@ def _bisect(lo: float, hi: float, lo_side, refine_tol: float):
     return lo, hi
 
 
-def _narrow(h_at, r_lo: float, r_hi: float, lo_elliptic: bool,
-            refine_tol: float) -> tuple[float, float]:
+def _narrow(h_at, lo_end, hi_end, refine_tol: float) -> tuple[float, float]:
     """The leaf of ``_bisect`` over the cell where the class changes.
 
-    With ``s`` the sign of ``h`` at the cell's non-elliptic end, each step
+    ``lo_end`` and ``hi_end`` are the cell's ``(r, h)`` samples.  With ``s``
+    the sign of ``h`` at the cell's non-elliptic end, each step
     takes the secant estimate of ``h = s`` from the last two evaluations,
     finds the leaf holding it and evaluates that leaf's end nearest it,
     so only leaf ends are evaluated.  An estimate on the end just
@@ -227,9 +227,11 @@ def _narrow(h_at, r_lo: float, r_hi: float, lo_elliptic: bool,
     ends on a leaf whose ends differ in class: bisection's bracket
     whenever the class changes once in the cell.
     """
-    s = math.copysign(1.0, h_at(r_hi if lo_elliptic else r_lo))
+    (r_lo, h_lo), (r_hi, h_hi) = lo_end, hi_end
+    lo_elliptic = _elliptic(h_lo)
+    s = math.copysign(1.0, h_hi if lo_elliptic else h_lo)
     lo, hi = r_lo, r_hi
-    (x0, f0), (x1, f1) = (lo, h_at(lo) - s), (hi, h_at(hi) - s)
+    (x0, f0), (x1, f1) = (lo, h_lo - s), (hi, h_hi - s)
     widths = [hi - lo]  # the bracket's widths since the last midpoint
     while True:
         x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
@@ -258,8 +260,8 @@ def find_transitions(curve: TraceCurve,
     grid points is narrowed to a leaf of bisection to width ``refine_tol``
     (``_narrow``, a secant search on bisection's own floats; a cell within
     ``refine_tol`` is its own leaf) before its midpoint becomes an
-    interval boundary.  Every half-trace is computed
-    once per radius (the grid's own are reused), and the bracket is the
+    interval boundary.  A cell's ends are its grid samples and
+    ``_narrow`` evaluates no radius twice, and the bracket is the
     one bisection returns whenever the class changes once in the cell.
     Interval midpoints are re-checked; mismatches are flagged in
     ``suspect`` (two crossings inside a single grid cell cannot be split
@@ -275,13 +277,10 @@ def find_transitions(curve: TraceCurve,
 
     samples = [(float(r), float(h))
                for r, h in zip(curve.values, curve.half_traces)]
-    cache = dict(samples)
 
     def h_at(r: float) -> float:
-        if r not in cache:
-            cache[r] = _half_trace(curve.q_star, r, curve.epsilon,
-                                   curve.period, curve.tol)
-        return cache[r]
+        return _half_trace(curve.q_star, r, curve.epsilon, curve.period,
+                           curve.tol)
 
     intervals, transitions = _tile(
         samples, lambda *cell: _narrow(h_at, *cell, refine_tol))
@@ -382,8 +381,8 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
                 samples.extend(zip(rs, hs))
                 samples.sort()
                 # Census brackets stay the grid cells that hold them.
-                intervals, transitions = _tile(samples,
-                                               lambda lo, hi, _: (lo, hi))
+                intervals, transitions = _tile(
+                    samples, lambda lo, hi: (lo[0], hi[0]))
                 counts.append(sum(cls == ELLIPTIC
                                   for _, _, cls in intervals[1:-1]))
 

@@ -298,8 +298,8 @@ QUICK_SKIP = {"origin stability"}
 def run_all(quick: bool = False) -> Iterator[CheckResult]:
     """Run the verification suite in order, yielding each result as it ends.
 
-    ``quick=True`` skips the slowest check, section boundedness (about
-    5 s).  Checks share a context so later checks can audit the
+    ``quick=True`` skips the slowest check, section boundedness (3-4 s
+    on a shared 2-core host).  Checks share a context so later checks can audit the
     monodromy cases of earlier ones.
     """
     ctx: dict = {}

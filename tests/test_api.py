@@ -60,7 +60,7 @@ def test_only_cli_writes_artifacts():
 
 # Defaulted parameters, lambda defaults and defaulted dataclass fields in
 # the package: each is a knob, and none is added without removing another.
-MAX_OPTIONS = 29
+MAX_OPTIONS = 28
 
 
 def _option_count(tree: ast.AST) -> int:
@@ -109,7 +109,7 @@ def test_one_step_loop_per_data_shape():
 
 # One spelling of the orbit force: the scalar force and the orbits' lane
 # system are the only places that build it from its parts.
-FORCE_PART_CALLERS = ["integrate._orbit_system", "model.tangential_force"]
+FORCE_PART_CALLERS = ["model._orbit_system", "model.tangential_force"]
 
 
 def test_one_spelling_of_the_orbit_force():
@@ -122,3 +122,33 @@ def test_one_spelling_of_the_orbit_force():
                          for node in ast.parse(path.read_text()).body
                          if _calls(node, part))
         assert callers == FORCE_PART_CALLERS, part
+
+
+# The model's equations live in ``model``: no other module names the
+# parts of the force or of the antipode's linearization.
+MODEL_PARTS = {"_phase_terms", "_squared_distance", "_pull",
+               "_antipode_dforce_dq"}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name a module binds, reads, imports or defines."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_model_parts_stay_in_model():
+    package = pathlib.Path(curved_sitnikov.__file__).parent
+    users = sorted(path.name for path in package.glob("*.py")
+                   if _names(ast.parse(path.read_text())) & MODEL_PARTS)
+    assert users == ["model.py"]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curved_sitnikov import cli, integrate, scan, verification
+from curved_sitnikov import cli, model, scan, verification
 from curved_sitnikov.cli import (EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK,
                                  EXIT_VERIFY, ConfigError, build_parser, main,
                                  parse_grid, parse_qstar)
@@ -77,7 +77,7 @@ class TestCommands:
     def test_simulate_warns_on_collision_truncation(self, tmp_path, capsys,
                                                      monkeypatch):
         # inflated guard distance: the guard halts the orbit in period three
-        monkeypatch.setattr(integrate, "D_MIN", 0.3)
+        monkeypatch.setattr(model, "D_MIN", 0.3)
         out = tmp_path / "traj.csv"
         code = main(["simulate", "--r", "1.9", "--q0", str(math.pi - 0.5),
                      "--p0", "0", "--t-final", "31.4", "--out", str(out)])
@@ -86,6 +86,18 @@ class TestCommands:
             "warning: trajectory truncated by collision guard\n"
         t_last = float(out.read_text().splitlines()[-1].split(",")[0])
         assert t_last < 31.4
+
+    def test_simulate_warns_on_a_start_inside_the_guard(self, tmp_path,
+                                                         capsys):
+        # q = pi lies 4e-10 from primary 2 at t = 0, within D_MIN
+        out = tmp_path / "traj.csv"
+        code = main(["simulate", "--r", repr(2.0 - 4e-10), "--q0",
+                     repr(math.pi), "--p0", "0", "--t-final", "1.0",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == \
+            "warning: trajectory truncated by collision guard\n"
+        assert len(out.read_text().splitlines()) == 3
 
     def test_floquet_verdict(self, tmp_path):
         out = tmp_path / "verdict.json"

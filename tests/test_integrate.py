@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from curved_sitnikov import integrate, poincare
+from curved_sitnikov import integrate, model, poincare
 from curved_sitnikov.kepler import (ModelParams, _anomaly_geometry,
                                     collision_ceiling, solve_kepler)
 from curved_sitnikov.cli import _write_csv, main
@@ -141,13 +141,21 @@ class TestOrbit:
     def test_collision_event_truncates(self, monkeypatch):
         # inflated guard distance: the particle drifts through the
         # close-approach zone while a primary swings by
-        monkeypatch.setattr(integrate, "D_MIN", 0.3)
+        monkeypatch.setattr(model, "D_MIN", 0.3)
         params = ModelParams(r=1.9)
         traj = integrate_orbit((math.pi - 0.05, 0.05, 2.0), TWO_PI,
                                params, tol=1e-8)
         assert traj.truncated
         assert traj.t[-1] < TWO_PI
         assert np.all(np.diff(traj.t) > 0.0)
+
+    def test_start_inside_the_guard_truncates_at_once(self):
+        # 4e-10 from primary 2, within D_MIN: the lane halts at its start,
+        # where the distance cancels to 0, and takes no step
+        traj = integrate_orbit((math.pi, 0.0, 0.0), 1.0,
+                               ModelParams(r=2.0 - 4e-10))
+        assert traj.t.tolist() == [0.0]
+        assert traj.truncated
 
     def test_phase_offset(self):
         traj = integrate_orbit((0.3, 0.0, 1.0), 1.0, P10, tol=1e-9)
@@ -664,10 +672,11 @@ class TestLanes:
             _dop853_lanes(refuse, refuse, stops, np.array([1.0]), 2, 1e-9)
 
     def test_clock_runs_once_per_step_attempt(self):
-        # one one-row call at t = 0 and one at the initial step's probe,
-        # then one call per step attempt on its 12 rhs times: t + c_i h for
-        # the 11 interior stages and the step's end t + h, whose last row
-        # halt sees as well; rhs sees every clock row exactly once
+        # one one-row call at t = 0, whose row halt sees first, and one at
+        # the initial step's probe, then one call per step attempt on its
+        # 12 rhs times: t + c_i h for the 11 interior stages and the step's
+        # end t + h, whose last row halt sees as well; rhs sees every clock
+        # row exactly once
         oscillators = _oscillators(np.array([0.5, 3.0]))
         rows, seen, ends = [], [], []
 
@@ -687,14 +696,16 @@ class TestLanes:
                       np.array([1.0, 0.0, 0.0, 1.0]), 2, 1e-9, halt)
         assert [times.shape for times, _ in rows[:2]] == [(1, 2), (1, 2)]
         np.testing.assert_array_equal(rows[0][0], 0.0)
+        np.testing.assert_array_equal(ends[0], rows[0][0][0])
         steps = rows[2:]
         assert len(steps) > 10
+        assert len(ends) == 1 + len(steps)
         # the lanes leave at different steps, so the rows are compared flat
         assert len(seen) == 2 + 12 * len(steps) == sum(len(g) for g, _ in rows)
         np.testing.assert_array_equal(
             np.concatenate([g.ravel() for g, _ in rows]), np.concatenate(seen))
         t, last = np.zeros(2), np.zeros(2)
-        for (times, lanes), end in zip(steps, ends):
+        for (times, lanes), end in zip(steps, ends[1:]):
             # an accepted step moves a lane's start to its end; a rejected
             # one retries from the same start with a smaller step
             t[lanes] = np.where(times[0] > last[lanes], last[lanes], t[lanes])
@@ -779,7 +790,7 @@ class TestClockSplit:
         # an inflated guard distance halts the first orbit at r = 1.9 (see
         # the lane route's collision test), so halting is compared as well
         d_min = 0.3
-        monkeypatch.setattr(integrate, "D_MIN", d_min)
+        monkeypatch.setattr(model, "D_MIN", d_min)
         initial = np.array([[math.pi - 0.5, 0.1, 0.3], [0.0, 0.0, 0.2]])
 
         def distances(u, q):
@@ -822,9 +833,9 @@ class TestOrbitHalt:
         # states within 1e-6 of primary 2 (u near 0) and of primary 1 (u
         # near pi) on the antipode, with the guard inflated to straddle them
         d_min = 5e-7
-        monkeypatch.setattr(integrate, "D_MIN", d_min)
+        monkeypatch.setattr(model, "D_MIN", d_min)
         r = 2.0 - 2e-7
-        clock, rhs, halt = integrate._orbit_system(ModelParams(r), 0.0)
+        clock, rhs, halt = model._orbit_system(ModelParams(r), 0.0)
         dq = np.linspace(-1e-6, 1e-6, 41)
         for u in (0.0, 1e-7, math.pi, math.pi - 1e-7):
             tau = np.full((1, dq.size), u)

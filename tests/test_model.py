@@ -116,9 +116,9 @@ class TestTangentialForce:
                         q, t, params)
 
     def test_collision_guard_names_primary(self):
+        # at t = pi primary 1 sits at the antipode once r reaches 2
         with pytest.raises(CollisionError) as err:
-            tangential_force(math.pi, math.pi, ModelParams(r=1.95),
-                             d_min=0.1)
+            tangential_force(math.pi, math.pi, ModelParams(r=2.0 - 1e-10))
         assert err.value.primary == 1
         assert "primary 1" in str(err.value)
 

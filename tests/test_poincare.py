@@ -4,11 +4,12 @@ import argparse
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from curved_sitnikov import integrate, poincare
+from curved_sitnikov import integrate, model, poincare
 from curved_sitnikov.cli import _write_csv, main
 from curved_sitnikov.integrate import StiffnessError, integrate_orbit
 from curved_sitnikov.kepler import ModelParams
@@ -87,28 +88,25 @@ class TestSection:
         assert hashlib.sha256(data).hexdigest() == sha256
 
     def test_fixed_step_collision_truncates_only_its_orbit(self, monkeypatch):
-        # the RK4 route's force guard sits at 1e-3 D_MIN = 0.3 here; it
-        # trips in the third period, as the lane route's guard does
-        # in TestLaneRoute
-        monkeypatch.setattr(integrate, "D_MIN", 300.0)
+        # the RK4 route's force guard trips in the third period, as the
+        # lane route's guard does in TestLaneRoute
+        monkeypatch.setattr(model, "D_MIN", 0.3)
         cloud = section(ModelParams(r=1.9), [(math.pi - 0.5, 0.0), (0.1, 0.0)],
                         n_iterates=10, fixed_steps=128)
         assert cloud.truncated == [True, False]
         assert [len(o) for o in cloud.orbits] == [2, 10]
 
-    @pytest.mark.parametrize("guard, engine", [
-        (300.0, {"fixed_steps": 128}),
-        (0.3, {"tol": 1e-8}),
-    ], ids=["fixed", "lanes"])
+    @pytest.mark.parametrize("engine", [{"fixed_steps": 128}, {"tol": 1e-8}],
+                             ids=["fixed", "lanes"])
     def test_truncated_orbit_keeps_earlier_hits_bitwise(self, monkeypatch,
-                                                        guard, engine):
-        # the inflated guards of the two truncation tests; the reference
+                                                        engine):
+        # the inflated guard of the two truncation tests; the reference
         # is the same grid and n_iterates under the default guard, since
         # a lane run with fewer strobes takes other steps
         grid = [(math.pi - 0.5, 0.0), (0.1, 0.0)]
         full = section(ModelParams(r=1.9), grid, n_iterates=10, **engine)
         assert full.truncated == [False, False]
-        monkeypatch.setattr(integrate, "D_MIN", guard)
+        monkeypatch.setattr(model, "D_MIN", 0.3)
         cut = section(ModelParams(r=1.9), grid, n_iterates=10, **engine)
         assert cut.truncated == [True, False]
         assert cut.orbits[0].tobytes() == full.orbits[0][:2].tobytes()
@@ -173,12 +171,31 @@ class TestLaneRoute:
         # inflated guard distance, as in the orbit engine's collision test;
         # from q = pi - 0.5 the guard halts the orbit in its third period,
         # so two strobes come before it
-        monkeypatch.setattr(integrate, "D_MIN", 0.3)
+        monkeypatch.setattr(model, "D_MIN", 0.3)
         cloud = section(ModelParams(r=1.9), [(math.pi - 0.5, 0.0), (0.1, 0.0)],
                         n_iterates=10, tol=1e-8)
         assert cloud.truncated == [True, False]
         assert [len(o) for o in cloud.orbits] == [2, 10]
         assert np.all(np.isfinite(cloud.orbits[0]))
+
+    def test_orbit_starting_inside_the_guard_has_no_hits(self):
+        # q = pi lies 4e-10 from primary 2 at t = 0, within D_MIN
+        cloud = section(ModelParams(r=2.0 - 4e-10),
+                        [(math.pi, 0.0), (0.2, 0.1)], n_iterates=3)
+        assert cloud.truncated == [True, False]
+        assert cloud.orbits[0].size == 0
+
+    def test_orbit_starting_inside_the_guard_leaves_the_rest(self):
+        # the halted lane leaves before the first step, so its neighbour
+        # steps as it does alone, with no warning from the start's 1/d^3
+        params = ModelParams(r=2.0 - 4e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = section(params, [(math.pi, 0.0), (0.2, 0.1)],
+                            n_iterates=3)
+        alone = section(params, [(0.2, 0.1)], n_iterates=3)
+        assert cloud.orbits[1].shape == (3, 2)
+        assert cloud.orbits[1].tobytes() == alone.orbits[0].tobytes()
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     def test_strobes_match_tight_scalar_route(self, eps):

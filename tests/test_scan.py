@@ -339,20 +339,17 @@ NARROW_CELLS = {
 
 
 def _narrowed(h, r_lo, r_hi, refine_tol):
-    """``scan._narrow`` on ``h`` with a cache as ``find_transitions``
-    keeps: its bracket and the radii it evaluated besides the cell's
-    ends."""
-    cache = {r_lo: h(r_lo), r_hi: h(r_hi)}
+    """``scan._narrow`` on ``h`` over the cell's ``(r, h)`` samples, as
+    ``find_transitions`` hands it: its bracket and the radii it
+    evaluated."""
     fresh = []
 
     def h_at(r):
-        if r not in cache:
-            fresh.append(r)
-            cache[r] = h(r)
-        return cache[r]
+        fresh.append(r)
+        return h(r)
 
-    lo_elliptic = scan._elliptic(cache[r_lo])
-    return scan._narrow(h_at, r_lo, r_hi, lo_elliptic, refine_tol), fresh
+    return scan._narrow(h_at, (r_lo, h(r_lo)), (r_hi, h(r_hi)),
+                        refine_tol), fresh
 
 
 class TestNarrow:
@@ -418,8 +415,8 @@ def _census_level_by_level(epsilon, r_max_fraction, budget,
         rs = [ceiling - g_hi * (g_lo / g_hi) ** frac for frac in fracs]
         hs = scan._antipode_half_traces(rs, epsilon, tol).tolist()
         samples = sorted(samples + list(zip(rs, hs)))
-        intervals, transitions = scan._tile(samples,
-                                            lambda lo, hi, _: (lo, hi))
+        intervals, transitions = scan._tile(
+            samples, lambda lo, hi: (lo[0], hi[0]))
         counts.append(sum(cls == ELLIPTIC for _, _, cls in intervals[1:-1]))
         completed = level
         if counts[-1] > 0 and counts[-3:] == [counts[-1]] * 3:
