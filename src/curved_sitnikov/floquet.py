@@ -23,7 +23,7 @@ from .model import (_antipode_system, coefficient_period, cubic_coefficient,
                     hill_coefficient)
 from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix,
                         _dop853_floats, _dop853_lanes, _float_stops,
-                        _float_trial, integrate_variational)
+                        integrate_variational)
 
 DEFAULT_DELTA_PAR = 1e-9
 DET_CORRUPT_TOL = 1e-6
@@ -142,7 +142,8 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
     must be finite, else ``ValueError`` before any work.  ``t1 < t0``
     integrates backward, and ``t1 == t0`` gives 0.  ``tol`` must lie in
     the integrator window ``[1e-13, 1e-6]``.  Both routes solve with
-    ``integrate._dop853_floats``, which takes scipy's DOP853 steps and
+    ``integrate._dop853_floats``, ``a`` its clock, which takes scipy's
+    DOP853 steps (calling ``a`` 11 times a step attempt) and
     raises :class:`StiffnessError` on a step-size underflow (where a NaN
     coefficient ends) or past ``MAX_VARIATIONAL_NFEV`` right-hand-side
     calls.  Two independent routes:
@@ -168,18 +169,17 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
     if method == "theta":
         th0 = math.atan2(z0.imag, z0.real)
 
-        def rhs(t, y):
+        def rhs(at, y):
             c, s = math.cos(y[0]), math.sin(y[0])
-            return [-(a(t) * c * c + s * s)]
+            return [-(at * c * c + s * s)]
 
-        ys = _dop853_floats(rhs, t0, t1, [th0], tol, _float_trial(rhs))[1]
+        ys = _dop853_floats(a, rhs, t0, t1, [th0], tol)[1]
         return ys[-1][0] - th0
 
-    def rhs(t, y):
-        return [y[1], -a(t) * y[0]]
+    def rhs(at, y):
+        return [y[1], -at * y[0]]
 
-    ts, ys, fs, nfev = _dop853_floats(rhs, t0, t1, [z0.real, z0.imag], tol,
-                                      _float_trial(rhs))
+    ts, ys, fs, nfev = _dop853_floats(a, rhs, t0, t1, [z0.real, z0.imag], tol)
     steps = ts, ys, fs
     for _ in range(40):
         xs = np.array(ys)
@@ -191,7 +191,7 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
             return float(args[-1] - args[0])
         mids = [0.5 * (ta + tb) for ta, tb, jump in zip(ts, ts[1:], jumps)
                 if jump >= 0.5 * math.pi]
-        mid_ts, mid_ys, nfev = _float_stops(rhs, steps, mids, nfev)
+        mid_ts, mid_ys, nfev = _float_stops(a, rhs, steps, mids, nfev)
         samples = sorted(zip(ts + mid_ts, ys + mid_ys),
                          key=lambda sample: sample[0], reverse=t1 < t0)
         ts, ys = [t for t, _ in samples], [y for _, y in samples]

@@ -6,11 +6,13 @@ solve raising :class:`StiffnessError`, and both with the step rules of
 scipy's DOP853 solver (Hairer, Norsett and Wanner, *Solving ODEs I*,
 II.4-II.5): small systems step on Python floats in ``_dop853_floats``,
 and orbits and many independent solves go through ``_dop853_lanes``,
-which steps them side by side as the lanes of one array.  The float loop
-takes its trial step from the caller: single monodromies
-(``integrate_variational``) pass one unrolled for their 4-component
-system, the winding routes the generic ``_float_trial``; both give the
-same floats.  The lane systems are ``model``'s.  The DOP853 tables are
+which steps them side by side as the lanes of one array.  Both take a
+system in two parts, a clock of what the right-hand side needs of time
+alone and the right-hand side given its value.  Every step of the float
+loop, single monodromies (``integrate_variational``) and both winding
+routes alike, is one call of a straight-line kernel that
+``_dop853_kernel`` compiles once per component count from the tableau.
+The lane systems are ``model``'s.  The DOP853 tables are
 scipy's, loaded from their file without importing ``scipy.integrate``; no
 solve imports a scipy solver.  Float solves, and each lane between two
 stops, stop with :class:`StiffnessError` past ``MAX_VARIATIONAL_NFEV``
@@ -18,13 +20,15 @@ right-hand-side calls, and orbits at ``MAX_GRID_POINTS`` rows, so every
 admissible input ends in bounded work.  A step count ``fixed_steps``
 selects a fixed-step classical RK4 for bit-reproducible orbit baselines,
 ``None`` DOP853.  All engines are reentrant and hold no state between
-calls (``model._orbit_system``'s ``halt`` reads its solve's own closure);
+calls but the compiled kernels (``model._orbit_system``'s ``halt`` reads
+its solve's own closure);
 the flow is smooth away from collisions, so no symplectic or stiff
 machinery is needed at these horizons.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import numbers
@@ -196,74 +200,23 @@ def integrate_variational(a: Callable[[float], float], period: float,
     """Fundamental matrix at ``t = period`` of ``v' = [[0,1],[-a(t),0]] v``.
 
     ``a`` is the coefficient, e.g. the Hill coefficient of a linearization
-    (``model.hill_coefficient``), called once per right-hand-side call.
-    Both columns are integrated together as the 4-component system
-    ``(x1, y1, x2, y2)`` of ``_variational_system`` by ``_dop853_floats``
-    at ``rtol = atol = tol``, so that loop's step rules and errors hold.
+    (``model.hill_coefficient``), called once per stage time: 11 times a
+    step attempt, whose 12 right-hand-side calls ``n_rhs`` counts.  Both
+    columns are integrated together as the 4-component system
+    ``(x1, y1, x2, y2)`` of ``_variational_rhs``, with ``a`` its clock, by
+    ``_dop853_floats`` at ``rtol = atol = tol``, so that loop's step rules
+    and errors hold.
     """
-    rhs, trial = _variational_system(a)
-    _, ys, _, nfev = _dop853_floats(rhs, 0.0, period, (1.0, 0.0, 0.0, 1.0),
-                                    tol, trial)
+    _, ys, _, nfev = _dop853_floats(a, _variational_rhs, 0.0, period,
+                                    (1.0, 0.0, 0.0, 1.0), tol)
     x1, y1, x2, y2 = ys[-1]
     return FundamentalMatrix(x1=x1, x2=x2, y1=y1, y2=y2, n_rhs=nfev)
 
 
-def _variational_system(a):
-    """``v' = [[0,1],[-a(t),0]] v`` for both columns as ``(rhs, trial)``.
-
-    ``rhs`` and ``trial`` are the system and trial step ``_dop853_floats``
-    takes, state ``(x1, y1, x2, y2)``.  The trial is ``_float_trial(rhs)``
-    with its stage arithmetic unrolled for the 4 components: the same
-    floats, 1.6 to 2 times as fast.
-    """
-    def rhs(t, y):
-        at = a(t)
-        return y[1], -at * y[0], y[3], -at * y[2]
-
-    def trial(t, y, f, h):
-        x1, y1, x2, y2 = y
-        k = [f]
-        for c, row in _STAGES:
-            d1, d2, d3, d4 = _combine(row, k)
-            at = a(t + c * h)
-            k.append((y1 + d2 * h, -at * (x1 + d1 * h),
-                      y2 + d4 * h, -at * (x2 + d3 * h)))
-        d1, d2, d3, d4 = _combine(_WEIGHTS, k)
-        y_new = x1 + h * d1, y1 + h * d2, x2 + h * d3, y2 + h * d4
-        return (y_new, rhs(t + h, y_new), _combine(_E5_WEIGHTS, k),
-                _combine(_E3_WEIGHTS, k))
-
-    return rhs, trial
-
-
-def _combine(row, k) -> tuple[float, float, float, float]:
-    """``sum(coef * k[j] for j, coef in row)`` of 4-tuples, in row order."""
-    d1 = d2 = d3 = d4 = 0.0
-    for j, coef in row:
-        k1, k2, k3, k4 = k[j]
-        d1 += coef * k1
-        d2 += coef * k2
-        d3 += coef * k3
-        d4 += coef * k4
-    return d1, d2, d3, d4
-
-
-def _error_norm(e5s, e3s, y, y_new, h_abs: float, tol: float) -> float:
-    """Scipy's DOP853 error norm of a step of length ``h_abs``, in floats.
-
-    ``e5s`` and ``e3s`` are the two embedded error estimates (the stage
-    sums of ``_E5_WEIGHTS`` and ``_E3_WEIGHTS``) of a step from ``y`` to
-    ``y_new``, scaled componentwise by ``tol + max(|y|, |y_new|) tol``.
-    """
-    err5 = err3 = 0.0
-    for e5, e3, old, new in zip(e5s, e3s, y, y_new):
-        scale = tol + max(abs(old), abs(new)) * tol
-        e5, e3 = e5 / scale, e3 / scale
-        err5 += e5 * e5
-        err3 += e3 * e3
-    denom = err5 + 0.01 * err3
-    # a NaN norm stays NaN and so rejects the step
-    return h_abs * err5 / math.sqrt(len(y) * denom) if denom else 0.0
+def _variational_rhs(at, y):
+    """``v' = [[0,1],[-a(t),0]] v`` for both columns ``(x1, y1, x2, y2)``,
+    given the coefficient ``at = a(t)``."""
+    return y[1], -at * y[0], y[3], -at * y[2]
 
 
 def _step_factor(error: float, rejected: bool) -> float:
@@ -280,55 +233,71 @@ def _step_factor(error: float, rejected: bool) -> float:
     return max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
 
 
-def _combine_floats(row, k) -> list[float]:
-    """``sum(coef * k[j] for j, coef in row)`` of equal-length sequences."""
-    d = [0.0] * len(k[0])
-    for j, coef in row:
-        for i, v in enumerate(k[j]):
-            d[i] += coef * v
-    return d
+@functools.cache
+def _dop853_kernel(n: int):
+    """One DOP853 step attempt on ``n`` floats, written out line by line.
 
-
-def _float_step(rhs, t: float, y, f, h: float):
-    """One DOP853 step of length ``h`` from ``(t, y)``, slope ``f`` there.
-
-    Returns the new state and the stage slopes ``k`` (``f`` and the 11
-    stage calls); the slope at the step's end is left to the caller.
+    ``kernel(clock, rhs, t, y, f, h, tol)`` steps the system ``clock``,
+    ``rhs`` of ``_dop853_floats`` by signed ``h`` from ``(t, y)``, slope
+    ``f`` there, and returns the new state (a tuple), the slope there and
+    scipy's E5/E3 error norm of the step, scaled componentwise by ``tol +
+    max(|y|, |y_new|) tol``; a NaN norm stays NaN and so rejects the
+    step.  With ``tol`` None it returns the new state alone, after the 11
+    stage calls.  Every stage, weight and error sum is written from
+    ``0.0`` in the row order of ``_STAGES``, ``_WEIGHTS``, ``_E5_WEIGHTS``
+    and ``_E3_WEIGHTS``, so it rounds as the loop ``d = 0.0; d += coef *
+    k[j]`` would.  Stage 11's node is 1, so it and the step's end share
+    one ``clock`` row: 11 ``clock`` and 12 ``rhs`` calls an attempt.
+    Built once per ``n`` by ``compile``.
     """
-    k = [f]
-    for c, row in _STAGES:
-        d = _combine_floats(row, k)
-        k.append(rhs(t + c * h, [v + dv * h for v, dv in zip(y, d)]))
-    d = _combine_floats(_WEIGHTS, k)
-    return [v + h * dv for v, dv in zip(y, d)], k
+    comps = range(n)
+
+    def tup(form):  # "(form(0), ..., form(n - 1), )"
+        return "(" + "".join(form.format(i=i) + ", " for i in comps) + ")"
+
+    def total(row, i):  # sum(coef * k[j][i] for j, coef in row), from 0.0
+        return "(0.0" + "".join(f" + {c!r} * k{j}_{i}" for j, c in row) + ")"
+
+    lines = ["def kernel(clock, rhs, t, y, f, h, tol):",
+             f"{tup('y{i}')} = y", f"{tup('k0_{i}')} = f"]
+    for s, (c, row) in enumerate(_STAGES, 1):
+        state = tup("y{i} + " + total(row, "{i}") + " * h")
+        lines += [f"g = clock(t + {c!r} * h)",
+                  f"{tup(f'k{s}_{{i}}')} = rhs(g, {state})"]
+    lines += [f"n{i} = y{i} + h * {total(_WEIGHTS, i)}" for i in comps]
+    lines += [f"y_new = {tup('n{i}')}", "if tol is None: return y_new"]
+    for i in comps:  # (b if b > a else a) is max(a, b), NaNs included
+        lines += [f"a, b = abs(y{i}), abs(n{i})",
+                  "s = tol + (b if b > a else a) * tol",
+                  f"e5_{i} = {total(_E5_WEIGHTS, i)} / s",
+                  f"e3_{i} = {total(_E3_WEIGHTS, i)} / s"]
+    lines += ["err5 = 0.0" + "".join(f" + e5_{i} * e5_{i}" for i in comps),
+              "err3 = 0.0" + "".join(f" + e3_{i} * e3_{i}" for i in comps),
+              "denom = err5 + 0.01 * err3",
+              f"error = abs(h) * err5 / sqrt({n} * denom) if denom else 0.0",
+              "return y_new, rhs(g, y_new), error"]
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n    ".join(lines), f"<DOP853 kernel, n={n}>", "exec"),
+         namespace)
+    return namespace["kernel"]
 
 
-def _float_trial(rhs):
-    """The generic trial step of ``_dop853_floats``: ``_float_step``."""
-    def trial(t, y, f, h):
-        y_new, k = _float_step(rhs, t, y, f, h)
-        return (y_new, rhs(t + h, y_new), _combine_floats(_E5_WEIGHTS, k),
-                _combine_floats(_E3_WEIGHTS, k))
+def _dop853_floats(clock, rhs, t0: float, t1: float, y0, tol: float):
+    """Solve a small system ``y' = rhs(clock(t), y)`` from ``t0`` to ``t1``.
 
-    return trial
-
-
-def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float, trial):
-    """Solve a small system ``y' = rhs(t, y)`` from ``t0`` to ``t1``.
-
-    ``rhs`` maps a time and a state (a sequence of floats) to the slope,
-    a sequence of floats.  ``trial(t, y, f, h)`` is one DOP853 step of
-    signed length ``h`` from ``(t, y)`` with slope ``f`` there, 12 calls
-    of ``rhs``; it returns the new state, the slope there and the stage
-    sums of ``_E5_WEIGHTS`` and ``_E3_WEIGHTS``.  ``_float_trial(rhs)``
-    serves any system; ``_variational_system`` has an unrolled one.  The
-    solve is a DOP853 over Python floats at ``rtol = atol = tol`` that
-    takes scipy's DOP853 steps, forward or backward: the initial step of
+    The system comes in two parts, as for ``_dop853_lanes``: ``clock(t)``
+    is what the right-hand side needs of time alone (for a Hill equation
+    the coefficient ``a(t)``), and ``rhs(g, y)`` maps its value ``g`` and
+    a state (a sequence of floats) to the slope, a sequence of floats.
+    Each step attempt is one call of the straight-line ``_dop853_kernel``
+    for the state's length: 11 ``clock`` and 12 ``rhs`` calls.  The solve
+    is a DOP853 over Python floats at ``rtol = atol = tol`` that takes
+    scipy's DOP853 steps, forward or backward: the initial step of
     ``_initial_steps``, the E5/E3 error norm, step factors 0.9/0.2/10 and
     no growth right after a rejection.  Its stage sums run in another
-    order than scipy's, so the two agree to roundoff.  Returns
-    ``(ts, ys, fs, nfev)``: the times, states and slopes at ``t0`` and at
-    every accepted step's end, ordered from ``t0`` to ``t1``, and the
+    order than scipy's, so the two agree to roundoff.  Returns ``(ts, ys,
+    fs, nfev)``: the times, states and slopes at ``t0`` and at every
+    accepted step's end, ordered from ``t0`` to ``t1``, and the
     right-hand-side calls made; ``t1 == t0`` takes no step.  Each
     accepted step starts from the entry before its end, so
     ``_float_stops`` can sample the solve between them.  A step below ten
@@ -339,16 +308,18 @@ def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float, trial):
     _validate_tol(tol)
     direction = 1.0 if t1 > t0 else -1.0
 
-    def lane_rhs(tau, y, lanes):  # one lane, forward in |t - t0|
-        slope = rhs(float(tau[0]), y[:, 0].tolist())
-        return direction * np.array(slope)[:, None]
+    def lane_clock(tau, lanes):  # one lane, forward in |t - t0|
+        return [clock(t0 + direction * float(tau[0, 0]))]
 
-    t, y = t0, list(y0)
-    f = rhs(t, y)
+    def lane_rhs(g, y, lanes):
+        return direction * np.array(rhs(g, y[:, 0].tolist()))[:, None]
+
+    kernel = _dop853_kernel(len(y0))
+    t, y = t0, tuple(y0)
+    f = rhs(clock(t), y)
     h_abs = float(_initial_steps(
-        lambda tau, lanes: t0 + direction * tau, lane_rhs, abs(t1 - t0),
-        np.array(y)[:, None], direction * np.array(f)[:, None],
-        np.zeros(1, dtype=int), tol)[0])
+        lane_clock, lane_rhs, abs(t1 - t0), np.array(y)[:, None],
+        direction * np.array(f)[:, None], np.zeros(1, dtype=int), tol)[0])
     nfev = 2
     ts, ys, fs = [t], [y], [f]
     while t != t1:
@@ -363,10 +334,8 @@ def _dop853_floats(rhs, t0: float, t1: float, y0, tol: float, trial):
             if direction * (t_new - t1) > 0.0:
                 t_new = t1
             h = t_new - t
-            h_abs = abs(h)
-            y_new, f_new, e5s, e3s = trial(t, y, f, h)
-            error = _error_norm(e5s, e3s, y, y_new, h_abs, tol)
-            h_abs *= _step_factor(error, rejected)
+            y_new, f_new, error = kernel(clock, rhs, t, y, f, h, tol)
+            h_abs = abs(h) * _step_factor(error, rejected)
             if error < 1.0:
                 break
             rejected = True
@@ -385,7 +354,7 @@ def _spend(nfev: int, calls: int) -> int:
     return nfev + calls
 
 
-def _float_stops(rhs, steps, stops, nfev: int):
+def _float_stops(clock, rhs, steps, stops, nfev: int):
     """States of a ``_dop853_floats`` solve at the times ``stops``.
 
     ``steps`` is that solve's ``(ts, ys, fs)`` and ``nfev`` the calls
@@ -397,6 +366,7 @@ def _float_stops(rhs, steps, stops, nfev: int):
     :class:`StiffnessError`.
     """
     ts, ys, fs = steps
+    kernel = _dop853_kernel(len(ys[0]))
     direction = 1.0 if ts[-1] > ts[0] else -1.0
     out_ts, out_ys = [], []
     step = 0  # the accepted step from ts[step] to ts[step + 1]
@@ -407,8 +377,8 @@ def _float_stops(rhs, steps, stops, nfev: int):
         if step + 1 < len(ts) and direction * (stop - ts[step]) > 0.0:
             nfev = _spend(nfev, _dop.N_STAGES - 1)
             out_ts.append(stop)
-            out_ys.append(_float_step(rhs, ts[step], ys[step], fs[step],
-                                      stop - ts[step])[0])
+            out_ys.append(kernel(clock, rhs, ts[step], ys[step], fs[step],
+                                 stop - ts[step], None))
     return out_ts, out_ys, nfev
 
 
@@ -430,8 +400,8 @@ _ERROR_ORDER = 7
 _ERROR_EXPONENT = -1.0 / (_ERROR_ORDER + 1)
 _A_ROWS = tuple(_dop.A[s, :s] for s in range(_dop.N_STAGES + 1))  # 12 is B
 
-# The tableau as Python floats for the float trial steps: stages 1-11
-# as their node and nonzero ``(j, A[s, j])``, and the nonzero ``(j, w[j])``
+# The tableau as Python floats for the float kernel: stages 1-11 as
+# their node and nonzero ``(j, A[s, j])``, and the nonzero ``(j, w[j])``
 # of the weights and of the two error estimators (neither weighs the slope
 # at the step's end).
 _STAGES = tuple((float(_dop.C[s]),
@@ -496,8 +466,8 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     lanes)`` is true on its start or an accepted step, and the stops it
     never reached stay NaN.  ``halt`` runs first on the start states with
     the first ``rhs`` call's row, whose division warnings are silenced (a
-    lane that starts halted may divide by zero), then once per step
-    attempt, right after the step's last ``rhs`` call, whose state equals
+    lane that starts halted may divide by zero; when all do, the solve
+    returns before the initial step), then once per step attempt, right after the step's last ``rhs`` call, whose state equals
     ``y`` on every accepted lane.  Returns the states at the stops, shape
     ``(len(stops), n, n_lanes)``, or ``(n, n_lanes)`` for one stop time.  A
     step below ten ulps of ``t`` after a rejection, a NaN step (from a NaN
@@ -526,6 +496,8 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     if halt is not None:
         keep = ~halt(g, y, lanes)
         lanes, y, f = lanes[keep], y[:, keep], f[:, keep]
+        if not lanes.size:  # every lane halted at its start
+            return out if np.ndim(stops) else out[0]
     t = np.zeros(lanes.size)
     h_abs = np.minimum(_initial_steps(clock, rhs, stop_times[-1], y, f, lanes,
                                       tol), h_max)

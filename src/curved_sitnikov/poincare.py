@@ -92,6 +92,7 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
     reached = np.isfinite(strobes[:, 0])  # a truncated orbit's tail is NaN
     return SectionCloud(
         orbits=[np.array([(wrap_angle(float(q)), float(p))
-                          for q, p in strobes[reached[:, i], :, i]])
+                          for q, p in strobes[reached[:, i], :, i]]
+                         ).reshape(-1, 2)  # (0, 2) for an orbit with no hit
                 for i in range(len(grid))],
         truncated=[not row.all() for row in reached.T])

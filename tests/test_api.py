@@ -96,15 +96,28 @@ def _calls(node: ast.AST, name: str) -> bool:
                for call in ast.walk(node))
 
 
-def test_one_step_loop_per_data_shape():
+def _function_callers(name: str) -> list[str]:
+    """Every function in the package that calls ``name``, nested ones and
+    the functions that hold them included."""
     package = pathlib.Path(curved_sitnikov.__file__).parent
-    callers = sorted(f"{path.stem}.{node.name}"
-                     for path in package.glob("*.py")
-                     for node in ast.walk(ast.parse(path.read_text()))
-                     if isinstance(node, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef))
-                     and _calls(node, "_initial_steps"))
-    assert callers == INITIAL_STEP_CALLERS
+    return sorted(f"{path.stem}.{node.name}"
+                  for path in package.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and _calls(node, name))
+
+
+def test_one_step_loop_per_data_shape():
+    assert _function_callers("_initial_steps") == INITIAL_STEP_CALLERS
+
+
+# One DOP853 step on floats: the float loop and its stop sampler take it
+# from the kernel builder.  Another caller would be a per-call-site trial.
+KERNEL_CALLERS = ["integrate._dop853_floats", "integrate._float_stops"]
+
+
+def test_one_float_step_kernel():
+    assert _function_callers("_dop853_kernel") == KERNEL_CALLERS
 
 
 # One spelling of the orbit force: the scalar force and the orbits' lane

@@ -304,9 +304,11 @@ class TestWinding:
         assert len(calls) == 2 and calls[1] > calls[0]
 
     def test_arg_route_takes_each_midpoint_as_one_step(self):
-        # a = 100 over 2 pi: the solve makes 2246 coefficient calls and its
-        # 15 midpoints 11 each, one step from the start of the step that
-        # covers them; solving again with them as stops made 4657
+        # a = 100 over 2 pi: the solve's 187 step attempts make 2246
+        # right-hand-side calls but 11 coefficient calls each, as stage 11
+        # and the step's end share a time, and its 15 midpoints 11 each,
+        # one step from the start of the step that covers them; solving
+        # again with them as stops made 4657 right-hand-side calls
         calls = []
 
         def a(t):
@@ -316,7 +318,7 @@ class TestWinding:
         assert winding_angle(a, 0.0, TWO_PI, 1 + 0j, tol=1e-10,
                              method="arg") == pytest.approx(-20.0 * math.pi,
                                                             abs=1e-6)
-        assert len(calls) == 2246 + 11 * 15
+        assert len(calls) == 2 + 11 * 187 + 11 * 15
 
     def test_rejects_zero_phase(self):
         with pytest.raises(ValueError):

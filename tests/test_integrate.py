@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curved_sitnikov import integrate, model, poincare
 from curved_sitnikov.kepler import (ModelParams, _anomaly_geometry,
@@ -156,6 +157,7 @@ class TestOrbit:
                                ModelParams(r=2.0 - 4e-10))
         assert traj.t.tolist() == [0.0]
         assert traj.truncated
+        assert traj.n_rhs == 1  # the start's slope, and no initial step
 
     def test_phase_offset(self):
         traj = integrate_orbit((0.3, 0.0, 1.0), 1.0, P10, tol=1e-9)
@@ -343,20 +345,6 @@ class TestVariational:
         np.testing.assert_allclose(got.as_array(), want, rtol=0.0,
                                    atol=1e-12 * np.abs(want).max())
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.6])
-    @pytest.mark.parametrize("q_star", [0.0, math.pi])
-    def test_unrolled_trial_takes_the_generic_steps(self, q_star, eps, tol):
-        # the variational trial is _float_trial's arithmetic unrolled for
-        # 4 components, so the two take the same steps to the bit
-        for r in (0.5, 1.0, collision_ceiling(eps) - 2e-3):
-            rhs, trial = integrate._variational_system(
-                hill_coefficient(q_star, ModelParams(r=r, epsilon=eps)))
-            args = rhs, 0.0, coefficient_period(eps), [1.0, 0.0, 0.0, 1.0], tol
-            got, want = (_as_tuples(integrate._dop853_floats(*args, step))
-                         for step in (trial, integrate._float_trial(rhs)))
-            assert got == want
-
     def test_custom_coefficient(self):
         mat = integrate_variational(lambda t: 1.0, math.pi, tol=1e-11)
         np.testing.assert_allclose(mat.as_array(), [[-1.0, 0.0], [0.0, -1.0]],
@@ -384,13 +372,27 @@ class TestVariational:
                                   1e-9)
 
 
-def _theta_rhs(a):
+def _theta_rhs(at, y):
     """Prüfer angle ``theta' = -(a cos^2 theta + sin^2 theta)`` of
-    ``x'' + a(t) x = 0``, the system of the ``theta`` winding route."""
-    def rhs(t, y):
-        c, s = math.cos(y[0]), math.sin(y[0])
-        return [-(a(t) * c * c + s * s)]
-    return rhs
+    ``x'' + a(t) x = 0`` given ``at = a(t)``, the system of the ``theta``
+    winding route."""
+    c, s = math.cos(y[0]), math.sin(y[0])
+    return [-(at * c * c + s * s)]
+
+
+def _arg_rhs(at, y):
+    """``(x, x')`` of ``x'' + a(t) x = 0`` given ``at = a(t)``, the system
+    of the ``arg`` winding route."""
+    return [y[1], -at * y[0]]
+
+
+def _oscillator(t, y):
+    """``x'' = -x`` through a clock that hands ``rhs`` the time."""
+    return [y[1], -y[0]]
+
+
+def _identity_clock(t):
+    return t
 
 
 _HILL_03 = hill_coefficient(0.0, ModelParams(r=1.0, epsilon=0.3))
@@ -412,11 +414,10 @@ class TestFloatEngine:
         # np.dot's, so the angles agree to roundoff
         from scipy.integrate import solve_ivp
 
-        rhs = _theta_rhs(a)
-        sol = solve_ivp(rhs, (t0, t1), [th0], method="DOP853", rtol=1e-10,
-                        atol=1e-10)
-        ts, ys, fs, nfev = integrate._dop853_floats(
-            rhs, t0, t1, [th0], 1e-10, integrate._float_trial(rhs))
+        sol = solve_ivp(lambda t, y: _theta_rhs(a(t), y), (t0, t1), [th0],
+                        method="DOP853", rtol=1e-10, atol=1e-10)
+        ts, ys, fs, nfev = integrate._dop853_floats(a, _theta_rhs, t0, t1,
+                                                    [th0], 1e-10)
         assert nfev == sol.nfev
         assert len(ts) == len(sol.t)
         assert ts[-1] == t1
@@ -427,44 +428,39 @@ class TestFloatEngine:
         # and backward; each stop strictly inside a step costs the 11 stage
         # calls of one more step from that step's start, and the rest are
         # left out
-        def rhs(t, y):
-            return [y[1], -y[0]]
-
         for t0, t1 in [(0.0, 3.0), (3.0, 0.0)]:
             ts, ys, fs, nfev = integrate._dop853_floats(
-                rhs, t0, t1, [1.0, 0.0], 1e-10, integrate._float_trial(rhs))
+                _identity_clock, _oscillator, t0, t1, [1.0, 0.0], 1e-10)
             mids = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
             stops = ([t0 - (t1 - t0), t0]
                      + sorted(mids + ts[1:3], reverse=t1 < t0) + [t1])
             got_ts, got_ys, got_nfev = integrate._float_stops(
-                rhs, (ts, ys, fs), stops, nfev)
+                _identity_clock, _oscillator, (ts, ys, fs), stops, nfev)
             assert got_nfev == nfev + 11 * len(mids)
             assert got_ts == mids
             assert got_ys == [
-                integrate._float_step(rhs, ta, ya, fa, tm - ta)[0]
+                tuple(_float_step(_identity_clock, _oscillator, ta, ya, fa,
+                                  tm - ta)[0])
                 for ta, ya, fa, tm in zip(ts, ys, fs, mids)]
             np.testing.assert_allclose(got_ys, [[math.cos(t - t0),
                                                  -math.sin(t - t0)]
                                                 for t in got_ts], atol=1e-9)
 
     def test_stops_count_against_the_cap(self, monkeypatch):
-        def rhs(t, y):
-            return [y[1], -y[0]]
-
-        ts, ys, fs, nfev = integrate._dop853_floats(
-            rhs, 0.0, 3.0, [1.0, 0.0], 1e-10, integrate._float_trial(rhs))
+        system = _identity_clock, _oscillator
+        ts, ys, fs, nfev = integrate._dop853_floats(*system, 0.0, 3.0,
+                                                    [1.0, 0.0], 1e-10)
         mids = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV",
                             nfev + 11 * len(mids))
-        integrate._float_stops(rhs, (ts, ys, fs), mids, nfev)
+        integrate._float_stops(*system, (ts, ys, fs), mids, nfev)
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV",
                             nfev + 11 * len(mids) - 1)
         with pytest.raises(StiffnessError, match="right-hand-side calls"):
-            integrate._float_stops(rhs, (ts, ys, fs), mids, nfev)
+            integrate._float_stops(*system, (ts, ys, fs), mids, nfev)
 
     def test_call_counter_is_exact(self, monkeypatch):
-        rhs = _theta_rhs(_HILL_03)
-        args = rhs, 0.0, TWO_PI, [0.0], 1e-10, integrate._float_trial(rhs)
+        args = _HILL_03, _theta_rhs, 0.0, TWO_PI, [0.0], 1e-10
         nfev = integrate._dop853_floats(*args)[3]
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", nfev)
         integrate._dop853_floats(*args)
@@ -475,14 +471,197 @@ class TestFloatEngine:
     def test_nan_slope_raises_at_once(self):
         calls = []
 
-        def rhs(t, y):
-            calls.append(t)
+        def rhs(g, y):
+            calls.append(g)
             return [math.nan]
 
         with pytest.raises(StiffnessError, match="step size underflow"):
-            integrate._dop853_floats(rhs, 0.0, 1.0, [0.0], 1e-10,
-                                     integrate._float_trial(rhs))
+            integrate._dop853_floats(_identity_clock, rhs, 0.0, 1.0, [0.0],
+                                     1e-10)
         assert len(calls) == 2  # the start and the initial-step probe
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, TWO_PI), (1.0, -2.0)],
+                             ids=["forward", "backward"])
+    @pytest.mark.parametrize("a", _WINDING_COEFFICIENTS,
+                             ids=["a=1", "a=4", "1+0.5cos", "hill(0)"])
+    def test_calls_per_step_attempt(self, monkeypatch, a, t0, t1):
+        # stage 11 and the step's end share the time t + h, so a step
+        # attempt makes 11 clock calls and 12 rhs calls; the start and the
+        # initial step's probe make one of each, and a stop 11 of each
+        calls = {"clock": 0, "rhs": 0, "attempts": 0}
+        build = integrate._dop853_kernel
+
+        def counting_build(n):
+            kernel = build(n)
+
+            def counted(clock, rhs, t, y, f, h, tol):
+                calls["attempts"] += tol is not None
+                return kernel(clock, rhs, t, y, f, h, tol)
+            return counted
+
+        def clock(t):
+            calls["clock"] += 1
+            return a(t)
+
+        def rhs(at, y):
+            calls["rhs"] += 1
+            return _arg_rhs(at, y)
+
+        monkeypatch.setattr(integrate, "_dop853_kernel", counting_build)
+        ts, ys, fs, nfev = integrate._dop853_floats(clock, rhs, t0, t1,
+                                                    [1.0, 0.0], 1e-10)
+        attempts = calls["attempts"]
+        assert attempts >= len(ts) - 1 > 3
+        assert calls["clock"] == 2 + 11 * attempts
+        assert calls["rhs"] == nfev == 2 + 12 * attempts
+        mids = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
+        integrate._float_stops(clock, rhs, (ts, ys, fs), mids, nfev)
+        assert calls["attempts"] == attempts
+        assert calls["clock"] == 2 + 11 * attempts + 11 * len(mids)
+        assert calls["rhs"] == 2 + 12 * attempts + 11 * len(mids)
+
+
+# The float DOP853 step as loops over the tableau: the reference that the
+# straight-line kernel of ``integrate._dop853_kernel`` is held to, bit for
+# bit.  It calls the clock 12 times a step: at the 11 stages and again
+# at the step's end.
+
+def _combine_floats(row, k) -> list[float]:
+    """``sum(coef * k[j] for j, coef in row)`` of equal-length sequences,
+    summed in row order from 0.0."""
+    d = [0.0] * len(k[0])
+    for j, coef in row:
+        for i, v in enumerate(k[j]):
+            d[i] += coef * v
+    return d
+
+
+def _float_step(clock, rhs, t, y, f, h):
+    """One DOP853 step of length ``h`` from ``(t, y)``, slope ``f`` there:
+    the new state and the stage slopes (``f`` and the 11 stage calls)."""
+    k = [f]
+    for c, row in integrate._STAGES:
+        d = _combine_floats(row, k)
+        k.append(rhs(clock(t + c * h), [v + dv * h for v, dv in zip(y, d)]))
+    d = _combine_floats(integrate._WEIGHTS, k)
+    return [v + h * dv for v, dv in zip(y, d)], k
+
+
+def _error_norm(e5s, e3s, y, y_new, h_abs, tol):
+    """Scipy's DOP853 error norm of a step of length ``h_abs`` from the
+    stage sums of ``_E5_WEIGHTS`` and ``_E3_WEIGHTS``."""
+    err5 = err3 = 0.0
+    for e5, e3, old, new in zip(e5s, e3s, y, y_new):
+        scale = tol + max(abs(old), abs(new)) * tol
+        e5, e3 = e5 / scale, e3 / scale
+        err5 += e5 * e5
+        err3 += e3 * e3
+    denom = err5 + 0.01 * err3
+    return h_abs * err5 / math.sqrt(len(y) * denom) if denom else 0.0
+
+
+def _reference_kernel(n):
+    """``integrate._dop853_kernel(n)``'s contract, computed by the loops."""
+    def kernel(clock, rhs, t, y, f, h, tol):
+        y_new, k = _float_step(clock, rhs, t, y, f, h)
+        if tol is None:
+            return y_new
+        e5s, e3s = (_combine_floats(w, k)
+                    for w in (integrate._E5_WEIGHTS, integrate._E3_WEIGHTS))
+        return (y_new, rhs(clock(t + h), y_new),
+                _error_norm(e5s, e3s, y, y_new, abs(h), tol))
+    return kernel
+
+
+def _plain(x):
+    """``x`` with every nested list and tuple a tuple, so that the repr of
+    two results compares their floats bit for bit."""
+    return tuple(map(_plain, x)) if isinstance(x, (list, tuple)) else x
+
+
+def _kernel_and_reference(solve):
+    """The repr of ``solve()`` with the kernel and with the reference."""
+    got = repr(_plain(solve()))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(integrate, "_dop853_kernel", _reference_kernel)
+        want = repr(_plain(solve()))
+    return got, want
+
+
+class TestKernel:
+    """The straight-line kernel takes the reference loops' steps: equal
+    ``ts``, ``ys``, ``fs`` and ``nfev`` by repr."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.6])
+    @pytest.mark.parametrize("q_star", [0.0, math.pi])
+    def test_variational_system(self, q_star, eps, tol):
+        for r in (0.5, 1.0, collision_ceiling(eps) - 2e-3):
+            hill = hill_coefficient(q_star, ModelParams(r=r, epsilon=eps))
+            got, want = _kernel_and_reference(
+                lambda: integrate._dop853_floats(
+                    hill, integrate._variational_rhs, 0.0,
+                    coefficient_period(eps), (1.0, 0.0, 0.0, 1.0), tol))
+            assert got == want
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, TWO_PI), (1.0, -2.0)],
+                             ids=["forward", "backward"])
+    @pytest.mark.parametrize("rhs, y0", [
+        (_theta_rhs, [math.atan2(0.5, -1.0)]), (_arg_rhs, [-1.0, 0.5])],
+        ids=["theta", "arg"])
+    @pytest.mark.parametrize("a", _WINDING_COEFFICIENTS,
+                             ids=["a=1", "a=4", "1+0.5cos", "hill(0)"])
+    def test_winding_systems(self, a, rhs, y0, t0, t1):
+        got, want = _kernel_and_reference(
+            lambda: integrate._dop853_floats(a, rhs, t0, t1, y0, 1e-10))
+        assert got == want
+
+    def test_stops_of_the_arg_route(self):
+        # a = 100 over 2 pi from z0 = 1: the arg route's solve makes 2246
+        # right-hand-side calls, and its 15 midpoints 11 each
+        def solve():
+            steps = integrate._dop853_floats(lambda t: 100.0, _arg_rhs, 0.0,
+                                             TWO_PI, [1.0, 0.0], 1e-10)
+            ts, ys, fs, nfev = steps
+            xs = np.array(ys)
+            jumps = np.abs(np.diff(np.unwrap(np.arctan2(xs[:, 1], xs[:, 0]))))
+            mids = [0.5 * (ta + tb) for ta, tb, jump in zip(ts, ts[1:], jumps)
+                    if jump >= 0.5 * math.pi]
+            return steps, integrate._float_stops(lambda t: 100.0, _arg_rhs,
+                                                 (ts, ys, fs), mids, nfev)
+
+        got, want = _kernel_and_reference(solve)
+        assert got == want
+        (_, _, _, nfev), (mid_ts, _, nfev_stops) = solve()
+        assert (nfev, len(mid_ts), nfev_stops) == (2246, 15, 2246 + 165)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 4),
+           t1=st.floats(-4.0, 4.0).filter(lambda t: abs(t) > 1e-3),
+           tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+    def test_random_linear_systems(self, data, n, t1, tol):
+        # y' = (M + cos(w t) N) y from a random start, forward or backward
+        entries = st.floats(-2.0, 2.0)
+        m, nn = (data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=n, max_size=n)) for _ in "MN")
+        y0 = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        w = data.draw(st.floats(0.0, 3.0))
+
+        def rhs(g, y):
+            return [sum((mij + g * nij) * yj
+                        for mij, nij, yj in zip(mi, ni, y))
+                    for mi, ni in zip(m, nn)]
+
+        def solve():
+            steps = integrate._dop853_floats(lambda t: math.cos(w * t), rhs,
+                                             0.0, t1, y0, tol)
+            ts, ys, fs, nfev = steps
+            mids = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
+            return steps, integrate._float_stops(lambda t: math.cos(w * t),
+                                                 rhs, (ts, ys, fs), mids, nfev)
+
+        got, want = _kernel_and_reference(solve)
+        assert got == want
 
 
 def _identity(t, lanes):
@@ -670,6 +849,30 @@ class TestLanes:
 
         with pytest.raises(ValueError, match="stops"):
             _dop853_lanes(refuse, refuse, stops, np.array([1.0]), 2, 1e-9)
+
+    @pytest.mark.parametrize("grid", [[(math.pi, 0.0)],
+                                      [(math.pi, 0.0), (0.2, 0.1)]],
+                             ids=["all-halted", "one-halted"])
+    def test_no_call_sees_zero_lanes(self, grid):
+        # q = pi lies 4e-10 from primary 2 at t = 0, within D_MIN: a batch
+        # whose every lane halts at its start makes no call after the start
+        clock, rhs, halt = model._orbit_system(ModelParams(r=2.0 - 4e-10),
+                                               0.0)
+        widths = []
+
+        def seen(fn):
+            def wrapper(g, *args):
+                widths.append((fn.__name__, args[-1].size))
+                return fn(g, *args)
+            return wrapper
+
+        out = _dop853_lanes(seen(clock), seen(rhs), np.arange(1, 4) * TWO_PI,
+                            np.array(grid).T, len(grid), 1e-8,
+                            halt=seen(halt))
+        assert np.isnan(out[:, :, 0]).all()
+        assert all(width > 0 for _, width in widths)
+        if len(grid) == 1:
+            assert [name for name, _ in widths] == ["clock", "rhs", "halt"]
 
     def test_clock_runs_once_per_step_attempt(self):
         # one one-row call at t = 0, whose row halt sees first, and one at

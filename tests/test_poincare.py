@@ -113,6 +113,17 @@ class TestSection:
         assert cut.orbits[1].tobytes() == full.orbits[1].tobytes()
 
     @pytest.mark.parametrize("fixed_steps", [None, 8])
+    def test_orbit_with_no_hit_is_an_empty_hit_array(self, fixed_steps):
+        # q = pi lies 4e-10 from primary 2 at t = 0, within D_MIN, so
+        # either engine truncates orbit 0 before its first strobe; its
+        # hits are (0, 2), as every orbit's are (n_i, 2)
+        cloud = section(ModelParams(r=2.0 - 4e-10),
+                        [(math.pi, 0.0), (0.2, 0.1)], n_iterates=3,
+                        fixed_steps=fixed_steps)
+        assert cloud.truncated == [True, False]
+        assert [o.shape for o in cloud.orbits] == [(0, 2), (3, 2)]
+
+    @pytest.mark.parametrize("fixed_steps", [None, 8])
     @pytest.mark.parametrize("q0", [math.nan, math.inf])
     def test_initial_grid_must_be_finite(self, monkeypatch, q0, fixed_steps):
         # checked once before either engine runs; without the check the
