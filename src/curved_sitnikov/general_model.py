@@ -32,7 +32,15 @@ from .model import D_MIN, CollisionError
 # Curvature lower-bound constant: U'' >= C_LOWER / delta^3 on |t| <= tau.
 C_LOWER = 2.0 ** -4.5
 
-Curve = Callable[[float, float], np.ndarray]
+Curve = Callable[[float | np.ndarray, float], np.ndarray]
+
+# (rho, rho', rho'') over an array of times: one scalar Kepler solve each
+_radial_jets = np.vectorize(radial_factor_derivatives, otypes=[float] * 3)
+
+
+def _dot(a, b):
+    """Dot product over the first (component) axis, broadcast over the rest."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 @dataclass
@@ -42,7 +50,8 @@ class CurvePair:
     Each curve returns its jet: a ``(3, 3)`` array whose rows are the
     point and its analytic first and second derivatives (in ``s`` for
     ``x``, in ``t`` for ``y``), which the curvature formula and the sampled
-    Taylor bounds read.
+    Taylor bounds read.  An array of parameters gives all their jets in
+    one call, with the sample axes last: ``(3, 3, *shape)``.
     """
 
     name: str
@@ -61,10 +70,9 @@ class CurvePair:
         Samples the ``x`` jet at 61 ``s`` over the window and the ``y`` jet
         at 121 ``t`` over one period.
         """
-        jets = [self.x(float(s), lam)
-                for s in np.linspace(self.s_range[0], self.s_range[1], 61)]
-        jets += [self.y(float(t), lam) for t in np.linspace(-0.5, 0.5, 121)]
-        return float(np.max(np.abs(jets)))
+        return float(max(
+            np.max(np.abs(self.x(np.linspace(*self.s_range, 61), lam))),
+            np.max(np.abs(self.y(np.linspace(-0.5, 0.5, 121), lam)))))
 
     @cached_property
     def _range_sup(self) -> float:
@@ -124,19 +132,22 @@ def pair_potential(s: float, t: float, lam: float, pair: CurvePair) -> float:
     return -1.0 / dist
 
 
-def d2U_ds2(t: float, lam: float, pair: CurvePair) -> float:
+def d2U_ds2(t, lam: float, pair: CurvePair) -> float | np.ndarray:
     """Second ``s``-derivative of ``U`` at ``s = 0`` via the dot-product form.
 
     ``U'' = [(z'.z' + z.z'') (z.z) - 3 (z.z')^2] / (z.z)^{5/2}`` where
     primes are ``s``-derivatives, so ``z'`` and ``z''`` are rows 1 and 2
-    of the jet ``x(0, lam)``.
+    of the jet ``x(0, lam)``.  A float ``t`` gives a float and an array
+    an array, from one ``y`` call on the same path, so bit for bit alike.
+    A gap within ``D_MIN`` raises ``CollisionError`` (smallest distance).
     """
     x0, zp, zpp = pair.x(0.0, lam)
-    z = x0 - pair.y(t, lam)[0]
-    zz = float(z @ z)
-    if zz <= D_MIN * D_MIN:
-        raise CollisionError(1, math.sqrt(zz))
-    return float(((zp @ zp + z @ zpp) * zz - 3.0 * (z @ zp) ** 2) / zz**2.5)
+    z = x0[:, None] - pair.y(np.ravel(t), lam)[0]
+    zz = _dot(z, z)
+    if np.min(zz, initial=math.inf) <= D_MIN * D_MIN:
+        raise CollisionError(1, math.sqrt(np.min(zz)))
+    u2 = ((_dot(zp, zp) + _dot(z, zpp)) * zz - 3.0 * _dot(z, zp)**2) / zz**2.5
+    return float(u2[0]) if np.ndim(t) == 0 else u2.reshape(np.shape(t))
 
 
 def d2U_ds2_fd(t: float, lam: float, pair: CurvePair) -> float:
@@ -178,11 +189,9 @@ def min_distance(lam: float, pair: CurvePair) -> float:
         raise ValueError(f"closest approach at lam={lam} is not stationary "
                          f"at the origin")
 
-    grid = (np.array([pair.x(float(s), lam)[0]
-                      for s in np.linspace(*pair.s_range, 121)])[:, None]
-            - np.array([pair.y(float(t), lam)[0]
-                        for t in np.linspace(-0.5, 0.5, 121)]))
-    if np.min(np.sum(grid * grid, axis=-1)) < (1.0 - 1e-9) * delta * delta:
+    grid = (pair.x(np.linspace(*pair.s_range, 121), lam)[0][:, :, None]
+            - pair.y(np.linspace(-0.5, 0.5, 121), lam)[0][:, None])
+    if np.min(_dot(grid, grid)) < (1.0 - 1e-9) * delta * delta:
         raise ValueError(f"a point of the grid at lam={lam} is closer than "
                          f"the origin")
     return delta
@@ -219,8 +228,7 @@ def bound_report(lam: float, pair: CurvePair) -> BoundReport:
     c = min(k ** -0.5, 1.0 / (k * math.sqrt(6.0)))
     tau = c * delta
 
-    ts = np.linspace(-tau, tau, 201)
-    a_min = min(d2U_ds2(float(t), lam, pair) for t in ts)
+    a_min = float(np.min(d2U_ds2(np.linspace(-tau, tau, 201), lam, pair)))
 
     bound_ok = a_min >= C_LOWER / delta**3
     winding_estimate = -2.0 * tau * math.sqrt(max(a_min, 0.0)) + math.pi
@@ -243,12 +251,14 @@ def line_pair() -> CurvePair:
     The gap ``lam`` must be positive.
     """
     def x(s, lam):
-        return np.array([[s, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        zero = np.zeros(np.shape(s))
+        return np.array([[s, zero, zero], [zero + 1, zero, zero], [zero] * 3])
 
     def y(t, lam):
         if not lam > 0.0:
             raise ValueError(f"lam={lam} must be > 0 (the line pair's gap)")
-        return np.array([[0.0, lam, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        zero = np.zeros(np.shape(t))
+        return np.array([[zero, zero + lam, zero], [zero] * 3, [zero] * 3])
 
     return CurvePair(name="line", x=x, y=y, lam_range=(1e-3, 1.0),
                      default_lam=0.1, s_range=(-0.9, 0.9))
@@ -280,23 +290,23 @@ def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
         return (2.0 - lam) / (1.0 + eps)
 
     # rows of the y jet: d/dt of the unit-period time is 2 pi d/dtau
-    t_scale = np.array([[1.0], [TWO_PI], [TWO_PI**2]])
+    t_scale = np.array([1.0, TWO_PI, TWO_PI**2])
 
     def x(s, lam):
-        cs, sn = math.cos(s), math.sin(s)
-        return np.array([[0.0, -cs, -sn], [0.0, sn, -cs], [0.0, cs, sn]])
+        cs, sn, zero = np.cos(s), np.sin(s), np.zeros(np.shape(s))
+        return np.array([[zero, -cs, -sn], [zero, sn, -cs], [zero, cs, sn]])
 
     def y(t, lam):
         r = r_of(lam)
-        tau = math.pi + TWO_PI * t
-        rho, rho_d, rho_dd = radial_factor_derivatives(tau, eps)
-        sn, cs = math.sin(tau), math.cos(tau)
-        return t_scale * np.array([
-            [sign * r * rho * sn, 1.0 + sign * r * rho * cs, 0.0],
+        tau = math.pi + TWO_PI * np.asarray(t, dtype=float)
+        rho, rho_d, rho_dd = _radial_jets(tau, eps)
+        sn, cs, zero = np.sin(tau), np.cos(tau), np.zeros(tau.shape)
+        return t_scale.reshape((3,) + (1,) * (tau.ndim + 1)) * np.array([
+            [sign * r * rho * sn, 1.0 + sign * r * rho * cs, zero],
             [sign * r * (rho_d * sn + rho * cs),
-             sign * r * (rho_d * cs - rho * sn), 0.0],
+             sign * r * (rho_d * cs - rho * sn), zero],
             [sign * r * (rho_dd * sn + 2.0 * rho_d * cs - rho * sn),
-             sign * r * (rho_dd * cs - 2.0 * rho_d * sn - rho * cs), 0.0]])
+             sign * r * (rho_dd * cs - 2.0 * rho_d * sn - rho * cs), zero]])
 
     lam_hi = max(default_lam, 0.5)
     return CurvePair(

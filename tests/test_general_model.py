@@ -9,8 +9,9 @@ import pytest
 
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.model import CollisionError, hill_coefficient
-from curved_sitnikov.general_model import (bound_report, d2U_ds2, d2U_ds2_fd,
-                                           estimate_bounds, line_pair,
+from curved_sitnikov.general_model import (C_LOWER, bound_report, d2U_ds2,
+                                           d2U_ds2_fd, estimate_bounds,
+                                           line_pair,
                                            load_curve_pair, min_distance,
                                            pair_potential, sitnikov_pair)
 
@@ -106,9 +107,15 @@ class TestMinDistance:
 
     @staticmethod
     def _line_moved_to(s_offset):
-        # the line fixture with its fixed point moved along the line
-        return replace(line_pair(), y=lambda t, lam: np.array(
-            [[s_offset, lam, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        # the line fixture with its fixed point moved along the line; its
+        # y takes floats only, so the stationarity check must come before
+        # any array call
+        def y(t, lam):
+            assert np.ndim(t) == 0, "this fixture's y is scalar-only"
+            return np.array([[s_offset, lam, 0.0], [0.0, 0.0, 0.0],
+                             [0.0, 0.0, 0.0]])
+
+        return replace(line_pair(), y=y)
 
     def test_boundary_minimum_rejected(self):
         # the closest approach at s = 2 lies past the s window
@@ -163,11 +170,12 @@ JET_PAIRS = [line_pair()] + [
     sitnikov_pair(ModelParams(r=1.0, epsilon=eps), primary)
     for eps in (0.0, 0.25, 0.6) for primary in ("near", "far")]
 
+JET_IDS = ["line", *(f"{p}-eps{e}" for e in (0.0, 0.25, 0.6)
+                     for p in ("near", "far"))]
+
 
 class TestJets:
-    @pytest.mark.parametrize("pair", JET_PAIRS, ids=[
-        "line", *(f"{p}-eps{e}" for e in (0.0, 0.25, 0.6)
-                  for p in ("near", "far"))])
+    @pytest.mark.parametrize("pair", JET_PAIRS, ids=JET_IDS)
     def test_derivative_rows_match_central_differences(self, pair):
         # rows 1 and 2 against central differences of rows 0 and 1
         h = 1e-5
@@ -183,6 +191,147 @@ class TestJets:
                         scale = max(1.0, float(np.max(np.abs(jet[row]))))
                         assert np.max(np.abs(fd[row - 1] - jet[row])) \
                             <= 1e-6 * scale
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestArrayJets:
+    """Array calls against per-sample float calls, bit for bit.
+
+    Both go through the same numpy arithmetic (``np.sin``/``np.cos`` on a
+    0-d or n-d array, one scalar Kepler solve per sample), so no bound is
+    needed here; the float-by-float route of the past, with ``math.cos``,
+    BLAS dot products and scalar ``pow``, is compared in
+    ``TestArrayBoundReport`` within a stated bound.
+    """
+
+    @pytest.mark.parametrize("pair", JET_PAIRS, ids=JET_IDS)
+    def test_array_jets_equal_float_jets(self, pair):
+        for lam in (0.2, 0.05):
+            for curve, lo, hi in ((pair.x, *pair.s_range),
+                                  (pair.y, -0.5, 0.5)):
+                args = np.linspace(lo, hi, 24).reshape(4, 6)
+                jets = curve(args, lam)
+                floats = [curve(float(v), lam) for v in args.flat]
+                assert jets.shape == (3, 3, 4, 6)
+                assert all(jet.shape == (3, 3) for jet in floats)
+                assert _bits(np.moveaxis(jets, (0, 1), (-2, -1))) == _bits(
+                    np.reshape(floats, (4, 6, 3, 3)))
+
+    @pytest.mark.parametrize("pair", JET_PAIRS, ids=JET_IDS)
+    def test_curvature_array_equals_float_calls(self, pair):
+        for lam in (0.2, 0.05):
+            ts = np.linspace(-0.5, 0.5, 35).reshape(5, 7)
+            curv = d2U_ds2(ts, lam, pair)
+            floats = [d2U_ds2(float(t), lam, pair) for t in ts.flat]
+            assert curv.shape == ts.shape
+            assert all(type(u) is float for u in floats)
+            assert _bits(curv) == _bits(np.reshape(floats, ts.shape))
+
+    def test_one_kepler_solve_per_sampled_time(self, monkeypatch):
+        from curved_sitnikov import kepler
+        calls = []
+        solve = kepler.solve_kepler
+        monkeypatch.setattr(kepler, "solve_kepler",
+                            lambda m, e: calls.append(m) or solve(m, e))
+        pair = sitnikov_pair(ModelParams(r=1.5, epsilon=0.25))
+        d2U_ds2(np.linspace(-0.01, 0.01, 201), 0.1, pair)
+        assert len(calls) == 201
+
+    def test_array_guard_reports_smallest_distance(self):
+        # the Sitnikov gap is lam at t = 0 and grows away from it
+        pair = sitnikov_pair(ModelParams(r=1.8, epsilon=0.0))
+        lam = 5e-10
+        with pytest.raises(CollisionError) as scalar:
+            d2U_ds2(0.0, lam, pair)
+        with pytest.raises(CollisionError) as array:
+            d2U_ds2(np.array([0.3, 0.0, -0.2]), lam, pair)
+        assert scalar.value.primary == array.value.primary == 1
+        assert array.value.distance == scalar.value.distance
+        assert array.value.distance == pytest.approx(lam, rel=1e-6)
+        # one sample past the guard is enough, wherever it sits
+        with pytest.raises(CollisionError):
+            d2U_ds2(np.array([[0.4, 0.1], [0.2, 0.0]]), lam, pair)
+        assert d2U_ds2(np.array([0.3, -0.2]), lam, pair).shape == (2,)
+        assert d2U_ds2(np.array([]), lam, pair).shape == (0,)
+
+
+def _reference_bound_report(lam, pair) -> dict:
+    """``bound_report`` with one float jet call per sample, loop by loop.
+
+    The sampling loops and the scalar ``U''`` (BLAS ``@`` and Python
+    ``pow``) that ``general_model`` used before its jets took arrays.
+    """
+    def window_sup(lm):
+        jets = [pair.x(float(s), lm)
+                for s in np.linspace(pair.s_range[0], pair.s_range[1], 61)]
+        jets += [pair.y(float(t), lm) for t in np.linspace(-0.5, 0.5, 121)]
+        return float(np.max(np.abs(jets)))
+
+    def curvature(t):
+        x0, zp, zpp = pair.x(0.0, lam)
+        z = x0 - pair.y(t, lam)[0]
+        zz = float(z @ z)
+        return float(((zp @ zp + z @ zpp) * zz - 3.0 * (z @ zp) ** 2)
+                     / zz**2.5)
+
+    x0, y0 = pair.x(0.0, lam)[0], pair.y(0.0, lam)[0]
+    delta = math.dist(x0, y0)
+    grid = (np.array([pair.x(float(s), lam)[0]
+                      for s in np.linspace(*pair.s_range, 121)])[:, None]
+            - np.array([pair.y(float(t), lam)[0]
+                        for t in np.linspace(-0.5, 0.5, 121)]))
+    assert np.min(np.sum(grid * grid, axis=-1)) >= (1 - 1e-9) * delta**2
+    m = 2.0 * max(window_sup(lam), *(window_sup(lm)
+                                      for lm in pair.lam_range))
+    k = 2.0 * m * m
+    c = min(k ** -0.5, 1.0 / (k * math.sqrt(6.0)))
+    tau = c * delta
+    a_min = min(curvature(float(t)) for t in np.linspace(-tau, tau, 201))
+    threshold = 1.0 / (4.0 * math.sqrt(2.0) * m)
+    return {"lambda": lam, "delta": delta, "tau": tau, "c": c,
+            "a_min": a_min, "bound_ok": a_min >= C_LOWER / delta**3,
+            "winding_estimate": -2.0 * tau * math.sqrt(max(a_min, 0.0))
+            + math.pi,
+            "smallness_ok": delta < threshold,
+            "smallness_threshold": threshold, "M": m, "k": k,
+            "used_supplied_bounds": False}
+
+
+# gap-geometry's pairs on its halving sweeps (seed jitter at both ends and
+# the middle), then the line and Sitnikov sweeps of `verify` and its tests
+REPORT_CASES = [
+    (desc, lam0 / 2**j)
+    for desc in ({"family": "sitnikov_near",
+                  "params": {"r": 1.8, "epsilon": 0.0}},
+                 {"family": "sitnikov_near",
+                  "params": {"r": 1.6, "epsilon": 0.2}},
+                 {"family": "line"})
+    for lam0 in (0.19, 0.2, 0.21) for j in range(4)
+] + [({"family": "line"}, lam) for lam in (0.1, 0.05, 0.01)] + [
+    ({"family": "sitnikov_near", "params": {"r": 1.8, "epsilon": 0.0}}, lam)
+    for lam in (0.2, 0.1, 0.05, 0.025)]
+
+
+class TestArrayBoundReport:
+    def test_matches_float_sampling_reference(self):
+        # 4e-16 relative: the routes differ only in how U'' rounds its dot
+        # products (BLAS @ against a plain sum) and its pow (libm against
+        # numpy's vector loop); the largest difference seen is 3.8e-16 on
+        # a_min, and every other field agrees to the bit
+        for desc, lam in REPORT_CASES:
+            pair = load_curve_pair(desc)
+            got = bound_report(lam, pair).to_json_dict()
+            want = _reference_bound_report(lam, pair)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if isinstance(value, bool):
+                    assert got[key] is value, (desc, lam, key)
+                else:
+                    assert abs(got[key] - value) <= 4e-16 * abs(value), (
+                        desc, lam, key, got[key], value)
 
 
 class TestBoundReport:
