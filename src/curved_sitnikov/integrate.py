@@ -12,9 +12,9 @@ alone and the right-hand side given its value.  Every step of the float
 loop, single monodromies (``integrate_variational``) and both winding
 routes alike, is one call of a straight-line kernel that
 ``_dop853_kernel`` compiles once per component count from the tableau.
-The lane systems are ``model``'s.  The DOP853 tables are
-scipy's, loaded from their file without importing ``scipy.integrate``; no
-solve imports a scipy solver.  Float solves, and each lane between two
+The lane systems are ``model``'s.  The DOP853 tableau is written out
+once in this module, both loops read it, and no scipy module is imported.
+Float solves, and each lane between two
 stops, stop with :class:`StiffnessError` past ``MAX_VARIATIONAL_NFEV``
 right-hand-side calls, and orbits at ``MAX_GRID_POINTS`` rows, so every
 admissible input ends in bounded work.  A step count ``fixed_steps``
@@ -29,10 +29,8 @@ machinery is needed at these horizons.
 from __future__ import annotations
 
 import functools
-import importlib.util
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -329,7 +327,7 @@ def _dop853_floats(clock, rhs, t0: float, t1: float, y0, tol: float):
         while True:
             if not h_abs >= min_step:  # a NaN step too, which never shrinks
                 raise StiffnessError("step size underflow in a float solve")
-            nfev = _spend(nfev, _dop.N_STAGES)
+            nfev = _spend(nfev, _N_STAGES)
             t_new = t + direction * h_abs
             if direction * (t_new - t1) > 0.0:
                 t_new = t1
@@ -375,41 +373,75 @@ def _float_stops(clock, rhs, steps, stops, nfev: int):
                and direction * (ts[step + 1] - stop) <= 0.0):
             step += 1
         if step + 1 < len(ts) and direction * (stop - ts[step]) > 0.0:
-            nfev = _spend(nfev, _dop.N_STAGES - 1)
+            nfev = _spend(nfev, _N_STAGES - 1)
             out_ts.append(stop)
             out_ys.append(kernel(clock, rhs, ts[step], ys[step], fs[step],
                                  stop - ts[step], None))
     return out_ts, out_ys, nfev
 
 
-# scipy's DOP853 tableau module, loaded from its file: importing it by name
-# would run scipy/integrate/__init__.py, which loads all of scipy.integrate
-# and scipy.optimize (most of this package's import time); the module
-# itself needs only numpy.
-_spec = importlib.util.spec_from_file_location(
-    "curved_sitnikov._dop853_coefficients", os.path.join(
-        importlib.util.find_spec("scipy").submodule_search_locations[0],
-        "integrate", "_ivp", "dop853_coefficients.py"))
-_dop = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_dop)
-
 # scipy's DOP853 step control: safety factor, step-change limits, and the
 # order of the error estimator, whose step exponent is -1/(order + 1).
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_ORDER = 7
 _ERROR_EXPONENT = -1.0 / (_ERROR_ORDER + 1)
-_A_ROWS = tuple(_dop.A[s, :s] for s in range(_dop.N_STAGES + 1))  # 12 is B
 
-# The tableau as Python floats for the float kernel: stages 1-11 as
-# their node and nonzero ``(j, A[s, j])``, and the nonzero ``(j, w[j])``
-# of the weights and of the two error estimators (neither weighs the slope
-# at the step's end).
-_STAGES = tuple((float(_dop.C[s]),
-                 tuple((j, float(a)) for j, a in enumerate(_A_ROWS[s]) if a))
-                for s in range(1, _dop.N_STAGES))
-_WEIGHTS, _E5_WEIGHTS, _E3_WEIGHTS = (
-    tuple((j, float(w)) for j, w in enumerate(weights) if w)
-    for weights in (_dop.B, _dop.E5, _dop.E3))
+# The DOP853 tableau (Hairer, Norsett and Wanner, *Solving ODEs I*, II.5),
+# scipy's values to the bit: stages 1-11 as their node and nonzero ``(j,
+# A[s, j])``, and the nonzero ``(j, w[j])`` of the weights and of the two
+# error estimators (neither weighs the slope at the step's end).
+_STAGES = (
+    (0.05260015195876773, ((0, 0.05260015195876773),)),
+    (0.0789002279381516, ((0, 0.0197250569845379), (1, 0.0591751709536137))),
+    (0.1183503419072274, ((0, 0.02958758547680685), (2, 0.08876275643042054))),
+    (0.2816496580927726, ((0, 0.2413651341592667), (2, -0.8845494793282861),
+     (3, 0.924834003261792))),
+    (0.3333333333333333, ((0, 0.037037037037037035), (3, 0.17082860872947386),
+     (4, 0.12546768756682242))),
+    (0.25, ((0, 0.037109375), (3, 0.17025221101954405),
+     (4, 0.06021653898045596), (5, -0.017578125))),
+    (0.3076923076923077, ((0, 0.03709200011850479), (3, 0.17038392571223998),
+     (4, 0.10726203044637328), (5, -0.015319437748624402),
+     (6, 0.008273789163814023))),
+    (0.6512820512820513, ((0, 0.6241109587160757), (3, -3.3608926294469414),
+     (4, -0.868219346841726), (5, 27.59209969944671), (6, 20.154067550477894),
+     (7, -43.48988418106996))),
+    (0.6, ((0, 0.47766253643826434), (3, -2.4881146199716677),
+     (4, -0.590290826836843), (5, 21.230051448181193), (6, 15.279233632882423),
+     (7, -33.28821096898486), (8, -0.020331201708508627))),
+    (0.8571428571428571, ((0, -0.9371424300859873), (3, 5.186372428844064),
+     (4, 1.0914373489967295), (5, -8.149787010746927), (6, -18.52006565999696),
+     (7, 22.739487099350505), (8, 2.4936055526796523),
+     (9, -3.0467644718982196))),
+    (1.0, ((0, 2.273310147516538), (3, -10.53449546673725),
+     (4, -2.0008720582248625), (5, -17.9589318631188), (6, 27.94888452941996),
+     (7, -2.8589982771350235), (8, -8.87285693353063), (9, 12.360567175794303),
+     (10, 0.6433927460157636))),
+)
+_WEIGHTS = ((0, 0.054293734116568765), (5, 4.450312892752409),
+            (6, 1.8915178993145003), (7, -5.801203960010585),
+            (8, 0.3111643669578199), (9, -0.1521609496625161),
+            (10, 0.20136540080403034), (11, 0.04471061572777259))
+_E5_WEIGHTS = ((0, 0.01312004499419488), (5, -1.2251564463762044),
+               (6, -0.4957589496572502), (7, 1.6643771824549864),
+               (8, -0.35032884874997366), (9, 0.3341791187130175),
+               (10, 0.08192320648511571), (11, -0.022355307863886294))
+_E3_WEIGHTS = ((0, -0.18980075407240762), (5, 4.450312892752409),
+               (6, 1.8915178993145003), (7, -5.801203960010585),
+               (8, -0.4226823213237919), (9, -0.1521609496625161),
+               (10, 0.20136540080403034), (11, 0.02265179219836082))
+
+# The lanes' dense forms of the tableau, 0.0 where it lists nothing: an
+# attempt's _N_STAGES right-hand-side calls are stages 1-11, at _NODES,
+# and the step's end; _A_ROWS[s] weighs the s slopes before stage s (row
+# 12 is the weights), _E5 and _E3 all 13.
+_N_STAGES = len(_STAGES) + 1
+_NODES = np.array([c for c, _ in _STAGES])
+_A_ROWS = tuple(np.array([dict(row).get(j, 0.0) for j in range(s)])
+                for s, row in enumerate([()] + [r for _, r in _STAGES]
+                                        + [_WEIGHTS]))
+_E5, _E3 = (np.array([dict(w).get(j, 0.0) for j in range(_N_STAGES + 1)])
+            for w in (_E5_WEIGHTS, _E3_WEIGHTS))
 
 
 def _initial_steps(clock, rhs, t_end: float, y: np.ndarray, f: np.ndarray,
@@ -509,7 +541,7 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     next_stop = np.zeros(lanes.size, dtype=int)
     t_stop = np.full(lanes.size, stop_times[0])
     rejected = np.zeros(lanes.size, dtype=bool)
-    k = np.empty((_dop.N_STAGES + 1,) + y.shape)  # new only as lanes move
+    k = np.empty((_N_STAGES + 1,) + y.shape)  # new only as lanes move
     while lanes.size:
         stages = k.reshape(k.shape[0], -1)  # a view, one row per stage
         min_step = 10.0 * np.spacing(t)  # ten ulps, as t >= 0
@@ -519,23 +551,23 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
         h_abs = np.maximum(h_abs, min_step)
         t_new = np.minimum(t + h_abs, t_stop)
         h = t_new - t
-        g = clock(np.concatenate((t + _dop.C[1:_dop.N_STAGES, None] * h,
+        g = clock(np.concatenate((t + _NODES[:, None] * h,
                                   t_new[None])), lanes)
         k[0] = f
         y_flat, h_flat = y.reshape(-1), np.concatenate((h,) * y.shape[0])
-        for s in range(1, _dop.N_STAGES + 1):  # the last is the step's end
+        for s in range(1, _N_STAGES + 1):  # the last is the step's end
             dy = np.dot(_A_ROWS[s], stages[:s]) * h_flat
             y_new = (y_flat + dy).reshape(y.shape)
             k[s] = f_new = rhs(g[s - 1], y_new, lanes)
-        nfev += _dop.N_STAGES
+        nfev += _N_STAGES
         if nfev - oldest > MAX_VARIATIONAL_NFEV:
             raise StiffnessError(f"lane-batched solve exceeded "
                                  f"{MAX_VARIATIONAL_NFEV} right-hand-side "
                                  f"calls per lane")
 
         scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        err5 = ((np.dot(_dop.E5, stages).reshape(y.shape) / scale) ** 2).sum(0)
-        err3 = ((np.dot(_dop.E3, stages).reshape(y.shape) / scale) ** 2).sum(0)
+        err5 = ((np.dot(_E5, stages).reshape(y.shape) / scale) ** 2).sum(0)
+        err3 = ((np.dot(_E3, stages).reshape(y.shape) / scale) ** 2).sum(0)
         denom = np.sqrt((err5 + 0.01 * err3) * y.shape[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             # a NaN norm stays NaN and so rejects the step

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tomllib
 
 import numpy as np
 import pytest
@@ -684,7 +685,7 @@ def _attempted_steps(rows):
 
     The first row is at ``t + c_1 h`` and the last at ``t + h``.
     """
-    return np.concatenate([(times[-1] - times[0]) / (1.0 - integrate._dop.C[1])
+    return np.concatenate([(times[-1] - times[0]) / (1.0 - integrate._NODES[0])
                            for times in rows])
 
 
@@ -917,7 +918,7 @@ class TestLanes:
             h = times[-1] - t[lanes]
             assert np.all(h > 0.0)
             np.testing.assert_array_equal(
-                times[:-1], t[lanes] + integrate._dop.C[1:12, None] * h)
+                times[:-1], t[lanes] + integrate._NODES[:, None] * h)
             np.testing.assert_array_equal(end, times[-1])
 
 
@@ -1094,21 +1095,54 @@ class TestWorkCap:
         assert json.loads(capsys.readouterr().out)["class"] == "hyperbolic"
 
 
+# Refuses every scipy module before the package is imported, so any
+# import of one fails the run; the final look at ``sys.modules`` requires
+# that none was loaded by other means either.
+_REFUSE_SCIPY = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} refused")
+
+
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+
+def _run_without_scipy(code: str, timeout: float) -> None:
+    """Run ``code`` in a fresh interpreter that refuses scipy; require that
+    it succeeds and leaves no ``scipy*`` module in ``sys.modules``."""
+    code = (_REFUSE_SCIPY + code
+            + "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = pathlib.Path(integrate.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestScipyImports:
     def test_cli_and_monodromies_load_no_scipy_solvers(self, tmp_path):
-        # the DOP853 tables load by file path, and the transition search
+        # the DOP853 tableau is integrate's own, and the transition search
         # needs no root finder; orbits, sections and the symmetry check's
-        # round trip run on the lane core.  verify and the winding routes
-        # have a test of their own below.
+        # round trip run on the lane core.  The full verify and the winding
+        # routes have a test of their own below.
         out = str(tmp_path / "out.csv")
         out_json = str(tmp_path / "out.json")
-        code = f"""
-import math, sys
+        _run_without_scipy(f"""
+import math
 from curved_sitnikov import cli, floquet, scan, verification
 from curved_sitnikov.kepler import ModelParams
 floquet.monodromy(math.pi, ModelParams(r=1.0))
 scan.interchange_census(0.0, 0.99, 40)
+assert scan.interchange_census(0.1, 0.99, 17).levels_completed == 4
 scan.find_transitions(scan.trace_curve(math.pi, 0.0, [1.23, 1.24]))
+assert scan.find_transitions(
+    scan.trace_curve(math.pi, 0.1, [1.17, 1.19, 1.21])).transitions
 assert cli.main(["simulate", "--q0", "0.1", "--p0", "0", "--t-final", "10",
                  "--out", {out!r}]) == 0
 assert cli.main(["poincare", "--eps", "0.3", "--iterates", "2", "--q-grid",
@@ -1124,46 +1158,58 @@ for argv in (["scan", "--qstar", "pi", "--eps", "0.1", "--r",
              ["kepler", "--eps", "0.3", "--t", "0:1:0.5", "--out", {out!r}],
              ["bounds", "--lam", "0.2,0.1", "--out", {out_json!r}]):
     assert cli.main(argv) == 0, argv
+assert cli.main(["verify", "--quick"]) in (cli.EXIT_OK, cli.EXIT_VERIFY)
 assert verification.check_symmetries({{}})[0]
-print(sorted(m for m in sys.modules
-             if m.split(".")[:2] in (["scipy", "integrate"],
-                                     ["scipy", "optimize"])))
-"""
-        src = pathlib.Path(integrate.__file__).parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120,
-                              check=True)
-        assert proc.stdout.splitlines()[-1] == "[]"
+""", timeout=120)
 
     def test_verify_and_winding_load_no_scipy_solvers(self):
         # the winding routes step on _dop853_floats; verify runs them in
         # check 8
-        code = """
-import math, sys
+        _run_without_scipy("""
+import math
 from curved_sitnikov import cli, floquet
 for method in ("theta", "arg"):
     floquet.winding_angle(lambda t: 4.0, 0.0, math.pi, 1j, method=method)
 assert cli.main(["verify", "--json"]) in (cli.EXIT_OK, cli.EXIT_VERIFY)
-print(sorted(m for m in sys.modules
-             if m.split(".")[:2] in (["scipy", "integrate"],
-                                     ["scipy", "optimize"])))
-"""
-        src = pathlib.Path(integrate.__file__).parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=300,
-                              check=True)
-        assert proc.stdout.splitlines()[-1] == "[]"
+""", timeout=300)
+
+    def test_install_needs_numpy_only(self):
+        # scipy is the tests' DOP853 oracle, not a runtime dependency
+        with (pathlib.Path(integrate.__file__).parents[2]
+              / "pyproject.toml").open("rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["dependencies"] == ["numpy>=1.23"]
+        assert "scipy>=1.10" in project["optional-dependencies"]["test"]
 
     def test_tables_equal_scipys(self):
+        # every literal of the tableau is scipy's value by repr, and no
+        # listed coefficient is zero; every dense form the lanes derive is
+        # scipy's array to the bit (tobytes, so no -0.0 passes for 0.0)
         from scipy.integrate._ivp import dop853_coefficients as scipys
 
-        names = [n for n in vars(scipys) if n.isupper()]
-        assert {"A", "B", "C", "E3", "E5", "N_STAGES"} <= set(names)
-        for name in names:
-            np.testing.assert_array_equal(getattr(integrate._dop, name),
-                                          getattr(scipys, name))
+        def nonzero(weights):
+            return [(j, repr(float(w))) for j, w in enumerate(weights) if w]
+
+        def listed(pairs):
+            return [(j, repr(w)) for j, w in pairs]
+
+        assert ([repr(c) for c, _ in integrate._STAGES]
+                == [repr(float(c)) for c in scipys.C[1:12]])
+        for s, (_, row) in enumerate(integrate._STAGES, 1):
+            assert listed(row) == nonzero(scipys.A[s, :s]), s
+        for pairs, weights in ((integrate._WEIGHTS, scipys.B),
+                               (integrate._E5_WEIGHTS, scipys.E5),
+                               (integrate._E3_WEIGHTS, scipys.E3)):
+            assert listed(pairs) == nonzero(weights)
+
+        assert integrate._N_STAGES == scipys.N_STAGES
+        derived = (*integrate._A_ROWS, integrate._NODES, integrate._E5,
+                   integrate._E3)
+        theirs = (*(scipys.A[s, :s] for s in range(scipys.N_STAGES)),
+                  scipys.B, scipys.C[1:12], scipys.E5, scipys.E3)
+        for ours, want in zip(derived, theirs, strict=True):
+            assert ours.dtype == want.dtype
+            assert ours.tobytes() == want.tobytes()
 
 
 def test_fundamental_matrix_helpers():
