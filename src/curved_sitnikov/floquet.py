@@ -113,10 +113,9 @@ def _antipode_half_traces(rs, epsilon: float, tol: float) -> np.ndarray:
     for r in (rs.min(), rs.max()):  # validates every radius and epsilon
         ModelParams(r=float(r), epsilon=epsilon)
     clock, rhs = _antipode_system(rs, epsilon)
-    x1, y1, x2, y2 = _dop853_lanes(clock, rhs,
-                                   0.5 * coefficient_period(epsilon),
-                                   np.array([1.0, 0.0, 0.0, 1.0]), rs.size,
-                                   tol)
+    (x1, y1, x2, y2), _ = _dop853_lanes(
+        clock, rhs, 0.5 * coefficient_period(epsilon),
+        np.array([1.0, 0.0, 0.0, 1.0]), rs.size, tol)
     det = x1 * y2 - x2 * y1
     worst = int(np.argmax(np.abs(det - 1.0)))  # the first NaN, if any
     _check_det(float(det[worst]), f" at r={float(rs[worst])!r}")

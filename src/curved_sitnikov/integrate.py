@@ -14,16 +14,16 @@ routes alike, is one call of a straight-line kernel that
 ``_dop853_kernel`` compiles once per component count from the tableau.
 The lane systems are ``model``'s.  The DOP853 tableau is written out
 once in this module, both loops read it, and no scipy module is imported.
-Float solves, and each lane between two
-stops, stop with :class:`StiffnessError` past ``MAX_VARIATIONAL_NFEV``
-right-hand-side calls, and orbits at ``MAX_GRID_POINTS`` rows, so every
-admissible input ends in bounded work.  A step count ``fixed_steps``
-selects a fixed-step classical RK4 for bit-reproducible orbit baselines,
-``None`` DOP853.  All engines are reentrant and hold no state between
-calls but the compiled kernels (``model._orbit_system``'s ``halt`` reads
-its solve's own closure);
-the flow is smooth away from collisions, so no symplectic or stiff
-machinery is needed at these horizons.
+Float solves, and each lane between two stops, stop with
+:class:`StiffnessError` past ``MAX_VARIATIONAL_NFEV`` right-hand-side
+calls, and orbits at ``MAX_GRID_POINTS`` rows, so every admissible input
+ends in bounded work.  A step count ``fixed_steps`` selects a fixed-step
+classical RK4 for bit-reproducible orbit baselines, ``None`` DOP853.
+Every engine returns the right-hand-side calls it made; all are reentrant
+and hold no state between calls but the compiled kernels
+(``model._orbit_system``'s ``halt`` reads its solve's own closure).  The
+flow is smooth away from collisions, so no symplectic or stiff machinery
+is needed at these horizons.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class Trajectory:
     t: np.ndarray
     states: np.ndarray
     n_rhs: int
-    truncated: bool = False
+    truncated: bool
 
 
 @dataclass
@@ -84,7 +84,7 @@ class FundamentalMatrix:
     x2: float
     y1: float
     y2: float
-    n_rhs: int = 0
+    n_rhs: int
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.x1, self.x2], [self.y1, self.y2]])
@@ -104,8 +104,9 @@ def _validate_tol(tol: float) -> None:
 
 
 def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
-              y0: np.ndarray, t1: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fixed-step RK4; returns the full (t, y) sample arrays.
+              y0: Sequence[float], t1: float,
+              n_steps: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Classical RK4: the (t, y) samples and its ``4 * n_steps`` rhs calls.
 
     Deterministic to the bit for identical inputs, which the adaptive
     engine does not guarantee across library versions.
@@ -125,7 +126,7 @@ def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
         k4 = rhs(t + h, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         ys[i + 1] = y
-    return ts, ys
+    return ts, ys, 4 * n_steps
 
 
 def integrate_orbit(initial: Sequence[float], t_final: float,
@@ -140,7 +141,8 @@ def integrate_orbit(initial: Sequence[float], t_final: float,
     rounds to zero, raise ``ValueError`` before any step.  A collision
     truncates the orbit at its last stop (``truncated=True``), a start
     within ``model.D_MIN`` of a primary at its first row; the RK4 route's
-    force raises ``CollisionError`` there instead.
+    force raises ``CollisionError`` there instead.  ``n_rhs`` is the count
+    of right-hand-side calls that the engine returns.
 
     Args:
         initial: ``(q0, p0, s0)``, finite, else ``ValueError``.
@@ -162,9 +164,9 @@ def integrate_orbit(initial: Sequence[float], t_final: float,
         def rhs(t, y):
             return np.array([y[1], tangential_force(y[0], s0 + t, params)])
 
-        ts, ys = rk4_fixed(rhs, 0.0, np.array([q0, p0]), t_final, fixed_steps)
-        states = np.column_stack([ys[:, 0], ys[:, 1], s0 + ts])
-        return Trajectory(t=ts, states=states, n_rhs=4 * fixed_steps)
+        ts, ys, n_rhs = rk4_fixed(rhs, 0.0, [q0, p0], t_final, fixed_steps)
+        return Trajectory(t=ts, states=np.column_stack([ys, s0 + ts]),
+                          n_rhs=n_rhs, truncated=False)
 
     u0 = solve_kepler(s0, params.epsilon)
     span = solve_kepler(s0 + t_final, params.epsilon) - u0
@@ -176,15 +178,8 @@ def integrate_orbit(initial: Sequence[float], t_final: float,
         raise ValueError(f"t_final={t_final} spans no eccentric anomaly "
                          f"from s0={s0}")
     clock, rhs, halt = _orbit_system(params, u0)
-    n_rhs = 0
-
-    def counted(g, y, lanes):
-        nonlocal n_rhs
-        n_rhs += 1
-        return rhs(g, y, lanes)
-
     us = np.linspace(0.0, span, max(1, int(n_stops)) + 1)
-    ys = _dop853_lanes(clock, counted, us[1:], [q0, p0], 1, tol, halt=halt)
+    ys, n_rhs = _dop853_lanes(clock, rhs, us[1:], [q0, p0], 1, tol, halt=halt)
     ys = np.concatenate(([[q0, p0]], ys[:, :, 0]))
     ts = _anomaly_geometry(u0 + us, params.r, params.epsilon)[2] - s0
     ts[0], ts[-1] = 0.0, t_final
@@ -469,7 +464,7 @@ def _initial_steps(clock, rhs, t_end: float, y: np.ndarray, f: np.ndarray,
 
 
 def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
-                  tol: float, halt=None) -> np.ndarray:
+                  tol: float, halt=None) -> tuple[np.ndarray, int]:
     """Solve ``n_lanes`` independent systems from ``t = 0`` to each stop.
 
     The system comes in two parts: ``clock(t, lanes)`` maps times ``t``,
@@ -499,18 +494,21 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     never reached stay NaN.  ``halt`` runs first on the start states with
     the first ``rhs`` call's row, whose division warnings are silenced (a
     lane that starts halted may divide by zero; when all do, the solve
-    returns before the initial step), then once per step attempt, right after the step's last ``rhs`` call, whose state equals
-    ``y`` on every accepted lane.  Returns the states at the stops, shape
-    ``(len(stops), n, n_lanes)``, or ``(n, n_lanes)`` for one stop time.  A
-    step below ten ulps of ``t`` after a rejection, a NaN step (from a NaN
-    slope at ``t = 0``, raised once its first attempt is rejected), or a
-    lane past ``MAX_VARIATIONAL_NFEV`` right-hand-side calls since its last
-    stop raises :class:`StiffnessError`.  BLAS forms the stage sums, so a
-    lane's bits may depend on the batch: OpenBLAS rounds a sum of 1 to 3
-    columns (one lane of a 2-component system) differently from the same
-    columns among 4 or more, and on two threads splits a sum of more than
-    about 42,000 columns.  Lanes of 4 or more components below that width
-    keep their bits in any batch; a fixed-order stage sum would keep all.
+    returns before the initial step), then once per step attempt, right
+    after the step's last ``rhs`` call, whose state equals ``y`` on every
+    accepted lane.  Returns the states at the stops, shape
+    ``(len(stops), n, n_lanes)`` or ``(n, n_lanes)`` for one stop time, and
+    ``nfev``, the lockstep ``rhs`` calls: 1 if every lane starts halted,
+    else 2 (the start and the initial step) plus 12 per attempt.  A step
+    below ten ulps of ``t`` after a rejection, a NaN step (from a NaN slope
+    at ``t = 0``, raised once its first attempt is rejected), or a lane
+    past ``MAX_VARIATIONAL_NFEV`` right-hand-side calls since its last stop
+    raises :class:`StiffnessError`.  BLAS forms the stage sums, so a lane's
+    bits may depend on the batch: OpenBLAS rounds a sum of 1 to 3 columns
+    (one lane of a 2-component system) differently from the same columns
+    among 4 or more, and on two threads splits a sum of more than about
+    42,000 columns.  Lanes of 4 or more components below that width keep
+    their bits in any batch; a fixed-order stage sum would keep all.
     """
     _validate_tol(tol)
     stop_times = np.atleast_1d(np.asarray(stops, dtype=float))
@@ -529,7 +527,7 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
         keep = ~halt(g, y, lanes)
         lanes, y, f = lanes[keep], y[:, keep], f[:, keep]
         if not lanes.size:  # every lane halted at its start
-            return out if np.ndim(stops) else out[0]
+            return (out if np.ndim(stops) else out[0]), 1
     t = np.zeros(lanes.size)
     h_abs = np.minimum(_initial_steps(clock, rhs, stop_times[-1], y, f, lanes,
                                       tol), h_max)
@@ -612,5 +610,5 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
             next_stop, nfev_at_stop = next_stop[keep], nfev_at_stop[keep]
             t_stop = stop_times[next_stop]
             oldest = nfev_at_stop.min(initial=nfev)
-    return out if np.ndim(stops) else out[0]
+    return (out if np.ndim(stops) else out[0]), nfev
 

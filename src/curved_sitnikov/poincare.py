@@ -74,10 +74,9 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
         raise ValueError("initial_grid holds a non-finite (q0, p0)")
     if fixed_steps is None:
         clock, rhs, halt = _orbit_system(params, 0.0)
-        strobes = _dop853_lanes(clock, rhs,
-                                np.arange(1, n_iterates + 1) * TWO_PI,
-                                grid.reshape(-1, 2).T, len(grid), tol,
-                                halt=halt)
+        strobes, _ = _dop853_lanes(
+            clock, rhs, np.arange(1, n_iterates + 1) * TWO_PI,
+            grid.reshape(-1, 2).T, len(grid), tol, halt=halt)
     else:
         strobes = np.full((n_iterates, 2, len(grid)), np.nan)
         for i, (q, p) in enumerate(grid):

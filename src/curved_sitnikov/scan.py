@@ -13,10 +13,11 @@ under-resolve there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .integrate import _validate_tol
 from .kepler import (TWO_PI, ModelParams, _check_eccentricity,
                      collision_ceiling)
 from .model import coefficient_period
@@ -57,7 +58,7 @@ class TraceCurve:
     half_traces: np.ndarray
     period: float
     tol: float
-    skipped: list = field(default_factory=list)
+    skipped: list
 
 
 @dataclass
@@ -76,7 +77,7 @@ class StabilityIntervals:
     intervals: list[tuple[float, float, str]]
     transitions: list[dict]
     refine_tol: float
-    suspect: list = field(default_factory=list)
+    suspect: list
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,7 +112,7 @@ class CensusResult:
     levels_completed: int
     level_counts: list[int]
     r_range: tuple[float, float]
-    sample_rs: list = field(default_factory=list)
+    sample_rs: list
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,9 +142,10 @@ def trace_curve(q_star: float, epsilon: float, r_grid,
     Deterministic for a fixed tolerance; grid points that are not finite,
     ``r <= 0`` or above ``2/(1+eps) - margin`` are skipped and recorded,
     each with its reason, rather than evaluated.  An eccentricity outside
-    ``[0, 1)`` raises ``ValueError``.
+    ``[0, 1)`` or a tolerance outside its window raises ``ValueError``.
     """
     _check_eccentricity(epsilon)
+    _validate_tol(tol)
     period = coefficient_period(epsilon)
     ceiling = collision_ceiling(epsilon)
     values, traces, skipped = [], [], []
@@ -334,10 +336,11 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
     Only elliptic intervals that are neither first nor last, i.e. flanked
     by non-elliptic samples on both sides, are counted, so a partial census
     under-counts rather than guesses.  ``ValueError`` unless the eccentricity
-    is in ``[0, 1)``, the budget is at least 1 and the start lies below the
-    end once the end is clipped to ``CEILING_MARGIN`` below the ceiling.
+    is in ``[0, 1)``, ``tol`` in its window, the budget at least 1 and the
+    range nonempty, its end clipped at ``CEILING_MARGIN`` below the ceiling.
     """
     _check_eccentricity(epsilon)
+    _validate_tol(tol)
     if not budget >= 1:
         raise ValueError(f"budget={budget} must be at least 1")
     if not 0.0 < r_max_fraction < 1.0:
@@ -388,7 +391,7 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
 
     tiling = StabilityIntervals(
         q_star=math.pi, epsilon=epsilon, period=period, intervals=intervals,
-        transitions=transitions,
+        transitions=transitions, suspect=[],
         refine_tol=(samples[1][0] - samples[0][0]) if len(samples) > 1 else 0.0)
 
     return CensusResult(epsilon=epsilon, count=counts[-1] if counts else 0,
@@ -396,8 +399,7 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
                         budget=budget, budget_exhausted=budget_exhausted,
                         levels_completed=(CENSUS_START_LEVEL + len(counts) - 1
                                           if counts else 0),
-                        level_counts=counts,
-                        r_range=(r_lo, r_hi),
+                        level_counts=counts, r_range=(r_lo, r_hi),
                         sample_rs=[r for r, _ in samples])
 
 
@@ -405,23 +407,24 @@ def eps_scan_origin(r_fixed: float, eps_grid,
                     tol: float = DEFAULT_SCAN_TOL) -> TraceCurve:
     """Half-trace of the origin monodromy versus eccentricity (period 2*pi).
 
-    Exploratory sweep at fixed ``r``, which must be positive
-    (``ValueError`` otherwise); eccentricities above ``EPS_SCAN_CAP`` or
-    past the collision guard are skipped and recorded.
+    Exploratory sweep at fixed ``r > 0`` and ``tol`` in its window
+    (``ValueError`` otherwise); eccentricities not finite, above
+    ``EPS_SCAN_CAP`` or past the collision guard are skipped and recorded.
     """
     if not r_fixed > 0.0:
         raise ValueError(f"r_fixed={r_fixed} must be positive")
+    _validate_tol(tol)
     values, traces, skipped = [], [], []
     for eps in np.asarray(eps_grid, dtype=float):
         if not 0.0 <= eps <= EPS_SCAN_CAP:
-            skipped.append((float(eps), f"outside [0, {EPS_SCAN_CAP}]"))
+            skipped.append((float(eps), f"outside [0, {EPS_SCAN_CAP}]"
+                            if math.isfinite(eps) else "not finite"))
             continue
         if r_fixed > collision_ceiling(eps) - CEILING_MARGIN:
             skipped.append((float(eps), "collision guard"))
             continue
-        h = _half_trace(0.0, r_fixed, float(eps), TWO_PI, tol)
         values.append(float(eps))
-        traces.append(h)
+        traces.append(_half_trace(0.0, r_fixed, float(eps), TWO_PI, tol))
     return TraceCurve(q_star=0.0, epsilon=None, param="epsilon",
                       values=np.array(values), half_traces=np.array(traces),
                       period=TWO_PI, tol=tol, skipped=skipped)

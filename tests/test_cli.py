@@ -445,6 +445,22 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["census", "--budget", "16"],
+        ["eps-scan", "--r", "5", "--eps-grid", "0:0.1:0.1"],
+        ["scan", "--qstar", "pi", "--r", "5:6:0.5"],
+    ], ids=["census-under-budget", "eps-scan-past-guard", "scan-past-guard"])
+    def test_bad_tol_exits_one_when_no_point_is_solved(self, tmp_path, capsys,
+                                                       argv):
+        # no grid point reaches a solve, which once was the only place the
+        # tolerance window was checked
+        outs = [tmp_path / "out.csv", tmp_path / "out.json"]
+        files = (["--out-csv", str(outs[0]), "--out-json", str(outs[1])]
+                 if argv[0] == "scan" else ["--out", str(outs[0])])
+        assert main(argv + ["--tol", "1", *files]) == EXIT_CONFIG
+        assert "tol=1.0 outside" in capsys.readouterr().err
+        assert not any(out.exists() for out in outs)
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "--q0", "0.3", "--p0", "0", "--t-final", "1.0"],
         ["poincare", "--q-grid", "0:0:1", "--p-grid", "0:0:1",
          "--iterates", "2"],

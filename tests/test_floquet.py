@@ -32,7 +32,7 @@ P10 = ModelParams(r=1.0, epsilon=0.0)
 def synthetic(h, x2=1.0):
     """Unit-determinant matrix with half-trace h (x1 = y2 = h)."""
     y1 = (h * h - 1.0) / x2
-    mat = FundamentalMatrix(x1=h, x2=x2, y1=y1, y2=h)
+    mat = FundamentalMatrix(x1=h, x2=x2, y1=y1, y2=h, n_rhs=0)
     return Monodromy(matrix=mat, period=TWO_PI)
 
 
@@ -153,9 +153,9 @@ class TestAntipodeHalfTraces:
         lanes = floquet._dop853_lanes
 
         def nan_in_lane_one(*args):
-            y = lanes(*args)
+            y, nfev = lanes(*args)
             y[:, 1] = math.nan
-            return y
+            return y, nfev
 
         monkeypatch.setattr(floquet, "_dop853_lanes", nan_in_lane_one)
         with pytest.raises(MonodromyError, match="det=nan at r=1.1 "):
@@ -218,12 +218,13 @@ class TestClassify:
     def test_corrupted_determinant_rejected(self):
         # half-trace 0.5 would read elliptic, but det = 0.25 is no
         # monodromy: building one raises, so classify never sees it
-        mat = FundamentalMatrix(x1=0.5, x2=0.0, y1=0.0, y2=0.5)
+        mat = FundamentalMatrix(x1=0.5, x2=0.0, y1=0.0, y2=0.5, n_rhs=0)
         with pytest.raises(MonodromyError,
                            match="det=0.25 deviates from 1 beyond 1e-06"):
             Monodromy(matrix=mat, period=TWO_PI)
         # a NaN det fails the guard too, instead of reading hyperbolic
-        mat = FundamentalMatrix(x1=math.nan, x2=0.0, y1=0.0, y2=1.0)
+        mat = FundamentalMatrix(x1=math.nan, x2=0.0, y1=0.0, y2=1.0,
+                                n_rhs=0)
         with pytest.raises(MonodromyError,
                            match="det=nan deviates from 1 beyond 1e-06"):
             Monodromy(matrix=mat, period=TWO_PI)

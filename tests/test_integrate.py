@@ -109,7 +109,7 @@ class TestOrbit:
         monkeypatch.setattr(integrate, "MAX_GRID_POINTS", 4)
         monkeypatch.setattr(integrate, "_dop853_lanes",
                             lambda clock, rhs, stops, *a, **k:
-                            np.zeros((len(stops), 2, 1)))
+                            (np.zeros((len(stops), 2, 1)), 0))
         if rows is None:
             with pytest.raises(ValueError, match="more than 4 rows"):
                 integrate_orbit((0.1, 0.0, 0.0), t_final, P10)
@@ -237,8 +237,8 @@ class TestFixedStep:
         assert endpoint_error(1e-8) <= endpoint_error(1e-6) / 4.0
 
     def test_rk4_on_harmonic_oscillator(self):
-        ts, ys = rk4_fixed(lambda t, y: np.array([y[1], -y[0]]), 0.0,
-                           np.array([1.0, 0.0]), TWO_PI, 2000)
+        ts, ys, _ = rk4_fixed(lambda t, y: np.array([y[1], -y[0]]), 0.0,
+                              np.array([1.0, 0.0]), TWO_PI, 2000)
         assert ys[-1, 0] == pytest.approx(1.0, abs=1e-10)
         assert ys[-1, 1] == pytest.approx(0.0, abs=1e-10)
 
@@ -322,8 +322,8 @@ class TestVariational:
             at = hill(t)
             return np.array([y[1], -at * y[0], y[3], -at * y[2]])
 
-        _, ys = rk4_fixed(rhs, 0.0, np.array([1.0, 0.0, 0.0, 1.0]), math.pi,
-                          4000)
+        _, ys, _ = rk4_fixed(rhs, 0.0, np.array([1.0, 0.0, 0.0, 1.0]),
+                             math.pi, 4000)
         x1, y1, x2, y2 = ys[-1]
         np.testing.assert_allclose(a.as_array(), [[x1, x2], [y1, y2]],
                                    atol=1e-8)
@@ -694,9 +694,9 @@ class TestLanes:
         # lanes of different stiffness finish at different step counts;
         # w = 1 is the constant coefficient a = 1, X(pi/2) = [[0, 1], [-1, 0]]
         w, t = np.array([0.5, 1.0, 2.0, 6.0]), 0.5 * math.pi
-        x1, y1, x2, y2 = _dop853_lanes(_identity, _oscillators(w), t,
-                                       np.array([1.0, 0.0, 0.0, 1.0]),
-                                       len(w), tol=1e-10)
+        (x1, y1, x2, y2), _ = _dop853_lanes(_identity, _oscillators(w), t,
+                                            np.array([1.0, 0.0, 0.0, 1.0]),
+                                            len(w), tol=1e-10)
         np.testing.assert_allclose(x1, np.cos(w * t), atol=1e-9)
         np.testing.assert_allclose(x2, np.sin(w * t) / w, atol=1e-9)
         np.testing.assert_allclose(y1, -w * np.sin(w * t), atol=1e-9)
@@ -717,10 +717,10 @@ class TestLanes:
             at = hill(float(t[0]))
             return np.array([y[1], -at * y[0], y[3], -at * y[2]])
 
-        x1, y1, x2, y2 = _dop853_lanes(_identity, rhs, math.pi,
-                                       np.array([1.0, 0.0, 0.0, 1.0]), 1,
-                                       tol=1e-9)[:, 0]
-        assert calls == want_nfev
+        ys, nfev = _dop853_lanes(_identity, rhs, math.pi,
+                                 np.array([1.0, 0.0, 0.0, 1.0]), 1, tol=1e-9)
+        x1, y1, x2, y2 = ys[:, 0]
+        assert nfev == calls == want_nfev
         np.testing.assert_allclose([[x1, x2], [y1, y2]], want, rtol=1e-9)
 
     def test_initial_steps_take_one_call_for_all_lanes(self):
@@ -735,9 +735,9 @@ class TestLanes:
             at = np.array([hill(float(ti)) for ti in t])
             return np.stack([y[1], -at * y[0], y[3], -at * y[2]])
 
-        out = _dop853_lanes(_identity, rhs, math.pi,
-                            np.array([1.0, 0.0, 0.0, 1.0]), 3, tol=1e-9)
-        assert calls == want_nfev
+        out, nfev = _dop853_lanes(_identity, rhs, math.pi,
+                                  np.array([1.0, 0.0, 0.0, 1.0]), 3, tol=1e-9)
+        assert nfev == calls == want_nfev
         np.testing.assert_array_equal(out[:, 1:], out[:, :1].repeat(2, 1))
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-9, 1e-6])
@@ -766,8 +766,8 @@ class TestLanes:
         w, phase = np.array([0.5, 1.0, 3.0]), np.array([0.0, 0.3, -1.0])
         y0 = np.stack([np.cos(phase), -w * np.sin(phase)])
         stops = np.array([1.0, 2.5, 6.0])
-        out = _dop853_lanes(_identity, _oscillators(w), stops, y0, len(w),
-                            tol=1e-10)
+        out, _ = _dop853_lanes(_identity, _oscillators(w), stops, y0, len(w),
+                               tol=1e-10)
         assert out.shape == (3, 2, 3)
         arg = w * stops[:, None] + phase
         np.testing.assert_allclose(out[:, 0], np.cos(arg), atol=1e-8)
@@ -798,9 +798,9 @@ class TestLanes:
         def halt(t, y, lanes):
             return (lanes == 1) & (y[0] < 0.0)
 
-        out = _dop853_lanes(_identity, _oscillators(np.array([1.0, 3.0])),
-                            np.array([0.25, 0.5, 1.0, 2.0]),
-                            np.array([1.0, 0.0]), 2, 1e-9, halt)
+        out, _ = _dop853_lanes(_identity, _oscillators(np.array([1.0, 3.0])),
+                               np.array([0.25, 0.5, 1.0, 2.0]),
+                               np.array([1.0, 0.0]), 2, 1e-9, halt)
         assert np.isfinite(out[:, :, 0]).all()
         assert np.isfinite(out[:2, :, 1]).all()
         assert np.isnan(out[2:, :, 1]).all()
@@ -867,9 +867,9 @@ class TestLanes:
                 return fn(g, *args)
             return wrapper
 
-        out = _dop853_lanes(seen(clock), seen(rhs), np.arange(1, 4) * TWO_PI,
-                            np.array(grid).T, len(grid), 1e-8,
-                            halt=seen(halt))
+        out, _ = _dop853_lanes(seen(clock), seen(rhs),
+                               np.arange(1, 4) * TWO_PI, np.array(grid).T,
+                               len(grid), 1e-8, halt=seen(halt))
         assert np.isnan(out[:, :, 0]).all()
         assert all(width > 0 for _, width in widths)
         if len(grid) == 1:
@@ -920,6 +920,102 @@ class TestLanes:
             np.testing.assert_array_equal(
                 times[:-1], t[lanes] + integrate._NODES[:, None] * h)
             np.testing.assert_array_equal(end, times[-1])
+
+
+def _spied(fn, calls, name):
+    """``fn`` recording each of its calls under ``name`` in ``calls``."""
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return spy
+
+
+class TestReturnedCounts:
+    """Every engine returns the right-hand-side calls it made."""
+
+    def _lanes(self, clock, rhs, *args, **kwargs):
+        calls = []
+        out, nfev = _dop853_lanes(_spied(clock, calls, "clock"),
+                                  _spied(rhs, calls, "rhs"), *args, **kwargs)
+        return out, nfev, calls.count("clock"), calls.count("rhs")
+
+    def test_batch_without_halt(self):
+        w = np.array([0.5, 1.0, 2.0, 6.0])
+        out, nfev, clocks, rhs_calls = self._lanes(
+            _identity, _oscillators(w), np.array([1.0, 2.5]),
+            np.array([1.0, 0.0, 0.0, 1.0]), len(w), 1e-10)
+        assert np.isfinite(out).all()
+        assert nfev == rhs_calls == 2 + 12 * (clocks - 2)
+
+    def test_cloud_with_a_lane_halted_mid_run(self, monkeypatch):
+        # an inflated guard halts the first orbit after two strobes, as in
+        # TestClockSplit::test_strobed_orbits
+        monkeypatch.setattr(model, "D_MIN", 0.3)
+        clock, rhs, halt = model._orbit_system(ModelParams(1.9, 0.0), 0.0)
+        initial = np.array([[math.pi - 0.5, 0.1, 0.3], [0.0, 0.0, 0.2]])
+        out, nfev, clocks, rhs_calls = self._lanes(
+            clock, rhs, np.arange(1, 11) * TWO_PI, initial, 3, 1e-8,
+            halt=halt)
+        reached = np.isfinite(out[:, 0])
+        assert reached[:2, 0].all() and not reached[2:, 0].any()
+        assert reached[:, 1:].all()
+        assert nfev == rhs_calls == 2 + 12 * (clocks - 2)
+
+    def test_batch_halted_at_its_start(self):
+        # q = pi lies 4e-10 from primary 2 at t = 0, within D_MIN
+        clock, rhs, halt = model._orbit_system(ModelParams(r=2.0 - 4e-10),
+                                               0.0)
+        out, nfev, clocks, rhs_calls = self._lanes(
+            clock, rhs, np.arange(1, 4) * TWO_PI,
+            np.array([[math.pi, math.pi], [0.0, 0.1]]), 2, 1e-8, halt=halt)
+        assert np.isnan(out).all()
+        assert nfev == rhs_calls == clocks == 1
+
+    def test_rk4(self):
+        calls = []
+        _, _, nfev = rk4_fixed(_spied(lambda t, y: -y, calls, "rhs"), 0.0,
+                               np.array([1.0]), 1.0, 25)
+        assert nfev == len(calls) == 4 * 25
+
+    @pytest.mark.parametrize("initial, r, d_min, fixed_steps, truncated", [
+        ((0.4, 0.2, 0.0), 1.2, model.D_MIN, None, False),
+        ((math.pi - 0.05, 0.05, 2.0), 1.9, 0.3, None, True),
+        ((math.pi, 0.0, 0.0), 2.0 - 4e-10, model.D_MIN, None, True),
+        ((0.4, 0.2, 0.0), 1.2, model.D_MIN, 300, False),
+    ], ids=["full", "halted-mid-run", "halted-at-start", "rk4"])
+    def test_orbit_takes_the_engines_count(self, monkeypatch, initial, r,
+                                           d_min, fixed_steps, truncated):
+        # the orbit's n_rhs is the count its engine returned: the lanes'
+        # rhs calls on its one lane, or one force evaluation per RK4 stage
+        # (the orbits of TestOrbit's two truncation tests)
+        monkeypatch.setattr(model, "D_MIN", d_min)
+        counts, calls = [], []
+        lanes = integrate._dop853_lanes
+
+        def recorded(*args, **kwargs):
+            out, nfev = lanes(*args, **kwargs)
+            counts.append(nfev)
+            return out, nfev
+
+        def orbit_system(*args):
+            clock, rhs, halt = model._orbit_system(*args)
+            return clock, _spied(rhs, calls, "rhs"), halt
+
+        monkeypatch.setattr(integrate, "_dop853_lanes", recorded)
+        monkeypatch.setattr(integrate, "_orbit_system", orbit_system)
+        monkeypatch.setattr(integrate, "tangential_force",
+                            _spied(model.tangential_force, calls, "force"))
+        traj = integrate_orbit(initial, TWO_PI, ModelParams(r=r), tol=1e-8,
+                               fixed_steps=fixed_steps)
+        assert traj.truncated == truncated
+        if fixed_steps is None:
+            assert counts == [traj.n_rhs]
+            assert calls == ["rhs"] * traj.n_rhs
+        else:
+            assert counts == []
+            assert calls == ["force"] * traj.n_rhs == ["force"] * 4 * 300
+        # only a start inside the guard ends at the start's slope
+        assert (traj.n_rhs == 1) == (initial == (math.pi, 0.0, 0.0))
 
 
 class TestStepCap:
@@ -982,10 +1078,10 @@ class TestClockSplit:
             dy[1::2] = stiffness * y[0::2]
             return dy
 
-        x1, y1, x2, y2 = _dop853_lanes(_identity, rhs,
-                                       0.5 * coefficient_period(eps),
-                                       np.array([1.0, 0.0, 0.0, 1.0]),
-                                       rs.size, 1e-9)
+        (x1, y1, x2, y2), _ = _dop853_lanes(_identity, rhs,
+                                            0.5 * coefficient_period(eps),
+                                            np.array([1.0, 0.0, 0.0, 1.0]),
+                                            rs.size, 1e-9)
         np.testing.assert_array_equal(_antipode_half_traces(rs, eps, 1e-9),
                                       (x1 * y2 + x2 * y1) / (x1 * y2 - x2 * y1))
 
@@ -1017,8 +1113,8 @@ class TestClockSplit:
         def collided(u, y, lanes):
             return np.minimum(*distances(u, y[0])) <= d_min
 
-        want = _dop853_lanes(_identity, rhs, np.arange(1, 11) * TWO_PI,
-                             initial, 3, 1e-8, halt=collided)
+        want, _ = _dop853_lanes(_identity, rhs, np.arange(1, 11) * TWO_PI,
+                                initial, 3, 1e-8, halt=collided)
         cloud = section(ModelParams(r, eps), initial.T, n_iterates=10,
                         tol=1e-8)
         for i, (hits, truncated) in enumerate(zip(cloud.orbits,
@@ -1213,7 +1309,7 @@ assert cli.main(["verify", "--json"]) in (cli.EXIT_OK, cli.EXIT_VERIFY)
 
 
 def test_fundamental_matrix_helpers():
-    m = FundamentalMatrix(x1=2.0, x2=1.0, y1=3.0, y2=2.0)
+    m = FundamentalMatrix(x1=2.0, x2=1.0, y1=3.0, y2=2.0, n_rhs=0)
     assert m.det == pytest.approx(1.0)
     assert m.half_trace == 2.0
     np.testing.assert_array_equal(m.as_array(), [[2.0, 1.0], [3.0, 2.0]])

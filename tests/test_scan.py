@@ -59,6 +59,34 @@ class TestTraceCurve:
         assert list(curve.values) == [1.0]
         assert [reason for _, reason in curve.skipped] == ["not finite"] * 3
 
+    def test_non_finite_eps_skipped_as_such(self):
+        # the origin sweep's cap test once read NaN and +-inf as "outside
+        # [0, 0.95]"
+        curve = eps_scan_origin(1.0, [math.nan, 0.0, math.inf, -math.inf])
+        assert list(curve.values) == [0.0]
+        assert curve.skipped[1:] == [(math.inf, "not finite"),
+                                     (-math.inf, "not finite")]
+        assert math.isnan(curve.skipped[0][0])
+        assert curve.skipped[0][1] == "not finite"
+
+    @pytest.mark.parametrize("sweep", [
+        lambda tol: trace_curve(math.pi, 0.0, [5.0, 5.5, 6.0], tol=tol),
+        lambda tol: eps_scan_origin(5.0, [0.0, 0.1], tol=tol),
+        lambda tol: interchange_census(0.0, 0.999, budget=16, tol=tol),
+    ], ids=["trace_curve", "eps_scan_origin", "interchange_census"])
+    @pytest.mark.parametrize("tol", [1.0, 1e-14, math.nan])
+    def test_tolerance_checked_before_any_point(self, monkeypatch, sweep,
+                                                tol):
+        # every point of these sweeps is skipped or over budget, so no
+        # solve ever saw the tolerance
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated a point")
+
+        monkeypatch.setattr(scan, "_half_trace", refuse)
+        monkeypatch.setattr(scan, "_antipode_half_traces", refuse)
+        with pytest.raises(ValueError, match=f"tol={tol} outside"):
+            sweep(tol)
+
     @pytest.mark.parametrize("eps", [1.5, 1.0, -0.5, -1.0, math.nan])
     def test_eccentricity_outside_unit_interval_rejected(self, monkeypatch,
                                                          eps):
@@ -147,7 +175,7 @@ class TestFindTransitions:
         curve = TraceCurve(q_star=math.pi, epsilon=0.0, param="r",
                            values=np.array([1.30, 1.31, 1.32]),
                            half_traces=np.array([0.5, 1.0, 0.5]),
-                           period=math.pi, tol=1e-9)
+                           period=math.pi, tol=1e-9, skipped=[])
         ivs = find_transitions(curve, refine_tol=0.02).intervals
         assert [cls for _, _, cls in ivs] == [ELLIPTIC, HYPERBOLIC, ELLIPTIC]
         for (_, hi_a, cls_a), (lo_b, _, cls_b) in zip(ivs, ivs[1:]):
@@ -169,7 +197,7 @@ class TestFindTransitions:
         repeated = TraceCurve(q_star=math.pi, epsilon=0.0, param="r",
                               values=np.array([1.30, 1.30, 1.32]),
                               half_traces=np.array([0.5, 2.0, 0.5]),
-                              period=math.pi, tol=1e-9)
+                              period=math.pi, tol=1e-9, skipped=[])
         for curve in (descending, repeated):
             with pytest.raises(ValueError):
                 find_transitions(curve, refine_tol=1e-7)
@@ -230,7 +258,8 @@ def _fake_monodromy(half_trace):
     def fake(q_star, params, period, tol):
         h = half_trace(params.r)
         return Monodromy(matrix=FundamentalMatrix(x1=h, x2=1.0,
-                                                  y1=h * h - 1.0, y2=h),
+                                                  y1=h * h - 1.0, y2=h,
+                                                  n_rhs=0),
                          period=period)
     return fake
 
@@ -427,7 +456,8 @@ def _census_level_by_level(epsilon, r_max_fraction, budget,
         q_star=math.pi, epsilon=epsilon,
         period=coefficient_period(epsilon), intervals=intervals,
         transitions=transitions,
-        refine_tol=samples[1][0] - samples[0][0] if len(samples) > 1 else 0.0)
+        refine_tol=samples[1][0] - samples[0][0] if len(samples) > 1 else 0.0,
+        suspect=[])
     return scan.CensusResult(
         epsilon=epsilon, count=counts[-1] if counts else 0, intervals=tiling,
         evaluations=len(samples), budget=budget, budget_exhausted=exhausted,

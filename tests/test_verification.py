@@ -14,7 +14,7 @@ NAN = math.nan
 def _nan_monodromy(*args, **kwargs):
     """A monodromy-shaped record with NaN entries (a real ``Monodromy``
     refuses a NaN determinant when it is built)."""
-    return SimpleNamespace(matrix=FundamentalMatrix(NAN, NAN, NAN, NAN),
+    return SimpleNamespace(matrix=FundamentalMatrix(NAN, NAN, NAN, NAN, 0),
                            half_trace=NAN, period=math.pi)
 
 
@@ -24,7 +24,7 @@ def _nan_monodromy(*args, **kwargs):
     ("check_analytic_monodromy", verification, "monodromy",
      _nan_monodromy, {}),
     ("check_wronskian_evenness", verification, "integrate_variational",
-     lambda a, period, tol: FundamentalMatrix(NAN, NAN, NAN, NAN),
+     lambda a, period, tol: FundamentalMatrix(NAN, NAN, NAN, NAN, 0),
      {"census_rs": [1.5]}),
     ("check_force_limits", model, "tangential_force",
      lambda q, t, params: NAN, {}),
