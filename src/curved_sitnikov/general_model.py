@@ -34,9 +34,6 @@ C_LOWER = 2.0 ** -4.5
 
 Curve = Callable[[float | np.ndarray, float], np.ndarray]
 
-# (rho, rho', rho'') over an array of times: one scalar Kepler solve each
-_radial_jets = np.vectorize(radial_factor_derivatives, otypes=[float] * 3)
-
 
 def _dot(a, b):
     """Dot product over the first (component) axis, broadcast over the rest."""
@@ -275,7 +272,9 @@ def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
     at the antipode ("near"), time-shifted and rescaled to unit period so
     its closest approach to the antipode happens at ``t = 0``.  With
     ``primary="far"`` the opposite primary's orbit is returned (same time
-    convention; its own closest approach is then at ``t = ±1/2``).
+    convention; its own closest approach is then at ``t = ±1/2``).  Each
+    ``y`` call solves Kepler's equation once, for all its times together,
+    through ``radial_factor_derivatives``.
     """
     if primary not in ("near", "far"):
         raise ValueError(f"primary={primary!r} must be 'near' or 'far'")
@@ -299,7 +298,7 @@ def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
     def y(t, lam):
         r = r_of(lam)
         tau = math.pi + TWO_PI * np.asarray(t, dtype=float)
-        rho, rho_d, rho_dd = _radial_jets(tau, eps)
+        rho, rho_d, rho_dd = radial_factor_derivatives(tau, eps)
         sn, cs, zero = np.sin(tau), np.cos(tau), np.zeros(tau.shape)
         return t_scale.reshape((3,) + (1,) * (tau.ndim + 1)) * np.array([
             [sign * r * rho * sn, 1.0 + sign * r * rho * cs, zero],

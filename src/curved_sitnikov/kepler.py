@@ -134,16 +134,77 @@ def radial_factor(t: float, epsilon: float) -> float:
     return 1.0 - epsilon * math.cos(u)
 
 
-def radial_factor_derivatives(t: float, epsilon: float) -> tuple[float, float, float]:
+def _solve_kepler_array(mean_anomaly, epsilon: float) -> np.ndarray:
+    """``solve_kepler`` over an array of mean anomalies, element by element.
+
+    The same start, fold, bracket, bisection guard and stop test in numpy
+    operations, with each element frozen once its residual is below
+    ``KEPLER_TOL``, so every element equals the scalar solve bit for bit
+    wherever ``np.sin``/``np.cos`` round as ``math.sin``/``math.cos``
+    (``tests/test_kepler.py`` checks that they do).  The result has the
+    shape of ``mean_anomaly``; a 0-d input gives a 0-d array.  An
+    infinite anomaly raises ``ValueError``, as ``math.fmod`` does in the
+    scalar solve, and a NaN gives NaN.
+    """
+    _check_eccentricity(epsilon)
+    mean = np.asarray(mean_anomaly, dtype=float)
+    if epsilon == 0.0:
+        return mean
+    if np.isinf(mean).any():
+        raise ValueError("math domain error")
+    m = np.fmod(mean, TWO_PI)
+    m = np.where(m < 0.0, m + TWO_PI, m)
+    offset = mean - m
+    folded = m > math.pi
+    m = np.where(folded, TWO_PI - m, m).ravel()
+
+    u = m + epsilon * np.sin(m)
+    lo, hi = np.zeros_like(m), np.full_like(m, math.pi)
+    out = np.empty_like(m)
+    live = np.arange(m.size)  # elements not yet converged
+    for _ in range(KEPLER_MAX_ITER):
+        g = u - epsilon * np.sin(u) - m
+        done = np.abs(g) < KEPLER_TOL
+        out[live[done]] = u[done]
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            live, u, m, lo, hi, g = (
+                live[keep], u[keep], m[keep], lo[keep], hi[keep], g[keep])
+        above = g > 0.0
+        hi = np.where(above, u, hi)
+        lo = np.where(above, lo, u)
+        u_new = u - g / (1.0 - epsilon * np.cos(u))
+        u = np.where((lo < u_new) & (u_new < hi), u_new, 0.5 * (lo + hi))
+    else:
+        g = u - epsilon * np.sin(u) - m
+        failed = np.flatnonzero(np.abs(g) >= KEPLER_TOL)
+        if failed.size:
+            k = failed[0]
+            raise KeplerConvergenceError(
+                f"no convergence after {KEPLER_MAX_ITER} iterations "
+                f"(M={m[k]}, eps={epsilon}, residual={g[k]:.3e})")
+        out[live] = u
+    out = out.reshape(mean.shape)
+    return np.where(folded, offset + TWO_PI - out, offset + out)
+
+
+def radial_factor_derivatives(t, epsilon: float):
     """Return ``(rho, drho/dt, d2rho/dt2)`` at mean anomaly ``t``.
 
-    Uses ``du/dt = 1/rho`` from differentiating the Kepler equation.
+    ``t`` is a float or an array, solved in one ``_solve_kepler_array``
+    call; each of the three has the shape of ``t`` (numpy scalars for a
+    float).  Uses ``du/dt = 1/rho`` from differentiating the Kepler
+    equation.  ``rho**3`` is spelt ``rho2 * rho``, which rounds alike on
+    0-d and n-d arrays.
     """
-    u = solve_kepler(t, epsilon)
-    s, c = math.sin(u), math.cos(u)
+    u = _solve_kepler_array(t, epsilon)
+    s, c = np.sin(u), np.cos(u)
     rho = 1.0 - epsilon * c
+    rho2 = rho * rho
     rho_d = epsilon * s / rho
-    rho_dd = epsilon * c / rho**2 - (epsilon * s) ** 2 / rho**3
+    rho_dd = epsilon * c / rho2 - (epsilon * s) ** 2 / (rho2 * rho)
     return rho, rho_d, rho_dd
 
 

@@ -407,12 +407,12 @@ def eps_scan_origin(r_fixed: float, eps_grid,
                     tol: float = DEFAULT_SCAN_TOL) -> TraceCurve:
     """Half-trace of the origin monodromy versus eccentricity (period 2*pi).
 
-    Exploratory sweep at fixed ``r > 0`` and ``tol`` in its window
-    (``ValueError`` otherwise); eccentricities not finite, above
+    Exploratory sweep at a fixed finite ``r > 0`` and ``tol`` in its
+    window (``ValueError`` otherwise); eccentricities not finite, above
     ``EPS_SCAN_CAP`` or past the collision guard are skipped and recorded.
     """
-    if not r_fixed > 0.0:
-        raise ValueError(f"r_fixed={r_fixed} must be positive")
+    if not 0.0 < r_fixed < math.inf:
+        raise ValueError(f"r_fixed={r_fixed} must be positive and finite")
     _validate_tol(tol)
     values, traces, skipped = [], [], []
     for eps in np.asarray(eps_grid, dtype=float):

@@ -165,3 +165,17 @@ def test_model_parts_stay_in_model():
     users = sorted(path.name for path in package.glob("*.py")
                    if _names(ast.parse(path.read_text())) & MODEL_PARTS)
     assert users == ["model.py"]
+
+
+# One Kepler loop per data shape: ``solve_kepler`` on floats, and the array
+# solve behind the curve jets.  A second caller of the array solve would
+# be a second array route, and ``np.vectorize`` a per-sample wrapper.
+ARRAY_KEPLER_CALLERS = ["kepler.radial_factor_derivatives"]
+
+
+def test_one_kepler_loop_per_data_shape():
+    assert _function_callers("_solve_kepler_array") == ARRAY_KEPLER_CALLERS
+    package = pathlib.Path(curved_sitnikov.__file__).parent
+    users = sorted(path.name for path in package.glob("*.py")
+                   if "vectorize" in _names(ast.parse(path.read_text())))
+    assert users == []

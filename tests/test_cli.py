@@ -444,6 +444,15 @@ class TestExitCodes:
         assert "configuration error: r_fixed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eps_scan_infinite_r_exits_one(self, tmp_path, capsys):
+        # the run config would carry "r": Infinity, which is not JSON
+        out = tmp_path / "origin.csv"
+        assert main(["eps-scan", "--r", "inf", "--eps-grid", "0:0.1:0.1",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: r_fixed=inf must be positive and finite\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["census", "--budget", "16"],
         ["eps-scan", "--r", "5", "--eps-grid", "0:0.1:0.1"],

@@ -200,10 +200,10 @@ def _bits(a) -> bytes:
 class TestArrayJets:
     """Array calls against per-sample float calls, bit for bit.
 
-    Both go through the same numpy arithmetic (``np.sin``/``np.cos`` on a
-    0-d or n-d array, one scalar Kepler solve per sample), so no bound is
-    needed here; the float-by-float route of the past, with ``math.cos``,
-    BLAS dot products and scalar ``pow``, is compared in
+    Both go through the same numpy arithmetic (``np.sin``/``np.cos`` and
+    one array Kepler solve on a 0-d or n-d array), so no bound is needed
+    here; the float-by-float route of the past, with ``math.cos``, BLAS
+    dot products and scalar ``pow``, is compared in
     ``TestArrayBoundReport`` within a stated bound.
     """
 
@@ -231,14 +231,21 @@ class TestArrayJets:
             assert _bits(curv) == _bits(np.reshape(floats, ts.shape))
 
     def test_one_kepler_solve_per_sampled_time(self, monkeypatch):
+        # the 201 sampled times reach Kepler's equation in one array solve,
+        # as the mean anomalies pi + 2 pi t, and never one at a time
         from curved_sitnikov import kepler
-        calls = []
-        solve = kepler.solve_kepler
+        arrays, scalars = [], []
+        solve_array, solve = kepler._solve_kepler_array, kepler.solve_kepler
+        monkeypatch.setattr(kepler, "_solve_kepler_array",
+                            lambda m, e: arrays.append(np.copy(m))
+                            or solve_array(m, e))
         monkeypatch.setattr(kepler, "solve_kepler",
-                            lambda m, e: calls.append(m) or solve(m, e))
+                            lambda m, e: scalars.append(m) or solve(m, e))
         pair = sitnikov_pair(ModelParams(r=1.5, epsilon=0.25))
-        d2U_ds2(np.linspace(-0.01, 0.01, 201), 0.1, pair)
-        assert len(calls) == 201
+        ts = np.linspace(-0.01, 0.01, 201)
+        d2U_ds2(ts, 0.1, pair)
+        assert len(arrays) == 1 and scalars == []
+        assert _bits(arrays[0]) == _bits(math.pi + TWO_PI * ts)
 
     def test_array_guard_reports_smallest_distance(self):
         # the Sitnikov gap is lam at t = 0 and grows away from it

@@ -1,6 +1,7 @@
 """Eccentric-anomaly solver and primary ephemeris."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curved_sitnikov import kepler
-from curved_sitnikov.kepler import (ModelParams, _anomaly_geometry,
-                                    _positions, ephemeris, radial_factor,
-                                    radial_factor_derivatives, solve_kepler)
+from curved_sitnikov.kepler import (KeplerConvergenceError, ModelParams,
+                                    _anomaly_geometry, _positions,
+                                    _solve_kepler_array, ephemeris,
+                                    radial_factor, radial_factor_derivatives,
+                                    solve_kepler)
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,6 +101,92 @@ def test_rejects_bad_eccentricity():
         solve_kepler(1.0, -0.1)
 
 
+# 0.99 reaches the bisection guard (see the test above)
+ECCENTRICITIES = [0.0, 0.05, 0.3, 0.6, 0.9, 0.95, 0.99]
+
+
+class TestArraySolve:
+    """``_solve_kepler_array`` against ``solve_kepler``, element by element."""
+
+    # negative, past 2 pi, the exact multiples of pi and 2 pi, the fold's
+    # edge and the smallest subnormals
+    GRID = np.concatenate([
+        np.linspace(-20.0, 20.0, 801), np.arange(-6, 7) * math.pi,
+        np.arange(-3, 4) * TWO_PI,
+        [0.0, -0.0, 5e-324, -5e-324, math.pi - 1e-15, math.pi + 1e-15,
+         TWO_PI - 1e-15, 1e6, -1e6]])
+
+    @pytest.mark.parametrize("eps", ECCENTRICITIES)
+    def test_equals_scalar_solves_bit_for_bit(self, eps):
+        ms = self.GRID.reshape(-1, 2)
+        got = _solve_kepler_array(ms, eps)
+        assert got.shape == ms.shape
+        want = [solve_kepler(float(m), eps) for m in ms.flat]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("eps", ECCENTRICITIES)
+    def test_zero_d_and_empty_inputs(self, eps):
+        for m in (1.0, np.float64(-7.5), np.array(2.0 * math.pi)):
+            got = _solve_kepler_array(m, eps)
+            assert got.shape == ()
+            assert got.tobytes() == np.float64(solve_kepler(float(m),
+                                                            eps)).tobytes()
+        for ms in (np.array([]), np.zeros((0, 3))):
+            assert _solve_kepler_array(ms, eps).shape == ms.shape
+
+    @pytest.mark.parametrize("eps", ECCENTRICITIES)
+    def test_non_finite_anomalies_as_the_scalar_solve(self, eps):
+        # NaN gives NaN and leaves its neighbours alone; an infinite M is
+        # the identity at eps = 0 and math.fmod's ValueError otherwise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ms = np.array([1.0, math.nan, -4.0, math.nan])
+            got = _solve_kepler_array(ms, eps)
+            want = [solve_kepler(float(m), eps) for m in ms]
+            assert np.isnan(want[1]) and np.isnan(want[3])
+            assert np.array_equal(got, want, equal_nan=True)
+            for m in (math.inf, -math.inf):
+                ms = np.array([0.5, m])
+                if eps == 0.0:
+                    assert solve_kepler(m, eps) == m
+                    assert _solve_kepler_array(ms, eps)[1] == m
+                else:
+                    with pytest.raises(ValueError):
+                        solve_kepler(m, eps)
+                    with pytest.raises(ValueError):
+                        _solve_kepler_array(ms, eps)
+
+    def test_both_solves_raise_when_out_of_iterations(self, monkeypatch):
+        monkeypatch.setattr(kepler, "KEPLER_MAX_ITER", 1)
+        with pytest.raises(KeplerConvergenceError):
+            solve_kepler(1.0, 0.9)
+        with pytest.raises(KeplerConvergenceError):
+            _solve_kepler_array(np.array([0.0, 1.0, 2.0]), 0.9)
+        # M = 0 converges at the start, so one iteration is enough
+        assert _solve_kepler_array(np.array([0.0, math.pi]), 0.9)[0] == 0.0
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
+    def test_a_lowered_cap_keeps_every_scalar_solve(self, monkeypatch, cap):
+        # under a cap of a few iterations many anomalies converge only at
+        # the check after the loop; the array solve keeps each of them
+        monkeypatch.setattr(kepler, "KEPLER_MAX_ITER", cap)
+        for eps in (0.3, 0.9, 0.99):
+            solved = []
+            for m in self.GRID:
+                try:
+                    solved.append((m, solve_kepler(float(m), eps)))
+                except KeplerConvergenceError:
+                    pass
+            ms, us = np.array(solved).T
+            assert ms.size > 0
+            assert _solve_kepler_array(ms, eps).tobytes() == us.tobytes()
+
+    def test_rejects_bad_eccentricity(self):
+        for eps in (1.0, -0.1):
+            with pytest.raises(ValueError):
+                _solve_kepler_array(np.array([1.0]), eps)
+
+
 class TestRadialFactor:
     def test_pericenter(self):
         assert radial_factor(0.0, 0.3) == pytest.approx(0.7, abs=1e-13)
@@ -113,6 +202,14 @@ class TestRadialFactor:
         for t in np.linspace(0.0, TWO_PI, 50):
             rho = radial_factor(float(t), eps)
             assert 1.0 - eps - 1e-12 <= rho <= 1.0 + eps + 1e-12
+
+    def test_derivatives_of_an_array_equal_float_calls(self):
+        ts = np.linspace(-4.0, 9.0, 40).reshape(5, 8)
+        jets = radial_factor_derivatives(ts, 0.6)
+        floats = [radial_factor_derivatives(float(t), 0.6) for t in ts.flat]
+        for k, jet in enumerate(jets):
+            assert jet.shape == ts.shape
+            assert jet.tobytes() == np.array([f[k] for f in floats]).tobytes()
 
     def test_derivatives_match_finite_differences(self):
         eps, t, h = 0.3, 0.9, 1e-5

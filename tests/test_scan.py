@@ -621,7 +621,9 @@ class TestEpsScan:
         assert [eps for eps, _ in curve.skipped] == [0.2, 0.97]
 
     def test_nonpositive_r_rejected(self):
-        for r in (-1.0, 0.0, math.nan):
+        # an infinite radius is a bad input too, not a sweep whose every
+        # point is skipped by the collision guard
+        for r in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="r_fixed"):
                 eps_scan_origin(r, [0.0, 0.1, 0.97])
 
