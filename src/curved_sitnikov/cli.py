@@ -156,7 +156,7 @@ def cmd_kepler(args) -> int:
 def cmd_simulate(args) -> int:
     params = _params(args)
     traj = integrate_orbit((args.q0, args.p0, args.s0), args.t_final, params,
-                           tol=args.tol, fixed_steps=args.fixed_step)
+                           tol=args.tol)
     _write_csv(args.out, ("t", "q", "p", "s"), zip(traj.t, *traj.states.T),
                args)
     if traj.truncated:
@@ -224,8 +224,7 @@ def cmd_poincare(args) -> int:
         raise ConfigError(f"a {q_grid.size} x {p_grid.size} initial grid has "
                           f"more than {MAX_GRID_POINTS} orbits")
     grid = [(float(q), float(p)) for q in q_grid for p in p_grid]
-    cloud = section(params, grid, n_iterates=args.iterates, tol=args.tol,
-                    fixed_steps=args.fixed_step)
+    cloud = section(params, grid, n_iterates=args.iterates, tol=args.tol)
     _write_csv(args.out, ("orbit_id", "iter", "q", "p"),
                [(oid, it, q, p) for oid, orbit in enumerate(cloud.orbits)
                 for it, (q, p) in enumerate(orbit)], args)
@@ -235,7 +234,7 @@ def cmd_poincare(args) -> int:
             "epsilon": params.epsilon,
             "n_iterates": args.iterates,
             "tol": args.tol,
-            "method": "adaptive" if args.fixed_step is None else "fixed",
+            "method": "adaptive",
             "initial_grid": grid,
             "truncated": cloud.truncated,
         }, args)
@@ -301,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s0", type=float, default=0.0)
     p.add_argument("--t-final", type=float, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_ORBIT_TOL)
-    p.add_argument("--fixed-step", type=int, default=None,
-                   help="use the reproducible RK4 engine with N >= 1 steps")
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -352,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial p grid lo:hi:step")
     p.add_argument("--iterates", type=int, default=200)
     p.add_argument("--tol", type=float, default=DEFAULT_ORBIT_TOL)
-    p.add_argument("--fixed-step", type=int, default=None,
-                   help="reproducible RK4 engine, N >= 1 steps per period")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--manifest", help="companion manifest JSON path")
     p.set_defaults(func=cmd_poincare)

@@ -17,27 +17,26 @@ once in this module, both loops read it, and no scipy module is imported.
 Float solves, and each lane between two stops, stop with
 :class:`StiffnessError` past ``MAX_VARIATIONAL_NFEV`` right-hand-side
 calls, and orbits at ``MAX_GRID_POINTS`` rows, so every admissible input
-ends in bounded work.  A step count ``fixed_steps`` selects a fixed-step
-classical RK4 for bit-reproducible orbit baselines, ``None`` DOP853.
-Every engine returns the right-hand-side calls it made; all are reentrant
-and hold no state between calls but the compiled kernels
-(``model._orbit_system``'s ``halt`` reads its solve's own closure).  The
-flow is smooth away from collisions, so no symplectic or stiff machinery
-is needed at these horizons.
+ends in bounded work.  Every engine returns the right-hand-side calls it
+made; all are reentrant and hold no state between calls but the compiled
+kernels (``model._orbit_system``'s ``halt`` reads its solve's own
+closure).  The flow is smooth away from collisions, so no symplectic or
+stiff machinery is needed at these horizons.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .kepler import ModelParams, _anomaly_geometry, solve_kepler
-from .model import _orbit_system, tangential_force
+from .model import _orbit_system
+# bench/tracer.py counts force calls by rebinding this name
+from .model import tangential_force  # noqa: F401
 
 TOL_MIN, TOL_MAX = 1e-13, 1e-6
 DEFAULT_ORBIT_TOL = 1e-8
@@ -60,7 +59,7 @@ class StiffnessError(RuntimeError):
 class Trajectory:
     """Solution samples of the extended flow.
 
-    One row per adaptive stop or RK4 step: ``t`` rises strictly from 0 to
+    One row at the start and at each stop: ``t`` rises strictly from 0 to
     ``t_final`` (unless collision-truncated), ``states`` holds ``(q, p, s)``.
     """
 
@@ -103,35 +102,9 @@ def _validate_tol(tol: float) -> None:
         raise ValueError(f"tol={tol} outside [{TOL_MIN}, {TOL_MAX}]")
 
 
-def rk4_fixed(rhs: Callable[[float, np.ndarray], np.ndarray], t0: float,
-              y0: Sequence[float], t1: float,
-              n_steps: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Classical RK4: the (t, y) samples and its ``4 * n_steps`` rhs calls.
-
-    Deterministic to the bit for identical inputs, which the adaptive
-    engine does not guarantee across library versions.
-    """
-    if not (isinstance(n_steps, numbers.Integral) and n_steps >= 1):
-        raise ValueError(f"n_steps={n_steps} must be an integer >= 1")
-    ts = np.linspace(t0, t1, n_steps + 1)
-    h = (t1 - t0) / n_steps
-    ys = np.empty((n_steps + 1, len(y0)))
-    y = np.asarray(y0, dtype=float).copy()
-    ys[0] = y
-    for i in range(n_steps):
-        t = ts[i]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ys[i + 1] = y
-    return ts, ys, 4 * n_steps
-
-
 def integrate_orbit(initial: Sequence[float], t_final: float,
-                    params: ModelParams, tol: float = DEFAULT_ORBIT_TOL,
-                    fixed_steps: int | None = None) -> Trajectory:
+                    params: ModelParams,
+                    tol: float = DEFAULT_ORBIT_TOL) -> Trajectory:
     """Integrate the extended flow from ``initial`` over ``[0, t_final]``.
 
     The phase variable is exact: ``s(t) = s0 + t``; only ``(q, p)`` are
@@ -140,33 +113,20 @@ def integrate_orbit(initial: Sequence[float], t_final: float,
     more than ``MAX_GRID_POINTS`` rows, or an eccentric-anomaly span that
     rounds to zero, raise ``ValueError`` before any step.  A collision
     truncates the orbit at its last stop (``truncated=True``), a start
-    within ``model.D_MIN`` of a primary at its first row; the RK4 route's
-    force raises ``CollisionError`` there instead.  ``n_rhs`` is the count
-    of right-hand-side calls that the engine returns.
+    within ``model.D_MIN`` of a primary at its first row, and never raises.
+    ``n_rhs`` is the count of right-hand-side calls the engine returns.
 
     Args:
         initial: ``(q0, p0, s0)``, finite, else ``ValueError``.
         t_final: integration horizon; ``ValueError`` unless finite and > 0.
         params: model parameters.
         tol: local error tolerance per step, within ``[1e-13, 1e-6]``.
-        fixed_steps: RK4 step count (an integer >= 1) for a reproducible run;
-            ``None`` integrates with DOP853.
     """
     if not 0.0 < t_final < np.inf:
         raise ValueError(f"t_final={t_final} must be positive and finite")
     q0, p0, s0 = (float(v) for v in initial)
     if not all(map(math.isfinite, (q0, p0, s0))):
         raise ValueError(f"initial=({q0}, {p0}, {s0}) must be finite")
-
-    if fixed_steps is not None:
-        _validate_tol(tol)
-
-        def rhs(t, y):
-            return np.array([y[1], tangential_force(y[0], s0 + t, params)])
-
-        ts, ys, n_rhs = rk4_fixed(rhs, 0.0, [q0, p0], t_final, fixed_steps)
-        return Trajectory(t=ts, states=np.column_stack([ys, s0 + ts]),
-                          n_rhs=n_rhs, truncated=False)
 
     u0 = solve_kepler(s0, params.epsilon)
     span = solve_kepler(s0 + t_final, params.epsilon) - u0

@@ -2,13 +2,12 @@
 
 The section variable is the forcing phase itself, so orbits are sampled
 once per period 2*pi with no crossing detection.  Initial conditions come
-from declarative deterministic grids, never random draws.  The adaptive
-route of ``section`` steps every orbit of a cloud as one lane of
-``model._orbit_system`` on ``integrate._dop853_lanes``, in
-eccentric-anomaly time; its hits match to the tolerance but are not
-byte-identical across versions.  The fixed-step RK4 route is
-reproducible byte for byte.  Both fill one strobe array, from which a
-truncated orbit's NaN tail is dropped.
+from declarative deterministic grids, never random draws.  ``section``
+steps every orbit of a cloud as one lane of ``model._orbit_system`` on
+``integrate._dop853_lanes``, in eccentric-anomaly time, into one strobe
+array, from which a truncated orbit's NaN tail is dropped.  A given cloud
+repeats its bytes on one machine; an orbit's bits may depend on the batch
+it is stepped in (``_dop853_lanes``).
 """
 
 from __future__ import annotations
@@ -20,8 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kepler import TWO_PI, ModelParams
-from .integrate import DEFAULT_ORBIT_TOL, _dop853_lanes, integrate_orbit
-from .model import CollisionError, _orbit_system
+from .integrate import DEFAULT_ORBIT_TOL, _dop853_lanes
+# bench/tracer.py times orbit spans by rebinding this name
+from .integrate import integrate_orbit  # noqa: F401
+from .model import _orbit_system
 
 
 @dataclass
@@ -44,50 +45,33 @@ def wrap_angle(q: float) -> float:
 
 
 def section(params: ModelParams, initial_grid, n_iterates: int,
-            tol: float = DEFAULT_ORBIT_TOL,
-            fixed_steps: int | None = None) -> SectionCloud:
+            tol: float = DEFAULT_ORBIT_TOL) -> SectionCloud:
     """Strobe each initial condition once per forcing period.
 
     Args:
         params: model parameters.
-        initial_grid: iterable of finite ``(q0, p0)`` pairs (phase 0).
+        initial_grid: iterable of finite ``(q0, p0)`` pairs (phase 0),
+            else ``ValueError`` before any step.
         n_iterates: number of section returns to record per orbit, an
             integer >= 1, else ``ValueError``.
-        tol: integrator tolerance (adaptive engine).
-        fixed_steps: RK4 steps per period (integer >= 1) for a reproducible
-            cloud, one ``integrate_orbit`` call per period; ``None`` steps
-            all orbits as lanes of ``model._orbit_system`` from ``u = 0``,
-            whose only stops are the strobes ``u = t = 2 pi k``.
+        tol: integrator tolerance.
 
-    Both engines fill one NaN ``(n_iterates, 2, n_orbits)`` strobe array,
-    which one loop turns into the cloud.  A collision truncates only its
-    orbit, which keeps its earlier hits; its later strobes stay NaN and
-    are dropped.  An adaptive orbit is truncated at its start or at the
-    first accepted step within ``model.D_MIN`` of a primary, a fixed-step
-    one at the first period in which the force's guard trips.  Non-finite
-    initial conditions raise ``ValueError`` before either engine runs.
+    All orbits step as lanes of ``model._orbit_system`` from ``u = 0``,
+    whose only stops are the strobes ``u = t = 2 pi k``, into one NaN
+    ``(n_iterates, 2, n_orbits)`` strobe array, which one loop turns into
+    the cloud.  A collision truncates only its orbit, at its start or at
+    the first accepted step within ``model.D_MIN`` of a primary; the orbit
+    keeps its earlier hits, and its later strobes stay NaN and are dropped.
     """
     if not (isinstance(n_iterates, numbers.Integral) and n_iterates >= 1):
         raise ValueError(f"n_iterates={n_iterates} must be an integer >= 1")
     grid = np.array([(float(q0), float(p0)) for q0, p0 in initial_grid])
     if not np.isfinite(grid).all():
         raise ValueError("initial_grid holds a non-finite (q0, p0)")
-    if fixed_steps is None:
-        clock, rhs, halt = _orbit_system(params, 0.0)
-        strobes, _ = _dop853_lanes(
-            clock, rhs, np.arange(1, n_iterates + 1) * TWO_PI,
-            grid.reshape(-1, 2).T, len(grid), tol, halt=halt)
-    else:
-        strobes = np.full((n_iterates, 2, len(grid)), np.nan)
-        for i, (q, p) in enumerate(grid):
-            state = (q, p, 0.0)
-            for k in range(n_iterates):
-                try:
-                    state = integrate_orbit(state, TWO_PI, params, tol=tol,
-                                            fixed_steps=fixed_steps).states[-1]
-                except CollisionError:
-                    break
-                strobes[k, :, i] = state[:2]
+    clock, rhs, halt = _orbit_system(params, 0.0)
+    strobes, _ = _dop853_lanes(
+        clock, rhs, np.arange(1, n_iterates + 1) * TWO_PI,
+        grid.reshape(-1, 2).T, len(grid), tol, halt=halt)
     reached = np.isfinite(strobes[:, 0])  # a truncated orbit's tail is NaN
     return SectionCloud(
         orbits=[np.array([(wrap_angle(float(q)), float(p))

@@ -4,6 +4,8 @@ and only the command-line front end writes files or stdout."""
 import ast
 import pathlib
 
+import pytest
+
 import curved_sitnikov
 
 
@@ -60,7 +62,7 @@ def test_only_cli_writes_artifacts():
 
 # Defaulted parameters, lambda defaults and defaulted dataclass fields in
 # the package: each is a knob, and none is added without removing another.
-MAX_OPTIONS = 23
+MAX_OPTIONS = 21
 
 
 def _option_count(tree: ast.AST) -> int:
@@ -109,6 +111,27 @@ def _function_callers(name: str) -> list[str]:
 
 def test_one_step_loop_per_data_shape():
     assert _function_callers("_initial_steps") == INITIAL_STEP_CALLERS
+
+
+# One orbit engine: the orbit and the section step the lane system of
+# ``model``, and neither takes a fixed step count for a second engine.
+ORBIT_SYSTEM_CALLERS = ["integrate.integrate_orbit", "poincare.section"]
+
+
+def test_one_orbit_engine():
+    assert _function_callers("_orbit_system") == ORBIT_SYSTEM_CALLERS
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: curved_sitnikov.integrate_orbit(
+        (0.1, 0.0, 0.0), 1.0, curved_sitnikov.ModelParams(1.0),
+        fixed_steps=10),
+    lambda: curved_sitnikov.section(
+        curved_sitnikov.ModelParams(1.0), [(0.1, 0.0)], 2, fixed_steps=8),
+], ids=["integrate_orbit", "section"])
+def test_orbits_take_no_step_count(solve):
+    with pytest.raises(TypeError, match="fixed_steps"):
+        solve()
 
 
 # One DOP853 step on floats: the float loop and its stop sampler take it

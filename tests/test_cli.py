@@ -321,15 +321,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["poincare", "--iterates", "1000000000000", "--q-grid", "0:0:1",
          "--p-grid", "0:0:1"],
-        ["simulate", "--q0", "0.1", "--p0", "0", "--t-final", "1",
-         "--fixed-step", "10000000000000"],
-        ["poincare", "--fixed-step", "4", "--iterates", "1000000000000",
-         "--q-grid", "0:0:1", "--p-grid", "0:0:1"],
-    ], ids=["poincare-iterates", "simulate-steps", "poincare-fixed-iterates"])
+    ], ids=["poincare-iterates"])
     def test_allocation_beyond_memory_exits_one(self, tmp_path, argv):
-        # each asks numpy for more than 7 TiB; under a 1 GiB address-space
+        # asks numpy for more than 7 TiB; under a 1 GiB address-space
         # limit the request fails the same way on a host that overcommits.
-        # Both section engines allocate their whole strobe array first.
+        # The section allocates its whole strobe array first.
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
@@ -474,23 +470,27 @@ class TestExitCodes:
         ["poincare", "--q-grid", "0:0:1", "--p-grid", "0:0:1",
          "--iterates", "2"],
     ], ids=["simulate", "poincare"])
-    def test_zero_fixed_steps_exit_one(self, tmp_path, capsys, argv):
+    def test_removed_fixed_step_option_exits_one(self, tmp_path, capsys,
+                                                 argv):
+        # argparse refuses an option no command has, before any output
+        # path is checked or written
         out = tmp_path / "out.csv"
-        assert main(argv + ["--fixed-step", "0", "--out", str(out)]) == \
+        assert main(argv + ["--fixed-step", "4", "--out", str(out)]) == \
             EXIT_CONFIG
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments: --fixed-step 4" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("initial, engine", [
-        (["--q0", "nan", "--p0", "0"], []),
-        (["--q0", "nan", "--p0", "0"], ["--fixed-step", "4"]),
-        (["--q0", "0.1", "--p0", "0", "--s0", "inf"], []),
-    ], ids=["q0-nan", "q0-nan-fixed", "s0-inf"])
+    @pytest.mark.parametrize("initial", [
+        ["--q0", "nan", "--p0", "0"],
+        ["--q0", "0.1", "--p0", "inf"],
+        ["--q0", "0.1", "--p0", "0", "--s0", "inf"],
+    ], ids=["q0-nan", "p0-inf", "s0-inf"])
     def test_non_finite_initial_state_exits_one(self, tmp_path, capsys,
-                                                initial, engine):
+                                                initial):
         out = tmp_path / "traj.csv"
         assert main(["simulate", *initial, "--t-final", "1", "--out",
-                     str(out), *engine]) == EXIT_CONFIG
+                     str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: initial=(")
         assert err.endswith(") must be finite\n")
@@ -508,9 +508,8 @@ class TestExitCodes:
             "from s0=1e+20\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra", [[], ["--eps", "0.3"],
-                                       ["--fixed-step", "4"]],
-                             ids=["circular", "eccentric", "fixed"])
+    @pytest.mark.parametrize("extra", [[], ["--eps", "0.3"]],
+                             ids=["circular", "eccentric"])
     def test_nan_phase_exits_one(self, tmp_path, extra):
         # in a subprocess with a timeout: code that lets a NaN phase into
         # the adaptive solve never returns
@@ -550,12 +549,10 @@ class TestExitCodes:
         assert "configuration error: t_final" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("engine", [[], ["--fixed-step", "8"]],
-                             ids=["adaptive", "fixed"])
-    def test_zero_iterates_exit_one(self, tmp_path, capsys, engine):
+    def test_zero_iterates_exit_one(self, tmp_path, capsys):
         out = tmp_path / "cloud.csv"
-        assert main(["poincare", "--iterates", "0", "--out", str(out)]
-                    + engine) == EXIT_CONFIG
+        assert main(["poincare", "--iterates", "0", "--out",
+                     str(out)]) == EXIT_CONFIG
         assert "configuration error: n_iterates" in capsys.readouterr().err
         assert not out.exists()
 
@@ -658,6 +655,15 @@ class TestExitCodes:
 
     def test_help_is_success(self):
         assert main(["--help"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["simulate", "poincare"])
+    def test_orbit_help_offers_no_step_count(self, capsys, command):
+        # the orbit commands have one engine, so their help lists a
+        # tolerance and no fixed step count
+        assert main([command, "--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "--tol" in out
+        assert "--fixed-step" not in out
 
     @pytest.mark.parametrize("error", [
         CollisionError(1, 1e-12),

@@ -1,4 +1,4 @@
-"""Adaptive and fixed-step engines, trajectories, variational flow."""
+"""The DOP853 engines, trajectories, variational flow."""
 
 import argparse
 import json
@@ -22,11 +22,15 @@ from curved_sitnikov.floquet import (_antipode_half_traces, monodromy,
                                      winding_angle)
 from curved_sitnikov.integrate import (FundamentalMatrix, StiffnessError,
                                        _dop853_lanes, integrate_orbit,
-                                       integrate_variational, rk4_fixed)
+                                       integrate_variational)
 from curved_sitnikov.poincare import section, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
+# the Kepler-free and the Kepler-solving phase clock
+PARAMS = pytest.mark.parametrize(
+    "params", [P10, ModelParams(r=1.2, epsilon=0.3)],
+    ids=["circular", "eccentric"])
 CFG = argparse.Namespace(cmd="test")
 
 
@@ -75,29 +79,50 @@ class TestOrbit:
         assert np.allclose(traj.states[:, 2], traj.t)
 
     def test_tolerance_window_enforced(self):
-        for fixed_steps in (None, 10):
-            for tol in (1e-5, 1e-14):
-                with pytest.raises(ValueError):
-                    integrate_orbit((0.1, 0.0, 0.0), 1.0, P10, tol=tol,
-                                    fixed_steps=fixed_steps)
+        for tol in (1e-5, 1e-14):
+            with pytest.raises(ValueError):
+                integrate_orbit((0.1, 0.0, 0.0), 1.0, P10, tol=tol)
 
-    @pytest.mark.parametrize("fixed_steps", [None, 10])
+    def test_adaptive_tolerance_scaling(self):
+        ref = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, tol=1e-13)
+        end_ref = ref.states[-1, :2]
+
+        def endpoint_error(tol):
+            traj = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, tol=tol)
+            return float(np.max(np.abs(traj.states[-1, :2] - end_ref)))
+
+        assert endpoint_error(1e-8) <= endpoint_error(1e-6) / 4.0
+
+    @PARAMS
+    def test_bit_reproducible(self, params):
+        # one engine, no state between calls: the same orbit twice is the
+        # same bits and the same count, 2 + 12 per step attempt
+        a = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, params)
+        b = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, params)
+        assert a.t.tobytes() == b.t.tobytes()
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.n_rhs == b.n_rhs
+        assert (a.n_rhs - 2) % 12 == 0
+
+    # on an eccentric orbit solve_kepler meets the horizon and the phase
+    # first, and raises a bare math domain error on an infinite one: the
+    # checks must come before it
+    @PARAMS
     @pytest.mark.parametrize("t_final", [0.0, -1.0, math.nan, math.inf])
-    def test_horizon_must_be_positive_and_finite(self, t_final, fixed_steps):
+    def test_horizon_must_be_positive_and_finite(self, t_final, params):
         with pytest.raises(ValueError, match="t_final"):
-            integrate_orbit((0.1, 0.0, 0.0), t_final, P10,
-                            fixed_steps=fixed_steps)
+            integrate_orbit((0.1, 0.0, 0.0), t_final, params)
 
-    @pytest.mark.parametrize("fixed_steps", [None, 10])
+    @PARAMS
     @pytest.mark.parametrize("initial", [(math.nan, 0.0, 0.0),
                                          (0.1, math.inf, 0.0),
                                          (0.1, 0.0, -math.inf)],
                              ids=["q0-nan", "p0-inf", "s0-inf"])
-    def test_initial_state_must_be_finite(self, initial, fixed_steps):
+    def test_initial_state_must_be_finite(self, initial, params):
         # a NaN phase is covered by the CLI test in a subprocess: code
         # without this check never returns from that adaptive solve
         with pytest.raises(ValueError, match=r"initial=\(.*\) must be finite"):
-            integrate_orbit(initial, 1.0, P10, fixed_steps=fixed_steps)
+            integrate_orbit(initial, 1.0, params)
 
     @pytest.mark.parametrize("t_final, rows", [(3 * math.pi, 4),
                                                (4 * math.pi, None)],
@@ -151,6 +176,19 @@ class TestOrbit:
         assert traj.t[-1] < TWO_PI
         assert np.all(np.diff(traj.t) > 0.0)
 
+    def test_truncated_orbit_keeps_only_reached_rows(self, monkeypatch):
+        # the stops past the collision stay NaN in the engine; the orbit
+        # drops them, and each kept row's phase is still s0 + t; this
+        # orbit halts in its third period, as in TestLaneRoute
+        monkeypatch.setattr(model, "D_MIN", 0.3)
+        traj = integrate_orbit((math.pi - 0.5, 0.0, TWO_PI), 5 * TWO_PI,
+                               ModelParams(r=1.9), tol=1e-8)
+        assert traj.truncated
+        assert len(traj.t) == len(traj.states) >= 4
+        assert traj.t[-1] < 3 * TWO_PI
+        assert np.isfinite(traj.states).all()
+        assert traj.states[:, 2].tolist() == (TWO_PI + traj.t).tolist()
+
     def test_start_inside_the_guard_truncates_at_once(self):
         # 4e-10 from primary 2, within D_MIN: the lane halts at its start,
         # where the distance cancels to 0, and takes no step
@@ -197,50 +235,31 @@ class TestOrbit:
         assert capsys.readouterr().out == text
 
 
-class TestFixedStep:
-    def test_bit_reproducible(self):
-        a = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, fixed_steps=500)
-        b = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, fixed_steps=500)
-        assert np.array_equal(a.states, b.states)
-        assert a.n_rhs == 4 * 500
+class TestRk4Oracle:
+    """The test-local RK4 that two tests take as an independent reference."""
 
-    @pytest.mark.parametrize("n", [0, -3, 2.5])
-    def test_step_count_must_be_positive(self, n):
-        with pytest.raises(ValueError, match="n_steps"):
-            integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, fixed_steps=n)
-        with pytest.raises(ValueError, match="n_steps"):
-            rk4_fixed(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, n)
-
-    def test_step_halving_convergence(self):
-        # fourth-order engine: doubling the step count cuts the endpoint
-        # error by ~16; require at least 4 per the contract
-        ref = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, tol=1e-13)
-        end_ref = ref.states[-1, :2]
-
-        def endpoint_error(n):
-            traj = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10,
-                                   fixed_steps=n)
-            return float(np.max(np.abs(traj.states[-1, :2] - end_ref)))
-
-        errs = [endpoint_error(n) for n in (100, 200, 400)]
-        assert errs[0] / errs[1] >= 4.0
-        assert errs[1] / errs[2] >= 4.0
-
-    def test_adaptive_tolerance_scaling(self):
-        ref = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, tol=1e-13)
-        end_ref = ref.states[-1, :2]
-
-        def endpoint_error(tol):
-            traj = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, P10, tol=tol)
-            return float(np.max(np.abs(traj.states[-1, :2] - end_ref)))
-
-        assert endpoint_error(1e-8) <= endpoint_error(1e-6) / 4.0
-
-    def test_rk4_on_harmonic_oscillator(self):
-        ts, ys, _ = rk4_fixed(lambda t, y: np.array([y[1], -y[0]]), 0.0,
-                              np.array([1.0, 0.0]), TWO_PI, 2000)
+    def test_harmonic_oscillator(self, rk4):
+        ys = rk4(lambda t, y: np.array([y[1], -y[0]]), [1.0, 0.0], TWO_PI,
+                 2000)
+        assert ys.shape == (2001, 2)
         assert ys[-1, 0] == pytest.approx(1.0, abs=1e-10)
         assert ys[-1, 1] == pytest.approx(0.0, abs=1e-10)
+
+    @PARAMS
+    def test_fourth_order_on_the_orbit_force(self, rk4, params):
+        # doubling the step count cuts the error against a tol-1e-13 orbit
+        # by ~16; require at least 4
+        end_ref = integrate_orbit((0.4, 0.2, 0.0), TWO_PI, params,
+                                  tol=1e-13).states[-1, :2]
+
+        def rhs(t, y):
+            return np.array([y[1], model.tangential_force(y[0], t, params)])
+
+        errs = [float(np.max(np.abs(rk4(rhs, [0.4, 0.2], TWO_PI, n)[-1]
+                                    - end_ref)))
+                for n in (100, 200, 400)]
+        assert errs[0] / errs[1] >= 4.0
+        assert errs[1] / errs[2] >= 4.0
 
 
 def _scipy_variational(a, period, tol):
@@ -314,7 +333,7 @@ class TestVariational:
             np.testing.assert_allclose([mat.x1, mat.y1], col1, atol=1e-5)
             np.testing.assert_allclose([mat.x2, mat.y2], col2, atol=1e-5)
 
-    def test_fixed_engine_agrees(self):
+    def test_rk4_oracle_agrees(self, rk4):
         hill = hill_coefficient(math.pi, P10)
         a = integrate_variational(hill, math.pi, tol=1e-10)
 
@@ -322,9 +341,7 @@ class TestVariational:
             at = hill(t)
             return np.array([y[1], -at * y[0], y[3], -at * y[2]])
 
-        _, ys, _ = rk4_fixed(rhs, 0.0, np.array([1.0, 0.0, 0.0, 1.0]),
-                             math.pi, 4000)
-        x1, y1, x2, y2 = ys[-1]
+        x1, y1, x2, y2 = rk4(rhs, [1.0, 0.0, 0.0, 1.0], math.pi, 4000)[-1]
         np.testing.assert_allclose(a.as_array(), [[x1, x2], [y1, y2]],
                                    atol=1e-8)
 
@@ -971,23 +988,17 @@ class TestReturnedCounts:
         assert np.isnan(out).all()
         assert nfev == rhs_calls == clocks == 1
 
-    def test_rk4(self):
-        calls = []
-        _, _, nfev = rk4_fixed(_spied(lambda t, y: -y, calls, "rhs"), 0.0,
-                               np.array([1.0]), 1.0, 25)
-        assert nfev == len(calls) == 4 * 25
-
-    @pytest.mark.parametrize("initial, r, d_min, fixed_steps, truncated", [
-        ((0.4, 0.2, 0.0), 1.2, model.D_MIN, None, False),
-        ((math.pi - 0.05, 0.05, 2.0), 1.9, 0.3, None, True),
-        ((math.pi, 0.0, 0.0), 2.0 - 4e-10, model.D_MIN, None, True),
-        ((0.4, 0.2, 0.0), 1.2, model.D_MIN, 300, False),
-    ], ids=["full", "halted-mid-run", "halted-at-start", "rk4"])
+    @pytest.mark.parametrize("initial, r, eps, d_min, truncated", [
+        ((0.4, 0.2, 0.0), 1.2, 0.0, model.D_MIN, False),
+        ((math.pi - 0.05, 0.05, 2.0), 1.9, 0.0, 0.3, True),
+        ((math.pi, 0.0, 0.0), 2.0 - 4e-10, 0.0, model.D_MIN, True),
+        ((0.4, 0.2, 0.0), 1.2, 0.3, model.D_MIN, False),
+    ], ids=["full", "halted-mid-run", "halted-at-start", "eccentric"])
     def test_orbit_takes_the_engines_count(self, monkeypatch, initial, r,
-                                           d_min, fixed_steps, truncated):
-        # the orbit's n_rhs is the count its engine returned: the lanes'
-        # rhs calls on its one lane, or one force evaluation per RK4 stage
-        # (the orbits of TestOrbit's two truncation tests)
+                                           eps, d_min, truncated):
+        # the orbit's n_rhs is the count its engine returned, the lanes'
+        # rhs calls on its one lane (the orbits of TestOrbit's two
+        # truncation tests)
         monkeypatch.setattr(model, "D_MIN", d_min)
         counts, calls = [], []
         lanes = integrate._dop853_lanes
@@ -1005,15 +1016,11 @@ class TestReturnedCounts:
         monkeypatch.setattr(integrate, "_orbit_system", orbit_system)
         monkeypatch.setattr(integrate, "tangential_force",
                             _spied(model.tangential_force, calls, "force"))
-        traj = integrate_orbit(initial, TWO_PI, ModelParams(r=r), tol=1e-8,
-                               fixed_steps=fixed_steps)
+        traj = integrate_orbit(initial, TWO_PI, ModelParams(r, eps),
+                               tol=1e-8)
         assert traj.truncated == truncated
-        if fixed_steps is None:
-            assert counts == [traj.n_rhs]
-            assert calls == ["rhs"] * traj.n_rhs
-        else:
-            assert counts == []
-            assert calls == ["force"] * traj.n_rhs == ["force"] * 4 * 300
+        assert counts == [traj.n_rhs]
+        assert calls == ["rhs"] * traj.n_rhs
         # only a start inside the guard ends at the start's slope
         assert (traj.n_rhs == 1) == (initial == (math.pi, 0.0, 0.0))
 

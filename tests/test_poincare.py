@@ -58,95 +58,100 @@ class TestSection:
         np.testing.assert_allclose(minus.orbits[0], -plus.orbits[0],
                                    atol=1e-9)
 
-    def test_fixed_step_reproducible_bytes(self, tmp_path):
+    def test_reproducible_bytes(self, tmp_path):
         path, man_path = tmp_path / "a.csv", tmp_path / "a.json"
         argv = ["poincare", "--q-grid", "0.1:0.2:0.1", "--p-grid", "0:0:1",
-                "--iterates", "10", "--fixed-step", "128", "--out", str(path),
+                "--iterates", "10", "--out", str(path),
                 "--manifest", str(man_path)]
         assert main(argv) == 0
         first = path.read_bytes()
-        assert json.loads(man_path.read_text())["method"] == "fixed"
+        assert json.loads(man_path.read_text())["method"] == "adaptive"
         assert main(argv) == 0
         assert path.read_bytes() == first
 
-    @pytest.mark.parametrize("argv, sha256", [
+    @pytest.mark.parametrize("argv, d_min, sha256", [
         (["poincare", "--q-grid", "0.1:0.2:0.1", "--p-grid", "0:0:1",
-          "--iterates", "10", "--fixed-step", "128", "--out", "cloud.csv"],
-         "af0be49afe43c7dcf341d7c26530b8a888bd168c3002e79519bfa6f75c4c8075"),
+          "--iterates", "10", "--out", "cloud.csv"], None,
+         "e83c6f18db7010eb058b8ae43d91031b75f608bb02bd4306a45868ed7b244c7e"),
         (["simulate", "--r", "1.2", "--eps", "0.3", "--q0", "0.3", "--p0",
-          "0.1", "--t-final", "12.566370614359172", "--fixed-step", "400",
-          "--out", "orbit.csv"],
-         "1e2eb655f73473b286124a0c66bcb2405925369aac9564666704c5d477cb523c"),
-    ], ids=["poincare", "simulate"])
-    def test_fixed_step_bytes_pinned(self, tmp_path, monkeypatch, argv,
-                                     sha256):
-        # the RK4 artifacts are a regression baseline: any change to the
-        # force's arithmetic moves these digests
+          "0.1", "--t-final", "12.566370614359172", "--out", "orbit.csv"],
+         None,
+         "255b266e090c3bdcbf98263015bece29f05813f08c0e9cc72aa69771f511cd2e"),
+        (["simulate", "--r", "1.0", "--q0", "0.3", "--p0", "0.1",
+          "--t-final", "12.566370614359172", "--out", "orbit.csv"], None,
+         "cb873ed3ab00cd0b67921471829958196206333663c4987e52ef5c6cb0ac6770"),
+        (["poincare", "--r", "1.2", "--eps", "0.3", "--q-grid",
+          "0.1:0.2:0.1", "--p-grid", "0:0:1", "--iterates", "10", "--out",
+          "cloud.csv"], None,
+         "73e71ea4307f0495ecfb00dd3b8e27a54af2500837b154d940fd7b13517bf5a8"),
+        (["poincare", "--q-grid", "0.1:0.2:0.1", "--p-grid", "0:0:1",
+          "--iterates", "10", "--out", "cloud.csv", "--manifest",
+          "cloud.json"], None,
+         "140cb24fff756faf46089caefec0ef32fd32f78c3372940d91fa332a9559fd50"),
+        (["simulate", "--r", "1.9", "--q0", repr(math.pi - 0.5), "--p0", "0",
+          "--t-final", "31.4", "--out", "orbit.csv"], 0.3,
+         "90264c74de53e992c2f1eec8eac2a1e1abd261bc62b26778d3b1c26bb9654e6e"),
+        (["poincare", "--r", "1.9", "--q-grid",
+          f"{math.pi - 0.5!r}:{math.pi - 0.5!r}:1", "--p-grid", "0:0:1",
+          "--iterates", "10", "--out", "cloud.csv"], 0.3,
+         "6dd98bf1ac145b06dec962e3d63f06087ee299ddf740337e14437ea5882223aa"),
+    ], ids=["poincare", "simulate", "simulate-circular", "poincare-eccentric",
+            "poincare-manifest", "simulate-truncated", "poincare-truncated"])
+    def test_adaptive_bytes_pinned(self, tmp_path, monkeypatch, argv, d_min,
+                                   sha256):
+        # a regression baseline on this machine: any change to the force's
+        # arithmetic or to the lanes' steps moves these digests, and the
+        # relative paths keep the --out echoed in the CSV header fixed.
+        # The truncated cases inflate the collision guard, as in
+        # TestLaneRoute, so the orbit halts in its third period.
+        if d_min is not None:
+            monkeypatch.setattr(model, "D_MIN", d_min)
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0
         data = (tmp_path / argv[-1]).read_bytes()
         assert hashlib.sha256(data).hexdigest() == sha256
 
-    def test_fixed_step_collision_truncates_only_its_orbit(self, monkeypatch):
-        # the RK4 route's force guard trips in the third period, as the
-        # lane route's guard does in TestLaneRoute
-        monkeypatch.setattr(model, "D_MIN", 0.3)
-        cloud = section(ModelParams(r=1.9), [(math.pi - 0.5, 0.0), (0.1, 0.0)],
-                        n_iterates=10, fixed_steps=128)
-        assert cloud.truncated == [True, False]
-        assert [len(o) for o in cloud.orbits] == [2, 10]
-
-    @pytest.mark.parametrize("engine", [{"fixed_steps": 128}, {"tol": 1e-8}],
-                             ids=["fixed", "lanes"])
-    def test_truncated_orbit_keeps_earlier_hits_bitwise(self, monkeypatch,
-                                                        engine):
-        # the inflated guard of the two truncation tests; the reference
-        # is the same grid and n_iterates under the default guard, since
-        # a lane run with fewer strobes takes other steps
+    def test_truncated_orbit_keeps_earlier_hits_bitwise(self, monkeypatch):
+        # the inflated guard of TestLaneRoute's truncation test; the
+        # reference is the same grid and n_iterates under the default
+        # guard, since a lane run with fewer strobes takes other steps
         grid = [(math.pi - 0.5, 0.0), (0.1, 0.0)]
-        full = section(ModelParams(r=1.9), grid, n_iterates=10, **engine)
+        full = section(ModelParams(r=1.9), grid, n_iterates=10, tol=1e-8)
         assert full.truncated == [False, False]
         monkeypatch.setattr(model, "D_MIN", 0.3)
-        cut = section(ModelParams(r=1.9), grid, n_iterates=10, **engine)
+        cut = section(ModelParams(r=1.9), grid, n_iterates=10, tol=1e-8)
         assert cut.truncated == [True, False]
         assert cut.orbits[0].tobytes() == full.orbits[0][:2].tobytes()
         assert cut.orbits[1].tobytes() == full.orbits[1].tobytes()
 
-    @pytest.mark.parametrize("fixed_steps", [None, 8])
-    def test_orbit_with_no_hit_is_an_empty_hit_array(self, fixed_steps):
+    def test_orbit_with_no_hit_is_an_empty_hit_array(self):
         # q = pi lies 4e-10 from primary 2 at t = 0, within D_MIN, so
-        # either engine truncates orbit 0 before its first strobe; its
-        # hits are (0, 2), as every orbit's are (n_i, 2)
+        # orbit 0 is truncated before its first strobe; its hits are
+        # (0, 2), as every orbit's are (n_i, 2)
         cloud = section(ModelParams(r=2.0 - 4e-10),
-                        [(math.pi, 0.0), (0.2, 0.1)], n_iterates=3,
-                        fixed_steps=fixed_steps)
+                        [(math.pi, 0.0), (0.2, 0.1)], n_iterates=3)
         assert cloud.truncated == [True, False]
         assert [o.shape for o in cloud.orbits] == [(0, 2), (3, 2)]
 
-    @pytest.mark.parametrize("fixed_steps", [None, 8])
-    @pytest.mark.parametrize("q0", [math.nan, math.inf])
-    def test_initial_grid_must_be_finite(self, monkeypatch, q0, fixed_steps):
-        # checked once before either engine runs; without the check the
-        # lane route spends its whole work cap on the NaN lane
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (math.inf, 0.0),
+                                       (0.1, math.nan), (0.1, -math.inf)],
+                             ids=["nan", "inf", "p0-nan", "p0-inf"])
+    def test_initial_grid_must_be_finite(self, monkeypatch, point):
+        # checked once, on both coordinates, before the engine runs;
+        # without the check the lane route spends its whole work cap on
+        # the NaN lane
         def refuse(*args, **kwargs):
-            raise AssertionError("an engine ran")
+            raise AssertionError("the engine ran")
 
         monkeypatch.setattr(poincare, "_dop853_lanes", refuse)
-        monkeypatch.setattr(poincare, "integrate_orbit", refuse)
         with pytest.raises(ValueError, match="non-finite"):
-            section(P10, [(q0, 0.0), (0.1, 0.0)], n_iterates=2,
-                    fixed_steps=fixed_steps)
+            section(P10, [point, (0.1, 0.0)], n_iterates=2)
 
-    def test_fixed_steps_must_be_an_integer(self):
-        with pytest.raises(ValueError, match="n_steps=1.5"):
-            section(P10, [(0.1, 0.0)], n_iterates=2, fixed_steps=1.5)
-
-    @pytest.mark.parametrize("fixed_steps", [None, 8])
-    @pytest.mark.parametrize("n_iterates", [0, -1, 1.5])
-    def test_needs_one_iterate(self, n_iterates, fixed_steps):
+    # 2.0 counts the iterates but is no integer, so it is refused too
+    @pytest.mark.parametrize("n_iterates", [0, -1, 1.5, 2.0])
+    def test_needs_one_iterate(self, n_iterates):
         with pytest.raises(ValueError, match="n_iterates"):
-            section(P10, [(0.1, 0.0)], n_iterates=n_iterates,
-                    fixed_steps=fixed_steps)
+            section(P10, [(0.1, 0.0)], n_iterates=n_iterates)
 
     def test_csv_and_manifest(self, tmp_path):
         csv_path, man_path = tmp_path / "cloud.csv", tmp_path / "cloud.json"
@@ -209,19 +214,41 @@ class TestLaneRoute:
         assert cloud.orbits[1].tobytes() == alone.orbits[0].tobytes()
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
-    def test_strobes_match_tight_scalar_route(self, eps):
-        # reference: the RK4 route, which shares no stepping code with the
-        # lanes, at 256 steps per period over all 40 periods; it sits within
-        # 1.5e-6 of a tol-1e-13 lane solve here, and the lane route at 1e-8
-        # within 9.2e-6
+    def test_strobes_match_tight_scalar_route(self, rk4, eps):
+        # reference: classical RK4 on the scalar force, which shares no
+        # stepping code with the lanes, at 256 steps per period over all 40
+        # periods; it sits within 1.5e-6 of a tol-1e-13 lane solve here,
+        # and the lane route at 1e-8 within 9.2e-6
         params = ModelParams(r=1.0, epsilon=eps)
         grid = [(0.2, 0.0), (-0.2, 0.1), (0.0, 0.15)]
         cloud = section(params, grid, n_iterates=40, tol=1e-8)
+
+        def rhs(t, y):
+            return np.array([y[1], model.tangential_force(y[0], t, params)])
+
         for (q, p), hits in zip(grid, cloud.orbits):
-            rows = integrate_orbit((q, p, 0.0), 40 * TWO_PI, params,
-                                   fixed_steps=40 * 256).states[256::256]
-            want = [(wrap_angle(q), p) for q, p, _ in rows]
+            rows = rk4(rhs, [q, p], 40 * TWO_PI, 40 * 256)[256::256]
+            want = [(wrap_angle(q), p) for q, p in rows]
             np.testing.assert_allclose(hits, want, rtol=0.0, atol=1e-4)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3],
+                             ids=["circular", "eccentric"])
+    def test_strobes_match_the_orbit_rows(self, eps):
+        # integrate_orbit's rows from s0 = 0 lie pi apart in eccentric
+        # anomaly, so every second one is a strobe u = t = 2 pi k; the two
+        # routes share the lane system but stop at other times, so they
+        # agree to the tolerance, not bitwise: within 1.9e-9 here
+        params = ModelParams(r=1.0, epsilon=eps)
+        grid = [(0.3, 0.1), (-0.2, 0.1)]
+        cloud = section(params, grid, n_iterates=10, tol=1e-10)
+        for (q, p), hits in zip(grid, cloud.orbits):
+            traj = integrate_orbit((q, p, 0.0), 10 * TWO_PI, params,
+                                   tol=1e-10)
+            rows = traj.states[2::2]
+            np.testing.assert_allclose(traj.t[2::2],
+                                       TWO_PI * np.arange(1, 11), rtol=1e-14)
+            want = [(wrap_angle(q), p) for q, p, _ in rows]
+            np.testing.assert_allclose(hits, want, rtol=0.0, atol=1e-7)
 
     def test_work_cap_counts_calls_since_last_stop(self, monkeypatch):
         # this orbit takes 6770 right-hand-side calls over 40 strobes and
