@@ -71,12 +71,14 @@ def parse_grid(text: str) -> np.ndarray:
 
 def _join_signed_values(argv: list[str]) -> list[str]:
     """``argv`` with ``=`` joining each ``--option`` to a following token
-    that starts with ``-`` and a digit or a dot: argparse reads a value
-    such as "-0.4:0.4:0.1" as an unknown option unless "=" joins it."""
+    that starts with ``-`` and a digit or a dot, or is ``-inf``,
+    ``-infinity`` or ``-nan`` in any case: argparse reads a value such as
+    "-0.4:0.4:0.1" or "-inf" as an unknown option unless "=" joins it."""
     out: list[str] = []
     for token in argv:
         if (out and re.fullmatch(r"--[^=]+", out[-1])
-                and re.match(r"-[\d.]", token)):
+                and re.match(r"-([\d.]|(inf|infinity|nan)$)", token,
+                             re.IGNORECASE)):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -22,7 +22,7 @@ from .kepler import TWO_PI, ModelParams
 from .model import (_antipode_system, coefficient_period, cubic_coefficient,
                     hill_coefficient)
 from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix,
-                        _dop853_floats, _dop853_lanes, _float_stops,
+                        _dop853_floats, _dop853_lanes, _spend,
                         integrate_variational)
 
 DEFAULT_DELTA_PAR = 1e-9
@@ -151,10 +151,10 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
       which tracks the continuous argument exactly (no unwrapping).
     * ``"arg"``: integrate ``(x, x')`` and unwrap the argument of the
       states at the accepted steps' ends.  Where one increment reaches
-      pi/2, add the state at that interval's midpoint, one more DOP853
-      step from the start of the accepted step that covers it
-      (``integrate._float_stops``, counted against the same cap), until
-      every increment stays below pi/2.
+      pi/2, add the state at that interval's midpoint, solved by
+      ``_dop853_floats`` at ``tol`` from the start of the accepted step
+      that covers it, until every increment stays below pi/2.  All the
+      route's solves together count against ``MAX_VARIATIONAL_NFEV``.
 
     Both must agree; they are kept separate so either can check the other.
     """
@@ -178,8 +178,8 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
     def rhs(at, y):
         return [y[1], -at * y[0]]
 
-    ts, ys, fs, nfev = _dop853_floats(a, rhs, t0, t1, [z0.real, z0.imag], tol)
-    steps = ts, ys, fs
+    ts, ys, nfev = _dop853_floats(a, rhs, t0, t1, [z0.real, z0.imag], tol)
+    covers = list(zip(ts, ys))  # the accepted step's start, per interval
     for _ in range(40):
         xs = np.array(ys)
         if not np.hypot(xs[:, 0], xs[:, 1]).all():
@@ -188,12 +188,14 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
         jumps = np.abs(np.diff(args))
         if np.all(jumps < 0.5 * math.pi):
             return float(args[-1] - args[0])
-        mids = [0.5 * (ta + tb) for ta, tb, jump in zip(ts, ts[1:], jumps)
-                if jump >= 0.5 * math.pi]
-        mid_ts, mid_ys, nfev = _float_stops(a, rhs, steps, mids, nfev)
-        samples = sorted(zip(ts + mid_ts, ys + mid_ys),
-                         key=lambda sample: sample[0], reverse=t1 < t0)
-        ts, ys = [t for t, _ in samples], [y for _, y in samples]
+        for i in np.flatnonzero(jumps >= 0.5 * math.pi)[::-1]:
+            mid = 0.5 * (ts[i] + ts[i + 1])
+            t_c, y_c = covers[i]
+            _, mid_ys, calls = _dop853_floats(a, rhs, t_c, mid, y_c, tol)
+            nfev = _spend(nfev, calls)
+            ts.insert(i + 1, mid)
+            ys.insert(i + 1, mid_ys[-1])
+            covers.insert(i + 1, covers[i])
     raise RuntimeError("argument unwrapping did not stabilize")
 
 

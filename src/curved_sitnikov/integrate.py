@@ -160,8 +160,8 @@ def integrate_variational(a: Callable[[float], float], period: float,
     ``_dop853_floats`` at ``rtol = atol = tol``, so that loop's step rules
     and errors hold.
     """
-    _, ys, _, nfev = _dop853_floats(a, _variational_rhs, 0.0, period,
-                                    (1.0, 0.0, 0.0, 1.0), tol)
+    _, ys, nfev = _dop853_floats(a, _variational_rhs, 0.0, period,
+                                 (1.0, 0.0, 0.0, 1.0), tol)
     x1, y1, x2, y2 = ys[-1]
     return FundamentalMatrix(x1=x1, x2=x2, y1=y1, y2=y2, n_rhs=nfev)
 
@@ -195,13 +195,12 @@ def _dop853_kernel(n: int):
     ``f`` there, and returns the new state (a tuple), the slope there and
     scipy's E5/E3 error norm of the step, scaled componentwise by ``tol +
     max(|y|, |y_new|) tol``; a NaN norm stays NaN and so rejects the
-    step.  With ``tol`` None it returns the new state alone, after the 11
-    stage calls.  Every stage, weight and error sum is written from
-    ``0.0`` in the row order of ``_STAGES``, ``_WEIGHTS``, ``_E5_WEIGHTS``
-    and ``_E3_WEIGHTS``, so it rounds as the loop ``d = 0.0; d += coef *
-    k[j]`` would.  Stage 11's node is 1, so it and the step's end share
-    one ``clock`` row: 11 ``clock`` and 12 ``rhs`` calls an attempt.
-    Built once per ``n`` by ``compile``.
+    step.  ``_dop853_floats`` is its one caller.  Every stage, weight and
+    error sum is written from ``0.0`` in the row order of ``_STAGES``,
+    ``_WEIGHTS``, ``_E5_WEIGHTS`` and ``_E3_WEIGHTS``, so it rounds as the
+    loop ``d = 0.0; d += coef * k[j]`` would.  Stage 11's node is 1, so it
+    and the step's end share one ``clock`` row: 11 ``clock`` and 12
+    ``rhs`` calls an attempt.  Built once per ``n`` by ``compile``.
     """
     comps = range(n)
 
@@ -218,7 +217,7 @@ def _dop853_kernel(n: int):
         lines += [f"g = clock(t + {c!r} * h)",
                   f"{tup(f'k{s}_{{i}}')} = rhs(g, {state})"]
     lines += [f"n{i} = y{i} + h * {total(_WEIGHTS, i)}" for i in comps]
-    lines += [f"y_new = {tup('n{i}')}", "if tol is None: return y_new"]
+    lines += [f"y_new = {tup('n{i}')}"]
     for i in comps:  # (b if b > a else a) is max(a, b), NaNs included
         lines += [f"a, b = abs(y{i}), abs(n{i})",
                   "s = tol + (b if b > a else a) * tol",
@@ -249,14 +248,12 @@ def _dop853_floats(clock, rhs, t0: float, t1: float, y0, tol: float):
     ``_initial_steps``, the E5/E3 error norm, step factors 0.9/0.2/10 and
     no growth right after a rejection.  Its stage sums run in another
     order than scipy's, so the two agree to roundoff.  Returns ``(ts, ys,
-    fs, nfev)``: the times, states and slopes at ``t0`` and at every
-    accepted step's end, ordered from ``t0`` to ``t1``, and the
-    right-hand-side calls made; ``t1 == t0`` takes no step.  Each
-    accepted step starts from the entry before its end, so
-    ``_float_stops`` can sample the solve between them.  A step below ten
-    ulps of ``t`` after a rejection, a NaN step (from a NaN slope at
-    ``t0``), or more than ``MAX_VARIATIONAL_NFEV`` right-hand-side calls
-    raises :class:`StiffnessError`.
+    nfev)``: the times and states at ``t0`` and at every accepted step's
+    end, ordered from ``t0`` to ``t1``, and the right-hand-side calls
+    made; ``t1 == t0`` takes no step.  A step below ten ulps of ``t``
+    after a rejection, a NaN step (from a NaN slope at ``t0``), or more
+    than ``MAX_VARIATIONAL_NFEV`` right-hand-side calls raises
+    :class:`StiffnessError`.
     """
     _validate_tol(tol)
     direction = 1.0 if t1 > t0 else -1.0
@@ -274,7 +271,7 @@ def _dop853_floats(clock, rhs, t0: float, t1: float, y0, tol: float):
         lane_clock, lane_rhs, abs(t1 - t0), np.array(y)[:, None],
         direction * np.array(f)[:, None], np.zeros(1, dtype=int), tol)[0])
     nfev = 2
-    ts, ys, fs = [t], [y], [f]
+    ts, ys = [t], [y]
     while t != t1:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -295,44 +292,16 @@ def _dop853_floats(clock, rhs, t0: float, t1: float, y0, tol: float):
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-        fs.append(f)
-    return ts, ys, fs, nfev
+    return ts, ys, nfev
 
 
 def _spend(nfev: int, calls: int) -> int:
-    """``nfev + calls``, raising before a float solve passes the cap."""
+    """``nfev + calls``, raising before a float solve, or the solves of
+    one ``arg`` winding together, pass the cap."""
     if nfev + calls > MAX_VARIATIONAL_NFEV:
         raise StiffnessError(f"float solve exceeded {MAX_VARIATIONAL_NFEV} "
                              f"right-hand-side calls")
     return nfev + calls
-
-
-def _float_stops(clock, rhs, steps, stops, nfev: int):
-    """States of a ``_dop853_floats`` solve at the times ``stops``.
-
-    ``steps`` is that solve's ``(ts, ys, fs)`` and ``nfev`` the calls
-    made so far; ``stops`` are ordered from its start to its end.  A stop
-    strictly inside an accepted step takes one more DOP853 step (11 calls)
-    from that step's start, so no stop moves a step; any other stop is
-    left out.  Returns ``(ts, ys, nfev)`` of the stops kept, ``nfev``
-    counting on; passing ``MAX_VARIATIONAL_NFEV`` raises
-    :class:`StiffnessError`.
-    """
-    ts, ys, fs = steps
-    kernel = _dop853_kernel(len(ys[0]))
-    direction = 1.0 if ts[-1] > ts[0] else -1.0
-    out_ts, out_ys = [], []
-    step = 0  # the accepted step from ts[step] to ts[step + 1]
-    for stop in stops:
-        while (step + 1 < len(ts)
-               and direction * (ts[step + 1] - stop) <= 0.0):
-            step += 1
-        if step + 1 < len(ts) and direction * (stop - ts[step]) > 0.0:
-            nfev = _spend(nfev, _N_STAGES - 1)
-            out_ts.append(stop)
-            out_ys.append(kernel(clock, rhs, ts[step], ys[step], fs[step],
-                                 stop - ts[step], None))
-    return out_ts, out_ys, nfev
 
 
 # scipy's DOP853 step control: safety factor, step-change limits, and the

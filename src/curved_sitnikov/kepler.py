@@ -156,27 +156,21 @@ def _solve_kepler_array(mean_anomaly, epsilon: float) -> np.ndarray:
     m = np.where(m < 0.0, m + TWO_PI, m)
     offset = mean - m
     folded = m > math.pi
-    m = np.where(folded, TWO_PI - m, m).ravel()
+    m = np.where(folded, TWO_PI - m, m)
 
     u = m + epsilon * np.sin(m)
     lo, hi = np.zeros_like(m), np.full_like(m, math.pi)
-    out = np.empty_like(m)
-    live = np.arange(m.size)  # elements not yet converged
     for _ in range(KEPLER_MAX_ITER):
         g = u - epsilon * np.sin(u) - m
-        done = np.abs(g) < KEPLER_TOL
-        out[live[done]] = u[done]
-        if done.all():
+        live = np.abs(g) >= KEPLER_TOL  # a NaN is frozen at once
+        if not live.any():
             break
-        if done.any():
-            keep = ~done
-            live, u, m, lo, hi, g = (
-                live[keep], u[keep], m[keep], lo[keep], hi[keep], g[keep])
         above = g > 0.0
         hi = np.where(above, u, hi)
         lo = np.where(above, lo, u)
         u_new = u - g / (1.0 - epsilon * np.cos(u))
-        u = np.where((lo < u_new) & (u_new < hi), u_new, 0.5 * (lo + hi))
+        step = np.where((lo < u_new) & (u_new < hi), u_new, 0.5 * (lo + hi))
+        u = np.where(live, step, u)
     else:
         g = u - epsilon * np.sin(u) - m
         failed = np.flatnonzero(np.abs(g) >= KEPLER_TOL)
@@ -184,10 +178,8 @@ def _solve_kepler_array(mean_anomaly, epsilon: float) -> np.ndarray:
             k = failed[0]
             raise KeplerConvergenceError(
                 f"no convergence after {KEPLER_MAX_ITER} iterations "
-                f"(M={m[k]}, eps={epsilon}, residual={g[k]:.3e})")
-        out[live] = u
-    out = out.reshape(mean.shape)
-    return np.where(folded, offset + TWO_PI - out, offset + out)
+                f"(M={m.flat[k]}, eps={epsilon}, residual={g.flat[k]:.3e})")
+    return np.where(folded, offset + TWO_PI - u, offset + u)
 
 
 def radial_factor_derivatives(t, epsilon: float):

@@ -134,9 +134,9 @@ def test_orbits_take_no_step_count(solve):
         solve()
 
 
-# One DOP853 step on floats: the float loop and its stop sampler take it
-# from the kernel builder.  Another caller would be a per-call-site trial.
-KERNEL_CALLERS = ["integrate._dop853_floats", "integrate._float_stops"]
+# One DOP853 step on floats: the float loop takes it from the kernel
+# builder.  Another caller would be a per-call-site trial.
+KERNEL_CALLERS = ["integrate._dop853_floats"]
 
 
 def test_one_float_step_kernel():

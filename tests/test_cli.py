@@ -261,10 +261,11 @@ class TestNegativeGridBounds:
 
 def test_every_long_option_takes_a_negative_value():
     argv = ["--lam", "-0.1,0.5", "--q0=-1", "-.5", "--quick", ".5",
-            "-1", "--s0", "-.2"]
+            "-1", "--s0", "-.2", "--p0", "-Infinity", "--r", "-NaN",
+            "--eps", "-information"]
     assert cli._join_signed_values(argv) == [
         "--lam=-0.1,0.5", "--q0=-1", "-.5", "--quick", ".5", "-1",
-        "--s0=-.2"]
+        "--s0=-.2", "--p0=-Infinity", "--r=-NaN", "--eps", "-information"]
 
 
 class TestExitCodes:
@@ -484,8 +485,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("initial", [
         ["--q0", "nan", "--p0", "0"],
         ["--q0", "0.1", "--p0", "inf"],
+        ["--q0", "0.1", "--p0", "-inf"],
+        ["--q0", "0.1", "--p0", "-nan"],
         ["--q0", "0.1", "--p0", "0", "--s0", "inf"],
-    ], ids=["q0-nan", "p0-inf", "s0-inf"])
+    ], ids=["q0-nan", "p0-inf", "p0-minus-inf", "p0-minus-nan", "s0-inf"])
     def test_non_finite_initial_state_exits_one(self, tmp_path, capsys,
                                                 initial):
         out = tmp_path / "traj.csv"

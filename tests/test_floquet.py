@@ -290,7 +290,8 @@ class TestWinding:
 
     def test_arg_route_refines_coarse_samples(self, monkeypatch):
         # a = 100 turns the phase vector ten times in 2 pi, faster than the
-        # solver's steps sample it, so the arg route refines once
+        # solver's steps sample it, so the arg route refines once, forward
+        # and backward
         unwrap, calls = np.unwrap, []
 
         def spy(phase):
@@ -298,28 +299,47 @@ class TestWinding:
             return unwrap(phase)
 
         monkeypatch.setattr(floquet.np, "unwrap", spy)
-        for method in ("arg", "theta"):
-            assert winding_angle(lambda t: 100.0, 0.0, TWO_PI, 1 + 0j,
-                                 tol=1e-10, method=method) == pytest.approx(
-                -20.0 * math.pi, abs=1e-6)
-        assert len(calls) == 2 and calls[1] > calls[0]
+        for t0, t1 in [(0.0, TWO_PI), (TWO_PI, 0.0)]:
+            calls.clear()
+            for method in ("arg", "theta"):
+                assert winding_angle(
+                    lambda t: 100.0, t0, t1, 1 + 0j, tol=1e-10,
+                    method=method) == pytest.approx(-10.0 * (t1 - t0),
+                                                    abs=1e-6)
+            assert len(calls) == 2 and calls[1] > calls[0]
 
-    def test_arg_route_takes_each_midpoint_as_one_step(self):
+    def test_arg_route_solves_each_midpoint_from_its_step(self, monkeypatch):
         # a = 100 over 2 pi: the solve's 187 step attempts make 2246
         # right-hand-side calls but 11 coefficient calls each, as stage 11
-        # and the step's end share a time, and its 15 midpoints 11 each,
-        # one step from the start of the step that covers them; solving
-        # again with them as stops made 4657 right-hand-side calls
+        # and the step's end share a time; each of its 15 midpoints is a
+        # solve of its own from the start of the accepted step that covers
+        # it, 2 coefficient calls for its start and initial step and 11 a
+        # step attempt, 21 attempts in all
+        solve, solves = floquet._dop853_floats, []
+
+        def spy(clock, rhs, t0, t1, y0, tol):
+            result = solve(clock, rhs, t0, t1, y0, tol)
+            solves.append((t0, t1, list(result[0])))
+            return result
+
         calls = []
 
         def a(t):
             calls.append(t)
             return 100.0
 
+        monkeypatch.setattr(floquet, "_dop853_floats", spy)
         assert winding_angle(a, 0.0, TWO_PI, 1 + 0j, tol=1e-10,
                              method="arg") == pytest.approx(-20.0 * math.pi,
                                                             abs=1e-6)
-        assert len(calls) == 2 + 11 * 187 + 11 * 15
+        (_, _, ts), mids = solves[0], solves[1:]
+        assert len(mids) == 15
+        for t0, t1, _ in mids:
+            k = ts.index(t0)
+            assert ts[k] < t1 < ts[k + 1]
+        # 21 accepted steps, so no attempt was rejected
+        assert sum(len(steps) - 1 for _, _, steps in mids) == 21
+        assert len(calls) == 2 + 11 * 187 + 2 * 15 + 11 * 21 == 2320
 
     def test_rejects_zero_phase(self):
         with pytest.raises(ValueError):

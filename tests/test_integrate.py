@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curved_sitnikov import integrate, model, poincare
+from curved_sitnikov import floquet, integrate, model, poincare
 from curved_sitnikov.kepler import (ModelParams, _anomaly_geometry,
                                     collision_ceiling, solve_kepler)
 from curved_sitnikov.cli import _write_csv, main
@@ -278,12 +278,6 @@ def _scipy_variational(a, period, tol):
     return np.array([[x1, x2], [y1, y2]]), sol.nfev
 
 
-def _as_tuples(solve):
-    """A ``_dop853_floats`` result with every state and slope a tuple."""
-    ts, ys, fs, nfev = solve
-    return ts, [tuple(y) for y in ys], [tuple(f) for f in fs], nfev
-
-
 class TestVariational:
     def test_analytic_rotation_at_origin(self):
         w = math.sqrt(2.0)
@@ -404,11 +398,6 @@ def _arg_rhs(at, y):
     return [y[1], -at * y[0]]
 
 
-def _oscillator(t, y):
-    """``x'' = -x`` through a clock that hands ``rhs`` the time."""
-    return [y[1], -y[0]]
-
-
 def _identity_clock(t):
     return t
 
@@ -434,52 +423,37 @@ class TestFloatEngine:
 
         sol = solve_ivp(lambda t, y: _theta_rhs(a(t), y), (t0, t1), [th0],
                         method="DOP853", rtol=1e-10, atol=1e-10)
-        ts, ys, fs, nfev = integrate._dop853_floats(a, _theta_rhs, t0, t1,
-                                                    [th0], 1e-10)
+        ts, ys, nfev = integrate._dop853_floats(a, _theta_rhs, t0, t1,
+                                                [th0], 1e-10)
         assert nfev == sol.nfev
         assert len(ts) == len(sol.t)
         assert ts[-1] == t1
         assert ys[-1][0] == pytest.approx(sol.y[0, -1], abs=1e-12)
 
-    def test_stops_do_not_move_steps(self):
-        # x'' = -x from (1, 0) at t0 is (cos(t - t0), -sin(t - t0)), forward
-        # and backward; each stop strictly inside a step costs the 11 stage
-        # calls of one more step from that step's start, and the rest are
-        # left out
-        for t0, t1 in [(0.0, 3.0), (3.0, 0.0)]:
-            ts, ys, fs, nfev = integrate._dop853_floats(
-                _identity_clock, _oscillator, t0, t1, [1.0, 0.0], 1e-10)
-            mids = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
-            stops = ([t0 - (t1 - t0), t0]
-                     + sorted(mids + ts[1:3], reverse=t1 < t0) + [t1])
-            got_ts, got_ys, got_nfev = integrate._float_stops(
-                _identity_clock, _oscillator, (ts, ys, fs), stops, nfev)
-            assert got_nfev == nfev + 11 * len(mids)
-            assert got_ts == mids
-            assert got_ys == [
-                tuple(_float_step(_identity_clock, _oscillator, ta, ya, fa,
-                                  tm - ta)[0])
-                for ta, ya, fa, tm in zip(ts, ys, fs, mids)]
-            np.testing.assert_allclose(got_ys, [[math.cos(t - t0),
-                                                 -math.sin(t - t0)]
-                                                for t in got_ts], atol=1e-9)
+    def test_arg_route_solves_count_against_the_cap(self, monkeypatch):
+        # a = 100 over 2 pi: the arg route's solve and its 15 midpoint
+        # solves share one cap, counted on through integrate._spend
+        solve, spent = integrate._dop853_floats, []
 
-    def test_stops_count_against_the_cap(self, monkeypatch):
-        system = _identity_clock, _oscillator
-        ts, ys, fs, nfev = integrate._dop853_floats(*system, 0.0, 3.0,
-                                                    [1.0, 0.0], 1e-10)
-        mids = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
-        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV",
-                            nfev + 11 * len(mids))
-        integrate._float_stops(*system, (ts, ys, fs), mids, nfev)
-        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV",
-                            nfev + 11 * len(mids) - 1)
+        def counted(*args):
+            result = solve(*args)
+            spent.append(result[2])
+            return result
+
+        monkeypatch.setattr(floquet, "_dop853_floats", counted)
+        args = lambda t: 100.0, 0.0, TWO_PI, 1 + 0j, 1e-10, "arg"
+        winding_angle(*args)
+        total = sum(spent)
+        assert (len(spent), total) == (16, 2528)
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", total)
+        winding_angle(*args)
+        monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", total - 1)
         with pytest.raises(StiffnessError, match="right-hand-side calls"):
-            integrate._float_stops(*system, (ts, ys, fs), mids, nfev)
+            winding_angle(*args)
 
     def test_call_counter_is_exact(self, monkeypatch):
         args = _HILL_03, _theta_rhs, 0.0, TWO_PI, [0.0], 1e-10
-        nfev = integrate._dop853_floats(*args)[3]
+        nfev = integrate._dop853_floats(*args)[2]
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", nfev)
         integrate._dop853_floats(*args)
         monkeypatch.setattr(integrate, "MAX_VARIATIONAL_NFEV", nfev - 1)
@@ -505,7 +479,7 @@ class TestFloatEngine:
     def test_calls_per_step_attempt(self, monkeypatch, a, t0, t1):
         # stage 11 and the step's end share the time t + h, so a step
         # attempt makes 11 clock calls and 12 rhs calls; the start and the
-        # initial step's probe make one of each, and a stop 11 of each
+        # initial step's probe make one of each
         calls = {"clock": 0, "rhs": 0, "attempts": 0}
         build = integrate._dop853_kernel
 
@@ -513,7 +487,7 @@ class TestFloatEngine:
             kernel = build(n)
 
             def counted(clock, rhs, t, y, f, h, tol):
-                calls["attempts"] += tol is not None
+                calls["attempts"] += 1
                 return kernel(clock, rhs, t, y, f, h, tol)
             return counted
 
@@ -526,17 +500,12 @@ class TestFloatEngine:
             return _arg_rhs(at, y)
 
         monkeypatch.setattr(integrate, "_dop853_kernel", counting_build)
-        ts, ys, fs, nfev = integrate._dop853_floats(clock, rhs, t0, t1,
-                                                    [1.0, 0.0], 1e-10)
+        ts, ys, nfev = integrate._dop853_floats(clock, rhs, t0, t1,
+                                                [1.0, 0.0], 1e-10)
         attempts = calls["attempts"]
         assert attempts >= len(ts) - 1 > 3
         assert calls["clock"] == 2 + 11 * attempts
         assert calls["rhs"] == nfev == 2 + 12 * attempts
-        mids = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
-        integrate._float_stops(clock, rhs, (ts, ys, fs), mids, nfev)
-        assert calls["attempts"] == attempts
-        assert calls["clock"] == 2 + 11 * attempts + 11 * len(mids)
-        assert calls["rhs"] == 2 + 12 * attempts + 11 * len(mids)
 
 
 # The float DOP853 step as loops over the tableau: the reference that the
@@ -582,8 +551,6 @@ def _reference_kernel(n):
     """``integrate._dop853_kernel(n)``'s contract, computed by the loops."""
     def kernel(clock, rhs, t, y, f, h, tol):
         y_new, k = _float_step(clock, rhs, t, y, f, h)
-        if tol is None:
-            return y_new
         e5s, e3s = (_combine_floats(w, k)
                     for w in (integrate._E5_WEIGHTS, integrate._E3_WEIGHTS))
         return (y_new, rhs(clock(t + h), y_new),
@@ -608,7 +575,7 @@ def _kernel_and_reference(solve):
 
 class TestKernel:
     """The straight-line kernel takes the reference loops' steps: equal
-    ``ts``, ``ys``, ``fs`` and ``nfev`` by repr."""
+    ``ts``, ``ys`` and ``nfev`` by repr."""
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12])
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.6])
@@ -634,25 +601,6 @@ class TestKernel:
             lambda: integrate._dop853_floats(a, rhs, t0, t1, y0, 1e-10))
         assert got == want
 
-    def test_stops_of_the_arg_route(self):
-        # a = 100 over 2 pi from z0 = 1: the arg route's solve makes 2246
-        # right-hand-side calls, and its 15 midpoints 11 each
-        def solve():
-            steps = integrate._dop853_floats(lambda t: 100.0, _arg_rhs, 0.0,
-                                             TWO_PI, [1.0, 0.0], 1e-10)
-            ts, ys, fs, nfev = steps
-            xs = np.array(ys)
-            jumps = np.abs(np.diff(np.unwrap(np.arctan2(xs[:, 1], xs[:, 0]))))
-            mids = [0.5 * (ta + tb) for ta, tb, jump in zip(ts, ts[1:], jumps)
-                    if jump >= 0.5 * math.pi]
-            return steps, integrate._float_stops(lambda t: 100.0, _arg_rhs,
-                                                 (ts, ys, fs), mids, nfev)
-
-        got, want = _kernel_and_reference(solve)
-        assert got == want
-        (_, _, _, nfev), (mid_ts, _, nfev_stops) = solve()
-        assert (nfev, len(mid_ts), nfev_stops) == (2246, 15, 2246 + 165)
-
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 4),
            t1=st.floats(-4.0, 4.0).filter(lambda t: abs(t) > 1e-3),
@@ -670,15 +618,9 @@ class TestKernel:
                         for mij, nij, yj in zip(mi, ni, y))
                     for mi, ni in zip(m, nn)]
 
-        def solve():
-            steps = integrate._dop853_floats(lambda t: math.cos(w * t), rhs,
-                                             0.0, t1, y0, tol)
-            ts, ys, fs, nfev = steps
-            mids = [0.5 * (ta + tb) for ta, tb in zip(ts, ts[1:])]
-            return steps, integrate._float_stops(lambda t: math.cos(w * t),
-                                                 rhs, (ts, ys, fs), mids, nfev)
-
-        got, want = _kernel_and_reference(solve)
+        got, want = _kernel_and_reference(
+            lambda: integrate._dop853_floats(lambda t: math.cos(w * t), rhs,
+                                             0.0, t1, y0, tol))
         assert got == want
 
 
