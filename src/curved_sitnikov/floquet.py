@@ -18,9 +18,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import kepler
 from .kepler import TWO_PI, ModelParams
-from .model import (_antipode_system, coefficient_period, cubic_coefficient,
-                    hill_coefficient)
+from .model import (HillCoefficient, _anomaly_hill_clock, _antipode_system,
+                    coefficient_period, cubic_coefficient, hill_coefficient)
 from .integrate import (DEFAULT_MONODROMY_TOL, FundamentalMatrix,
                         _dop853_floats, _dop853_lanes, _spend,
                         integrate_variational)
@@ -140,15 +141,25 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
     ``z(t) = x + i x'`` with ``z(t0) = z0 != 0``; ``t0``, ``t1`` and ``z0``
     must be finite, else ``ValueError`` before any work.  ``t1 < t0``
     integrates backward, and ``t1 == t0`` gives 0.  ``tol`` must lie in
-    the integrator window ``[1e-13, 1e-6]``.  Both routes solve with
-    ``integrate._dop853_floats``, ``a`` its clock, which takes scipy's
-    DOP853 steps (calling ``a`` 11 times a step attempt) and
-    raises :class:`StiffnessError` on a step-size underflow (where a NaN
+    the integrator window ``[1e-13, 1e-6]``.  Both routes solve the
+    equation in a time ``u`` with ``dt/du = rho``, ``dx/du = rho x'`` and
+    ``dx'/du = -rho a x``, on ``integrate._dop853_floats`` with the clock
+    ``u -> (rho, rho a)``, which takes scipy's DOP853 steps and raises
+    :class:`StiffnessError` on a step-size underflow (where a NaN
     coefficient ends) or past ``MAX_VARIATIONAL_NFEV`` right-hand-side
-    calls.  Two independent routes:
+    calls.  A :class:`HillCoefficient` steps in eccentric-anomaly time on
+    ``model._anomaly_hill_clock``: its window ends are the two Kepler
+    solves of a winding, and it is never called.  Any other ``a`` steps
+    in ``u = t`` on the clock ``(1.0, a(t))``, one call of ``a`` per clock
+    call (11 a step attempt).  Two independent routes:
 
-    * ``"theta"``: integrate ``theta' = -(a cos^2 theta + sin^2 theta)``,
-      which tracks the continuous argument exactly (no unwrapping).
+    * ``"theta"``: integrate the Prüfer angle, ``theta' = -(rho a
+      cos^2 theta + rho sin^2 theta)``, which tracks the continuous
+      argument exactly (no unwrapping), together with its amplitude,
+      ``ln|z|' = (rho - rho a) sin theta cos theta``.  The amplitude is
+      not returned; its share of the error norm rejects the steps whose
+      error the angle's own estimate misses where that estimate nears
+      zero.
     * ``"arg"``: integrate ``(x, x')`` and unwrap the argument of the
       states at the accepted steps' ends.  Where one increment reaches
       pi/2, add the state at that interval's midpoint, solved by
@@ -164,21 +175,30 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
         raise ValueError(f"t0={t0}, t1={t1} and z0={z0} must be finite")
     if z0 == 0:
         raise ValueError("z0 must be nonzero")
+    if isinstance(a, HillCoefficient):
+        clock = _anomaly_hill_clock(a.q_star, a.params)
+        # through the module, where a counter on solve_kepler sees them
+        u0, u1 = (kepler.solve_kepler(t, a.params.epsilon) for t in (t0, t1))
+    else:
+        def clock(t):
+            return 1.0, a(t)
+        u0, u1 = t0, t1
 
     if method == "theta":
         th0 = math.atan2(z0.imag, z0.real)
 
-        def rhs(at, y):
+        def rhs(g, y):
+            rho, rho_a = g
             c, s = math.cos(y[0]), math.sin(y[0])
-            return [-(at * c * c + s * s)]
+            return [-(rho_a * c * c + rho * s * s), (rho - rho_a) * s * c]
 
-        ys = _dop853_floats(a, rhs, t0, t1, [th0], tol)[1]
+        ys = _dop853_floats(clock, rhs, u0, u1, [th0, 0.0], tol)[1]
         return ys[-1][0] - th0
 
-    def rhs(at, y):
-        return [y[1], -at * y[0]]
+    def rhs(g, y):
+        return [g[0] * y[1], -g[1] * y[0]]
 
-    ts, ys, nfev = _dop853_floats(a, rhs, t0, t1, [z0.real, z0.imag], tol)
+    ts, ys, nfev = _dop853_floats(clock, rhs, u0, u1, [z0.real, z0.imag], tol)
     covers = list(zip(ts, ys))  # the accepted step's start, per interval
     for _ in range(40):
         xs = np.array(ys)
@@ -191,7 +211,7 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
         for i in np.flatnonzero(jumps >= 0.5 * math.pi)[::-1]:
             mid = 0.5 * (ts[i] + ts[i + 1])
             t_c, y_c = covers[i]
-            _, mid_ys, calls = _dop853_floats(a, rhs, t_c, mid, y_c, tol)
+            _, mid_ys, calls = _dop853_floats(clock, rhs, t_c, mid, y_c, tol)
             nfev = _spend(nfev, calls)
             ts.insert(i + 1, mid)
             ys.insert(i + 1, mid_ys[-1])
@@ -202,9 +222,17 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
 def winding_bound(a_min: float, t0: float, t1: float) -> float:
     """Upper bound ``-sqrt(a_min) (t1 - t0) + pi`` on the winding increment.
 
-    Valid whenever the coefficient stays >= ``a_min`` > 0 on the interval;
-    fast rotation of the phase vector forces the bound downward.
+    Valid whenever the coefficient stays >= ``a_min`` >= 0 on the
+    interval ``t0 <= t1``; fast rotation of the phase vector forces the
+    bound downward.  A backward window (``t1 < t0``, where the phase
+    vector winds the other way), a non-finite end, or an ``a_min`` that is
+    negative or not finite raises ``ValueError`` naming the value.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 <= t1):
+        raise ValueError(f"t0={t0!r}, t1={t1!r} is not a finite forward "
+                         f"window")
+    if not 0.0 <= a_min < math.inf:
+        raise ValueError(f"a_min={a_min!r} must be finite and >= 0")
     return -math.sqrt(a_min) * (t1 - t0) + math.pi
 
 

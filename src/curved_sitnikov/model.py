@@ -11,8 +11,10 @@ Only the tangential component of the binary's pull acts:
 
 with ``d1, d2`` the distances to the two primaries.  ``q = 0`` and
 ``q = pi`` are equilibria for every parameter value.  The lane systems
-(``_orbit_system``, ``_antipode_system``) sit beside the force parts they
-evaluate, and one guard, ``D_MIN``, serves the force and every orbit.
+(``_orbit_system``, ``_antipode_system``) and the winding routes' float
+clock (``_anomaly_hill_clock``) sit beside the force parts they evaluate;
+all three run in eccentric-anomaly time and solve no Kepler equation.
+One guard, ``D_MIN``, serves the force and every orbit.
 """
 
 from __future__ import annotations
@@ -180,6 +182,34 @@ class HillCoefficient:
 
     def __call__(self, t: float) -> float:
         return -dforce_dq(self.q_star, t, self.params)
+
+
+def _anomaly_hill_clock(q_star: float, params: ModelParams):
+    """The Hill system's float clock in eccentric-anomaly time ``u``.
+
+    With ``dt/du = rho``, ``x'' + a(t) x = 0`` reads ``dx/du = rho x'``,
+    ``dx'/du = -rho a(t(u)) x``; ``clock(u)`` returns ``(rho, rho a)`` at
+    ``t(u) = u - eps sin u`` and solves no Kepler equation.  ``a`` is
+    ``2/(r rho)^3`` at ``q_star = 0`` and ``-_antipode_dforce_dq`` at
+    ``pi``, in ``math`` floats.  At ``epsilon = 0``, ``rho`` is ``1.0`` and
+    ``rho a`` equals ``HillCoefficient`` at ``t = u`` bit for bit.
+    """
+    r, eps = params.r, params.epsilon
+    cos, sin = math.cos, math.sin
+    if q_star == 0.0:
+        def clock(u):
+            rho = 1.0 - eps * cos(u)
+            return rho, rho * (2.0 / (r * rho) ** 3)
+    elif q_star == math.pi:
+        def clock(u):
+            rho = 1.0 - eps * cos(u)
+            half = 0.5 * (u - eps * sin(u))
+            return rho, -rho * _antipode_dforce_dq(r * rho, cos(half),
+                                                   sin(half))
+    else:
+        raise ValueError(f"q_star={q_star} is not an equilibrium "
+                         f"(use 0 or pi)")
+    return clock
 
 
 def coefficient_period(epsilon: float) -> float:

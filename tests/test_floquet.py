@@ -12,9 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from curved_sitnikov import floquet, scan, verification
+from curved_sitnikov import floquet, kepler, scan, verification
 from curved_sitnikov.kepler import ModelParams
-from curved_sitnikov.model import hill_coefficient
+from curved_sitnikov.model import HillCoefficient, hill_coefficient
 from curved_sitnikov.integrate import (FundamentalMatrix, StiffnessError,
                                        integrate_variational)
 from curved_sitnikov.cli import main
@@ -420,6 +420,75 @@ for method in ("theta", "arg"):
         theta = winding_angle(lambda t: 1.0 + 0.5 * math.cos(t), 0.0, TWO_PI,
                               1 + 0.5j)
         assert theta == pytest.approx(-6.000387666, abs=1e-6)
+
+    @pytest.mark.parametrize("z0", [cmath.exp(1j * TWO_PI * 7 / 8),
+                                    cmath.exp(-0.25j * math.pi)],
+                             ids=["exp(2pi i 7/8)", "exp(-pi i/4)"])
+    def test_theta_route_rejects_a_step_its_angle_estimate_misses(self, z0):
+        # a = 100 from exp(2 pi i 7/8): an angle-only route accepts one
+        # step at t = 5.9466 whose one-component E5/E3 norm is near a zero
+        # (0.34 where a step 1% shorter reads 160) and ends 1.9e-3 off;
+        # the amplitude's share of the norm rejects it
+        assert winding_angle(lambda t: 100.0, 0.0, TWO_PI, z0,
+                             tol=1e-10) == pytest.approx(-20.0 * math.pi,
+                                                         abs=1e-7)
+
+    @pytest.mark.parametrize("method", ["theta", "arg"])
+    def test_hill_winding_matches_a_tight_solve(self, method):
+        # the gap-geometry winding of bench seed 1470 whose theta route an
+        # angle-only t-time solve left 7.35e-7 off
+        hill = hill_coefficient(0.0, ModelParams(r=1.0, epsilon=0.3))
+        z0 = cmath.exp(5.399578268904728j)
+        want = winding_angle(hill, 0.0, TWO_PI, z0, tol=1e-13, method=method)
+        assert winding_angle(hill, 0.0, TWO_PI, z0, tol=1e-10,
+                             method=method) == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("method", ["theta", "arg"])
+    def test_hill_coefficient_winds_in_eccentric_anomaly(self, monkeypatch,
+                                                         method):
+        # two Kepler solves map the window's ends; no step calls the
+        # coefficient, which would solve Kepler's equation each time
+        kepler_calls, hill_calls = [], []
+        solve, call = kepler.solve_kepler, HillCoefficient.__call__
+
+        def counted_solve(*args):
+            kepler_calls.append(args)
+            return solve(*args)
+
+        def counted_call(self, t):
+            hill_calls.append(t)
+            return call(self, t)
+
+        monkeypatch.setattr(kepler, "solve_kepler", counted_solve)
+        monkeypatch.setattr(HillCoefficient, "__call__", counted_call)
+        hill = hill_coefficient(0.0, ModelParams(r=1.0, epsilon=0.3))
+        winding_angle(hill, 0.0, TWO_PI, 1 + 0j, method=method)
+        assert (len(kepler_calls), len(hill_calls)) == (2, 0)
+
+    @pytest.mark.parametrize("method", ["theta", "arg"])
+    @pytest.mark.parametrize("q_star, r", [(0.0, 1.0), (math.pi, 1.3)])
+    def test_circular_hill_coefficient_keeps_the_plain_bits(self, q_star, r,
+                                                            method):
+        # at eps = 0 the eccentric anomaly is t and rho is 1.0, so the
+        # clock (rho, rho a) is the plain coefficient's (1.0, a(t))
+        hill = hill_coefficient(q_star, ModelParams(r=r))
+        got, want = (repr(winding_angle(a, 0.0, TWO_PI, -1 + 0.5j,
+                                        method=method))
+                     for a in (hill, lambda t: hill(t)))
+        assert got == want
+
+    @pytest.mark.parametrize("a_min, t0, t1, named", [
+        (1.0, TWO_PI, 0.0, "t1=0.0"), (1.0, 0.0, math.inf, "t1=inf"),
+        (1.0, math.nan, 1.0, "t0=nan"), (math.nan, 0.0, 1.0, "a_min=nan"),
+        (-1.0, 0.0, 1.0, "a_min=-1.0"), (math.inf, 0.0, 1.0, "a_min=inf")],
+        ids=["backward", "t1-inf", "t0-nan", "a_min-nan", "a_min-negative",
+             "a_min-inf"])
+    def test_bound_refuses_what_it_does_not_bound(self, a_min, t0, t1,
+                                                  named):
+        # over [2 pi, 0], a = 1 + 99 sin^2 t winds +40.1, and the formula
+        # would give 9.42
+        with pytest.raises(ValueError, match=re.escape(named)):
+            winding_bound(a_min, t0, t1)
 
 
 def _hill_determinant_half_trace(r: float, n: int) -> float:

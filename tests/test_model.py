@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from curved_sitnikov.kepler import (ModelParams, collision_ceiling, ephemeris,
                                     radial_factor)
-from curved_sitnikov.model import (CollisionError, _antipode_dforce_dq,
-                                   coefficient_period, cubic_coefficient,
-                                   dforce_dq, hill_coefficient,
+from curved_sitnikov.model import (CollisionError, _anomaly_hill_clock,
+                                   _antipode_dforce_dq, coefficient_period,
+                                   cubic_coefficient, dforce_dq,
+                                   hill_coefficient,
                                    limit_force_circle, symmetry_defect,
                                    tangential_force)
 
@@ -201,7 +202,8 @@ class TestLinearization:
 
     def test_rejects_non_equilibrium(self):
         for reject in (lambda: dforce_dq(1.0, 0.0, P10),
-                       lambda: hill_coefficient(1.0, P10)):
+                       lambda: hill_coefficient(1.0, P10),
+                       lambda: _anomaly_hill_clock(1.0, P10)):
             with pytest.raises(ValueError, match="not an equilibrium"):
                 reject()
 
@@ -239,6 +241,22 @@ class TestHillCoefficient:
         a = hill_coefficient(0.0, ModelParams(r=1.0, epsilon=0.3))
         assert coefficient_period(0.3) == TWO_PI
         assert a(0.0) == pytest.approx(2.0 / 0.343, abs=1e-12)
+
+    @pytest.mark.parametrize("q_star, r", [(0.0, 1.0), (math.pi, 1.2)])
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.6])
+    def test_anomaly_clock_is_rho_times_the_coefficient(self, q_star, r,
+                                                        eps):
+        # (rho, rho a(t(u))) against the coefficient at the time u maps
+        # to, which solves Kepler's equation back to u
+        params = ModelParams(r=r, epsilon=eps)
+        clock, a = _anomaly_hill_clock(q_star, params), hill_coefficient(
+            q_star, params)
+        for u in np.linspace(-1.0, 7.0, 33):
+            rho = 1.0 - eps * math.cos(u)
+            got = clock(float(u))
+            assert got[0] == rho
+            assert got[1] == pytest.approx(
+                rho * a(float(u - eps * math.sin(u))), rel=1e-12, abs=1e-12)
 
 
 class TestCubicCoefficient:
