@@ -13,8 +13,9 @@ loop, single monodromies (``integrate_variational``) and both winding
 routes alike, is one call of a straight-line kernel that
 ``_dop853_kernel`` compiles once per component count from the tableau.
 The lane systems, and the float clock on which both winding routes step
-in eccentric-anomaly time, are ``model``'s.  The DOP853 tableau is written out
-once in this module, both loops read it, and no scipy module is imported.
+in eccentric-anomaly time, are ``model``'s.  The DOP853 tableau is
+written out once in this module, both loops read it, and no scipy module
+is imported.
 Float solves, and each lane between two stops, stop with
 :class:`StiffnessError` past ``MAX_VARIATIONAL_NFEV`` right-hand-side
 calls, and orbits at ``MAX_GRID_POINTS`` rows, so every admissible input
@@ -241,8 +242,8 @@ def _dop853_floats(clock, rhs, t0: float, t1: float, y0, tol: float):
     The system comes in two parts, as for ``_dop853_lanes``: ``clock(t)``
     is what the right-hand side needs of time alone (for a Hill equation
     the coefficient ``a(t)``, or ``(rho, rho a)`` in eccentric-anomaly
-    time), and ``rhs(g, y)`` maps its value ``g`` and
-    a state (a sequence of floats) to the slope, a sequence of floats.
+    time), and ``rhs(g, y)`` maps its value ``g`` and a state (a sequence
+    of floats) to the slope, a sequence of floats.
     Each step attempt is one call of the straight-line ``_dop853_kernel``
     for the state's length: 11 ``clock`` and 12 ``rhs`` calls.  The solve
     is a DOP853 over Python floats at ``rtol = atol = tol`` that takes

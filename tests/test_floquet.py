@@ -423,7 +423,7 @@ for method in ("theta", "arg"):
 
     @pytest.mark.parametrize("z0", [cmath.exp(1j * TWO_PI * 7 / 8),
                                     cmath.exp(-0.25j * math.pi)],
-                             ids=["exp(2pi i 7/8)", "exp(-pi i/4)"])
+                             ids=["seven-eighths-turn", "minus-quarter-pi"])
     def test_theta_route_rejects_a_step_its_angle_estimate_misses(self, z0):
         # a = 100 from exp(2 pi i 7/8): an angle-only route accepts one
         # step at t = 5.9466 whose one-component E5/E3 norm is near a zero
