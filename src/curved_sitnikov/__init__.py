@@ -12,8 +12,8 @@ for general curve pairs.
 from .kepler import (KeplerConvergenceError, ModelParams, PrimaryEphemeris,
                      ephemeris, radial_factor, solve_kepler)
 from .model import (CollisionError, HillCoefficient, cubic_coefficient,
-                    dforce_dq, hill_coefficient, limit_force_circle,
-                    symmetry_defect, tangential_force)
+                    hill_coefficient, limit_force_circle, symmetry_defect,
+                    tangential_force)
 from .integrate import (FundamentalMatrix, StiffnessError, Trajectory,
                         integrate_orbit, integrate_variational)
 from .floquet import (Monodromy, MonodromyError, classify, monodromy,
@@ -34,7 +34,7 @@ __all__ = [
     "KeplerConvergenceError", "ModelParams", "Monodromy", "MonodromyError",
     "PrimaryEphemeris", "SectionCloud", "StabilityIntervals",
     "StiffnessError", "TraceCurve", "Trajectory", "bound_report",
-    "classify", "cubic_coefficient", "d2U_ds2", "dforce_dq", "ephemeris",
+    "classify", "cubic_coefficient", "d2U_ds2", "ephemeris",
     "eps_scan_origin", "find_transitions", "hill_coefficient",
     "integrate_orbit", "integrate_variational", "interchange_census",
     "limit_force_circle", "line_pair", "load_curve_pair", "min_distance",

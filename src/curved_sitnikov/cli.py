@@ -2,12 +2,12 @@
 
 Every artifact embeds the run configuration (JSON field or CSV header
 comment) so runs are self-describing and replayable; ``_write_json`` and
-``_write_csv`` are the two artifact formats.  Exit codes:
-0 success, 1 configuration error (including an unreadable input or
-unwritable output file, a grid, cloud or orbit past ``MAX_GRID_POINTS``
-points or rows and a size argument that runs out of memory), 2 numerical
-domain error (collision, step-size underflow, Kepler non-convergence or a
-corrupt monodromy), 3 verification failure.
+``_write_csv`` are the two artifact formats.  Exit codes: 0 success, 1
+configuration error (including an unreadable input or unwritable output
+file, a grid, cloud or orbit past ``MAX_GRID_POINTS`` points or rows and a
+size argument that runs out of memory), 2 numerical domain error
+(collision, step-size underflow, Kepler non-convergence, a corrupt
+monodromy or any ``ArithmeticError``), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -248,8 +248,8 @@ def cmd_bounds(args) -> int:
         pair = load_curve_pair(args.curve_file)
     else:
         pair = sitnikov_pair(_params(args))
-    lams = ([float(v) for v in args.lam.split(",")] if args.lam
-            else [pair.default_lam])
+    lams = ([float(v) for v in args.lam.split(",")]
+            if args.lam is not None else [pair.default_lam])
     reports = [bound_report(lam, pair).to_json_dict() for lam in lams]
     _write_json(args.out, {"pair": pair.name, "reports": reports}, args)
     return EXIT_OK
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
         _check_outputs(args)
         return args.func(args)
     except (CollisionError, StiffnessError, KeplerConvergenceError,
-            MonodromyError) as exc:
+            MonodromyError, ArithmeticError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ValueError, OSError, MemoryError) as exc:

@@ -176,7 +176,7 @@ def winding_angle(a: Callable[[float], float], t0: float, t1: float,
     if z0 == 0:
         raise ValueError("z0 must be nonzero")
     if isinstance(a, HillCoefficient):
-        clock = _anomaly_hill_clock(a.q_star, a.params)
+        clock = _anomaly_hill_clock(a)
         # through the module, where a counter on solve_kepler sees them
         u0, u1 = (kepler.solve_kepler(t, a.params.epsilon) for t in (t0, t1))
     else:

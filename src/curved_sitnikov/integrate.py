@@ -383,8 +383,8 @@ def _initial_steps(clock, rhs, t_end: float, y: np.ndarray, f: np.ndarray,
         return np.linalg.norm(x, axis=0) / x.shape[0] ** 0.5
 
     scale = tol + np.abs(y) * tol
-    d0, d1 = rms(y / scale), rms(f / scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d0, d1 = rms(y / scale), rms(f / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, t_end)
         f1 = rhs(clock(h0[None], lanes)[0], y + h0 * f, lanes)

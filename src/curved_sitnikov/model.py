@@ -109,25 +109,6 @@ def _orbit_system(params: ModelParams, u0: float):
     return clock, rhs, halt
 
 
-def dforce_dq(q_star: float, t: float, params: ModelParams) -> float:
-    """Derivative ``df/dq`` at an equilibrium angle ``q_star in {0, pi}``.
-
-    At ``q_star = 0`` the closed form is ``-2/(r*rho)^3``; at ``q_star = pi``
-
-        F(t) = (1+c)/[(r*rho)^2+4+4c]^{3/2} + (1-c)/[(r*rho)^2+4-4c]^{3/2}
-
-    with ``c = r*rho(t)*cos(t)``, evaluated as ``_antipode_dforce_dq``.
-    """
-    rho = radial_factor(t, params.epsilon)
-    a = params.r * rho
-    if q_star == 0.0:
-        return -2.0 / a**3
-    if q_star == math.pi:
-        half = 0.5 * t
-        return _antipode_dforce_dq(a, math.cos(half), math.sin(half))
-    raise ValueError(f"q_star={q_star} is not an equilibrium (use 0 or pi)")
-
-
 def _antipode_dforce_dq(a, cos_half, sin_half):
     """``df/dq`` at ``q = pi`` from ``a = r*rho``, ``cos(t/2)`` and ``sin(t/2)``.
 
@@ -173,42 +154,50 @@ def _antipode_system(rs: np.ndarray, epsilon: float):
 class HillCoefficient:
     """Periodic coefficient ``a(t)`` of the linearization ``S'' + a(t) S = 0``.
 
-    ``a(t) = -df/dq(q_star, t)``; period 2*pi in general, pi when the
+    ``a(t) = -df/dq(q_star, t)``: ``2/(r rho)^3`` at ``q_star = 0``, and
+    ``-(1+c)/((r rho)^2+4+4c)^{3/2} - (1-c)/((r rho)^2+4-4c)^{3/2}`` at
+    ``pi`` (``c = r rho cos t``), as ``-_antipode_dforce_dq``.  Any other
+    ``q_star`` raises ``ValueError``.  Period 2*pi in general, pi when the
     primaries are circular (epsilon = 0), see ``coefficient_period``.
     """
 
     q_star: float
     params: ModelParams
 
+    def __post_init__(self) -> None:
+        if self.q_star not in Q_STARS:
+            raise ValueError(f"q_star={self.q_star} is not an equilibrium "
+                             f"(use 0 or pi)")
+
     def __call__(self, t: float) -> float:
-        return -dforce_dq(self.q_star, t, self.params)
+        a = self.params.r * radial_factor(t, self.params.epsilon)
+        if self.q_star == 0.0:
+            return 2.0 / a**3
+        half = 0.5 * t
+        return -_antipode_dforce_dq(a, math.cos(half), math.sin(half))
 
 
-def _anomaly_hill_clock(q_star: float, params: ModelParams):
+def _anomaly_hill_clock(hill: HillCoefficient):
     """The Hill system's float clock in eccentric-anomaly time ``u``.
 
     With ``dt/du = rho``, ``x'' + a(t) x = 0`` reads ``dx/du = rho x'``,
     ``dx'/du = -rho a(t(u)) x``; ``clock(u)`` returns ``(rho, rho a)`` at
     ``t(u) = u - eps sin u`` and solves no Kepler equation.  ``a`` is
-    ``2/(r rho)^3`` at ``q_star = 0`` and ``-_antipode_dforce_dq`` at
-    ``pi``, in ``math`` floats.  At ``epsilon = 0``, ``rho`` is ``1.0`` and
-    ``rho a`` equals ``HillCoefficient`` at ``t = u`` bit for bit.
+    ``hill``'s, in ``math`` floats.  At ``epsilon = 0``, ``rho`` is ``1.0``
+    and ``rho a`` equals ``hill`` at ``t = u`` bit for bit.
     """
-    r, eps = params.r, params.epsilon
+    r, eps = hill.params.r, hill.params.epsilon
     cos, sin = math.cos, math.sin
-    if q_star == 0.0:
+    if hill.q_star == 0.0:
         def clock(u):
             rho = 1.0 - eps * cos(u)
             return rho, rho * (2.0 / (r * rho) ** 3)
-    elif q_star == math.pi:
+    else:
         def clock(u):
             rho = 1.0 - eps * cos(u)
             half = 0.5 * (u - eps * sin(u))
             return rho, -rho * _antipode_dforce_dq(r * rho, cos(half),
                                                    sin(half))
-    else:
-        raise ValueError(f"q_star={q_star} is not an equilibrium "
-                         f"(use 0 or pi)")
     return clock
 
 
@@ -219,8 +208,6 @@ def coefficient_period(epsilon: float) -> float:
 
 def hill_coefficient(q_star: float, params: ModelParams) -> HillCoefficient:
     """Hill coefficient of the linearization at ``q_star in {0, pi}``."""
-    if q_star not in Q_STARS:
-        raise ValueError(f"q_star={q_star} is not an equilibrium (use 0 or pi)")
     return HillCoefficient(q_star=q_star, params=params)
 
 
@@ -245,31 +232,24 @@ def symmetry_defect(q: float, p: float, s: float, params: ModelParams,
                     ) -> tuple[float, float, float, float]:
     """Residuals of the four flow symmetries at the phase point ``(q, p, s)``.
 
-    ``q`` is the unwrapped angle and ``s`` the forcing phase.  The
-    identities, with ``X`` the autonomized field, are
+    ``q`` is the unwrapped angle and ``s`` the forcing phase.  On the
+    autonomized field ``(p, f(q, s), 1)`` the reflection S1, the two
+    periodicities S2 (in ``s``) and S3 (in ``q``) and the reversibility S4
+    cancel exactly in the ``p`` and clock components, so ``p`` drops out
+    and the residuals are those of four force identities:
 
-        S1 (reflection):    S1 . X(q,p,s)  = X(-q, -p, s)
-        S2 (t-periodicity): X(q, p, s+2pi) = X(q, p, s)
-        S3 (q-periodicity): X(q+2pi, p, s) = X(q, p, s)
-        S4 (reversibility): S4 . X(q,p,s)  = -X(q, -p, -s)
+        |f(q,s) + f(-q,s)|, |f(q,s+2pi) - f(q,s)|,
+        |f(q+2pi,s) - f(q,s)|, |f(q,-s) - f(q,s)|.
 
-    Returns the sup-norm residual of each, all of which vanish identically
-    for the model force.  ``force`` may substitute a test field.
+    All four vanish identically for the model force; ``force`` may
+    substitute a test field.
     """
     if force is None:
         def force(q, t):
             return tangential_force(q, t, params)
-    fqs = force(q, s)
-
-    def field(q_, p_, s_):
-        return np.array([p_, force(q_, s_), 1.0])
-
-    x = np.array([p, fqs, 1.0])
-    r1 = np.max(np.abs(x * np.array([-1.0, -1.0, 1.0]) - field(-q, -p, s)))
-    r2 = np.max(np.abs(field(q, p, s + TWO_PI) - x))
-    r3 = np.max(np.abs(field(q + TWO_PI, p, s) - x))
-    r4 = np.max(np.abs(x * np.array([1.0, -1.0, -1.0]) + field(q, -p, -s)))
-    return float(r1), float(r2), float(r3), float(r4)
+    f = force(q, s)
+    return (abs(f + force(-q, s)), abs(force(q, s + TWO_PI) - f),
+            abs(force(q + TWO_PI, s) - f), abs(force(q, -s) - f))
 
 
 def limit_force_circle(q: float, R: float) -> float:

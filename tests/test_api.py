@@ -60,6 +60,14 @@ def test_only_cli_writes_artifacts():
     assert writers == ["cli.py"]
 
 
+# The public names: none is added without removing another.
+MAX_EXPORTS = 43
+
+
+def test_export_count_does_not_grow():
+    assert len(curved_sitnikov.__all__) <= MAX_EXPORTS
+
+
 # Defaulted parameters, lambda defaults and defaulted dataclass fields in
 # the package: each is a knob, and none is added without removing another.
 MAX_OPTIONS = 21

@@ -351,6 +351,28 @@ class TestExitCodes:
             assert "configuration error: lam" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bounds_empty_lam_exits_one(self, tmp_path, capsys):
+        # an empty list is a malformed one, as "0.1," is, not the default
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--lam", "", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["floquet", "--qstar", "0", "--r", "1e-300"], "out.json"),
+        (["eps-scan", "--r", "1e-300", "--eps-grid", "0:0.1:0.1"], "out.csv"),
+    ], ids=["floquet", "eps-scan"])
+    def test_unrepresentable_coefficient_exits_two(self, tmp_path, capsys,
+                                                    argv, name):
+        # (r rho)^3 underflows to 0 below r ~ 1.7e-108, so the origin's
+        # coefficient 2/(r rho)^3 divides by zero
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_config_error_from_argparse(self):
         assert main(["floquet"]) == EXIT_CONFIG
 

@@ -23,7 +23,8 @@ def sitnikov_hill_coefficient(params: ModelParams):
 
     Sums the closest-approach curvature ``U''`` of the two single-primary
     pairs at matching physical time (``t = (t_phys - pi)/2pi``); agrees
-    with ``-dforce_dq(pi, t_phys)`` from the direct linearization.
+    with ``hill_coefficient(pi, params)(t_phys)`` from the direct
+    linearization.
     """
     near = sitnikov_pair(params, "near")
     far = sitnikov_pair(params, "far")

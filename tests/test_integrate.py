@@ -383,6 +383,13 @@ class TestVariational:
             integrate_variational(lambda t: -1.0 / (1.0 - t) ** 4, math.pi,
                                   1e-9)
 
+    def test_overflowing_first_slope_raises_stiffness(self):
+        # at r = 1e-100 the origin's coefficient 2/r^3 = 2e300 overflows
+        # the first-step rule's scaled slope; that may not warn (an error
+        # under this suite) before the step loop reports the underflow
+        with pytest.raises(StiffnessError, match="underflow"):
+            monodromy(0.0, ModelParams(r=1e-100))
+
 
 def _theta_rhs(at, y):
     """Prüfer angle ``theta' = -(a cos^2 theta + sin^2 theta)`` of

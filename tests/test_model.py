@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from curved_sitnikov.kepler import (ModelParams, collision_ceiling, ephemeris,
                                     radial_factor)
-from curved_sitnikov.model import (CollisionError, _anomaly_hill_clock,
-                                   _antipode_dforce_dq, coefficient_period,
-                                   cubic_coefficient, dforce_dq,
-                                   hill_coefficient,
-                                   limit_force_circle, symmetry_defect,
-                                   tangential_force)
+from curved_sitnikov.model import (CollisionError, HillCoefficient,
+                                   _anomaly_hill_clock, _antipode_dforce_dq,
+                                   coefficient_period, cubic_coefficient,
+                                   hill_coefficient, limit_force_circle,
+                                   symmetry_defect, tangential_force)
 
 TWO_PI = 2.0 * math.pi
 P10 = ModelParams(r=1.0, epsilon=0.0)
@@ -146,6 +145,11 @@ class TestPotential:
                                                                    abs=1e-14)
 
 
+def dforce_dq(q_star: float, t: float, params: ModelParams) -> float:
+    """``df/dq`` at an equilibrium, the Hill coefficient's negative."""
+    return -hill_coefficient(q_star, params)(t)
+
+
 class TestLinearization:
     def test_origin_closed_form(self):
         assert dforce_dq(0.0, 0.123, P10) == pytest.approx(-2.0, abs=1e-14)
@@ -201,11 +205,11 @@ class TestLinearization:
         np.testing.assert_allclose(lanes, want, rtol=1e-14, atol=0.0)
 
     def test_rejects_non_equilibrium(self):
-        for reject in (lambda: dforce_dq(1.0, 0.0, P10),
-                       lambda: hill_coefficient(1.0, P10),
-                       lambda: _anomaly_hill_clock(1.0, P10)):
-            with pytest.raises(ValueError, match="not an equilibrium"):
-                reject()
+        # at construction, so no coefficient or clock exists off {0, pi}
+        for q_star in (1.0, -math.pi, math.nan):
+            for build in (HillCoefficient, hill_coefficient):
+                with pytest.raises(ValueError, match="not an equilibrium"):
+                    build(q_star, P10)
 
     def test_monotone_decreasing_in_r(self):
         # circular primaries: the antipodal coefficient decreases with r
@@ -249,8 +253,8 @@ class TestHillCoefficient:
         # (rho, rho a(t(u))) against the coefficient at the time u maps
         # to, which solves Kepler's equation back to u
         params = ModelParams(r=r, epsilon=eps)
-        clock, a = _anomaly_hill_clock(q_star, params), hill_coefficient(
-            q_star, params)
+        a = hill_coefficient(q_star, params)
+        clock = _anomaly_hill_clock(a)
         for u in np.linspace(-1.0, 7.0, 33):
             rho = 1.0 - eps * math.cos(u)
             got = clock(float(u))
@@ -279,7 +283,43 @@ class TestCubicCoefficient:
             cubic_coefficient(0.0, ModelParams(r=1.0, epsilon=0.1))
 
 
+def field_symmetry_defect(q, p, s, params, force=None):
+    """The four symmetry residuals as sup norms over the autonomized field
+    ``X = (p, f, 1)``, the form ``symmetry_defect`` reduces to force
+    identities: S1 = diag(-1, -1, 1), S4 = diag(1, -1, -1)."""
+    if force is None:
+        def force(q, t):
+            return tangential_force(q, t, params)
+    fqs = force(q, s)
+
+    def field(q_, p_, s_):
+        return np.array([p_, force(q_, s_), 1.0])
+
+    x = np.array([p, fqs, 1.0])
+    r1 = np.max(np.abs(x * np.array([-1.0, -1.0, 1.0]) - field(-q, -p, s)))
+    r2 = np.max(np.abs(field(q, p, s + TWO_PI) - x))
+    r3 = np.max(np.abs(field(q + TWO_PI, p, s) - x))
+    r4 = np.max(np.abs(x * np.array([1.0, -1.0, -1.0]) + field(q, -p, -s)))
+    return float(r1), float(r2), float(r3), float(r4)
+
+
 class TestSymmetryDefect:
+    def test_equals_the_field_residuals(self):
+        # bit for bit on check 10's parameter pairs and ranges, and on a
+        # perturbed force whose residuals do not vanish
+        rng = np.random.default_rng(39)
+        cases = [(ModelParams(r=r, epsilon=eps), None)
+                 for r, eps in [(1.0, 0.0), (1.5, 0.2), (0.5, 0.6),
+                                (1.9, 0.02), (0.8, 0.45)]]
+        cases.append((P10, lambda q, t: tangential_force(q, t, P10) + 1e-3))
+        for params, force in cases:
+            for _ in range(200):
+                q = float(rng.uniform(-3.0 * math.pi, 3.0 * math.pi))
+                p = float(rng.uniform(-2.0, 2.0))
+                s = float(rng.uniform(-2.0 * TWO_PI, 2.0 * TWO_PI))
+                assert symmetry_defect(q, p, s, params, force=force) == \
+                    field_symmetry_defect(q, p, s, params, force=force)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(q=st.floats(-9.0, 9.0), p=st.floats(-2.0, 2.0),
            s=st.floats(-12.0, 12.0))
