@@ -225,6 +225,10 @@ def cmd_poincare(args) -> int:
     if q_grid.size * p_grid.size > MAX_GRID_POINTS:
         raise ConfigError(f"a {q_grid.size} x {p_grid.size} initial grid has "
                           f"more than {MAX_GRID_POINTS} orbits")
+    if q_grid.size * p_grid.size * args.iterates > MAX_GRID_POINTS:
+        raise ConfigError(f"{args.iterates} iterates of a {q_grid.size} x "
+                          f"{p_grid.size} initial grid make more than "
+                          f"{MAX_GRID_POINTS} points")
     grid = [(float(q), float(p)) for q in q_grid for p in p_grid]
     cloud = section(params, grid, n_iterates=args.iterates, tol=args.tol)
     _write_csv(args.out, ("orbit_id", "iter", "q", "p"),
@@ -250,7 +254,14 @@ def cmd_bounds(args) -> int:
         pair = sitnikov_pair(_params(args))
     lams = ([float(v) for v in args.lam.split(",")]
             if args.lam is not None else [pair.default_lam])
-    reports = [bound_report(lam, pair).to_json_dict() for lam in lams]
+    try:
+        reports = [bound_report(lam, pair).to_json_dict() for lam in lams]
+    except ValueError as exc:  # a collision stays a domain error
+        if args.lam or args.curve_file or isinstance(exc, CollisionError):
+            raise
+        raise ConfigError(f"no --lam, and the default lam = 2 - r(1+eps) = "
+                          f"{pair.default_lam!r} of --r {args.r!r} and --eps "
+                          f"{args.eps!r} fails: {exc}") from None
     _write_json(args.out, {"pair": pair.name, "reports": reports}, args)
     return EXIT_OK
 
@@ -387,7 +398,7 @@ def main(argv=None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"configuration error: {exc or type(exc).__name__}",
+        print(f"configuration error: {str(exc) or type(exc).__name__}",
               file=sys.stderr)
         return EXIT_CONFIG
 

@@ -105,18 +105,18 @@ def monodromy(q_star: float, params: ModelParams, period: float | None = None,
 def _antipode_half_traces(rs, epsilon: float, tol: float) -> np.ndarray:
     """Half-traces of the antipode's monodromy at each radius in ``rs``.
 
-    One lane-batched solve of ``model._antipode_system`` to ``u = t =
-    T/2``: by ``monodromy``'s even-coefficient identity the half-trace is
-    ``(x1 y2 + x2 y1) / det X(T/2)``.  Raises ``MonodromyError`` unless
-    every lane's ``det X(T/2)`` is within ``DET_CORRUPT_TOL`` of 1.
+    One lane-batched solve of ``model._antipode_system`` to its one stop
+    ``[u = t = T/2]``: by ``monodromy``'s even-coefficient identity the
+    half-trace is ``(x1 y2 + x2 y1) / det X(T/2)``.  Raises ``MonodromyError``
+    unless every lane's ``det X(T/2)`` is within ``DET_CORRUPT_TOL`` of 1.
     """
     rs = np.asarray(rs, dtype=float)
     for r in (rs.min(), rs.max()):  # validates every radius and epsilon
         ModelParams(r=float(r), epsilon=epsilon)
     clock, rhs = _antipode_system(rs, epsilon)
-    (x1, y1, x2, y2), _ = _dop853_lanes(
-        clock, rhs, 0.5 * coefficient_period(epsilon),
-        np.array([1.0, 0.0, 0.0, 1.0]), rs.size, tol)
+    ys, _ = _dop853_lanes(clock, rhs, [0.5 * coefficient_period(epsilon)],
+                          np.array([1.0, 0.0, 0.0, 1.0]), rs.size, tol)
+    x1, y1, x2, y2 = ys[0]
     det = x1 * y2 - x2 * y1
     worst = int(np.argmax(np.abs(det - 1.0)))  # the first NaN, if any
     _check_det(float(det[worst]), f" at r={float(rs[worst])!r}")

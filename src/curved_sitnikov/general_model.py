@@ -20,7 +20,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -101,21 +101,11 @@ class BoundReport:
     k_bound: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "delta": self.delta,
-            "tau": self.tau,
-            "c": self.c,
-            "a_min": self.a_min,
-            "bound_ok": self.bound_ok,
-            "winding_estimate": self.winding_estimate,
-            "smallness_ok": self.smallness_ok,
-            "smallness_threshold": self.smallness_threshold,
-            "M": self.m_bound,
-            "k": self.k_bound,
-            # bounds are always sampled; the key keeps the artifact format
-            "used_supplied_bounds": False,
-        }
+        """The fields in order, three under their artifact names; bounds
+        are always sampled, and ``used_supplied_bounds`` keeps the format."""
+        names = {"lam": "lambda", "m_bound": "M", "k_bound": "k"}
+        return {**{names.get(k, k): v for k, v in asdict(self).items()},
+                "used_supplied_bounds": False}
 
 
 def pair_potential(s: float, t: float, lam: float, pair: CurvePair) -> float:

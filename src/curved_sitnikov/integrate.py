@@ -408,8 +408,8 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     (``i = 1..11``) and ``t + h``, one row per ``rhs`` call; the start and
     the initial step add one row each.  An identity ``clock`` hands ``rhs``
     the times.  ``y0`` holds the initial states, shape ``(n, n_lanes)``, or
-    one state ``(n,)`` for all lanes; ``stops`` is one time or an array of
-    them, finite, positive and strictly increasing, else ``ValueError``.
+    one state ``(n,)`` for all lanes; ``stops`` is a 1-D array of times,
+    finite, positive and strictly increasing, else ``ValueError``.
     Every lane is stepped by DOP853 at ``rtol = atol = tol`` with scipy's
     rules: the initial step of ``_initial_steps``, the E5/E3 error norm,
     step factors 0.9/0.2/10 and no growth right after a rejection.  Each
@@ -429,9 +429,9 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     returns before the initial step), then once per step attempt, right
     after the step's last ``rhs`` call, whose state equals ``y`` on every
     accepted lane.  Returns the states at the stops, shape
-    ``(len(stops), n, n_lanes)`` or ``(n, n_lanes)`` for one stop time, and
-    ``nfev``, the lockstep ``rhs`` calls: 1 if every lane starts halted,
-    else 2 (the start and the initial step) plus 12 per attempt.  A step
+    ``(len(stops), n, n_lanes)``, and ``nfev``, the lockstep ``rhs``
+    calls: 1 if every lane starts halted, else 2 (the start and the
+    initial step) plus 12 per attempt.  A step
     below ten ulps of ``t`` after a rejection, a NaN step (from a NaN slope
     at ``t = 0``, raised once its first attempt is rejected), or a lane
     past ``MAX_VARIATIONAL_NFEV`` right-hand-side calls since its last stop
@@ -443,10 +443,11 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
     their bits in any batch; a fixed-order stage sum would keep all.
     """
     _validate_tol(tol)
-    stop_times = np.atleast_1d(np.asarray(stops, dtype=float))
-    if not (np.isfinite(stop_times).all() and stop_times.size
+    stop_times = np.asarray(stops, dtype=float)
+    if not (stop_times.ndim == 1 and stop_times.size
+            and stop_times[-1] < math.inf  # and so is every earlier stop
             and (np.diff(stop_times, prepend=0.0) > 0.0).all()):
-        raise ValueError(f"stops={stops} not finite, positive, increasing")
+        raise ValueError(f"stops={stops} not 1-D, finite, positive, rising")
     y0 = np.asarray(y0, dtype=float)
     lanes = np.arange(n_lanes)
     y = np.array(np.broadcast_to(y0.reshape(len(y0), -1), (len(y0), n_lanes)))
@@ -459,7 +460,7 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
         keep = ~halt(g, y, lanes)
         lanes, y, f = lanes[keep], y[:, keep], f[:, keep]
         if not lanes.size:  # every lane halted at its start
-            return (out if np.ndim(stops) else out[0]), 1
+            return out, 1
     t = np.zeros(lanes.size)
     h_abs = np.minimum(_initial_steps(clock, rhs, stop_times[-1], y, f, lanes,
                                       tol), h_max)
@@ -542,5 +543,5 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
             next_stop, nfev_at_stop = next_stop[keep], nfev_at_stop[keep]
             t_stop = stop_times[next_stop]
             oldest = nfev_at_stop.min(initial=nfev)
-    return (out if np.ndim(stops) else out[0]), nfev
+    return out, nfev
 

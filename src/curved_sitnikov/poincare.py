@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kepler import TWO_PI, ModelParams
-from .integrate import DEFAULT_ORBIT_TOL, _dop853_lanes
+from .integrate import DEFAULT_ORBIT_TOL, MAX_GRID_POINTS, _dop853_lanes
 # bench/tracer.py times orbit spans by rebinding this name
 from .integrate import integrate_orbit  # noqa: F401
 from .model import _orbit_system
@@ -52,8 +52,8 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
         params: model parameters.
         initial_grid: iterable of finite ``(q0, p0)`` pairs (phase 0),
             else ``ValueError`` before any step.
-        n_iterates: number of section returns to record per orbit, an
-            integer >= 1, else ``ValueError``.
+        n_iterates: section returns to record per orbit, an integer >= 1
+            and at most ``MAX_GRID_POINTS`` in all, else ``ValueError``.
         tol: integrator tolerance.
 
     All orbits step as lanes of ``model._orbit_system`` from ``u = 0``,
@@ -68,6 +68,9 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
     grid = np.array([(float(q0), float(p0)) for q0, p0 in initial_grid])
     if not np.isfinite(grid).all():
         raise ValueError("initial_grid holds a non-finite (q0, p0)")
+    if len(grid) * n_iterates > MAX_GRID_POINTS:
+        raise ValueError(f"{len(grid)} orbits of {n_iterates} iterates hold "
+                         f"more than {MAX_GRID_POINTS} points")
     clock, rhs, halt = _orbit_system(params, 0.0)
     strobes, _ = _dop853_lanes(
         clock, rhs, np.arange(1, n_iterates + 1) * TWO_PI,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import _validate_tol
+from .integrate import MAX_GRID_POINTS, _validate_tol
 from .kepler import (TWO_PI, ModelParams, _check_eccentricity,
                      collision_ceiling)
 from .model import coefficient_period
@@ -304,35 +304,28 @@ def _plateau_run(counts: list[int]) -> int:
     return run
 
 
-def _level_fracs(level: int) -> list[float]:
-    """Fractions of the log-gap range that census level ``level`` adds.
-
-    The first level holds both ends and ``2**level - 1`` points between;
-    each later one the midpoints of the level before.
-    """
-    if level == CENSUS_START_LEVEL:
-        return [j / 2 ** level for j in range(2 ** level + 1)]
-    return [j / 2 ** level for j in range(1, 2 ** level, 2)]
-
-
 def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
                        r_start_fraction: float = CENSUS_START_FRACTION,
                        tol: float = DEFAULT_SCAN_TOL) -> CensusResult:
     """Count strongly-stable intervals of the antipode toward the ceiling.
 
     Nested grids, geometric in the gap ``ceiling - r``, are refined level
-    by level (each level doubles the cell count and evaluates only the new
-    midpoints, so the count is monotone in the budget).  Refinement stops
-    when the remaining budget cannot pay for the next level or when a
-    nonzero count has held for ``CENSUS_PLATEAU_LEVELS`` consecutive
-    levels; a zero count may hide intervals narrower than a cell, so it
-    never stops refinement.  After a trailing run of ``k`` equal nonzero
-    counts (``k = 0`` after a zero) the next ``CENSUS_PLATEAU_LEVELS - k``
-    levels are counted whatever they read, so their new radii, as many
-    levels as the budget pays for, take one lane-batched, half-period
-    solve in eccentric-anomaly time (``floquet._antipode_half_traces``);
-    the levels are then tiled and counted one by one, as if each had its
-    own solve.  ``level_counts`` records the count after each level.
+    by level: level ``l`` holds the ``2**l + 1`` radii ``ceiling - g_hi
+    (g_lo/g_hi)**(j / 2**l)``, so each level evaluates only the midpoints
+    of the one before and the count is monotone in the budget.  Refinement
+    stops when a level would hold more radii than the budget, counted as
+    at most ``MAX_GRID_POINTS``, or when a nonzero count has held for
+    ``CENSUS_PLATEAU_LEVELS`` consecutive levels; a zero count may hide
+    intervals narrower than a cell, so it never stops refinement.  After
+    a trailing run of ``k`` equal nonzero counts (``k = 0`` after a zero)
+    the next ``CENSUS_PLATEAU_LEVELS - k`` levels are counted whatever
+    they read, so those the budget pays for form one batch: the radii of
+    its last level that no earlier batch solved take one lane-batched,
+    half-period solve in eccentric-anomaly time
+    (``floquet._antipode_half_traces``), and each level is tiled and
+    counted on its stride of that grid, its own radii bit for bit (the
+    fractions are dyadic).  ``level_counts`` records the count after each
+    level, and ``sample_rs`` the last level's radii.
     Only elliptic intervals that are neither first nor last, i.e. flanked
     by non-elliptic samples on both sides, are counted, so a partial census
     under-counts rather than guesses.  ``ValueError`` unless the eccentricity
@@ -357,42 +350,42 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
     g_lo = ceiling - r_hi
     period = coefficient_period(epsilon)
 
+    cap = min(budget, MAX_GRID_POINTS)  # most radii one level may hold
     counts: list[int] = []  # one per level
-    samples: list[tuple[float, float]] = []
-    intervals: list[tuple[float, float, str]] = []
-    transitions: list[dict] = []
+    samples: list[tuple[float, float]] = []  # the last level's (r, h)
+    intervals, transitions = [], []
     budget_exhausted = False
     while (not budget_exhausted
            and _plateau_run(counts) < CENSUS_PLATEAU_LEVELS):
         # No plateau can hold before the next CENSUS_PLATEAU_LEVELS - run
         # levels are counted, so those that fit the budget take one solve.
         first = CENSUS_START_LEVEL + len(counts)
-        batch: list[list[float]] = []
-        for level in range(first, first + CENSUS_PLATEAU_LEVELS
-                           - _plateau_run(counts)):
-            fracs = _level_fracs(level)
-            budget_exhausted = (len(samples) + sum(map(len, batch))
-                                + len(fracs) > budget)
-            if budget_exhausted:
-                break
-            batch.append([ceiling - g_hi * (g_lo / g_hi) ** frac
-                          for frac in fracs])
-        if batch:
-            hs = iter(_antipode_half_traces(sum(batch, []), epsilon,
-                                            tol).tolist())
-            for rs in batch:
-                samples.extend(zip(rs, hs))
-                samples.sort()
-                # Census brackets stay the grid cells that hold them.
-                intervals, transitions = _tile(
-                    samples, lambda lo, hi: (lo[0], hi[0]))
-                counts.append(sum(cls == ELLIPTIC
-                                  for _, _, cls in intervals[1:-1]))
+        levels = range(first, first + CENSUS_PLATEAU_LEVELS
+                       - _plateau_run(counts))
+        fit = [level for level in levels if 2 ** level + 1 <= cap]
+        budget_exhausted = len(fit) < len(levels)
+        if not fit:
+            break
+        top = fit[-1]
+        rs = [ceiling - g_hi * (g_lo / g_hi) ** (j / 2 ** top)
+              for j in range(2 ** top + 1)]
+        stride = 2 ** (top - first + 1)  # of the radii solved before
+        hs = dict(zip(range(0, len(rs), stride), (h for _, h in samples)))
+        new = [j for j in range(len(rs)) if j not in hs]
+        hs.update(zip(new, _antipode_half_traces(
+            [rs[j] for j in new], epsilon, tol).tolist()))
+        samples = [(r, hs[j]) for j, r in enumerate(rs)]
+        for level in fit:
+            # Census brackets stay the grid cells that hold them.
+            intervals, transitions = _tile(
+                samples[::2 ** (top - level)], lambda lo, hi: (lo[0], hi[0]))
+            counts.append(sum(cls == ELLIPTIC
+                              for _, _, cls in intervals[1:-1]))
 
     tiling = StabilityIntervals(
         q_star=math.pi, epsilon=epsilon, period=period, intervals=intervals,
         transitions=transitions, suspect=[],
-        refine_tol=(samples[1][0] - samples[0][0]) if len(samples) > 1 else 0.0)
+        refine_tol=(samples[1][0] - samples[0][0]) if samples else 0.0)
 
     return CensusResult(epsilon=epsilon, count=counts[-1] if counts else 0,
                         intervals=tiling, evaluations=len(samples),

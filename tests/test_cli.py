@@ -319,14 +319,24 @@ class TestExitCodes:
             "orbits\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["poincare", "--iterates", "1000000000000", "--q-grid", "0:0:1",
-         "--p-grid", "0:0:1"],
-    ], ids=["poincare-iterates"])
-    def test_allocation_beyond_memory_exits_one(self, tmp_path, argv):
-        # asks numpy for more than 7 TiB; under a 1 GiB address-space
-        # limit the request fails the same way on a host that overcommits.
-        # The section allocates its whole strobe array first.
+    def test_cloud_past_the_cap_exits_one(self, tmp_path, capsys,
+                                          monkeypatch):
+        # 2 orbits pass the orbit cap, their 10 points do not
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 8)
+        monkeypatch.setattr(cli, "section",
+                            lambda *a, **k: pytest.fail("section ran"))
+        out = tmp_path / "out.csv"
+        assert main(["poincare", "--iterates", "5", "--q-grid", "0:0:1",
+                     "--p-grid", "0:0.1:0.1", "--out", str(out)]) == \
+            EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: 5 iterates of a 1 x 2 initial grid make "
+            "more than 8 points\n")
+        assert not out.exists()
+
+    def test_cloud_past_the_cap_exits_one_before_allocating(self, tmp_path):
+        # a 7 TiB strobe array; under a 1 GiB address-space limit the run
+        # is refused by the cap before numpy is asked for it
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
@@ -334,13 +344,30 @@ class TestExitCodes:
         src = Path(cli.__file__).parents[1]
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
         proc = subprocess.run(
-            [sys.executable, "-m", "curved_sitnikov.cli", *argv,
-             "--out", str(out)], env=env, capture_output=True, text=True,
-            timeout=120, preexec_fn=limit_memory)
+            [sys.executable, "-m", "curved_sitnikov.cli", "poincare",
+             "--iterates", "1000000000000", "--q-grid", "0:0:1", "--p-grid",
+             "0:0:1", "--out", str(out)], env=env, capture_output=True,
+            text=True, timeout=120, preexec_fn=limit_memory)
         assert proc.returncode == EXIT_CONFIG
-        assert proc.stderr.startswith("configuration error: Unable to "
-                                      "allocate")
-        assert proc.stderr.count("\n") == 1
+        assert proc.stderr == (
+            "configuration error: 1000000000000 iterates of a 1 x 1 initial "
+            "grid make more than 1000000 points\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 7.28 TiB"),
+         "configuration error: Unable to allocate 7.28 TiB\n"),
+        (MemoryError(), "configuration error: MemoryError\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch,
+                                    error, line):
+        def run_out(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "section", run_out)
+        out = tmp_path / "out.csv"
+        assert main(["poincare", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == line
         assert not out.exists()
 
     def test_bounds_gap_outside_range_exits_one(self, tmp_path, capsys):
@@ -349,6 +376,31 @@ class TestExitCodes:
             assert main(["bounds", f"--lam={lam}", "--out", str(out)]) == \
                 EXIT_CONFIG
             assert "configuration error: lam" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r, lam, detail", [
+        ("0.5", "1.5", "a point of the grid at lam=1.5 is closer than the "
+         "origin"),
+        ("1e-18", "2.0", "lam=2.0 outside (0, 2)"),
+    ], ids=["small-binary", "default-rounds-to-two"])
+    def test_bounds_default_lam_names_r(self, tmp_path, capsys, r, lam,
+                                        detail):
+        # without --lam the gap is the command's own default, so the line
+        # names the options it came from
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--r", r, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: no --lam, and the default lam = "
+            f"2 - r(1+eps) = {lam} of --r {float(r)!r} and --eps 0.0 fails: "
+            f"{detail}\n")
+        assert not out.exists()
+
+    def test_bounds_default_lam_collision_exits_two(self, tmp_path, capsys):
+        # a CollisionError is a ValueError, and stays a domain error
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--r", "1.99999999999", "--out",
+                     str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err.startswith("domain error: distance ")
         assert not out.exists()
 
     def test_bounds_empty_lam_exits_one(self, tmp_path, capsys):

@@ -154,7 +154,7 @@ class TestAntipodeHalfTraces:
 
         def nan_in_lane_one(*args):
             y, nfev = lanes(*args)
-            y[:, 1] = math.nan
+            y[0, :, 1] = math.nan
             return y, nfev
 
         monkeypatch.setattr(floquet, "_dop853_lanes", nan_in_lane_one)

@@ -660,9 +660,10 @@ class TestLanes:
         # lanes of different stiffness finish at different step counts;
         # w = 1 is the constant coefficient a = 1, X(pi/2) = [[0, 1], [-1, 0]]
         w, t = np.array([0.5, 1.0, 2.0, 6.0]), 0.5 * math.pi
-        (x1, y1, x2, y2), _ = _dop853_lanes(_identity, _oscillators(w), t,
-                                            np.array([1.0, 0.0, 0.0, 1.0]),
-                                            len(w), tol=1e-10)
+        ys, _ = _dop853_lanes(_identity, _oscillators(w), [t],
+                              np.array([1.0, 0.0, 0.0, 1.0]), len(w),
+                              tol=1e-10)
+        x1, y1, x2, y2 = ys[0]
         np.testing.assert_allclose(x1, np.cos(w * t), atol=1e-9)
         np.testing.assert_allclose(x2, np.sin(w * t) / w, atol=1e-9)
         np.testing.assert_allclose(y1, -w * np.sin(w * t), atol=1e-9)
@@ -683,9 +684,9 @@ class TestLanes:
             at = hill(float(t[0]))
             return np.array([y[1], -at * y[0], y[3], -at * y[2]])
 
-        ys, nfev = _dop853_lanes(_identity, rhs, math.pi,
+        ys, nfev = _dop853_lanes(_identity, rhs, [math.pi],
                                  np.array([1.0, 0.0, 0.0, 1.0]), 1, tol=1e-9)
-        x1, y1, x2, y2 = ys[:, 0]
+        x1, y1, x2, y2 = ys[0, :, 0]
         assert nfev == calls == want_nfev
         np.testing.assert_allclose([[x1, x2], [y1, y2]], want, rtol=1e-9)
 
@@ -701,10 +702,11 @@ class TestLanes:
             at = np.array([hill(float(ti)) for ti in t])
             return np.stack([y[1], -at * y[0], y[3], -at * y[2]])
 
-        out, nfev = _dop853_lanes(_identity, rhs, math.pi,
+        out, nfev = _dop853_lanes(_identity, rhs, [math.pi],
                                   np.array([1.0, 0.0, 0.0, 1.0]), 3, tol=1e-9)
         assert nfev == calls == want_nfev
-        np.testing.assert_array_equal(out[:, 1:], out[:, :1].repeat(2, 1))
+        np.testing.assert_array_equal(out[0][:, 1:],
+                                      out[0][:, :1].repeat(2, 1))
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-9, 1e-6])
     def test_initial_steps_follow_scipys_rule(self, tol):
@@ -777,7 +779,7 @@ class TestLanes:
             return np.where(t > 0.5, np.nan, y)
 
         with pytest.raises(StiffnessError, match="underflow"):
-            _dop853_lanes(_identity, rhs, 1.0, np.array([1.0]), 2, 1e-9)
+            _dop853_lanes(_identity, rhs, [1.0], np.array([1.0]), 2, 1e-9)
 
     def test_nan_slope_raises_at_once(self, monkeypatch):
         # a NaN slope at t = 0 makes a NaN step size, an underflow; it used
@@ -790,19 +792,19 @@ class TestLanes:
             return np.full_like(y, np.nan)
 
         with pytest.raises(StiffnessError, match="underflow"):
-            _dop853_lanes(_identity, rhs, 1.0, np.array([1.0]), 2, 1e-9)
+            _dop853_lanes(_identity, rhs, [1.0], np.array([1.0]), 2, 1e-9)
         assert len(calls) <= 2 + 2 * 12  # within two step attempts
 
     @pytest.mark.parametrize("tol", [1e-14, 1e-5])
     def test_tolerance_window_enforced(self, tol):
         with pytest.raises(ValueError, match="tol"):
-            _dop853_lanes(_identity, _oscillators(np.ones(2)), 1.0,
+            _dop853_lanes(_identity, _oscillators(np.ones(2)), [1.0],
                           np.array([1.0, 0.0, 0.0, 1.0]), 2, tol)
 
     def test_blow_up_raises_step_underflow(self):
         # y' = y^2 from y = 1 blows up at t = 1
         with pytest.raises(StiffnessError, match="underflow"):
-            _dop853_lanes(_identity, lambda t, y, lanes: y * y, 2.0,
+            _dop853_lanes(_identity, lambda t, y, lanes: y * y, [2.0],
                           np.array([1.0]), 2, 1e-9)
 
     @pytest.mark.parametrize("stops", [[2.0, 1.0], [1.0, 1.0], [np.nan],
@@ -815,6 +817,18 @@ class TestLanes:
             raise AssertionError("called before the stops were checked")
 
         with pytest.raises(ValueError, match="stops"):
+            _dop853_lanes(refuse, refuse, stops, np.array([1.0]), 2, 1e-9)
+
+    @pytest.mark.parametrize("stops", [1.0, np.float64(1.0), [[1.0, 2.0]],
+                                       np.array([[1.0], [2.0]])],
+                             ids=["float", "0-d", "row", "column"])
+    def test_stops_must_be_one_dimensional(self, stops):
+        # one stop is the array [t]; the returned states always have a
+        # stop axis first
+        def refuse(*args):
+            raise AssertionError("called before the stops were checked")
+
+        with pytest.raises(ValueError, match="1-D"):
             _dop853_lanes(refuse, refuse, stops, np.array([1.0]), 2, 1e-9)
 
     @pytest.mark.parametrize("grid", [[(math.pi, 0.0)],
@@ -1034,10 +1048,10 @@ class TestClockSplit:
             dy[1::2] = stiffness * y[0::2]
             return dy
 
-        (x1, y1, x2, y2), _ = _dop853_lanes(_identity, rhs,
-                                            0.5 * coefficient_period(eps),
-                                            np.array([1.0, 0.0, 0.0, 1.0]),
-                                            rs.size, 1e-9)
+        ys, _ = _dop853_lanes(_identity, rhs,
+                              [0.5 * coefficient_period(eps)],
+                              np.array([1.0, 0.0, 0.0, 1.0]), rs.size, 1e-9)
+        x1, y1, x2, y2 = ys[0]
         np.testing.assert_array_equal(_antipode_half_traces(rs, eps, 1e-9),
                                       (x1 * y2 + x2 * y1) / (x1 * y2 - x2 * y1))
 

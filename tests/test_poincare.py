@@ -147,6 +147,17 @@ class TestSection:
         with pytest.raises(ValueError, match="non-finite"):
             section(P10, [point, (0.1, 0.0)], n_iterates=2)
 
+    def test_cloud_past_the_cap_is_refused_before_any_step(self,
+                                                           monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(poincare, "MAX_GRID_POINTS", 8)
+        monkeypatch.setattr(poincare, "_dop853_lanes", refuse)
+        with pytest.raises(ValueError, match="2 orbits of 5 iterates hold "
+                                             "more than 8 points"):
+            section(P10, [(0.1, 0.0), (0.2, 0.0)], n_iterates=5)
+
     # 2.0 counts the iterates but is no integer, so it is refused too
     @pytest.mark.parametrize("n_iterates", [0, -1, 1.5, 2.0])
     def test_needs_one_iterate(self, n_iterates):

@@ -563,6 +563,24 @@ class TestCensus:
         args = (eps, 0.999, budget, 0.95, 1e-9)
         assert interchange_census(*args) == _census_level_by_level(*args)
 
+    def test_levels_stop_below_the_grid_cap(self, monkeypatch):
+        # the budget counts as at most MAX_GRID_POINTS radii: level 6's
+        # 65 fit under 100, level 7's 129 do not
+        solve, seen = scan._antipode_half_traces, []
+
+        def spy(rs, epsilon, tol):
+            seen.append(len(rs))
+            return solve(rs, epsilon, tol)
+
+        monkeypatch.setattr(scan, "MAX_GRID_POINTS", 100)
+        monkeypatch.setattr(scan, "_antipode_half_traces", spy)
+        result = interchange_census(0.0, 0.999, budget=100_000,
+                                    r_start_fraction=0.95)
+        assert seen == [65]
+        assert (result.evaluations, result.levels_completed) == (65, 6)
+        assert result.budget_exhausted
+        assert result.budget == 100_000
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             interchange_census(0.0, 1.2, budget=10)
