@@ -306,7 +306,7 @@ def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
 
 CURVE_FAMILIES: dict[str, Callable[..., CurvePair]] = {
     "line": line_pair,
-    "sitnikov_near": lambda r=1.8, epsilon=0.0: sitnikov_pair(
+    "sitnikov_near": lambda r, epsilon: sitnikov_pair(
         ModelParams(r=r, epsilon=epsilon), "near"),
 }
 
@@ -316,7 +316,7 @@ def load_curve_pair(source) -> CurvePair:
 
     ``source`` is a path to, or dict of, ``{"family": name,
     "params": {...}}``; families are built in, no expressions are parsed,
-    and an unknown key is an error rather than a silently used default.
+    and an unknown or missing key is an error; no family has a default.
     The family must be a string and each param an ``int`` or ``float``
     (not a ``bool``), else ``ValueError``.
     """
@@ -344,4 +344,7 @@ def load_curve_pair(source) -> CurvePair:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"curve param {key!r} must be a number, "
                              f"got {value!r}")
+    if set(params) != set(known):
+        raise ValueError(f"curve family {family!r} needs params "
+                         f"{sorted(set(known) - set(params))}")
     return factory(**params)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -102,6 +103,11 @@ class FundamentalMatrix:
 def _validate_tol(tol: float) -> None:
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol={tol} outside [{TOL_MIN}, {TOL_MAX}]")
+
+
+def _check_count(name: str, n) -> None:
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"{name}={n} must be at least 1 and an integer")
 
 
 def integrate_orbit(initial: Sequence[float], t_final: float,
@@ -261,18 +267,15 @@ def _dop853_floats(clock, rhs, t0: float, t1: float, y0, tol: float):
     _validate_tol(tol)
     direction = 1.0 if t1 > t0 else -1.0
 
-    def lane_clock(tau, lanes):  # one lane, forward in |t - t0|
-        return [clock(t0 + direction * float(tau[0, 0]))]
-
-    def lane_rhs(g, y, lanes):
-        return direction * np.array(rhs(g, y[:, 0].tolist()))[:, None]
+    def slope(h, y):  # one lane, forward in |t - t0|
+        return direction * np.array(rhs(clock(t0 + direction * float(h[0])),
+                                        y[:, 0].tolist()))[:, None]
 
     kernel = _dop853_kernel(len(y0))
     t, y = t0, tuple(y0)
     f = rhs(clock(t), y)
-    h_abs = float(_initial_steps(
-        lane_clock, lane_rhs, abs(t1 - t0), np.array(y)[:, None],
-        direction * np.array(f)[:, None], np.zeros(1, dtype=int), tol)[0])
+    h_abs = float(_initial_steps(slope, abs(t1 - t0), np.array(y)[:, None],
+                                 direction * np.array(f)[:, None], tol)[0])
     nfev = 2
     ts, ys = [t], [y]
     while t != t1:
@@ -371,13 +374,15 @@ _E5, _E3 = (np.array([dict(w).get(j, 0.0) for j in range(_N_STAGES + 1)])
             for w in (_E5_WEIGHTS, _E3_WEIGHTS))
 
 
-def _initial_steps(clock, rhs, t_end: float, y: np.ndarray, f: np.ndarray,
-                   lanes: np.ndarray, tol: float) -> np.ndarray:
-    """Each lane's first step from ``t = 0``, in one more ``rhs`` call.
+def _initial_steps(slope, t_end: float, y: np.ndarray, f: np.ndarray,
+                   tol: float) -> np.ndarray:
+    """Each lane's first step from ``t = 0``, in one more ``slope`` call.
 
     Scipy's initial-step rule (Hairer, Norsett and Wanner, *Solving
-    ODEs I*, II.4), lane-wise at ``rtol = atol = tol``, for the system
-    ``clock``, ``rhs`` of ``_dop853_lanes`` with ``f`` its slope at 0.
+    ODEs I*, II.4), lane-wise at ``rtol = atol = tol``, for ``m`` lanes'
+    states ``y`` and slopes ``f`` at 0, shape ``(n, m)`` (one solve is one
+    lane: ``(n,)`` would sum the norm in another order), and ``slope(h,
+    y)``, their slopes at times ``h``.
     """
     def rms(x):  # scipy's error norm, per lane
         return np.linalg.norm(x, axis=0) / x.shape[0] ** 0.5
@@ -387,7 +392,7 @@ def _initial_steps(clock, rhs, t_end: float, y: np.ndarray, f: np.ndarray,
         d0, d1 = rms(y / scale), rms(f / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, t_end)
-        f1 = rhs(clock(h0[None], lanes)[0], y + h0 * f, lanes)
+        f1 = slope(h0, y + h0 * f)
         d2 = rms((f1 - f) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.maximum(1e-6, h0 * 1e-3),
@@ -462,8 +467,9 @@ def _dop853_lanes(clock, rhs, stops, y0: np.ndarray, n_lanes: int,
         if not lanes.size:  # every lane halted at its start
             return out, 1
     t = np.zeros(lanes.size)
-    h_abs = np.minimum(_initial_steps(clock, rhs, stop_times[-1], y, f, lanes,
-                                      tol), h_max)
+    h_abs = np.minimum(_initial_steps(
+        lambda h, y: rhs(clock(h[None], lanes)[0], y, lanes),
+        stop_times[-1], y, f, tol), h_max)
     # Lanes step in lockstep, so every lane in the batch has made nfev
     # right-hand-side calls; a lane made nfev - nfev_at_stop[lane] of them
     # since its last stop, at most nfev - oldest.

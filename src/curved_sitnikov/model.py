@@ -30,8 +30,6 @@ from .kepler import TWO_PI, ModelParams, _anomaly_geometry, radial_factor
 # Distances below this are treated as collisions rather than evaluated.
 D_MIN = 1e-9
 
-Q_STARS = (0.0, math.pi)
-
 
 class CollisionError(ValueError):
     """Evaluation requested too close to one of the primaries."""
@@ -150,6 +148,11 @@ def _antipode_system(rs: np.ndarray, epsilon: float):
     return clock, rhs
 
 
+def _check_equilibrium(q_star: float) -> None:
+    if q_star not in (0.0, math.pi):
+        raise ValueError(f"q_star={q_star} is not an equilibrium (0 or pi)")
+
+
 @dataclass(frozen=True)
 class HillCoefficient:
     """Periodic coefficient ``a(t)`` of the linearization ``S'' + a(t) S = 0``.
@@ -165,9 +168,7 @@ class HillCoefficient:
     params: ModelParams
 
     def __post_init__(self) -> None:
-        if self.q_star not in Q_STARS:
-            raise ValueError(f"q_star={self.q_star} is not an equilibrium "
-                             f"(use 0 or pi)")
+        _check_equilibrium(self.q_star)
 
     def __call__(self, t: float) -> float:
         a = self.params.r * radial_factor(t, self.params.epsilon)
@@ -227,7 +228,7 @@ def cubic_coefficient(t: float, params: ModelParams) -> float:
     return (9.0 + r * r + 9.0 * r * r * math.cos(t) ** 2) / (3.0 * r**5)
 
 
-def symmetry_defect(q: float, p: float, s: float, params: ModelParams,
+def symmetry_defect(q: float, s: float, params: ModelParams,
                     force: Callable[[float, float], float] | None = None,
                     ) -> tuple[float, float, float, float]:
     """Residuals of the four flow symmetries at the phase point ``(q, p, s)``.
@@ -235,7 +236,7 @@ def symmetry_defect(q: float, p: float, s: float, params: ModelParams,
     ``q`` is the unwrapped angle and ``s`` the forcing phase.  On the
     autonomized field ``(p, f(q, s), 1)`` the reflection S1, the two
     periodicities S2 (in ``s``) and S3 (in ``q``) and the reversibility S4
-    cancel exactly in the ``p`` and clock components, so ``p`` drops out
+    cancel exactly in the ``p`` and clock components, so no ``p`` is taken
     and the residuals are those of four force identities:
 
         |f(q,s) + f(-q,s)|, |f(q,s+2pi) - f(q,s)|,

@@ -13,13 +13,13 @@ it is stepped in (``_dop853_lanes``).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kepler import TWO_PI, ModelParams
-from .integrate import DEFAULT_ORBIT_TOL, MAX_GRID_POINTS, _dop853_lanes
+from .integrate import (DEFAULT_ORBIT_TOL, MAX_GRID_POINTS, _check_count,
+                        _dop853_lanes)
 # bench/tracer.py times orbit spans by rebinding this name
 from .integrate import integrate_orbit  # noqa: F401
 from .model import _orbit_system
@@ -63,8 +63,7 @@ def section(params: ModelParams, initial_grid, n_iterates: int,
     the first accepted step within ``model.D_MIN`` of a primary; the orbit
     keeps its earlier hits, and its later strobes stay NaN and are dropped.
     """
-    if not (isinstance(n_iterates, numbers.Integral) and n_iterates >= 1):
-        raise ValueError(f"n_iterates={n_iterates} must be an integer >= 1")
+    _check_count("n_iterates", n_iterates)
     grid = np.array([(float(q0), float(p0)) for q0, p0 in initial_grid])
     if not np.isfinite(grid).all():
         raise ValueError("initial_grid holds a non-finite (q0, p0)")

@@ -13,14 +13,14 @@ under-resolve there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .integrate import MAX_GRID_POINTS, _validate_tol
+from .integrate import MAX_GRID_POINTS, _check_count, _validate_tol
 from .kepler import (TWO_PI, ModelParams, _check_eccentricity,
                      collision_ceiling)
-from .model import coefficient_period
+from .model import _check_equilibrium, coefficient_period
 from .floquet import (ELLIPTIC, HYPERBOLIC, _antipode_half_traces,
                       monodromy)
 
@@ -74,25 +74,17 @@ class StabilityIntervals:
     q_star: float
     epsilon: float
     period: float
+    refine_tol: float
     intervals: list[tuple[float, float, str]]
     transitions: list[dict]
-    refine_tol: float
     suspect: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "q_star": self.q_star,
-            "epsilon": self.epsilon,
-            "period": self.period,
-            "refine_tol": self.refine_tol,
-            "intervals": [
-                {"r_lo": lo, "r_hi": hi, "class": cls}
-                for lo, hi, cls in self.intervals
-            ],
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+            "intervals": [{"r_lo": lo, "r_hi": hi, "class": cls}
+                          for lo, hi, cls in self.intervals],
             "transitions": [{"r_bracket": list(t["r_bracket"])}
-                            for t in self.transitions],
-            "suspect": self.suspect,
-        }
+                            for t in self.transitions]}
 
 
 @dataclass
@@ -105,27 +97,20 @@ class CensusResult:
 
     epsilon: float
     count: int
-    intervals: StabilityIntervals
     evaluations: int
     budget: int
     budget_exhausted: bool
     levels_completed: int
     level_counts: list[int]
     r_range: tuple[float, float]
+    intervals: StabilityIntervals
     sample_rs: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "count": self.count,
-            "evaluations": self.evaluations,
-            "budget": self.budget,
-            "budget_exhausted": self.budget_exhausted,
-            "levels_completed": self.levels_completed,
-            "level_counts": self.level_counts,
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "sample_rs"} | {
             "r_range": list(self.r_range),
-            "intervals": self.intervals.to_json_dict(),
-        }
+            "intervals": self.intervals.to_json_dict()}
 
 
 def _half_trace(q_star: float, r: float, epsilon: float, period: float,
@@ -141,9 +126,11 @@ def trace_curve(q_star: float, epsilon: float, r_grid,
 
     Deterministic for a fixed tolerance; grid points that are not finite,
     ``r <= 0`` or above ``2/(1+eps) - margin`` are skipped and recorded,
-    each with its reason, rather than evaluated.  An eccentricity outside
-    ``[0, 1)`` or a tolerance outside its window raises ``ValueError``.
+    each with its reason, rather than evaluated.  A ``q_star`` other than
+    0 or pi, an eccentricity outside ``[0, 1)`` or a tolerance outside its
+    window raises ``ValueError`` before any point is skipped.
     """
+    _check_equilibrium(q_star)
     _check_eccentricity(epsilon)
     _validate_tol(tol)
     period = coefficient_period(epsilon)
@@ -329,13 +316,13 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
     Only elliptic intervals that are neither first nor last, i.e. flanked
     by non-elliptic samples on both sides, are counted, so a partial census
     under-counts rather than guesses.  ``ValueError`` unless the eccentricity
-    is in ``[0, 1)``, ``tol`` in its window, the budget at least 1 and the
-    range nonempty, its end clipped at ``CEILING_MARGIN`` below the ceiling.
+    is in ``[0, 1)``, ``tol`` in its window, the budget an integer >= 1
+    (not a ``bool``) and the range nonempty, its end clipped at
+    ``CEILING_MARGIN`` below the ceiling.
     """
     _check_eccentricity(epsilon)
     _validate_tol(tol)
-    if not budget >= 1:
-        raise ValueError(f"budget={budget} must be at least 1")
+    _check_count("budget", budget)
     if not 0.0 < r_max_fraction < 1.0:
         raise ValueError("r_max_fraction must be in (0, 1)")
     if not 0.0 < r_start_fraction < r_max_fraction:
@@ -389,7 +376,7 @@ def interchange_census(epsilon: float, r_max_fraction: float, budget: int,
 
     return CensusResult(epsilon=epsilon, count=counts[-1] if counts else 0,
                         intervals=tiling, evaluations=len(samples),
-                        budget=budget, budget_exhausted=budget_exhausted,
+                        budget=int(budget), budget_exhausted=budget_exhausted,
                         levels_completed=(CENSUS_START_LEVEL + len(counts) - 1
                                           if counts else 0),
                         level_counts=counts, r_range=(r_lo, r_hi),

@@ -241,9 +241,9 @@ def check_symmetries(ctx: dict) -> tuple[bool, str]:
         params = ModelParams(r=r, epsilon=eps)
         for _ in range(200):
             q = float(rng.uniform(-3.0 * math.pi, 3.0 * math.pi))
-            p = float(rng.uniform(-2.0, 2.0))
+            rng.uniform(-2.0, 2.0)  # p: the defect drops it, the draw stays
             s = float(rng.uniform(-2.0 * TWO_PI, 2.0 * TWO_PI))
-            worst = _worse(worst, *model.symmetry_defect(q, p, s, params))
+            worst = _worse(worst, *model.symmetry_defect(q, s, params))
     if not worst <= 1e-12:
         return False, f"symmetry defect {worst:.2e} (> 1e-12)"
 
@@ -298,8 +298,8 @@ QUICK_SKIP = {"origin stability"}
 def run_all(quick: bool = False) -> Iterator[CheckResult]:
     """Run the verification suite in order, yielding each result as it ends.
 
-    ``quick=True`` skips the slowest check, origin stability (about 1.7 s
-    of the suite's 2.5 s on a shared 2-core host).  Checks share a context
+    ``quick=True`` skips the slowest check, origin stability (2.0-2.5 s
+    of the suite's 3.2-4.0 s on a shared 2-core Xeon).  Checks share a context
     so later checks can audit the monodromy cases of earlier ones.
     """
     ctx: dict = {}

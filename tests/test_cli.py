@@ -434,12 +434,14 @@ class TestExitCodes:
         ([{"family": "line"}], "out.json"),
         ({"family": "sitnikov_near", "params": {"r": 1.5, "epsilion": 0.3}},
          "out.json"),
+        ({"family": "sitnikov_near", "params": {"r": 1.5}}, "out.json"),
         ({"family": "line", "params": {"lamb": 0.1}}, "out.json"),
         ({"family": "line", "params": {"default_lam": 0.2}}, "out.json"),
         ({"family": "line", "params": {"lam_range": [0.01, 0.5]}},
          "out.json"),
     ], ids=["missing-curve-file", "missing-out-dir", "list-curve-file",
-            "sitnikov-unknown-key", "line-unknown-key", "line-default-lam",
+            "sitnikov-unknown-key", "sitnikov-missing-param",
+            "line-unknown-key", "line-default-lam",
             "line-lam-range"])
     def test_bad_files_and_curve_params_exit_one(self, tmp_path, capsys,
                                                   description, out_name):
@@ -825,12 +827,14 @@ def _readme_cli_lines() -> list[list[str]]:
 
 
 def test_readme_cli_examples_parse():
+    # as main parses them, so a renamed or removed option, such as the old
+    # --fixed-step, fails here rather than rotting in the docs
     lines = _readme_cli_lines()
-    assert len(lines) >= 10
+    assert len(lines) >= 11
     for argv in lines:
         assert argv[0] == "curved-sitnikov"
         try:
-            build_parser().parse_args(argv[1:])
+            build_parser().parse_args(cli._join_signed_values(argv[1:]))
         except SystemExit:
             pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 

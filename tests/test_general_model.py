@@ -396,6 +396,18 @@ class TestLoader:
         with pytest.raises(ValueError):
             load_curve_pair({"family": "lemniscate"})
 
+    @pytest.mark.parametrize("params, missing", [
+        ({"r": 1.8}, r"\['epsilon'\]"), ({"epsilon": 0.1}, r"\['r'\]"),
+        ({}, r"\['epsilon', 'r'\]")], ids=["epsilon", "r", "both"])
+    def test_missing_param_is_refused(self, params, missing):
+        # no family has a default: a left-out eccentricity ran at eps 0
+        with pytest.raises(ValueError, match="'sitnikov_near' needs params "
+                                             + missing):
+            load_curve_pair({"family": "sitnikov_near", "params": params})
+        if not params:
+            with pytest.raises(ValueError, match=missing):
+                load_curve_pair({"family": "sitnikov_near"})
+
     def test_unknown_primary(self):
         with pytest.raises(ValueError, match="primary='middle'"):
             sitnikov_pair(ModelParams(r=1.8), "middle")

@@ -718,7 +718,8 @@ class TestLanes:
         rhs, lanes = _oscillators(w), np.arange(len(w))
         y = np.repeat(np.array([[1.0], [0.0], [0.0], [1.0]]), len(w), axis=1)
         f = rhs(np.zeros(len(w)), y, lanes)
-        got = integrate._initial_steps(_identity, rhs, 1.0, y, f, lanes, tol)
+        got = integrate._initial_steps(lambda h, yh: rhs(h, yh, lanes), 1.0,
+                                       y, f, tol)
 
         def lane(i):
             return lambda t, yi: rhs(np.array([t]), yi[:, None],

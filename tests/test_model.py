@@ -317,26 +317,24 @@ class TestSymmetryDefect:
                 q = float(rng.uniform(-3.0 * math.pi, 3.0 * math.pi))
                 p = float(rng.uniform(-2.0, 2.0))
                 s = float(rng.uniform(-2.0 * TWO_PI, 2.0 * TWO_PI))
-                assert symmetry_defect(q, p, s, params, force=force) == \
+                assert symmetry_defect(q, s, params, force=force) == \
                     field_symmetry_defect(q, p, s, params, force=force)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(q=st.floats(-9.0, 9.0), p=st.floats(-2.0, 2.0),
-           s=st.floats(-12.0, 12.0))
-    def test_exact_field(self, q, p, s):
+    @given(q=st.floats(-9.0, 9.0), s=st.floats(-12.0, 12.0))
+    def test_exact_field(self, q, s):
         for params in (P10, ModelParams(r=1.5, epsilon=0.2)):
-            assert max(symmetry_defect(q, p, s, params)) <= 1e-12
+            assert max(symmetry_defect(q, s, params)) <= 1e-12
 
     def test_any_eccentricity(self):
         params = ModelParams(r=1.5, epsilon=0.2)
-        assert max(symmetry_defect(1.3, 0.7, 2.1, params)) <= 1e-12
+        assert max(symmetry_defect(1.3, 2.1, params)) <= 1e-12
 
     def test_perturbed_fixture_breaks_reflection(self):
         def bad_force(q, t):
             return tangential_force(q, t, P10) + 1e-3
 
-        r1, r2, r3, r4 = symmetry_defect(0.8, 0.1, 0.5, P10,
-                                         force=bad_force)
+        r1, r2, r3, r4 = symmetry_defect(0.8, 0.5, P10, force=bad_force)
         assert r1 == pytest.approx(2e-3, rel=1e-6)
         assert max(r2, r3, r4) <= 1e-12
 

@@ -158,8 +158,9 @@ class TestSection:
                                              "more than 8 points"):
             section(P10, [(0.1, 0.0), (0.2, 0.0)], n_iterates=5)
 
-    # 2.0 counts the iterates but is no integer, so it is refused too
-    @pytest.mark.parametrize("n_iterates", [0, -1, 1.5, 2.0])
+    # 2.0 counts the iterates but is no integer, so it is refused too, and
+    # True is no count although Python's bool is an Integral
+    @pytest.mark.parametrize("n_iterates", [0, -1, 1.5, 2.0, True])
     def test_needs_one_iterate(self, n_iterates):
         with pytest.raises(ValueError, match="n_iterates"):
             section(P10, [(0.1, 0.0)], n_iterates=n_iterates)

@@ -4,6 +4,7 @@ import argparse
 import bisect
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -100,6 +101,18 @@ class TestTraceCurve:
         with pytest.raises(ValueError) as want:
             ModelParams(r=0.5, epsilon=eps)
         assert str(err.value) == str(want.value)
+
+    @pytest.mark.parametrize("q_star", [1.0, -math.pi, math.nan])
+    def test_non_equilibrium_rejected_before_any_point(self, monkeypatch,
+                                                       q_star):
+        # r = 5 is past the guard: the point is skipped, so no coefficient
+        # was ever built to check q_star
+        def refuse(*args):
+            raise AssertionError("evaluated a radius")
+
+        monkeypatch.setattr(scan, "_half_trace", refuse)
+        with pytest.raises(ValueError, match="is not an equilibrium"):
+            trace_curve(q_star, 0.0, [5.0])
 
     def test_deterministic(self):
         grid = np.linspace(1.0, 1.3, 7)
@@ -594,9 +607,15 @@ class TestCensus:
          r"r range \[1.99992, 1.9999\] is empty"),
         ({"budget": 0}, "budget=0 must be at least 1"),
         ({"budget": -5}, "budget=-5 must be at least 1"),
+        # a budget is a count: it came back as 40.7, and inf as the JSON
+        # token Infinity, which no JSON parser reads
+        ({"budget": 40.7}, "budget=40.7 must be at least 1 and an integer"),
+        ({"budget": math.inf}, "budget=inf must be at least 1 and an integer"),
+        ({"budget": True}, "budget=True must be at least 1 and an integer"),
         ({"epsilon": 1.0}, r"epsilon=1.0 outside \[0, 1\)"),
         ({"epsilon": -1.0}, r"epsilon=-1.0 outside \[0, 1\)"),
     ], ids=["range-past-margin", "zero-budget", "negative-budget",
+            "fractional-budget", "infinite-budget", "bool-budget",
             "eps-one", "eps-minus-one"])
     def test_rejected_before_any_evaluation(self, monkeypatch, kwargs,
                                             message):
@@ -608,6 +627,27 @@ class TestCensus:
                 "r_start_fraction": 0.95, **kwargs}
         with pytest.raises(ValueError, match=message):
             interchange_census(**args)
+
+    def test_json_keys_are_the_fields_in_order(self):
+        # the artifact's keys, pinned, are the record's fields in order,
+        # sample_rs left out, so a new field reaches the JSON by itself
+        result = interchange_census(0.0, 0.999, budget=40)
+        record = result.to_json_dict()
+        assert list(record) == [
+            "epsilon", "count", "evaluations", "budget", "budget_exhausted",
+            "levels_completed", "level_counts", "r_range", "intervals"]
+        assert list(record) == [f.name for f in fields(scan.CensusResult)
+                                if f.name != "sample_rs"]
+        assert list(record["intervals"]) == [
+            "q_star", "epsilon", "period", "refine_tol", "intervals",
+            "transitions", "suspect"]
+        assert list(record["intervals"]) == [
+            f.name for f in fields(scan.StabilityIntervals)]
+
+    def test_numpy_budget_writes_plain_json(self):
+        # a numpy integer is a count too, but json.dumps refused it
+        result = interchange_census(0.0, 0.999, budget=np.int64(16))
+        assert json.loads(json.dumps(result.to_json_dict()))["budget"] == 16
 
     @pytest.mark.parametrize("budget", [1, 16])
     def test_budget_below_first_level_is_reported(self, budget):
