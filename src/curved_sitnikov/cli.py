@@ -94,10 +94,12 @@ def parse_qstar(text: str) -> float:
 
 
 def _check_outputs(args) -> None:
-    """Fail before any computation if an output file's directory is unusable."""
+    """Fail before any computation on an output path it cannot write."""
     for name in ("out", "out_csv", "out_json", "manifest"):
         path = getattr(args, name, None)
         if path:
+            if os.path.isdir(path):
+                raise ConfigError(f"cannot write {path!r}: it is a directory")
             folder = os.path.dirname(os.path.abspath(path))
             if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
                 raise ConfigError(f"cannot write {path!r}: directory "

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .kepler import TWO_PI, ModelParams, radial_factor_derivatives
-from .model import D_MIN, CollisionError
+from .model import _check_distance
 
 # Curvature lower-bound constant: U'' >= C_LOWER / delta^3 on |t| <= tau.
 C_LOWER = 2.0 ** -4.5
@@ -114,8 +114,7 @@ def pair_potential(s: float, t: float, lam: float, pair: CurvePair) -> float:
     A separation within ``D_MIN`` raises ``CollisionError`` (primary 1).
     """
     dist = float(np.linalg.norm(pair.z(s, t, lam)))
-    if dist <= D_MIN:
-        raise CollisionError(1, dist)
+    _check_distance(1, dist)
     return -1.0 / dist
 
 
@@ -131,8 +130,7 @@ def d2U_ds2(t, lam: float, pair: CurvePair) -> float | np.ndarray:
     x0, zp, zpp = pair.x(0.0, lam)
     z = x0[:, None] - pair.y(np.ravel(t), lam)[0]
     zz = _dot(z, z)
-    if np.min(zz, initial=math.inf) <= D_MIN * D_MIN:
-        raise CollisionError(1, math.sqrt(np.min(zz)))
+    _check_distance(1, math.sqrt(np.min(zz, initial=math.inf)))
     u2 = ((_dot(zp, zp) + _dot(z, zpp)) * zz - 3.0 * _dot(z, zp)**2) / zz**2.5
     return float(u2[0]) if np.ndim(t) == 0 else u2.reshape(np.shape(t))
 
@@ -165,8 +163,7 @@ def min_distance(lam: float, pair: CurvePair) -> float:
     """
     (x0, xp, _), (y0, yp, _) = pair.x(0.0, lam), pair.y(0.0, lam)
     delta = math.dist(x0, y0)
-    if delta <= D_MIN:
-        raise CollisionError(1, delta)
+    _check_distance(1, delta)
     if not math.isfinite(delta * delta):
         raise ValueError(f"lam={lam} gives a gap delta={delta} whose square "
                          f"overflows")
@@ -251,25 +248,20 @@ def line_pair() -> CurvePair:
                      default_lam=0.1, s_range=(-0.9, 0.9))
 
 
-def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
-    """Particle circle against one primary's orbit, closest approach at t=0.
+def sitnikov_pair(params: ModelParams) -> CurvePair:
+    """Particle circle against the near primary's orbit, closest at t = 0.
 
     ``lam`` is the gap ``2 - r(1+eps)`` and selects the semi-major axis
     ``r(lam) = (2-lam)/(1+eps)`` at the fixed eccentricity of ``params``;
     ``default_lam`` matches ``params.r``.  The circle is
     ``x(s) = (0, -cos s, -sin s)`` with ``s = 0`` at the antipode
-    ``(0,-1,0)``.  ``y(t)`` is the orbit of the primary whose apsis points
-    at the antipode ("near"), time-shifted and rescaled to unit period so
-    its closest approach to the antipode happens at ``t = 0``.  With
-    ``primary="far"`` the opposite primary's orbit is returned (same time
-    convention; its own closest approach is then at ``t = ±1/2``).  Each
-    ``y`` call solves Kepler's equation once, for all its times together,
-    through ``radial_factor_derivatives``.
+    ``(0,-1,0)``.  ``y(t)``, the orbit of the primary whose apsis points at
+    the antipode, is time-shifted and rescaled to unit period so its
+    closest approach happens at ``t = 0``; the other primary's is
+    ``(0, 2, 0) - y(t)``.  Each ``y`` call solves Kepler's equation once,
+    for all its times together, through ``radial_factor_derivatives``.
     """
-    if primary not in ("near", "far"):
-        raise ValueError(f"primary={primary!r} must be 'near' or 'far'")
     eps = params.epsilon
-    sign = 1.0 if primary == "near" else -1.0
     default_lam = 2.0 - params.r * (1.0 + eps)
 
     def r_of(lam: float) -> float:
@@ -291,15 +283,14 @@ def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
         rho, rho_d, rho_dd = radial_factor_derivatives(tau, eps)
         sn, cs, zero = np.sin(tau), np.cos(tau), np.zeros(tau.shape)
         return t_scale.reshape((3,) + (1,) * (tau.ndim + 1)) * np.array([
-            [sign * r * rho * sn, 1.0 + sign * r * rho * cs, zero],
-            [sign * r * (rho_d * sn + rho * cs),
-             sign * r * (rho_d * cs - rho * sn), zero],
-            [sign * r * (rho_dd * sn + 2.0 * rho_d * cs - rho * sn),
-             sign * r * (rho_dd * cs - 2.0 * rho_d * sn - rho * cs), zero]])
+            [r * rho * sn, 1.0 + r * rho * cs, zero],
+            [r * (rho_d * sn + rho * cs), r * (rho_d * cs - rho * sn), zero],
+            [r * (rho_dd * sn + 2.0 * rho_d * cs - rho * sn),
+             r * (rho_dd * cs - 2.0 * rho_d * sn - rho * cs), zero]])
 
     lam_hi = max(default_lam, 0.5)
     return CurvePair(
-        name=f"sitnikov_{primary}", x=x, y=y,
+        name="sitnikov_near", x=x, y=y,
         lam_range=(5e-3, lam_hi), default_lam=default_lam,
         s_range=(-math.pi, math.pi))
 
@@ -307,7 +298,7 @@ def sitnikov_pair(params: ModelParams, primary: str = "near") -> CurvePair:
 CURVE_FAMILIES: dict[str, Callable[..., CurvePair]] = {
     "line": line_pair,
     "sitnikov_near": lambda r, epsilon: sitnikov_pair(
-        ModelParams(r=r, epsilon=epsilon), "near"),
+        ModelParams(r=r, epsilon=epsilon)),
 }
 
 

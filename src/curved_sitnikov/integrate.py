@@ -166,8 +166,10 @@ def integrate_variational(a: Callable[[float], float], period: float,
     columns are integrated together as the 4-component system
     ``(x1, y1, x2, y2)`` of ``_variational_rhs``, with ``a`` its clock, by
     ``_dop853_floats`` at ``rtol = atol = tol``, so that loop's step rules
-    and errors hold.
+    and errors hold.  A non-finite ``period`` raises ``ValueError``.
     """
+    if not math.isfinite(period):
+        raise ValueError(f"period={period} must be finite")
     _, ys, nfev = _dop853_floats(a, _variational_rhs, 0.0, period,
                                  (1.0, 0.0, 0.0, 1.0), tol)
     x1, y1, x2, y2 = ys[-1]

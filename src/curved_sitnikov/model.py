@@ -14,7 +14,7 @@ with ``d1, d2`` the distances to the two primaries.  ``q = 0`` and
 (``_orbit_system``, ``_antipode_system``) and the winding routes' float
 clock (``_anomaly_hill_clock``) sit beside the force parts they evaluate;
 all three run in eccentric-anomaly time and solve no Kepler equation.
-One guard, ``D_MIN``, serves the force and every orbit.
+One guard, ``D_MIN``, serves every distance (``_check_distance``) and orbit.
 """
 
 from __future__ import annotations
@@ -41,6 +41,12 @@ class CollisionError(ValueError):
             f"distance {distance:.3e} to primary {primary} is below the "
             f"collision guard"
         )
+
+
+def _check_distance(primary: int, distance: float) -> None:
+    """Raise ``CollisionError`` for a ``distance`` within ``D_MIN``."""
+    if distance <= D_MIN:
+        raise CollisionError(primary, distance)
 
 
 def _phase_terms(a, c):
@@ -70,10 +76,8 @@ def tangential_force(q: float, t: float, params: ModelParams) -> float:
     cos_q = math.cos(q)
     d1 = math.sqrt(_squared_distance(a2, c1, cos_q))
     d2 = math.sqrt(_squared_distance(a2, c2, cos_q))
-    if d1 <= D_MIN:
-        raise CollisionError(1, d1)
-    if d2 <= D_MIN:
-        raise CollisionError(2, d2)
+    _check_distance(1, d1)
+    _check_distance(2, d2)
     sin_q = math.sin(q)
     return -0.5 * (_pull(c1, sin_q, d1) + _pull(c2, sin_q, d2))
 
@@ -253,13 +257,13 @@ def symmetry_defect(q: float, s: float, params: ModelParams,
             abs(force(q + TWO_PI, s) - f), abs(force(q, -s) - f))
 
 
-def limit_force_circle(q: float, R: float) -> float:
+def limit_force_circle(q: float) -> float:
     """Force after fusing the primaries into one mass at the barycenter.
 
-    ``-sin(q) / (sqrt(2) R^2 (1 - cos q)^{3/2})`` for ``q in (0, 2*pi)``;
-    the fused mass sits at ``q = 0``, which is a collision singularity.
+    ``-2 sin(q) / c^3`` on the chord ``c = 2|sin(q/2)|`` to the fused mass
+    at ``q = 0``, which does not cancel there as ``1 - cos q`` does; a
+    chord within ``D_MIN`` raises ``CollisionError`` naming it.
     """
-    gap = 1.0 - math.cos(q)
-    if not 0.0 < q < TWO_PI or gap <= D_MIN:
-        raise CollisionError(1, math.sqrt(2.0 * max(gap, 0.0)) * R)
-    return -math.sin(q) / (math.sqrt(2.0) * R * R * gap**1.5)
+    chord = 2.0 * abs(math.sin(0.5 * q))
+    _check_distance(1, chord)
+    return -2.0 * math.sin(q) / chord**3

@@ -170,7 +170,7 @@ def check_force_limits(ctx: dict) -> tuple[bool, str]:
     tiny = ModelParams(r=1e-6, epsilon=0.0)
     for q in (math.pi / 2.0, 2.0, math.pi):
         got = model.tangential_force(q, 0.0, tiny)
-        want = model.limit_force_circle(q, 1.0)
+        want = model.limit_force_circle(q)
         worst_circle = _worse(worst_circle, abs(got - want))
     ok = worst_line <= 1e-4 and worst_circle <= 1e-5
     return ok, (f"straight-line defect {worst_line:.2e} (<= 1e-4), "

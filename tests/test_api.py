@@ -70,7 +70,7 @@ def test_export_count_does_not_grow():
 
 # Defaulted parameters, lambda defaults and defaulted dataclass fields in
 # the package: each is a knob, and none is added without removing another.
-MAX_OPTIONS = 19
+MAX_OPTIONS = 18
 
 
 def _option_count(tree: ast.AST) -> int:
@@ -195,6 +195,25 @@ def test_model_parts_stay_in_model():
     package = pathlib.Path(curved_sitnikov.__file__).parent
     users = sorted(path.name for path in package.glob("*.py")
                    if _names(ast.parse(path.read_text())) & MODEL_PARTS)
+    assert users == ["model.py"]
+
+
+# One collision rule: ``model._check_distance`` is the only place that
+# raises ``CollisionError``, every guarded distance goes through it, and
+# no module but ``model`` names the guard ``D_MIN``, so a guard patched on
+# ``model`` reaches every check.
+DISTANCE_CHECK_CALLERS = [
+    "general_model.d2U_ds2", "general_model.min_distance",
+    "general_model.pair_potential", "model.limit_force_circle",
+    "model.tangential_force"]
+
+
+def test_one_collision_rule():
+    assert _function_callers("CollisionError") == ["model._check_distance"]
+    assert _function_callers("_check_distance") == DISTANCE_CHECK_CALLERS
+    package = pathlib.Path(curved_sitnikov.__file__).parent
+    users = sorted(path.name for path in package.glob("*.py")
+                   if "D_MIN" in _names(ast.parse(path.read_text())))
     assert users == ["model.py"]
 
 

@@ -646,6 +646,27 @@ class TestExitCodes:
             EXIT_CONFIG
         assert calls == []
 
+    @pytest.mark.parametrize("argv, compute", [
+        (["census", "--out", "{dir}"], "interchange_census"),
+        (["scan", "--qstar", "pi", "--r", "1.2:1.27:0.005", "--out-csv",
+          "{dir}"], "trace_curve"),
+        (["scan", "--qstar", "pi", "--r", "1.2:1.27:0.005", "--out-json",
+          "{dir}"], "trace_curve"),
+        (["poincare", "--out", "{dir}/cloud.csv", "--manifest", "{dir}"],
+         "section"),
+    ], ids=["out", "out-csv", "out-json", "manifest"])
+    def test_directory_output_fails_before_computing(
+            self, tmp_path, monkeypatch, capsys, argv, compute):
+        # a directory used to pass, and fail only after the whole run
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{compute} ran")
+
+        monkeypatch.setattr(cli, compute, reached)
+        assert main([a.format(dir=tmp_path) for a in argv]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot write {str(tmp_path)!r}: it is a "
+            "directory\n")
+
     def test_bad_json_output_leaves_no_csv(self, tmp_path):
         csv_out = tmp_path / "trace.csv"
         assert main(["scan", "--qstar", "pi", "--r", "1.2:1.27:0.005",

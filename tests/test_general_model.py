@@ -7,15 +7,32 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from curved_sitnikov import model
 from curved_sitnikov.kepler import ModelParams
 from curved_sitnikov.model import CollisionError, hill_coefficient
-from curved_sitnikov.general_model import (C_LOWER, bound_report, d2U_ds2,
-                                           d2U_ds2_fd, estimate_bounds,
+from curved_sitnikov.general_model import (C_LOWER, CurvePair, bound_report,
+                                           d2U_ds2, d2U_ds2_fd,
+                                           estimate_bounds,
                                            line_pair,
                                            load_curve_pair, min_distance,
                                            pair_potential, sitnikov_pair)
 
 TWO_PI = 2.0 * math.pi
+
+
+def mirrored_pair(near: CurvePair) -> CurvePair:
+    """The far primary's pair, built from the near one's.
+
+    The primaries sit symmetrically about the barycenter ``(0, 1, 0)``, so
+    the far orbit is ``(0, 2, 0) - y(t)``: row 0 of the jet mirrored,
+    rows 1 and 2 negated.
+    """
+    def y(t, lam):
+        jet = -near.y(t, lam)
+        jet[0, 1] += 2.0
+        return jet
+
+    return replace(near, name="sitnikov_far", y=y)
 
 
 def sitnikov_hill_coefficient(params: ModelParams):
@@ -26,8 +43,8 @@ def sitnikov_hill_coefficient(params: ModelParams):
     with ``hill_coefficient(pi, params)(t_phys)`` from the direct
     linearization.
     """
-    near = sitnikov_pair(params, "near")
-    far = sitnikov_pair(params, "far")
+    near = sitnikov_pair(params)
+    far = mirrored_pair(near)
     lam = near.default_lam
 
     def a(t_phys: float) -> float:
@@ -67,6 +84,18 @@ class TestPairPotential:
                 guarded()
             assert err.value.primary == 1
             assert err.value.distance == pytest.approx(1e-12)
+
+    def test_collision_guard_follows_model(self, monkeypatch):
+        # the guard is model's, read at each call: a gap of 0.2 is a
+        # collision once D_MIN is 0.3
+        monkeypatch.setattr(model, "D_MIN", 0.3)
+        pair = line_pair()
+        for guarded in (lambda: pair_potential(0.0, 0.0, 0.2, pair),
+                        lambda: d2U_ds2(np.array([0.0, 0.1]), 0.2, pair),
+                        lambda: min_distance(0.2, pair)):
+            with pytest.raises(CollisionError) as err:
+                guarded()
+            assert err.value.distance == pytest.approx(0.2)
 
 
 class TestCurvature:
@@ -129,7 +158,7 @@ class TestMinDistance:
 
     def test_far_primary_pair_rejected(self):
         # stationary at t = 0, but its closest approach is at half period
-        far = sitnikov_pair(ModelParams(r=1.8, epsilon=0.1), primary="far")
+        far = mirrored_pair(sitnikov_pair(ModelParams(r=1.8, epsilon=0.1)))
         with pytest.raises(ValueError, match="closer than the origin"):
             min_distance(far.default_lam, far)
 
@@ -167,12 +196,10 @@ class TestPairGeometry:
             assert abs(float(z @ zp)) <= k * abs(t) + 1e-12
 
 
-JET_PAIRS = [line_pair()] + [
-    sitnikov_pair(ModelParams(r=1.0, epsilon=eps), primary)
-    for eps in (0.0, 0.25, 0.6) for primary in ("near", "far")]
+JET_PAIRS = [line_pair()] + [sitnikov_pair(ModelParams(r=1.0, epsilon=eps))
+                             for eps in (0.0, 0.25, 0.6)]
 
-JET_IDS = ["line", *(f"{p}-eps{e}" for e in (0.0, 0.25, 0.6)
-                     for p in ("near", "far"))]
+JET_IDS = ["line", *(f"near-eps{e}" for e in (0.0, 0.25, 0.6))]
 
 
 class TestJets:
@@ -407,7 +434,3 @@ class TestLoader:
         if not params:
             with pytest.raises(ValueError, match=missing):
                 load_curve_pair({"family": "sitnikov_near"})
-
-    def test_unknown_primary(self):
-        with pytest.raises(ValueError, match="primary='middle'"):
-            sitnikov_pair(ModelParams(r=1.8), "middle")

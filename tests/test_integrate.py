@@ -362,6 +362,21 @@ class TestVariational:
         np.testing.assert_allclose(mat.as_array(), [[-1.0, 0.0], [0.0, -1.0]],
                                    atol=1e-9)
 
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf])
+    def test_non_finite_period_refused_before_any_step(self, period):
+        # NaN used to end in a step underflow and inf in a million calls
+        calls = []
+        with pytest.raises(ValueError,
+                           match=f"period={period} must be finite"):
+            integrate_variational(lambda t: calls.append(t) or 1.0, period,
+                                  1e-10)
+        assert calls == []
+
+    def test_negative_period_integrates_backward(self):
+        mat = integrate_variational(lambda t: 1.0, -math.pi, tol=1e-11)
+        np.testing.assert_allclose(mat.as_array(), [[-1.0, 0.0], [0.0, -1.0]],
+                                   atol=1e-9)
+
     def test_nan_coefficient_raises_at_once(self, monkeypatch):
         # a NaN step size is an underflow: it used to pass the "h < min"
         # test and retry until the call cap

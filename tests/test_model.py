@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from curved_sitnikov.kepler import (ModelParams, collision_ceiling, ephemeris,
                                     radial_factor)
-from curved_sitnikov.model import (CollisionError, HillCoefficient,
+from curved_sitnikov.model import (D_MIN, CollisionError, HillCoefficient,
                                    _anomaly_hill_clock, _antipode_dforce_dq,
                                    coefficient_period, cubic_coefficient,
                                    hill_coefficient, limit_force_circle,
@@ -356,23 +356,43 @@ class TestLimits:
             assert math.copysign(1.0, f) == -math.copysign(1.0, w)
 
     def test_fused_mass_equilibrium(self):
-        assert limit_force_circle(math.pi, 1.0) == pytest.approx(0.0,
-                                                                 abs=1e-15)
+        assert limit_force_circle(math.pi) == pytest.approx(0.0, abs=1e-15)
         assert comparison_force_circle(math.pi, 1.0) == pytest.approx(
             0.0, abs=1e-15)
 
     def test_fused_mass_value(self):
-        assert limit_force_circle(math.pi / 2.0, 1.0) == pytest.approx(
+        assert limit_force_circle(math.pi / 2.0) == pytest.approx(
             -1.0 / math.sqrt(2.0), abs=1e-14)
 
     def test_small_binary_approaches_fused_mass(self):
         tiny = ModelParams(r=1e-6)
         for q in (math.pi / 2.0, 2.0, math.pi):
             assert tangential_force(q, 0.7, tiny) == pytest.approx(
-                limit_force_circle(q, 1.0), abs=1e-5)
+                limit_force_circle(q), abs=1e-5)
 
     def test_fused_mass_singularity(self):
         with pytest.raises(CollisionError):
-            limit_force_circle(0.0, 1.0)
+            limit_force_circle(0.0)
         with pytest.raises(CollisionError):
             comparison_force_circle(TWO_PI, 1.0)
+
+    @pytest.mark.parametrize("q", [1e-6, 3e-5, 1e-3, 0.5, 2.0, -1.0, 7.0,
+                                   TWO_PI - 1e-3])
+    def test_fused_mass_matches_high_precision(self, q):
+        # -sin q / (sqrt 2 (1 - cos q)^{3/2}) in 40 digits; in floats
+        # 1 - cos q cancels near the fused mass, the chord does not
+        with mpmath.workdps(40):
+            x = mpmath.mpf(q)
+            want = -mpmath.sin(x) / (mpmath.sqrt(2) * (1 - mpmath.cos(x))
+                                     ** mpmath.mpf(1.5))
+            assert abs(limit_force_circle(q) - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("q", [0.0, 1e-10, TWO_PI])
+    def test_fused_mass_guard_names_the_chord(self, q):
+        chord = 2.0 * abs(math.sin(0.5 * q))
+        assert chord <= D_MIN
+        with pytest.raises(CollisionError) as err:
+            limit_force_circle(q)
+        assert err.value.primary == 1
+        assert err.value.distance == chord
+        assert f"distance {chord:.3e} to primary 1" in str(err.value)
